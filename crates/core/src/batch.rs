@@ -113,7 +113,7 @@ use exi_sparse::{
     SymbolicCache,
 };
 
-use crate::engines::{resolve_probes, Engine, StepOutcome};
+use crate::engines::resolve_probes;
 use crate::error::{SimError, SimResult};
 use crate::lanes::{LanePolicy, LaneRunner};
 use crate::observer::{DecimatedWaveform, RecordingObserver, StreamingObserver};
@@ -143,9 +143,9 @@ pub enum JobSink {
 /// the worker running it.
 ///
 /// Cancellation is checked **between accepted steps** (on the
-/// [`Engine`] pause/resume contract), never mid-step, so a cancelled job's
-/// partial waveform is a bit-exact prefix of what the uncancelled run would
-/// have produced.
+/// [`crate::Engine`] pause/resume contract), never mid-step, so a cancelled
+/// job's partial waveform is a bit-exact prefix of what the uncancelled run
+/// would have produced.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -173,6 +173,20 @@ pub enum CancelReason {
     Token,
     /// Its per-job deadline ([`BatchJob::deadline`]) expired.
     Deadline,
+}
+
+impl CancelReason {
+    /// The between-steps cancellation poll: a fired `token` first, then an
+    /// expired `deadline`.
+    pub fn poll(token: Option<&CancelToken>, deadline: Option<Instant>) -> Option<CancelReason> {
+        if token.is_some_and(CancelToken::is_cancelled) {
+            Some(CancelReason::Token)
+        } else if deadline.is_some_and(|limit| Instant::now() >= limit) {
+            Some(CancelReason::Deadline)
+        } else {
+            None
+        }
+    }
 }
 
 impl std::fmt::Display for CancelReason {
@@ -1092,6 +1106,8 @@ fn job_fingerprints(
     let ev = plan.evaluate(&x)?;
     let ordering = job.options.ordering;
     let jac = if uses_implicit_jacobian(job.method) {
+        // Exactly the pattern of every `C/h + θG` the job will form: a
+        // linear combination is the structural union whatever its weights.
         let union = CsrMatrix::linear_combination(1.0, &ev.c, 1.0, &ev.g)?;
         Some((pattern_fingerprint(&union), ordering))
     } else {
@@ -1382,8 +1398,8 @@ fn run_job_body(
     }
 }
 
-/// Drives a cancellable job step-by-step on the [`Engine`] contract: the
-/// token and deadline are checked **between** accepted steps, so the partial
+/// Drives a cancellable job through [`Simulator::transient_until`]: the
+/// token and deadline are polled **between** accepted steps, so the partial
 /// waveform of a cancelled job is a bit-exact prefix of the uncancelled run.
 #[allow(clippy::result_large_err)] // cold path, once per job
 fn run_cancellable(
@@ -1394,29 +1410,21 @@ fn run_cancellable(
 ) -> Result<JobOutput, JobError> {
     job.options.validate().map_err(JobError::Sim)?;
     let probes = resolve_probes(&job.circuit, probe_refs).map_err(JobError::Sim)?;
-    match job.sink {
+    let stop = || CancelReason::poll(job.cancel.as_ref(), deadline);
+    let (cancelled, output) = match job.sink {
         JobSink::Record => {
             let mut observer = RecordingObserver::new(probes, job.options.record_full_states);
-            let cancelled = drive_cancellable(sim, job, &mut observer, deadline)?;
-            let output = JobOutput::Recorded(observer.into_result());
-            wrap_cancellation(output, cancelled)
+            let (_, cancelled) =
+                sim.transient_until(job.method, &job.options, &mut observer, |_| stop())?;
+            (cancelled, JobOutput::Recorded(observer.into_result()))
         }
         JobSink::Stream { capacity } => {
             let mut observer = StreamingObserver::new(probes, capacity);
-            let cancelled = drive_cancellable(sim, job, &mut observer, deadline)?;
-            let output = JobOutput::Streamed(observer.into_waveform());
-            wrap_cancellation(output, cancelled)
+            let (_, cancelled) =
+                sim.transient_until(job.method, &job.options, &mut observer, |_| stop())?;
+            (cancelled, JobOutput::Streamed(observer.into_waveform()))
         }
-    }
-}
-
-/// Packages a driven job's output: complete on `None`, a
-/// [`JobError::Cancelled`] carrying the partial waveform otherwise.
-#[allow(clippy::result_large_err)] // cold path, once per job
-fn wrap_cancellation(
-    output: JobOutput,
-    cancelled: Option<(CancelReason, f64)>,
-) -> Result<JobOutput, JobError> {
+    };
     match cancelled {
         None => Ok(output),
         Some((reason, at_time)) => Err(JobError::Cancelled {
@@ -1424,64 +1432,6 @@ fn wrap_cancellation(
             at_time,
             partial: Some(output),
         }),
-    }
-}
-
-/// The step loop of a cancellable job. Returns `Ok(None)` on normal
-/// completion, `Ok(Some((reason, time)))` on cancellation, and the
-/// (attributed) simulation error otherwise; the run's statistics are
-/// absorbed into the session either way.
-#[allow(clippy::result_large_err)] // cold path, once per job
-fn drive_cancellable(
-    sim: &mut Simulator<'_>,
-    job: &BatchJob,
-    observer: &mut dyn crate::Observer,
-    deadline: Option<Instant>,
-) -> Result<Option<(CancelReason, f64)>, JobError> {
-    let (outcome, stats) = {
-        let mut stepper = match sim.stepper(job.method, &job.options) {
-            Ok(stepper) => stepper,
-            Err(e) => return Err(JobError::Sim(e.attributed(&job.circuit))),
-        };
-        // Start explicitly (DC solve + `on_dc`) before the first cancellation
-        // check: even a job cancelled on arrival yields its DC point as the
-        // partial result.
-        let outcome = match stepper.start(observer) {
-            Err(e) => Err(e),
-            Ok(()) => loop {
-                let cancel = if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    Some(CancelReason::Token)
-                } else if deadline.is_some_and(|limit| Instant::now() >= limit) {
-                    Some(CancelReason::Deadline)
-                } else {
-                    None
-                };
-                if let Some(reason) = cancel {
-                    break Ok(Some((reason, stepper.time())));
-                }
-                match stepper.advance(observer) {
-                    Ok(StepOutcome::Finished) => break Ok(None),
-                    Ok(_) => {}
-                    Err(e) => break Err(e),
-                }
-            },
-        };
-        let stats = stepper.finish(observer);
-        (outcome, stats)
-    };
-    match outcome {
-        Ok(None) => {
-            sim.absorb_run(&stats);
-            Ok(None)
-        }
-        Ok(cancelled) => {
-            sim.absorb_partial(&stats);
-            Ok(cancelled)
-        }
-        Err(e) => {
-            sim.absorb_partial(&stats);
-            Err(JobError::Sim(e.attributed(&job.circuit)))
-        }
     }
 }
 

@@ -6,18 +6,18 @@
 //! plain iteration struggles, a Levenberg-style diagonal damping term is added
 //! to the Jacobian, which plays the practical role of SPICE's gmin stepping.
 //!
-//! The Jacobian's sparsity pattern is fixed across Newton iterations (it only
-//! changes when the damping term switches on or off), so after the first
-//! iteration the LU factorization runs through the cached-symbolic
-//! refactorization path. When driven by a [`crate::Simulator`] session the
-//! factorizations go through the session's conductance-matrix cache, so the
-//! final DC factor seeds every later transient run — circuits whose
-//! conductance pattern matches never pay for a second symbolic analysis.
+//! The Jacobian is one of two matrix roles, each with a pattern fixed by the
+//! circuit: the plain `G` and, while the damping term is on, `G + σI`. Each
+//! has its own factor slot, so after a role's first iteration its LU
+//! factorizations run through the cached-symbolic refactorization path. When
+//! driven by a [`crate::Simulator`] session the `G` slot is the session's
+//! conductance-matrix cache, so the DC factor seeds every later transient
+//! run — the transient steps never pay for a second symbolic analysis of `G`.
 
 use exi_netlist::{Circuit, EvalPlan, EvalWorkspace};
-use exi_sparse::{vector, CsrMatrix, LuOptions, LuWorkspace, SymbolicCache};
+use exi_sparse::{vector, CsrMatrix, LuOptions, LuWorkspace, SparseLu, SymbolicCache};
 
-use crate::engines::{refresh_lu, LuSlot, RetainedFactors};
+use crate::engines::refresh_lu;
 use crate::error::{SimError, SimResult};
 use crate::options::DcOptions;
 use crate::stats::RunStats;
@@ -63,8 +63,6 @@ pub struct DcSolution {
 /// ```
 pub fn dc_operating_point(circuit: &Circuit, options: &DcOptions) -> SimResult<DcSolution> {
     let mut stats = RunStats::new();
-    let mut lu_cache = LuSlot::default();
-    let mut retained = RetainedFactors::default();
     let mut lu_ws = LuWorkspace::new();
     let plan = circuit.compile_plan()?;
     stats.plan_compilations += 1;
@@ -74,8 +72,8 @@ pub fn dc_operating_point(circuit: &Circuit, options: &DcOptions) -> SimResult<D
         &plan,
         options,
         &mut stats,
-        &mut lu_cache,
-        &mut retained,
+        &mut None,
+        &mut None,
         None,
         &mut lu_ws,
         &mut eval_ws,
@@ -122,19 +120,22 @@ pub(crate) fn dc_operating_point_recovering(
     options: &DcOptions,
     policy: &crate::RecoveryPolicy,
     stats: &mut RunStats,
-    lu_cache: &mut LuSlot,
-    retained: &mut RetainedFactors,
+    g_lu: &mut Option<SparseLu>,
     shared: Option<&SymbolicCache>,
     lu_ws: &mut LuWorkspace,
     eval_ws: &mut EvalWorkspace,
 ) -> SimResult<DcSolution> {
+    // The damped Jacobian `G + σI` has its own pattern (and only exists
+    // while a solve struggles): its factor lives for this solve, ladder
+    // stages included, and never displaces the session's `G` factor.
+    let mut damped_lu = None;
     let plain = dc_operating_point_internal(
         circuit,
         plan,
         options,
         stats,
-        lu_cache,
-        retained,
+        g_lu,
+        &mut damped_lu,
         shared,
         lu_ws,
         eval_ws,
@@ -160,8 +161,8 @@ pub(crate) fn dc_operating_point_recovering(
                 plan,
                 options,
                 stats,
-                lu_cache,
-                retained,
+                g_lu,
+                &mut damped_lu,
                 shared,
                 lu_ws,
                 eval_ws,
@@ -185,8 +186,8 @@ pub(crate) fn dc_operating_point_recovering(
                 plan,
                 options,
                 stats,
-                lu_cache,
-                retained,
+                g_lu,
+                &mut damped_lu,
                 shared,
                 lu_ws,
                 eval_ws,
@@ -215,8 +216,8 @@ pub(crate) fn dc_operating_point_recovering(
                 plan,
                 options,
                 stats,
-                lu_cache,
-                retained,
+                g_lu,
+                &mut damped_lu,
                 shared,
                 lu_ws,
                 eval_ws,
@@ -251,8 +252,8 @@ pub(crate) fn dc_operating_point_internal(
     plan: &EvalPlan,
     options: &DcOptions,
     stats: &mut RunStats,
-    lu_cache: &mut LuSlot,
-    retained: &mut RetainedFactors,
+    g_lu: &mut Option<SparseLu>,
+    damped_lu: &mut Option<SparseLu>,
     shared: Option<&SymbolicCache>,
     lu_ws: &mut LuWorkspace,
     eval_ws: &mut EvalWorkspace,
@@ -317,15 +318,14 @@ pub(crate) fn dc_operating_point_internal(
         // shunt rides on the same diagonal term.
         let diag_shift = if gmin != 0.0 { damping + gmin } else { damping };
         let damped;
-        let jac = if diag_shift > 0.0 {
+        let (slot, jac) = if diag_shift > 0.0 {
             let scaled_identity = CsrMatrix::identity(n).scaled(diag_shift);
             damped = CsrMatrix::linear_combination(1.0, &ev.g, 1.0, &scaled_identity)?;
-            &damped
+            (&mut *damped_lu, &damped)
         } else {
-            &ev.g
+            (&mut *g_lu, &ev.g)
         };
-        refresh_lu(lu_cache, retained, shared, jac, &lu_options, lu_ws, stats)?;
-        let lu = lu_cache.get().expect("refresh_lu populated the cache");
+        let lu = refresh_lu(slot, shared, jac, &lu_options, lu_ws, stats)?;
         lu.solve_into(&rhs, &mut delta, lu_ws)?;
         stats.linear_solves += 1;
         // Simple voltage limiting keeps exponential devices in range.
@@ -441,8 +441,7 @@ mod tests {
         ckt.add_resistor("R1", a, d, 1e3).unwrap();
         ckt.add_diode("D1", d, gnd, DiodeModel::default()).unwrap();
         let mut stats = RunStats::new();
-        let mut lu = LuSlot::default();
-        let mut retained = RetainedFactors::default();
+        let mut lu = None;
         let mut ws = LuWorkspace::new();
         let plan = ckt.compile_plan().unwrap();
         let mut eval_ws = plan.new_workspace();
@@ -452,7 +451,7 @@ mod tests {
             &DcOptions::default(),
             &mut stats,
             &mut lu,
-            &mut retained,
+            &mut None,
             None,
             &mut ws,
             &mut eval_ws,
@@ -460,9 +459,9 @@ mod tests {
         )
         .unwrap();
         assert!(dc.iterations > 1);
-        // At most one extra symbolic analysis when the Levenberg damping
-        // kicks in and changes the Jacobian pattern; all other iterations
-        // run numeric-only.
+        // At most one extra symbolic analysis — for the damped Jacobian's
+        // own pattern, should the Levenberg damping kick in; all other
+        // iterations run numeric-only.
         assert!(stats.symbolic_analyses <= 2, "{stats:?}");
         assert_eq!(
             stats.lu_refactorizations,
@@ -472,7 +471,7 @@ mod tests {
             stats.lu_refactorizations > stats.symbolic_analyses,
             "{stats:?}"
         );
-        assert!(lu.get().is_some());
+        assert!(lu.is_some());
     }
 
     #[test]

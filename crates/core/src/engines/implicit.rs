@@ -4,17 +4,16 @@
 //! Every Newton iteration assembles and LU-factorizes the combined matrix
 //! `C(x)/h + θ·G(x)` — the operation whose cost (and factor fill, Fig. 1)
 //! the exponential framework avoids. The *sparsity pattern* of that matrix is
-//! nevertheless fixed as long as exact cancellations do not occur, so the
-//! baseline also benefits from the cached symbolic analysis: after the first
-//! Newton iteration the factorizations run through the numeric-only
-//! refactorization path (for any step size `h` — the pattern of `C/h + G`
-//! does not depend on `h`). The remaining per-iteration cost asymmetry
-//! against ER is the *numeric* elimination on the much denser factors, which
-//! is exactly the paper's argument.
+//! nevertheless fixed — the structural union of the plan's `C` and `G`
+//! patterns, whatever `x` and `h` are — so the baseline also benefits from
+//! the cached symbolic analysis: after the first Newton iteration the
+//! factorizations run through the numeric-only refactorization path. The
+//! remaining per-iteration cost asymmetry against ER is the *numeric*
+//! elimination on the much denser factors, which is exactly the paper's
+//! argument.
 //!
 //! The engine is exposed as the incremental [`ImplicitStepper`] (one accepted
-//! step per [`Engine::advance`] call); [`run_implicit`] remains as a
-//! deprecated one-shot wrapper.
+//! step per [`Engine::advance`] call).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,7 +25,6 @@ use crate::engines::{clamp_step, prepare, reached_end, refresh_lu, Engine, StepO
 use crate::error::{SimError, SimResult};
 use crate::observer::Observer;
 use crate::options::TransientOptions;
-use crate::output::TransientResult;
 use crate::session::SessionCaches;
 use crate::stats::RunStats;
 
@@ -278,16 +276,14 @@ impl ImplicitStepper<'_> {
                     &ev.g,
                     &mut self.jac,
                 )?;
-                refresh_lu(
+                let lu = refresh_lu(
                     &mut caches.jac_lu,
-                    &mut caches.retained,
                     caches.shared.as_deref(),
                     &self.jac,
                     &self.lu_options,
                     &mut caches.lu_ws,
                     &mut self.stats,
                 )?;
-                let lu = caches.jac_lu.get().expect("refresh_lu populated the cache");
                 lu.solve_into(&self.residual, &mut self.delta, &mut caches.lu_ws)?;
                 self.stats.linear_solves += 1;
                 vector::scale(-1.0, &mut self.delta);
@@ -380,37 +376,10 @@ impl ImplicitStepper<'_> {
     }
 }
 
-/// Runs an implicit (BE or TR) transient analysis with Newton–Raphson
-/// iterations and adaptive step control.
-///
-/// # Errors
-///
-/// * [`SimError::NewtonDidNotConverge`] if Newton fails even at `h_min`.
-/// * [`SimError::Sparse`] for factorization failures; a
-///   [`exi_sparse::SparseError::FillBudgetExceeded`] surfaces when the
-///   configured fill budget is exhausted (the Table I "out of memory" cases).
-/// * Option-validation and netlist errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "create a `Simulator` and call `transient(Method::BackwardEuler | Method::Trapezoidal, …)` \
-            — a session reuses LU caches and workspaces across runs"
-)]
-pub fn run_implicit(
-    circuit: &Circuit,
-    scheme: ImplicitScheme,
-    options: &TransientOptions,
-    probe_names: &[&str],
-) -> SimResult<TransientResult> {
-    let method = match scheme {
-        ImplicitScheme::BackwardEuler => crate::Method::BackwardEuler,
-        ImplicitScheme::Trapezoidal => crate::Method::Trapezoidal,
-    };
-    crate::Simulator::new(circuit).transient(method, options, probe_names)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::TransientResult;
     use crate::session::Simulator;
     use crate::transient::Method;
     use exi_netlist::{generators, Waveform};
@@ -551,35 +520,5 @@ mod tests {
             err,
             SimError::Sparse(exi_sparse::SparseError::FillBudgetExceeded { .. })
         ));
-    }
-
-    #[test]
-    fn deprecated_wrapper_matches_session_run() {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        let gnd = ckt.node("0");
-        ckt.add_voltage_source(
-            "V1",
-            vin,
-            gnd,
-            Waveform::Pwl(vec![(0.0, 0.0), (1e-12, 1.0)]),
-        )
-        .unwrap();
-        ckt.add_resistor("R1", vin, out, 1e3).unwrap();
-        ckt.add_capacitor("C1", out, gnd, 1e-12).unwrap();
-        let options = TransientOptions {
-            t_stop: 2e-9,
-            h_init: 1e-12,
-            h_max: 1e-10,
-            error_budget: 1e-3,
-            ..TransientOptions::default()
-        };
-        #[allow(deprecated)]
-        let wrapped =
-            run_implicit(&ckt, ImplicitScheme::BackwardEuler, &options, &["out"]).unwrap();
-        let session = run_scheme(&ckt, ImplicitScheme::BackwardEuler, &options, &["out"]).unwrap();
-        assert_eq!(wrapped.times, session.times);
-        assert_eq!(wrapped.samples, session.samples);
     }
 }

@@ -17,12 +17,9 @@
 pub mod er;
 pub mod implicit;
 
-use std::collections::HashMap;
-
 use exi_netlist::Circuit;
 use exi_sparse::{
-    pattern_fingerprint, CsrMatrix, FactorSource, LuOptions, LuWorkspace, OrderingMethod,
-    SparseError, SparseLu, SymbolicCache,
+    CsrMatrix, FactorSource, LuOptions, LuWorkspace, SparseError, SparseLu, SymbolicCache,
 };
 
 use crate::error::{SimError, SimResult};
@@ -211,154 +208,71 @@ pub(crate) fn reached_end(t: f64, t_stop: f64) -> bool {
     t >= t_stop * (1.0 - TIME_EPSILON)
 }
 
-/// The cache key of one LU pattern: the shared cache's own
-/// [`pattern_fingerprint`] plus the fill-reducing ordering (a different
-/// ordering is a different analysis).
-pub(crate) type LuPatternKey = (u64, OrderingMethod);
-
-/// One engine-facing LU cache slot: the current factor plus — for sessions
-/// attached to a shared [`SymbolicCache`] — the pattern key it was built
-/// under, so a displaced factor can be retired into the session's
-/// [`RetainedFactors`] pool instead of being discarded.
-#[derive(Debug, Default)]
-pub(crate) struct LuSlot {
-    /// The cached factorization; `None` until the first [`refresh_lu`].
-    pub(crate) factor: Option<SparseLu>,
-    /// Pattern key of `factor`. Only maintained for shared sessions (it
-    /// costs a pattern hash); `None` otherwise.
-    key: Option<LuPatternKey>,
-}
-
-impl LuSlot {
-    /// The cached factor, if any.
-    pub(crate) fn get(&self) -> Option<&SparseLu> {
-        self.factor.as_ref()
-    }
-}
-
-/// Session-local pool of LU factors displaced from a [`LuSlot`] by a
-/// mid-run sparsity-pattern change (e.g. a MOSFET crossing regions), keyed
-/// like the shared [`SymbolicCache`].
+/// Obtains an LU factorization of `a` in `slot` — the caller's cache for
+/// this **matrix role** (`G`, the DC solve's damped `G + σI`, or the implicit
+/// Jacobian `C/h + θG`).
 ///
-/// This is what keeps warm lookups off the shared cache's blocking lock on
-/// the step hot path: a pattern the session has factorized before is revived
-/// with a **local, lock-free** numeric refactorization — bit-identical to
-/// the `from_symbolic` derivation the shared cache would perform, because
-/// both replay the same recorded elimination on the same values. Only
-/// populated for sessions attached to a shared cache; unshared sessions keep
-/// their original discard-and-re-analyze behavior (and bit-exact output).
-#[derive(Debug, Default)]
-pub(crate) struct RetainedFactors {
-    factors: HashMap<LuPatternKey, SparseLu>,
-}
-
-impl RetainedFactors {
-    /// Patterns a session plausibly alternates between; beyond this the
-    /// displaced factor is dropped (the shared cache still serves the
-    /// pattern, at the cost of its lock).
-    const CAPACITY: usize = 8;
-
-    fn retire(&mut self, key: LuPatternKey, factor: SparseLu) {
-        if self.factors.len() < Self::CAPACITY {
-            self.factors.insert(key, factor);
-        }
-    }
-
-    fn revive(&mut self, key: &LuPatternKey) -> Option<SparseLu> {
-        self.factors.remove(key)
-    }
-}
-
-/// Obtains an LU factorization of `a`, preferring the cheap numeric-only
-/// refactorization path when `slot` already holds a factor whose symbolic
-/// analysis matches `a`'s sparsity pattern.
+/// A role's sparsity pattern is fixed when the evaluation plan is compiled
+/// (see [`exi_netlist::plan`]), so one plain slot per role is the whole
+/// cache, for every kind of session:
 ///
-/// The lookup ladder, cheapest first — the step hot path (fixed pattern)
-/// never goes past the first rung, and no rung before the shared pool takes
-/// a lock:
+/// 1. **In-place refactorization** of the slot's factor — the step hot path:
+///    no hashing, no locks, no allocation.
+/// 2. Otherwise — the slot is empty, or the frozen pivot order is no longer
+///    viable for `a`'s values (vanished pivot, excessive element growth) — a
+///    factor from the **shared pool** ([`SymbolicCache`]) when the session
+///    has one, else a **fresh** pivoting factorization. A pool hit derives
+///    the factor from the published analysis (counted as a refactorization
+///    plus a [`RunStats::shared_symbolic_hits`], blocked time charged to
+///    [`RunStats::cache_wait`]); a miss runs the pilot analysis and publishes
+///    it for the fleet.
 ///
-/// 1. **In-place refactorization** of the slot's current factor (pattern
-///    unchanged — no hashing, no locks).
-/// 2. **Retained-factor revival** (shared sessions only): a pattern this
-///    session factorized earlier in the run is refactorized locally instead
-///    of re-locking the shared cache.
-/// 3. **Shared pool** ([`SymbolicCache`], once per pattern per session): a
-///    hit derives the factor from the published analysis — counted as a
-///    refactorization plus a [`RunStats::shared_symbolic_hits`], with any
-///    blocked time charged to [`RunStats::cache_wait`] — and a miss runs
-///    the pilot analysis, publishing it for the fleet.
-/// 4. **Fresh analysis** (unshared sessions).
-///
-/// Falls back to a fresh factorization (with re-pivoting) whenever a
-/// refactorization is rejected — pattern change, vanished pivot or excessive
-/// element growth. Counts every path into `stats` so runs expose how much
-/// symbolic work they actually reused.
-pub(crate) fn refresh_lu(
-    slot: &mut LuSlot,
-    retained: &mut RetainedFactors,
+/// Counts every path into `stats` so runs expose how much symbolic work they
+/// actually reused.
+pub(crate) fn refresh_lu<'s>(
+    slot: &'s mut Option<SparseLu>,
     shared: Option<&SymbolicCache>,
     a: &CsrMatrix,
     options: &LuOptions,
     ws: &mut LuWorkspace,
     stats: &mut RunStats,
-) -> SimResult<()> {
-    if let Some(lu) = slot.factor.as_mut() {
-        if lu.refactorize_with(a, ws).is_ok() {
-            // The fill of a pattern-preserving refactorization is identical
-            // to the pilot's, but a budget configured *after* the pilot (or a
-            // factor seeded from another analysis) must still be honored.
-            check_fill_budget(lu, options)?;
-            stats.lu_factorizations += 1;
-            stats.lu_refactorizations += 1;
-            return Ok(());
-        }
-        // Stale symbolic analysis. Shared sessions retire the factor for a
-        // lock-free revival should the run flip back to its pattern;
-        // unshared sessions discard and re-pivot from scratch, as always.
-        let displaced = slot.factor.take();
-        let displaced_key = slot.key.take();
-        if shared.is_some() {
-            if let (Some(key), Some(old)) = (displaced_key, displaced) {
-                retained.retire(key, old);
-            }
-        }
-    }
-    match shared {
-        Some(pool) => {
-            let key = (pattern_fingerprint(a), options.ordering);
-            if let Some(mut lu) = retained.revive(&key) {
-                if lu.refactorize_with(a, ws).is_ok() {
-                    check_fill_budget(&lu, options)?;
-                    stats.lu_factorizations += 1;
-                    stats.lu_refactorizations += 1;
-                    slot.key = Some(key);
-                    slot.factor = Some(lu);
-                    return Ok(());
+) -> SimResult<&'s SparseLu> {
+    let refactorized = slot
+        .as_mut()
+        .is_some_and(|lu| lu.refactorize_with(a, ws).is_ok());
+    if refactorized {
+        // A new factor is held to the budget by its constructor; a reused
+        // one may predate the budget (configured after the pilot, or seeded
+        // by the DC solve, which runs without one).
+        check_fill_budget(slot.as_ref().expect("refactorized above"), options)?;
+        stats.lu_refactorizations += 1;
+    } else {
+        // A rejected refactorization leaves the factor's values unspecified:
+        // it must not survive an error return below.
+        *slot = None;
+        *slot = Some(match shared {
+            Some(pool) => {
+                let (lu, source, wait) = pool.factorize_timed(a, options, ws)?;
+                stats.cache_wait += wait.blocked;
+                stats.shared_symbolic_wait_events += wait.events;
+                match source {
+                    FactorSource::Shared => {
+                        stats.lu_refactorizations += 1;
+                        stats.shared_symbolic_hits += 1;
+                    }
+                    FactorSource::Analyzed => stats.symbolic_analyses += 1,
                 }
-                // Frozen pivots no longer viable for these values: drop the
-                // retired factor and let the pool decide (it re-pivots).
+                lu
             }
-            let (lu, source, wait) = pool.factorize_timed(a, options, ws)?;
-            stats.lu_factorizations += 1;
-            stats.cache_wait += wait.blocked;
-            stats.shared_symbolic_wait_events += wait.events;
-            match source {
-                FactorSource::Shared => {
-                    stats.lu_refactorizations += 1;
-                    stats.shared_symbolic_hits += 1;
-                }
-                FactorSource::Analyzed => stats.symbolic_analyses += 1,
+            None => {
+                let lu = SparseLu::factorize_with(a, options)?;
+                stats.symbolic_analyses += 1;
+                lu
             }
-            slot.key = Some(key);
-            slot.factor = Some(lu);
-        }
-        None => {
-            slot.factor = Some(SparseLu::factorize_with(a, options)?);
-            stats.lu_factorizations += 1;
-            stats.symbolic_analyses += 1;
-        }
+        });
     }
-    Ok(())
+    stats.lu_factorizations += 1;
+    Ok(slot.as_ref().expect("slot filled on both paths above"))
 }
 
 /// Rejects a factor whose fill exceeds the configured budget.

@@ -42,12 +42,12 @@ use std::time::{Duration, Instant};
 
 use exi_krylov::MevpWorkspace;
 use exi_netlist::{circuit_fingerprint, Circuit, EvalPlan, EvalWorkspace};
-use exi_sparse::{LuWorkspace, OrderingMethod, SymbolicCache};
+use exi_sparse::{LuWorkspace, OrderingMethod, SparseLu, SymbolicCache};
 
 use crate::dc::{dc_operating_point_recovering, DcSolution};
 use crate::engines::er::ErStepper;
 use crate::engines::implicit::{ImplicitScheme, ImplicitStepper};
-use crate::engines::{resolve_probes, Engine, LuSlot, RetainedFactors, StepOutcome};
+use crate::engines::{resolve_probes, Engine, StepOutcome};
 use crate::error::SimResult;
 use crate::observer::{Observer, RecordingObserver};
 use crate::options::{DcOptions, TransientOptions};
@@ -65,17 +65,13 @@ use crate::transient::Method;
 /// * `jac_lu` — cached factorization of the implicit-method Jacobian
 ///   `C/h + θ·G` (a different, denser pattern), reused across Newton
 ///   iterations, step sizes and runs.
-/// * `retained` — recently displaced factors, keyed by pattern, revived
-///   lock-free when a run alternates between patterns (e.g. DC homotopy
-///   stages) instead of going back through the shared cache.
 /// * `lu_ws` / `mevp_ws` — allocation pools for triangular solves and Krylov
 ///   subspace builds; pure scratch, shared by every engine.
 /// * `dc` — the DC operating point, computed once per topology.
 #[derive(Debug, Default)]
 pub(crate) struct SessionCaches {
-    pub(crate) g_lu: LuSlot,
-    pub(crate) jac_lu: LuSlot,
-    pub(crate) retained: RetainedFactors,
+    pub(crate) g_lu: Option<SparseLu>,
+    pub(crate) jac_lu: Option<SparseLu>,
     pub(crate) lu_ws: LuWorkspace,
     pub(crate) mevp_ws: MevpWorkspace,
     pub(crate) dc: Option<DcSolution>,
@@ -500,7 +496,6 @@ impl<'c> Simulator<'c> {
             &self.recovery,
             &mut stats,
             &mut caches.g_lu,
-            &mut caches.retained,
             caches.shared.as_deref(),
             &mut caches.lu_ws,
             &mut caches.eval_ws,
@@ -582,9 +577,7 @@ impl<'c> Simulator<'c> {
     }
 
     /// Runs one full transient analysis, recording every accepted point, and
-    /// returns the buffered [`TransientResult`] — the session equivalent of
-    /// the deprecated [`crate::run_transient`] free function (bit-identical
-    /// waveforms).
+    /// returns the buffered [`TransientResult`].
     ///
     /// # Errors
     ///
@@ -736,6 +729,53 @@ impl<'c> Simulator<'c> {
                 Err(e)
             }
         }
+    }
+
+    /// Runs one transient analysis step by step, polling `stop` between
+    /// accepted steps — the cancellable drive loop behind
+    /// [`crate::BatchRunner`] jobs and `exi-serve` workers.
+    ///
+    /// The stepper starts (DC solve, [`Observer::on_dc`]) before the first
+    /// poll, so even a run stopped on arrival delivers its DC point; and
+    /// because `stop` is only consulted at step boundaries, what a stopped
+    /// run streamed is a bit-exact prefix of the uninterrupted run. `stop`
+    /// sees the observer, so a sink can end its own run (a vanished client,
+    /// a full buffer).
+    ///
+    /// Returns the run's statistics — absorbed into the session whatever the
+    /// outcome — and, for a stopped run, `stop`'s reason with the simulation
+    /// time reached.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulator::transient`], attributed to the circuit.
+    pub fn transient_until<O: Observer, R>(
+        &mut self,
+        method: Method,
+        options: &TransientOptions,
+        observer: &mut O,
+        mut stop: impl FnMut(&O) -> Option<R>,
+    ) -> SimResult<(RunStats, Option<(R, f64)>)> {
+        let circuit = self.circuit;
+        let (outcome, stats) = {
+            let mut stepper = self
+                .stepper(method, options)
+                .map_err(|e| e.attributed(circuit))?;
+            let outcome = stepper.start(observer).and_then(|()| loop {
+                if let Some(reason) = stop(observer) {
+                    break Ok(Some((reason, stepper.time())));
+                }
+                if let StepOutcome::Finished = stepper.advance(observer)? {
+                    break Ok(None);
+                }
+            });
+            (outcome, stepper.finish(observer))
+        };
+        match outcome {
+            Ok(None) => self.absorb_run(&stats),
+            _ => self.absorb_partial(&stats),
+        }
+        Ok((stats, outcome.map_err(|e| e.attributed(circuit))?))
     }
 
     /// Runs several analyses back to back on the shared caches — a parameter

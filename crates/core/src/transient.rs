@@ -1,12 +1,4 @@
-//! The [`Method`] selector and the deprecated one-shot [`run_transient`]
-//! entry point (use [`crate::Simulator`] instead).
-
-use exi_netlist::Circuit;
-
-use crate::error::SimResult;
-use crate::options::TransientOptions;
-use crate::output::TransientResult;
-use crate::session::Simulator;
+//! The [`Method`] selector.
 
 /// The time-integration method used for a transient analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -50,60 +42,12 @@ impl std::fmt::Display for Method {
     }
 }
 
-/// Runs a one-shot transient analysis of `circuit` over `[0, options.t_stop]`.
-///
-/// `probe_names` selects the node voltages to record; unknown names are an
-/// error, ground is silently skipped.
-///
-/// This is a thin wrapper that creates a throwaway [`Simulator`] session and
-/// runs [`Simulator::transient`] once — waveforms are bit-identical to the
-/// session API. Prefer a [`Simulator`] directly: a session keeps the symbolic
-/// LU analyses, Krylov workspaces and DC solution alive across runs, which
-/// this wrapper rebuilds (and discards) on every call.
-///
-/// # Errors
-///
-/// Propagates option-validation, DC, Newton, step-control and kernel errors
-/// from the selected engine (see [`crate::SimError`]).
-///
-/// # Examples
-///
-/// ```
-/// use exi_netlist::{Circuit, Waveform};
-/// use exi_sim::{Method, Simulator, TransientOptions};
-///
-/// # fn main() -> Result<(), exi_sim::SimError> {
-/// let mut ckt = Circuit::new();
-/// let vin = ckt.node("in");
-/// let out = ckt.node("out");
-/// let gnd = ckt.node("0");
-/// ckt.add_voltage_source("Vin", vin, gnd, Waveform::Pwl(vec![(0.0, 0.0), (1e-11, 1.0)]))?;
-/// ckt.add_resistor("R1", vin, out, 1e3)?;
-/// ckt.add_capacitor("C1", out, gnd, 1e-13)?;
-/// let options = TransientOptions::new(1e-9, 1e-12);
-/// let result = Simulator::new(&ckt).transient(Method::ExponentialRosenbrock, &options, &["out"])?;
-/// assert!(result.len() > 1);
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "create a `Simulator` session and call `transient` on it — consecutive runs then share \
-            one symbolic LU analysis, the Krylov workspace arena and the DC solution"
-)]
-pub fn run_transient(
-    circuit: &Circuit,
-    method: Method,
-    options: &TransientOptions,
-    probe_names: &[&str],
-) -> SimResult<TransientResult> {
-    Simulator::new(circuit).transient(method, options, probe_names)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exi_netlist::Waveform;
+    use crate::options::TransientOptions;
+    use crate::session::Simulator;
+    use exi_netlist::{Circuit, Waveform};
 
     #[test]
     fn method_labels_match_paper() {
@@ -146,34 +90,6 @@ mod tests {
             assert!(v_end > 0.9, "{method}: final value {v_end}");
         }
         assert_eq!(sim.completed_runs(), 4);
-    }
-
-    #[test]
-    fn deprecated_wrapper_matches_session_run() {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        let gnd = ckt.node("0");
-        ckt.add_voltage_source(
-            "Vin",
-            vin,
-            gnd,
-            Waveform::Pwl(vec![(0.0, 0.0), (1e-11, 1.0)]),
-        )
-        .unwrap();
-        ckt.add_resistor("R1", vin, out, 1e3).unwrap();
-        ckt.add_capacitor("C1", out, gnd, 1e-13).unwrap();
-        let options = TransientOptions::new(5e-10, 1e-12);
-        for method in Method::all() {
-            #[allow(deprecated)]
-            let wrapped = run_transient(&ckt, method, &options, &["out"]).unwrap();
-            let session = Simulator::new(&ckt)
-                .transient(method, &options, &["out"])
-                .unwrap();
-            assert_eq!(wrapped.times, session.times, "{method}");
-            assert_eq!(wrapped.samples, session.samples, "{method}");
-            assert_eq!(wrapped.final_state, session.final_state, "{method}");
-        }
     }
 
     #[test]

@@ -386,33 +386,12 @@ impl Circuit {
         crate::plan::EvalPlan::compile(self)
     }
 
-    /// Evaluates all devices at state `x`, producing the matrices and vectors
-    /// of the linearized MNA system.
-    ///
-    /// This compiles a throwaway [`crate::plan::EvalPlan`] per call; hot
-    /// loops must compile once and restamp with
-    /// [`EvalPlan::evaluate_into`](crate::plan::EvalPlan::evaluate_into)
-    /// instead (bit-identical results).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::EmptyCircuit`] for a circuit with no unknowns
-    /// and an error if `x` has the wrong length.
-    #[deprecated(
-        since = "0.4.0",
-        note = "compile an `EvalPlan` once per topology (`Circuit::compile_plan`) and restamp \
-                with `EvalPlan::evaluate_into` — the plan path assembles without COO buffers, \
-                sorting or steady-state allocation"
-    )]
-    pub fn evaluate(&self, x: &[f64]) -> NetlistResult<Evaluation> {
-        self.compile_plan()?.evaluate(x)
-    }
-
-    /// The legacy COO-assembly evaluation path, retained verbatim as the
-    /// differential-testing and benchmarking reference for the plan path
-    /// ([`Circuit::compile_plan`]). `tests/proptest_plan.rs` asserts the two
-    /// are bit-identical on randomized circuits; the `assembly` bench group
-    /// measures the gap.
+    /// The original COO-assembly evaluation path, kept as the independent
+    /// value oracle for the plan path ([`Circuit::compile_plan`]): `f`, `q`
+    /// and `C` agree bit for bit, `G` cell for cell (this path drops cells
+    /// whose value is `0.0`; the plan keeps them as explicit zeros — see
+    /// [`crate::plan`]). `tests/proptest_plan.rs` asserts it on randomized
+    /// circuits; the `assembly` bench group measures the gap.
     #[doc(hidden)]
     pub fn evaluate_reference(&self, x: &[f64]) -> NetlistResult<Evaluation> {
         let n = self.num_unknowns();
@@ -454,20 +433,6 @@ impl Circuit {
             f,
             q,
         })
-    }
-
-    /// The constant source-incidence matrix `B` (`num_unknowns × num_sources`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::EmptyCircuit`] for a circuit with no unknowns.
-    #[deprecated(
-        since = "0.4.0",
-        note = "compile an `EvalPlan` once per topology (`Circuit::compile_plan`) and borrow \
-                `EvalPlan::input_matrix` — `B` is a pure function of the topology"
-    )]
-    pub fn input_matrix(&self) -> NetlistResult<CsrMatrix> {
-        Ok(self.compile_plan()?.input_matrix().clone())
     }
 
     /// The legacy stamping-pass construction of `B`, retained as the
@@ -678,7 +643,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the deprecated wrappers' error parity
     fn validation_errors() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
@@ -693,36 +657,13 @@ mod tests {
             Err(NetlistError::DuplicateDevice { .. })
         ));
         assert!(matches!(
-            ckt.evaluate(&[1.0, 2.0]),
+            ckt.compile_plan().unwrap().evaluate(&[1.0, 2.0]),
             Err(NetlistError::Parse { .. })
         ));
-        let empty = Circuit::new();
         assert!(matches!(
-            empty.evaluate(&[]),
+            Circuit::new().compile_plan(),
             Err(NetlistError::EmptyCircuit)
         ));
-        assert!(matches!(
-            empty.input_matrix(),
-            Err(NetlistError::EmptyCircuit)
-        ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_plan_path_bitwise() {
-        let ckt = rc_divider();
-        let x = vec![0.9, 0.4, -5e-4];
-        let wrapped = ckt.evaluate(&x).unwrap();
-        let planned = eval(&ckt, &x);
-        assert_eq!(wrapped.g, planned.g);
-        assert_eq!(wrapped.c, planned.c);
-        assert_eq!(wrapped.f, planned.f);
-        assert_eq!(wrapped.q, planned.q);
-        assert_eq!(ckt.input_matrix().unwrap(), input_matrix(&ckt));
-        // And the plan path agrees with the retained COO reference.
-        let reference = ckt.evaluate_reference(&x).unwrap();
-        assert_eq!(reference.g, planned.g);
-        assert_eq!(reference.f, planned.f);
     }
 
     #[test]

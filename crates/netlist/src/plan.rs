@@ -1,52 +1,49 @@
-//! Precompiled evaluation plans: allocation-free, pattern-locked device
-//! restamping for the simulator hot loop.
+//! Precompiled evaluation plans: allocation-free device restamping onto a
+//! sparsity pattern that is fixed when the plan is compiled.
 //!
-//! [`Circuit::evaluate`](crate::Circuit::evaluate) rebuilds COO triplet
-//! vectors and runs a sort-and-dedup CSR compression on every call — per
-//! Newton iteration and per accepted step, even though the circuit topology
-//! (and with it almost the entire stamp structure) never changes during a
-//! run. An [`EvalPlan`] performs that topology analysis **once**:
+//! # The pattern rule
 //!
-//! * The **linear baseline** — every stamp whose value does not depend on
-//!   the state vector (resistors, capacitors, inductors, sources, the
-//!   constant `gmin` and junction/overlap capacitances of the nonlinear
-//!   devices) — is compressed to CSR at compile time. Rows touched only by
-//!   the baseline are restored per evaluation by flat `copy_from_slice`
-//!   calls.
-//! * The **nonlinear delta set** — the handful of conductance entries a
-//!   diode or MOSFET rewrites per evaluation — is kept as per-row scatter
-//!   slots. Only rows containing at least one such slot are re-deduplicated
-//!   per evaluation, so per-step assembly cost scales with the nonlinear
-//!   device count, not the circuit size.
+//! **A matrix pattern depends on the circuit — topology and parameter
+//! values — never on the state `x` or the step `h`.** Every cell of `G(x)`
+//! and `C(x)` that any device can write exists from compilation on:
 //!
-//! [`EvalPlan::evaluate_into`] restamps into caller-owned buffers: no COO,
-//! no full-matrix sort, and — once the buffers have warmed up — no
-//! allocation ([`EvalWorkspace::allocations`] counts the warm-ups so
-//! regressions are observable).
+//! * A **constant** stamp (resistors, capacitors, inductors, sources, the
+//!   `gmin` and junction/overlap capacitances of the nonlinear devices) is
+//!   summed into its cell at compile time. A constant that is exactly `0.0`
+//!   (`gmin = 0`, a diode without junction capacitance) stamps nothing, and
+//!   duplicate constants that cancel to exactly `0.0` leave no cell: both are
+//!   properties of the circuit's parameter values, so dropping them keeps the
+//!   rule — and keeps linear circuits on the pattern they always had.
+//! * A **nonlinear slot** — one conductance entry a diode or MOSFET rewrites
+//!   per evaluation — is always a cell, explicit zero included: a MOSFET in
+//!   cut-off (`gm == gds == 0.0`) stamps `0.0` into cells that stay in the
+//!   matrix.
 //!
-//! # Bit-compatibility contract
+//! One symbolic LU analysis per matrix role therefore serves a whole run
+//! (and, through a session, every later run): nothing downstream re-derives
+//! structure from values. The other half of the rule is
+//! [`CsrMatrix::linear_combination_into`], which returns the structural
+//! union of its operands.
 //!
-//! The plan path is **bit-identical** to the legacy COO path
-//! ([`Circuit::evaluate_reference`]) for every circuit and every state
-//! vector. This is by construction, not by accident, and it constrains the
-//! implementation in two ways worth knowing before modifying it:
+//! [`EvalPlan::evaluate_into`] restamps into caller-owned buffers: flat
+//! copies of the compiled pattern and constant values, then one scatter-add
+//! per nonlinear slot ([`EvalPlan::nonlinear_stamp_count`]) — no COO, no
+//! sort, and, once the buffers have warmed up, no allocation
+//! ([`EvalWorkspace::allocations`] counts the warm-ups so regressions are
+//! observable).
 //!
-//! 1. The legacy path drops stamps whose value is exactly `0.0` *before*
-//!    compression and cells whose duplicates cancel to exactly `0.0`
-//!    *during* compression — so a MOSFET in cut-off (`gm == gds == 0.0`)
-//!    shrinks the conductance pattern. Rows with nonlinear slots therefore
-//!    replay the exact legacy pipeline per evaluation (zero-filter, the
-//!    same `sort_unstable_by_key`, run-summation in the same order) on a
-//!    reused scratch buffer; purely linear rows get the same pipeline once
-//!    at compile time.
-//! 2. Per-cell duplicate summation order must match the legacy bucketing
-//!    (global push order restricted to the row, then the standard-library
-//!    sort's permutation). Both halves reuse the identical algorithm on
-//!    identically typed data, so the permutation — and hence every rounded
-//!    sum — matches.
+//! # Value oracle
 //!
-//! `tests/proptest_plan.rs` pins the contract on randomized circuits; the
-//! golden-waveform suite pins it end to end.
+//! [`Circuit::evaluate_reference`] keeps the original COO assembly as an
+//! independent *value* oracle: `f`, `q`, `C` and `B` agree bit for bit, and
+//! `G` agrees cell for cell — a cell the reference dropped because its value
+//! was `0.0` is an explicit `0.0` here, and a cell that sums several stamps
+//! may differ in the last bits because the plan adds its slots onto the
+//! precomputed constant sum instead of sorting the raw stamps.
+//! `tests/proptest_plan.rs` pins this on randomized circuits. The
+//! bit-identity the simulator guarantees is *across execution strategies*
+//! (scalar, worker threads, value lanes, over the wire), all of which restamp
+//! through this one plan.
 //!
 //! # Example
 //!
@@ -80,56 +77,10 @@ use crate::devices::{Device, DiodeModel, MosfetModel};
 use crate::error::{NetlistError, NetlistResult};
 use crate::node::NodeId;
 
-/// Where a matrix entry's value comes from at evaluation time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Src {
-    /// A state-independent stamp, frozen at compile time.
-    Const(f64),
-    /// A nonlinear scatter slot, rewritten by a device kernel per
-    /// evaluation.
-    Slot(u32),
-}
-
-/// One raw (pre-compression) stamp contribution of a dynamic row, in global
-/// push order.
-#[derive(Debug, Clone, Copy)]
-struct DynEntry {
-    col: usize,
-    src: Src,
-}
-
-/// Per-row assembly strategy.
-#[derive(Debug, Clone, Copy)]
-enum RowPlan {
-    /// The row holds only baseline stamps: its compressed cells live in the
-    /// plan's fixed CSR and are restored by `copy_from_slice`.
-    Fixed,
-    /// The row receives at least one nonlinear slot: its raw contributions
-    /// (`dyn_entries[start..end]`) are zero-filtered, sorted and
-    /// run-summed per evaluation — the exact legacy pipeline, restricted to
-    /// this row.
-    Dynamic { start: u32, end: u32 },
-}
-
-/// Compiled assembly recipe for one MNA matrix (`G` or `C`).
-#[derive(Debug, Clone)]
-struct MatrixPlan {
-    cols: usize,
-    /// Baseline cells, compressed at compile time; dynamic rows are empty
-    /// here.
-    fixed: CsrMatrix,
-    rows: Vec<RowPlan>,
-    dyn_entries: Vec<DynEntry>,
-    /// Upper bound on the assembled nonzero count (baseline cells plus one
-    /// cell per raw dynamic contribution) — the buffer pre-sizing target.
-    max_nnz: usize,
-    /// Longest dynamic row's raw contribution count (scratch pre-sizing).
-    max_row_entries: usize,
-}
-
 /// Compiled per-device runtime kernel: the state-dependent work (`f`/`q`
-/// accumulation and nonlinear slot values) with every node already resolved
-/// to an unknown index (`None` = ground).
+/// accumulation and nonlinear conductance stamps) with every node already
+/// resolved to an unknown index (`None` = ground) and every nonlinear slot
+/// resolved to its index into `G`'s value array.
 #[derive(Debug, Clone)]
 enum DeviceKernel {
     Resistor {
@@ -160,44 +111,42 @@ enum DeviceKernel {
         anode: Option<usize>,
         cathode: Option<usize>,
         model: DiodeModel,
-        /// Slots for the four conductance cells `(a,a) (c,c) (a,c) (c,a)`,
-        /// `None` where a terminal is ground.
-        slots: [Option<u32>; 4],
+        /// `G` value indices of the four conductance cells
+        /// `(a,a) (c,c) (a,c) (c,a)`, `None` where a terminal is ground.
+        cells: [Option<usize>; 4],
     },
     Mosfet {
         drain: Option<usize>,
         gate: Option<usize>,
         source: Option<usize>,
         model: MosfetModel,
-        /// Slots for `(d,d) (d,g) (d,s) (s,d) (s,g) (s,s)` in stamp order,
-        /// `None` where a cell touches ground.
-        slots: [Option<u32>; 6],
+        /// `G` value indices of `(d,d) (d,g) (d,s) (s,d) (s,g) (s,s)` in
+        /// stamp order, `None` where a cell touches ground.
+        cells: [Option<usize>; 6],
     },
 }
 
 /// Reusable scratch state for [`EvalPlan::evaluate_into`].
 ///
-/// Holds the nonlinear slot values and the per-row compression scratch.
-/// Create one per thread/session with [`EvalPlan::new_workspace`] (which
-/// pre-sizes every buffer) and reuse it for every evaluation.
+/// The restamp writes straight into the caller's [`Evaluation`], so all
+/// that is left here is the warm-up counter the engines report as
+/// `assembly_workspace_allocations`. Create one per thread/session with
+/// [`EvalPlan::new_workspace`] and reuse it for every evaluation.
 #[derive(Debug, Default, Clone)]
 pub struct EvalWorkspace {
-    slots: Vec<f64>,
-    scratch: Vec<(usize, f64)>,
     allocations: usize,
 }
 
 impl EvalWorkspace {
-    /// Creates an empty workspace; buffers grow (and are counted) on first
-    /// use. Prefer [`EvalPlan::new_workspace`], which pre-sizes them.
+    /// Creates an empty workspace.
     pub fn new() -> Self {
         EvalWorkspace::default()
     }
 
-    /// Number of times an evaluation had to grow one of the plan-path
-    /// buffers (workspace scratch or the `Evaluation`'s storage). With
-    /// pre-sized buffers this stays at zero; a counter that climbs with the
-    /// step count is a hot-loop allocation regression.
+    /// Number of times an evaluation had to grow one of the `Evaluation`'s
+    /// buffers. With buffers from [`EvalPlan::new_evaluation`] this stays at
+    /// zero; a counter that climbs with the step count is a hot-loop
+    /// allocation regression.
     pub fn allocations(&self) -> usize {
         self.allocations
     }
@@ -213,14 +162,29 @@ fn reset_vec<T: Copy>(v: &mut Vec<T>, len: usize, fill: T, allocs: &mut usize) {
     v.resize(len, fill);
 }
 
+/// Overwrites `out` with `src` — three flat copies into `out`'s existing
+/// buffers — counting capacity growths into `allocs`.
+fn restore(src: &CsrMatrix, out: &mut CsrMatrix, allocs: &mut usize) {
+    let (mut indptr, mut indices, mut values) = out.take_parts();
+    if indptr.capacity() < src.indptr().len() {
+        *allocs += 1;
+    }
+    if indices.capacity() < src.nnz() || values.capacity() < src.nnz() {
+        *allocs += 1;
+    }
+    src.indptr().clone_into(&mut indptr);
+    src.indices().clone_into(&mut indices);
+    src.values().clone_into(&mut values);
+    *out = CsrMatrix::from_parts_unchecked(src.rows(), src.cols(), indptr, indices, values);
+}
+
 /// A precompiled evaluation plan for one circuit topology.
 ///
 /// Compile with [`Circuit::compile_plan`]; restamp with
 /// [`EvalPlan::evaluate_into`]. The plan snapshots the circuit's devices and
 /// `gmin`, so it is invalidated by **any** circuit mutation — recompile
 /// after adding devices or changing parameters. See the [module
-/// docs](self) for the linear-baseline / nonlinear-delta split and the
-/// bit-compatibility contract.
+/// docs](self) for the pattern rule.
 ///
 /// # Examples
 ///
@@ -251,43 +215,39 @@ fn reset_vec<T: Copy>(v: &mut Vec<T>, len: usize, fill: T, allocs: &mut usize) {
 pub struct EvalPlan {
     n: usize,
     input_dim: usize,
-    g: MatrixPlan,
-    c: MatrixPlan,
+    /// `G`'s fixed pattern holding the compile-time constant sums (`0.0` in
+    /// cells only nonlinear slots write).
+    g: CsrMatrix,
+    c: CsrMatrix,
     b: CsrMatrix,
     kernels: Vec<DeviceKernel>,
     nl_slots: usize,
     gmin: f64,
 }
 
-/// Records stamp pushes during compilation, mirroring
-/// `devices::StampContext` with value provenance.
+/// Records stamps during compilation, mirroring `devices::StampContext`:
+/// constants go straight into triplet matrices (whose `push` drops an exact
+/// `0.0`), nonlinear conductance entries are numbered as slots.
 struct Recorder {
-    g: Vec<(usize, usize, Src)>,
+    g: TripletMatrix,
     c: TripletMatrix,
     b: TripletMatrix,
-    next_slot: u32,
+    /// `(row, col)` of every nonlinear slot, indexed by slot number.
+    slot_cells: Vec<(usize, usize)>,
 }
 
 impl Recorder {
-    fn push_g(&mut self, row: Option<usize>, col: Option<usize>, src: Src) {
+    fn push_g(&mut self, row: Option<usize>, col: Option<usize>, value: f64) {
         if let (Some(r), Some(c)) = (row, col) {
-            // Mirror `TripletMatrix::push`: exact-zero constant stamps are
-            // dropped before compression.
-            if matches!(src, Src::Const(v) if v == 0.0) {
-                return;
-            }
-            self.g.push((r, c, src));
+            self.g.push(r, c, value);
         }
     }
 
-    /// Allocates a slot for a dynamic cell, or `None` when the cell touches
+    /// Allocates a slot for a nonlinear cell, or `None` when the cell touches
     /// ground (the stamp would be discarded anyway).
-    fn slot(&mut self, row: Option<usize>, col: Option<usize>) -> Option<u32> {
-        let (row, col) = (row?, col?);
-        let s = self.next_slot;
-        self.next_slot += 1;
-        self.g.push((row, col, Src::Slot(s)));
-        Some(s)
+    fn slot(&mut self, row: Option<usize>, col: Option<usize>) -> Option<usize> {
+        self.slot_cells.push((row?, col?));
+        Some(self.slot_cells.len() - 1)
     }
 
     fn push_c(&mut self, row: Option<usize>, col: Option<usize>, value: f64) {
@@ -305,10 +265,10 @@ impl Recorder {
     /// The standard two-terminal conductance stamp with a constant value,
     /// in `StampContext::stamp_conductance` push order.
     fn const_conductance(&mut self, a: Option<usize>, b: Option<usize>, g: f64) {
-        self.push_g(a, a, Src::Const(g));
-        self.push_g(b, b, Src::Const(g));
-        self.push_g(a, b, Src::Const(-g));
-        self.push_g(b, a, Src::Const(-g));
+        self.push_g(a, a, g);
+        self.push_g(b, b, g);
+        self.push_g(a, b, -g);
+        self.push_g(b, a, -g);
     }
 
     /// The standard two-terminal capacitance stamp, in
@@ -323,6 +283,31 @@ impl Recorder {
 
 fn unknown(node: &NodeId) -> Option<usize> {
     node.unknown()
+}
+
+/// `G`'s fixed pattern — the compressed constant stamps united with one cell
+/// per nonlinear slot — and each slot's index into its value array.
+fn structural_g(constants: &CsrMatrix, slot_cells: &[(usize, usize)]) -> (CsrMatrix, Vec<usize>) {
+    let n = constants.rows();
+    let mut marks = TripletMatrix::with_capacity(n, n, slot_cells.len());
+    for &(r, c) in slot_cells {
+        marks.push(r, c, 1.0);
+    }
+    // The structural union with weight 0 on the marks: a constant cell keeps
+    // its bits (`v + 0.0 == v` for `v != 0`), a slot-only cell starts at 0.0.
+    let g = CsrMatrix::linear_combination(1.0, constants, 0.0, &marks.to_csr())
+        .expect("both operands are n x n");
+    let value_index = slot_cells
+        .iter()
+        .map(|&(r, c)| {
+            let (cols, _) = g.row(r);
+            g.indptr()[r]
+                + cols
+                    .binary_search(&c)
+                    .expect("every slot cell is in the union")
+        })
+        .collect();
+    (g, value_index)
 }
 
 impl EvalPlan {
@@ -341,16 +326,15 @@ impl EvalPlan {
         let branch_offset = circuit.num_nodes();
         let gmin = circuit.gmin();
         let mut rec = Recorder {
-            g: Vec::with_capacity(8 * circuit.num_devices()),
+            g: TripletMatrix::with_capacity(n, n, 8 * circuit.num_devices()),
             c: TripletMatrix::with_capacity(n, n, 4 * circuit.num_devices()),
             b: TripletMatrix::new(n, input_dim),
-            next_slot: 0,
+            slot_cells: Vec::new(),
         };
         let mut kernels = Vec::with_capacity(circuit.num_devices());
 
-        // One pass over the devices, mirroring `Device::stamp` push order
-        // exactly — the bit-compatibility contract (module docs) hangs on
-        // this correspondence.
+        // One pass over the devices in `Device::stamp` push order, so `f`,
+        // `q` and the constant cells sum in the reference's order.
         for device in circuit.devices() {
             match device {
                 Device::Resistor {
@@ -382,11 +366,11 @@ impl EvalPlan {
                     ..
                 } => {
                     let row = branch_offset + branch;
-                    rec.push_g(unknown(a), Some(row), Src::Const(1.0));
-                    rec.push_g(unknown(b), Some(row), Src::Const(-1.0));
+                    rec.push_g(unknown(a), Some(row), 1.0);
+                    rec.push_g(unknown(b), Some(row), -1.0);
                     rec.push_c(Some(row), Some(row), *inductance);
-                    rec.push_g(Some(row), unknown(a), Src::Const(-1.0));
-                    rec.push_g(Some(row), unknown(b), Src::Const(1.0));
+                    rec.push_g(Some(row), unknown(a), -1.0);
+                    rec.push_g(Some(row), unknown(b), 1.0);
                     kernels.push(DeviceKernel::Inductor {
                         a: unknown(a),
                         b: unknown(b),
@@ -402,10 +386,10 @@ impl EvalPlan {
                     ..
                 } => {
                     let row = branch_offset + branch;
-                    rec.push_g(unknown(pos), Some(row), Src::Const(1.0));
-                    rec.push_g(unknown(neg), Some(row), Src::Const(-1.0));
-                    rec.push_g(Some(row), unknown(pos), Src::Const(1.0));
-                    rec.push_g(Some(row), unknown(neg), Src::Const(-1.0));
+                    rec.push_g(unknown(pos), Some(row), 1.0);
+                    rec.push_g(unknown(neg), Some(row), -1.0);
+                    rec.push_g(Some(row), unknown(pos), 1.0);
+                    rec.push_g(Some(row), unknown(neg), -1.0);
                     rec.push_b(Some(row), *source, 1.0);
                     kernels.push(DeviceKernel::VoltageSource {
                         pos: unknown(pos),
@@ -427,7 +411,7 @@ impl EvalPlan {
                     ..
                 } => {
                     let (a, c) = (unknown(anode), unknown(cathode));
-                    let slots = [
+                    let cells = [
                         rec.slot(a, a),
                         rec.slot(c, c),
                         rec.slot(a, c),
@@ -438,7 +422,7 @@ impl EvalPlan {
                         anode: a,
                         cathode: c,
                         model: model.clone(),
-                        slots,
+                        cells,
                     });
                 }
                 Device::Mosfet {
@@ -449,7 +433,7 @@ impl EvalPlan {
                     ..
                 } => {
                     let (d, g, s) = (unknown(drain), unknown(gate), unknown(source));
-                    let slots = [
+                    let cells = [
                         rec.slot(d, d),
                         rec.slot(d, g),
                         rec.slot(d, s),
@@ -465,30 +449,33 @@ impl EvalPlan {
                         gate: g,
                         source: s,
                         model: model.clone(),
-                        slots,
+                        cells,
                     });
                 }
             }
         }
 
-        let g = compile_matrix(n, rec.g);
-        let c_fixed = rec.c.to_csr();
-        let c = MatrixPlan {
-            cols: n,
-            max_nnz: c_fixed.nnz(),
-            fixed: c_fixed,
-            rows: vec![RowPlan::Fixed; n],
-            dyn_entries: Vec::new(),
-            max_row_entries: 0,
-        };
+        // The kernels recorded slot numbers; now that the pattern is known,
+        // point each at its cell's position in `G`'s value array.
+        let (g, value_index) = structural_g(&rec.g.to_csr(), &rec.slot_cells);
+        for kernel in &mut kernels {
+            let cells: &mut [Option<usize>] = match kernel {
+                DeviceKernel::Diode { cells, .. } => cells,
+                DeviceKernel::Mosfet { cells, .. } => cells,
+                _ => continue,
+            };
+            for cell in cells.iter_mut().flatten() {
+                *cell = value_index[*cell];
+            }
+        }
         Ok(EvalPlan {
             n,
             input_dim,
             g,
-            c,
+            c: rec.c.to_csr(),
             b: rec.b.to_csr(),
             kernels,
-            nl_slots: rec.next_slot as usize,
+            nl_slots: rec.slot_cells.len(),
             gmin,
         })
     }
@@ -523,14 +510,10 @@ impl EvalPlan {
         self.gmin
     }
 
-    /// Creates a workspace with every scratch buffer pre-sized for this
-    /// plan, so evaluations through it never allocate.
+    /// Creates the workspace [`EvalPlan::evaluate_into`] counts its buffer
+    /// warm-ups in.
     pub fn new_workspace(&self) -> EvalWorkspace {
-        EvalWorkspace {
-            slots: vec![0.0; self.nl_slots],
-            scratch: Vec::with_capacity(self.g.max_row_entries.max(self.c.max_row_entries)),
-            allocations: 0,
-        }
+        EvalWorkspace::default()
     }
 
     /// Creates an [`Evaluation`] whose buffers are pre-sized for this plan,
@@ -538,8 +521,8 @@ impl EvalPlan {
     /// allocation-free.
     pub fn new_evaluation(&self) -> Evaluation {
         Evaluation {
-            c: csr_buffer(self.n, self.c.max_nnz),
-            g: csr_buffer(self.n, self.g.max_nnz),
+            c: self.c.clone(),
+            g: self.g.clone(),
             f: Vec::with_capacity(self.n),
             q: Vec::with_capacity(self.n),
         }
@@ -549,9 +532,9 @@ impl EvalPlan {
     /// returns the number of nonlinear entries rewritten
     /// ([`EvalPlan::nonlinear_stamp_count`]).
     ///
-    /// Bit-identical to [`Circuit::evaluate_reference`] at every `x` (see
-    /// the module docs for why that holds). `out`'s previous contents are
-    /// irrelevant — only its buffer capacity is reused.
+    /// `out.g` and `out.c` come back on the plan's fixed patterns at every
+    /// `x` (see the module docs). `out`'s previous contents are irrelevant —
+    /// only its buffer capacity is reused.
     ///
     /// # Errors
     ///
@@ -575,24 +558,9 @@ impl EvalPlan {
         }
         reset_vec(&mut out.f, self.n, 0.0, &mut ws.allocations);
         reset_vec(&mut out.q, self.n, 0.0, &mut ws.allocations);
-        reset_vec(&mut ws.slots, self.nl_slots, 0.0, &mut ws.allocations);
-        self.run_kernels(x, &mut out.f, &mut out.q, &mut ws.slots);
-        let slots = std::mem::take(&mut ws.slots);
-        self.g.assemble(
-            self.n,
-            &slots,
-            &mut ws.scratch,
-            &mut out.g,
-            &mut ws.allocations,
-        );
-        self.c.assemble(
-            self.n,
-            &slots,
-            &mut ws.scratch,
-            &mut out.c,
-            &mut ws.allocations,
-        );
-        ws.slots = slots;
+        restore(&self.g, &mut out.g, &mut ws.allocations);
+        restore(&self.c, &mut out.c, &mut ws.allocations);
+        self.run_kernels(x, &mut out.f, &mut out.q, out.g.values_mut());
         Ok(self.nl_slots)
     }
 
@@ -616,7 +584,7 @@ impl EvalPlan {
     /// one compiled plan (one topology analysis) serves every lane, and each
     /// lane's restamp is **bit-identical** to a standalone
     /// [`EvalPlan::evaluate_into`] at the same state — the lanes share the
-    /// plan and the scratch workspace but never each other's arithmetic.
+    /// plan and the workspace but never each other's arithmetic.
     /// Returns the number of nonlinear entries rewritten per lane.
     ///
     /// # Errors
@@ -645,19 +613,14 @@ impl EvalPlan {
         Ok(self.nl_slots)
     }
 
-    /// Runs the per-device kernels: `f`/`q` accumulation in device order
-    /// (matching the legacy stamp order exactly) and the nonlinear slot
-    /// writes.
-    fn run_kernels(&self, x: &[f64], f: &mut [f64], q: &mut [f64], slots: &mut [f64]) {
+    /// Runs the per-device kernels in device order: `f`/`q` accumulation
+    /// (matching the reference stamp order exactly) and the nonlinear
+    /// conductance stamps, scatter-added onto the constants already in `g`.
+    fn run_kernels(&self, x: &[f64], f: &mut [f64], q: &mut [f64], g: &mut [f64]) {
         let v = |idx: Option<usize>| idx.map_or(0.0, |i| x[i]);
         let add = |buf: &mut [f64], idx: Option<usize>, val: f64| {
             if let Some(i) = idx {
                 buf[i] += val;
-            }
-        };
-        let write = |slots: &mut [f64], slot: Option<u32>, val: f64| {
-            if let Some(s) = slot {
-                slots[s as usize] = val;
             }
         };
         for kernel in &self.kernels {
@@ -697,17 +660,17 @@ impl EvalPlan {
                     anode,
                     cathode,
                     model,
-                    slots: sl,
+                    cells,
                 } => {
                     let vd = v(*anode) - v(*cathode);
                     let op = model.evaluate(vd);
                     add(f, *anode, op.current);
                     add(f, *cathode, -op.current);
-                    let g = op.conductance + self.gmin;
-                    write(slots, sl[0], g);
-                    write(slots, sl[1], g);
-                    write(slots, sl[2], -g);
-                    write(slots, sl[3], -g);
+                    let gd = op.conductance + self.gmin;
+                    add(g, cells[0], gd);
+                    add(g, cells[1], gd);
+                    add(g, cells[2], -gd);
+                    add(g, cells[3], -gd);
                     let qd = model.junction_capacitance * vd;
                     add(q, *anode, qd);
                     add(q, *cathode, -qd);
@@ -717,7 +680,7 @@ impl EvalPlan {
                     gate,
                     source,
                     model,
-                    slots: sl,
+                    cells,
                 } => {
                     let (vd, vg, vs) = (v(*drain), v(*gate), v(*source));
                     let op = model.evaluate(vg - vs, vd - vs);
@@ -725,12 +688,12 @@ impl EvalPlan {
                     add(f, *source, -op.ids);
                     let gm = op.gm;
                     let gds = op.gds;
-                    write(slots, sl[0], gds);
-                    write(slots, sl[1], gm);
-                    write(slots, sl[2], -(gm + gds));
-                    write(slots, sl[3], -gds);
-                    write(slots, sl[4], -gm);
-                    write(slots, sl[5], gm + gds);
+                    add(g, cells[0], gds);
+                    add(g, cells[1], gm);
+                    add(g, cells[2], -(gm + gds));
+                    add(g, cells[3], -gds);
+                    add(g, cells[4], -gm);
+                    add(g, cells[5], gm + gds);
                     let qgs = model.cgs * (vg - vs);
                     add(q, *gate, qgs);
                     add(q, *source, -qgs);
@@ -740,161 +703,6 @@ impl EvalPlan {
                 }
             }
         }
-    }
-}
-
-/// Partitions the recorded pushes of one matrix into the fixed baseline and
-/// the per-row dynamic entry lists.
-fn compile_matrix(n: usize, pushes: Vec<(usize, usize, Src)>) -> MatrixPlan {
-    let mut dynamic = vec![false; n];
-    for (r, _, src) in &pushes {
-        if matches!(src, Src::Slot(_)) {
-            dynamic[*r] = true;
-        }
-    }
-    // Baseline rows go through the legacy COO→CSR pipeline at compile time
-    // (same code, same data, same bits); dynamic rows keep their raw pushes
-    // in global push order.
-    let mut fixed = TripletMatrix::new(n, n);
-    let mut dyn_lists: Vec<Vec<DynEntry>> = vec![Vec::new(); n];
-    for (r, c, src) in pushes {
-        if dynamic[r] {
-            match src {
-                Src::Const(v) => {
-                    // `TripletMatrix::push` filters exact zeros; constants
-                    // are filtered here, slot values at evaluation time.
-                    if v != 0.0 {
-                        dyn_lists[r].push(DynEntry {
-                            col: c,
-                            src: Src::Const(v),
-                        });
-                    }
-                }
-                src => dyn_lists[r].push(DynEntry { col: c, src }),
-            }
-        } else if let Src::Const(v) = src {
-            fixed.push(r, c, v);
-        }
-    }
-    let fixed = fixed.to_csr();
-    let mut rows = Vec::with_capacity(n);
-    let mut dyn_entries = Vec::new();
-    let mut max_row_entries = 0usize;
-    for (r, list) in dyn_lists.into_iter().enumerate() {
-        if dynamic[r] {
-            let start = dyn_entries.len() as u32;
-            max_row_entries = max_row_entries.max(list.len());
-            dyn_entries.extend(list);
-            rows.push(RowPlan::Dynamic {
-                start,
-                end: dyn_entries.len() as u32,
-            });
-        } else {
-            rows.push(RowPlan::Fixed);
-        }
-    }
-    MatrixPlan {
-        cols: n,
-        max_nnz: fixed.nnz() + dyn_entries.len(),
-        fixed,
-        rows,
-        dyn_entries,
-        max_row_entries,
-    }
-}
-
-/// An empty CSR holder whose buffers are pre-sized for `rows`/`nnz`.
-fn csr_buffer(rows: usize, nnz: usize) -> CsrMatrix {
-    let mut indptr = Vec::with_capacity(rows + 1);
-    indptr.push(0);
-    CsrMatrix::from_parts_unchecked(
-        0,
-        0,
-        indptr,
-        Vec::with_capacity(nnz),
-        Vec::with_capacity(nnz),
-    )
-}
-
-impl MatrixPlan {
-    /// Rebuilds the matrix inside `out`'s buffers: baseline rows by flat
-    /// copies, dynamic rows through the legacy zero-filter / sort / run-sum
-    /// pipeline over `scratch`.
-    fn assemble(
-        &self,
-        n: usize,
-        slots: &[f64],
-        scratch: &mut Vec<(usize, f64)>,
-        out: &mut CsrMatrix,
-        allocs: &mut usize,
-    ) {
-        let (mut indptr, mut indices, mut values) = out.take_parts();
-        if indptr.capacity() < n + 1 {
-            *allocs += 1;
-        }
-        if indices.capacity() < self.max_nnz || values.capacity() < self.max_nnz {
-            *allocs += 1;
-        }
-        indptr.clear();
-        indices.clear();
-        indices.reserve(self.max_nnz);
-        values.clear();
-        values.reserve(self.max_nnz);
-        if self.dyn_entries.is_empty() {
-            // Fully linear matrix: three flat copies restore the baseline.
-            indptr.extend_from_slice(self.fixed.indptr());
-            indices.extend_from_slice(self.fixed.indices());
-            values.extend_from_slice(self.fixed.values());
-        } else {
-            if scratch.capacity() < self.max_row_entries {
-                *allocs += 1;
-                scratch.reserve(self.max_row_entries);
-            }
-            indptr.reserve(n + 1);
-            indptr.push(0);
-            let fixed_indptr = self.fixed.indptr();
-            for (r, plan) in self.rows.iter().enumerate() {
-                match plan {
-                    RowPlan::Fixed => {
-                        let s = fixed_indptr[r];
-                        let e = fixed_indptr[r + 1];
-                        indices.extend_from_slice(&self.fixed.indices()[s..e]);
-                        values.extend_from_slice(&self.fixed.values()[s..e]);
-                    }
-                    RowPlan::Dynamic { start, end } => {
-                        scratch.clear();
-                        for entry in &self.dyn_entries[*start as usize..*end as usize] {
-                            let v = match entry.src {
-                                Src::Const(v) => v,
-                                Src::Slot(s) => slots[s as usize],
-                            };
-                            if v != 0.0 {
-                                scratch.push((entry.col, v));
-                            }
-                        }
-                        // The exact `CsrMatrix::from_triplets` row pipeline:
-                        // same sort call on the same element type, then
-                        // run-summation with exact-zero cell dropping.
-                        scratch.sort_unstable_by_key(|&(c, _)| c);
-                        let mut i = 0;
-                        while i < scratch.len() {
-                            let col = scratch[i].0;
-                            let mut sum = 0.0;
-                            while i < scratch.len() && scratch[i].0 == col {
-                                sum += scratch[i].1;
-                                i += 1;
-                            }
-                            if sum != 0.0 {
-                                indices.push(col);
-                                values.push(sum);
-                            }
-                        }
-                    }
-                }
-                indptr.push(indices.len());
-            }
-        }
-        *out = CsrMatrix::from_parts_unchecked(n, self.cols, indptr, indices, values);
     }
 }
 
@@ -1039,22 +847,38 @@ mod tests {
         ckt
     }
 
-    fn assert_eval_bits_equal(a: &Evaluation, b: &Evaluation) {
-        assert_eq!(a.g.indptr(), b.g.indptr());
-        assert_eq!(a.g.indices(), b.g.indices());
-        assert_eq!(a.c.indptr(), b.c.indptr());
-        assert_eq!(a.c.indices(), b.c.indices());
-        for (x, y) in a.g.values().iter().zip(b.g.values()) {
+    fn assert_bits_equal(a: &[f64], b: &[f64]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        for (x, y) in a.c.values().iter().zip(b.c.values()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in a.f.iter().zip(&b.f) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in a.q.iter().zip(&b.q) {
-            assert_eq!(x.to_bits(), y.to_bits());
+    }
+
+    fn assert_csr_bits_equal(a: &CsrMatrix, b: &CsrMatrix) {
+        assert_eq!(a.indptr(), b.indptr());
+        assert_eq!(a.indices(), b.indices());
+        assert_bits_equal(a.values(), b.values());
+    }
+
+    /// `G` against the COO reference, cell for cell: a cell the reference
+    /// dropped is an explicit `0.0` here, and shared cells agree to rounding
+    /// (a multi-stamp cell sums its stamps in a different order).
+    fn assert_g_matches_reference(planned: &CsrMatrix, reference: &CsrMatrix) {
+        for r in 0..planned.rows() {
+            let (cols, vals) = planned.row(r);
+            let (ref_cols, _) = reference.row(r);
+            assert!(ref_cols.iter().all(|c| cols.binary_search(c).is_ok()));
+            let scale = vals.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            for (&c, &v) in cols.iter().zip(vals) {
+                if ref_cols.binary_search(&c).is_err() {
+                    assert_eq!(v, 0.0, "G({r},{c}) is structural only");
+                }
+                let want = reference.get(r, c);
+                assert!(
+                    (v - want).abs() <= 4.0 * f64::EPSILON * scale,
+                    "G({r},{c}): {v:e} vs {want:e}"
+                );
+            }
         }
     }
 
@@ -1065,8 +889,10 @@ mod tests {
         let n = ckt.num_unknowns();
         let mut ws = plan.new_workspace();
         let mut ev = plan.new_evaluation();
+        let pattern = (ev.g.indptr().to_vec(), ev.g.indices().to_vec());
         // Several states, including ones that drive the MOSFETs through
-        // cut-off (gm == gds == 0, the pattern-shrinking case).
+        // cut-off (gm == gds == 0): the reference drops those cells, the
+        // plan keeps them as explicit zeros.
         let states: Vec<Vec<f64>> = vec![
             vec![0.0; n],
             (0..n).map(|i| 0.1 * i as f64 - 0.2).collect(),
@@ -1074,12 +900,20 @@ mod tests {
                 .map(|i| ((i * 7 + 3) % 5) as f64 * 0.3 - 0.6)
                 .collect(),
         ];
+        let mut dropped_cells = 0;
         for x in &states {
             let restamped = plan.evaluate_into(x, &mut ws, &mut ev).unwrap();
             assert_eq!(restamped, plan.nonlinear_stamp_count());
+            assert_eq!(ev.g.indptr(), pattern.0);
+            assert_eq!(ev.g.indices(), pattern.1);
             let legacy = ckt.evaluate_reference(x).unwrap();
-            assert_eval_bits_equal(&ev, &legacy);
+            assert_g_matches_reference(&ev.g, &legacy.g);
+            assert_csr_bits_equal(&ev.c, &legacy.c);
+            assert_bits_equal(&ev.f, &legacy.f);
+            assert_bits_equal(&ev.q, &legacy.q);
+            dropped_cells += ev.g.nnz() - legacy.g.nnz();
         }
+        assert!(dropped_cells > 0, "no state reached cut-off");
         // Buffer reuse across different states leaves no stale entries and
         // never allocates after warm-up.
         assert_eq!(ws.allocations(), 0);
@@ -1100,8 +934,13 @@ mod tests {
         assert_eq!(plan.nonlinear_stamp_count(), 0);
         let x = vec![0.7, 0.3, -1e-4];
         let ev = plan.evaluate(&x).unwrap();
+        // No nonlinear slot: even `G`'s pattern and bits are the
+        // reference's.
         let legacy = ckt.evaluate_reference(&x).unwrap();
-        assert_eval_bits_equal(&ev, &legacy);
+        assert_csr_bits_equal(&ev.g, &legacy.g);
+        assert_csr_bits_equal(&ev.c, &legacy.c);
+        assert_bits_equal(&ev.f, &legacy.f);
+        assert_bits_equal(&ev.q, &legacy.q);
     }
 
     #[test]

@@ -56,8 +56,8 @@ use std::time::{Duration, Instant};
 
 use exi_netlist::{parse_deck, Analysis, Deck};
 use exi_sim::{
-    analysis_options, resolve_probes, CancelReason, CancelToken, Engine, Method, Observer,
-    PlanCache, Probe, RunStats, Simulator, StepOutcome,
+    analysis_options, resolve_probes, CancelReason, CancelToken, Method, Observer, PlanCache,
+    Probe, RunStats, Simulator,
 };
 use exi_sparse::SymbolicCache;
 
@@ -1411,78 +1411,31 @@ fn run_job(shared: &Shared, job: &Job) -> (Response, Option<RunStats>) {
         job.chunk_rows,
     );
     let deadline = job.deadline.map(|budget| Instant::now() + budget);
-    let (outcome, stats) = {
-        let mut stepper = match sim.stepper(job.method, &options) {
-            Ok(stepper) => stepper,
-            Err(e) => {
-                let message = e.attributed(&deck.circuit).to_string();
-                return (
-                    job_error(&job.id, "convergence", message),
-                    Some(sim.session_stats().clone()),
-                );
-            }
-        };
-        // Start (DC solve + `on_dc`) before the first cancellation check so
-        // even a job cancelled on arrival streams its DC point.
-        let outcome = match stepper.start(&mut observer) {
-            Err(e) => Err(e),
-            Ok(()) => loop {
-                let cancel = if job.token.is_cancelled() {
-                    Some(CancelReason::Token)
-                } else if deadline.is_some_and(|limit| Instant::now() >= limit) {
-                    Some(CancelReason::Deadline)
-                } else if observer.dead {
-                    // The client vanished; treat as a wire cancellation.
-                    Some(CancelReason::Token)
-                } else {
-                    None
-                };
-                if let Some(reason) = cancel {
-                    break Ok(Some((reason, stepper.time())));
-                }
-                match stepper.advance(&mut observer) {
-                    Ok(StepOutcome::Finished) => break Ok(None),
-                    Ok(_) => {}
-                    Err(e) => break Err(e),
-                }
-            },
-        };
-        let stats = stepper.finish(&mut observer);
-        (outcome, stats)
-    };
+    let outcome = sim.transient_until(job.method, &options, &mut observer, |observer| {
+        CancelReason::poll(Some(&job.token), deadline)
+            // The client vanished; treat as a wire cancellation.
+            .or(observer.dead.then_some(CancelReason::Token))
+    });
     let reply = match outcome {
-        Ok(None) => {
-            sim.absorb_run(&stats);
-            Response::Done {
-                id: job.id.clone(),
-                rows: observer.rows_sent,
-                accepted_steps: stats.accepted_steps,
-                symbolic_analyses: stats.symbolic_analyses,
-                shared_symbolic_hits: stats.shared_symbolic_hits,
-                plan_compilations: stats.plan_compilations,
-                shared_plan_hits: stats.shared_plan_hits,
-            }
-        }
-        Ok(Some((reason, at_time))) => {
-            sim.absorb_partial(&stats);
-            Response::Cancelled {
-                id: job.id.clone(),
-                reason: match reason {
-                    CancelReason::Token => "token".to_string(),
-                    CancelReason::Deadline => "deadline".to_string(),
-                },
-                at_time: format!("{at_time:.17e}"),
-                rows: observer.rows_sent,
-            }
-        }
-        Err(e) => {
-            sim.absorb_partial(&stats);
-            job_error(
-                &job.id,
-                "convergence",
-                e.attributed(&deck.circuit).to_string(),
-            )
-        }
+        Ok((stats, None)) => Response::Done {
+            id: job.id.clone(),
+            rows: observer.rows_sent,
+            accepted_steps: stats.accepted_steps,
+            symbolic_analyses: stats.symbolic_analyses,
+            shared_symbolic_hits: stats.shared_symbolic_hits,
+            plan_compilations: stats.plan_compilations,
+            shared_plan_hits: stats.shared_plan_hits,
+        },
+        Ok((_, Some((reason, at_time)))) => Response::Cancelled {
+            id: job.id.clone(),
+            reason: match reason {
+                CancelReason::Token => "token".to_string(),
+                CancelReason::Deadline => "deadline".to_string(),
+            },
+            at_time: format!("{at_time:.17e}"),
+            rows: observer.rows_sent,
+        },
+        Err(e) => job_error(&job.id, "convergence", e.to_string()),
     };
     (reply, Some(sim.session_stats().clone()))
 }

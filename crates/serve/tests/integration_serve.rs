@@ -531,20 +531,34 @@ fn shutdown_drains_in_flight_jobs() {
         )))
         .expect("send");
 
-    let mut stopper = Client::connect(addr).expect("connect");
-    stopper.shutdown().expect("shutdown");
-
-    // Both jobs still complete; frames keep flowing after shutdown.
+    let mut accepted = 0;
     let mut completed = std::collections::HashSet::new();
-    while completed.len() < 2 {
-        match submitter.recv().expect("recv") {
+    let mut pump =
+        |accepted: &mut usize, completed: &mut std::collections::HashSet<String>| match submitter
+            .recv()
+            .expect("recv")
+        {
+            Response::Accepted { .. } => *accepted += 1,
             Response::Done { id, rows, .. } => {
                 assert!(rows > 5);
                 completed.insert(id);
             }
-            Response::Accepted { .. } | Response::Chunk { .. } => {}
+            Response::Chunk { .. } => {}
             other => panic!("unexpected frame {other:?}"),
-        }
+        };
+    // Shut down only once both jobs are admitted: until the connection
+    // thread has read a `run` frame the job is not in flight, and a queue
+    // that closed first answers it `shutting_down` — correctly. (The single
+    // worker may already be streaming drain-1 meanwhile.)
+    while accepted < 2 {
+        pump(&mut accepted, &mut completed);
+    }
+    let mut stopper = Client::connect(addr).expect("connect");
+    stopper.shutdown().expect("shutdown");
+
+    // Both jobs still complete; frames keep flowing after shutdown.
+    while completed.len() < 2 {
+        pump(&mut accepted, &mut completed);
     }
     assert!(completed.contains("drain-1") && completed.contains("drain-2"));
     let stats = daemon.join().expect("join");

@@ -460,7 +460,12 @@ impl CsrMatrix {
     /// Computes the linear combination `alpha * A + beta * B`.
     ///
     /// This is the operation the backward-Euler baseline uses to form
-    /// `C/h + G` at every accepted step size.
+    /// `C/h + G` at every accepted step size. The result's pattern is the
+    /// **structural union** of the operands' patterns whatever the weights
+    /// and values are — a cell that evaluates to `0.0` is stored as an
+    /// explicit zero — so the pattern of `C/h + θ·G` depends on neither the
+    /// state nor the step size, and one symbolic LU analysis serves every
+    /// Newton iteration at every `h`.
     ///
     /// # Errors
     ///
@@ -529,10 +534,8 @@ impl CsrMatrix {
                     q += 1;
                     out
                 };
-                if val != 0.0 {
-                    indices.push(col);
-                    values.push(val);
-                }
+                indices.push(col);
+                values.push(val);
             }
             indptr[i + 1] = indices.len();
         }
@@ -650,6 +653,12 @@ mod tests {
         assert_eq!(m.get(0, 0), 4.0 + 2.0);
         assert_eq!(m.get(1, 2), 4.0);
         assert_eq!(m.get(1, 1), 5.0);
+        // The pattern is the structural union at any weights: cells that
+        // cancel to 0.0 stay, as explicit zeros.
+        let cancelled = CsrMatrix::linear_combination(1.0, &m, -1.0, &m).unwrap();
+        assert_eq!(cancelled.indptr(), m.indptr());
+        assert_eq!(cancelled.indices(), m.indices());
+        assert!(cancelled.values().iter().all(|&v| v == 0.0));
     }
 
     #[test]

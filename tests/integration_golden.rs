@@ -292,6 +292,91 @@ fn recovery_policy_on_is_bit_identical_on_healthy_fixtures() {
     }
 }
 
+/// The pattern rule's payoff, on the eight nonlinear fixtures: a fresh
+/// session performs one symbolic LU analysis per matrix role the run touches
+/// — `G` for every method, plus `C/h + θG` for BENR/TRNR — however often the
+/// MOSFETs cross cut-off, and a second run on the same session performs none.
+#[test]
+fn nonlinear_goldens_analyze_each_matrix_role_once() {
+    for case in golden_cases() {
+        if case.circuit.num_nonlinear_devices() == 0 {
+            continue;
+        }
+        for method in Method::all() {
+            let roles = match method {
+                Method::BackwardEuler | Method::Trapezoidal => 2,
+                Method::ExponentialRosenbrock | Method::ExponentialRosenbrockCorrected => 1,
+            };
+            let mut sim = Simulator::new(&case.circuit);
+            for expected in [roles, 0] {
+                let run = sim
+                    .transient(method, &case.options, &case.probes)
+                    .unwrap_or_else(|e| panic!("{} / {} failed: {e}", case.name, method.label()));
+                assert_eq!(
+                    run.stats.symbolic_analyses,
+                    expected,
+                    "{} / {}: {:?}",
+                    case.name,
+                    method.label(),
+                    run.stats
+                );
+            }
+        }
+    }
+}
+
+/// Accuracy report behind the drift table in `docs/PERFORMANCE.md`: for each
+/// nonlinear case × method × fill-reducing ordering, the accepted-point count
+/// and the rms error (worst probe) against a fixed-step BE reference at
+/// `h = h_max / 100`. The three orderings differ only in rounding, so their
+/// spread is the yardstick any bit-moving change is read against. Run with
+/// `cargo test --release --test integration_golden -- --ignored --nocapture`.
+#[test]
+#[ignore = "report, not a gate: CI uploads its output as an artifact"]
+fn golden_accuracy_report() {
+    use exi_sparse::OrderingMethod;
+    println!("case method ordering rows rms_error_vs_fixed_step_be");
+    for case in golden_cases() {
+        if case.circuit.num_nonlinear_devices() == 0 {
+            continue;
+        }
+        let h = case.options.h_max / 100.0;
+        let fine = TransientOptions {
+            h_init: h,
+            h_max: h,
+            error_budget: 1.0,
+            ..case.options.clone()
+        };
+        let reference = Simulator::new(&case.circuit)
+            .transient(Method::BackwardEuler, &fine, &case.probes)
+            .expect("fixed-step reference runs");
+        for method in Method::all() {
+            for ordering in [
+                OrderingMethod::Rcm,
+                OrderingMethod::Natural,
+                OrderingMethod::MinDegree,
+            ] {
+                let options = TransientOptions {
+                    ordering,
+                    ..case.options.clone()
+                };
+                let result = Simulator::new(&case.circuit)
+                    .transient(method, &options, &case.probes)
+                    .expect("golden case runs under every ordering");
+                let rms = (0..case.probes.len())
+                    .map(|p| result.rms_error_vs(&reference, p))
+                    .fold(0.0_f64, f64::max);
+                println!(
+                    "{} {} {ordering:?} {} {rms:.3e}",
+                    case.name,
+                    method_tag(method),
+                    result.len()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn fixture_codec_round_trips_exact_bits() {
     // The serialize/parse pair must preserve every f64 bit pattern,

@@ -1,0 +1,266 @@
+//! Oracle tests: answers that do not come from this code base.
+//!
+//! The golden fixtures and the differential suites prove the simulator agrees
+//! with *itself* (across runs, worker counts, lanes, the wire). These tests
+//! are the licence for a change that legitimately moves bits: closed-form
+//! step responses, the textbook convergence orders of the implicit methods,
+//! and the structural invariant of the stamping plan against the COO value
+//! oracle.
+
+#[path = "support/plan_oracle.rs"]
+mod plan_oracle;
+
+use exi_netlist::generators::{
+    coupled_lines, inverter_chain, power_grid, rc_ladder, CoupledLinesSpec, InverterChainSpec,
+    PowerGridSpec, RcLadderSpec,
+};
+use exi_netlist::{Circuit, Waveform};
+use exi_sim::{
+    Engine, Method, Probe, RecordingObserver, RunStats, Simulator, TransientOptions,
+    TransientResult,
+};
+
+/// The response of `ckt` (DC sources) released at `t = 0` from the state
+/// `x0` instead of its operating point — a true step response, with no input
+/// ramp to approximate the step.
+fn step_response(
+    ckt: &Circuit,
+    method: Method,
+    options: &TransientOptions,
+    x0: &[f64],
+) -> (TransientResult, RunStats) {
+    let probe = Probe::new("out", ckt.unknown_of("out").unwrap());
+    let mut observer = RecordingObserver::new(vec![probe], false);
+    let mut sim = Simulator::new(ckt);
+    let mut stepper = sim.stepper(method, options).unwrap();
+    stepper.init(0.0, x0, &mut observer).unwrap();
+    let stats = stepper.run_to_end(&mut observer).unwrap();
+    (observer.into_result(), stats)
+}
+
+/// Largest error of the recorded waveform against `exact`, at the accepted
+/// points themselves (no interpolation error mixed in).
+fn max_error(result: &TransientResult, exact: impl Fn(f64) -> f64) -> f64 {
+    result
+        .waveform(0)
+        .into_iter()
+        .map(|(t, v)| (v - exact(t)).abs())
+        .fold(0.0, f64::max)
+}
+
+const R: f64 = 1e3;
+const C: f64 = 1e-12;
+const TAU: f64 = R * C;
+
+/// `1 V — R — out — C — gnd`, with the consistent initial state of an
+/// uncharged capacitor: `v(out) = 1 − e^{−t/RC}`.
+fn rc_step() -> (Circuit, Vec<f64>) {
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let out = ckt.node("out");
+    let gnd = ckt.node("0");
+    ckt.add_voltage_source("V1", vin, gnd, Waveform::Dc(1.0))
+        .unwrap();
+    ckt.add_resistor("R1", vin, out, R).unwrap();
+    ckt.add_capacitor("C1", out, gnd, C).unwrap();
+    let mut x0 = vec![0.0; ckt.num_unknowns()];
+    x0[ckt.unknown_of("in").unwrap()] = 1.0;
+    x0[ckt.num_nodes()] = -1.0 / R; // the source branch carries the charging current
+    (ckt, x0)
+}
+
+fn rc_exact(t: f64) -> f64 {
+    1.0 - (-t / TAU).exp()
+}
+
+const RS: f64 = 20.0;
+const L: f64 = 1e-9;
+
+/// `1 V — R — L — out — C — gnd`, underdamped, released with no current and
+/// an uncharged capacitor:
+/// `v(out) = 1 − e^{−αt}(cos ω_d t + (α/ω_d) sin ω_d t)`.
+fn rlc_step() -> (Circuit, Vec<f64>) {
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let mid = ckt.node("mid");
+    let out = ckt.node("out");
+    let gnd = ckt.node("0");
+    ckt.add_voltage_source("V1", vin, gnd, Waveform::Dc(1.0))
+        .unwrap();
+    ckt.add_resistor("R1", vin, mid, RS).unwrap();
+    ckt.add_inductor("L1", mid, out, L).unwrap();
+    ckt.add_capacitor("C1", out, gnd, C).unwrap();
+    // No current flows yet, so there is no drop across the resistor.
+    let mut x0 = vec![0.0; ckt.num_unknowns()];
+    x0[ckt.unknown_of("in").unwrap()] = 1.0;
+    x0[ckt.unknown_of("mid").unwrap()] = 1.0;
+    (ckt, x0)
+}
+
+fn rlc_exact(t: f64) -> f64 {
+    let alpha = RS / (2.0 * L);
+    let omega_d = (1.0 / (L * C) - alpha * alpha).sqrt();
+    1.0 - (-alpha * t).exp() * ((omega_d * t).cos() + alpha / omega_d * (omega_d * t).sin())
+}
+
+/// ER and ER-C are exact on linear circuits up to the Krylov tolerance, at
+/// any step size; BE and TR stay within their accumulated local error
+/// budget.
+#[test]
+fn closed_form_step_responses_for_all_methods() {
+    type Case = (&'static str, (Circuit, Vec<f64>), fn(f64) -> f64, f64);
+    let cases: [Case; 2] = [
+        ("rc", rc_step(), rc_exact, 5.0 * TAU),
+        ("rlc", rlc_step(), rlc_exact, 5e-10),
+    ];
+    for (name, (ckt, x0), exact, t_stop) in cases {
+        let options = TransientOptions {
+            t_stop,
+            h_init: t_stop / 1e3,
+            h_max: t_stop / 20.0,
+            error_budget: 1e-3,
+            ..TransientOptions::default()
+        };
+        for method in Method::all() {
+            let (result, stats) = step_response(&ckt, method, &options, &x0);
+            let err = max_error(&result, exact);
+            let bound = match method {
+                Method::ExponentialRosenbrock | Method::ExponentialRosenbrockCorrected => {
+                    // Exactness is what lets ER stride: it reaches h_max.
+                    assert!(stats.accepted_steps < 40, "{name} {method}: {stats:?}");
+                    10.0 * options.krylov_tolerance
+                }
+                // The budget bounds each step's local error; on these
+                // dissipative circuits the global error is at most their sum.
+                Method::BackwardEuler | Method::Trapezoidal => {
+                    stats.accepted_steps as f64 * options.error_budget
+                }
+            };
+            assert!(err < bound, "{name} {method}: max error {err:e}");
+            assert!(
+                result.len() > 10,
+                "{name} {method}: {} points",
+                result.len()
+            );
+        }
+    }
+}
+
+/// Fixed-step global error against the closed form: halving `h` halves BE's
+/// error and quarters TR's.
+#[test]
+fn implicit_methods_converge_at_their_textbook_order() {
+    let (ckt, x0) = rc_step();
+    for (method, order) in [(Method::BackwardEuler, 1.0), (Method::Trapezoidal, 2.0)] {
+        let errors: Vec<f64> = [20.0, 40.0, 80.0]
+            .into_iter()
+            .map(|steps| {
+                let h = TAU / steps;
+                let options = TransientOptions {
+                    t_stop: TAU,
+                    h_init: h,
+                    h_max: h,
+                    error_budget: 1.0, // the LTE control never rejects: h stays fixed
+                    ..TransientOptions::default()
+                };
+                let (result, stats) = step_response(&ckt, method, &options, &x0);
+                assert_eq!(stats.rejected_steps, 0);
+                (result.samples.last().unwrap()[0] - rc_exact(*result.times.last().unwrap())).abs()
+            })
+            .collect();
+        for pair in errors.windows(2) {
+            let slope = (pair[0] / pair[1]).log2();
+            assert!(
+                (slope - order).abs() < 0.1,
+                "{method}: error {:e} -> {:e} is order {slope:.3}, expected {order}",
+                pair[0],
+                pair[1]
+            );
+        }
+    }
+}
+
+/// The structural invariant of the stamping plan on the four generators: the
+/// patterns of `G` and `C` are the same at every state, the values match the
+/// COO oracle cell for cell, and a cell the oracle dropped (a MOSFET in
+/// cut-off) is an explicit, exact zero.
+#[test]
+fn plan_pattern_is_fixed_and_values_match_the_coo_oracle() {
+    let generators: [(&str, Circuit); 4] = [
+        (
+            "rc_ladder",
+            rc_ladder(&RcLadderSpec {
+                segments: 6,
+                ..RcLadderSpec::default()
+            })
+            .unwrap(),
+        ),
+        (
+            "inverter_chain",
+            inverter_chain(&InverterChainSpec {
+                stages: 3,
+                ..InverterChainSpec::default()
+            })
+            .unwrap(),
+        ),
+        (
+            "power_grid",
+            power_grid(&PowerGridSpec {
+                rows: 4,
+                cols: 4,
+                num_sinks: 3,
+                ..PowerGridSpec::default()
+            })
+            .unwrap(),
+        ),
+        (
+            "coupled_lines",
+            coupled_lines(&CoupledLinesSpec {
+                lines: 3,
+                segments: 4,
+                random_couplings: 5,
+                ..CoupledLinesSpec::default()
+            })
+            .unwrap(),
+        ),
+    ];
+    for (name, ckt) in generators {
+        let plan = ckt.compile_plan().unwrap();
+        let n = ckt.num_unknowns();
+        let mut ws = plan.new_workspace();
+        let mut ev = plan.new_evaluation();
+        // x = 0 (every MOSFET in cut-off), then states scattered across the
+        // cut-off / triode / saturation boundaries.
+        let mut lcg = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut states = vec![vec![0.0; n]];
+        for _ in 0..8 {
+            states.push(
+                (0..n)
+                    .map(|_| {
+                        lcg = lcg
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (lcg >> 11) as f64 / (1u64 << 53) as f64 * 3.0 - 1.5
+                    })
+                    .collect(),
+            );
+        }
+        let pattern = plan.evaluate(&states[0]).unwrap();
+        let mut explicit_zeros = 0;
+        for x in &states {
+            plan.evaluate_into(x, &mut ws, &mut ev).unwrap();
+            for (m, fixed) in [(&ev.g, &pattern.g), (&ev.c, &pattern.c)] {
+                assert_eq!(m.indptr(), fixed.indptr(), "{name}: pattern moved");
+                assert_eq!(m.indices(), fixed.indices(), "{name}: pattern moved");
+            }
+            let structural_only = plan_oracle::assert_matches_reference(&ckt, x, &ev);
+            assert!(structural_only.iter().all(|&v| v == 0.0), "{name}");
+            explicit_zeros += structural_only.len();
+        }
+        assert_eq!(
+            explicit_zeros > 0,
+            ckt.num_nonlinear_devices() > 0,
+            "{name}: {explicit_zeros} explicit zeros"
+        );
+    }
+}

@@ -1,6 +1,6 @@
 //! Integration tests for the `Simulator` session API: pause/resume
-//! bit-identity, wrapper compatibility, cross-run cache reuse, streaming
-//! observers and interleaved co-simulation.
+//! bit-identity, cross-run cache reuse, streaming observers and interleaved
+//! co-simulation.
 
 use exi_netlist::generators::{inverter_chain, power_grid, InverterChainSpec, PowerGridSpec};
 use exi_netlist::Circuit;
@@ -26,28 +26,6 @@ fn grid_options() -> TransientOptions {
         h_max: 2e-11,
         error_budget: 2e-3,
         ..TransientOptions::default()
-    }
-}
-
-/// Acceptance bar: the deprecated `run_transient` wrapper produces
-/// bit-identical waveforms to the session API for all four methods on the
-/// power-grid case.
-#[test]
-fn wrapper_is_bit_identical_to_session_on_power_grid() {
-    let ckt = grid_circuit();
-    let options = grid_options();
-    for method in Method::all() {
-        #[allow(deprecated)]
-        let wrapped = exi_sim::run_transient(&ckt, method, &options, &["g_4_4"]).unwrap();
-        let session = Simulator::new(&ckt)
-            .transient(method, &options, &["g_4_4"])
-            .unwrap();
-        assert_eq!(wrapped.times, session.times, "{method}: times differ");
-        assert_eq!(wrapped.samples, session.samples, "{method}: samples differ");
-        assert_eq!(
-            wrapped.final_state, session.final_state,
-            "{method}: final state differs"
-        );
     }
 }
 
