@@ -41,7 +41,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use exi_krylov::{mevp_invert_krylov_with, KrylovDecomposition, MevpOptions, MevpWorkspace};
+use exi_krylov::{
+    mevp_invert_krylov_with, KrylovDecomposition, KrylovResult, MevpOptions, MevpWorkspace,
+};
 use exi_netlist::{Circuit, EvalPlan, Evaluation};
 use exi_sparse::{vector, LuOptions, SparseLu};
 
@@ -55,6 +57,58 @@ use crate::stats::RunStats;
 /// Threshold below which a Krylov start vector is treated as zero (its
 /// contribution to the step is exactly representable as zero).
 const NEGLIGIBLE_NORM: f64 = 1e-300;
+
+/// A Krylov subspace of one step together with the product `e^{hJ}·v` its
+/// build already paid for.
+#[derive(Debug)]
+struct Subspace {
+    decomposition: KrylovDecomposition,
+    /// `e^{h_built·J}·v`, the build's eager product.
+    expv: Vec<f64>,
+    /// The step size the subspace was built — and `expv` evaluated — for.
+    h_built: f64,
+}
+
+impl Subspace {
+    /// `e^{hJ}·v` into `out`: the build's own product when `h` is bit-equal
+    /// to the step it was built for (the same small problem, already
+    /// solved), a re-evaluation of the small problem otherwise.
+    fn expv_into(&self, h: f64, out: &mut [f64], ws: &mut MevpWorkspace) -> KrylovResult<()> {
+        if h.to_bits() == self.h_built.to_bits() {
+            out.copy_from_slice(&self.expv);
+            Ok(())
+        } else {
+            self.decomposition.eval_expv_in(h, out, ws)
+        }
+    }
+
+    /// Hands the basis and the product back to the arena.
+    fn recycle_into(self, ws: &mut MevpWorkspace) {
+        ws.recycle_vec(self.expv);
+        ws.recycle(self.decomposition);
+    }
+}
+
+/// Snapshot of the Krylov workspace's monotone counters; a run reports its
+/// own work as the difference to the snapshot taken when it started.
+#[derive(Debug, Clone, Copy)]
+struct KrylovCounters {
+    allocations: usize,
+    dense_allocations: usize,
+    residual_tests: usize,
+    exponentials: usize,
+}
+
+impl KrylovCounters {
+    fn of(ws: &MevpWorkspace) -> Self {
+        KrylovCounters {
+            allocations: ws.allocations(),
+            dense_allocations: ws.dense_allocations(),
+            residual_tests: ws.residual_tests(),
+            exponentials: ws.small_dense_exponentials(),
+        }
+    }
+}
 
 /// Incremental exponential Rosenbrock–Euler stepper (ER, and ER-C with the
 /// φ₂ correction).
@@ -101,7 +155,7 @@ pub struct ErStepper<'a> {
     stats: RunStats,
     finished: bool,
     finalized: bool,
-    alloc_baseline: usize,
+    krylov_baseline: KrylovCounters,
     assembly_alloc_baseline: usize,
 }
 
@@ -137,7 +191,7 @@ impl<'a> ErStepper<'a> {
         );
         let input_dim = plan.input_matrix().cols();
         let du = vec![0.0; input_dim];
-        let alloc_baseline = caches.mevp_ws.allocations();
+        let krylov_baseline = KrylovCounters::of(&caches.mevp_ws);
         let assembly_alloc_baseline = caches.eval_ws.allocations();
         Ok(ErStepper {
             circuit,
@@ -170,7 +224,7 @@ impl<'a> ErStepper<'a> {
             stats: dc_stats,
             finished: true, // until init() places the stepper
             finalized: false,
-            alloc_baseline,
+            krylov_baseline,
             assembly_alloc_baseline,
         })
     }
@@ -207,7 +261,7 @@ impl Engine for ErStepper<'_> {
         // session arena (it outlives the run); the success path already
         // recycled them in order and left the slots empty.
         for dec in [dec1, dec2, dec3].into_iter().flatten() {
-            self.caches.mevp_ws.recycle(dec);
+            dec.recycle_into(&mut self.caches.mevp_ws);
         }
         // Runtime accumulates only active solver time: pauses between
         // advance() calls (checkpointing, co-simulation interleaves) and the
@@ -239,8 +293,14 @@ impl Engine for ErStepper<'_> {
     fn finish(&mut self, observer: &mut dyn Observer) -> RunStats {
         if !self.finalized {
             self.finalized = true;
-            self.stats.krylov_workspace_allocations =
-                self.caches.mevp_ws.allocations() - self.alloc_baseline;
+            let (now, then) = (
+                KrylovCounters::of(&self.caches.mevp_ws),
+                self.krylov_baseline,
+            );
+            self.stats.krylov_workspace_allocations = now.allocations - then.allocations;
+            self.stats.dense_workspace_allocations = now.dense_allocations - then.dense_allocations;
+            self.stats.krylov_residual_tests = now.residual_tests - then.residual_tests;
+            self.stats.small_dense_exponentials = now.exponentials - then.exponentials;
             self.stats.assembly_workspace_allocations =
                 self.caches.eval_ws.allocations() - self.assembly_alloc_baseline;
             self.stats.observer_callbacks += 1;
@@ -257,9 +317,9 @@ impl ErStepper<'_> {
     fn advance_step(
         &mut self,
         observer: &mut dyn Observer,
-        dec1: &mut Option<KrylovDecomposition>,
-        dec2: &mut Option<KrylovDecomposition>,
-        dec3: &mut Option<KrylovDecomposition>,
+        dec1: &mut Option<Subspace>,
+        dec2: &mut Option<Subspace>,
+        dec3: &mut Option<Subspace>,
     ) -> SimResult<StepOutcome> {
         if self.finished {
             return Ok(StepOutcome::Finished);
@@ -350,7 +410,7 @@ impl ErStepper<'_> {
             // --- Candidate x_{k+1} from Eq. (14). ---
             self.candidate.copy_from_slice(&self.x);
             if let Some(dec) = &dec1 {
-                dec.eval_expv_into(h_step, &mut self.kry)?;
+                dec.expv_into(h_step, &mut self.kry, &mut caches.mevp_ws)?;
                 for i in 0..n {
                     self.candidate[i] += self.kry[i] - self.w1[i];
                 }
@@ -358,7 +418,8 @@ impl ErStepper<'_> {
             if let Some(dec) = &dec2 {
                 // Rescale w2 for the (possibly reduced) step: w2(h) = w2(h_ref)·h/h_ref.
                 let scale = h_step / h_ref_for_w2;
-                dec.eval_phi_into(1, h_step, &mut self.kry)?;
+                dec.decomposition
+                    .eval_phi_in(1, h_step, &mut self.kry, &mut caches.mevp_ws)?;
                 for i in 0..n {
                     self.candidate[i] += scale * (self.kry[i] - self.w2[i]);
                 }
@@ -391,14 +452,19 @@ impl ErStepper<'_> {
 
             let error_norm = match &*dec3 {
                 Some(dec) => {
-                    dec.eval_expv_into(h_step, &mut self.kry)?;
+                    dec.expv_into(h_step, &mut self.kry, &mut caches.mevp_ws)?;
                     let mut err = 0.0_f64;
                     for i in 0..n {
                         err = err.max((self.kry[i] - self.w3[i]).abs());
                     }
                     if self.correction && err <= self.options.error_budget {
                         // D_k = −γ·(φ₁(hJ) − I)·w₃  (Eq. 25); x_{k+1,c} = x_{k+1} − D_k.
-                        dec.eval_phi_into(1, h_step, &mut self.kry)?;
+                        dec.decomposition.eval_phi_in(
+                            1,
+                            h_step,
+                            &mut self.kry,
+                            &mut caches.mevp_ws,
+                        )?;
                         for i in 0..n {
                             self.candidate[i] +=
                                 self.options.correction_gamma * (self.kry[i] - self.w3[i]);
@@ -409,7 +475,7 @@ impl ErStepper<'_> {
                 None => 0.0,
             };
             if let Some(dec) = dec3.take() {
-                caches.mevp_ws.recycle(dec);
+                dec.recycle_into(&mut caches.mevp_ws);
             }
 
             if error_norm <= self.options.error_budget {
@@ -447,10 +513,10 @@ impl ErStepper<'_> {
         observer.on_step_accepted(self.t, &self.x);
         // Hand the step's subspace bases back to the arena for the next step.
         if let Some(dec) = dec1.take() {
-            caches.mevp_ws.recycle(dec);
+            dec.recycle_into(&mut caches.mevp_ws);
         }
         if let Some(dec) = dec2.take() {
-            caches.mevp_ws.recycle(dec);
+            dec.recycle_into(&mut caches.mevp_ws);
         }
 
         // Algorithm 2 lines 23-25: an easy step earns a larger next step.
@@ -470,8 +536,8 @@ impl ErStepper<'_> {
     }
 }
 
-/// Builds an invert-Krylov subspace for vector `v`, or `None` when the vector
-/// is (numerically) zero and its contribution vanishes.
+/// Builds an invert-Krylov subspace for vector `v` at step size `h`, or `None`
+/// when the vector is (numerically) zero and its contribution vanishes.
 #[allow(clippy::too_many_arguments)]
 fn build_subspace(
     eval: &exi_netlist::Evaluation,
@@ -482,7 +548,7 @@ fn build_subspace(
     mevp_options: &MevpOptions,
     stats: &mut RunStats,
     ws: &mut MevpWorkspace,
-) -> SimResult<Option<KrylovDecomposition>> {
+) -> SimResult<Option<Subspace>> {
     if vector::norm2(v) < NEGLIGIBLE_NORM {
         return Ok(None);
     }
@@ -503,10 +569,11 @@ fn build_subspace(
     stats.krylov_subspaces += 1;
     stats.krylov_dimension_total += outcome.dimension;
     stats.peak_krylov_dimension = stats.peak_krylov_dimension.max(outcome.dimension);
-    // The engine evaluates through the decomposition; the eagerly computed
-    // product is not needed, so its storage goes straight back to the pool.
-    ws.recycle_vec(outcome.mevp);
-    Ok(Some(outcome.decomposition))
+    Ok(Some(Subspace {
+        decomposition: outcome.decomposition,
+        expv: outcome.mevp,
+        h_built: h,
+    }))
 }
 
 #[cfg(test)]

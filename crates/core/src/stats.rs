@@ -68,6 +68,19 @@ pub struct RunStats {
     /// value that keeps climbing with the step count indicates a workspace
     /// reuse regression in the hot path.
     pub krylov_workspace_allocations: usize,
+    /// Number of Krylov convergence tests run (paper Eq. 22 for ER): each
+    /// costs one small dense exponential, `O(m³)` at subspace dimension
+    /// `m`.
+    pub krylov_residual_tests: usize,
+    /// Number of small dense matrix exponentials computed: one per
+    /// convergence test, one per φ evaluation that a test had not already
+    /// paid for, plus one per stabilizing-shift retry.
+    pub small_dense_exponentials: usize,
+    /// Number of times the small-dense arena under the Arnoldi loop had to
+    /// grow a buffer (Padé temporaries, LU storage, `H_m` copies, φ columns).
+    /// It grows to the largest subspace dimension seen, so a second run of
+    /// the same work in one session reports zero.
+    pub dense_workspace_allocations: usize,
     /// Number of [`Observer`](crate::Observer) callback invocations the
     /// stepper performed (`on_dc` + accepted + rejected + `on_finish`).
     /// Compares recording overhead between observers: a
@@ -244,6 +257,9 @@ impl RunStats {
         self.krylov_dimension_total += other.krylov_dimension_total;
         self.peak_krylov_dimension = self.peak_krylov_dimension.max(other.peak_krylov_dimension);
         self.krylov_workspace_allocations += other.krylov_workspace_allocations;
+        self.krylov_residual_tests += other.krylov_residual_tests;
+        self.small_dense_exponentials += other.small_dense_exponentials;
+        self.dense_workspace_allocations += other.dense_workspace_allocations;
         self.observer_callbacks += other.observer_callbacks;
         self.resumed_runs += other.resumed_runs;
         self.batch_jobs += other.batch_jobs;

@@ -13,10 +13,18 @@
 //! engine's steady state performs no circuit-sized heap allocation.
 //! Convergence tests run on the small Hessenberg matrix alone — the basis is
 //! never cloned.
+//!
+//! All three front-ends share one drive loop, [`drive`]: step, breakdown,
+//! minimum dimension, convergence test, tolerance, finalisation. A front-end
+//! supplies only its operator and its residual estimate. The loop computes
+//! the one small exponential a test needs — the column `φ₀(hS)·e₁` — and,
+//! because the converging test and the eagerly returned product
+//! [`MevpOutcome::mevp`] are functions of the same `(H_m, h)`, hands the
+//! column of the final test straight to the product.
 
 use exi_sparse::{vector, CsrMatrix, DenseMatrix, SparseLu};
 
-use crate::decomposition::{phi_small_of, residual_scalar_of, KrylovDecomposition, ProjectionKind};
+use crate::decomposition::{KrylovDecomposition, ProjectionKind};
 use crate::error::{KrylovError, KrylovResult};
 use crate::mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
 use crate::operator::{JacobianOperator, KrylovOperator};
@@ -204,29 +212,28 @@ impl ArnoldiProcess {
         Ok(hnext)
     }
 
-    /// Small-space coefficients `β · φ_order(h·S) · e₁` of the current
-    /// iterate, written into `out` (no basis access, nothing cloned).
-    pub(crate) fn phi_small(
-        &self,
-        kind: ProjectionKind,
-        order: usize,
-        h: f64,
-        out: &mut Vec<f64>,
-    ) -> KrylovResult<()> {
-        let hm = self.hess.submatrix(self.m, self.m);
-        phi_small_of(kind, &hm, self.beta, order, h, out)
+    /// Norm of the start vector.
+    pub(crate) fn beta(&self) -> f64 {
+        self.beta
     }
 
-    /// Residual estimate of the current iterate, computed from the small
-    /// Hessenberg matrix alone (no basis access, nothing cloned).
-    pub(crate) fn residual_scalar(&self, kind: ProjectionKind, h: f64) -> KrylovResult<f64> {
-        let hm = self.hess.submatrix(self.m, self.m);
-        let h_next = if self.breakdown {
-            0.0
-        } else {
-            self.hess.get(self.m, self.m - 1)
-        };
-        residual_scalar_of(kind, &hm, h_next, self.beta, h)
+    /// Computes `φ₀(h·S)·e₁` of the current iterate into `ws.dense` (with
+    /// `S` next to it), from the small Hessenberg matrix alone.
+    fn expv_column(
+        &self,
+        kind: ProjectionKind,
+        h: f64,
+        ws: &mut MevpWorkspace,
+    ) -> KrylovResult<()> {
+        ws.dense.load_hm(&self.hess, self.m);
+        ws.dense.phi_column(kind, self.m, 0, h)
+    }
+
+    /// Residual estimate of the current iterate from the column
+    /// [`drive`] just computed for it (no basis access, nothing cloned).
+    pub(crate) fn residual_scalar(&self, kind: ProjectionKind, ws: &MevpWorkspace) -> f64 {
+        let h_next = self.hess.get(self.m, self.m - 1);
+        ws.dense.residual_scalar(kind, self.m, h_next, self.beta)
     }
 
     /// Finalizes into a [`KrylovDecomposition`] of the given kind, returning
@@ -310,6 +317,37 @@ pub fn mevp_standard_krylov_with(
     ws: &mut MevpWorkspace,
 ) -> KrylovResult<MevpOutcome> {
     let op = JacobianOperator::new(g, c_lu);
+    // Saad's posterior estimate: beta * h_{m+1,m} * |e_mᵀ e^{hH_m} e₁|.
+    drive(
+        &op,
+        ProjectionKind::Direct,
+        v,
+        h,
+        options,
+        ws,
+        |process, ws| Some(process.residual_scalar(ProjectionKind::Direct, ws)),
+    )
+}
+
+/// The one Arnoldi drive loop behind every MEVP front-end: expands
+/// `K_m(op, v)` until `estimate` meets `options.tolerance` (or the subspace
+/// breaks down or fills up), then finalises the decomposition and the eager
+/// product `e^{hJ}·v`.
+///
+/// `estimate` is called after each convergence test's small exponential:
+/// `ws.dense` then holds `S` and the column `φ₀(hS)·e₁` of the process's
+/// current `H_m`, and the closure turns them into a residual norm (`None`
+/// when it has no estimate yet). A test whose small problem is too
+/// ill-conditioned to eliminate is skipped and the subspace keeps growing.
+pub(crate) fn drive<O: KrylovOperator>(
+    op: &O,
+    kind: ProjectionKind,
+    v: &[f64],
+    h: f64,
+    options: &MevpOptions,
+    ws: &mut MevpWorkspace,
+    mut estimate: impl FnMut(&ArnoldiProcess, &mut MevpWorkspace) -> Option<f64>,
+) -> KrylovResult<MevpOutcome> {
     if v.len() != op.dim() {
         return Err(KrylovError::DimensionMismatch {
             expected: op.dim(),
@@ -317,37 +355,54 @@ pub fn mevp_standard_krylov_with(
         });
     }
     let mut process = ArnoldiProcess::new_in(v, options.max_dimension, ws)?;
-    let mut last_residual = f64::INFINITY;
+    let mut residual = f64::INFINITY;
+    // Dimension whose φ₀ column is the one in `ws.dense` (0: none).
+    let mut column_of = 0;
     while process.dimension() < options.max_dimension {
-        process.step(&op, ws)?;
+        process.step(op, ws)?;
         if process.breakdown() {
-            last_residual = 0.0;
+            residual = 0.0;
             break;
         }
         if process.dimension() < options.min_dimension {
             continue;
         }
-        // Saad's posterior estimate: beta * h_{m+1,m} * |e_mᵀ e^{hH_m} e₁|.
-        last_residual = process.residual_scalar(ProjectionKind::Direct, h)?;
-        if last_residual <= options.tolerance {
+        ws.residual_tests += 1;
+        match process.expv_column(kind, h, ws) {
+            Ok(()) => column_of = process.dimension(),
+            // An ill-conditioned small Hessenberg early in the iteration is
+            // not fatal; keep expanding the subspace.
+            Err(KrylovError::Sparse(_)) => continue,
+            Err(e) => return Err(e),
+        }
+        if let Some(estimated) = estimate(&process, ws) {
+            residual = estimated;
+        }
+        if residual <= options.tolerance {
             break;
         }
     }
-    if last_residual > options.tolerance && !options.allow_unconverged {
+    if residual > options.tolerance && !options.allow_unconverged {
         return Err(KrylovError::NotConverged {
             max_dimension: process.dimension(),
-            residual: last_residual,
+            residual,
             tolerance: options.tolerance,
         });
     }
     let dimension = process.dimension();
-    let decomposition = process.into_decomposition_in(ProjectionKind::Direct, ws);
+    // The product is a function of the same (H_m, h) as the last test: when
+    // that test ran at the final dimension its column is the product's.
+    if column_of != dimension {
+        process.expv_column(kind, h, ws)?;
+    }
+    let beta = process.beta();
+    let decomposition = process.into_decomposition_in(kind, ws);
     let mut mevp = ws.take_vec(v.len());
-    decomposition.eval_expv_into(h, &mut mevp)?;
+    decomposition.lift_scaled_into(beta, ws.dense.column(dimension), &mut mevp);
     Ok(MevpOutcome {
         mevp,
         decomposition,
-        residual: last_residual,
+        residual,
         dimension,
     })
 }

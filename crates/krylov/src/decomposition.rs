@@ -9,14 +9,21 @@
 //! (Sec. III/IV, Algorithm 2 line 9).
 //!
 //! All computations that involve only the small Hessenberg matrix (stable φ
-//! evaluation, residual estimates) are free functions over `(kind, H_m)`, so
-//! the in-progress Arnoldi iteration can run its convergence test without
-//! materializing — let alone cloning — a full decomposition.
+//! evaluation, residual estimates) run inside a [`DenseArena`] — the
+//! small-dense half of a [`MevpWorkspace`] — over `(kind, H_m)`, so the
+//! in-progress Arnoldi iteration runs its convergence test without
+//! materializing a decomposition and, in steady state, without allocating.
+//! The rule of this layer: **every small exponential is computed once, in
+//! `O(m³)`, at the smallest size that yields what is read** — which is one
+//! column, `φ_p(hS)·e₁`, of one `(m+p) × (m+p)` exponential.
 
+use exi_sparse::dense::DenseLu;
 use exi_sparse::DenseMatrix;
 
 use crate::error::{KrylovError, KrylovResult};
-use crate::phi::phi_matrices;
+use crate::expm::{expm_in, grow, PadeScratch};
+use crate::mevp::MevpWorkspace;
+use crate::phi::MAX_PHI_ORDER;
 
 /// How the small Hessenberg matrix relates to the circuit Jacobian `J`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,149 +40,261 @@ pub enum ProjectionKind {
     },
 }
 
-/// The small matrix `S` such that `h·J` is approximated by `h·S` in the
-/// projected space, with an explicit stabilizing shift `delta` applied before
-/// inverting the Hessenberg matrix (inverse and shift-invert kinds only).
-pub(crate) fn projected_jacobian_of(
-    kind: ProjectionKind,
-    hm: &DenseMatrix,
+/// Infinity-norm (maximum absolute row sum) of a row-major matrix with `m`
+/// columns.
+fn norm_inf(a: &[f64], m: usize) -> f64 {
+    let mut best = 0.0_f64;
+    for row in a.chunks_exact(m) {
+        let s: f64 = row.iter().map(|v| v.abs()).sum();
+        best = best.max(s);
+    }
+    best
+}
+
+/// Writes `(hm − delta·I)⁻¹` into `inverse`, escalating the shift if the
+/// matrix is exactly singular even after shifting. `shifted` and `pivots`
+/// are elimination scratch.
+fn shifted_inverse(
+    hm: &[f64],
+    m: usize,
     delta: f64,
-) -> KrylovResult<DenseMatrix> {
-    match kind {
-        ProjectionKind::Direct => Ok(hm.clone()),
-        ProjectionKind::Inverse => shifted_inverse(hm, delta),
-        ProjectionKind::ShiftInvert { gamma } => {
-            let hinv = shifted_inverse(hm, delta)?;
-            let ident = DenseMatrix::identity(hm.rows());
-            Ok(ident.sub(&hinv).scale(1.0 / gamma))
+    shifted: &mut [f64],
+    pivots: &mut [usize],
+    inverse: &mut [f64],
+) -> KrylovResult<()> {
+    let shift_by = |delta: f64, shifted: &mut [f64]| {
+        shifted.copy_from_slice(hm);
+        for i in 0..m {
+            shifted[i * m + i] -= delta;
         }
+    };
+    shift_by(delta, shifted);
+    if let Ok(lu) = DenseLu::factor_in(m, shifted, pivots) {
+        lu.inverse_into(inverse);
+        return Ok(());
     }
+    let bigger = (1e4 * delta).max(1e-8 * norm_inf(hm, m).max(f64::MIN_POSITIVE));
+    shift_by(bigger, shifted);
+    DenseLu::factor_in(m, shifted, pivots)?.inverse_into(inverse);
+    Ok(())
 }
 
-/// Inverts `hm - delta·I`, escalating the shift if the matrix is exactly
-/// singular even after shifting.
-fn shifted_inverse(hm: &DenseMatrix, delta: f64) -> KrylovResult<DenseMatrix> {
-    let shifted = hm.sub(&DenseMatrix::identity(hm.rows()).scale(delta));
-    match shifted.inverse() {
-        Ok(inv) => Ok(inv),
-        Err(_) => {
-            let bigger = (1e4 * delta).max(1e-8 * hm.norm_inf().max(f64::MIN_POSITIVE));
-            let shifted = hm.sub(&DenseMatrix::identity(hm.rows()).scale(bigger));
-            Ok(shifted.inverse()?)
-        }
-    }
+/// The small-dense scratch of one [`MevpWorkspace`]: `H_m`, the stabilised
+/// projected Jacobian `S`, the augmented matrix whose exponential is taken,
+/// the Padé temporaries and the one φ column that is read. Buffers grow to
+/// the largest dimension seen; [`DenseArena::allocations`] counts the
+/// growths and [`DenseArena::exponentials`] the exponentials computed.
+#[derive(Debug, Default)]
+pub(crate) struct DenseArena {
+    pade: PadeScratch,
+    /// `H_m`, row-major `m × m`: what every evaluation starts from.
+    hm: Vec<f64>,
+    /// `H_m − δI`, eliminated in place.
+    shifted: Vec<f64>,
+    pivots: Vec<usize>,
+    /// `S` of the last evaluation, row-major `m × m`.
+    s: Vec<f64>,
+    /// The `(m+p) × (m+p)` matrix `[[hS, e₁, 0], [0, 0, I], [0, 0, 0]]`.
+    augmented: Vec<f64>,
+    /// `φ_p(hS)·e₁` of the last evaluation (length `m`).
+    column: Vec<f64>,
+    allocations: usize,
+    exponentials: usize,
 }
 
-/// Computes the φ matrices of `h·S` with an adaptive stabilizing shift.
-///
-/// The projection of `J⁻¹` onto the Krylov subspace is not normal; its field
-/// of values can poke into the right half-plane even though the circuit
-/// itself is stable, and a (near-)singular `C` adds eigenvalues that are pure
-/// rounding noise around zero. Inverting such a Hessenberg matrix can
-/// manufacture enormous *positive* rates whose exponential overflows.
-/// Physically all of those modes are "infinitely fast decay", so when the
-/// evaluation produces non-finite values the shift `δ` is escalated towards a
-/// few per mille of the step size `h` — which pins those modes to a very fast
-/// stable decay while perturbing the modes that matter (|λ| ≳ h) by well
-/// under the integrator's error budget.
-pub(crate) fn stable_phi_of(
-    kind: ProjectionKind,
-    hm: &DenseMatrix,
-    order: usize,
-    h: f64,
-) -> KrylovResult<(DenseMatrix, Vec<DenseMatrix>)> {
-    let m = hm.rows();
-    let base = 1e-12 * hm.norm_inf().max(f64::MIN_POSITIVE);
-    let shifts: [f64; 4] = [
-        base,
-        (2e-3 * h.abs()).max(base),
-        (2e-2 * h.abs()).max(base),
-        (2e-1 * h.abs()).max(base),
-    ];
-    let mut last_err = None;
-    for (attempt, &delta) in shifts.iter().enumerate() {
-        let s = match projected_jacobian_of(kind, hm, delta) {
-            Ok(s) => s,
-            Err(e) => {
+impl DenseArena {
+    /// Times a buffer of this arena had to grow (heap allocations).
+    pub(crate) fn allocations(&self) -> usize {
+        self.allocations + self.pade.allocations
+    }
+
+    /// Small dense exponentials computed through this arena.
+    pub(crate) fn exponentials(&self) -> usize {
+        self.exponentials
+    }
+
+    /// `φ_p(hS)·e₁` as left by the last successful [`DenseArena::phi_column`].
+    pub(crate) fn column(&self, m: usize) -> &[f64] {
+        &self.column[..m]
+    }
+
+    /// Loads `H_m`, the leading `m × m` block of `hess`.
+    pub(crate) fn load_hm(&mut self, hess: &DenseMatrix, m: usize) {
+        grow(&mut self.hm, m * m, &mut self.allocations);
+        for (i, row) in self.hm[..m * m].chunks_exact_mut(m).enumerate() {
+            row.copy_from_slice(&hess.row(i)[..m]);
+        }
+    }
+
+    /// The small matrix `S` such that `h·J` is approximated by `h·S` in the
+    /// projected space, with an explicit stabilizing shift `delta` applied
+    /// before inverting the loaded `H_m` (inverse and shift-invert kinds
+    /// only). Left in `self.s`.
+    fn project_jacobian(&mut self, kind: ProjectionKind, m: usize, delta: f64) -> KrylovResult<()> {
+        let len = m * m;
+        grow(&mut self.s, len, &mut self.allocations);
+        let (hm, s) = (&self.hm[..len], &mut self.s[..len]);
+        let gamma = match kind {
+            ProjectionKind::Direct => {
+                s.copy_from_slice(hm);
+                return Ok(());
+            }
+            ProjectionKind::Inverse => None,
+            ProjectionKind::ShiftInvert { gamma } => Some(gamma),
+        };
+        grow(&mut self.shifted, len, &mut self.allocations);
+        grow(&mut self.pivots, m, &mut self.allocations);
+        shifted_inverse(
+            hm,
+            m,
+            delta,
+            &mut self.shifted[..len],
+            &mut self.pivots[..m],
+            s,
+        )?;
+        if let Some(gamma) = gamma {
+            for (i, row) in s.chunks_exact_mut(m).enumerate() {
+                for (j, v) in row.iter_mut().enumerate() {
+                    let identity = if i == j { 1.0 } else { 0.0 };
+                    *v = 1.0 / gamma * (identity - *v);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Computes the column `φ_order(h·S)·e₁` of the loaded `H_m` with an
+    /// adaptive stabilizing shift, leaving it in [`DenseArena::column`] and
+    /// `S` in `self.s`.
+    ///
+    /// The column is read off `exp` of the `(m+p) × (m+p)` augmented matrix
+    /// (Al-Mohy & Higham 2011, Thm 2.1) — the compression of the
+    /// `(p+1)m`-square block matrix behind [`crate::phi_matrices`] onto the
+    /// only columns that are read. Both have the same 1-norm, hence the
+    /// same scaling, and every term the compression drops multiplies an
+    /// exact zero, so the column agrees with the block matrix's bit for bit
+    /// (up to the sign of zero).
+    ///
+    /// The projection of `J⁻¹` onto the Krylov subspace is not normal; its
+    /// field of values can poke into the right half-plane even though the
+    /// circuit itself is stable, and a (near-)singular `C` adds eigenvalues
+    /// that are pure rounding noise around zero. Inverting such a Hessenberg
+    /// matrix can manufacture enormous *positive* rates whose exponential
+    /// overflows. Physically all of those modes are "infinitely fast decay",
+    /// so when the evaluation fails or produces non-finite values the shift
+    /// `δ` is escalated towards a few per mille of the step size `h` — which
+    /// pins those modes to a very fast stable decay while perturbing the
+    /// modes that matter (|λ| ≳ h) by well under the integrator's error
+    /// budget.
+    pub(crate) fn phi_column(
+        &mut self,
+        kind: ProjectionKind,
+        m: usize,
+        order: usize,
+        h: f64,
+    ) -> KrylovResult<()> {
+        if order > MAX_PHI_ORDER {
+            return Err(KrylovError::UnsupportedPhiOrder {
+                order,
+                max_order: MAX_PHI_ORDER,
+            });
+        }
+        let base = 1e-12 * norm_inf(&self.hm[..m * m], m).max(f64::MIN_POSITIVE);
+        let shifts: [f64; 4] = [
+            base,
+            (2e-3 * h.abs()).max(base),
+            (2e-2 * h.abs()).max(base),
+            (2e-1 * h.abs()).max(base),
+        ];
+        let dim = m + order;
+        // The column of the exponential that holds φ_order(hS)·e₁.
+        let read = if order == 0 { 0 } else { dim - 1 };
+        let mut last_err = None;
+        for (attempt, &delta) in shifts.iter().enumerate() {
+            if let Err(e) = self.project_jacobian(kind, m, delta) {
                 last_err = Some(e);
                 continue;
             }
-        };
-        if matches!(kind, ProjectionKind::Direct) && attempt > 0 {
-            // The direct kind never benefits from shifting; fail fast.
-            break;
-        }
-        let hs = s.scale(h);
-        match phi_matrices(&hs, order) {
-            Ok(phis) => {
-                // A stable circuit propagator has φ norms of order one;
-                // astronomically large (or non-finite) values mean an
-                // unphysical positive rate slipped through — escalate.
-                let well_behaved = phis
-                    .iter()
-                    .all(|p| p.as_slice().iter().all(|v| v.is_finite()) && p.norm_inf() < 1e8);
-                if well_behaved {
-                    return Ok((s, phis));
+            if matches!(kind, ProjectionKind::Direct) && attempt > 0 {
+                // The direct kind never benefits from shifting; fail fast.
+                break;
+            }
+            grow(&mut self.augmented, dim * dim, &mut self.allocations);
+            let w = &mut self.augmented[..dim * dim];
+            if order > 0 {
+                w.fill(0.0);
+                w[m] = 1.0;
+                for k in m..dim - 1 {
+                    w[k * dim + k + 1] = 1.0;
                 }
             }
-            Err(e) => last_err = Some(e),
+            for (w_row, s_row) in w.chunks_exact_mut(dim).zip(self.s[..m * m].chunks_exact(m)) {
+                for (w_ij, &s_ij) in w_row.iter_mut().zip(s_row) {
+                    let v = h * s_ij;
+                    // The block-matrix form stores only nonzeros.
+                    *w_ij = if order > 0 && v == 0.0 { 0.0 } else { v };
+                }
+            }
+            self.exponentials += 1;
+            match expm_in(w, dim, &mut self.pade) {
+                Ok(e) => {
+                    // A stable circuit propagator has φ norms of order one;
+                    // astronomically large (or non-finite) values mean an
+                    // unphysical positive rate slipped through — escalate.
+                    // Judged on everything produced: φ₀(hS) in full and the
+                    // first column of each higher φ.
+                    let well_behaved = e[..m * dim].chunks_exact(dim).all(|row| {
+                        let (phi0, columns) = row.split_at(m);
+                        row.iter().all(|v| v.is_finite())
+                            && phi0.iter().map(|v| v.abs()).sum::<f64>() < 1e8
+                            && columns.iter().all(|v| v.abs() < 1e8)
+                    });
+                    if well_behaved {
+                        grow(&mut self.column, m, &mut self.allocations);
+                        for (c, row) in self.column[..m].iter_mut().zip(e.chunks_exact(dim)) {
+                            *c = row[read];
+                        }
+                        return Ok(());
+                    }
+                }
+                Err(e) => last_err = Some(e),
+            }
+            if matches!(kind, ProjectionKind::Direct) {
+                break;
+            }
         }
-        if matches!(kind, ProjectionKind::Direct) {
-            break;
-        }
+        Err(last_err.unwrap_or(KrylovError::NotConverged {
+            max_dimension: m,
+            residual: f64::INFINITY,
+            tolerance: 0.0,
+        }))
     }
-    Err(last_err.unwrap_or(KrylovError::NotConverged {
-        max_dimension: m,
-        residual: f64::INFINITY,
-        tolerance: 0.0,
-    }))
-}
 
-/// Scalar part of the matrix-exponential residual estimate at step size `h`,
-/// given the square Hessenberg block `hm`, the subdiagonal element `h_next`
-/// and the start-vector norm `beta`. See
-/// [`KrylovDecomposition::residual_scalar`].
-pub(crate) fn residual_scalar_of(
-    kind: ProjectionKind,
-    hm: &DenseMatrix,
-    h_next: f64,
-    beta: f64,
-    h: f64,
-) -> KrylovResult<f64> {
-    if h_next == 0.0 {
-        return Ok(0.0);
+    /// Scalar part of the matrix-exponential residual estimate, from the
+    /// order-0 column and `S` a [`DenseArena::phi_column`] call just left
+    /// behind, the subdiagonal element `h_next` and the start-vector norm
+    /// `beta`. See [`KrylovDecomposition::residual_scalar`].
+    pub(crate) fn residual_scalar(
+        &self,
+        kind: ProjectionKind,
+        m: usize,
+        h_next: f64,
+        beta: f64,
+    ) -> f64 {
+        let column = self.column(m);
+        let last = match kind {
+            ProjectionKind::Direct => column[m - 1],
+            // Eq. (22): e_mᵀ · H_m⁻¹ · e^{h H_m⁻¹} · e₁  — note the extra H_m⁻¹
+            // (the stabilized projection `S` plays the role of H_m⁻¹ here).
+            ProjectionKind::Inverse | ProjectionKind::ShiftInvert { .. } => self.s
+                [(m - 1) * m..m * m]
+                .iter()
+                .zip(column)
+                .map(|(a, b)| a * b)
+                .sum(),
+        };
+        beta * h_next.abs() * last.abs()
     }
-    let m = hm.rows();
-    let (s, phis) = stable_phi_of(kind, hm, 0, h)?;
-    let last = match kind {
-        ProjectionKind::Direct => phis[0].get(m - 1, 0),
-        // Eq. (22): e_mᵀ · H_m⁻¹ · e^{h H_m⁻¹} · e₁  — note the extra H_m⁻¹
-        // (the stabilized projection `s` plays the role of H_m⁻¹ here).
-        ProjectionKind::Inverse | ProjectionKind::ShiftInvert { .. } => {
-            let col: Vec<f64> = (0..m).map(|i| phis[0].get(i, 0)).collect();
-            s.matvec(&col)[m - 1]
-        }
-    };
-    Ok(beta * h_next.abs() * last.abs())
-}
-
-/// The small-space coefficient vector `β · φ_order(h·S) · e₁`, written into
-/// `out` (length `m`). Shared by [`KrylovDecomposition::eval_phi_small`] and
-/// the in-progress convergence tests of the Arnoldi front-ends.
-pub(crate) fn phi_small_of(
-    kind: ProjectionKind,
-    hm: &DenseMatrix,
-    beta: f64,
-    order: usize,
-    h: f64,
-    out: &mut Vec<f64>,
-) -> KrylovResult<()> {
-    let (_, phis) = stable_phi_of(kind, hm, order, h)?;
-    let phi = &phis[order];
-    let m = hm.rows();
-    out.clear();
-    out.extend((0..m).map(|i| beta * phi.get(i, 0)));
-    Ok(())
 }
 
 /// An Arnoldi decomposition together with enough information to evaluate
@@ -297,9 +416,13 @@ impl KrylovDecomposition {
     /// Returns an error if the (regularized) Hessenberg matrix still cannot
     /// be inverted.
     pub fn projected_jacobian(&self) -> KrylovResult<DenseMatrix> {
-        let hm = self.hm();
-        let delta = 1e-12 * hm.norm_inf().max(f64::MIN_POSITIVE);
-        projected_jacobian_of(self.kind, &hm, delta)
+        let m = self.m;
+        let mut arena = DenseArena::default();
+        arena.load_hm(&self.hess, m);
+        let delta = 1e-12 * norm_inf(&arena.hm, m).max(f64::MIN_POSITIVE);
+        arena.project_jacobian(self.kind, m, delta)?;
+        arena.s.truncate(m * m);
+        Ok(DenseMatrix::from_vec(m, m, arena.s))
     }
 
     /// Evaluates `φ_order(h·J)·v ≈ β · V_m · φ_order(h·S) · e₁`.
@@ -318,23 +441,39 @@ impl KrylovDecomposition {
     }
 
     /// As [`KrylovDecomposition::eval_phi`], writing into a caller-provided
-    /// buffer of length `n` — the allocation-free variant for hot loops.
+    /// buffer of length `n` (convenience over
+    /// [`KrylovDecomposition::eval_phi_in`] with a throwaway workspace).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`KrylovDecomposition::eval_phi_in`].
+    pub fn eval_phi_into(&self, order: usize, h: f64, out: &mut [f64]) -> KrylovResult<()> {
+        self.eval_phi_in(order, h, out, &mut MevpWorkspace::new())
+    }
+
+    /// As [`KrylovDecomposition::eval_phi_into`], drawing the small dense
+    /// scratch from `ws` — the allocation-free variant for hot loops.
     ///
     /// # Errors
     ///
     /// Propagates dense-kernel errors and unsupported φ orders; returns a
     /// dimension error if `out` has the wrong length.
-    pub fn eval_phi_into(&self, order: usize, h: f64, out: &mut [f64]) -> KrylovResult<()> {
+    pub fn eval_phi_in(
+        &self,
+        order: usize,
+        h: f64,
+        out: &mut [f64],
+        ws: &mut MevpWorkspace,
+    ) -> KrylovResult<()> {
         if out.len() != self.basis[0].len() {
             return Err(KrylovError::DimensionMismatch {
                 expected: self.basis[0].len(),
                 found: out.len(),
             });
         }
-        let hm = self.hm();
-        let mut y = Vec::with_capacity(self.m);
-        phi_small_of(self.kind, &hm, self.beta, order, h, &mut y)?;
-        self.lift_into(&y, out);
+        ws.dense.load_hm(&self.hess, self.m);
+        ws.dense.phi_column(self.kind, self.m, order, h)?;
+        self.lift_scaled_into(self.beta, ws.dense.column(self.m), out);
         Ok(())
     }
 
@@ -357,16 +496,35 @@ impl KrylovDecomposition {
         self.eval_phi_into(0, h, out)
     }
 
+    /// As [`KrylovDecomposition::eval_expv_into`], drawing the small dense
+    /// scratch from `ws`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`KrylovDecomposition::eval_phi_in`].
+    pub fn eval_expv_in(
+        &self,
+        h: f64,
+        out: &mut [f64],
+        ws: &mut MevpWorkspace,
+    ) -> KrylovResult<()> {
+        self.eval_phi_in(0, h, out, ws)
+    }
+
     /// The small-space coefficient vector `β · φ_order(h·S) · e₁` (length `m`).
     ///
     /// # Errors
     ///
     /// Propagates dense-kernel errors and unsupported φ orders.
     pub fn eval_phi_small(&self, order: usize, h: f64) -> KrylovResult<Vec<f64>> {
-        let hm = self.hm();
-        let mut y = Vec::with_capacity(self.m);
-        phi_small_of(self.kind, &hm, self.beta, order, h, &mut y)?;
-        Ok(y)
+        let mut arena = DenseArena::default();
+        arena.load_hm(&self.hess, self.m);
+        arena.phi_column(self.kind, self.m, order, h)?;
+        Ok(arena
+            .column(self.m)
+            .iter()
+            .map(|phi| self.beta * phi)
+            .collect())
     }
 
     /// Lifts a small-space vector back to the full space: `V_m · y`.
@@ -388,6 +546,12 @@ impl KrylovDecomposition {
     /// Panics if `y.len() != m` or `out.len()` differs from the space
     /// dimension.
     pub fn lift_into(&self, y: &[f64], out: &mut [f64]) {
+        self.lift_scaled_into(1.0, y, out);
+    }
+
+    /// `out = V_m·(scale·y)`: the lift with the start-vector norm folded in,
+    /// so a φ column needs no coefficient vector of its own.
+    pub(crate) fn lift_scaled_into(&self, scale: f64, y: &[f64], out: &mut [f64]) {
         assert_eq!(y.len(), self.m, "lift: coefficient length mismatch");
         assert_eq!(
             out.len(),
@@ -395,11 +559,12 @@ impl KrylovDecomposition {
             "lift: output length mismatch"
         );
         out.fill(0.0);
-        for (j, yj) in y.iter().enumerate() {
-            if *yj == 0.0 {
+        for (yj, basis_j) in y.iter().zip(&self.basis) {
+            let yj = scale * yj;
+            if yj == 0.0 {
                 continue;
             }
-            for (o, b) in out.iter_mut().zip(self.basis[j].iter()) {
+            for (o, b) in out.iter_mut().zip(basis_j.iter()) {
                 *o += yj * b;
             }
         }
@@ -418,18 +583,32 @@ impl KrylovDecomposition {
     ///
     /// Propagates dense-kernel errors.
     pub fn residual_scalar(&self, h: f64) -> KrylovResult<f64> {
+        self.residual_scalar_in(h, &mut MevpWorkspace::new())
+    }
+
+    /// As [`KrylovDecomposition::residual_scalar`], drawing the small dense
+    /// scratch from `ws`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates dense-kernel errors.
+    pub fn residual_scalar_in(&self, h: f64, ws: &mut MevpWorkspace) -> KrylovResult<f64> {
         let hnext = self.h_next();
         if hnext == 0.0 {
             return Ok(0.0);
         }
-        let hm = self.hm();
-        residual_scalar_of(self.kind, &hm, hnext, self.beta, h)
+        ws.dense.load_hm(&self.hess, self.m);
+        ws.dense.phi_column(self.kind, self.m, 0, h)?;
+        Ok(ws
+            .dense
+            .residual_scalar(self.kind, self.m, hnext, self.beta))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Builds a trivially exact decomposition for a 1x1 "matrix" J = [j].
     fn scalar_decomposition(kind: ProjectionKind, j: f64) -> KrylovDecomposition {
@@ -516,9 +695,128 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_small_problem_escalates_the_shift_instead_of_hanging() {
+        // H_m = [1e-200] inverts to a rate of 1e200; times h = 1e200 that is
+        // an infinite matrix, whose exponential used to spin for 2³²
+        // squarings. The first rung of the ladder must fail fast and the
+        // second pin the mode to a fast stable decay.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let d = KrylovDecomposition::new(
+                ProjectionKind::Inverse,
+                vec![vec![1.0]],
+                DenseMatrix::from_rows(&[&[1e-200]]),
+                1.0,
+                1,
+            );
+            let _ = tx.send(d.eval_expv(1e200));
+        });
+        let v = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the evaluation must return, not spin")
+            .expect("a later rung of the ladder succeeds");
+        assert!(v[0].is_finite() && v[0].abs() < 1.0, "{v:?}");
+    }
+
+    #[test]
+    fn workspace_forms_match_the_allocating_forms_and_stop_allocating() {
+        let hess = DenseMatrix::from_rows(&[&[-0.5, 0.2], &[0.1, -0.25], &[0.0, 0.05]]);
+        let basis = vec![
+            vec![1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+        ];
+        let d = KrylovDecomposition::new(ProjectionKind::Inverse, basis, hess, 1.5, 2);
+        let mut ws = MevpWorkspace::new();
+        let mut out = vec![0.0; 3];
+        for _ in 0..2 {
+            d.eval_phi_in(2, 0.3, &mut out, &mut ws).unwrap();
+            assert_eq!(out, d.eval_phi(2, 0.3).unwrap());
+            d.eval_expv_in(0.3, &mut out, &mut ws).unwrap();
+            assert_eq!(out, d.eval_expv(0.3).unwrap());
+            assert_eq!(
+                d.residual_scalar_in(0.3, &mut ws).unwrap(),
+                d.residual_scalar(0.3).unwrap()
+            );
+        }
+        assert_eq!(ws.small_dense_exponentials(), 6);
+        let grown = ws.dense_allocations();
+        d.eval_phi_in(2, 0.7, &mut out, &mut ws).unwrap();
+        assert_eq!(ws.dense_allocations(), grown);
+        assert_eq!(d.eval_phi_small(1, 0.3).unwrap().len(), 2);
+        let s = d.projected_jacobian().unwrap();
+        assert_eq!((s.rows(), s.cols()), (2, 2));
+    }
+
+    #[test]
     fn into_basis_returns_vectors() {
         let d = scalar_decomposition(ProjectionKind::Direct, -1.0);
         let basis = d.into_basis();
         assert_eq!(basis, vec![vec![1.0]]);
+    }
+
+    /// Upper-Hessenberg `m × m` matrices with decay rates spread over
+    /// `decades` decades (stiff), as row-major data.
+    fn stiff_hessenberg(max_m: usize) -> impl Strategy<Value = (usize, Vec<f64>)> {
+        (2usize..max_m).prop_flat_map(|m| {
+            (
+                proptest::collection::vec(-1.0f64..1.0, m * m),
+                proptest::collection::vec(0.0f64..6.0, m),
+            )
+                .prop_map(move |(mut a, decades)| {
+                    for i in 0..m {
+                        for j in 0..m {
+                            if i > j + 1 {
+                                a[i * m + j] = 0.0;
+                            }
+                        }
+                        a[i * m + i] = -(1.0 + a[i * m + i].abs()) * 10f64.powf(decades[i]);
+                    }
+                    (m, a)
+                })
+        })
+    }
+
+    /// Bit-equal, or both zero (the compression may flip the sign of a zero).
+    fn same_bits_up_to_zero_sign(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The one column that is read, taken off the `(m+p)`-square
+        /// augmented exponential, is the first column of the full φ matrix
+        /// the `(p+1)m`-square block exponential yields — bit for bit.
+        #[test]
+        fn phi_column_is_the_first_column_of_the_full_phi_matrix(
+            (m, a) in stiff_hessenberg(9),
+            h in 1e-3f64..2.0,
+            inverse in 0usize..2,
+        ) {
+            let hm = DenseMatrix::from_vec(m, m, a);
+            let kind = if inverse == 1 { ProjectionKind::Inverse } else { ProjectionKind::Direct };
+            // What the first rung of the shift ladder exponentiates.
+            let s = match kind {
+                ProjectionKind::Direct => hm.clone(),
+                _ => {
+                    let delta = 1e-12 * hm.norm_inf().max(f64::MIN_POSITIVE);
+                    hm.sub(&DenseMatrix::identity(m).scale(delta)).inverse().expect("stiff, not singular")
+                }
+            };
+            let mut arena = DenseArena::default();
+            for order in 0..=2 {
+                let full = crate::phi::phi_matrices(&s.scale(h), order).expect("phi matrices");
+                arena.load_hm(&hm, m);
+                arena.phi_column(kind, m, order, h).expect("phi column");
+                for (i, &got) in arena.column(m).iter().enumerate() {
+                    let expected = full[order].get(i, 0);
+                    prop_assert!(
+                        same_bits_up_to_zero_sign(got, expected),
+                        "order {order}, row {i}: {got:e} vs {expected:e}"
+                    );
+                }
+            }
+        }
     }
 }

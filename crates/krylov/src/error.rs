@@ -45,6 +45,14 @@ pub enum KrylovError {
         /// Subspace dimension reached when the breakdown was detected.
         dimension: usize,
     },
+    /// A dense matrix function was asked for a matrix whose 1-norm is not
+    /// finite (an infinite entry, or a column sum that overflows). Its
+    /// exponential is not computable, and scaling-and-squaring would never
+    /// finish trying.
+    NonFiniteMatrix {
+        /// The offending 1-norm (`inf` or `NaN`).
+        norm: f64,
+    },
 }
 
 impl fmt::Display for KrylovError {
@@ -66,6 +74,9 @@ impl fmt::Display for KrylovError {
                 f,
                 "krylov basis became non-finite at dimension {dimension} (operator overflow)"
             ),
+            KrylovError::NonFiniteMatrix { norm } => {
+                write!(f, "dense matrix function of a matrix with non-finite 1-norm ({norm})")
+            }
         }
     }
 }
@@ -111,6 +122,10 @@ mod tests {
         assert!(e.to_string().contains("zero"));
         let e = KrylovError::Breakdown { dimension: 4 };
         assert!(e.to_string().contains("non-finite"), "{e}");
+        let e = KrylovError::NonFiniteMatrix {
+            norm: f64::INFINITY,
+        };
+        assert!(e.to_string().contains("non-finite 1-norm (inf)"), "{e}");
     }
 
     #[test]

@@ -5,7 +5,14 @@
 //! exponential is computed here with the degree-13 Padé approximant and
 //! scaling-and-squaring (Higham's method, the same algorithm behind MATLAB's
 //! `expm` which the paper's reference implementation relies on).
+//!
+//! There is one kernel, [`expm_in`]: six matrix products, one LU
+//! elimination with all right-hand sides carried through it, and the
+//! squarings — `O(n³)`, every temporary drawn from a [`PadeScratch`] that
+//! grows to the largest dimension it has seen. [`expm`] is the allocating
+//! convenience over it.
 
+use exi_sparse::dense::{matmul_into, DenseLu};
 use exi_sparse::DenseMatrix;
 
 use crate::error::{KrylovError, KrylovResult};
@@ -32,13 +39,159 @@ const PADE13: [f64; 14] = [
 /// without scaling (Higham 2005).
 const THETA13: f64 = 5.371920351148152;
 
+/// Makes `buf` at least `len` long (new entries default-initialized, old
+/// contents unspecified), counting one allocation when its capacity has to
+/// grow.
+pub(crate) fn grow<T: Clone + Default>(buf: &mut Vec<T>, len: usize, allocations: &mut usize) {
+    if buf.len() < len {
+        if buf.capacity() < len {
+            *allocations += 1;
+        }
+        buf.resize(len, T::default());
+    }
+}
+
+/// Reusable temporaries of the Padé kernel: the scaled matrix, its even
+/// powers, the `U`/`V` polynomials, LU storage and the squaring ping-pong.
+#[derive(Debug, Default)]
+pub(crate) struct PadeScratch {
+    buffers: [Vec<f64>; 7],
+    pivots: Vec<usize>,
+    /// Times a buffer had to grow (heap allocations).
+    pub(crate) allocations: usize,
+}
+
+/// One-norm (maximum absolute column sum) of a row-major `n × n` matrix.
+fn norm_one(a: &[f64], n: usize) -> f64 {
+    let mut best = 0.0_f64;
+    for j in 0..n {
+        let mut sum = 0.0;
+        for i in 0..n {
+            sum += a[i * n + j].abs();
+        }
+        best = best.max(sum);
+    }
+    best
+}
+
+/// `out = c2·a2 + c4·a4 + c6·a6`, summed from the highest power down.
+fn even_combination(c: [f64; 3], a2: &[f64], a4: &[f64], a6: &[f64], out: &mut [f64]) {
+    for (((o, &x2), &x4), &x6) in out.iter_mut().zip(a2).zip(a4).zip(a6) {
+        *o = c[2] * x6 + c[1] * x4 + c[0] * x2;
+    }
+}
+
+/// `acc += c6·a6 + c4·a4 + c2·a2 + c0·I`, added one term at a time in that
+/// order.
+fn add_low_terms(c: [f64; 4], a2: &[f64], a4: &[f64], a6: &[f64], n: usize, acc: &mut [f64]) {
+    for (((o, &x2), &x4), &x6) in acc.iter_mut().zip(a2).zip(a4).zip(a6) {
+        // The identity term adds an explicit zero off the diagonal.
+        *o = *o + c[3] * x6 + c[2] * x4 + c[1] * x2 + 0.0;
+    }
+    for i in 0..n {
+        acc[i * n + i] += c[0];
+    }
+}
+
+/// Computes `e^A` for the row-major `n × n` matrix `a`, returning a view of
+/// the result inside `scratch`.
+///
+/// # Errors
+///
+/// [`KrylovError::NonFiniteMatrix`] if the 1-norm of `a` is not finite, and a
+/// wrapped `Singular` error if the Padé denominator cannot be eliminated
+/// (only when the arithmetic overflowed on the way).
+pub(crate) fn expm_in<'s>(
+    a: &[f64],
+    n: usize,
+    scratch: &'s mut PadeScratch,
+) -> KrylovResult<&'s [f64]> {
+    let len = n * n;
+    assert_eq!(a.len(), len, "expm: matrix is not n x n");
+    let norm = norm_one(a, n);
+    if !norm.is_finite() {
+        // An infinite norm would ask for 2³² squarings.
+        return Err(KrylovError::NonFiniteMatrix { norm });
+    }
+    // Number of halvings so that the scaled norm falls below theta_13.
+    let squarings = if norm > THETA13 {
+        (norm / THETA13).log2().ceil().max(0.0) as u32
+    } else {
+        0
+    };
+    let scale = 0.5_f64.powi(squarings as i32);
+
+    let PadeScratch {
+        buffers,
+        pivots,
+        allocations,
+    } = scratch;
+    for buffer in buffers.iter_mut() {
+        grow(buffer, len, allocations);
+    }
+    grow(pivots, n, allocations);
+    let [a1, a2, a4, a6, t, p, u] = buffers;
+    let (a1, a2, a4, a6) = (
+        &mut a1[..len],
+        &mut a2[..len],
+        &mut a4[..len],
+        &mut a6[..len],
+    );
+    let (t, mut p, mut u) = (&mut t[..len], &mut p[..len], &mut u[..len]);
+
+    for (scaled, &x) in a1.iter_mut().zip(a) {
+        *scaled = scale * x;
+    }
+    matmul_into(a1, a1, n, a2);
+    matmul_into(a2, a2, n, a4);
+    matmul_into(a4, a2, n, a6);
+
+    // U = A * (A6*(b13*A6 + b11*A4 + b9*A2) + b7*A6 + b5*A4 + b3*A2 + b1*I)
+    even_combination([PADE13[9], PADE13[11], PADE13[13]], a2, a4, a6, t);
+    matmul_into(a6, t, n, p);
+    add_low_terms(
+        [PADE13[1], PADE13[3], PADE13[5], PADE13[7]],
+        a2,
+        a4,
+        a6,
+        n,
+        p,
+    );
+    matmul_into(a1, p, n, u);
+    // V = A6*(b12*A6 + b10*A4 + b8*A2) + b6*A6 + b4*A4 + b2*A2 + b0*I
+    even_combination([PADE13[8], PADE13[10], PADE13[12]], a2, a4, a6, t);
+    matmul_into(a6, t, n, p);
+    add_low_terms(
+        [PADE13[0], PADE13[2], PADE13[4], PADE13[6]],
+        a2,
+        a4,
+        a6,
+        n,
+        p,
+    );
+
+    // Solve (V - U) X = (V + U), every column through one elimination.
+    for ((denominator, numerator), &v) in t.iter_mut().zip(u.iter_mut()).zip(p.iter()) {
+        *denominator = v - *numerator;
+        *numerator += v;
+    }
+    DenseLu::factor_in(n, t, &mut pivots[..n])?.solve_in_place(u, n);
+    // Undo the scaling by repeated squaring.
+    for _ in 0..squarings {
+        matmul_into(u, u, n, p);
+        std::mem::swap(&mut u, &mut p);
+    }
+    Ok(u)
+}
+
 /// Computes the matrix exponential `e^A` of a square dense matrix.
 ///
 /// # Errors
 ///
 /// Returns [`KrylovError::Sparse`] wrapping a `NotSquare` error if `a` is not
-/// square, or a `Singular` error if the Padé denominator cannot be inverted
-/// (which does not happen for finite input).
+/// square, [`KrylovError::NonFiniteMatrix`] if its 1-norm is not finite, or a
+/// `Singular` error if the Padé denominator cannot be inverted (which does
+/// not happen unless the arithmetic overflows).
 ///
 /// # Examples
 ///
@@ -63,67 +216,9 @@ pub fn expm(a: &DenseMatrix) -> KrylovResult<DenseMatrix> {
         }));
     }
     let n = a.rows();
-    if n == 0 {
-        return Ok(DenseMatrix::zeros(0, 0));
-    }
-    let norm = a.norm_one();
-    // Number of halvings so that the scaled norm falls below theta_13.
-    let s = if norm > THETA13 {
-        (norm / THETA13).log2().ceil().max(0.0) as u32
-    } else {
-        0
-    };
-    let scale = 0.5_f64.powi(s as i32);
-    let a_scaled = a.scale(scale);
-
-    let ident = DenseMatrix::identity(n);
-    let a2 = a_scaled.matmul(&a_scaled);
-    let a4 = a2.matmul(&a2);
-    let a6 = a4.matmul(&a2);
-
-    // U = A * (A6*(b13*A6 + b11*A4 + b9*A2) + b7*A6 + b5*A4 + b3*A2 + b1*I)
-    let u_inner = a6
-        .matmul(
-            &a6.scale(PADE13[13])
-                .add(&a4.scale(PADE13[11]))
-                .add(&a2.scale(PADE13[9])),
-        )
-        .add(&a6.scale(PADE13[7]))
-        .add(&a4.scale(PADE13[5]))
-        .add(&a2.scale(PADE13[3]))
-        .add(&ident.scale(PADE13[1]));
-    let u = a_scaled.matmul(&u_inner);
-    // V = A6*(b12*A6 + b10*A4 + b8*A2) + b6*A6 + b4*A4 + b2*A2 + b0*I
-    let v = a6
-        .matmul(
-            &a6.scale(PADE13[12])
-                .add(&a4.scale(PADE13[10]))
-                .add(&a2.scale(PADE13[8])),
-        )
-        .add(&a6.scale(PADE13[6]))
-        .add(&a4.scale(PADE13[4]))
-        .add(&a2.scale(PADE13[2]))
-        .add(&ident.scale(PADE13[0]));
-
-    // Solve (V - U) X = (V + U) column by column.
-    let denom = v.sub(&u);
-    let numer = v.add(&u);
-    let mut x = DenseMatrix::zeros(n, n);
-    let mut col = vec![0.0; n];
-    for j in 0..n {
-        for (i, c) in col.iter_mut().enumerate() {
-            *c = numer.get(i, j);
-        }
-        let sol = denom.solve(&col)?;
-        for (i, &v) in sol.iter().enumerate() {
-            x.set(i, j, v);
-        }
-    }
-    // Undo the scaling by repeated squaring.
-    for _ in 0..s {
-        x = x.matmul(&x);
-    }
-    Ok(x)
+    let mut scratch = PadeScratch::default();
+    let e = expm_in(a.as_slice(), n, &mut scratch)?;
+    Ok(DenseMatrix::from_vec(n, n, e.to_vec()))
 }
 
 #[cfg(test)]
@@ -195,6 +290,45 @@ mod tests {
         let e2 = expm(&a.scale(2.0)).unwrap();
         let prod = e1.matmul(&e1);
         assert!(max_abs_diff(&prod, &e2) < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_input_is_an_error_in_bounded_time() {
+        // An infinite entry used to ask for 2³² squarings (a hang); a NaN
+        // entry used to sail through the singularity test of the Padé solve.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let inf = DenseMatrix::from_rows(&[&[f64::INFINITY, 0.0], &[0.0, -1.0]]);
+            let nan = DenseMatrix::from_rows(&[&[f64::NAN, 0.0], &[0.0, -1.0]]);
+            let overflow = DenseMatrix::from_rows(&[&[f64::MAX, 0.0], &[f64::MAX, -1.0]]);
+            let _ = tx.send((expm(&inf), expm(&nan), expm(&overflow)));
+        });
+        let (inf, nan, overflow) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("expm on non-finite input must return, not spin");
+        assert!(matches!(inf, Err(KrylovError::NonFiniteMatrix { norm }) if norm.is_infinite()));
+        assert!(matches!(overflow, Err(KrylovError::NonFiniteMatrix { .. })));
+        assert!(matches!(
+            nan,
+            Err(KrylovError::Sparse(
+                exi_sparse::SparseError::Singular { .. }
+            ))
+        ));
+    }
+
+    #[test]
+    fn scratch_stops_allocating_at_the_largest_dimension_seen() {
+        let mut scratch = PadeScratch::default();
+        let big = DenseMatrix::identity(6).scale(-2.0);
+        let small = DenseMatrix::identity(3).scale(-9.0);
+        expm_in(big.as_slice(), 6, &mut scratch).unwrap();
+        let grown = scratch.allocations;
+        assert!(grown > 0);
+        let e = expm_in(small.as_slice(), 3, &mut scratch).unwrap().to_vec();
+        expm_in(big.as_slice(), 6, &mut scratch).unwrap();
+        assert_eq!(scratch.allocations, grown);
+        // A reused scratch computes what a fresh one does.
+        assert_eq!(e, expm(&small).unwrap().as_slice());
     }
 
     #[test]

@@ -8,11 +8,11 @@
 
 use exi_sparse::{vector, CsrMatrix, SparseLu};
 
-use crate::arnoldi::ArnoldiProcess;
+use crate::arnoldi::drive;
 use crate::decomposition::ProjectionKind;
-use crate::error::{KrylovError, KrylovResult};
+use crate::error::KrylovResult;
 use crate::mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
-use crate::operator::{InverseJacobianOperator, KrylovOperator};
+use crate::operator::InverseJacobianOperator;
 
 /// Computes `e^{hJ}·v` with the invert Krylov subspace (Algorithm 1,
 /// `MEVP_IKS`), where `J = -C⁻¹G` but only `G` is factorized.
@@ -80,31 +80,10 @@ pub fn mevp_invert_krylov_with(
     ws: &mut MevpWorkspace,
 ) -> KrylovResult<MevpOutcome> {
     let op = InverseJacobianOperator::new(c, g_lu);
-    if v.len() != op.dim() {
-        return Err(KrylovError::DimensionMismatch {
-            expected: op.dim(),
-            found: v.len(),
-        });
-    }
-    let mut process = ArnoldiProcess::new_in(v, options.max_dimension, ws)?;
-    let mut last_residual = f64::INFINITY;
-    while process.dimension() < options.max_dimension {
-        process.step(&op, ws)?;
-        if process.breakdown() {
-            last_residual = 0.0;
-            break;
-        }
-        if process.dimension() < options.min_dimension {
-            continue;
-        }
-        // Eq. (22): ‖r_m(h)‖ = β · |h_{m+1,m}| · ‖G·v_{m+1}‖ · |e_mᵀ H_m⁻¹ e^{h H_m⁻¹} e₁|.
-        let scalar = match process.residual_scalar(ProjectionKind::Inverse, h) {
-            Ok(s) => s,
-            // An ill-conditioned small Hessenberg early in the iteration is
-            // not fatal; keep expanding the subspace.
-            Err(KrylovError::Sparse(_)) => continue,
-            Err(e) => return Err(e),
-        };
+    let kind = ProjectionKind::Inverse;
+    // Eq. (22): ‖r_m(h)‖ = β · |h_{m+1,m}| · ‖G·v_{m+1}‖ · |e_mᵀ H_m⁻¹ e^{h H_m⁻¹} e₁|.
+    drive(&op, kind, v, h, options, ws, |process, ws| {
+        let scalar = process.residual_scalar(kind, ws);
         let gv_norm = match process.next_vector() {
             Some(vm1) => {
                 let gv = ws.scratch_slice(g.rows());
@@ -113,33 +92,14 @@ pub fn mevp_invert_krylov_with(
             }
             None => 0.0,
         };
-        last_residual = scalar * gv_norm;
-        if last_residual <= options.tolerance {
-            break;
-        }
-    }
-    if last_residual > options.tolerance && !options.allow_unconverged {
-        return Err(KrylovError::NotConverged {
-            max_dimension: process.dimension(),
-            residual: last_residual,
-            tolerance: options.tolerance,
-        });
-    }
-    let dimension = process.dimension();
-    let decomposition = process.into_decomposition_in(ProjectionKind::Inverse, ws);
-    let mut mevp = ws.take_vec(v.len());
-    decomposition.eval_expv_into(h, &mut mevp)?;
-    Ok(MevpOutcome {
-        mevp,
-        decomposition,
-        residual: last_residual,
-        dimension,
+        Some(scalar * gv_norm)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::KrylovError;
     use exi_sparse::TripletMatrix;
 
     fn diag(vals: &[f64]) -> CsrMatrix {
@@ -289,5 +249,55 @@ mod tests {
         let with_ws = mevp_invert_krylov_with(&c, &g, &g_lu, &v, 0.05, &opts, &mut ws).unwrap();
         assert_eq!(plain.mevp, with_ws.mevp);
         assert_eq!(plain.dimension, with_ws.dimension);
+    }
+
+    #[test]
+    fn the_eager_product_costs_no_exponential_beyond_the_tests() {
+        // The converging test and the eager product are functions of the
+        // same (H_m, h): one exponential serves both.
+        let n = 30;
+        let c = tridiag(n, 2.0, 0.4);
+        let g = tridiag(n, 1.0, -0.3);
+        let g_lu = SparseLu::factorize(&g).unwrap();
+        let v: Vec<f64> = (0..n).map(|i| ((i % 3) as f64) - 1.0).collect();
+        let mut ws = MevpWorkspace::new();
+        let out =
+            mevp_invert_krylov_with(&c, &g, &g_lu, &v, 0.05, &MevpOptions::default(), &mut ws)
+                .unwrap();
+        assert!(out.dimension > 3 && out.residual > 0.0, "a tested build");
+        assert!(ws.residual_tests() >= out.dimension - 1);
+        assert_eq!(ws.small_dense_exponentials(), ws.residual_tests());
+        // ... and it is the product a re-evaluation of the decomposition gives.
+        assert_eq!(out.mevp, out.decomposition.eval_expv(0.05).unwrap());
+        // A second build of the same work finds the dense arena grown.
+        let grown = ws.dense_allocations();
+        assert!(grown > 0);
+        ws.recycle_vec(out.mevp);
+        ws.recycle(out.decomposition);
+        mevp_invert_krylov_with(&c, &g, &g_lu, &v, 0.05, &MevpOptions::default(), &mut ws).unwrap();
+        assert_eq!(ws.dense_allocations(), grown);
+    }
+
+    #[test]
+    fn breakdown_still_yields_the_product() {
+        // Happy breakdown concludes without a test; the product is then
+        // computed on its own.
+        let c = diag(&[1.0, 1.0]);
+        let g = diag(&[2.0, 2.0]);
+        let g_lu = SparseLu::factorize(&g).unwrap();
+        let mut ws = MevpWorkspace::new();
+        let out = mevp_invert_krylov_with(
+            &c,
+            &g,
+            &g_lu,
+            &[1.0, 1.0],
+            0.1,
+            &MevpOptions::default(),
+            &mut ws,
+        )
+        .unwrap();
+        assert_eq!((out.dimension, out.residual), (1, 0.0));
+        assert_eq!((ws.residual_tests(), ws.small_dense_exponentials()), (0, 1));
+        assert!((out.mevp[0] - (-0.2_f64).exp()).abs() < 1e-12);
     }
 }

@@ -3,7 +3,7 @@
 
 use exi_sparse::DenseMatrix;
 
-use crate::decomposition::KrylovDecomposition;
+use crate::decomposition::{DenseArena, KrylovDecomposition};
 use crate::operator::OperatorWorkspace;
 
 /// Options controlling a Krylov MEVP computation.
@@ -67,6 +67,15 @@ pub struct MevpOutcome {
 /// hands them back out on the next build. In steady state a subspace build
 /// performs **no** heap allocation proportional to the circuit size.
 ///
+/// The workspace also owns the small-dense arena every `O(m²)` temporary
+/// under the Arnoldi loop is drawn from (the `H_m` copy, the projected
+/// Jacobian, the augmented matrix, the Padé temporaries and LU storage). It
+/// grows to the largest subspace dimension seen and then stops allocating
+/// too; [`MevpWorkspace::dense_allocations`] counts the growths. The
+/// counters of the layer — convergence tests run and small exponentials
+/// computed — live here as well, per workspace, so concurrent sessions never
+/// share a cache line over them.
+///
 /// # Examples
 ///
 /// ```
@@ -103,6 +112,10 @@ pub struct MevpWorkspace {
     scratch: Vec<f64>,
     /// Number of fresh heap allocations the pool could not serve.
     allocations: usize,
+    /// Everything `O(m²)` under the Arnoldi loop.
+    pub(crate) dense: DenseArena,
+    /// Convergence tests the Arnoldi drive loop has run.
+    pub(crate) residual_tests: usize,
 }
 
 impl MevpWorkspace {
@@ -122,6 +135,26 @@ impl MevpWorkspace {
     /// surfaced in the run statistics as the hot-loop allocation counter.
     pub fn allocations(&self) -> usize {
         self.allocations
+    }
+
+    /// Number of times the small-dense arena had to grow a buffer. Like
+    /// [`MevpWorkspace::allocations`] it stops growing once the largest
+    /// subspace dimension of the workload has been seen.
+    pub fn dense_allocations(&self) -> usize {
+        self.dense.allocations()
+    }
+
+    /// Number of small dense matrix exponentials computed through this
+    /// workspace (convergence tests, φ evaluations and stabilizing-shift
+    /// retries alike).
+    pub fn small_dense_exponentials(&self) -> usize {
+        self.dense.exponentials()
+    }
+
+    /// Number of convergence tests the Arnoldi drive loop has run through
+    /// this workspace.
+    pub fn residual_tests(&self) -> usize {
+        self.residual_tests
     }
 
     /// Number of pooled vectors currently available.

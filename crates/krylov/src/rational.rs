@@ -9,7 +9,7 @@
 
 use exi_sparse::{vector, CsrMatrix, SparseLu};
 
-use crate::arnoldi::ArnoldiProcess;
+use crate::arnoldi::drive;
 use crate::decomposition::ProjectionKind;
 use crate::error::{KrylovError, KrylovResult};
 use crate::mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
@@ -18,8 +18,9 @@ use crate::operator::ShiftInvertOperator;
 /// Computes `e^{hJ}·v` with a shift-and-invert Krylov subspace built on
 /// `(C + γG)⁻¹C`. The factorization of `C + γG` is performed internally.
 ///
-/// Convergence is declared when two successive approximations differ by less
-/// than `options.tolerance` relative to `‖v‖`. Because the Arnoldi basis is
+/// Convergence is declared when two successively tested approximations
+/// (from dimension `options.min_dimension` on) differ by less than
+/// `options.tolerance` relative to `‖v‖`. Because the Arnoldi basis is
 /// orthonormal, that difference is evaluated in the small coefficient space
 /// (`‖y_m − y_{m−1}‖₂ = ‖V_m y_m − V_{m−1} y_{m−1}‖₂`) — the large basis is
 /// never touched during the iteration.
@@ -92,55 +93,24 @@ pub fn mevp_rational_krylov_with(
     let op = ShiftInvertOperator::new(c, &shifted_lu);
     let kind = ProjectionKind::ShiftInvert { gamma };
 
-    let mut process = ArnoldiProcess::new_in(v, options.max_dimension, ws)?;
     let vnorm = vector::norm2(v);
     let mut previous: Vec<f64> = Vec::new();
-    let mut current: Vec<f64> = Vec::new();
-    let mut have_previous = false;
-    let mut last_residual = f64::INFINITY;
-    while process.dimension() < options.max_dimension {
-        process.step(&op, ws)?;
-        match process.phi_small(kind, 0, h, &mut current) {
-            Ok(()) => {}
-            Err(KrylovError::Sparse(_)) => continue,
-            Err(e) => return Err(e),
-        };
-        if process.breakdown() {
-            last_residual = 0.0;
-            break;
-        }
-        if have_previous {
-            // ‖y_m − y_{m−1}‖₂ over the shared leading coefficients; the new
-            // trailing coefficient counts in full.
+    drive(&op, kind, v, h, options, ws, |process, ws| {
+        let m = process.dimension();
+        let current = ws.dense.column(m).iter().map(|phi| process.beta() * phi);
+        // ‖y_m − y_prev‖₂ over the shared leading coefficients; the new
+        // trailing coefficients count in full.
+        let estimated = (!previous.is_empty()).then(|| {
             let mut diff2 = 0.0f64;
-            for (i, &yi) in current.iter().enumerate() {
+            for (i, yi) in current.clone().enumerate() {
                 let prev_i = previous.get(i).copied().unwrap_or(0.0);
                 diff2 += (yi - prev_i) * (yi - prev_i);
             }
-            last_residual = diff2.sqrt() / vnorm.max(f64::MIN_POSITIVE);
-        }
-        std::mem::swap(&mut previous, &mut current);
-        have_previous = true;
-        if process.dimension() >= options.min_dimension && last_residual <= options.tolerance {
-            break;
-        }
-    }
-    if last_residual > options.tolerance && !options.allow_unconverged {
-        return Err(KrylovError::NotConverged {
-            max_dimension: process.dimension(),
-            residual: last_residual,
-            tolerance: options.tolerance,
+            diff2.sqrt() / vnorm.max(f64::MIN_POSITIVE)
         });
-    }
-    let dimension = process.dimension();
-    let decomposition = process.into_decomposition_in(kind, ws);
-    let mut mevp = ws.take_vec(v.len());
-    decomposition.eval_expv_into(h, &mut mevp)?;
-    Ok(MevpOutcome {
-        mevp,
-        decomposition,
-        residual: last_residual,
-        dimension,
+        previous.clear();
+        previous.extend(current);
+        estimated
     })
 }
 

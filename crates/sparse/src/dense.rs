@@ -158,17 +158,7 @@ impl DenseMatrix {
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, other.rows, "matmul: inner dimension mismatch");
         let mut out = DenseMatrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += aik * other.get(k, j);
-                }
-            }
-        }
+        matmul_into(&self.data, &other.data, other.cols, &mut out.data);
         out
     }
 
@@ -308,52 +298,11 @@ impl DenseMatrix {
                 found: b.len(),
             });
         }
-        let n = self.rows;
-        let mut a = self.data.clone();
+        let mut lu = self.data.clone();
+        let mut pivots = vec![0; self.rows];
+        let factors = DenseLu::factor_in(self.rows, &mut lu, &mut pivots)?;
         let mut x = b.to_vec();
-        for k in 0..n {
-            // Partial pivoting: find the largest entry in column k at or below row k.
-            let mut piv = k;
-            let mut piv_val = a[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = a[i * n + k].abs();
-                if v > piv_val {
-                    piv = i;
-                    piv_val = v;
-                }
-            }
-            if piv_val < 1e-300 {
-                return Err(SparseError::Singular {
-                    column: k,
-                    unknown: None,
-                });
-            }
-            if piv != k {
-                for j in 0..n {
-                    a.swap(k * n + j, piv * n + j);
-                }
-                x.swap(k, piv);
-            }
-            let akk = a[k * n + k];
-            for i in (k + 1)..n {
-                let factor = a[i * n + k] / akk;
-                if factor == 0.0 {
-                    continue;
-                }
-                for j in k..n {
-                    a[i * n + j] -= factor * a[k * n + j];
-                }
-                x[i] -= factor * x[k];
-            }
-        }
-        // Back substitution.
-        for k in (0..n).rev() {
-            let mut s = x[k];
-            for j in (k + 1)..n {
-                s -= a[k * n + j] * x[j];
-            }
-            x[k] = s / a[k * n + k];
-        }
+        factors.solve_in_place(&mut x, 1);
         Ok(x)
     }
 
@@ -369,19 +318,197 @@ impl DenseMatrix {
                 cols: self.cols,
             });
         }
-        let n = self.rows;
-        let mut inv = DenseMatrix::zeros(n, n);
-        // Solve against each unit vector; adequate for the small matrices we handle.
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for (i, &v) in col.iter().enumerate() {
-                inv.set(i, j, v);
-            }
-            e[j] = 0.0;
-        }
+        let mut lu = self.data.clone();
+        let mut pivots = vec![0; self.rows];
+        let factors = DenseLu::factor_in(self.rows, &mut lu, &mut pivots)?;
+        let mut inv = DenseMatrix::zeros(self.rows, self.rows);
+        factors.inverse_into(&mut inv.data);
         Ok(inv)
+    }
+}
+
+/// Row-major product `out = a · b`, where `b` (and `out`) have `cols`
+/// columns; the shapes of `a` and `b` follow from the slice lengths.
+///
+/// Each `out[i][j]` accumulates its terms in increasing inner index, and a
+/// zero `a[i][k]` contributes nothing (not even a signed zero) — the
+/// summation order every bit-compared caller relies on.
+///
+/// # Panics
+///
+/// Panics if the slice lengths are inconsistent.
+pub fn matmul_into(a: &[f64], b: &[f64], cols: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    if cols == 0 || b.is_empty() {
+        return;
+    }
+    let inner = b.len() / cols;
+    assert_eq!(b.len(), inner * cols, "matmul_into: ragged right factor");
+    assert_eq!(
+        a.len() * cols,
+        out.len() * inner,
+        "matmul_into: shape mismatch"
+    );
+    for (a_row, out_row) in a.chunks_exact(inner).zip(out.chunks_exact_mut(cols)) {
+        for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(cols)) {
+            if aik == 0.0 {
+                continue;
+            }
+            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+                *o += aik * bkj;
+            }
+        }
+    }
+}
+
+/// Partial-pivoting LU factors of a small square matrix, over borrowed
+/// storage — the one elimination loop behind [`DenseMatrix::solve`],
+/// [`DenseMatrix::inverse`] and the Padé solve of the matrix exponential.
+///
+/// Factoring once and substituting per right-hand side performs, for each
+/// right-hand side, exactly the arithmetic a from-scratch elimination of the
+/// augmented system would: same pivots, same multipliers, same order.
+///
+/// # Examples
+///
+/// ```
+/// use exi_sparse::dense::DenseLu;
+///
+/// # fn main() -> Result<(), exi_sparse::SparseError> {
+/// let mut a = [2.0, 1.0, 1.0, 3.0];
+/// let mut pivots = [0; 2];
+/// let lu = DenseLu::factor_in(2, &mut a, &mut pivots)?;
+/// let mut x = [3.0, 5.0];
+/// lu.solve_in_place(&mut x, 1);
+/// assert!((x[0] - 0.8).abs() < 1e-12 && (x[1] - 1.4).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct DenseLu<'a> {
+    n: usize,
+    /// Row-major: `U` on and above the diagonal; below it each elimination
+    /// multiplier, in the row position it had when it was computed.
+    lu: &'a [f64],
+    /// `pivots[k]` is the row exchanged with row `k` at step `k`.
+    pivots: &'a [usize],
+}
+
+impl<'a> DenseLu<'a> {
+    /// Factors the row-major `n × n` matrix held in `lu` in place, recording
+    /// the row exchanges in `pivots`.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseError::Singular`] if a pivot is below `1e-300` or not a number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lu.len() != n * n` or `pivots.len() != n`.
+    pub fn factor_in(
+        n: usize,
+        lu: &'a mut [f64],
+        pivots: &'a mut [usize],
+    ) -> SparseResult<DenseLu<'a>> {
+        assert_eq!(lu.len(), n * n, "dense lu: storage is not n x n");
+        assert_eq!(pivots.len(), n, "dense lu: pivot storage is not n");
+        for k in 0..n {
+            // Partial pivoting: the largest entry in column k at or below row k.
+            let mut piv = k;
+            let mut piv_val = lu[k * n + k].abs();
+            for i in (k + 1)..n {
+                let v = lu[i * n + k].abs();
+                if v > piv_val {
+                    piv = i;
+                    piv_val = v;
+                }
+            }
+            if piv_val < 1e-300 || piv_val.is_nan() {
+                return Err(SparseError::Singular {
+                    column: k,
+                    unknown: None,
+                });
+            }
+            pivots[k] = piv;
+            let (upper, lower) = lu.split_at_mut((k + 1) * n);
+            let row_k = &mut upper[k * n..];
+            if piv != k {
+                let start = (piv - k - 1) * n;
+                row_k[k..].swap_with_slice(&mut lower[start + k..start + n]);
+            }
+            let akk = row_k[k];
+            for row_i in lower.chunks_exact_mut(n) {
+                let factor = row_i[k] / akk;
+                row_i[k] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                for (a, &u) in row_i[k + 1..].iter_mut().zip(&row_k[k + 1..]) {
+                    *a -= factor * u;
+                }
+            }
+        }
+        Ok(DenseLu { n, lu, pivots })
+    }
+
+    /// Solves `A·X = B` in place for the `n × cols` row-major right-hand
+    /// sides in `x`. Each column is carried through the same operations, in
+    /// the same order, as if it were solved alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != n * cols`.
+    pub fn solve_in_place(&self, x: &mut [f64], cols: usize) {
+        let n = self.n;
+        assert_eq!(x.len(), n * cols, "dense lu: right-hand side shape");
+        if cols == 0 {
+            return;
+        }
+        for k in 0..n {
+            let (upper, lower) = x.split_at_mut((k + 1) * cols);
+            let x_k = &mut upper[k * cols..];
+            let piv = self.pivots[k];
+            if piv != k {
+                let start = (piv - k - 1) * cols;
+                x_k.swap_with_slice(&mut lower[start..start + cols]);
+            }
+            for (i, x_i) in lower.chunks_exact_mut(cols).enumerate() {
+                let factor = self.lu[(k + 1 + i) * n + k];
+                if factor == 0.0 {
+                    continue;
+                }
+                for (xi, &xk) in x_i.iter_mut().zip(x_k.iter()) {
+                    *xi -= factor * xk;
+                }
+            }
+        }
+        for k in (0..n).rev() {
+            let (upper, lower) = x.split_at_mut((k + 1) * cols);
+            let x_k = &mut upper[k * cols..];
+            let u_row = &self.lu[k * n..(k + 1) * n];
+            for (&u, x_j) in u_row[k + 1..].iter().zip(lower.chunks_exact(cols)) {
+                for (xk, &xj) in x_k.iter_mut().zip(x_j) {
+                    *xk -= u * xj;
+                }
+            }
+            let diag = u_row[k];
+            for xk in x_k.iter_mut() {
+                *xk /= diag;
+            }
+        }
+    }
+
+    /// Writes `A⁻¹` (row-major, `n × n`) into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != n * n`.
+    pub fn inverse_into(&self, out: &mut [f64]) {
+        out.fill(0.0);
+        for i in 0..self.n {
+            out[i * self.n + i] = 1.0;
+        }
+        self.solve_in_place(out, self.n);
     }
 }
 
@@ -464,6 +591,54 @@ mod tests {
                 assert!((prod.get(r, c) - i.get(r, c)).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn nan_pivot_is_singular_not_silently_propagated() {
+        let a = DenseMatrix::from_rows(&[&[f64::NAN, 1.0], &[1.0, 1.0]]);
+        assert!(matches!(
+            a.solve(&[1.0, 1.0]),
+            Err(SparseError::Singular { column: 0, .. })
+        ));
+        assert!(a.inverse().is_err());
+    }
+
+    #[test]
+    fn lu_carries_every_right_hand_side_through_one_elimination() {
+        // Needs pivoting in the first column.
+        let a = [1e-3, 2.0, -1.0, 4.0, 1.0, 0.5, -2.0, 0.0, 3.0];
+        let rhs = [[1.0, -2.0, 0.5], [0.0, 3.0, 1.0]];
+        let (mut lu, mut pivots) = (a, [0; 3]);
+        let factors = DenseLu::factor_in(3, &mut lu, &mut pivots).unwrap();
+        // Row-major 3 x 2 block of both right-hand sides.
+        let mut block = [0.0; 6];
+        for (c, b) in rhs.iter().enumerate() {
+            for (r, v) in b.iter().enumerate() {
+                block[r * 2 + c] = *v;
+            }
+        }
+        factors.solve_in_place(&mut block, 2);
+        let dense = DenseMatrix::from_vec(3, 3, a.to_vec());
+        for (c, b) in rhs.iter().enumerate() {
+            let alone = dense.solve(b).unwrap();
+            for r in 0..3 {
+                assert_eq!(alone[r].to_bits(), block[r * 2 + c].to_bits());
+            }
+            let back = dense.matvec(&alone);
+            for r in 0..3 {
+                assert!((back[r] - b[r]).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_into_handles_rectangular_and_empty_shapes() {
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2 x 3
+        let b = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0]; // 3 x 2
+        let mut out = [9.0; 4];
+        matmul_into(&a, &b, 2, &mut out);
+        assert_eq!(out, [4.0, 5.0, 10.0, 11.0]);
+        matmul_into(&[], &[], 0, &mut []);
     }
 
     #[test]

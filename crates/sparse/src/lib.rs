@@ -68,7 +68,7 @@ pub mod vector;
 pub use coo::TripletMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
-pub use dense::DenseMatrix;
+pub use dense::{DenseLu, DenseMatrix};
 pub use error::{SparseError, SparseResult};
 pub use lanes::{LaneBackend, LaneFactors, LaneVec, LaneWorkspace, ScalarLanes, LANE_DETACHED};
 pub use lu::{factor_fill, solve_sparse, LuOptions, LuWorkspace, SparseLu, SymbolicLu};

@@ -1,9 +1,83 @@
 //! Property-based tests for the sparse linear algebra substrate.
 
 use exi_sparse::{
-    vector, CscMatrix, CsrMatrix, LuOptions, LuWorkspace, OrderingMethod, SparseLu, TripletMatrix,
+    vector, CscMatrix, CsrMatrix, DenseLu, DenseMatrix, LuOptions, LuWorkspace, OrderingMethod,
+    SparseLu, TripletMatrix,
 };
 use proptest::prelude::*;
+
+/// The dense solve as it stood before [`DenseLu`]: the augmented system
+/// `[A | b]` eliminated from scratch for one right-hand side. Kept verbatim
+/// as the reference the factored solve must reproduce bit for bit.
+fn eliminate_augmented(a: &[f64], n: usize, b: &[f64]) -> Option<Vec<f64>> {
+    let mut a = a.to_vec();
+    let mut x = b.to_vec();
+    for k in 0..n {
+        let mut piv = k;
+        let mut piv_val = a[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = a[i * n + k].abs();
+            if v > piv_val {
+                piv = i;
+                piv_val = v;
+            }
+        }
+        if piv_val < 1e-300 {
+            return None;
+        }
+        if piv != k {
+            for j in 0..n {
+                a.swap(k * n + j, piv * n + j);
+            }
+            x.swap(k, piv);
+        }
+        let akk = a[k * n + k];
+        for i in (k + 1)..n {
+            let factor = a[i * n + k] / akk;
+            if factor == 0.0 {
+                continue;
+            }
+            for j in k..n {
+                a[i * n + j] -= factor * a[k * n + j];
+            }
+            x[i] -= factor * x[k];
+        }
+    }
+    for k in (0..n).rev() {
+        let mut s = x[k];
+        for j in (k + 1)..n {
+            s -= a[k * n + j] * x[j];
+        }
+        x[k] = s / a[k * n + k];
+    }
+    Some(x)
+}
+
+/// Strategy: a dense `n × n` matrix with `n` right-hand sides. Rows are
+/// scaled over up to twelve decades and some entries are exact zeros, so the
+/// draw covers well- and ill-conditioned systems, pivoting and the
+/// zero-multiplier skip.
+fn dense_system(max_n: usize) -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64>)> {
+    (1usize..max_n).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(-1.0f64..1.0, n * n),
+            proptest::collection::vec(-12i32..1, n),
+            proptest::collection::vec(0usize..4, n * n),
+            proptest::collection::vec(-10.0f64..10.0, n * n),
+        )
+            .prop_map(move |(mut a, decades, zeros, rhs)| {
+                for (i, row) in a.chunks_mut(n).enumerate() {
+                    for (j, v) in row.iter_mut().enumerate() {
+                        *v *= 10f64.powi(decades[i]);
+                        if zeros[i * n + j] == 0 && i != j {
+                            *v = 0.0;
+                        }
+                    }
+                }
+                (n, a, rhs)
+            })
+    })
+}
 
 /// Strategy: a random diagonally dominant sparse matrix (always factorizable)
 /// together with a right-hand side.
@@ -30,6 +104,42 @@ fn dominant_system(max_n: usize) -> impl Strategy<Value = (CsrMatrix, Vec<f64>)>
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One elimination, all right-hand sides: `DenseLu` (and `solve` /
+    /// `inverse` built on it) reproduce the from-scratch elimination of each
+    /// augmented system bit for bit, column by column.
+    #[test]
+    fn dense_lu_matches_per_column_elimination_bitwise((n, a, rhs) in dense_system(12)) {
+        let column = |block: &[f64], c: usize| -> Vec<u64> {
+            (0..n).map(|r| block[r * n + c].to_bits()).collect()
+        };
+        let (mut lu, mut pivots) = (a.clone(), vec![0; n]);
+        let factors = DenseLu::factor_in(n, &mut lu, &mut pivots);
+        let unit = |c: usize| -> Vec<f64> { (0..n).map(|r| f64::from(u8::from(r == c))).collect() };
+        let dense = DenseMatrix::from_vec(n, n, a.clone());
+        let Ok(factors) = factors else {
+            prop_assert!(eliminate_augmented(&a, n, &unit(0)).is_none());
+            prop_assert!(dense.inverse().is_err());
+            return;
+        };
+        let mut solved = rhs.clone();
+        factors.solve_in_place(&mut solved, n);
+        let inverse = dense.inverse().expect("factored, so invertible");
+        for c in 0..n {
+            let b: Vec<f64> = (0..n).map(|r| rhs[r * n + c]).collect();
+            let reference = eliminate_augmented(&a, n, &b).expect("factored, so solvable");
+            let reference: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&column(&solved, c), &reference);
+            let alone: Vec<u64> = dense.solve(&b).expect("solve").iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&alone, &reference);
+            let unit_reference: Vec<u64> = eliminate_augmented(&a, n, &unit(c))
+                .expect("factored, so solvable")
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            prop_assert_eq!(&column(inverse.as_slice(), c), &unit_reference);
+        }
+    }
 
     /// LU-based solves reproduce the right-hand side: ‖Ax − b‖ small.
     #[test]
