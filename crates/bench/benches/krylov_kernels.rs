@@ -1,6 +1,6 @@
 //! Criterion bench for the MEVP kernels and the symbolic-reuse LU path.
 //!
-//! Two groups:
+//! Three groups:
 //!
 //! * `lu_refactorize` — the headline comparison for the symbolic/numeric
 //!   split: a full `factorize_with` (ordering + pivoting + reachability DFS +
@@ -10,15 +10,19 @@
 //! * `krylov_mevp` — ablation A: invert vs standard vs rational Krylov
 //!   subspaces on the same matrices, plus the workspace-reusing invert
 //!   variant the ER engine actually runs.
+//! * `small_dense` — what sits under the Arnoldi loop, at `m = 16/32/64` on
+//!   Hessenberg matrices captured from the tc6 analogue mid-transient: one
+//!   Eq. (22) residual test, one φ₁ column and one plain `expm`.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exi_krylov::{
-    mevp_invert_krylov, mevp_invert_krylov_with, mevp_rational_krylov, mevp_standard_krylov,
+    expm, mevp_invert_krylov, mevp_invert_krylov_with, mevp_rational_krylov, mevp_standard_krylov,
     MevpOptions, MevpWorkspace,
 };
 use exi_netlist::generators::{power_grid, PowerGridSpec};
+use exi_sim::{Method, Simulator};
 use exi_sparse::{CsrMatrix, LuOptions, LuWorkspace, SparseLu};
 
 /// The conductance matrix of a laptop-scale power-distribution mesh — the
@@ -133,6 +137,64 @@ fn bench_mevp_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The small dense layer on its own: the per-test, per-evaluation kernels of
+/// the ER hot loop at three subspace dimensions. The Hessenberg matrices are
+/// real ones — the tc6 analogue is run to the middle of its switching
+/// window and the `w₁` subspace of the next step is built to exactly `m`
+/// dimensions (a tolerance that is never met).
+fn bench_small_dense(c: &mut Criterion) {
+    let case = &exi_bench::table1_cases(1.0)[5];
+    assert_eq!(case.name, "tc6");
+    let circuit = case.build().expect("tc6 circuit");
+    let t = 0.15e-9;
+    let x = Simulator::new(&circuit)
+        .transient(
+            Method::ExponentialRosenbrock,
+            &exi_bench::runner::table1_options(t, None),
+            &[],
+        )
+        .expect("tc6 transient to mid-switching")
+        .final_state;
+    let plan = circuit.compile_plan().expect("plan");
+    let eval = plan.evaluate(&x).expect("evaluation");
+    let g_lu = SparseLu::factorize(&eval.g).expect("LU of G");
+    // w1 = G⁻¹ (f(x) − B·u(t)), the start vector of the step's first subspace.
+    let mut u = vec![0.0; plan.input_dim()];
+    circuit.input_vector_into(t, &mut u);
+    let bu = plan.input_matrix().mul_vec(&u);
+    let rhs: Vec<f64> = eval.f.iter().zip(&bu).map(|(f, b)| f - b).collect();
+    let w1 = g_lu.solve(&rhs).expect("w1");
+    let h = 2e-11;
+
+    let mut group = c.benchmark_group("small_dense");
+    group.sample_size(20);
+    let mut ws = MevpWorkspace::new();
+    let mut out = vec![0.0; w1.len()];
+    for m in [16, 32, 64] {
+        let never_met = MevpOptions {
+            tolerance: -1.0,
+            max_dimension: m,
+            min_dimension: m,
+            allow_unconverged: true,
+        };
+        let built = mevp_invert_krylov_with(&eval.c, &eval.g, &g_lu, &w1, h, &never_met, &mut ws)
+            .expect("subspace of exactly m dimensions")
+            .decomposition;
+        assert_eq!(built.dimension(), m);
+        group.bench_function(format!("residual_test/m{m}"), |b| {
+            b.iter(|| built.residual_scalar_in(h, &mut ws).expect("residual"))
+        });
+        group.bench_function(format!("phi1_column/m{m}"), |b| {
+            b.iter(|| built.eval_phi_in(1, h, &mut out, &mut ws).expect("phi1"))
+        });
+        let hs = built.projected_jacobian().expect("S").scale(h);
+        group.bench_function(format!("expm/m{m}"), |b| {
+            b.iter(|| expm(&hs).expect("expm"))
+        });
+    }
+    group.finish();
+}
+
 /// SpMV kernel comparison: the sequential `mul_vec_into` (the engines' hot
 /// path — its summation order is pinned by the golden-waveform suite)
 /// against the 4-wide-accumulator `mul_vec_into_unrolled` variant (which
@@ -186,6 +248,7 @@ criterion_group!(
     benches,
     bench_lu_refactorize,
     bench_mevp_kernels,
+    bench_small_dense,
     bench_spmv
 );
 criterion_main!(benches);

@@ -8,9 +8,11 @@
 //!
 //! Besides the human-readable table, the binary writes
 //! `BENCH_table1.json` (per-case unknown counts, nonzeros, and per-method
-//! steps / LU counters / refactorization counters / runtimes) so successive
-//! revisions have a machine-readable performance trajectory to regress
-//! against.
+//! steps / LU counters / refactorization counters / Krylov small-dense
+//! counters / runtimes, plus the host's parallelism) so successive revisions
+//! have a machine-readable performance trajectory to regress against. The
+//! committed copy is the scale-1.0 run; CI gates on its ratios and counts,
+//! never on absolute seconds.
 //!
 //! Usage: `cargo run --release -p exi-bench --bin table1 [scale]`
 //! (`scale` defaults to 1.0; use e.g. 0.5 for a quicker run)
@@ -170,8 +172,11 @@ fn main() {
     println!("cases (tc1-tc3), growing speedups as nnz(C) rises (tc4-tc5), and 'Out of Memory'");
     println!("for BENR on the densely coupled cases (tc6-tc8) which ER/ER-C still complete.");
 
+    // Runtimes are single-threaded, but recorded with the host they were
+    // measured on, like every committed BENCH_*.json.
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
     let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"benr_fill_per_unknown\": {BENR_FILL_PER_UNKNOWN},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"scale\": {scale},\n  \"host_parallelism\": {host_parallelism},\n  \"benr_fill_per_unknown\": {BENR_FILL_PER_UNKNOWN},\n  \"cases\": [\n{}\n  ]\n}}\n",
         json_cases.join(",\n")
     );
     match std::fs::write(JSON_OUTPUT, &json) {

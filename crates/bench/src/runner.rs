@@ -29,6 +29,12 @@ pub enum CaseOutcome {
         plan_compilations: usize,
         /// Total nonlinear matrix entries rewritten across all evaluations.
         restamped_entries: usize,
+        /// Krylov convergence tests run (exponential methods only).
+        krylov_residual_tests: usize,
+        /// Small dense matrix exponentials computed.
+        small_dense_exponentials: usize,
+        /// Growths of the small-dense arena under the Arnoldi loop.
+        dense_workspace_allocations: usize,
         /// Wall-clock runtime in seconds.
         runtime: f64,
     },
@@ -67,13 +73,18 @@ impl CaseOutcome {
                 device_evaluations,
                 plan_compilations,
                 restamped_entries,
+                krylov_residual_tests,
+                small_dense_exponentials,
+                dense_workspace_allocations,
                 runtime,
             } => format!(
                 concat!(
                     "{{\"status\":\"completed\",\"steps\":{},\"avg_newton\":{:.3},",
                     "\"avg_krylov\":{:.3},\"lu_factorizations\":{},\"symbolic_analyses\":{},",
                     "\"lu_refactorizations\":{},\"device_evaluations\":{},",
-                    "\"plan_compilations\":{},\"restamped_entries\":{},\"runtime_s\":{:.6}}}"
+                    "\"plan_compilations\":{},\"restamped_entries\":{},",
+                    "\"krylov_residual_tests\":{},\"small_dense_exponentials\":{},",
+                    "\"dense_workspace_allocations\":{},\"runtime_s\":{:.6}}}"
                 ),
                 steps,
                 avg_newton,
@@ -84,6 +95,9 @@ impl CaseOutcome {
                 device_evaluations,
                 plan_compilations,
                 restamped_entries,
+                krylov_residual_tests,
+                small_dense_exponentials,
+                dense_workspace_allocations,
                 runtime
             ),
             CaseOutcome::OutOfMemory => "{\"status\":\"out_of_memory\"}".to_string(),
@@ -155,6 +169,9 @@ pub fn run_circuit_in(
             device_evaluations: result.stats.device_evaluations,
             plan_compilations: result.stats.plan_compilations,
             restamped_entries: result.stats.restamped_entries,
+            krylov_residual_tests: result.stats.krylov_residual_tests,
+            small_dense_exponentials: result.stats.small_dense_exponentials,
+            dense_workspace_allocations: result.stats.dense_workspace_allocations,
             runtime: result.stats.runtime_seconds(),
         },
         Err(SimError::Sparse(SparseError::FillBudgetExceeded { .. })) => CaseOutcome::OutOfMemory,
@@ -237,6 +254,9 @@ mod tests {
             device_evaluations: 31,
             plan_compilations: 1,
             restamped_entries: 62,
+            krylov_residual_tests: 40,
+            small_dense_exponentials: 45,
+            dense_workspace_allocations: 7,
             runtime: 0.25,
         };
         let json = done.to_json();
@@ -244,6 +264,9 @@ mod tests {
         assert!(json.contains("\"lu_refactorizations\":11"));
         assert!(json.contains("\"plan_compilations\":1"));
         assert!(json.contains("\"restamped_entries\":62"));
+        assert!(json.contains("\"krylov_residual_tests\":40"));
+        assert!(json.contains("\"small_dense_exponentials\":45"));
+        assert!(json.contains("\"dense_workspace_allocations\":7"));
         assert_eq!(
             CaseOutcome::OutOfMemory.to_json(),
             "{\"status\":\"out_of_memory\"}"

@@ -70,7 +70,11 @@ pub struct RunStats {
     pub krylov_workspace_allocations: usize,
     /// Number of Krylov convergence tests run (paper Eq. 22 for ER): each
     /// costs one small dense exponential, `O(m³)` at subspace dimension
-    /// `m`.
+    /// `m`. The Arnoldi drive loop tests every dimension while a test costs
+    /// no more than one more iteration, and on a geometric schedule once it
+    /// costs more — so on long-vector circuits this equals
+    /// `krylov_dimension_total − krylov_subspaces` (every dimension from 2
+    /// up) and on short-vector, high-`m` circuits it is well below.
     pub krylov_residual_tests: usize,
     /// Number of small dense matrix exponentials computed: one per
     /// convergence test, one per φ evaluation that a test had not already

@@ -14,7 +14,7 @@
 //! Convergence tests run on the small Hessenberg matrix alone — the basis is
 //! never cloned.
 //!
-//! All three front-ends share one drive loop, [`drive`]: step, breakdown,
+//! All three front-ends share one drive loop, `drive`: step, breakdown,
 //! minimum dimension, convergence test, tolerance, finalisation. A front-end
 //! supplies only its operator and its residual estimate. The loop computes
 //! the one small exponential a test needs — the column `φ₀(hS)·e₁` — and,
@@ -40,6 +40,33 @@ const BREAKDOWN_TOLERANCE: f64 = 1e-14;
 /// previous guard `correction.abs() > 0.0` was effectively always true, so
 /// every absorb paid a full second sweep even when it contributed nothing.)
 const REORTH_NORM_RATIO: f64 = std::f64::consts::FRAC_1_SQRT_2;
+
+/// Modelled cost of one convergence test at dimension `j`, `TEST_COST·j³`,
+/// in the multiply–adds of the sparse work it competes with: an inverse, six
+/// Padé products, one elimination and the squarings on a `j × j` matrix.
+/// Fixed by measurement (docs/PERFORMANCE.md, "Small dense layer").
+const TEST_COST: usize = 26;
+
+/// Once a test costs more than one more iteration, a failed test at
+/// dimension `j` schedules the next at `j + max(1, ⌊TEST_STRIDE·j⌋)`: the
+/// subspace then overshoots the converging dimension by at most that
+/// fraction, and the number of expensive tests grows with `log m`, not `m`.
+/// Fixed by measurement, like [`TEST_COST`].
+const TEST_STRIDE: f64 = 0.15;
+
+/// Whether a convergence test at dimension `j` costs no more than the
+/// Arnoldi iteration it might save: one operator application (`2·nnz`) plus
+/// orthogonalisation against `j` vectors of length `n` (`4·n·j`). A pure
+/// function of `(n, nnz, j)` — no timing, no state — so the dimensions
+/// tested, and with them every bit of the result, depend on the problem
+/// alone.
+fn test_can_pay(n: usize, nnz: usize, j: usize) -> bool {
+    let test = TEST_COST.saturating_mul(j.saturating_pow(3));
+    let iteration = nnz
+        .saturating_mul(2)
+        .saturating_add(n.saturating_mul(4 * j));
+    test <= iteration
+}
 
 /// Incremental Arnoldi factorization with modified Gram–Schmidt
 /// orthogonalization (and one guarded step of re-orthogonalization for
@@ -225,8 +252,7 @@ impl ArnoldiProcess {
         h: f64,
         ws: &mut MevpWorkspace,
     ) -> KrylovResult<()> {
-        ws.dense.load_hm(&self.hess, self.m);
-        ws.dense.phi_column(kind, self.m, 0, h)
+        ws.dense.phi_column(kind, &self.hess, self.m, 0, h)
     }
 
     /// Residual estimate of the current iterate from the column
@@ -339,6 +365,11 @@ pub fn mevp_standard_krylov_with(
 /// current `H_m`, and the closure turns them into a residual norm (`None`
 /// when it has no estimate yet). A test whose small problem is too
 /// ill-conditioned to eliminate is skipped and the subspace keeps growing.
+///
+/// Which dimensions are tested: every one (from `options.min_dimension`)
+/// while [`test_can_pay`]; past that, after a failed test at `j` the next is
+/// at `j + max(1, ⌊TEST_STRIDE·j⌋)`. `options.max_dimension` and a breakdown
+/// always conclude.
 pub(crate) fn drive<O: KrylovOperator>(
     op: &O,
     kind: ProjectionKind,
@@ -355,21 +386,29 @@ pub(crate) fn drive<O: KrylovOperator>(
         });
     }
     let mut process = ArnoldiProcess::new_in(v, options.max_dimension, ws)?;
+    let (n, nnz) = (op.dim(), op.nnz());
     let mut residual = f64::INFINITY;
     // Dimension whose φ₀ column is the one in `ws.dense` (0: none).
     let mut column_of = 0;
+    // First dimension at which a test that cannot pay is due anyway.
+    let mut next_test = 0;
     while process.dimension() < options.max_dimension {
         process.step(op, ws)?;
         if process.breakdown() {
             residual = 0.0;
             break;
         }
-        if process.dimension() < options.min_dimension {
+        let j = process.dimension();
+        if j < options.min_dimension {
             continue;
         }
+        if j < next_test.min(options.max_dimension) && !test_can_pay(n, nnz, j) {
+            continue;
+        }
+        next_test = j + ((TEST_STRIDE * j as f64) as usize).max(1);
         ws.residual_tests += 1;
         match process.expv_column(kind, h, ws) {
-            Ok(()) => column_of = process.dimension(),
+            Ok(()) => column_of = j,
             // An ill-conditioned small Hessenberg early in the iteration is
             // not fatal; keep expanding the subspace.
             Err(KrylovError::Sparse(_)) => continue,

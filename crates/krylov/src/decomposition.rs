@@ -9,7 +9,7 @@
 //! (Sec. III/IV, Algorithm 2 line 9).
 //!
 //! All computations that involve only the small Hessenberg matrix (stable φ
-//! evaluation, residual estimates) run inside a [`DenseArena`] — the
+//! evaluation, residual estimates) run inside a `DenseArena` — the
 //! small-dense half of a [`MevpWorkspace`] — over `(kind, H_m)`, so the
 //! in-progress Arnoldi iteration runs its convergence test without
 //! materializing a decomposition and, in steady state, without allocating.
@@ -17,7 +17,7 @@
 //! `O(m³)`, at the smallest size that yields what is read** — which is one
 //! column, `φ_p(hS)·e₁`, of one `(m+p) × (m+p)` exponential.
 
-use exi_sparse::dense::DenseLu;
+use exi_sparse::dense::{norm_inf, DenseLu};
 use exi_sparse::DenseMatrix;
 
 use crate::error::{KrylovError, KrylovResult};
@@ -38,17 +38,6 @@ pub enum ProjectionKind {
         /// The shift `γ` used when building the subspace.
         gamma: f64,
     },
-}
-
-/// Infinity-norm (maximum absolute row sum) of a row-major matrix with `m`
-/// columns.
-fn norm_inf(a: &[f64], m: usize) -> f64 {
-    let mut best = 0.0_f64;
-    for row in a.chunks_exact(m) {
-        let s: f64 = row.iter().map(|v| v.abs()).sum();
-        best = best.max(s);
-    }
-    best
 }
 
 /// Writes `(hm − delta·I)⁻¹` into `inverse`, escalating the shift if the
@@ -119,7 +108,7 @@ impl DenseArena {
     }
 
     /// Loads `H_m`, the leading `m × m` block of `hess`.
-    pub(crate) fn load_hm(&mut self, hess: &DenseMatrix, m: usize) {
+    fn load_hm(&mut self, hess: &DenseMatrix, m: usize) {
         grow(&mut self.hm, m * m, &mut self.allocations);
         for (i, row) in self.hm[..m * m].chunks_exact_mut(m).enumerate() {
             row.copy_from_slice(&hess.row(i)[..m]);
@@ -163,9 +152,9 @@ impl DenseArena {
         Ok(())
     }
 
-    /// Computes the column `φ_order(h·S)·e₁` of the loaded `H_m` with an
-    /// adaptive stabilizing shift, leaving it in [`DenseArena::column`] and
-    /// `S` in `self.s`.
+    /// Computes the column `φ_order(h·S)·e₁` for `H_m`, the leading `m × m`
+    /// block of `hess`, with an adaptive stabilizing shift, leaving it in
+    /// [`DenseArena::column`] and `S` in `self.s`.
     ///
     /// The column is read off `exp` of the `(m+p) × (m+p)` augmented matrix
     /// (Al-Mohy & Higham 2011, Thm 2.1) — the compression of the
@@ -189,6 +178,7 @@ impl DenseArena {
     pub(crate) fn phi_column(
         &mut self,
         kind: ProjectionKind,
+        hess: &DenseMatrix,
         m: usize,
         order: usize,
         h: f64,
@@ -199,6 +189,7 @@ impl DenseArena {
                 max_order: MAX_PHI_ORDER,
             });
         }
+        self.load_hm(hess, m);
         let base = 1e-12 * norm_inf(&self.hm[..m * m], m).max(f64::MIN_POSITIVE);
         let shifts: [f64; 4] = [
             base,
@@ -471,8 +462,8 @@ impl KrylovDecomposition {
                 found: out.len(),
             });
         }
-        ws.dense.load_hm(&self.hess, self.m);
-        ws.dense.phi_column(self.kind, self.m, order, h)?;
+        ws.dense
+            .phi_column(self.kind, &self.hess, self.m, order, h)?;
         self.lift_scaled_into(self.beta, ws.dense.column(self.m), out);
         Ok(())
     }
@@ -518,8 +509,7 @@ impl KrylovDecomposition {
     /// Propagates dense-kernel errors and unsupported φ orders.
     pub fn eval_phi_small(&self, order: usize, h: f64) -> KrylovResult<Vec<f64>> {
         let mut arena = DenseArena::default();
-        arena.load_hm(&self.hess, self.m);
-        arena.phi_column(self.kind, self.m, order, h)?;
+        arena.phi_column(self.kind, &self.hess, self.m, order, h)?;
         Ok(arena
             .column(self.m)
             .iter()
@@ -597,8 +587,7 @@ impl KrylovDecomposition {
         if hnext == 0.0 {
             return Ok(0.0);
         }
-        ws.dense.load_hm(&self.hess, self.m);
-        ws.dense.phi_column(self.kind, self.m, 0, h)?;
+        ws.dense.phi_column(self.kind, &self.hess, self.m, 0, h)?;
         Ok(ws
             .dense
             .residual_scalar(self.kind, self.m, hnext, self.beta))
@@ -807,8 +796,7 @@ mod tests {
             let mut arena = DenseArena::default();
             for order in 0..=2 {
                 let full = crate::phi::phi_matrices(&s.scale(h), order).expect("phi matrices");
-                arena.load_hm(&hm, m);
-                arena.phi_column(kind, m, order, h).expect("phi column");
+                arena.phi_column(kind, &hm, m, order, h).expect("phi column");
                 for (i, &got) in arena.column(m).iter().enumerate() {
                     let expected = full[order].get(i, 0);
                     prop_assert!(

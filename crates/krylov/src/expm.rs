@@ -6,13 +6,13 @@
 //! scaling-and-squaring (Higham's method, the same algorithm behind MATLAB's
 //! `expm` which the paper's reference implementation relies on).
 //!
-//! There is one kernel, [`expm_in`]: six matrix products, one LU
+//! There is one kernel, `expm_in`: six matrix products, one LU
 //! elimination with all right-hand sides carried through it, and the
-//! squarings — `O(n³)`, every temporary drawn from a [`PadeScratch`] that
+//! squarings — `O(n³)`, every temporary drawn from a `PadeScratch` that
 //! grows to the largest dimension it has seen. [`expm`] is the allocating
 //! convenience over it.
 
-use exi_sparse::dense::{matmul_into, DenseLu};
+use exi_sparse::dense::{matmul_into, norm_one, DenseLu};
 use exi_sparse::DenseMatrix;
 
 use crate::error::{KrylovError, KrylovResult};
@@ -59,19 +59,6 @@ pub(crate) struct PadeScratch {
     pivots: Vec<usize>,
     /// Times a buffer had to grow (heap allocations).
     pub(crate) allocations: usize,
-}
-
-/// One-norm (maximum absolute column sum) of a row-major `n × n` matrix.
-fn norm_one(a: &[f64], n: usize) -> f64 {
-    let mut best = 0.0_f64;
-    for j in 0..n {
-        let mut sum = 0.0;
-        for i in 0..n {
-            sum += a[i * n + j].abs();
-        }
-        best = best.max(sum);
-    }
-    best
 }
 
 /// `out = c2·a2 + c4·a4 + c6·a6`, summed from the highest power down.

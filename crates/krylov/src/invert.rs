@@ -8,7 +8,7 @@
 
 use exi_sparse::{vector, CsrMatrix, SparseLu};
 
-use crate::arnoldi::drive;
+use crate::arnoldi::{drive, ArnoldiProcess};
 use crate::decomposition::ProjectionKind;
 use crate::error::KrylovResult;
 use crate::mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
@@ -23,8 +23,8 @@ use crate::operator::InverseJacobianOperator;
 ///
 /// # Errors
 ///
-/// * [`KrylovError::ZeroStartVector`] if `v` is zero.
-/// * [`KrylovError::NotConverged`] if the Eq. (22) residual does not fall
+/// * [`crate::KrylovError::ZeroStartVector`] if `v` is zero.
+/// * [`crate::KrylovError::NotConverged`] if the Eq. (22) residual does not fall
 ///   below `options.tolerance` within `options.max_dimension`.
 /// * Sparse kernel errors propagated from the `G` solves.
 ///
@@ -80,27 +80,59 @@ pub fn mevp_invert_krylov_with(
     ws: &mut MevpWorkspace,
 ) -> KrylovResult<MevpOutcome> {
     let op = InverseJacobianOperator::new(c, g_lu);
-    let kind = ProjectionKind::Inverse;
-    // Eq. (22): ‖r_m(h)‖ = β · |h_{m+1,m}| · ‖G·v_{m+1}‖ · |e_mᵀ H_m⁻¹ e^{h H_m⁻¹} e₁|.
-    drive(&op, kind, v, h, options, ws, |process, ws| {
-        let scalar = process.residual_scalar(kind, ws);
-        let gv_norm = match process.next_vector() {
-            Some(vm1) => {
-                let gv = ws.scratch_slice(g.rows());
-                g.mul_vec_into(vm1, gv);
-                vector::norm2(gv)
-            }
-            None => 0.0,
-        };
-        Some(scalar * gv_norm)
+    drive(&op, KIND, v, h, options, ws, |process, ws| {
+        Some(kcl_residual(process, g, ws))
     })
+}
+
+const KIND: ProjectionKind = ProjectionKind::Inverse;
+
+/// The KCL/KVL residual of paper Eq. (22) for the dimension [`drive`] has
+/// just exponentiated:
+/// `‖r_m(h)‖ = β · |h_{m+1,m}| · ‖G·v_{m+1}‖ · |e_mᵀ H_m⁻¹ e^{h H_m⁻¹} e₁|`.
+fn kcl_residual(process: &ArnoldiProcess, g: &CsrMatrix, ws: &mut MevpWorkspace) -> f64 {
+    let scalar = process.residual_scalar(KIND, ws);
+    let gv_norm = match process.next_vector() {
+        Some(vm1) => {
+            let gv = ws.scratch_slice(g.rows());
+            g.mul_vec_into(vm1, gv);
+            vector::norm2(gv)
+        }
+        None => 0.0,
+    };
+    scalar * gv_norm
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::KrylovError;
-    use exi_sparse::TripletMatrix;
+    use crate::operator::{KrylovOperator, OperatorWorkspace};
+    use exi_sparse::{SparseResult, TripletMatrix};
+    use proptest::prelude::*;
+
+    /// An operator priced so high that a convergence test can always pay:
+    /// the build under it tests every dimension, as every build used to.
+    struct EveryDimension<O>(O);
+
+    impl<O: KrylovOperator> KrylovOperator for EveryDimension<O> {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+
+        fn nnz(&self) -> usize {
+            usize::MAX
+        }
+
+        fn apply_into(
+            &self,
+            v: &[f64],
+            out: &mut [f64],
+            ws: &mut OperatorWorkspace,
+        ) -> SparseResult<()> {
+            self.0.apply_into(v, out, ws)
+        }
+    }
 
     fn diag(vals: &[f64]) -> CsrMatrix {
         let mut t = TripletMatrix::new(vals.len(), vals.len());
@@ -265,7 +297,7 @@ mod tests {
             mevp_invert_krylov_with(&c, &g, &g_lu, &v, 0.05, &MevpOptions::default(), &mut ws)
                 .unwrap();
         assert!(out.dimension > 3 && out.residual > 0.0, "a tested build");
-        assert!(ws.residual_tests() >= out.dimension - 1);
+        assert!(ws.residual_tests() > 3);
         assert_eq!(ws.small_dense_exponentials(), ws.residual_tests());
         // ... and it is the product a re-evaluation of the decomposition gives.
         assert_eq!(out.mevp, out.decomposition.eval_expv(0.05).unwrap());
@@ -299,5 +331,74 @@ mod tests {
         assert_eq!((out.dimension, out.residual), (1, 0.0));
         assert_eq!((ws.residual_tests(), ws.small_dense_exponentials()), (0, 1));
         assert!((out.mevp[0] - (-0.2_f64).exp()).abs() < 1e-12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The cost-gated schedule against testing every dimension, on short
+        /// stiff problems (cheap iterations, high `m`: the gate is open). The
+        /// scheduled build converges whenever the every-dimension build
+        /// does, to the same tolerance, no earlier, and at most one stride
+        /// past the dimension at which the residual has settled below the
+        /// tolerance (which is where it first gets there, when it falls
+        /// monotonically).
+        #[test]
+        fn scheduled_build_converges_within_one_stride_of_testing_every_dimension(
+            decades in 3.0f64..6.0,
+            coupling in 0.3f64..0.49,
+            h in 1e-13f64..2e-11,
+            seed in 0usize..1000,
+        ) {
+            const STRIDE: f64 = 0.15;
+            let n = 140;
+            let cvals: Vec<f64> = (0..n)
+                .map(|i| 1e-12 * 10f64.powf(-decades * (((i * 7 + seed) % 11) as f64) / 10.0))
+                .collect();
+            let c = diag(&cvals);
+            let g = tridiag(n, 1e-3, -coupling * 1e-3);
+            let g_lu = SparseLu::factorize(&g).unwrap();
+            let v: Vec<f64> = (0..n).map(|i| 1.0 + (((i + seed) % 5) as f64) / 4.0).collect();
+            let options = MevpOptions {
+                tolerance: 1e-7,
+                max_dimension: 60,
+                ..MevpOptions::default()
+            };
+            // The residual at every dimension: an operator priced so that a
+            // test always pays, and a tolerance that is never met.
+            let mut residuals = vec![f64::INFINITY; options.max_dimension + 1];
+            let unmeetable = MevpOptions { tolerance: -1.0, allow_unconverged: true, ..options.clone() };
+            let op = EveryDimension(InverseJacobianOperator::new(&c, &g_lu));
+            drive(&op, KIND, &v, h, &unmeetable, &mut MevpWorkspace::new(), |process, ws| {
+                let residual = kcl_residual(process, &g, ws);
+                residuals[process.dimension()] = residual;
+                Some(residual)
+            })
+            .unwrap();
+            let met = |j: usize| residuals[j] <= options.tolerance;
+            let Some(m_every) = (2..=options.max_dimension).find(|&j| met(j)) else {
+                return;
+            };
+            let one_stride_past = |j: usize| ((1.0 + STRIDE) * j as f64) as usize + 1;
+            let m_settled = (m_every..=options.max_dimension)
+                .find(|&j| (j..=one_stride_past(j).min(options.max_dimension)).all(met));
+
+            let mut ws = MevpWorkspace::new();
+            let scheduled = mevp_invert_krylov_with(&c, &g, &g_lu, &v, h, &options, &mut ws)
+                .expect("converges whenever testing every dimension does");
+            let m = scheduled.dimension;
+            prop_assert!(m_every <= m, "{m} < {m_every}");
+            // The same H_m, the same test: skipping tests moves no bit of
+            // the ones that are run.
+            prop_assert_eq!(scheduled.residual.to_bits(), residuals[m].to_bits());
+            prop_assert!(scheduled.residual <= options.tolerance);
+            if let Some(m_settled) = m_settled {
+                prop_assert!(m <= one_stride_past(m_settled), "{m} overshoots {m_settled}");
+            }
+            prop_assert!(ws.residual_tests() < m);
+            if m >= 20 {
+                prop_assert!(ws.residual_tests() + 3 < m, "{} tests to reach {m}", ws.residual_tests());
+            }
+        }
     }
 }

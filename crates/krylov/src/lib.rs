@@ -21,9 +21,11 @@
 //! the scaling-invariance the ER engine relies on when it rejects a step.
 //!
 //! Each front-end also has a `*_with` variant taking a [`MevpWorkspace`]: an
-//! arena of recycled basis vectors, Hessenberg storage and operator scratch
-//! buffers that makes repeated subspace builds (the transient engines' hot
-//! loop) allocation-free in steady state.
+//! arena of recycled basis vectors, Hessenberg storage, operator scratch
+//! buffers and the small dense temporaries of the convergence tests and φ
+//! evaluations, which makes repeated subspace builds (the transient engines'
+//! hot loop) allocation-free in steady state. The decomposition's
+//! `eval_*_in` methods re-evaluate through the same workspace.
 //!
 //! # Examples
 //!

@@ -65,6 +65,14 @@ pub trait KrylovOperator {
         ws: &mut OperatorWorkspace,
     ) -> SparseResult<()>;
 
+    /// Stored matrix and factor entries one application reads — the sparse
+    /// work of an Arnoldi iteration in the cost model of the convergence-test
+    /// schedule (see `arnoldi::test_can_pay`). The provided value is that of
+    /// an operator applied as a dense matrix.
+    fn nnz(&self) -> usize {
+        self.dim().saturating_mul(self.dim())
+    }
+
     /// Applies the operator to `v`, allocating the result (convenience
     /// wrapper over [`KrylovOperator::apply_into`]).
     ///
@@ -95,6 +103,10 @@ impl<'a> JacobianOperator<'a> {
 impl KrylovOperator for JacobianOperator<'_> {
     fn dim(&self) -> usize {
         self.g.rows()
+    }
+
+    fn nnz(&self) -> usize {
+        self.g.nnz() + self.c_lu.fill()
     }
 
     fn apply_into(
@@ -132,6 +144,10 @@ impl KrylovOperator for InverseJacobianOperator<'_> {
         self.c.rows()
     }
 
+    fn nnz(&self) -> usize {
+        self.c.nnz() + self.g_lu.fill()
+    }
+
     fn apply_into(
         &self,
         v: &[f64],
@@ -165,6 +181,10 @@ impl<'a> ShiftInvertOperator<'a> {
 impl KrylovOperator for ShiftInvertOperator<'_> {
     fn dim(&self) -> usize {
         self.c.rows()
+    }
+
+    fn nnz(&self) -> usize {
+        self.c.nnz() + self.shifted_lu.fill()
     }
 
     fn apply_into(

@@ -18,7 +18,10 @@
 //!
 //! whose first block row contains every φ-matrix (Sidje's augmented-matrix
 //! trick). This keeps the small dense kernel to a single, well-tested code
-//! path.
+//! path. The functions here are the full-matrix API; the Krylov front-ends
+//! and [`crate::KrylovDecomposition`] only ever need the one column
+//! `φ_p(A)·e₁` and read it off the `(n+p)`-square compression of `W`
+//! instead (see the `decomposition` module).
 
 use exi_sparse::DenseMatrix;
 

@@ -248,25 +248,12 @@ impl DenseMatrix {
 
     /// One-norm (maximum absolute column sum).
     pub fn norm_one(&self) -> f64 {
-        let mut best = 0.0_f64;
-        for j in 0..self.cols {
-            let mut s = 0.0;
-            for i in 0..self.rows {
-                s += self.get(i, j).abs();
-            }
-            best = best.max(s);
-        }
-        best
+        norm_one(&self.data, self.cols)
     }
 
     /// Infinity-norm (maximum absolute row sum).
     pub fn norm_inf(&self) -> f64 {
-        let mut best = 0.0_f64;
-        for i in 0..self.rows {
-            let s: f64 = self.row(i).iter().map(|v| v.abs()).sum();
-            best = best.max(s);
-        }
-        best
+        norm_inf(&self.data, self.cols)
     }
 
     /// Frobenius norm.
@@ -325,6 +312,34 @@ impl DenseMatrix {
         factors.inverse_into(&mut inv.data);
         Ok(inv)
     }
+}
+
+/// One-norm (maximum absolute column sum) of a row-major matrix with `cols`
+/// columns.
+pub fn norm_one(a: &[f64], cols: usize) -> f64 {
+    let mut best = 0.0_f64;
+    for j in 0..cols {
+        let mut sum = 0.0;
+        for row in a.chunks_exact(cols) {
+            sum += row[j].abs();
+        }
+        best = best.max(sum);
+    }
+    best
+}
+
+/// Infinity-norm (maximum absolute row sum) of a row-major matrix with
+/// `cols` columns.
+pub fn norm_inf(a: &[f64], cols: usize) -> f64 {
+    if cols == 0 {
+        return 0.0;
+    }
+    let mut best = 0.0_f64;
+    for row in a.chunks_exact(cols) {
+        let sum: f64 = row.iter().map(|v| v.abs()).sum();
+        best = best.max(sum);
+    }
+    best
 }
 
 /// Row-major product `out = a · b`, where `b` (and `out`) have `cols`

@@ -1,7 +1,9 @@
 //! Integration tests over the synthetic benchmark workloads: the Table-I
 //! analogue circuits and the structural claims behind Fig. 1.
 
-use exi_netlist::generators::{coupled_lines, power_grid, CoupledLinesSpec, PowerGridSpec};
+use exi_netlist::generators::{
+    coupled_lines, power_grid, rc_mesh, CoupledLinesSpec, PowerGridSpec, RcMeshSpec,
+};
 use exi_sim::{Method, SimError, Simulator, TransientOptions};
 use exi_sparse::{factor_fill, CsrMatrix, OrderingMethod, SparseError};
 
@@ -138,6 +140,86 @@ fn er_power_grid_run_reuses_a_single_symbolic_analysis() {
     let p = result.probe_index("g_4_4").unwrap();
     let err = result.rms_error_vs(&benr, p);
     assert!(err < 1e-3, "ER vs BENR rms error {err}");
+}
+
+/// The convergence-test schedule, gate open: on the densely coupled MOSFET
+/// case (short vectors, Krylov dimension near 30 — exibench's
+/// `er_dense_coupling` circuit) a test costs more than an Arnoldi iteration
+/// from dimension ~10 on, so tests thin out geometrically. Counts only: at
+/// most three tests per four dimensions built (testing every dimension is
+/// 0.96), and a dense arena that a second run of the session finds grown.
+#[test]
+fn dense_coupling_tests_convergence_on_a_schedule_and_stops_allocating() {
+    let ckt = coupled_lines(&CoupledLinesSpec {
+        lines: 10,
+        segments: 20,
+        coupling_capacitance: 2e-15,
+        random_couplings: 1500,
+        mosfet_drivers: true,
+        seed: 106,
+        ..CoupledLinesSpec::default()
+    })
+    .unwrap();
+    let options = TransientOptions {
+        h_min: 1e-16,
+        krylov_tolerance: 1e-7,
+        ..quick_options(0.15e-9)
+    };
+    let mut sim = Simulator::new(&ckt);
+    let first = sim
+        .transient(Method::ExponentialRosenbrock, &options, &[])
+        .unwrap()
+        .stats;
+    assert!(first.avg_krylov_dimension() >= 25.0, "{first:?}");
+    assert!(
+        4 * first.krylov_residual_tests <= 3 * first.krylov_dimension_total,
+        "{first:?}"
+    );
+    assert!(first.small_dense_exponentials >= first.krylov_residual_tests);
+    assert!(first.dense_workspace_allocations > 0);
+    // A prefix of the same run meets no dimension the first one did not.
+    let prefix = TransientOptions {
+        t_stop: 0.135e-9,
+        ..options
+    };
+    let second = sim
+        .transient(Method::ExponentialRosenbrock, &prefix, &[])
+        .unwrap()
+        .stats;
+    assert!(second.krylov_residual_tests > 0, "{second:?}");
+    assert_eq!(second.dense_workspace_allocations, 0, "{second:?}");
+    assert_eq!(second.krylov_workspace_allocations, 0, "{second:?}");
+}
+
+/// The convergence-test schedule, gate shut: on a mesh with long vectors a
+/// test never costs more than the iteration it might save, so every
+/// dimension from 2 up is tested — one test per dimension built, less the
+/// untested first of each subspace.
+#[test]
+fn long_vector_mesh_tests_every_dimension() {
+    let ckt = rc_mesh(&RcMeshSpec {
+        rows: 40,
+        cols: 40,
+        ..RcMeshSpec::default()
+    })
+    .unwrap();
+    let options = TransientOptions {
+        error_budget: 1e-3,
+        ..quick_options(1.5e-10)
+    };
+    let s = Simulator::new(&ckt)
+        .transient(Method::ExponentialRosenbrock, &options, &[])
+        .unwrap()
+        .stats;
+    assert!(
+        s.krylov_subspaces > 10 && s.peak_krylov_dimension > 10,
+        "{s:?}"
+    );
+    assert_eq!(
+        s.krylov_residual_tests,
+        s.krylov_dimension_total - s.krylov_subspaces,
+        "{s:?}"
+    );
 }
 
 /// Determinism: the same seeded workload produces the same simulation result.
