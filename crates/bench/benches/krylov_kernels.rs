@@ -1,6 +1,6 @@
 //! Criterion bench for the MEVP kernels and the symbolic-reuse LU path.
 //!
-//! Three groups:
+//! Four groups:
 //!
 //! * `lu_refactorize` — the headline comparison for the symbolic/numeric
 //!   split: a full `factorize_with` (ordering + pivoting + reachability DFS +
@@ -13,17 +13,22 @@
 //! * `small_dense` — what sits under the Arnoldi loop, at `m = 16/32/64` on
 //!   Hessenberg matrices captured from the tc6 analogue mid-transient: one
 //!   Eq. (22) residual test, one φ₁ column and one plain `expm`.
+//! * `reuse` — what an ER step on a linear circuit no longer redoes, on the
+//!   100×100 RC mesh (exibench's `er_large_mesh`): replaying the elimination
+//!   of an unchanged `G` vs noticing that it is unchanged, and a fresh `w₂`
+//!   (one solve, one subspace of m ≈ 26) vs re-testing and re-evaluating the
+//!   kept one at the next step size.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use exi_krylov::{
-    expm, mevp_invert_krylov, mevp_invert_krylov_with, mevp_rational_krylov, mevp_standard_krylov,
-    MevpOptions, MevpWorkspace,
+    expm, invert_krylov_residual, mevp_invert_krylov, mevp_invert_krylov_with,
+    mevp_rational_krylov, mevp_standard_krylov, MevpOptions, MevpWorkspace,
 };
-use exi_netlist::generators::{power_grid, PowerGridSpec};
+use exi_netlist::generators::{power_grid, rc_mesh, PowerGridSpec, RcMeshSpec};
 use exi_sim::{Method, Simulator};
-use exi_sparse::{CsrMatrix, LuOptions, LuWorkspace, SparseLu};
+use exi_sparse::{vector, CsrMatrix, LuOptions, LuWorkspace, SparseLu};
 
 /// The conductance matrix of a laptop-scale power-distribution mesh — the
 /// workload whose per-step `G` factorization dominates the ER engine.
@@ -195,6 +200,74 @@ fn bench_small_dense(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two things an ER step on a linear circuit used to redo, each next to
+/// what it does instead — on the mesh where they were the run's whole cost.
+fn bench_reuse(c: &mut Criterion) {
+    let circuit = rc_mesh(&RcMeshSpec {
+        rows: 100,
+        cols: 100,
+        ..RcMeshSpec::default()
+    })
+    .expect("rc mesh");
+    let plan = circuit.compile_plan().expect("plan");
+    let eval = plan
+        .evaluate(&vec![0.0; circuit.num_unknowns()])
+        .expect("evaluation");
+    let mut g_lu = SparseLu::factorize(&eval.g).expect("LU of G");
+    let mut lu_ws = LuWorkspace::new();
+
+    let mut group = c.benchmark_group("reuse");
+    group.sample_size(10);
+    group.bench_function("g_refactorize", |b| {
+        b.iter(|| g_lu.refactorize_with(&eval.g, &mut lu_ws).expect("replay"))
+    });
+    group.bench_function("g_is_factor_of", |b| {
+        b.iter(|| criterion::black_box(&g_lu).is_factor_of(&eval.g))
+    });
+    assert!(g_lu.is_factor_of(&eval.g));
+
+    // w₂ = −G⁻¹B·(u(t+h) − u(t)) for a step on the input ramp, as the engine
+    // forms it, and its subspace at the engine's tolerance.
+    let (t, h) = (3e-12, 2e-12);
+    let (mut u0, mut u1) = (vec![0.0; plan.input_dim()], vec![0.0; plan.input_dim()]);
+    circuit.input_vector_into(t, &mut u0);
+    circuit.input_vector_into(t + h, &mut u1);
+    let du: Vec<f64> = u1.iter().zip(&u0).map(|(a, b)| a - b).collect();
+    let bdu = plan.input_matrix().mul_vec(&du);
+    let options = MevpOptions {
+        tolerance: 1e-7,
+        allow_unconverged: true,
+        ..MevpOptions::default()
+    };
+    let mut ws = MevpWorkspace::new();
+    let mut w2 = vec![0.0; bdu.len()];
+    let mut build = |ws: &mut MevpWorkspace, w2: &mut Vec<f64>| {
+        g_lu.solve_into(&bdu, w2, &mut lu_ws).expect("solve");
+        vector::scale(-1.0, w2);
+        mevp_invert_krylov_with(&eval.c, &eval.g, &g_lu, w2, h, &options, ws).expect("subspace")
+    };
+    let kept = build(&mut ws, &mut w2);
+    group.bench_function(format!("w2_fresh_build/m{}", kept.dimension), |b| {
+        b.iter(|| {
+            let out = build(&mut ws, &mut w2);
+            ws.recycle_vec(out.mevp);
+            ws.recycle(out.decomposition);
+        })
+    });
+    let mut out = vec![0.0; w2.len()];
+    group.bench_function(format!("w2_kept_retest/m{}", kept.dimension), |b| {
+        b.iter(|| {
+            let residual = invert_krylov_residual(&kept.decomposition, &eval.g, 2.0 * h, &mut ws)
+                .expect("re-test");
+            kept.decomposition
+                .eval_phi_in(1, 2.0 * h, &mut out, &mut ws)
+                .expect("phi1");
+            residual
+        })
+    });
+    group.finish();
+}
+
 /// SpMV kernel comparison: the sequential `mul_vec_into` (the engines' hot
 /// path — its summation order is pinned by the golden-waveform suite)
 /// against the 4-wide-accumulator `mul_vec_into_unrolled` variant (which
@@ -249,6 +322,7 @@ criterion_group!(
     bench_lu_refactorize,
     bench_mevp_kernels,
     bench_small_dense,
+    bench_reuse,
     bench_spmv
 );
 criterion_main!(benches);

@@ -23,12 +23,17 @@ pub enum CaseOutcome {
         symbolic_analyses: usize,
         /// Number of numeric-only refactorizations among them.
         lu_refactorizations: usize,
+        /// Factor requests answered by the factor already held (unchanged
+        /// matrix values); not factorizations.
+        lu_reuses: usize,
         /// Number of full device evaluations performed.
         device_evaluations: usize,
         /// Number of stamping-plan compilations (one per topology).
         plan_compilations: usize,
         /// Total nonlinear matrix entries rewritten across all evaluations.
         restamped_entries: usize,
+        /// ER steps whose input term came from a kept `w₂` subspace.
+        krylov_subspace_reuses: usize,
         /// Krylov convergence tests run (exponential methods only).
         krylov_residual_tests: usize,
         /// Small dense matrix exponentials computed.
@@ -70,9 +75,11 @@ impl CaseOutcome {
                 lu_count,
                 symbolic_analyses,
                 lu_refactorizations,
+                lu_reuses,
                 device_evaluations,
                 plan_compilations,
                 restamped_entries,
+                krylov_subspace_reuses,
                 krylov_residual_tests,
                 small_dense_exponentials,
                 dense_workspace_allocations,
@@ -81,8 +88,9 @@ impl CaseOutcome {
                 concat!(
                     "{{\"status\":\"completed\",\"steps\":{},\"avg_newton\":{:.3},",
                     "\"avg_krylov\":{:.3},\"lu_factorizations\":{},\"symbolic_analyses\":{},",
-                    "\"lu_refactorizations\":{},\"device_evaluations\":{},",
+                    "\"lu_refactorizations\":{},\"lu_reuses\":{},\"device_evaluations\":{},",
                     "\"plan_compilations\":{},\"restamped_entries\":{},",
+                    "\"krylov_subspace_reuses\":{},",
                     "\"krylov_residual_tests\":{},\"small_dense_exponentials\":{},",
                     "\"dense_workspace_allocations\":{},\"runtime_s\":{:.6}}}"
                 ),
@@ -92,9 +100,11 @@ impl CaseOutcome {
                 lu_count,
                 symbolic_analyses,
                 lu_refactorizations,
+                lu_reuses,
                 device_evaluations,
                 plan_compilations,
                 restamped_entries,
+                krylov_subspace_reuses,
                 krylov_residual_tests,
                 small_dense_exponentials,
                 dense_workspace_allocations,
@@ -166,9 +176,11 @@ pub fn run_circuit_in(
             lu_count: result.stats.lu_factorizations,
             symbolic_analyses: result.stats.symbolic_analyses,
             lu_refactorizations: result.stats.lu_refactorizations,
+            lu_reuses: result.stats.lu_reuses,
             device_evaluations: result.stats.device_evaluations,
             plan_compilations: result.stats.plan_compilations,
             restamped_entries: result.stats.restamped_entries,
+            krylov_subspace_reuses: result.stats.krylov_subspace_reuses,
             krylov_residual_tests: result.stats.krylov_residual_tests,
             small_dense_exponentials: result.stats.small_dense_exponentials,
             dense_workspace_allocations: result.stats.dense_workspace_allocations,
@@ -223,11 +235,17 @@ mod tests {
         let second = run_circuit_in(&mut sim, Method::ExponentialRosenbrock, &options, &[]);
         assert!(first.is_completed() && second.is_completed());
         if let CaseOutcome::Completed {
-            symbolic_analyses, ..
+            steps,
+            lu_count,
+            symbolic_analyses,
+            lu_reuses,
+            ..
         } = &second
         {
-            // The second run reuses the session's cached symbolic analysis.
+            // The second run reuses the session's cached symbolic analysis —
+            // and, tc3 being linear, the numeric factor as it stands.
             assert_eq!(*symbolic_analyses, 0, "{second:?}");
+            assert_eq!((*lu_count, *lu_reuses), (0, *steps), "{second:?}");
         }
         assert_eq!(sim.session_stats().symbolic_analyses, 1);
         assert_eq!(sim.completed_runs(), 2);
@@ -251,9 +269,11 @@ mod tests {
             lu_count: 12,
             symbolic_analyses: 1,
             lu_refactorizations: 11,
+            lu_reuses: 9,
             device_evaluations: 31,
             plan_compilations: 1,
             restamped_entries: 62,
+            krylov_subspace_reuses: 8,
             krylov_residual_tests: 40,
             small_dense_exponentials: 45,
             dense_workspace_allocations: 7,
@@ -262,6 +282,8 @@ mod tests {
         let json = done.to_json();
         assert!(json.contains("\"status\":\"completed\""));
         assert!(json.contains("\"lu_refactorizations\":11"));
+        assert!(json.contains("\"lu_reuses\":9"));
+        assert!(json.contains("\"krylov_subspace_reuses\":8"));
         assert!(json.contains("\"plan_compilations\":1"));
         assert!(json.contains("\"restamped_entries\":62"));
         assert!(json.contains("\"krylov_residual_tests\":40"));

@@ -432,12 +432,20 @@ mod tests {
             (got - expected).abs() < 0.02,
             "got {got}, expected {expected}"
         );
-        assert!(result.stats.accepted_steps > 100);
-        assert!(result.stats.lu_factorizations >= result.stats.accepted_steps);
+        let s = &result.stats;
+        assert!(s.accepted_steps > 100);
+        // Every Newton iteration asks for a factor of C/h + G ...
+        assert!(s.lu_factorizations + s.lu_reuses >= s.accepted_steps);
         // The Jacobian pattern is fixed: one symbolic analysis for the DC
-        // solve, one for the transient Jacobian, everything else numeric.
-        assert!(result.stats.symbolic_analyses <= 2, "{:?}", result.stats);
-        assert!(result.stats.lu_refactorizations > result.stats.accepted_steps / 2);
+        // solve, one for the transient Jacobian, everything else numeric —
+        // and on this linear circuit the values are fixed too while h is, so
+        // most steps (the controller sits at h_max) factorize nothing.
+        assert!(s.symbolic_analyses <= 2, "{s:?}");
+        assert!(s.lu_reuses > s.accepted_steps / 2, "{s:?}");
+        assert_eq!(
+            s.lu_factorizations,
+            s.symbolic_analyses + s.lu_refactorizations
+        );
     }
 
     #[test]

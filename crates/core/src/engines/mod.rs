@@ -187,17 +187,27 @@ pub fn resolve_probes(circuit: &Circuit, names: &[&str]) -> SimResult<Vec<Probe>
     Ok(probes)
 }
 
+/// Slack within which a time counts as having reached a breakpoint.
+fn breakpoint_guard(t_stop: f64) -> f64 {
+    TIME_EPSILON * t_stop.max(1e-30)
+}
+
+/// Index of the breakpoint interval a step starting at `t` lies in: the
+/// number of (sorted) breakpoints at or before `t`. [`clamp_step`] keeps a
+/// step from crossing `breakpoints[index]`, so two steps with the same index
+/// see every source on one and the same linear piece.
+pub(crate) fn breakpoint_interval(t: f64, t_stop: f64, breakpoints: &[f64]) -> usize {
+    let guard = breakpoint_guard(t_stop);
+    breakpoints.partition_point(|&bp| bp <= t + guard)
+}
+
 /// Computes the largest step that may be taken from `t` without overshooting
 /// `t_stop` or stepping across the next waveform breakpoint.
 pub(crate) fn clamp_step(t: f64, h: f64, t_stop: f64, breakpoints: &[f64]) -> f64 {
     let mut h = h.min(t_stop - t);
-    let guard = TIME_EPSILON * t_stop.max(1e-30);
-    for &bp in breakpoints {
-        if bp > t + guard {
-            if bp < t + h - guard {
-                h = bp - t;
-            }
-            break;
+    if let Some(&bp) = breakpoints.get(breakpoint_interval(t, t_stop, breakpoints)) {
+        if bp < t + h - breakpoint_guard(t_stop) {
+            h = bp - t;
         }
     }
     h.max(0.0)
@@ -216,6 +226,11 @@ pub(crate) fn reached_end(t: f64, t_stop: f64) -> bool {
 /// (see [`exi_netlist::plan`]), so one plain slot per role is the whole
 /// cache, for every kind of session:
 ///
+/// 0. **The factor already held**, when `a` is value for value the matrix it
+///    was computed from ([`SparseLu::is_factor_of`]): a refactorization
+///    would replay to the same bits, so none runs
+///    ([`RunStats::lu_reuses`]). On a linear circuit that is every ER step
+///    after the DC solve, and every implicit step that keeps its `h`.
 /// 1. **In-place refactorization** of the slot's factor — the step hot path:
 ///    no hashing, no locks, no allocation.
 /// 2. Otherwise — the slot is empty, or the frozen pivot order is no longer
@@ -237,13 +252,16 @@ pub(crate) fn refresh_lu<'s>(
     ws: &mut LuWorkspace,
     stats: &mut RunStats,
 ) -> SimResult<&'s SparseLu> {
+    if slot.as_ref().is_some_and(|lu| lu.is_factor_of(a)) {
+        let lu = slot.as_ref().expect("tested above");
+        check_fill_budget(lu, options)?;
+        stats.lu_reuses += 1;
+        return Ok(lu);
+    }
     let refactorized = slot
         .as_mut()
         .is_some_and(|lu| lu.refactorize_with(a, ws).is_ok());
     if refactorized {
-        // A new factor is held to the budget by its constructor; a reused
-        // one may predate the budget (configured after the pilot, or seeded
-        // by the DC solve, which runs without one).
         check_fill_budget(slot.as_ref().expect("refactorized above"), options)?;
         stats.lu_refactorizations += 1;
     } else {
@@ -275,7 +293,10 @@ pub(crate) fn refresh_lu<'s>(
     Ok(slot.as_ref().expect("slot filled on both paths above"))
 }
 
-/// Rejects a factor whose fill exceeds the configured budget.
+/// Rejects a factor whose fill exceeds the configured budget. A new factor
+/// is held to the budget by its constructor; one that was already in the
+/// slot may predate the budget (configured after the pilot, or seeded by the
+/// DC solve, which runs without one).
 fn check_fill_budget(lu: &SparseLu, options: &LuOptions) -> SimResult<()> {
     if let Some(budget) = options.fill_budget {
         if lu.fill() > budget {
@@ -312,6 +333,14 @@ mod tests {
         assert!((h - 1.0).abs() < 1e-9);
         // Near the end of the interval.
         assert!((clamp_step(9.9, 1.0, 10.0, &[]) - 0.1).abs() < 1e-12);
+        // A step clamped to a breakpoint ends its interval; the next step
+        // starts the following one, even from a hair short of the breakpoint.
+        assert_eq!(breakpoint_interval(0.0, 10.0, &bps), 0);
+        assert_eq!(breakpoint_interval(0.8, 10.0, &bps), 0);
+        assert_eq!(breakpoint_interval(0.8 + (1.0 - 0.8), 10.0, &bps), 1);
+        assert_eq!(breakpoint_interval(1.0 - 1e-13, 10.0, &bps), 1);
+        assert_eq!(breakpoint_interval(2.5, 10.0, &bps), 2);
+        assert_eq!(breakpoint_interval(3.5, 10.0, &bps), 3);
     }
 
     #[test]

@@ -17,8 +17,11 @@ pub struct RunStats {
     pub rejected_steps: usize,
     /// Total Newton–Raphson iterations across all steps.
     pub newton_iterations: usize,
-    /// Number of numeric LU factorizations performed, fresh and reused alike
+    /// Number of numeric LU factorizations performed, with or without a
+    /// symbolic analysis of their own
     /// (`lu_factorizations == symbolic_analyses + lu_refactorizations`).
+    /// Requests answered by the factor already held ([`RunStats::lu_reuses`])
+    /// are not factorizations and do not count.
     pub lu_factorizations: usize,
     /// Number of **full** factorizations that had to run the symbolic
     /// analysis (fill-reducing ordering, pivot search, reachability DFS).
@@ -27,6 +30,13 @@ pub struct RunStats {
     /// Number of numeric-only refactorizations that reused a cached symbolic
     /// analysis (values changed, pattern did not).
     pub lu_refactorizations: usize,
+    /// Number of times an engine asked for the factorization of a matrix
+    /// whose values were, bit for bit, the ones its cached factor had been
+    /// computed from ([`exi_sparse::SparseLu::is_factor_of`]) — answered
+    /// without factorizing. A refactorization replays bit for bit on equal
+    /// values, so this changes no result; on a linear circuit it is every ER
+    /// step, and every BE/TR Newton iteration that keeps the previous `h`.
+    pub lu_reuses: usize,
     /// Number of sparse triangular solves performed.
     pub linear_solves: usize,
     /// Number of full device evaluations.
@@ -68,13 +78,21 @@ pub struct RunStats {
     /// value that keeps climbing with the step count indicates a workspace
     /// reuse regression in the hot path.
     pub krylov_workspace_allocations: usize,
+    /// Number of ER steps whose input term `(φ₁(hJ) − I)·w₂` was evaluated
+    /// from the subspace an earlier step of the same piecewise-linear input
+    /// segment had built, after it passed the Eq. (22) test at the new step
+    /// size — neither a solve nor a subspace build. Only on plans without
+    /// nonlinear stamps, where `(G, C)` cannot have changed in between.
+    pub krylov_subspace_reuses: usize,
     /// Number of Krylov convergence tests run (paper Eq. 22 for ER): each
     /// costs one small dense exponential, `O(m³)` at subspace dimension
     /// `m`. The Arnoldi drive loop tests every dimension while a test costs
     /// no more than one more iteration, and on a geometric schedule once it
     /// costs more — so on long-vector circuits this equals
     /// `krylov_dimension_total − krylov_subspaces` (every dimension from 2
-    /// up) and on short-vector, high-`m` circuits it is well below.
+    /// up) and on short-vector, high-`m` circuits it is well below. Re-tests
+    /// of a retained input subspace ([`RunStats::krylov_subspace_reuses`],
+    /// plus the ones that failed and led to a rebuild) count here too.
     pub krylov_residual_tests: usize,
     /// Number of small dense matrix exponentials computed: one per
     /// convergence test, one per φ evaluation that a test had not already
@@ -251,6 +269,7 @@ impl RunStats {
         self.lu_factorizations += other.lu_factorizations;
         self.symbolic_analyses += other.symbolic_analyses;
         self.lu_refactorizations += other.lu_refactorizations;
+        self.lu_reuses += other.lu_reuses;
         self.linear_solves += other.linear_solves;
         self.device_evaluations += other.device_evaluations;
         self.plan_compilations += other.plan_compilations;
@@ -261,6 +280,7 @@ impl RunStats {
         self.krylov_dimension_total += other.krylov_dimension_total;
         self.peak_krylov_dimension = self.peak_krylov_dimension.max(other.peak_krylov_dimension);
         self.krylov_workspace_allocations += other.krylov_workspace_allocations;
+        self.krylov_subspace_reuses += other.krylov_subspace_reuses;
         self.krylov_residual_tests += other.krylov_residual_tests;
         self.small_dense_exponentials += other.small_dense_exponentials;
         self.dense_workspace_allocations += other.dense_workspace_allocations;
@@ -393,6 +413,8 @@ mod tests {
             accepted_steps: 5,
             lu_factorizations: 5,
             lu_refactorizations: 5,
+            lu_reuses: 7,
+            krylov_subspace_reuses: 3,
             peak_krylov_dimension: 9,
             observer_callbacks: 6,
             batch_jobs: 3,
@@ -405,6 +427,12 @@ mod tests {
         assert_eq!(total.accepted_steps, 15);
         assert_eq!(total.symbolic_analyses, 1);
         assert_eq!(total.peak_krylov_dimension, 9);
+        // Reuses are plain sums, and stay out of the factorization identity.
+        assert_eq!((total.lu_reuses, total.krylov_subspace_reuses), (7, 3));
+        assert_eq!(
+            total.lu_factorizations,
+            total.symbolic_analyses + total.lu_refactorizations
+        );
         assert_eq!(total.observer_callbacks, 19);
         assert_eq!(total.resumed_runs, 2);
         // Batch counters: jobs and cache hits add up, concurrency maxes.

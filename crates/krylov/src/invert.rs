@@ -9,7 +9,7 @@
 use exi_sparse::{vector, CsrMatrix, SparseLu};
 
 use crate::arnoldi::{drive, ArnoldiProcess};
-use crate::decomposition::ProjectionKind;
+use crate::decomposition::{KrylovDecomposition, ProjectionKind};
 use crate::error::KrylovResult;
 use crate::mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
 use crate::operator::InverseJacobianOperator;
@@ -91,16 +91,48 @@ const KIND: ProjectionKind = ProjectionKind::Inverse;
 /// just exponentiated:
 /// `‖r_m(h)‖ = β · |h_{m+1,m}| · ‖G·v_{m+1}‖ · |e_mᵀ H_m⁻¹ e^{h H_m⁻¹} e₁|`.
 fn kcl_residual(process: &ArnoldiProcess, g: &CsrMatrix, ws: &mut MevpWorkspace) -> f64 {
-    let scalar = process.residual_scalar(KIND, ws);
-    let gv_norm = match process.next_vector() {
+    process.residual_scalar(KIND, ws) * gv_norm(process.next_vector(), g, ws)
+}
+
+/// `‖G·v_{m+1}‖`, the circuit-matrix factor of Eq. (22); zero when the
+/// subspace is invariant and there is no `v_{m+1}`.
+fn gv_norm(next_vector: Option<&[f64]>, g: &CsrMatrix, ws: &mut MevpWorkspace) -> f64 {
+    match next_vector {
         Some(vm1) => {
             let gv = ws.scratch_slice(g.rows());
             g.mul_vec_into(vm1, gv);
             vector::norm2(gv)
         }
         None => 0.0,
+    }
+}
+
+/// Re-tests an invert-Krylov `decomposition` that is already built: the
+/// Eq. (22) residual of `e^{hJ}·v` at a step size `h` other than the one its
+/// build converged for — one small exponential and one product with `G`,
+/// against the `m` solves with `G` of a new subspace. The residual is linear
+/// in the start vector, so the residual for `s·v` is `s` times the result.
+///
+/// This is the test the build itself ran at every dimension (same formula,
+/// counted in [`MevpWorkspace::residual_tests`] like those), so a
+/// decomposition that passes it at `h` is as good as one built for `h`. An
+/// invariant subspace (happy breakdown) is exact at every step size: `0`.
+///
+/// # Errors
+///
+/// Dense-kernel errors from the small exponential.
+pub fn invert_krylov_residual(
+    decomposition: &KrylovDecomposition,
+    g: &CsrMatrix,
+    h: f64,
+    ws: &mut MevpWorkspace,
+) -> KrylovResult<f64> {
+    let Some(next_vector) = decomposition.next_basis_vector() else {
+        return Ok(0.0);
     };
-    scalar * gv_norm
+    ws.residual_tests += 1;
+    let scalar = decomposition.residual_scalar_in(h, ws)?;
+    Ok(scalar * gv_norm(Some(next_vector), g, ws))
 }
 
 #[cfg(test)]
@@ -308,6 +340,56 @@ mod tests {
         ws.recycle(out.decomposition);
         mevp_invert_krylov_with(&c, &g, &g_lu, &v, 0.05, &MevpOptions::default(), &mut ws).unwrap();
         assert_eq!(ws.dense_allocations(), grown);
+    }
+
+    #[test]
+    fn a_retest_is_the_test_the_build_ran() {
+        // The stiff system of the test above, converged to 1e-6 at h = 1e-10.
+        let n = 40;
+        let cvals: Vec<f64> = (0..n)
+            .map(|i| 10f64.powi(-((i % 7) as i32)) * 1e-12)
+            .collect();
+        let c = diag(&cvals);
+        let g = tridiag(n, 1e-3, -2e-4);
+        let g_lu = SparseLu::factorize(&g).unwrap();
+        let opts = MevpOptions {
+            tolerance: 1e-6,
+            max_dimension: 60,
+            ..MevpOptions::default()
+        };
+        let mut ws = MevpWorkspace::new();
+        let out =
+            mevp_invert_krylov_with(&c, &g, &g_lu, &vec![1.0; n], 1e-10, &opts, &mut ws).unwrap();
+        assert!(out.dimension < n && out.residual > 0.0, "a tested build");
+        let (tests, exponentials) = (ws.residual_tests(), ws.small_dense_exponentials());
+        // At the build's own step size: the converging test, bit for bit.
+        let again = invert_krylov_residual(&out.decomposition, &g, 1e-10, &mut ws).unwrap();
+        assert_eq!(again.to_bits(), out.residual.to_bits());
+        assert_eq!(
+            (ws.residual_tests(), ws.small_dense_exponentials()),
+            (tests + 1, exponentials + 1)
+        );
+        // The same basis at other step sizes: a different residual, nothing
+        // of size n recomputed but the one product with G.
+        let allocations = ws.allocations();
+        let other = invert_krylov_residual(&out.decomposition, &g, 3e-10, &mut ws).unwrap();
+        assert!(other.is_finite() && other.to_bits() != again.to_bits());
+        assert_eq!(ws.allocations(), allocations);
+        // An invariant subspace is exact at every step size, and costs nothing.
+        let eigen = diag(&[2.0, 2.0]);
+        let eigen_lu = SparseLu::factorize(&eigen).unwrap();
+        let exact = mevp_invert_krylov(
+            &diag(&[1.0, 1.0]),
+            &eigen,
+            &eigen_lu,
+            &[1.0, 1.0],
+            0.1,
+            &MevpOptions::default(),
+        )
+        .unwrap();
+        let tests = ws.residual_tests();
+        let residual = invert_krylov_residual(&exact.decomposition, &eigen, 7.0, &mut ws).unwrap();
+        assert_eq!((residual, ws.residual_tests()), (0.0, tests));
     }
 
     #[test]

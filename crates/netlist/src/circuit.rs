@@ -504,6 +504,12 @@ impl Circuit {
         }
     }
 
+    /// Whether every source is linear in `t` between consecutive
+    /// [`Circuit::breakpoints`] ([`Waveform::is_piecewise_linear`]).
+    pub fn inputs_are_piecewise_linear(&self) -> bool {
+        self.sources.iter().all(|(_, w)| w.is_piecewise_linear())
+    }
+
     /// All waveform breakpoints in `[0, t_end]`, sorted and deduplicated.
     pub fn breakpoints(&self, t_end: f64) -> Vec<f64> {
         let mut out: Vec<f64> = self

@@ -195,6 +195,14 @@ impl Waveform {
         out
     }
 
+    /// Whether the waveform is linear in `t` between consecutive
+    /// [`Waveform::breakpoints`] — everything but the sinusoid. On such a
+    /// piece `u(t + h) − u(t)` is proportional to `h` whatever `t` is, which
+    /// the ER engine uses to rescale its input term instead of recomputing it.
+    pub fn is_piecewise_linear(&self) -> bool {
+        !matches!(self, Waveform::Sine { .. })
+    }
+
     /// Convenience constructor for a single (non-repeating) pulse.
     pub fn single_pulse(v1: f64, v2: f64, delay: f64, rise: f64, fall: f64, width: f64) -> Self {
         Waveform::Pulse {
@@ -291,6 +299,33 @@ mod tests {
         };
         assert_eq!(wd.value(0.25), 0.0);
         assert_eq!(wd.breakpoints(1.0), vec![0.5]);
+    }
+
+    #[test]
+    fn only_the_sinusoid_is_not_piecewise_linear() {
+        let pulse = Waveform::single_pulse(0.0, 1.0, 1.0, 0.5, 0.5, 2.0);
+        let pwl = Waveform::Pwl(vec![(0.0, 0.0), (1.0, 2.0), (2.0, -2.0)]);
+        for w in [Waveform::Dc(1.0), pulse, pwl] {
+            assert!(w.is_piecewise_linear());
+            // Between breakpoints the increment over h does not depend on t.
+            let mut edges = vec![0.0];
+            edges.extend(w.breakpoints(4.0));
+            edges.push(4.0);
+            for pair in edges.windows(2) {
+                let (a, h) = (pair[0], (pair[1] - pair[0]) / 4.0);
+                let first = w.value(a + h) - w.value(a);
+                let later = w.value(a + 3.0 * h) - w.value(a + 2.0 * h);
+                assert!((first - later).abs() < 1e-12, "{w:?} on [{a}, {}]", pair[1]);
+            }
+        }
+        let sine = Waveform::Sine {
+            offset: 0.0,
+            amplitude: 1.0,
+            frequency: 1.0,
+            delay: 0.0,
+            damping: 0.0,
+        };
+        assert!(!sine.is_piecewise_linear());
     }
 
     #[test]

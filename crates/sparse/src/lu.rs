@@ -4,9 +4,10 @@
 //!
 //! This is the direct solver the whole simulator is built on. The exponential
 //! Rosenbrock–Euler engine factorizes only the conductance matrix `G` (once
-//! per accepted step), while the backward-Euler/Newton–Raphson baseline must
-//! factorize `C/h + G` at every Newton iteration and whenever the step size
-//! changes — exactly the cost asymmetry the paper exploits.
+//! per distinct `G`: once per accepted step on a nonlinear circuit, once per
+//! run on a linear one), while the backward-Euler/Newton–Raphson baseline
+//! must factorize `C/h + G` at every Newton iteration and whenever the step
+//! size changes — exactly the cost asymmetry the paper exploits.
 //!
 //! The implementation follows the classic algorithm of Gilbert & Peierls
 //! (also used by CSparse/KLU): for each column, a depth-first search over the
@@ -24,7 +25,10 @@
 //! pattern go through [`SparseLu::refactorize`], which replays the recorded
 //! elimination in the recorded order: no ordering, no DFS, no allocation, and
 //! bit-for-bit the same result as a fresh factorization when the values are
-//! unchanged (KLU-style "refactor").
+//! unchanged (KLU-style "refactor"). Which is why a factor also remembers the
+//! values it was computed from: [`SparseLu::is_factor_of`] tells a caller
+//! that replaying the elimination would reproduce the factor it already
+//! holds, so it need not.
 
 use std::sync::Arc;
 
@@ -215,6 +219,10 @@ pub struct SparseLu {
     u_diag: Vec<f64>,
     /// Smallest pivot magnitude a refactorization accepts.
     pivot_floor: f64,
+    /// The values of the matrix the numeric factors were computed from, in
+    /// its CSR order; empty while they are not known to be current (a
+    /// refactorization is under way, or one failed).
+    a_vals: Vec<f64>,
 }
 
 impl SparseLu {
@@ -446,6 +454,7 @@ impl SparseLu {
             u_vals,
             u_diag,
             pivot_floor: options.pivot_tolerance * options.zero_pivot_threshold,
+            a_vals: a_vals.to_vec(),
         })
     }
 
@@ -468,7 +477,8 @@ impl SparseLu {
     /// * [`SparseError::UnstableRefactorization`] if element growth shows the
     ///   frozen pivot order is no longer viable and fresh pivoting is needed.
     ///
-    /// On error the numeric contents of the factor are unspecified; the
+    /// On error the numeric contents of the factor are unspecified (and
+    /// [`SparseLu::is_factor_of`] answers `false` for every matrix); the
     /// factor must be rebuilt before further solves.
     ///
     /// # Examples
@@ -503,6 +513,9 @@ impl SparseLu {
             });
         }
         let a_vals = a.values();
+        // From here on the factors are in flux: whatever goes wrong below,
+        // they must not pass for the factor of any matrix.
+        self.a_vals.clear();
         let x = ws.zeroed(s.n);
         for jj in 0..s.n {
             // Scatter A[:, q(jj)] into pivot-position slots.
@@ -559,7 +572,31 @@ impl SparseLu {
                 x[p] = 0.0;
             }
         }
+        self.a_vals.extend_from_slice(a_vals);
         Ok(())
+    }
+
+    /// Whether this is the factorization of exactly `a`: the analyzed
+    /// pattern and, bit for bit, the values the numeric factors were last
+    /// computed from. A refactorization replays the recorded elimination, so
+    /// when this holds [`SparseLu::refactorize_with`]`(a)` would rewrite every
+    /// factor entry with the value it already has — the caller can skip it.
+    /// `O(nnz(a))`, against the `O(flops)` of the replay.
+    ///
+    /// Never `true` after a refactorization that returned an error (its
+    /// factors are unspecified) until one succeeds again.
+    pub fn is_factor_of(&self, a: &CsrMatrix) -> bool {
+        // Cleared values have length 0: a mismatch for every matrix that has
+        // a factorization to get wrong (one without entries is singular).
+        // Values before pattern: where they moved — every step of a
+        // nonlinear run — the compare stops at the first one that did.
+        self.a_vals.len() == a.nnz()
+            && self
+                .a_vals
+                .iter()
+                .zip(a.values())
+                .all(|(kept, v)| kept.to_bits() == v.to_bits())
+            && self.symbolic.matches_pattern(a)
     }
 
     /// As [`SparseLu::refactorize_with`], with an internal scratch workspace.
@@ -618,6 +655,7 @@ impl SparseLu {
             u_vals: vec![0.0; symbolic.u_rows.len()],
             u_diag: vec![0.0; symbolic.n],
             pivot_floor: options.pivot_tolerance * options.zero_pivot_threshold,
+            a_vals: Vec::with_capacity(symbolic.a_nnz()),
             symbolic,
         };
         lu.refactorize_with(a, ws)?;
@@ -1036,6 +1074,37 @@ mod tests {
         assert_eq!(fresh.l_vals, refac.l_vals);
         assert_eq!(fresh.u_vals, refac.u_vals);
         assert_eq!(fresh.u_diag, refac.u_diag);
+    }
+
+    #[test]
+    fn is_factor_of_follows_the_values_the_factors_were_computed_from() {
+        let a = tridiag(40);
+        let scaled = a.scaled(4.0);
+        let mut lu = SparseLu::factorize(&a).unwrap();
+        assert!(lu.is_factor_of(&a) && !lu.is_factor_of(&scaled));
+        assert!(!lu.is_factor_of(&tridiag(41)), "another pattern");
+        // What the early exit skips: a replay that changes no bit.
+        let mut replayed = lu.clone();
+        replayed.refactorize(&a).unwrap();
+        assert_eq!(lu.l_vals, replayed.l_vals);
+        assert_eq!(lu.u_vals, replayed.u_vals);
+        assert_eq!(lu.u_diag, replayed.u_diag);
+        lu.refactorize(&scaled).unwrap();
+        assert!(lu.is_factor_of(&scaled) && !lu.is_factor_of(&a));
+        let mut ws = LuWorkspace::new();
+        let derived =
+            SparseLu::from_symbolic(lu.shared_symbolic(), &a, &LuOptions::default(), &mut ws)
+                .unwrap();
+        assert!(derived.is_factor_of(&a));
+        // A pattern mismatch is refused before anything is touched ...
+        assert!(lu.refactorize(&tridiag(41)).is_err());
+        assert!(lu.is_factor_of(&scaled));
+        // ... a failed elimination leaves the factor of nothing at all.
+        let singular = tridiag_scaled(40, 1e-30, 1e-30);
+        assert!(lu.refactorize(&singular).is_err());
+        assert!(!lu.is_factor_of(&singular) && !lu.is_factor_of(&scaled));
+        lu.refactorize(&a).unwrap();
+        assert!(lu.is_factor_of(&a));
     }
 
     #[test]

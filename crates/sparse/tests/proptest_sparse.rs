@@ -245,6 +245,65 @@ proptest! {
         prop_assert_eq!(x_fresh, x_refac);
     }
 
+    /// `is_factor_of` is the licence to skip a refactorization: where it
+    /// holds, the replay it skips reproduces the factor bit for bit (every
+    /// unit-vector solve, i.e. every column of the inverse); any single
+    /// value that differs in any bit — the sign of a zero included — revokes
+    /// it, and so does a refactorization that failed.
+    #[test]
+    fn is_factor_of_holds_exactly_where_a_replay_would_change_nothing(
+        (a, b) in dominant_system(30),
+        flip in 0usize..1000,
+        zeroed in 0usize..1000,
+    ) {
+        let with_value = |k: usize, v: f64| {
+            let mut vals = a.values().to_vec();
+            vals[k] = v;
+            CsrMatrix::try_from_raw(a.rows(), a.cols(), a.indptr().to_vec(), a.indices().to_vec(), vals)
+                .expect("pattern is unchanged")
+        };
+        let n = a.rows();
+        let mut ws = LuWorkspace::new();
+        let held = SparseLu::factorize(&a).expect("factorize");
+        prop_assert!(held.is_factor_of(&a));
+        let mut replayed = held.clone();
+        replayed.refactorize_with(&a, &mut ws).expect("refactorize");
+        prop_assert!(replayed.is_factor_of(&a));
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for c in 0..n {
+            let unit: Vec<f64> = (0..n).map(|r| f64::from(u8::from(r == c))).collect();
+            prop_assert_eq!(bits(held.solve(&unit).unwrap()), bits(replayed.solve(&unit).unwrap()));
+        }
+        prop_assert_eq!(bits(held.solve(&b).unwrap()), bits(replayed.solve(&b).unwrap()));
+
+        // One value off by one ulp.
+        let k = flip % a.nnz();
+        let nudged = with_value(k, f64::from_bits(a.values()[k].to_bits() ^ 1));
+        prop_assert!(!held.is_factor_of(&nudged));
+        // +0.0 and -0.0 compare equal as numbers, not as the bits a replay reads.
+        let z = zeroed % a.nnz();
+        if a.indices()[z] != (0..n).find(|&i| a.indptr()[i + 1] > z).unwrap() {
+            let mut of_plus = SparseLu::factorize(&with_value(z, 0.0)).expect("still dominant");
+            prop_assert!(of_plus.is_factor_of(&with_value(z, 0.0)));
+            prop_assert!(!of_plus.is_factor_of(&with_value(z, -0.0)));
+            of_plus.refactorize_with(&with_value(z, -0.0), &mut ws).expect("refactorize");
+            prop_assert!(of_plus.is_factor_of(&with_value(z, -0.0)));
+        }
+
+        // A refactorization that fails leaves the factor of no matrix.
+        let mut broken = held.clone();
+        let collapsed = a.scaled(1e-300);
+        prop_assert!(matches!(
+            broken.refactorize_with(&collapsed, &mut ws),
+            Err(exi_sparse::SparseError::Singular { .. })
+        ));
+        prop_assert!(!broken.is_factor_of(&collapsed) && !broken.is_factor_of(&a));
+        let mut unstable = held.clone();
+        let overflowing = with_value(k, f64::INFINITY);
+        prop_assert!(unstable.refactorize_with(&overflowing, &mut ws).is_err());
+        prop_assert!(!unstable.is_factor_of(&overflowing) && !unstable.is_factor_of(&a));
+    }
+
     /// Triplet accumulation order does not matter.
     #[test]
     fn triplet_order_is_irrelevant(mut entries in proptest::collection::vec((0usize..10, 0usize..10, -5.0f64..5.0), 1..60)) {

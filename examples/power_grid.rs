@@ -45,12 +45,13 @@ fn main() -> Result<(), SimError> {
             .into_iter()
             .fold(spec.vdd, |acc, (_, v)| acc.min(v));
         println!(
-            "{:<5}: {} steps, {} LU factorizations ({} symbolic, {} numeric-only), worst voltage at {} = {:.4} V (IR drop {:.1} mV)",
+            "{:<5}: {} steps, {} LU factorizations ({} symbolic, {} numeric-only; {} more requests met an unchanged matrix), worst voltage at {} = {:.4} V (IR drop {:.1} mV)",
             method.label(),
             result.stats.accepted_steps,
             result.stats.lu_factorizations,
             result.stats.symbolic_analyses,
             result.stats.lu_refactorizations,
+            result.stats.lu_reuses,
             observed,
             worst,
             (spec.vdd - worst) * 1e3

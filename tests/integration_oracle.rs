@@ -146,6 +146,100 @@ fn closed_form_step_responses_for_all_methods() {
     }
 }
 
+/// A uniform RC ladder of `LADDER` nodes — `r` between neighbours and from
+/// either end node to ground, `c` at every node — driven at node 1 by the
+/// current `u(t)/r`: the Norton form of a voltage ramp `u(t) = t/T` (then 1)
+/// applied through `r`, which keeps `C` nonsingular. Its matrix is the
+/// discrete Laplacian, whose modes are textbook: `λ_k = 2(1 − cos θ_k)/(rc)`,
+/// `v_k[j] = √(2/(N+1))·sin(jθ_k)`, `θ_k = kπ/(N+1)`; each mode answers the
+/// ramp like a single RC does. `r` is 1 Ω so that the residual the Krylov
+/// tolerance bounds (Eq. 22 — a KCL residual, in amperes) reads in volts.
+const LADDER: usize = 24;
+const LADDER_R: f64 = 1.0;
+const LADDER_C: f64 = 1e-11;
+
+fn ladder_ramp(ramp: f64) -> Circuit {
+    let mut ckt = Circuit::new();
+    let gnd = ckt.node("0");
+    let nodes: Vec<_> = (1..=LADDER).map(|j| ckt.node(&format!("n{j}"))).collect();
+    let drive = Waveform::Pwl(vec![(0.0, 0.0), (ramp, 1.0 / LADDER_R)]);
+    ckt.add_current_source("I1", gnd, nodes[0], drive).unwrap();
+    ckt.add_resistor("Rin", nodes[0], gnd, LADDER_R).unwrap();
+    ckt.add_resistor("Rend", nodes[LADDER - 1], gnd, LADDER_R)
+        .unwrap();
+    for (j, &n) in nodes.iter().enumerate() {
+        ckt.add_capacitor(&format!("C{j}"), n, gnd, LADDER_C)
+            .unwrap();
+        if j > 0 {
+            ckt.add_resistor(&format!("R{j}"), nodes[j - 1], n, LADDER_R)
+                .unwrap();
+        }
+    }
+    ckt
+}
+
+/// `v(n_node)` at time `t`, mode by mode.
+fn ladder_ramp_exact(ramp: f64, node: usize, t: f64) -> f64 {
+    let big_n = (LADDER + 1) as f64;
+    (1..=LADDER)
+        .map(|k| {
+            let theta = k as f64 * std::f64::consts::PI / big_n;
+            let lambda = 2.0 * (1.0 - theta.cos()) / (LADDER_R * LADDER_C);
+            let shape = |j: usize| (2.0 / big_n).sqrt() * (j as f64 * theta).sin();
+            // y' = −λy + b·u(t), y(0) = 0.
+            let b = shape(1) / (LADDER_R * LADDER_C);
+            let on_ramp = |t: f64| b / (lambda * ramp) * (t - (1.0 - (-lambda * t).exp()) / lambda);
+            let y = if t <= ramp {
+                on_ramp(t)
+            } else {
+                b / lambda + (on_ramp(ramp) - b / lambda) * (-lambda * (t - ramp)).exp()
+            };
+            shape(node) * y
+        })
+        .sum()
+}
+
+/// The step responses above never move an input, so their `w₂` is zero. On a
+/// ramp the input term carries the answer — and on a linear circuit ER keeps
+/// one `w₂` subspace for the whole ramp, rescaled and re-tested at each
+/// step's `h`. The closed form is what licenses that: ER and ER-C within the
+/// same 10× Krylov tolerance as above, with at least eight steps of the ramp
+/// served by a kept subspace.
+#[test]
+fn closed_form_ramp_response_with_a_kept_input_subspace() {
+    let ramp = 1e-9;
+    let ckt = ladder_ramp(ramp);
+    let (node, probe) = (LADDER / 2, format!("n{}", LADDER / 2));
+    let options = TransientOptions {
+        t_stop: 2.0 * ramp,
+        h_init: ramp / 256.0,
+        h_max: ramp / 8.0,
+        error_budget: 1e-3,
+        ..TransientOptions::default()
+    };
+    assert!(ladder_ramp_exact(ramp, node, options.t_stop) > 0.3);
+    for method in [
+        Method::ExponentialRosenbrock,
+        Method::ExponentialRosenbrockCorrected,
+    ] {
+        let result = Simulator::new(&ckt)
+            .transient(method, &options, &[&probe])
+            .unwrap();
+        let stats = &result.stats;
+        let on_ramp = |t: &&f64| **t > 0.0 && **t <= ramp * (1.0 + 1e-9);
+        let steps_on_ramp = result.times.iter().filter(on_ramp).count();
+        assert!(steps_on_ramp >= 10, "{method}: {steps_on_ramp} steps");
+        assert!(stats.krylov_subspace_reuses >= 8, "{method}: {stats:?}");
+        // The subspaces are genuinely truncated: the re-test has work to do.
+        assert!(stats.peak_krylov_dimension < LADDER, "{method}: {stats:?}");
+        let err = max_error(&result, |t| ladder_ramp_exact(ramp, node, t));
+        assert!(
+            err < 10.0 * options.krylov_tolerance,
+            "{method}: max error {err:e}"
+        );
+    }
+}
+
 /// Fixed-step global error against the closed form: halving `h` halves BE's
 /// error and quarters TR's.
 #[test]

@@ -2,7 +2,9 @@
 //! bit-identity, cross-run cache reuse, streaming observers and interleaved
 //! co-simulation.
 
-use exi_netlist::generators::{inverter_chain, power_grid, InverterChainSpec, PowerGridSpec};
+use exi_netlist::generators::{
+    inverter_chain, power_grid, rc_mesh, InverterChainSpec, PowerGridSpec, RcMeshSpec,
+};
 use exi_netlist::Circuit;
 use exi_sim::{
     Engine, Method, NullObserver, Probe, RecordingObserver, Simulator, StepOutcome,
@@ -77,6 +79,58 @@ fn paused_and_resumed_er_run_is_bit_identical() {
         2 + stats.accepted_steps + stats.rejected_steps,
         "{stats:?}"
     );
+}
+
+/// The same bar with the kept input subspace in play: on a linear mesh the
+/// `w₂` subspace outlives the step that built it, so a pause in the middle of
+/// the input ramp parks a stepper that is holding one. It is engine state
+/// like `x` and `h`: the resumed run is the uninterrupted run, bit for bit
+/// and counter for counter, for ER and ER-C.
+#[test]
+fn pause_in_mid_segment_keeps_the_input_subspace_and_every_bit() {
+    let ckt = rc_mesh(&RcMeshSpec::default()).unwrap();
+    let options = TransientOptions {
+        t_stop: 1.5e-10,
+        h_init: 1e-12,
+        h_max: 2e-11,
+        error_budget: 1e-3,
+        ..TransientOptions::default()
+    };
+    let probe = "m_15_15";
+    for method in [
+        Method::ExponentialRosenbrock,
+        Method::ExponentialRosenbrockCorrected,
+    ] {
+        let uninterrupted = Simulator::new(&ckt)
+            .transient(method, &options, &[probe])
+            .unwrap();
+        assert!(
+            uninterrupted.stats.krylov_subspace_reuses >= 4,
+            "{method}: {:?}",
+            uninterrupted.stats
+        );
+
+        let mut sim = Simulator::new(&ckt);
+        let probes = vec![Probe::new(probe, ckt.unknown_of(probe).unwrap())];
+        let mut observer = RecordingObserver::new(probes, false);
+        let mut stepper = sim.stepper(method, &options).unwrap();
+        // Both pauses fall inside the 100 ps ramp, between steps that share
+        // one subspace.
+        for t_pause in [2e-11, 6e-11] {
+            let outcome = stepper.run_until(t_pause, &mut observer).unwrap();
+            assert!(matches!(outcome, StepOutcome::Paused { .. }), "{outcome:?}");
+            assert!(stepper.time() < 1e-10);
+        }
+        let mut stats = stepper.run_to_end(&mut observer).unwrap();
+        let resumed = observer.into_result();
+        assert_eq!(uninterrupted.times, resumed.times, "{method}");
+        assert_eq!(uninterrupted.samples, resumed.samples, "{method}");
+        assert_eq!(uninterrupted.final_state, resumed.final_state, "{method}");
+        assert_eq!(stats.resumed_runs, 2);
+        stats.resumed_runs = 0;
+        stats.runtime = uninterrupted.stats.runtime;
+        assert_eq!(stats, uninterrupted.stats, "{method}");
+    }
 }
 
 /// Cross-run reuse: two consecutive transient runs on an unchanged topology

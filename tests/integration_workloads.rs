@@ -2,9 +2,10 @@
 //! analogue circuits and the structural claims behind Fig. 1.
 
 use exi_netlist::generators::{
-    coupled_lines, power_grid, rc_mesh, CoupledLinesSpec, PowerGridSpec, RcMeshSpec,
+    coupled_lines, power_grid, rc_ladder, rc_mesh, CoupledLinesSpec, PowerGridSpec, RcLadderSpec,
+    RcMeshSpec,
 };
-use exi_sim::{Method, SimError, Simulator, TransientOptions};
+use exi_sim::{Engine, Method, NullObserver, SimError, Simulator, StepOutcome, TransientOptions};
 use exi_sparse::{factor_fill, CsrMatrix, OrderingMethod, SparseError};
 
 fn quick_options(t_stop: f64) -> TransientOptions {
@@ -103,8 +104,9 @@ fn power_grid_transient_is_physical() {
 }
 
 /// Symbolic-reuse claim: over a whole power-grid transient the ER engine
-/// performs exactly one symbolic LU analysis (seeded by the DC solve); every
-/// later factorization of `G` is a numeric-only refactorization.
+/// performs exactly one symbolic LU analysis (seeded by the DC solve) — and,
+/// the grid being linear, no numeric factorization after it either: `G` never
+/// changes, so the DC factor answers every step.
 #[test]
 fn er_power_grid_run_reuses_a_single_symbolic_analysis() {
     let spec = PowerGridSpec {
@@ -125,7 +127,12 @@ fn er_power_grid_run_reuses_a_single_symbolic_analysis() {
     assert!(s.accepted_steps > 5);
     assert_eq!(s.symbolic_analyses, 1, "{s:?}");
     assert_eq!(s.lu_refactorizations, s.lu_factorizations - 1, "{s:?}");
-    assert!(s.lu_refactorizations >= s.accepted_steps, "{s:?}");
+    assert!(s.lu_refactorizations <= s.newton_iterations, "{s:?}");
+    assert_eq!(
+        s.lu_reuses,
+        s.accepted_steps + s.newton_iterations - s.lu_factorizations,
+        "{s:?}"
+    );
     // The Krylov workspace reaches a steady state: the number of fresh
     // circuit-sized allocations is bounded by the deepest subspace plus the
     // handful of vectors alive at once — not by the number of steps.
@@ -194,32 +201,131 @@ fn dense_coupling_tests_convergence_on_a_schedule_and_stops_allocating() {
 /// The convergence-test schedule, gate shut: on a mesh with long vectors a
 /// test never costs more than the iteration it might save, so every
 /// dimension from 2 up is tested — one test per dimension built, less the
-/// untested first of each subspace.
+/// untested first of each subspace. On top of those, one re-test per step
+/// that asked a kept input subspace to serve another step size.
 #[test]
 fn long_vector_mesh_tests_every_dimension() {
-    let ckt = rc_mesh(&RcMeshSpec {
-        rows: 40,
-        cols: 40,
-        ..RcMeshSpec::default()
-    })
-    .unwrap();
-    let options = TransientOptions {
-        error_budget: 1e-3,
-        ..quick_options(1.5e-10)
-    };
-    let s = Simulator::new(&ckt)
-        .transient(Method::ExponentialRosenbrock, &options, &[])
+    let s = Simulator::new(&mesh_40())
+        .transient(Method::ExponentialRosenbrock, &mesh_options(), &[])
         .unwrap()
         .stats;
     assert!(
         s.krylov_subspaces > 10 && s.peak_krylov_dimension > 10,
         "{s:?}"
     );
-    assert_eq!(
-        s.krylov_residual_tests,
-        s.krylov_dimension_total - s.krylov_subspaces,
+    let while_building = s.krylov_dimension_total - s.krylov_subspaces;
+    assert!(
+        s.krylov_residual_tests >= while_building + s.krylov_subspace_reuses
+            && s.krylov_residual_tests <= while_building + s.accepted_steps,
         "{s:?}"
     );
+}
+
+fn mesh_40() -> exi_netlist::Circuit {
+    rc_mesh(&RcMeshSpec {
+        rows: 40,
+        cols: 40,
+        ..RcMeshSpec::default()
+    })
+    .unwrap()
+}
+
+/// The ramp of the mesh's one source ends at 100 ps: two input segments.
+fn mesh_options() -> TransientOptions {
+    TransientOptions {
+        error_budget: 1e-3,
+        ..quick_options(1.5e-10)
+    }
+}
+
+/// What an ER step redoes on a linear circuit: nothing that did not change.
+/// No factorization after the DC solve (`G` is a constant), one `w₁` solve
+/// and subspace per step, and per *input segment* — not per step — at most
+/// two `w₂` solves and subspaces (the one built at `h_init` and the one that
+/// then carries the segment); no estimator work at all. A second run of the
+/// session finds both arenas warm.
+#[test]
+fn linear_mesh_steps_redo_nothing_that_did_not_change() {
+    let ckt = mesh_40();
+    let options = mesh_options();
+    let segments = 2;
+    for method in [
+        Method::ExponentialRosenbrock,
+        Method::ExponentialRosenbrockCorrected,
+    ] {
+        let mut sim = Simulator::new(&ckt);
+        sim.dc().unwrap();
+        let first = sim.transient(method, &options, &[]).unwrap().stats;
+        assert!(first.accepted_steps >= 10, "{first:?}");
+        assert_eq!(
+            (first.symbolic_analyses, first.lu_refactorizations),
+            (0, 0),
+            "{first:?}"
+        );
+        assert_eq!(first.lu_reuses, first.accepted_steps, "{first:?}");
+        assert_eq!(first.device_evaluations, first.accepted_steps);
+        assert_eq!(first.rejected_steps, 0);
+        let per_segment = 2 * segments;
+        assert!(
+            first.krylov_subspaces <= first.accepted_steps + per_segment,
+            "{first:?}"
+        );
+        assert!(
+            first.linear_solves <= first.accepted_steps + per_segment,
+            "{first:?}"
+        );
+        assert!(
+            first.krylov_subspace_reuses >= first.accepted_steps / 2,
+            "{first:?}"
+        );
+        let second = sim.transient(method, &options, &[]).unwrap().stats;
+        assert_eq!(second.krylov_subspaces, first.krylov_subspaces);
+        assert_eq!(
+            (
+                second.krylov_workspace_allocations,
+                second.dense_workspace_allocations
+            ),
+            (0, 0),
+            "{second:?}"
+        );
+    }
+}
+
+/// BENR on a linear circuit at a fixed step: `C/h + θG` has one value set per
+/// distinct `h`, so it is factorized once per distinct `h` — the nominal
+/// step, plus the clamped ones that land on a breakpoint or on `t_stop`.
+#[test]
+fn fixed_step_benr_factorizes_once_per_distinct_step_size() {
+    let ckt = rc_ladder(&RcLadderSpec {
+        segments: 6,
+        ..RcLadderSpec::default()
+    })
+    .unwrap();
+    let options = TransientOptions {
+        t_stop: 4e-10,
+        h_init: 1e-12,
+        h_max: 1e-12,
+        error_budget: 1.0, // the LTE control never rejects: h stays fixed
+        ..TransientOptions::default()
+    };
+    let mut sim = Simulator::new(&ckt);
+    sim.dc().unwrap();
+    let mut stepper = sim.stepper(Method::BackwardEuler, &options).unwrap();
+    let mut step_sizes = std::collections::BTreeSet::new();
+    while let StepOutcome::Advanced { h, .. } = stepper.advance(&mut NullObserver).unwrap() {
+        step_sizes.insert(h.to_bits());
+    }
+    let s = stepper.finish(&mut NullObserver);
+    assert_eq!(s.rejected_steps, 0, "{s:?}");
+    assert!(s.accepted_steps >= 300, "{s:?}");
+    assert!(step_sizes.len() <= 3, "{step_sizes:?}");
+    assert!(s.lu_factorizations <= 1 + step_sizes.len(), "{s:?}");
+    assert_eq!(
+        s.lu_factorizations + s.lu_reuses,
+        s.newton_iterations,
+        "{s:?}"
+    );
+    assert!(s.lu_reuses > s.accepted_steps, "{s:?}");
 }
 
 /// Determinism: the same seeded workload produces the same simulation result.
