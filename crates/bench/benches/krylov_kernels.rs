@@ -1,6 +1,6 @@
 //! Criterion bench for the MEVP kernels and the symbolic-reuse LU path.
 //!
-//! Four groups:
+//! Six groups:
 //!
 //! * `lu_refactorize` — the headline comparison for the symbolic/numeric
 //!   split: a full `factorize_with` (ordering + pivoting + reachability DFS +
@@ -18,6 +18,13 @@
 //!   of an unchanged `G` vs noticing that it is unchanged, and a fresh `w₂`
 //!   (one solve, one subspace of m ≈ 26) vs re-testing and re-evaluating the
 //!   kept one at the next step size.
+//! * `spmv` — the engines' sequential SpMV against the 4-wide variant.
+//! * `ordering` — what the fill-reducing ordering costs and buys, `Rcm`
+//!   against `MinDegree`: ordering time, first factorization,
+//!   refactorization and one solve of `G` on the two circuits at the ends of
+//!   the size range — 16 uncoupled driven lines (n = 514, exibench's
+//!   `*_sparse_drivers`), where the ordering must not cost solve speed, and
+//!   the 100×100 RC mesh (n = 10 002), where it decides the factor's size.
 
 use std::time::Instant;
 
@@ -26,9 +33,13 @@ use exi_krylov::{
     expm, invert_krylov_residual, mevp_invert_krylov, mevp_invert_krylov_with,
     mevp_rational_krylov, mevp_standard_krylov, MevpOptions, MevpWorkspace,
 };
-use exi_netlist::generators::{power_grid, rc_mesh, PowerGridSpec, RcMeshSpec};
+use exi_netlist::generators::{
+    coupled_lines, power_grid, rc_mesh, CoupledLinesSpec, PowerGridSpec, RcMeshSpec,
+};
+use exi_netlist::Circuit;
 use exi_sim::{Method, Simulator};
-use exi_sparse::{vector, CsrMatrix, LuOptions, LuWorkspace, SparseLu};
+use exi_sparse::ordering::compute_ordering;
+use exi_sparse::{vector, CsrMatrix, LuOptions, LuWorkspace, OrderingMethod, SparseLu};
 
 /// The conductance matrix of a laptop-scale power-distribution mesh — the
 /// workload whose per-step `G` factorization dominates the ER engine.
@@ -39,11 +50,14 @@ fn power_grid_conductance() -> CsrMatrix {
         num_sinks: 60,
         ..PowerGridSpec::default()
     };
-    let circuit = power_grid(&spec).expect("power grid circuit");
-    let x = vec![0.0; circuit.num_unknowns()];
+    conductance(&power_grid(&spec).expect("power grid circuit"))
+}
+
+/// `G` at the zero state, the matrix every ER run factorizes first.
+fn conductance(circuit: &Circuit) -> CsrMatrix {
     circuit
         .compile_plan()
-        .and_then(|plan| plan.evaluate(&x))
+        .and_then(|plan| plan.evaluate(&vec![0.0; circuit.num_unknowns()]))
         .expect("evaluation")
         .g
 }
@@ -317,12 +331,65 @@ fn bench_spmv(c: &mut Criterion) {
     assert!(max_drift < 1e-12, "unrolled SpMV drifted: {max_drift:e}");
 }
 
+fn bench_ordering(c: &mut Criterion) {
+    let lines = coupled_lines(&CoupledLinesSpec {
+        lines: 16,
+        segments: 30,
+        coupling_capacitance: 0.0,
+        random_couplings: 0,
+        mosfet_drivers: true,
+        ..CoupledLinesSpec::default()
+    })
+    .expect("coupled lines");
+    let mesh = rc_mesh(&RcMeshSpec {
+        rows: 100,
+        cols: 100,
+        ..RcMeshSpec::default()
+    })
+    .expect("rc mesh");
+
+    let mut group = c.benchmark_group("ordering");
+    group.sample_size(10);
+    for (name, circuit) in [("lines16x30", &lines), ("mesh100x100", &mesh)] {
+        let g = conductance(circuit);
+        let n = g.rows();
+        let rhs: Vec<f64> = (0..n).map(|i| ((i % 9) as f64 - 4.0) / 4.0).collect();
+        for ordering in [OrderingMethod::Rcm, OrderingMethod::MinDegree] {
+            let options = LuOptions {
+                ordering,
+                ..LuOptions::default()
+            };
+            let mut lu = SparseLu::factorize_with(&g, &options).expect("LU of G");
+            let mut ws = LuWorkspace::new();
+            let mut x = vec![0.0; n];
+            let id = |what: &str| format!("{name}/{ordering:?}/{what}");
+            group.bench_function(id("order"), |b| b.iter(|| compute_ordering(&g, ordering)));
+            group.bench_function(id("factorize"), |b| {
+                b.iter(|| SparseLu::factorize_with(&g, &options).expect("factorization"))
+            });
+            group.bench_function(id("refactorize"), |b| {
+                b.iter(|| lu.refactorize_with(&g, &mut ws).expect("replay"))
+            });
+            group.bench_function(id("solve"), |b| {
+                b.iter(|| lu.solve_into(&rhs, &mut x, &mut ws).expect("solve"))
+            });
+            println!(
+                "ordering/{name}/{ordering:?}: n = {n}, nnz(G) = {}, nnz(L+U) = {}",
+                g.nnz(),
+                lu.nnz_l() + lu.nnz_u()
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lu_refactorize,
     bench_mevp_kernels,
     bench_small_dense,
     bench_reuse,
-    bench_spmv
+    bench_spmv,
+    bench_ordering
 );
 criterion_main!(benches);

@@ -61,7 +61,7 @@ impl Default for TransientOptions {
             growth_factor: 2.0,
             easy_step_threshold: 1,
             correction_gamma: 0.1,
-            ordering: OrderingMethod::Rcm,
+            ordering: OrderingMethod::default(),
             fill_budget: None,
             record_full_states: false,
         }
@@ -144,7 +144,7 @@ impl Default for DcOptions {
             max_iterations: 200,
             tolerance: 1e-9,
             max_update: 0.5,
-            ordering: OrderingMethod::Rcm,
+            ordering: OrderingMethod::default(),
             fallback_damping: 1e-6,
         }
     }

@@ -60,7 +60,7 @@ pub struct LuOptions {
 impl Default for LuOptions {
     fn default() -> Self {
         LuOptions {
-            ordering: OrderingMethod::Rcm,
+            ordering: OrderingMethod::default(),
             pivot_tolerance: 0.1,
             zero_pivot_threshold: 1e-13,
             fill_budget: None,

@@ -1,5 +1,6 @@
 //! Property-based tests for the sparse linear algebra substrate.
 
+use exi_sparse::ordering::compute_ordering;
 use exi_sparse::{
     vector, CscMatrix, CsrMatrix, DenseLu, DenseMatrix, LuOptions, LuWorkspace, OrderingMethod,
     SparseLu, TripletMatrix,
@@ -102,8 +103,73 @@ fn dominant_system(max_n: usize) -> impl Strategy<Value = (CsrMatrix, Vec<f64>)>
     })
 }
 
+/// Strategy: the entries of a square pattern the orderings must cope with —
+/// `n` from 0 up, no diagonal required, unsymmetric, possibly split into
+/// disconnected blocks of `n / blocks` nodes (plus isolated leftovers), and
+/// possibly with one hub whose row (`hub_kind` 1), column (2) or both (3) are
+/// full, like a supply net — dense enough at the larger `n` to be set aside by
+/// the minimum-degree ordering. Values are nonzero and otherwise arbitrary.
+fn ordering_pattern(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
+    (
+        0usize..max_n,
+        proptest::collection::vec((0usize..max_n, 0usize..max_n, 0.5f64..2.0), 0..(3 * max_n)),
+        1usize..4,
+        0usize..8,
+        0usize..max_n,
+    )
+        .prop_map(|(n, raw, blocks, hub_kind, hub)| {
+            let mut entries = Vec::new();
+            if n == 0 {
+                return (n, entries);
+            }
+            let block = n.div_ceil(blocks);
+            for (i, j, v) in raw {
+                let i = i % n;
+                let j = (i / block) * block + j % block;
+                if j < n {
+                    entries.push((i, j, v));
+                }
+            }
+            let hub = hub % n;
+            for k in 0..n {
+                if matches!(hub_kind, 1 | 3) {
+                    entries.push((hub, k, 1.0));
+                }
+                if matches!(hub_kind, 2 | 3) {
+                    entries.push((k, hub, 1.0));
+                }
+            }
+            (n, entries)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every ordering is a permutation of `0..n`, the same one each time it
+    /// is asked, and a function of the pattern alone: other values on the
+    /// same entries do not move it.
+    #[test]
+    fn orderings_are_deterministic_permutations_of_the_pattern((n, entries) in ordering_pattern(160)) {
+        let build = |revalue: &dyn Fn(usize, f64) -> f64| {
+            let mut t = TripletMatrix::new(n, n);
+            for (k, &(i, j, v)) in entries.iter().enumerate() {
+                t.push(i, j, revalue(k, v));
+            }
+            t.to_csr()
+        };
+        let a = build(&|_, v| v);
+        let revalued = build(&|k, v| v * (1.0 + k as f64));
+        prop_assert_eq!(a.indices(), revalued.indices());
+        for method in [OrderingMethod::Natural, OrderingMethod::Rcm, OrderingMethod::MinDegree] {
+            let p = compute_ordering(&a, method);
+            let mut sorted = p.order().to_vec();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
+            prop_assert_eq!(&p, &compute_ordering(&a, method));
+            prop_assert_eq!(&p, &compute_ordering(&revalued, method));
+        }
+    }
 
     /// One elimination, all right-hand sides: `DenseLu` (and `solve` /
     /// `inverse` built on it) reproduce the from-scratch elimination of each

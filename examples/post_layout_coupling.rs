@@ -26,8 +26,8 @@ fn main() -> Result<(), SimError> {
         let eval = circuit.compile_plan()?.evaluate(&x)?;
         let h = 1e-12;
         let benr_matrix = CsrMatrix::linear_combination(1.0 / h, &eval.c, 1.0, &eval.g)?;
-        let benr_fill = factor_fill(&benr_matrix, OrderingMethod::Rcm).map(|(l, u)| l + u);
-        let g_fill = factor_fill(&eval.g, OrderingMethod::Rcm).map(|(l, u)| l + u)?;
+        let benr_fill = factor_fill(&benr_matrix, OrderingMethod::default()).map(|(l, u)| l + u);
+        let g_fill = factor_fill(&eval.g, OrderingMethod::default()).map(|(l, u)| l + u)?;
 
         let options = TransientOptions {
             t_stop: 1e-9,

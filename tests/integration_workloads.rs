@@ -33,8 +33,8 @@ fn benr_matrix_fill_exceeds_g_fill_on_coupled_circuits() {
     let x = vec![0.0; ckt.num_unknowns()];
     let eval = ckt.compile_plan().unwrap().evaluate(&x).unwrap();
     let benr_matrix = CsrMatrix::linear_combination(1e12, &eval.c, 1.0, &eval.g).unwrap();
-    let (gl, gu) = factor_fill(&eval.g, OrderingMethod::Rcm).unwrap();
-    let (bl, bu) = factor_fill(&benr_matrix, OrderingMethod::Rcm).unwrap();
+    let (gl, gu) = factor_fill(&eval.g, OrderingMethod::default()).unwrap();
+    let (bl, bu) = factor_fill(&benr_matrix, OrderingMethod::default()).unwrap();
     assert!(
         bl + bu > (gl + gu) * 3 / 2,
         "expected C/h+G fill ({}) to clearly exceed G fill ({})",
