@@ -12,7 +12,8 @@
 //!   variant the ER engine actually runs.
 //! * `small_dense` — what sits under the Arnoldi loop, at `m = 16/32/64` on
 //!   Hessenberg matrices captured from the tc6 analogue mid-transient: one
-//!   Eq. (22) residual test, one φ₁ column and one plain `expm`.
+//!   Eq. (22) residual test, one φ₁ column, one plain `expm` and one of the
+//!   `m × m` products `expm` is made of.
 //! * `reuse` — what an ER step on a linear circuit no longer redoes, on the
 //!   100×100 RC mesh (exibench's `er_large_mesh`): replaying the elimination
 //!   of an unchanged `G` vs noticing that it is unchanged, and a fresh `w₂`
@@ -38,6 +39,7 @@ use exi_netlist::generators::{
 };
 use exi_netlist::Circuit;
 use exi_sim::{Method, Simulator};
+use exi_sparse::dense::matmul_into;
 use exi_sparse::ordering::compute_ordering;
 use exi_sparse::{vector, CsrMatrix, LuOptions, LuWorkspace, OrderingMethod, SparseLu};
 
@@ -209,6 +211,10 @@ fn bench_small_dense(c: &mut Criterion) {
         let hs = built.projected_jacobian().expect("S").scale(h);
         group.bench_function(format!("expm/m{m}"), |b| {
             b.iter(|| expm(&hs).expect("expm"))
+        });
+        let mut product = vec![0.0; m * m];
+        group.bench_function(format!("matmul/m{m}"), |b| {
+            b.iter(|| matmul_into(hs.as_slice(), hs.as_slice(), m, &mut product))
         });
     }
     group.finish();

@@ -5,8 +5,9 @@
 //!
 //! 1. evaluates the devices at `x_k` and asks for the LU factorization of
 //!    **only** `G_k` (Algorithm 2 line 5) — never `C_k` nor `C_k/h + G_k`;
-//! 2. builds invert-Krylov subspaces for the φ₁/φ₂ terms of Eq. (14) with
-//!    the residual test of Eq. (22);
+//! 2. builds **one** invert-Krylov subspace for the step of Eq. (14), with
+//!    the residual test of Eq. (22) — the input term rides in the start
+//!    vector of the same exponential that carries `w₁` (below);
 //! 3. checks the local nonlinear error estimator of Eq. (15)/(24) and, if it
 //!    exceeds the budget, shrinks the step *without any new factorization*
 //!    (scaling-invariance of the Krylov decomposition);
@@ -22,11 +23,15 @@
 //!   (ordering, pivot search, reachability DFS) — and the engine seeds its
 //!   cache with the factor the DC solve already computed. On a linear
 //!   circuit that DC factor is the only one the run ever computes.
-//! * **The input subspace** — the one for `w₂` below — is kept from step to
-//!   step while the plan has no nonlinear stamp (`G`, `C` are constants) and
-//!   the step stays on the linear piece of the inputs it was built on:
-//!   there `w₂ ∝ h`, so the kept decomposition only has to pass Eq. (22)
-//!   again at the new `h`.
+//! * **The start vector `v`** does not depend on `h` on a linear piece of
+//!   the inputs (`w₂ ∝ h` there, so `w₂′` is a constant): the rejection loop
+//!   reads the step's one subspace at the shrunk `h` and rescales `w₂` — no
+//!   solve, no new basis vector.
+//! * **An input subspace of its own** — for `w₂`, read through φ₁ — is what
+//!   a plan without nonlinear stamps keeps instead (`G`, `C` are constants),
+//!   from step to step while the steps stay on the linear piece of the
+//!   inputs it was built on: the kept decomposition only has to pass
+//!   Eq. (22) again at the new `h`.
 //! * **The error estimator** is skipped on a plan without nonlinear stamps:
 //!   `ΔF ≡ 0`, so it would measure rounding noise.
 //!
@@ -45,11 +50,19 @@
 //! regularization — the implementation only ever solves with `G_k`:
 //!
 //! ```text
-//! x_{k+1} = x_k + (e^{hJ} − I)·w₁ + (φ₁(hJ) − I)·w₂,
-//!     w₁ = G_k⁻¹ (f(x_k) − B·u(t_k)),          w₂ = −G_k⁻¹ B·(u(t_{k+1}) − u(t_k)),
-//! err     = −(e^{hJ} − I)·w₃,                  w₃ = G_k⁻¹ ΔF_k,
-//! D_k     = −γ·(φ₁(hJ) − I)·w₃                  (ER-C correction)
+//! x_{k+1} = x_k + (e^{hJ} − I)·w₁ + (φ₁(hJ) − I)·w₂                       (Eq. 14)
+//!         = x_k + (e^{hJ} − I)·v − w₂,          v = w₁ + w₂′              (the step taken)
+//!     w₁  = G_k⁻¹ (f(x_k) − B·u(t_k)),          w₂ = −G_k⁻¹ B·(u(t_{k+1}) − u(t_k)),
+//!     w₂′ = (hJ)⁻¹w₂ = −G_k⁻¹ C_k·w₂ / h        (φ₁(z) = (e^z − 1)/z, J⁻¹ = −G_k⁻¹C_k)
+//! err     = −(e^{hJ} − I)·w₃,                   w₃ = G_k⁻¹ ΔF_k,
+//! D_k     = −γ·(φ₁(hJ) − I)·w₃                   (ER-C correction)
 //! ```
+//!
+//! The second line is the MEXP closed form for piecewise-linear inputs (Weng,
+//! Chen & Cheng, TCAD 2012) the paper starts from: one matrix-exponential–
+//! vector product per step. The first line, term by term — `φ₁(hJ)·w₂` off a
+//! subspace of `w₂` — is kept where that subspace serves many steps
+//! (`ErStepper::keeps_input_term`: constant `J`, piecewise-linear inputs).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -119,8 +132,21 @@ struct InputTerm {
     h_ref: f64,
     /// Breakpoint interval ([`breakpoint_interval`]) `w₂` was computed in.
     interval: usize,
-    /// `None`: no source moves over the interval, `w₂ = 0`.
-    subspace: Option<Subspace>,
+    form: InputForm,
+}
+
+/// How a step reads `(φ₁(hJ) − I)·w₂`.
+#[derive(Debug)]
+enum InputForm {
+    /// No source moves over the interval: `w₂ = 0`, the term vanishes.
+    Flat,
+    /// `φ₁(hJ)·w₂` off a subspace of `w₂`'s own — the kept path
+    /// ([`ErStepper::keeps_input_term`]), which builds it once per linear
+    /// piece of the inputs.
+    Phi1(Subspace),
+    /// `φ₁(hJ)·w₂ = (e^{hJ} − I)·w₂′` sits in the start vector `v = w₁ + w₂′`
+    /// of the step's exponential; what is left to add is `−w₂`.
+    Folded,
 }
 
 /// Scratch of the local error estimator of Eq. (15)/(24).
@@ -187,8 +213,10 @@ pub struct ErStepper<'a> {
     bu_k: Vec<f64>,
     rhs: Vec<f64>,
     bdu: Vec<f64>,
-    w1: Vec<f64>,
     w2: Vec<f64>,
+    /// What the step's exponential acts on: `w₁` as [`ErStepper::linearize`]
+    /// leaves it, plus `w₂′` once the input term is folded in.
+    v: Vec<f64>,
     candidate: Vec<f64>,
     kry: Vec<f64>,
     du: Vec<f64>,
@@ -196,8 +224,8 @@ pub struct ErStepper<'a> {
     /// compile-time constants, `f` is linear, `ΔF ≡ 0` and there is nothing
     /// to estimate (nor, for ER-C, to correct).
     estimator: Option<Estimator>,
-    /// The subspace of `w₁`, for the duration of one step.
-    w1_subspace: Option<Subspace>,
+    /// The subspace of `v`, for the duration of one step.
+    exp_subspace: Option<Subspace>,
     /// Kept across accepted steps where `estimator` is `None` and the inputs
     /// are piecewise linear; otherwise for the duration of one step.
     input_term: Option<InputTerm>,
@@ -268,13 +296,13 @@ impl<'a> ErStepper<'a> {
             bu_k: vec![0.0; n],
             rhs: vec![0.0; n],
             bdu: vec![0.0; n],
-            w1: vec![0.0; n],
             w2: vec![0.0; n],
+            v: vec![0.0; n],
             candidate: vec![0.0; n],
             kry: vec![0.0; n],
             du: vec![0.0; input_dim],
             estimator,
-            w1_subspace: None,
+            exp_subspace: None,
             input_term: None,
             x: vec![0.0; n],
             t: 0.0,
@@ -317,7 +345,7 @@ impl Engine for ErStepper<'_> {
         // the run): the per-step bases, and after an error the kept input
         // term as well — the state it was valid for is gone.
         let per_step = [
-            self.w1_subspace.take(),
+            self.exp_subspace.take(),
             self.estimator.as_mut().and_then(|e| e.subspace.take()),
         ];
         for subspace in per_step.into_iter().flatten() {
@@ -385,7 +413,8 @@ impl ErStepper<'_> {
         // --- Algorithm 2 lines 4-6: linearize, factorize G, build subspaces. ---
         self.linearize()?;
 
-        // The step-size loop (Algorithm 2 lines 8-21): no LU, no new w1 subspace.
+        // The step-size loop (Algorithm 2 lines 8-21): no LU, no new subspace
+        // for the exponential.
         let h_base = clamp_step(
             self.t,
             self.h.min(self.options.h_max),
@@ -399,7 +428,11 @@ impl ErStepper<'_> {
             });
         }
         let mut h_step = h_base;
-        self.place_input_term(h_step)?;
+        if self.keeps_input_term() {
+            self.place_input_term(h_step)?;
+        } else {
+            self.fold_input_term(h_step)?;
+        }
 
         let mut rejections = 0usize;
         let accepted_h = loop {
@@ -409,8 +442,8 @@ impl ErStepper<'_> {
                 break h_step;
             }
             // Reject: shrink the step. No LU decomposition and no rebuild of
-            // the w1 subspace is needed (Algorithm 2 lines 20) — nor of the
-            // w2 subspace, where w2 only rescales with h.
+            // a subspace is needed (Algorithm 2 lines 20) where w2 only
+            // rescales with h: v then does not depend on h at all.
             rejections += 1;
             self.stats.rejected_steps += 1;
             self.stats.observer_callbacks += 1;
@@ -423,7 +456,9 @@ impl ErStepper<'_> {
                 });
             }
             if !self.inputs_piecewise_linear {
-                self.rebuild_input_term(h_step)?;
+                // w₂′ moves with h: back to v = w₁, and fold again.
+                self.solve_w1()?;
+                self.fold_input_term(h_step)?;
             }
         };
 
@@ -459,9 +494,9 @@ impl ErStepper<'_> {
         })
     }
 
-    /// Linearizes at `(t_k, x_k)`: device evaluation, the factor of `G_k`,
-    /// `w₁ = G_k⁻¹(f(x_k) − B·u_k)` — the "distance to quasi-equilibrium" —
-    /// and its subspace.
+    /// Linearizes at `(t_k, x_k)`: device evaluation, the factor of `G_k` and
+    /// `v = w₁ = G_k⁻¹(f(x_k) − B·u_k)`, the "distance to quasi-equilibrium". On
+    /// the kept path that is all of `v`, and its subspace is built here.
     fn linearize(&mut self) -> SimResult<()> {
         let caches = &mut *self.caches;
         self.stats.restamped_entries +=
@@ -474,7 +509,7 @@ impl ErStepper<'_> {
         self.plan
             .input_matrix()
             .mul_vec_into(&self.u_k, &mut self.bu_k);
-        let g_lu = refresh_lu(
+        refresh_lu(
             &mut caches.g_lu,
             caches.shared.as_deref(),
             &self.eval_k.g,
@@ -485,30 +520,51 @@ impl ErStepper<'_> {
         for i in 0..self.n {
             self.rhs[i] = self.eval_k.f[i] - self.bu_k[i];
         }
-        g_lu.solve_into(&self.rhs, &mut self.w1, &mut caches.lu_ws)?;
-        self.stats.linear_solves += 1;
-        self.w1_subspace = build_subspace(
-            &self.eval_k,
-            g_lu,
-            &self.w1,
-            self.t,
-            self.h,
-            &self.mevp_options,
-            &mut self.stats,
-            &mut caches.mevp_ws,
-        )?;
+        self.solve_w1()?;
+        if self.keeps_input_term() {
+            let caches = &mut *self.caches;
+            let g_lu = caches.g_lu.as_ref().expect("refreshed above");
+            self.exp_subspace = build_subspace(
+                &self.eval_k,
+                g_lu,
+                &self.v,
+                self.t,
+                self.h,
+                &self.mevp_options,
+                &mut self.stats,
+                &mut caches.mevp_ws,
+            )?;
+        }
         Ok(())
     }
 
-    /// Whether the input term outlives the step it was computed for: `J` must
-    /// not change between steps, and `w₂` must only rescale with `h`.
+    /// `v = w₁ = G_k⁻¹·rhs`, `rhs = f(x_k) − B·u_k` as `linearize` left it.
+    fn solve_w1(&mut self) -> SimResult<()> {
+        let caches = &mut *self.caches;
+        let g_lu = caches
+            .g_lu
+            .as_ref()
+            .expect("linearize left the factor of G in the session");
+        g_lu.solve_into(&self.rhs, &mut self.v, &mut caches.lu_ws)?;
+        self.stats.linear_solves += 1;
+        Ok(())
+    }
+
+    /// Whether the input term has a subspace of its own that outlives the
+    /// step it was computed for: `J` must not change between steps, and `w₂`
+    /// must only rescale with `h`. Everywhere else the term is folded into
+    /// the step's one exponential ([`ErStepper::fold_input_term`]).
     fn keeps_input_term(&self) -> bool {
         self.estimator.is_none() && self.inputs_piecewise_linear
     }
 
     /// Hands the input term's basis, if any, back to the arena.
     fn release_input_term(&mut self) {
-        if let Some(subspace) = self.input_term.take().and_then(|term| term.subspace) {
+        if let Some(InputTerm {
+            form: InputForm::Phi1(subspace),
+            ..
+        }) = self.input_term.take()
+        {
             subspace.recycle_into(&mut self.caches.mevp_ws);
         }
     }
@@ -521,7 +577,7 @@ impl ErStepper<'_> {
     fn place_input_term(&mut self, h: f64) -> SimResult<()> {
         let interval = breakpoint_interval(self.t, self.options.t_stop, &self.breakpoints);
         if let Some(kept) = self.input_term.as_ref().filter(|k| k.interval == interval) {
-            let Some(subspace) = &kept.subspace else {
+            let InputForm::Phi1(subspace) = &kept.form else {
                 return Ok(());
             };
             let residual = invert_krylov_residual(
@@ -536,35 +592,13 @@ impl ErStepper<'_> {
                 return Ok(());
             }
         }
-        self.rebuild_input_term(h)
-    }
-
-    /// `w₂ = −G_k⁻¹B·(u(t + h) − u(t))` and its subspace, from scratch.
-    fn rebuild_input_term(&mut self, h: f64) -> SimResult<()> {
         self.release_input_term();
-        let caches = &mut *self.caches;
-        self.circuit.input_vector_into(self.t + h, &mut self.u_next);
-        for (d, (un, uk)) in self
-            .du
-            .iter_mut()
-            .zip(self.u_next.iter().zip(self.u_k.iter()))
-        {
-            *d = un - uk;
-        }
-        let subspace = if self.du.iter().all(|&d| d == 0.0) {
-            // No source moves over the step: w₂ = 0, without a solve.
-            None
-        } else {
+        let form = if self.solve_w2(h)? {
+            let caches = &mut *self.caches;
             let g_lu = caches
                 .g_lu
                 .as_ref()
                 .expect("linearize left the factor of G in the session");
-            self.plan
-                .input_matrix()
-                .mul_vec_into(&self.du, &mut self.bdu);
-            g_lu.solve_into(&self.bdu, &mut self.w2, &mut caches.lu_ws)?;
-            self.stats.linear_solves += 1;
-            vector::scale(-1.0, &mut self.w2);
             build_subspace(
                 &self.eval_k,
                 g_lu,
@@ -575,37 +609,128 @@ impl ErStepper<'_> {
                 &mut self.stats,
                 &mut caches.mevp_ws,
             )?
+            .map_or(InputForm::Flat, InputForm::Phi1)
+        } else {
+            InputForm::Flat
         };
         self.input_term = Some(InputTerm {
             h_ref: h,
-            interval: breakpoint_interval(self.t, self.options.t_stop, &self.breakpoints),
-            subspace,
+            interval,
+            form,
         });
         Ok(())
     }
 
-    /// The candidate `x_{k+1}` of Eq. (14) for step size `h`, from the two
-    /// subspaces alone.
+    /// Folds the input term of a step of size `h` from `self.t` into `v`,
+    /// which holds `w₁` on entry, and builds the step's one subspace:
+    ///
+    /// ```text
+    /// φ₁(hJ)·w₂ = (e^{hJ} − I)·(hJ)⁻¹w₂ = (e^{hJ} − I)·w₂′,   w₂′ = −G_k⁻¹C_k·w₂/h
+    /// ```
+    ///
+    /// (`J⁻¹ = −G_k⁻¹C_k` needs the factor of `G_k` only), so the exponential
+    /// of `v = w₁ + w₂′` carries both terms of Eq. (14). `C_k·w₂` also drops
+    /// whatever `w₂` has in `null(C_k)` — the algebraic unknowns a voltage
+    /// source drives — which a φ₁ evaluation on `w₂` itself would have to
+    /// resolve through a near-singular `H_m`. On a linear piece of the inputs
+    /// `w₂ ∝ h`: `w₂′` and `v` hold for every `h` the rejection loop tries.
+    fn fold_input_term(&mut self, h: f64) -> SimResult<()> {
+        if let Some(stale) = self.exp_subspace.take() {
+            stale.recycle_into(&mut self.caches.mevp_ws);
+        }
+        let moves = self.solve_w2(h)?;
+        let caches = &mut *self.caches;
+        let g_lu = caches
+            .g_lu
+            .as_ref()
+            .expect("linearize left the factor of G in the session");
+        let form = if moves {
+            // `bdu` is free again: `solve_w2` consumed it.
+            self.eval_k.c.mul_vec_into(&self.w2, &mut self.bdu);
+            g_lu.solve_into(&self.bdu, &mut self.kry, &mut caches.lu_ws)?;
+            self.stats.linear_solves += 1;
+            for i in 0..self.n {
+                self.v[i] -= self.kry[i] / h;
+            }
+            InputForm::Folded
+        } else {
+            InputForm::Flat
+        };
+        self.exp_subspace = build_subspace(
+            &self.eval_k,
+            g_lu,
+            &self.v,
+            self.t,
+            h,
+            &self.mevp_options,
+            &mut self.stats,
+            &mut caches.mevp_ws,
+        )?;
+        self.input_term = Some(InputTerm {
+            h_ref: h,
+            interval: breakpoint_interval(self.t, self.options.t_stop, &self.breakpoints),
+            form,
+        });
+        Ok(())
+    }
+
+    /// `w₂ = −G_k⁻¹B·(u(t + h) − u(t))` into `self.w2`; `false`, without a
+    /// solve, when no source moves over the step and `w₂ = 0`.
+    fn solve_w2(&mut self, h: f64) -> SimResult<bool> {
+        self.circuit.input_vector_into(self.t + h, &mut self.u_next);
+        for (d, (un, uk)) in self
+            .du
+            .iter_mut()
+            .zip(self.u_next.iter().zip(self.u_k.iter()))
+        {
+            *d = un - uk;
+        }
+        if self.du.iter().all(|&d| d == 0.0) {
+            return Ok(false);
+        }
+        let caches = &mut *self.caches;
+        let g_lu = caches
+            .g_lu
+            .as_ref()
+            .expect("linearize left the factor of G in the session");
+        self.plan
+            .input_matrix()
+            .mul_vec_into(&self.du, &mut self.bdu);
+        g_lu.solve_into(&self.bdu, &mut self.w2, &mut caches.lu_ws)?;
+        self.stats.linear_solves += 1;
+        vector::scale(-1.0, &mut self.w2);
+        Ok(true)
+    }
+
+    /// The candidate `x_{k+1}` of Eq. (14) for step size `h`: no solve, no
+    /// new basis vector.
     fn form_candidate(&mut self, h: f64) -> SimResult<()> {
         let ws = &mut self.caches.mevp_ws;
         self.candidate.copy_from_slice(&self.x);
-        if let Some(dec) = &self.w1_subspace {
+        if let Some(dec) = &self.exp_subspace {
             dec.expv_into(h, &mut self.kry, ws)?;
             for i in 0..self.n {
-                self.candidate[i] += self.kry[i] - self.w1[i];
+                self.candidate[i] += self.kry[i] - self.v[i];
             }
         }
-        if let Some(InputTerm {
-            h_ref,
-            subspace: Some(dec),
-            ..
-        }) = &self.input_term
-        {
-            // w2(h) = w2(h_ref)·h/h_ref, and φ₁(hJ) is linear in the vector.
-            let scale = h / h_ref;
-            dec.decomposition.eval_phi_in(1, h, &mut self.kry, ws)?;
-            for i in 0..self.n {
-                self.candidate[i] += scale * (self.kry[i] - self.w2[i]);
+        let term = self
+            .input_term
+            .as_ref()
+            .expect("placed before the first candidate");
+        // w2(h) = w2(h_ref)·h/h_ref, and φ₁(hJ) is linear in the vector.
+        let scale = h / term.h_ref;
+        match &term.form {
+            InputForm::Flat => {}
+            InputForm::Phi1(dec) => {
+                dec.decomposition.eval_phi_in(1, h, &mut self.kry, ws)?;
+                for i in 0..self.n {
+                    self.candidate[i] += scale * (self.kry[i] - self.w2[i]);
+                }
+            }
+            InputForm::Folded => {
+                for i in 0..self.n {
+                    self.candidate[i] -= scale * self.w2[i];
+                }
             }
         }
         Ok(())
@@ -901,12 +1026,9 @@ mod tests {
             error_budget: 1e-2,
             ..TransientOptions::default()
         };
-        // The global error of ER and of ER-C on this circuit at this budget
-        // scatters ~2.5x under any rounding-level perturbation
-        // (docs/PERFORMANCE.md, "Known property"). The three fill-reducing
-        // orderings are such perturbations, so both clauses are asserted on
-        // the worst of them, not on whichever draw the default ordering is.
-        let mut worst = [0.0_f64; 2];
+        // Measured: ER 2.11e-3, ER-C 2.27e-3 at 61 steps, the same under
+        // every fill-reducing ordering (docs/PERFORMANCE.md, "The ordering
+        // scatter that was not one"); asserted per ordering with 2x margin.
         for ordering in [
             OrderingMethod::Rcm,
             OrderingMethod::Natural,
@@ -916,36 +1038,29 @@ mod tests {
                 ordering,
                 ..coarse.clone()
             };
-            for (correction, worst) in [false, true].into_iter().zip(&mut worst) {
-                let run = run_er(&ckt, correction, &coarse, &["s2"]).unwrap();
-                *worst = worst.max(run.rms_error_vs(&reference, 0));
-            }
+            let [er_err, erc_err] = [false, true].map(|correction| {
+                run_er(&ckt, correction, &coarse, &["s2"])
+                    .unwrap()
+                    .rms_error_vs(&reference, 0)
+            });
+            assert!(er_err < 5e-3, "{ordering:?}: er rms error {er_err}");
+            // The correction must not make things worse by more than a hair
+            // (measured 1.08x).
+            assert!(
+                erc_err < er_err * 1.25,
+                "{ordering:?}: erc {erc_err} vs er {er_err}"
+            );
         }
-        let [er_err, erc_err] = worst;
-        // The correction must not make things worse by more than a hair, and
-        // both must be reasonably accurate.
-        assert!(er_err < 0.15, "er rms error {er_err}");
-        assert!(
-            erc_err < er_err * 1.5 + 1e-4,
-            "erc {erc_err} vs er {er_err}"
-        );
     }
 
-    /// `V(sine) — R — a — diode — gnd`, `C` at `a`: nonlinear, and driven by
-    /// the one waveform that is not piecewise linear.
-    fn sine_driven_diode() -> Circuit {
+    /// `V(drive) — R — a — diode — gnd`, `C` at `a`: nonlinear, the diode
+    /// conducting from the start.
+    fn driven_diode(drive: Waveform) -> Circuit {
         let mut ckt = Circuit::new();
         let vin = ckt.node("in");
         let a = ckt.node("a");
         let gnd = ckt.node("0");
-        let sine = Waveform::Sine {
-            offset: 0.6,
-            amplitude: 0.5,
-            frequency: 2e9,
-            delay: 0.0,
-            damping: 0.0,
-        };
-        ckt.add_voltage_source("V1", vin, gnd, sine).unwrap();
+        ckt.add_voltage_source("V1", vin, gnd, drive).unwrap();
         ckt.add_resistor("R1", vin, a, 1e3).unwrap();
         ckt.add_capacitor("C1", a, gnd, 1e-13).unwrap();
         ckt.add_diode("D1", a, gnd, exi_netlist::DiodeModel::default())
@@ -953,43 +1068,81 @@ mod tests {
         ckt
     }
 
+    /// The first ER step of `ckt` from `h_init` (at most 40 ps), under a
+    /// budget that rejects 40 ps once and accepts 20 ps: the outcome, the
+    /// accepted state and the stepper's counters.
+    fn first_step(ckt: &Circuit, h_init: f64) -> (StepOutcome, Vec<f64>, RunStats) {
+        let options = TransientOptions {
+            t_stop: 1e-9,
+            h_init,
+            h_max: 4e-11,
+            error_budget: 2e-3,
+            ..TransientOptions::default()
+        };
+        let mut sim = Simulator::new(ckt);
+        let mut stepper = sim
+            .stepper(Method::ExponentialRosenbrock, &options)
+            .unwrap();
+        let outcome = stepper.advance(&mut crate::NullObserver).unwrap();
+        (outcome, stepper.state().to_vec(), stepper.stats().clone())
+    }
+
     #[test]
     fn a_rejected_step_recomputes_the_input_term_where_it_does_not_rescale() {
         // Over a sinusoid u(t+h) − u(t) is not proportional to h, so after a
-        // rejection h → h/2 the input term must be the one of the half step —
-        // the very term a stepper starting at h/2 computes — not half the
-        // rejected step's. Every subspace runs to exhaustion here (three
-        // unknowns, a tolerance nothing meets), so the step size a subspace
-        // was first built for leaves no trace in it.
-        let ckt = sine_driven_diode();
+        // rejection h → h/2 the input term must be the one of the half step,
+        // not half the rejected step's: w₂, w₂′, v and the subspace of v are
+        // all rebuilt at h/2 — the very step a stepper starting at h/2 takes.
+        let ckt = driven_diode(Waveform::Sine {
+            offset: 0.6,
+            amplitude: 0.5,
+            frequency: 2e9,
+            delay: 0.0,
+            damping: 0.0,
+        });
         let h = 4e-11;
-        let options = |h_init: f64| TransientOptions {
-            t_stop: 1e-9,
-            h_init,
-            h_max: h,
-            error_budget: 2e-3,
-            krylov_tolerance: 0.0,
-            ..TransientOptions::default()
-        };
-        let first_step = |h_init: f64| {
-            let mut sim = Simulator::new(&ckt);
-            let mut stepper = sim
-                .stepper(Method::ExponentialRosenbrock, &options(h_init))
-                .unwrap();
-            let outcome = stepper.advance(&mut crate::NullObserver).unwrap();
-            (
-                outcome,
-                stepper.state().to_vec(),
-                stepper.stats().rejected_steps,
-            )
-        };
-        let (shrunk, from_full, rejections) = first_step(h);
-        let (direct, from_half, none) = first_step(h / 2.0);
-        assert_eq!((rejections, none), (1, 0), "one forced rejection");
+        let (shrunk, from_full, rejected) = first_step(&ckt, h);
+        let (direct, from_half, clean) = first_step(&ckt, h / 2.0);
+        assert_eq!(
+            (rejected.rejected_steps, clean.rejected_steps),
+            (1, 0),
+            "one forced rejection"
+        );
         assert_eq!(shrunk, direct);
         assert!(matches!(direct, StepOutcome::Advanced { h: taken, .. } if taken == h / 2.0));
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&from_full), bits(&from_half));
+    }
+
+    #[test]
+    fn a_rejected_step_on_a_ramp_builds_no_second_subspace_and_solves_nothing() {
+        // The same diode on a ramp of the sine's initial slope: w₂ ∝ h, so v
+        // does not depend on h and the rejected attempt costs the second
+        // attempt's estimator (one solve and one subspace, for w₃) — nothing
+        // for w₂, w₂′ or v. The subspace of v was built for 40 ps and is read
+        // at 20 ps, so the state agrees with the 20 ps stepper's to the
+        // Krylov tolerance, not to the bit.
+        let ckt = driven_diode(Waveform::Pwl(vec![(0.0, 0.6), (1e-10, 1.2)]));
+        let h = 4e-11;
+        let (shrunk, from_full, rejected) = first_step(&ckt, h);
+        let (direct, from_half, clean) = first_step(&ckt, h / 2.0);
+        assert_eq!(
+            (rejected.rejected_steps, clean.rejected_steps),
+            (1, 0),
+            "one forced rejection"
+        );
+        assert_eq!(shrunk, direct);
+        // A clean step builds v's subspace and w₃'s (its solves: the DC
+        // iteration's, then w₁, w₂, w₂′, w₃).
+        assert_eq!(clean.krylov_subspaces, 2, "{clean:?}");
+        assert_eq!(
+            (rejected.krylov_subspaces, rejected.linear_solves),
+            (3, clean.linear_solves + 1),
+            "{rejected:?}"
+        );
+        for (full, half) in from_full.iter().zip(&from_half) {
+            assert!((full - half).abs() < 1e-6, "{full} vs {half}");
+        }
     }
 
     #[test]

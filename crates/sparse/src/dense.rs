@@ -347,7 +347,10 @@ pub fn norm_inf(a: &[f64], cols: usize) -> f64 {
 ///
 /// Each `out[i][j]` accumulates its terms in increasing inner index, and a
 /// zero `a[i][k]` contributes nothing (not even a signed zero) — the
-/// summation order every bit-compared caller relies on.
+/// summation order every bit-compared caller relies on. Four inner indices
+/// are taken per pass over an output row, `((o + a₀b₀) + a₁b₁) + …` in that
+/// same order, so the row is loaded and stored once per four terms; a group
+/// holding a zero `a[i][k]` goes term by term.
 ///
 /// # Panics
 ///
@@ -364,8 +367,8 @@ pub fn matmul_into(a: &[f64], b: &[f64], cols: usize, out: &mut [f64]) {
         out.len() * inner,
         "matmul_into: shape mismatch"
     );
-    for (a_row, out_row) in a.chunks_exact(inner).zip(out.chunks_exact_mut(cols)) {
-        for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(cols)) {
+    let term_by_term = |a_ks: &[f64], b_rows: &[f64], out_row: &mut [f64]| {
+        for (&aik, b_row) in a_ks.iter().zip(b_rows.chunks_exact(cols)) {
             if aik == 0.0 {
                 continue;
             }
@@ -373,6 +376,27 @@ pub fn matmul_into(a: &[f64], b: &[f64], cols: usize, out: &mut [f64]) {
                 *o += aik * bkj;
             }
         }
+    };
+    for (a_row, out_row) in a.chunks_exact(inner).zip(out.chunks_exact_mut(cols)) {
+        let mut a_groups = a_row.chunks_exact(4);
+        let mut b_groups = b.chunks_exact(4 * cols);
+        for (a_ks, b_rows) in a_groups.by_ref().zip(b_groups.by_ref()) {
+            let &[a0, a1, a2, a3] = a_ks else {
+                unreachable!("chunks_exact(4)")
+            };
+            if a0 == 0.0 || a1 == 0.0 || a2 == 0.0 || a3 == 0.0 {
+                term_by_term(a_ks, b_rows, out_row);
+                continue;
+            }
+            let (b0, rest) = b_rows.split_at(cols);
+            let (b1, rest) = rest.split_at(cols);
+            let (b2, b3) = rest.split_at(cols);
+            let b_columns = b0.iter().zip(b1).zip(b2).zip(b3);
+            for (o, (((&x0, &x1), &x2), &x3)) in out_row.iter_mut().zip(b_columns) {
+                *o = (((*o + a0 * x0) + a1 * x1) + a2 * x2) + a3 * x3;
+            }
+        }
+        term_by_term(a_groups.remainder(), b_groups.remainder(), out_row);
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the sparse linear algebra substrate.
 
+use exi_sparse::dense::matmul_into;
 use exi_sparse::ordering::compute_ordering;
 use exi_sparse::{
     vector, CscMatrix, CsrMatrix, DenseLu, DenseMatrix, LuOptions, LuWorkspace, OrderingMethod,
@@ -77,6 +78,51 @@ fn dense_system(max_n: usize) -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64
                 }
                 (n, a, rhs)
             })
+    })
+}
+
+/// `matmul_into` as it stood before it took four inner indices per pass: one
+/// `a[i][k]` at a time over the output row. Kept verbatim as the reference
+/// the blocked loop must reproduce bit for bit.
+fn matmul_term_by_term(a: &[f64], b: &[f64], cols: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    if cols == 0 || b.is_empty() {
+        return;
+    }
+    let inner = b.len() / cols;
+    for (a_row, out_row) in a.chunks_exact(inner).zip(out.chunks_exact_mut(cols)) {
+        for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(cols)) {
+            if aik == 0.0 {
+                continue;
+            }
+            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+                *o += aik * bkj;
+            }
+        }
+    }
+}
+
+/// Strategy: a `rows × inner` and an `inner × cols` matrix, all three
+/// dimensions free (so not multiples of four, and `inner < 4`), entries
+/// spread over twelve decades with a share of `0.0`, `-0.0`, `±∞` and NaN.
+fn matmul_operands(max_dim: usize) -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64>)> {
+    let entries = |len: usize| {
+        proptest::collection::vec((-1.0f64..1.0, -6i32..7, 0usize..24), len).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(v, decade, special)| match special {
+                    0 | 1 => 0.0,
+                    2 => -0.0,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    5 => f64::NAN,
+                    _ => v * 10f64.powi(decade),
+                })
+                .collect::<Vec<f64>>()
+        })
+    };
+    (1usize..max_dim, 1usize..max_dim, 1usize..max_dim).prop_flat_map(move |(rows, inner, cols)| {
+        (Just(cols), entries(rows * inner), entries(inner * cols))
     })
 }
 
@@ -204,6 +250,24 @@ proptest! {
                 .map(|v| v.to_bits())
                 .collect();
             prop_assert_eq!(&column(inverse.as_slice(), c), &unit_reference);
+        }
+    }
+
+    /// Four inner indices per pass or one: the same sums in the same order,
+    /// so the same bits — through zeros that must contribute nothing, signed
+    /// zeros and non-finite entries (a NaN is a NaN; its payload is the
+    /// hardware's choice, not the loop's).
+    #[test]
+    fn blocked_matmul_matches_the_term_by_term_loop_bitwise((cols, a, b) in matmul_operands(14)) {
+        let rows = a.len() / (b.len() / cols);
+        let (mut blocked, mut reference) = (vec![1.0; rows * cols], vec![2.0; rows * cols]);
+        matmul_into(&a, &b, cols, &mut blocked);
+        matmul_term_by_term(&a, &b, cols, &mut reference);
+        for (got, want) in blocked.iter().zip(&reference) {
+            prop_assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{got:e} vs {want:e}"
+            );
         }
     }
 

@@ -14,7 +14,7 @@ use exi_netlist::generators::{
     coupled_lines, inverter_chain, power_grid, rc_ladder, CoupledLinesSpec, InverterChainSpec,
     PowerGridSpec, RcLadderSpec,
 };
-use exi_netlist::{Circuit, Waveform};
+use exi_netlist::{Circuit, DiodeModel, Waveform};
 use exi_sim::{
     Engine, Method, Probe, RecordingObserver, RunStats, Simulator, TransientOptions,
     TransientResult,
@@ -147,9 +147,8 @@ fn closed_form_step_responses_for_all_methods() {
 }
 
 /// A uniform RC ladder of `LADDER` nodes — `r` between neighbours and from
-/// either end node to ground, `c` at every node — driven at node 1 by the
-/// current `u(t)/r`: the Norton form of a voltage ramp `u(t) = t/T` (then 1)
-/// applied through `r`, which keeps `C` nonsingular. Its matrix is the
+/// either end node to ground, `c` at every node — driven at node 1 by a
+/// voltage ramp `u(t) = t/T` (then 1) applied through `r`. Its matrix is the
 /// discrete Laplacian, whose modes are textbook: `λ_k = 2(1 − cos θ_k)/(rc)`,
 /// `v_k[j] = √(2/(N+1))·sin(jθ_k)`, `θ_k = kπ/(N+1)`; each mode answers the
 /// ramp like a single RC does. `r` is 1 Ω so that the residual the Krylov
@@ -158,13 +157,38 @@ const LADDER: usize = 24;
 const LADDER_R: f64 = 1.0;
 const LADDER_C: f64 = 1e-11;
 
-fn ladder_ramp(ramp: f64) -> Circuit {
+/// The two forms of the ladder's drive; one closed form answers both.
+#[derive(Debug, Clone, Copy)]
+enum LadderDrive {
+    /// The current `u(t)/r` into node 1, `r` from node 1 to ground: `C` stays
+    /// nonsingular.
+    Norton,
+    /// The voltage source itself, behind `r`: its node and its branch current
+    /// are algebraic unknowns, `C` is singular.
+    Voltage,
+}
+
+/// With `cut_off_diode`, a reverse-biased diode (no junction capacitance,
+/// 1e-14 A of leakage) hangs on the middle node: it leaves the closed form
+/// alone and gives the plan a nonlinear stamp, so ER linearizes every step.
+fn ladder_ramp(ramp: f64, drive: LadderDrive, cut_off_diode: bool) -> Circuit {
     let mut ckt = Circuit::new();
     let gnd = ckt.node("0");
     let nodes: Vec<_> = (1..=LADDER).map(|j| ckt.node(&format!("n{j}"))).collect();
-    let drive = Waveform::Pwl(vec![(0.0, 0.0), (ramp, 1.0 / LADDER_R)]);
-    ckt.add_current_source("I1", gnd, nodes[0], drive).unwrap();
-    ckt.add_resistor("Rin", nodes[0], gnd, LADDER_R).unwrap();
+    match drive {
+        LadderDrive::Norton => {
+            let current = Waveform::Pwl(vec![(0.0, 0.0), (ramp, 1.0 / LADDER_R)]);
+            ckt.add_current_source("I1", gnd, nodes[0], current)
+                .unwrap();
+            ckt.add_resistor("Rin", nodes[0], gnd, LADDER_R).unwrap();
+        }
+        LadderDrive::Voltage => {
+            let vin = ckt.node("in");
+            let voltage = Waveform::Pwl(vec![(0.0, 0.0), (ramp, 1.0)]);
+            ckt.add_voltage_source("V1", vin, gnd, voltage).unwrap();
+            ckt.add_resistor("Rin", vin, nodes[0], LADDER_R).unwrap();
+        }
+    }
     ckt.add_resistor("Rend", nodes[LADDER - 1], gnd, LADDER_R)
         .unwrap();
     for (j, &n) in nodes.iter().enumerate() {
@@ -174,6 +198,14 @@ fn ladder_ramp(ramp: f64) -> Circuit {
             ckt.add_resistor(&format!("R{j}"), nodes[j - 1], n, LADDER_R)
                 .unwrap();
         }
+    }
+    if cut_off_diode {
+        let model = DiodeModel {
+            junction_capacitance: 0.0,
+            ..DiodeModel::default()
+        };
+        ckt.add_diode("D1", gnd, nodes[LADDER / 2 - 1], model)
+            .unwrap();
     }
     ckt
 }
@@ -199,6 +231,16 @@ fn ladder_ramp_exact(ramp: f64, node: usize, t: f64) -> f64 {
         .sum()
 }
 
+fn ladder_ramp_options(ramp: f64) -> TransientOptions {
+    TransientOptions {
+        t_stop: 2.0 * ramp,
+        h_init: ramp / 256.0,
+        h_max: ramp / 8.0,
+        error_budget: 1e-3,
+        ..TransientOptions::default()
+    }
+}
+
 /// The step responses above never move an input, so their `w₂` is zero. On a
 /// ramp the input term carries the answer — and on a linear circuit ER keeps
 /// one `w₂` subspace for the whole ramp, rescaled and re-tested at each
@@ -208,15 +250,9 @@ fn ladder_ramp_exact(ramp: f64, node: usize, t: f64) -> f64 {
 #[test]
 fn closed_form_ramp_response_with_a_kept_input_subspace() {
     let ramp = 1e-9;
-    let ckt = ladder_ramp(ramp);
+    let ckt = ladder_ramp(ramp, LadderDrive::Norton, false);
     let (node, probe) = (LADDER / 2, format!("n{}", LADDER / 2));
-    let options = TransientOptions {
-        t_stop: 2.0 * ramp,
-        h_init: ramp / 256.0,
-        h_max: ramp / 8.0,
-        error_budget: 1e-3,
-        ..TransientOptions::default()
-    };
+    let options = ladder_ramp_options(ramp);
     assert!(ladder_ramp_exact(ramp, node, options.t_stop) > 0.3);
     for method in [
         Method::ExponentialRosenbrock,
@@ -237,6 +273,47 @@ fn closed_form_ramp_response_with_a_kept_input_subspace() {
             err < 10.0 * options.krylov_tolerance,
             "{method}: max error {err:e}"
         );
+    }
+}
+
+/// Every circuit above is linear and keeps `w₂`'s own subspace. One diode —
+/// cut off, so the closed form stands — gives the plan a nonlinear stamp and
+/// sends the same ramp through the step every nonlinear circuit takes: the
+/// input term folded into the start vector of the step's one exponential,
+/// `v = w₁ − G⁻¹C·w₂/h`. Same 10× Krylov tolerance, under both drives: the
+/// voltage source puts a component of `w₂` in `null(C)`, which a φ₁
+/// evaluation on `w₂` itself resolved to 1e-5 only.
+#[test]
+fn closed_form_ramp_response_with_the_input_term_folded_into_the_exponential() {
+    let ramp = 1e-9;
+    let (node, probe) = (LADDER / 2, format!("n{}", LADDER / 2));
+    let options = ladder_ramp_options(ramp);
+    for drive in [LadderDrive::Norton, LadderDrive::Voltage] {
+        let ckt = ladder_ramp(ramp, drive, true);
+        for method in [
+            Method::ExponentialRosenbrock,
+            Method::ExponentialRosenbrockCorrected,
+        ] {
+            let result = Simulator::new(&ckt)
+                .transient(method, &options, &[&probe])
+                .unwrap();
+            let stats = &result.stats;
+            let attempts = stats.accepted_steps + stats.rejected_steps;
+            assert!(stats.accepted_steps >= 20, "{drive:?} {method}: {stats:?}");
+            // Linearized every step, and no subspace beyond the step's own
+            // and the estimator's.
+            assert!(stats.device_evaluations > attempts, "{drive:?} {method}");
+            assert_eq!(stats.krylov_subspace_reuses, 0, "{drive:?} {method}");
+            assert!(
+                stats.krylov_subspaces <= stats.accepted_steps + attempts,
+                "{drive:?} {method}: {stats:?}"
+            );
+            let err = max_error(&result, |t| ladder_ramp_exact(ramp, node, t));
+            assert!(
+                err < 10.0 * options.krylov_tolerance,
+                "{drive:?} {method}: max error {err:e}"
+            );
+        }
     }
 }
 

@@ -5,9 +5,9 @@
 use exi_netlist::generators::{
     inverter_chain, power_grid, rc_mesh, InverterChainSpec, PowerGridSpec, RcMeshSpec,
 };
-use exi_netlist::Circuit;
+use exi_netlist::{Circuit, Waveform};
 use exi_sim::{
-    Engine, Method, NullObserver, Probe, RecordingObserver, Simulator, StepOutcome,
+    Engine, Method, NullObserver, Probe, RecordingObserver, RunStats, Simulator, StepOutcome,
     StreamingObserver, TransientOptions,
 };
 
@@ -81,6 +81,43 @@ fn paused_and_resumed_er_run_is_bit_identical() {
     );
 }
 
+/// Runs `method` uninterrupted and again with a pause at each of `pauses`
+/// (all before `ramp_end`, inside one linear piece of the input), asserts the
+/// resumed run is the uninterrupted one — bit for bit, counter for counter —
+/// and returns the counters.
+fn paused_mid_ramp_matches_uninterrupted(
+    ckt: &Circuit,
+    options: &TransientOptions,
+    probe: &str,
+    method: Method,
+    pauses: [f64; 2],
+    ramp_end: f64,
+) -> RunStats {
+    let uninterrupted = Simulator::new(ckt)
+        .transient(method, options, &[probe])
+        .unwrap();
+
+    let mut sim = Simulator::new(ckt);
+    let probes = vec![Probe::new(probe, ckt.unknown_of(probe).unwrap())];
+    let mut observer = RecordingObserver::new(probes, false);
+    let mut stepper = sim.stepper(method, options).unwrap();
+    for t_pause in pauses {
+        let outcome = stepper.run_until(t_pause, &mut observer).unwrap();
+        assert!(matches!(outcome, StepOutcome::Paused { .. }), "{outcome:?}");
+        assert!(stepper.time() < ramp_end);
+    }
+    let mut stats = stepper.run_to_end(&mut observer).unwrap();
+    let resumed = observer.into_result();
+    assert_eq!(uninterrupted.times, resumed.times, "{method}");
+    assert_eq!(uninterrupted.samples, resumed.samples, "{method}");
+    assert_eq!(uninterrupted.final_state, resumed.final_state, "{method}");
+    assert_eq!(stats.resumed_runs, 2);
+    stats.resumed_runs = 0;
+    stats.runtime = uninterrupted.stats.runtime;
+    assert_eq!(stats, uninterrupted.stats, "{method}");
+    uninterrupted.stats
+}
+
 /// The same bar with the kept input subspace in play: on a linear mesh the
 /// `w₂` subspace outlives the step that built it, so a pause in the middle of
 /// the input ramp parks a stepper that is holding one. It is engine state
@@ -96,40 +133,62 @@ fn pause_in_mid_segment_keeps_the_input_subspace_and_every_bit() {
         error_budget: 1e-3,
         ..TransientOptions::default()
     };
-    let probe = "m_15_15";
     for method in [
         Method::ExponentialRosenbrock,
         Method::ExponentialRosenbrockCorrected,
     ] {
-        let uninterrupted = Simulator::new(&ckt)
-            .transient(method, &options, &[probe])
-            .unwrap();
-        assert!(
-            uninterrupted.stats.krylov_subspace_reuses >= 4,
-            "{method}: {:?}",
-            uninterrupted.stats
-        );
-
-        let mut sim = Simulator::new(&ckt);
-        let probes = vec![Probe::new(probe, ckt.unknown_of(probe).unwrap())];
-        let mut observer = RecordingObserver::new(probes, false);
-        let mut stepper = sim.stepper(method, &options).unwrap();
         // Both pauses fall inside the 100 ps ramp, between steps that share
         // one subspace.
-        for t_pause in [2e-11, 6e-11] {
-            let outcome = stepper.run_until(t_pause, &mut observer).unwrap();
-            assert!(matches!(outcome, StepOutcome::Paused { .. }), "{outcome:?}");
-            assert!(stepper.time() < 1e-10);
-        }
-        let mut stats = stepper.run_to_end(&mut observer).unwrap();
-        let resumed = observer.into_result();
-        assert_eq!(uninterrupted.times, resumed.times, "{method}");
-        assert_eq!(uninterrupted.samples, resumed.samples, "{method}");
-        assert_eq!(uninterrupted.final_state, resumed.final_state, "{method}");
-        assert_eq!(stats.resumed_runs, 2);
-        stats.resumed_runs = 0;
-        stats.runtime = uninterrupted.stats.runtime;
-        assert_eq!(stats, uninterrupted.stats, "{method}");
+        let stats = paused_mid_ramp_matches_uninterrupted(
+            &ckt,
+            &options,
+            "m_15_15",
+            method,
+            [2e-11, 6e-11],
+            1e-10,
+        );
+        assert!(stats.krylov_subspace_reuses >= 4, "{method}: {stats:?}");
+    }
+}
+
+/// And with the input term folded into the step's exponential: on a nonlinear
+/// circuit every step of the ramp rebuilds `w₂`, `v` and the subspace of `v`
+/// from the state alone, so a stepper parked in mid-ramp carries nothing a
+/// resume could lose.
+#[test]
+fn pause_in_mid_ramp_of_a_folded_input_term_keeps_every_bit() {
+    let ckt = inverter_chain(&InverterChainSpec {
+        stages: 3,
+        input: Waveform::single_pulse(0.0, 1.0, 2e-11, 1e-10, 1e-10, 1e-10),
+        ..InverterChainSpec::default()
+    })
+    .unwrap();
+    let options = TransientOptions {
+        t_stop: 2.5e-10,
+        h_init: 1e-12,
+        h_max: 1e-11,
+        error_budget: 5e-3,
+        ..TransientOptions::default()
+    };
+    for method in [
+        Method::ExponentialRosenbrock,
+        Method::ExponentialRosenbrockCorrected,
+    ] {
+        // Both pauses fall inside the rising ramp, 20 ps to 120 ps.
+        let stats = paused_mid_ramp_matches_uninterrupted(
+            &ckt,
+            &options,
+            "s3",
+            method,
+            [5e-11, 9e-11],
+            1.2e-10,
+        );
+        assert_eq!(stats.krylov_subspace_reuses, 0, "{method}: {stats:?}");
+        // One subspace per step, one per attempt's estimator.
+        assert!(
+            stats.krylov_subspaces <= 2 * (stats.accepted_steps + stats.rejected_steps),
+            "{method}: {stats:?}"
+        );
     }
 }
 
