@@ -20,7 +20,7 @@
 //! (`jobs` defaults to 12, `threads` to the hardware parallelism)
 
 use exi_netlist::generators::{power_grid, rc_mesh, PowerGridSpec, RcMeshSpec};
-use exi_sim::{BatchPlan, BatchResult, BatchRunner, LanePolicy, Method, TransientOptions};
+use exi_sim::{BatchPlan, BatchResult, BatchRunner, Method, TransientOptions};
 
 /// File the machine-readable results are written to (working directory).
 const JSON_OUTPUT: &str = "BENCH_sweep.json";
@@ -226,110 +226,6 @@ fn scaling_grid(rows: usize, cols: usize, jobs: usize, worker_counts: &[usize]) 
     (json, speedup_2)
 }
 
-/// Same-fingerprint corner fleet for the value-lane curve: one 40x40 mesh
-/// topology (1602 unknowns), tiny drive-amplitude perturbations so every
-/// lane is bitwise distinct yet stays in lockstep, Backward Euler so the
-/// fleet rides `refactorize_lanes` (ER lanes intentionally run scalar).
-fn lanes_plan(side: usize, jobs: usize) -> BatchPlan {
-    let mut plan = BatchPlan::new();
-    for k in 0..jobs {
-        let circuit = rc_mesh(&RcMeshSpec {
-            rows: side,
-            cols: side,
-            amplitude: 1.0 + 1e-4 * k as f64,
-            ..RcMeshSpec::default()
-        })
-        .expect("mesh builds");
-        let options = TransientOptions {
-            t_stop: 3e-10,
-            h_init: 1e-12,
-            h_max: 2e-11,
-            error_budget: 1e-3,
-            ..TransientOptions::default()
-        };
-        plan.push(
-            exi_sim::BatchJob::new(
-                format!("lane-corner{k}"),
-                circuit,
-                Method::BackwardEuler,
-                options,
-            )
-            .probe(format!("m_{}_{}", side - 1, side - 1)),
-        );
-    }
-    plan
-}
-
-/// The lanes-vs-scalar throughput curve at one worker: the identical
-/// same-fingerprint fleet with lane coalescing off and at widths 2/4/8.
-/// Returns the JSON object and the K=8 throughput ratio (the gate number).
-fn lanes_curve(side: usize, jobs: usize) -> (String, f64) {
-    let plan = lanes_plan(side, jobs);
-    let unknowns = plan.jobs()[0].circuit.num_unknowns();
-    // Warm-up, then the scalar baseline every ratio is measured against.
-    let warmup = BatchRunner::new()
-        .worker_threads(1)
-        .run(&lanes_plan(side, 1));
-    assert!(warmup.all_ok(), "lane warm-up failed");
-    let scalar = BatchRunner::new().worker_threads(1).run(&plan);
-    assert!(scalar.all_ok(), "scalar lane baseline failed");
-    let scalar_wall = scalar.wall_time.as_secs_f64();
-    println!("\nvalue lanes: {jobs} same-fingerprint corners, {side}x{side} mesh ({unknowns} unknowns), BENR");
-    println!("  lanes off: wall {scalar_wall:.3} s");
-
-    let mut points = Vec::new();
-    let mut ratio_8 = f64::NAN;
-    for width in [2usize, 4, 8] {
-        let result = BatchRunner::new()
-            .worker_threads(1)
-            .lane_policy(LanePolicy::Fixed(width))
-            .run(&plan);
-        assert!(result.all_ok(), "lane run failed at width {width}");
-        let wall = result.wall_time.as_secs_f64();
-        let ratio = scalar_wall / wall.max(1e-9);
-        if width == 8 {
-            ratio_8 = ratio;
-        }
-        let s = &result.stats;
-        println!(
-            "  lanes {width}: wall {wall:.3} s | {ratio:.2}x vs scalar | {} lane batches | \
-             {:.1} lanes/refactorization | {} detaches",
-            s.lane_batches,
-            s.lanes_per_refactorization(),
-            s.lane_detaches,
-        );
-        points.push(format!(
-            concat!(
-                "      {{\"width\":{},\"wall_s\":{:.6},\"throughput_ratio\":{:.3},",
-                "\"lane_batches\":{},\"lane_refactorization_passes\":{},",
-                "\"lanes_per_refactorization\":{:.2},\"lane_detaches\":{},",
-                "\"symbolic_analyses\":{}}}"
-            ),
-            width,
-            wall,
-            ratio,
-            s.lane_batches,
-            s.lane_refactorization_passes,
-            s.lanes_per_refactorization(),
-            s.lane_detaches,
-            s.symbolic_analyses,
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\"grid\":\"{}x{}\",\"unknowns\":{},\"jobs\":{},\"method\":\"benr\",",
-            "\"worker_threads\":1,\"scalar_wall_s\":{:.6},\"points\":[\n{}\n    ]}}"
-        ),
-        side,
-        side,
-        unknowns,
-        jobs,
-        scalar_wall,
-        points.join(",\n"),
-    );
-    (json, ratio_8)
-}
-
 fn main() {
     let jobs: usize = std::env::args()
         .nth(1)
@@ -395,13 +291,6 @@ fn main() {
          (host parallelism {host_parallelism})"
     );
 
-    // Value-lane curve: the same-fingerprint fleet with lane coalescing off
-    // and at widths 2/4/8, single worker — lane wins are per-worker, so this
-    // number is honest on host_parallelism < 2 runners too.
-    const LANE_JOBS: usize = 8;
-    let (lanes_json, lanes_ratio_8) = lanes_curve(40, LANE_JOBS);
-    println!("lanes gate: {lanes_ratio_8:.2}x at K=8 vs scalar batch (1 worker)");
-
     let json = format!(
         concat!(
             "{{\n  \"jobs\": {},\n  \"worker_threads\": {},\n",
@@ -411,10 +300,7 @@ fn main() {
             "  \"jobs_detail\": [\n{}\n  ],\n",
             "  \"scaling\": [\n{}\n  ],\n",
             "  \"scaling_gate\": {{\"unknowns\": {}, \"speedup_2_workers\": {:.3}, ",
-            "\"host_parallelism\": {}}},\n",
-            "  \"lanes\": [\n    {}\n  ],\n",
-            "  \"lanes_gate\": {{\"width\": 8, \"throughput_ratio_vs_scalar\": {:.3}, ",
-            "\"worker_threads\": 1, \"host_parallelism\": {}}}\n}}\n"
+            "\"host_parallelism\": {}}}\n}}\n"
         ),
         jobs,
         threads,
@@ -428,9 +314,6 @@ fn main() {
         scaling_rows.join(",\n"),
         gate_unknowns,
         gate_speedup,
-        host_parallelism,
-        lanes_json,
-        lanes_ratio_8,
         host_parallelism,
     );
     match std::fs::write(JSON_OUTPUT, &json) {

@@ -325,10 +325,6 @@ sweep OPTIONS:
     --output-dir <DIR>        one waveform file per member (default '.')
     --keep-going              exit 0 even when members failed; default exits
                               nonzero after writing the successful members
-    --lanes <auto|off|K>      coalesce same-fingerprint members into value-
-                              lane batches of up to K (auto = 8; default
-                              off); waveforms are byte-identical at every
-                              setting — lanes only change throughput
 
 serve OPTIONS (the resident daemon; see docs/SERVICE.md):
     --addr <HOST:PORT>        listen address (default 127.0.0.1:0; the bound
@@ -503,12 +499,6 @@ fn parse_sweep_args(it: &mut std::slice::Iter<'_, String>) -> CliResult<Command>
             "--stream" => config.stream = Some(parse_stream(next_value(it, "--stream")?)?),
             "--probe" => config.probes.push(next_value(it, "--probe")?.clone()),
             "--keep-going" => config.keep_going = true,
-            "--lanes" => {
-                let v = next_value(it, "--lanes")?;
-                config.lanes = v
-                    .parse()
-                    .map_err(|e: String| CliError::Usage(format!("--lanes: {e}")))?;
-            }
             "--error-format" => {
                 ErrorFormat::parse(next_value(it, "--error-format")?)?;
             }
@@ -989,39 +979,9 @@ mod tests {
                 assert_eq!(config.params[0].1, vec!["1k", "2k", "5k"]);
                 assert_eq!(config.threads, 2);
                 assert_eq!(output_dir, PathBuf::from("out"));
-                assert_eq!(config.lanes, exi_sim::LanePolicy::Off);
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn lanes_flag_parses_every_spelling() {
-        for (value, expected) in [
-            ("off", exi_sim::LanePolicy::Off),
-            ("auto", exi_sim::LanePolicy::Auto),
-            ("6", exi_sim::LanePolicy::Fixed(6)),
-        ] {
-            let cmd = parse_args(&s(&[
-                "sweep", "d.sp", "--param", "r=1k,2k", "--lanes", value,
-            ]))
-            .unwrap();
-            match cmd {
-                Command::Sweep { config, .. } => assert_eq!(config.lanes, expected, "{value}"),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!(matches!(
-            parse_args(&s(&[
-                "sweep", "d.sp", "--param", "r=1k,2k", "--lanes", "wide"
-            ])),
-            Err(CliError::Usage(_))
-        ));
-        // run does not take --lanes; only sweep coalesces members.
-        assert!(matches!(
-            parse_args(&s(&["run", "d.sp", "--lanes", "8"])),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

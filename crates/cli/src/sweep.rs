@@ -6,9 +6,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use exi_netlist::{parse_deck_file_with_params, parse_deck_with_params, Deck};
-use exi_sim::{
-    BatchJob, BatchPlan, BatchRunner, JobOutcome, JobOutput, LanePolicy, Method, RunStats,
-};
+use exi_sim::{BatchJob, BatchPlan, BatchRunner, JobOutcome, JobOutput, Method, RunStats};
 
 use crate::run::{analysis_options, effective_probes};
 use crate::{CliError, CliResult, OutputFormat};
@@ -33,10 +31,6 @@ pub struct SweepConfig {
     /// simply absent; failures stay listed in the member lines). The default
     /// reports a nonzero exit when any member failed.
     pub keep_going: bool,
-    /// Value-lane coalescing policy (`--lanes auto|off|K`), forwarded to
-    /// [`BatchRunner::lane_policy`]. Lanes change throughput only — member
-    /// waveforms are byte-identical at every setting.
-    pub lanes: LanePolicy,
 }
 
 impl Default for SweepConfig {
@@ -49,7 +43,6 @@ impl Default for SweepConfig {
             stream: None,
             probes: Vec::new(),
             keep_going: false,
-            lanes: LanePolicy::Off,
         }
     }
 }
@@ -214,10 +207,7 @@ pub fn run_sweep(path: &Path, config: &SweepConfig, output_dir: &Path) -> CliRes
     // Fail before the batch runs, not after minutes of simulation, if the
     // output directory cannot be created.
     std::fs::create_dir_all(output_dir)?;
-    let runner = BatchRunner::new()
-        .worker_threads(config.threads)
-        .lane_policy(config.lanes);
-    let result = runner.run(&plan);
+    let result = BatchRunner::new().worker_threads(config.threads).run(&plan);
     let extension = match config.format {
         OutputFormat::Csv => "csv",
         OutputFormat::Tsv => "tsv",
@@ -375,71 +365,6 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("time,out\n"));
         assert_eq!(text.lines().count(), rows + 1);
-    }
-
-    #[test]
-    fn lanes_off_and_lanes_8_write_byte_identical_waveforms() {
-        // Six members varying only the source waveform — one circuit
-        // fingerprint, so `--lanes 8` coalesces all six into one lane batch.
-        // The lane contract makes every member's waveform byte-identical to
-        // its scalar run, detaches included, so the two sweeps must write
-        // the same files.
-        let template = ".param vlo=0\n\
-                        Vin in 0 PULSE({vlo} 1 0 10p 10p 200p)\n\
-                        R1 in out 1k\n\
-                        C1 out 0 1f\n\
-                        .tran 1p 400p\n\
-                        .print v(out)\n";
-        let params = vec![(
-            "vlo".to_string(),
-            ["0", "0.05", "0.1", "0.15", "0.2", "0.25"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<String>>(),
-        )];
-        assert_eq!(expand_param_grid(&params).len(), 6);
-        let dir = std::env::temp_dir().join(format!("exi-cli-lanes-{}", std::process::id()));
-        let deck_path = dir.join("sweep.sp");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&deck_path, template).unwrap();
-        let mut outputs: Vec<Vec<(String, Vec<u8>)>> = Vec::new();
-        for lanes in [LanePolicy::Off, LanePolicy::Fixed(8)] {
-            let config = SweepConfig {
-                params: params.clone(),
-                method: Method::BackwardEuler,
-                threads: 2,
-                lanes,
-                ..SweepConfig::default()
-            };
-            let out_dir = dir.join(format!("lanes-{lanes}"));
-            let summary = run_sweep(&deck_path, &config, &out_dir).unwrap();
-            assert_eq!(summary.members, 6);
-            assert_eq!(summary.failed, 0);
-            match lanes {
-                LanePolicy::Off => assert_eq!(summary.stats.lane_batches, 0),
-                _ => assert_eq!(summary.stats.lane_batches, 1),
-            }
-            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&out_dir)
-                .unwrap()
-                .map(|entry| {
-                    let path = entry.unwrap().path();
-                    (
-                        path.file_name().unwrap().to_string_lossy().into_owned(),
-                        std::fs::read(&path).unwrap(),
-                    )
-                })
-                .collect();
-            files.sort();
-            outputs.push(files);
-        }
-        let lanes_8 = outputs.pop().unwrap();
-        let lanes_off = outputs.pop().unwrap();
-        assert_eq!(lanes_off.len(), 6);
-        assert_eq!(
-            lanes_off, lanes_8,
-            "--lanes off and --lanes 8 must write byte-identical member files"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

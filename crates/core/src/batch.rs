@@ -55,22 +55,6 @@
 //! their frozen-pivot numerics may differ from an isolated run's by
 //! round-off; `tests/proptest_batch.rs` pins down the exact contract.
 //!
-//! # Value lanes
-//!
-//! Under an active [`crate::LanePolicy`] ([`BatchRunner::lane_policy`]),
-//! compatible jobs — same circuit fingerprint, method, options and probes,
-//! recording sink, no deadline or cancel token — coalesce into
-//! [`crate::LaneRunner`] lockstep batches scheduled as single units: one
-//! evaluation plan, one symbolic analysis and one batched refactorization
-//! pass per Jacobian visit serve all K members, and each member's waveform
-//! stays **bit-identical** to its isolated scalar run (lanes that leave
-//! lockstep are transparently re-run on the scalar path, counted by
-//! [`RunStats::lane_detaches`]). Pattern-claim bookkeeping treats a lane
-//! group as *one* claimant: only the group leader enters the pilot-election
-//! queues, so a warmed cache sees a single probe per group and
-//! [`RunStats::shared_symbolic_wait_events`] stays zero at any worker
-//! count.
-//!
 //! # Example
 //!
 //! ```
@@ -107,7 +91,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use exi_netlist::{circuit_fingerprint, Circuit};
+use exi_netlist::Circuit;
 use exi_sparse::{
     pattern_fingerprint, CsrMatrix, FactorSource, LuOptions, LuWorkspace, OrderingMethod,
     SymbolicCache,
@@ -115,7 +99,6 @@ use exi_sparse::{
 
 use crate::engines::resolve_probes;
 use crate::error::{SimError, SimResult};
-use crate::lanes::{LanePolicy, LaneRunner};
 use crate::observer::{DecimatedWaveform, RecordingObserver, StreamingObserver};
 use crate::options::TransientOptions;
 use crate::output::TransientResult;
@@ -651,7 +634,6 @@ pub struct BatchRunner {
     shared: Arc<SymbolicCache>,
     plans: Arc<PlanCache>,
     recovery: RecoveryPolicy,
-    lanes: LanePolicy,
 }
 
 impl Default for BatchRunner {
@@ -669,34 +651,7 @@ impl BatchRunner {
             shared: Arc::new(SymbolicCache::new()),
             plans: Arc::new(PlanCache::new()),
             recovery: RecoveryPolicy::off(),
-            lanes: LanePolicy::Off,
         }
-    }
-
-    /// Sets the [`LanePolicy`]: under [`LanePolicy::Auto`] or
-    /// [`LanePolicy::Fixed`], runs of adjacent-in-submission-order jobs
-    /// sharing one circuit fingerprint, method, options and probe list (and
-    /// using the recording sink with no deadline or cancel token) are
-    /// coalesced into [`LaneRunner`] batches: one evaluation plan, one
-    /// symbolic analysis and one batched refactorization pass per Jacobian
-    /// visit serve every member. Coalesced members stay bit-identical to
-    /// their isolated scalar runs (the lane contract), so enabling lanes
-    /// changes throughput, never waveforms. A member that leaves lockstep is
-    /// transparently re-run on the scalar path ([`RunStats::lane_detaches`]).
-    ///
-    /// Coalescing is disabled — regardless of policy — while a
-    /// [`RecoveryPolicy`] is active, because recovery reshapes individual
-    /// runs (homotopy, retry ladders) in ways a lockstep batch cannot
-    /// follow. The default is [`LanePolicy::Off`].
-    #[must_use]
-    pub fn lane_policy(mut self, policy: LanePolicy) -> Self {
-        self.lanes = policy;
-        self
-    }
-
-    /// The configured lane-coalescing policy.
-    pub fn lanes(&self) -> LanePolicy {
-        self.lanes
     }
 
     /// Installs a [`RecoveryPolicy`] on every worker session (DC homotopy
@@ -794,12 +749,14 @@ impl BatchRunner {
         // are charged to the merged batch stats below, while each worker
         // session records a `shared_plan_hits` when it fetches its plan.
         let mut precompiled_plans = 0usize;
-        let mut job_keys: Vec<Option<JobKeys>> = vec![None; jobs.len()];
         for (i, job) in jobs.iter().enumerate() {
             match job_fingerprints(job, &self.plans, &mut precompiled_plans) {
                 Ok((keys, g)) => {
                     g_seeds.entry(keys.g).or_insert(g);
-                    job_keys[i] = Some(keys);
+                    g_queues.entry(keys.g).or_default().push(i);
+                    if let Some(jac) = keys.jac {
+                        jac_queues.entry(jac).or_default().push(i);
+                    }
                 }
                 Err(e) => {
                     // The circuit cannot even be evaluated: fail the job here
@@ -815,39 +772,6 @@ impl BatchRunner {
                     observer.on_job_finished(i, &outcome);
                     slots[i] = Some(outcome);
                 }
-            }
-        }
-
-        // --- Lane coalescing (main thread, deterministic). ---
-        // Under an active lane policy, runs of compatible jobs collapse into
-        // lockstep lane groups executed as single schedulable units. A
-        // recovery policy disables coalescing outright: recovery reshapes
-        // individual runs in ways a lockstep batch cannot follow.
-        let lane_width = if self.recovery.is_off() {
-            self.lanes.max_width()
-        } else {
-            None
-        };
-        let lane_groups = coalesce_lanes(jobs, &slots, lane_width);
-        let mut lane_of: Vec<Option<usize>> = vec![None; jobs.len()];
-        for (gid, group) in lane_groups.iter().enumerate() {
-            for &i in group {
-                lane_of[i] = Some(gid);
-            }
-        }
-        // Queue membership is per schedulable *unit*: a lane group claims
-        // each of its patterns exactly once, through its leader — K
-        // coalesced jobs are ONE pattern claimant, not K. Followers never
-        // enter a queue, so pilot election can neither elect one nor
-        // promote one, and a warmed cache sees exactly one probe per group.
-        for (i, keys) in job_keys.iter().enumerate() {
-            let Some(keys) = keys else { continue };
-            if lane_of[i].is_some_and(|gid| lane_groups[gid][0] != i) {
-                continue;
-            }
-            g_queues.entry(keys.g).or_default().push(i);
-            if let Some(jac) = keys.jac {
-                jac_queues.entry(jac).or_default().push(i);
             }
         }
 
@@ -881,21 +805,13 @@ impl BatchRunner {
                 if wave.is_empty() {
                     break;
                 }
-                for (i, outcome) in
-                    self.run_wave(jobs, &wave, &lane_groups, &lane_of, threads, observer)
-                {
+                for (i, outcome) in self.run_wave(jobs, &wave, threads, observer) {
                     slots[i] = Some(outcome);
                 }
             }
         }
-        // The bulk wave schedules the remaining *units*: every un-run job
-        // except lane followers, which run inside their leader's unit.
-        let rest: Vec<usize> = (0..jobs.len())
-            .filter(|&i| {
-                slots[i].is_none() && lane_of[i].is_none_or(|gid| lane_groups[gid][0] == i)
-            })
-            .collect();
-        for (i, outcome) in self.run_wave(jobs, &rest, &lane_groups, &lane_of, threads, observer) {
+        let rest: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
+        for (i, outcome) in self.run_wave(jobs, &rest, threads, observer) {
             slots[i] = Some(outcome);
         }
 
@@ -941,16 +857,11 @@ impl BatchRunner {
         }
     }
 
-    /// Runs one wave of schedulable units across up to `threads` scoped
-    /// workers. Each index is either a standalone job or a lane-group
-    /// leader; a leader index dispatches its whole group as one unit
-    /// through [`LaneRunner`], reporting one outcome per member.
+    /// Runs one wave of jobs across up to `threads` scoped workers.
     fn run_wave(
         &self,
         jobs: &[BatchJob],
         indices: &[usize],
-        lane_groups: &[Vec<usize>],
-        lane_of: &[Option<usize>],
         threads: usize,
         observer: &dyn BatchObserver,
     ) -> Vec<(usize, JobOutcome)> {
@@ -976,22 +887,6 @@ impl BatchRunner {
                     scope.spawn(move || loop {
                         let k = cursor.fetch_add(1, AtomicOrdering::Relaxed);
                         let Some(&i) = indices.get(k) else { break };
-                        if let Some(gid) = lane_of[i] {
-                            let members = &lane_groups[gid];
-                            for &m in members {
-                                observer.on_job_started(m, &jobs[m].label);
-                            }
-                            for (m, mut outcome) in execute_lane_group(jobs, members, shared, plans)
-                            {
-                                outcome.worker = Some(w);
-                                observer.on_job_finished(m, &outcome);
-                                results_ref
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                    .push((m, outcome));
-                            }
-                            continue;
-                        }
                         let job = &jobs[i];
                         observer.on_job_started(i, &job.label);
                         let mut outcome = execute_job(job, shared, plans, recovery);
@@ -1148,138 +1043,6 @@ fn elect_pilots(
     wave.sort_unstable();
     wave.dedup();
     wave
-}
-
-/// Coalesces eligible jobs into lane groups of at most `width` members
-/// (`None` disables coalescing).
-///
-/// Eligible: the job survived fingerprinting (`slots[i]` still empty), uses
-/// the recording sink, and carries no deadline or cancel token. Jobs group
-/// together when they share a circuit fingerprint (structure **and** device
-/// values; source waveforms are excluded from the fingerprint, and varying
-/// them is exactly what a corner sweep does), integration method, options
-/// and probe list. The scan runs in submission order and opens a new group
-/// only when every matching group is full, so the partition is a function
-/// of the plan alone — never of thread scheduling. Single-member groups are
-/// dropped: a one-lane batch is just a scalar run with extra bookkeeping.
-fn coalesce_lanes(
-    jobs: &[BatchJob],
-    slots: &[Option<JobOutcome>],
-    width: Option<usize>,
-) -> Vec<Vec<usize>> {
-    let Some(width) = width else {
-        return Vec::new();
-    };
-    if width < 2 {
-        return Vec::new();
-    }
-    let mut groups: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        if slots[i].is_some() || job.sink != JobSink::Record || job.is_cancellable() {
-            continue;
-        }
-        let fp = circuit_fingerprint(&job.circuit);
-        if let Some((_, members)) = groups.iter_mut().find(|(gfp, members)| {
-            members.len() < width && *gfp == fp && {
-                let leader = &jobs[members[0]];
-                leader.method == job.method
-                    && leader.options == job.options
-                    && leader.probes == job.probes
-            }
-        }) {
-            members.push(i);
-        } else {
-            groups.push((fp, vec![i]));
-        }
-    }
-    groups
-        .into_iter()
-        .filter_map(|(_, members)| (members.len() >= 2).then_some(members))
-        .collect()
-}
-
-/// Runs one coalesced lane group as a single schedulable unit through
-/// [`LaneRunner`], returning one outcome per member.
-///
-/// The whole group runs under one panic shield: the lanes advance as one
-/// lockstep state machine, so no member's partial result is separable from
-/// a panic mid-batch. Batch-level statistics — the lockstep work, the
-/// shared-cache traffic and any detached lanes' scalar re-runs — are
-/// charged to the group's **leader**, the member that claimed the group's
-/// patterns, so the merged batch totals count the work exactly once.
-fn execute_lane_group(
-    jobs: &[BatchJob],
-    members: &[usize],
-    shared: &Arc<SymbolicCache>,
-    plans: &Arc<PlanCache>,
-) -> Vec<(usize, JobOutcome)> {
-    let leader = &jobs[members[0]];
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let circuits: Vec<&Circuit> = members.iter().map(|&i| &jobs[i].circuit).collect();
-        let probe_refs: Vec<&str> = leader.probes.iter().map(String::as_str).collect();
-        LaneRunner::new(&circuits).map(|runner| {
-            runner
-                .with_shared_symbolic(Arc::clone(shared))
-                .with_plan_cache(Arc::clone(plans))
-                .transient(leader.method, &leader.options, &probe_refs)
-        })
-    }));
-    let outcome = |i: usize, result: Result<JobOutput, JobError>, stats: RunStats| {
-        (
-            i,
-            JobOutcome {
-                label: jobs[i].label.clone(),
-                method: jobs[i].method,
-                result,
-                stats,
-                worker: None,
-            },
-        )
-    };
-    match run {
-        Ok(Ok(batch)) => members
-            .iter()
-            .zip(batch.lanes)
-            .enumerate()
-            .map(|(k, (&i, lane))| {
-                let stats = if k == 0 {
-                    batch.stats.clone()
-                } else {
-                    RunStats::new()
-                };
-                outcome(
-                    i,
-                    lane.map(JobOutput::Recorded).map_err(JobError::Sim),
-                    stats,
-                )
-            })
-            .collect(),
-        Ok(Err(e)) => members
-            .iter()
-            .map(|&i| {
-                outcome(
-                    i,
-                    Err(JobError::Sim(e.clone().attributed(&jobs[i].circuit))),
-                    RunStats::new(),
-                )
-            })
-            .collect(),
-        Err(payload) => {
-            let message = panic_message(payload);
-            members
-                .iter()
-                .map(|&i| {
-                    outcome(
-                        i,
-                        Err(JobError::Panicked {
-                            message: message.clone(),
-                        }),
-                        RunStats::new(),
-                    )
-                })
-                .collect()
-        }
-    }
 }
 
 /// Runs one job, with panic isolation and bounded whole-job retries under
@@ -1467,133 +1230,6 @@ mod tests {
         }
     }
 
-    /// Same devices as `rc_circuit(1e3)` — identical circuit fingerprint —
-    /// with only the source waveform (fingerprint-excluded) varying per
-    /// corner, the shape of a supply-corner sweep that lane batches target.
-    fn rc_drive(level: f64) -> Circuit {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        let gnd = ckt.node("0");
-        ckt.add_voltage_source(
-            "Vin",
-            vin,
-            gnd,
-            Waveform::Pwl(vec![(0.0, level), (1e-11, level + 1.0)]),
-        )
-        .unwrap();
-        ckt.add_resistor("R1", vin, out, 1e3).unwrap();
-        ckt.add_capacitor("C1", out, gnd, 1e-13).unwrap();
-        ckt
-    }
-
-    fn corner_plan(n: usize, method: Method) -> BatchPlan {
-        let mut plan = BatchPlan::new();
-        for k in 0..n {
-            plan.push(
-                BatchJob::new(
-                    format!("corner{k}"),
-                    rc_drive(0.1 * k as f64),
-                    method,
-                    options(),
-                )
-                .probe("out"),
-            );
-        }
-        plan
-    }
-
-    fn assert_bits_equal(a: &TransientResult, b: &TransientResult) {
-        assert_eq!(a.times.len(), b.times.len());
-        for (x, y) in a.times.iter().zip(&b.times) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (ra, rb) in a.samples.iter().zip(&b.samples) {
-            for (x, y) in ra.iter().zip(rb) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        for (x, y) in a.final_state.iter().zip(&b.final_state) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn lane_policy_is_bit_identical_to_scalar_batch() {
-        let plan = corner_plan(4, Method::BackwardEuler);
-        let scalar = BatchRunner::new().worker_threads(2).run(&plan);
-        let laned = BatchRunner::new()
-            .worker_threads(2)
-            .lane_policy(LanePolicy::Fixed(4))
-            .run(&plan);
-        assert!(scalar.all_ok());
-        assert!(laned.all_ok());
-        assert_eq!(scalar.stats.lane_batches, 0);
-        assert_eq!(laned.stats.lane_batches, 1);
-        assert_eq!(laned.stats.lane_detaches, 0);
-        // One plan and one symbolic analysis serve the whole coalesced fleet.
-        assert_eq!(laned.stats.plan_compilations, 1);
-        assert_eq!(laned.stats.symbolic_analyses, 1);
-        assert!(laned.stats.lane_refactorization_passes > 0);
-        for (a, b) in scalar.jobs.iter().zip(&laned.jobs) {
-            assert_bits_equal(
-                a.recorded().expect("scalar waveform"),
-                b.recorded().expect("laned waveform"),
-            );
-        }
-    }
-
-    #[test]
-    fn lane_groups_respect_width_and_eligibility() {
-        let mut plan = corner_plan(5, Method::ExponentialRosenbrock);
-        plan.push(
-            BatchJob::new(
-                "streamed",
-                rc_drive(0.9),
-                Method::ExponentialRosenbrock,
-                options(),
-            )
-            .probe("out")
-            .streaming(8),
-        );
-        plan.push(
-            BatchJob::new(
-                "cancellable",
-                rc_drive(1.1),
-                Method::ExponentialRosenbrock,
-                options(),
-            )
-            .probe("out")
-            .cancel_token(CancelToken::new()),
-        );
-        let result = BatchRunner::new()
-            .worker_threads(2)
-            .lane_policy(LanePolicy::Fixed(2))
-            .run(&plan);
-        assert!(result.all_ok());
-        // Five eligible corners at width 2 form two pairs; the fifth corner,
-        // the streaming job and the cancellable job all run scalar.
-        assert_eq!(result.stats.lane_batches, 2);
-        assert_eq!(result.stats.batch_jobs, 7);
-        assert!(result.jobs[5].streamed().is_some());
-        // Every member is attributed to a worker slot inside the pool.
-        for job in &result.jobs {
-            assert!(job.worker.expect("attributed") < 2);
-        }
-    }
-
-    #[test]
-    fn recovery_policy_disables_lane_coalescing() {
-        let plan = corner_plan(4, Method::BackwardEuler);
-        let result = BatchRunner::new()
-            .worker_threads(2)
-            .lane_policy(LanePolicy::Auto)
-            .recovery_policy(RecoveryPolicy::standard())
-            .run(&plan);
-        assert!(result.all_ok());
-        assert_eq!(result.stats.lane_batches, 0);
-    }
-
     #[test]
     fn batch_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -1641,6 +1277,35 @@ mod tests {
         assert_eq!(result.stats.shared_symbolic_hits, 4);
         // No job ever blocked on an in-flight cache slot.
         assert_eq!(result.stats.shared_symbolic_wait_events, 0);
+    }
+
+    #[test]
+    fn recovery_policy_leaves_a_healthy_batch_bit_identical() {
+        let mut plan = BatchPlan::new();
+        for k in 1..=4 {
+            plan.push(
+                BatchJob::new(
+                    format!("r{k}k"),
+                    rc_circuit(1e3 * k as f64),
+                    Method::BackwardEuler,
+                    options(),
+                )
+                .probe("out"),
+            );
+        }
+        let plain = BatchRunner::new().worker_threads(2).run(&plan);
+        let guarded = BatchRunner::new()
+            .worker_threads(2)
+            .recovery_policy(RecoveryPolicy::standard())
+            .run(&plan);
+        assert!(plain.all_ok());
+        assert!(guarded.all_ok());
+        assert_eq!(guarded.stats.recovery_attempts, 0);
+        for (a, b) in plain.jobs.iter().zip(&guarded.jobs) {
+            let (a, b) = (a.recorded().unwrap(), b.recorded().unwrap());
+            assert_eq!(a.times, b.times);
+            assert_eq!(a.samples, b.samples);
+        }
     }
 
     #[test]

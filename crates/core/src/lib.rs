@@ -151,7 +151,6 @@ pub mod dc;
 pub mod deck;
 pub mod engines;
 pub mod error;
-pub mod lanes;
 pub mod observer;
 pub mod options;
 pub mod output;
@@ -172,7 +171,6 @@ pub use deck::{analysis_options, tran_options};
 pub use engines::implicit::ImplicitScheme;
 pub use engines::{resolve_probes, Engine, StepOutcome};
 pub use error::{SimError, SimResult};
-pub use lanes::{LaneBatchResult, LaneDcResult, LanePolicy, LaneRunner};
 pub use observer::{
     CsvObserver, DecimatedWaveform, NullObserver, Observer, RecordingObserver, StreamingObserver,
 };

@@ -136,31 +136,6 @@ pub struct RunStats {
     /// (zero for a plain run). [`RunStats::absorb`] keeps the maximum — for
     /// merged totals this is the batch's actual concurrency, not a sum.
     pub worker_threads: usize,
-    /// Number of value-lane batches executed by the lane engine
-    /// ([`crate::lanes`]): groups of same-fingerprint jobs advanced in
-    /// lockstep through one shared symbolic analysis and plan. Zero for any
-    /// scalar run.
-    pub lane_batches: usize,
-    /// Number of lanes that **detached** from a lane batch back to the
-    /// scalar path — a per-lane refactorization failure or a control-flow
-    /// decision (step size, convergence, acceptance) that diverged from the
-    /// batch leader's. Detached lanes finish via an ordinary scalar run with
-    /// warm caches; the remaining lanes are unaffected.
-    pub lane_detaches: usize,
-    /// Number of batched numeric refactorization passes the lane engine
-    /// performed (each pass walks the shared factor pattern once for all its
-    /// lanes). The scalar path would have paid one refactorization *per
-    /// lane* here; the amortization ratio is
-    /// [`RunStats::lanes_per_refactorization`].
-    pub lane_refactorization_passes: usize,
-    /// Total lanes *served* across all lane refactorization passes — every
-    /// lane whose Newton update rode on a pass's shared factor walk, whether
-    /// it owned a distinct factor or shared one through value deduplication
-    /// (the distinct factors are counted in
-    /// [`RunStats::lu_refactorizations`]). Divided by
-    /// [`RunStats::lane_refactorization_passes`] this gives the average
-    /// amortization width actually achieved.
-    pub lane_refactorization_lanes: usize,
     /// Number of recovery escalations taken by the
     /// [`RecoveryPolicy`](crate::RecoveryPolicy) ladder (DC homotopy stages
     /// and transient retries alike). Zero on every healthy run — the policy
@@ -248,18 +223,6 @@ impl RunStats {
         self.runtime.saturating_sub(self.cache_wait).as_secs_f64()
     }
 
-    /// Average number of lanes each batched refactorization pass served
-    /// (`0.0` when the lane engine never ran). A value near the batch width
-    /// `K` means full lane occupancy; lower values reflect detaches
-    /// shrinking the group.
-    pub fn lanes_per_refactorization(&self) -> f64 {
-        if self.lane_refactorization_passes == 0 {
-            0.0
-        } else {
-            self.lane_refactorization_lanes as f64 / self.lane_refactorization_passes as f64
-        }
-    }
-
     /// Folds another run's counters into these (session totals): counts add
     /// up, peaks take the maximum, runtimes accumulate.
     pub fn absorb(&mut self, other: &RunStats) {
@@ -290,10 +253,6 @@ impl RunStats {
         self.shared_symbolic_hits += other.shared_symbolic_hits;
         self.shared_symbolic_wait_events += other.shared_symbolic_wait_events;
         self.worker_threads = self.worker_threads.max(other.worker_threads);
-        self.lane_batches += other.lane_batches;
-        self.lane_detaches += other.lane_detaches;
-        self.lane_refactorization_passes += other.lane_refactorization_passes;
-        self.lane_refactorization_lanes += other.lane_refactorization_lanes;
         self.recovery_attempts += other.recovery_attempts;
         self.gmin_steps += other.gmin_steps;
         self.source_steps += other.source_steps;
@@ -373,28 +332,6 @@ mod tests {
         });
         assert!((total.cache_wait_seconds() - 0.075).abs() < 1e-12);
         assert_eq!(total.shared_symbolic_wait_events, 3);
-    }
-
-    #[test]
-    fn lanes_per_refactorization_reflects_batch_width() {
-        let s = RunStats::new();
-        assert_eq!(s.lanes_per_refactorization(), 0.0);
-        let s = RunStats {
-            lane_batches: 2,
-            lane_refactorization_passes: 10,
-            lane_refactorization_lanes: 65,
-            lane_detaches: 1,
-            ..RunStats::default()
-        };
-        assert!((s.lanes_per_refactorization() - 6.5).abs() < 1e-12);
-        // Lane counters are plain sums under absorb.
-        let mut total = s.clone();
-        total.absorb(&s);
-        assert_eq!(total.lane_batches, 4);
-        assert_eq!(total.lane_detaches, 2);
-        assert_eq!(total.lane_refactorization_passes, 20);
-        assert_eq!(total.lane_refactorization_lanes, 130);
-        assert!((total.lanes_per_refactorization() - 6.5).abs() < 1e-12);
     }
 
     #[test]

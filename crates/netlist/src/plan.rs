@@ -42,7 +42,7 @@
 //! precomputed constant sum instead of sorting the raw stamps.
 //! `tests/proptest_plan.rs` pins this on randomized circuits. The
 //! bit-identity the simulator guarantees is *across execution strategies*
-//! (scalar, worker threads, value lanes, over the wire), all of which restamp
+//! (scalar, worker threads, over the wire), all of which restamp
 //! through this one plan.
 //!
 //! # Example
@@ -577,42 +577,6 @@ impl EvalPlan {
         Ok(out)
     }
 
-    /// Evaluates all devices at `K` lane states in one call, restamping one
-    /// [`Evaluation`] per lane.
-    ///
-    /// This is the value-lane entry point used by the batched sweep engine:
-    /// one compiled plan (one topology analysis) serves every lane, and each
-    /// lane's restamp is **bit-identical** to a standalone
-    /// [`EvalPlan::evaluate_into`] at the same state — the lanes share the
-    /// plan and the workspace but never each other's arithmetic.
-    /// Returns the number of nonlinear entries rewritten per lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `xs` and `outs` disagree in length or any state
-    /// vector does not have [`EvalPlan::num_unknowns`] entries.
-    pub fn evaluate_lanes_into(
-        &self,
-        xs: &[&[f64]],
-        ws: &mut EvalWorkspace,
-        outs: &mut [Evaluation],
-    ) -> NetlistResult<usize> {
-        if xs.len() != outs.len() {
-            return Err(NetlistError::Parse {
-                line: 0,
-                message: format!(
-                    "{} lane states supplied for {} lane evaluations",
-                    xs.len(),
-                    outs.len()
-                ),
-            });
-        }
-        for (x, out) in xs.iter().zip(outs.iter_mut()) {
-            self.evaluate_into(x, ws, out)?;
-        }
-        Ok(self.nl_slots)
-    }
-
     /// Runs the per-device kernels in device order: `f`/`q` accumulation
     /// (matching the reference stamp order exactly) and the nonlinear
     /// conductance stamps, scatter-added onto the constants already in `g`.
@@ -962,32 +926,6 @@ mod tests {
             plan.evaluate_into(&[0.0], &mut ws, &mut ev),
             Err(NetlistError::Parse { .. })
         ));
-    }
-
-    #[test]
-    fn evaluate_lanes_into_matches_per_lane_scalar_evaluations() {
-        let ckt = mixed_circuit();
-        let plan = ckt.compile_plan().unwrap();
-        let n = plan.num_unknowns();
-        let states: Vec<Vec<f64>> = (0..4)
-            .map(|lane| (0..n).map(|i| 0.1 * (i + lane) as f64 - 0.15).collect())
-            .collect();
-        let refs: Vec<&[f64]> = states.iter().map(|s| s.as_slice()).collect();
-        let mut ws = plan.new_workspace();
-        let mut outs: Vec<_> = (0..4).map(|_| plan.new_evaluation()).collect();
-        let stamped = plan.evaluate_lanes_into(&refs, &mut ws, &mut outs).unwrap();
-        assert_eq!(stamped, plan.nonlinear_stamp_count());
-        for (x, lane_ev) in states.iter().zip(outs.iter()) {
-            let scalar = plan.evaluate(x).unwrap();
-            assert_eq!(scalar.g.values(), lane_ev.g.values());
-            assert_eq!(scalar.c.values(), lane_ev.c.values());
-            assert_eq!(scalar.f, lane_ev.f);
-            assert_eq!(scalar.q, lane_ev.q);
-        }
-        // Length disagreement is rejected.
-        assert!(plan
-            .evaluate_lanes_into(&refs[..2], &mut ws, &mut outs)
-            .is_err());
     }
 
     #[test]

@@ -18,10 +18,6 @@
 //!   go through the cheap numeric [`SparseLu::refactorize`], and
 //!   [`SparseLu::solve_into`] + [`LuWorkspace`] make hot-loop triangular
 //!   solves allocation-free.
-//! * [`lanes`] — batched **value-lane** kernels: [`LaneFactors`] carries `K`
-//!   numeric factors over one shared [`SymbolicLu`] in lane-major
-//!   ([`LaneVec`]) storage, refactorizing and solving all lanes in a single
-//!   pass over the factor pattern, each lane bit-identical to its scalar run.
 //! * [`SymbolicCache`] — a thread-shared, blocking cache of symbolic
 //!   analyses keyed by (pattern, ordering), so concurrent solver sessions on
 //!   the same topology perform exactly one symbolic analysis total
@@ -58,7 +54,6 @@ pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod error;
-pub mod lanes;
 pub mod lu;
 pub mod ordering;
 pub mod permutation;
@@ -70,7 +65,6 @@ pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::{DenseLu, DenseMatrix};
 pub use error::{SparseError, SparseResult};
-pub use lanes::{LaneBackend, LaneFactors, LaneVec, LaneWorkspace, ScalarLanes, LANE_DETACHED};
 pub use lu::{factor_fill, solve_sparse, LuOptions, LuWorkspace, SparseLu, SymbolicLu};
 pub use ordering::OrderingMethod;
 pub use permutation::Permutation;

@@ -122,29 +122,29 @@ impl LuWorkspace {
 ///   workspace indices, so a refactorization never converts to CSC.
 #[derive(Debug, Clone)]
 pub struct SymbolicLu {
-    pub(crate) n: usize,
+    n: usize,
     /// Column ordering: position `k` factors original column `q.unmap(k)`.
-    pub(crate) q: Permutation,
+    q: Permutation,
     /// `pinv[original_row]` = pivot position of that row.
-    pub(crate) pinv: Vec<usize>,
+    pinv: Vec<usize>,
     /// CSR pattern of the analyzed matrix (for cheap validation on refactorize).
     a_indptr: Vec<usize>,
     a_indices: Vec<usize>,
     /// Scatter map, per factor column: workspace positions and CSR value
     /// indices of the input matrix entries of that column.
-    pub(crate) acol_ptr: Vec<usize>,
-    pub(crate) acol_pos: Vec<usize>,
-    pub(crate) acol_src: Vec<usize>,
+    acol_ptr: Vec<usize>,
+    acol_pos: Vec<usize>,
+    acol_src: Vec<usize>,
     /// Pattern of `L` (strictly below the diagonal), row indices in pivot
     /// positions, stored per column in elimination (topological) order.
-    pub(crate) l_colptr: Vec<usize>,
-    pub(crate) l_rows: Vec<usize>,
+    l_colptr: Vec<usize>,
+    l_rows: Vec<usize>,
     /// Pattern of `U` (strictly above the diagonal), row indices in pivot
     /// positions, stored per column in elimination order. Iterating a column
     /// of this pattern visits the update sources of the left-looking solve in
     /// exactly the order the pilot factorization applied them.
-    pub(crate) u_colptr: Vec<usize>,
-    pub(crate) u_rows: Vec<usize>,
+    u_colptr: Vec<usize>,
+    u_rows: Vec<usize>,
 }
 
 impl SymbolicLu {

@@ -1,13 +1,15 @@
 //! Integration tests for the parallel batch-sweep subsystem: the ISSUE's
 //! acceptance criterion (≥ 8 same-topology power-grid jobs, exactly one
 //! symbolic analysis, bit-identical to sequential execution at any thread
-//! count), per-job error isolation, mixed-method pattern sharing, and
-//! `StreamingObserver` decimation under batch use.
+//! count), per-job error isolation, mixed-method pattern sharing,
+//! `StreamingObserver` decimation under batch use, and warmed shared caches
+//! across batches.
 
 use exi_netlist::generators::{power_grid, rc_ladder, PowerGridSpec, RcLadderSpec};
 use exi_netlist::Circuit;
 use exi_sim::{
-    BatchJob, BatchPlan, BatchProgress, BatchRunner, Method, RunStats, Simulator, TransientOptions,
+    BatchJob, BatchPlan, BatchProgress, BatchRunner, Method, PlanCache, RunStats, Simulator,
+    TransientOptions,
 };
 
 fn grid_circuit() -> Circuit {
@@ -403,4 +405,91 @@ fn shared_cache_survives_across_batches() {
     // On a fully warmed cache no job may ever block on an in-flight slot:
     // warm lookups are pure reads, never condvar waits.
     assert_eq!(second.stats.shared_symbolic_wait_events, 0);
+}
+
+/// Warmed symbolic *and* plan caches serve BE jobs — whose implicit-Jacobian
+/// pattern goes through pilot election, not pre-publication — without a
+/// single analysis, compile or wait at 1, 2 and 8 workers.
+#[test]
+fn warmed_be_batches_never_wait_on_the_shared_cache() {
+    let options = TransientOptions {
+        t_stop: 5e-10,
+        h_init: 1e-12,
+        h_max: 2e-11,
+        error_budget: 1e-3,
+        ..TransientOptions::default()
+    };
+    let mut plan = BatchPlan::new();
+    // Supply corners: `vdd` only enters the pad sources' waveforms.
+    for i in 0..8 {
+        let grid = power_grid(&PowerGridSpec {
+            rows: 3,
+            cols: 3,
+            num_sinks: 2,
+            vdd: 1.0 + 0.05 * i as f64,
+            ..PowerGridSpec::default()
+        })
+        .expect("power grid builds");
+        plan.push(
+            BatchJob::new(
+                format!("vdd{i}"),
+                grid,
+                Method::BackwardEuler,
+                options.clone(),
+            )
+            .probe("g_1_1"),
+        );
+    }
+    // Input-offset corners of one RC ladder.
+    for i in 0..8 {
+        let offset = 0.05 * i as f64;
+        let ladder = rc_ladder(&RcLadderSpec {
+            segments: 4,
+            resistance: 200.0,
+            capacitance: 2e-13,
+            input: exi_netlist::Waveform::single_pulse(
+                offset,
+                offset + 1.0,
+                0.0,
+                1e-11,
+                1e-11,
+                1e-8,
+            ),
+        })
+        .expect("ladder builds");
+        plan.push(
+            BatchJob::new(
+                format!("offset{i}"),
+                ladder,
+                Method::BackwardEuler,
+                options.clone(),
+            )
+            .probe("n2"),
+        );
+    }
+
+    let cache = std::sync::Arc::new(exi_sparse::SymbolicCache::new());
+    let plans = std::sync::Arc::new(PlanCache::new());
+    let runner = |threads: usize| {
+        BatchRunner::new()
+            .worker_threads(threads)
+            .shared_cache(std::sync::Arc::clone(&cache))
+            .shared_plan_cache(std::sync::Arc::clone(&plans))
+    };
+    assert!(runner(2).run(&plan).all_ok(), "warm-up");
+
+    let mut per_thread = Vec::new();
+    for threads in [1, 2, 8] {
+        let result = runner(threads).run(&plan);
+        assert!(result.all_ok(), "threads={threads}");
+        assert_eq!(result.stats.symbolic_analyses, 0, "threads={threads}");
+        assert_eq!(result.stats.plan_compilations, 0, "threads={threads}");
+        assert_eq!(
+            result.stats.shared_symbolic_wait_events, 0,
+            "threads={threads}"
+        );
+        per_thread.push(waveforms(&result));
+    }
+    assert_eq!(per_thread[0], per_thread[1]);
+    assert_eq!(per_thread[0], per_thread[2]);
 }

@@ -1,7 +1,7 @@
 //! Oracle tests: answers that do not come from this code base.
 //!
 //! The golden fixtures and the differential suites prove the simulator agrees
-//! with *itself* (across runs, worker counts, lanes, the wire). These tests
+//! with *itself* (across runs, worker counts, the wire). These tests
 //! are the licence for a change that legitimately moves bits: closed-form
 //! step responses, the textbook convergence orders of the implicit methods,
 //! and the structural invariant of the stamping plan against the COO value
