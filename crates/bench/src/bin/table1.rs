@@ -8,9 +8,10 @@
 //!
 //! Besides the human-readable table, the binary writes
 //! `BENCH_table1.json` (per-case unknown counts, nonzeros, and per-method
-//! steps / LU counters / refactorization counters / Krylov small-dense
-//! counters / runtimes, plus the host's parallelism) so successive revisions
-//! have a machine-readable performance trajectory to regress against. The
+//! steps / rejections / LU counters / refactorization counters / Krylov
+//! small-dense counters / runtimes, plus the host's parallelism) so
+//! successive revisions have a machine-readable performance trajectory to
+//! regress against. The
 //! committed copy is the scale-1.0 run; CI gates on its ratios and counts,
 //! never on absolute seconds.
 //!

@@ -13,6 +13,9 @@ pub enum CaseOutcome {
     Completed {
         /// Accepted steps (`#step`).
         steps: usize,
+        /// Attempts the step control rejected (each one retried at a smaller
+        /// step from the same point).
+        rejected_steps: usize,
         /// Average Newton iterations per step (`#NRa`, implicit methods only).
         avg_newton: f64,
         /// Average Krylov dimension (`#m_a`, exponential methods only).
@@ -70,6 +73,7 @@ impl CaseOutcome {
         match self {
             CaseOutcome::Completed {
                 steps,
+                rejected_steps,
                 avg_newton,
                 avg_krylov,
                 lu_count,
@@ -86,7 +90,8 @@ impl CaseOutcome {
                 runtime,
             } => format!(
                 concat!(
-                    "{{\"status\":\"completed\",\"steps\":{},\"avg_newton\":{:.3},",
+                    "{{\"status\":\"completed\",\"steps\":{},\"rejected_steps\":{},",
+                    "\"avg_newton\":{:.3},",
                     "\"avg_krylov\":{:.3},\"lu_factorizations\":{},\"symbolic_analyses\":{},",
                     "\"lu_refactorizations\":{},\"lu_reuses\":{},\"device_evaluations\":{},",
                     "\"plan_compilations\":{},\"restamped_entries\":{},",
@@ -95,6 +100,7 @@ impl CaseOutcome {
                     "\"dense_workspace_allocations\":{},\"runtime_s\":{:.6}}}"
                 ),
                 steps,
+                rejected_steps,
                 avg_newton,
                 avg_krylov,
                 lu_count,
@@ -171,6 +177,7 @@ pub fn run_circuit_in(
     match simulator.transient(method, options, probes) {
         Ok(result) => CaseOutcome::Completed {
             steps: result.stats.accepted_steps,
+            rejected_steps: result.stats.rejected_steps,
             avg_newton: result.stats.avg_newton_iterations(),
             avg_krylov: result.stats.avg_krylov_dimension(),
             lu_count: result.stats.lu_factorizations,
@@ -264,6 +271,7 @@ mod tests {
     fn outcomes_serialize_to_json() {
         let done = CaseOutcome::Completed {
             steps: 10,
+            rejected_steps: 3,
             avg_newton: 2.0,
             avg_krylov: 0.0,
             lu_count: 12,
@@ -281,6 +289,7 @@ mod tests {
         };
         let json = done.to_json();
         assert!(json.contains("\"status\":\"completed\""));
+        assert!(json.contains("\"steps\":10,\"rejected_steps\":3,"));
         assert!(json.contains("\"lu_refactorizations\":11"));
         assert!(json.contains("\"lu_reuses\":9"));
         assert!(json.contains("\"krylov_subspace_reuses\":8"));

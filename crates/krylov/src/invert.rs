@@ -4,7 +4,9 @@
 //! repeatedly solving with `G` — the conductance matrix, which in post-layout
 //! circuits is far sparser and cheaper to factorize than `C` or `C/h + G`.
 //! Convergence of the matrix exponential approximation is monitored with the
-//! KCL/KVL residual of paper Eq. (22).
+//! KCL/KVL residual of paper Eq. (22), in amperes — or, where the product only
+//! feeds a comparison with a tolerance on the state, with the same residual
+//! mapped back through `G⁻¹`, in the unknowns' own units.
 
 use exi_sparse::{vector, CsrMatrix, SparseLu};
 
@@ -79,19 +81,65 @@ pub fn mevp_invert_krylov_with(
     options: &MevpOptions,
     ws: &mut MevpWorkspace,
 ) -> KrylovResult<MevpOutcome> {
+    build(c, Some(g), g_lu, v, h, options, ws)
+}
+
+/// As [`mevp_invert_krylov_with`], but the build stops once the Eq. (22)
+/// residual *mapped back through `G`* meets `options.tolerance`: the test is
+/// in the unknowns' own units (volts, amperes on branch rows) instead of the
+/// KCL/KVL residual's amperes.
+///
+/// The residual of the invert-Krylov iterate is
+/// `r_m = −β·h_{m+1,m}·(e_mᵀ S e^{hS} e₁)·G·v_{m+1}`, so
+/// `G⁻¹r_m` is that scalar times the unit vector `v_{m+1}`:
+/// `‖G⁻¹r_m‖₂` is [`KrylovDecomposition::residual_scalar`] exactly, and the
+/// test costs no product with `G`. It is the quasi-static error of the
+/// product — the state offset whose conductance currents would balance the
+/// residual — and the unit to hold a product to when all it feeds is a
+/// comparison with a tolerance on the state.
+///
+/// # Errors
+///
+/// Same as [`mevp_invert_krylov`], with the tolerance read in state units.
+pub fn mevp_invert_krylov_state_residual_with(
+    c: &CsrMatrix,
+    g_lu: &SparseLu,
+    v: &[f64],
+    h: f64,
+    options: &MevpOptions,
+    ws: &mut MevpWorkspace,
+) -> KrylovResult<MevpOutcome> {
+    build(c, None, g_lu, v, h, options, ws)
+}
+
+/// Both front-ends: one invert-Krylov build, stopping on [`residual`].
+fn build(
+    c: &CsrMatrix,
+    g: Option<&CsrMatrix>,
+    g_lu: &SparseLu,
+    v: &[f64],
+    h: f64,
+    options: &MevpOptions,
+    ws: &mut MevpWorkspace,
+) -> KrylovResult<MevpOutcome> {
     let op = InverseJacobianOperator::new(c, g_lu);
     drive(&op, KIND, v, h, options, ws, |process, ws| {
-        Some(kcl_residual(process, g, ws))
+        Some(residual(process, g, ws))
     })
 }
 
 const KIND: ProjectionKind = ProjectionKind::Inverse;
 
-/// The KCL/KVL residual of paper Eq. (22) for the dimension [`drive`] has
-/// just exponentiated:
-/// `‖r_m(h)‖ = β · |h_{m+1,m}| · ‖G·v_{m+1}‖ · |e_mᵀ H_m⁻¹ e^{h H_m⁻¹} e₁|`.
-fn kcl_residual(process: &ArnoldiProcess, g: &CsrMatrix, ws: &mut MevpWorkspace) -> f64 {
-    process.residual_scalar(KIND, ws) * gv_norm(process.next_vector(), g, ws)
+/// The residual of paper Eq. (22) for the dimension [`drive`] has just
+/// exponentiated. With the circuit's `g`, the KCL/KVL residual in amperes,
+/// `‖r_m(h)‖ = β · |h_{m+1,m}| · ‖G·v_{m+1}‖ · |e_mᵀ H_m⁻¹ e^{h H_m⁻¹} e₁|`;
+/// without, its scalar part, which is `‖G⁻¹r_m(h)‖₂` (`‖v_{m+1}‖ = 1`).
+fn residual(process: &ArnoldiProcess, g: Option<&CsrMatrix>, ws: &mut MevpWorkspace) -> f64 {
+    let scalar = process.residual_scalar(KIND, ws);
+    match g {
+        Some(g) => scalar * gv_norm(process.next_vector(), g, ws),
+        None => scalar,
+    }
 }
 
 /// `‖G·v_{m+1}‖`, the circuit-matrix factor of Eq. (22); zero when the
@@ -415,8 +463,156 @@ mod tests {
         assert!((out.mevp[0] - (-0.2_f64).exp()).abs() < 1e-12);
     }
 
+    /// An RC ladder of `n = g_line.len()` nodes: `g_line[i]` joins nodes `i`
+    /// and `i + 1` (the last one joins node `n − 1` to ground), `g_leak[i]`
+    /// and `c_ground[i]` tie node `i` to ground, `c_couple[i]` couples nodes
+    /// `i` and `i + 1`. `C` and `G` symmetric positive definite.
+    fn rc_pencil(
+        g_line: &[f64],
+        g_leak: &[f64],
+        c_ground: &[f64],
+        c_couple: &[f64],
+    ) -> (CsrMatrix, CsrMatrix) {
+        let n = g_line.len();
+        let mut g = TripletMatrix::new(n, n);
+        let mut c = TripletMatrix::new(n, n);
+        for i in 0..n {
+            g.push(i, i, g_line[i] + g_leak[i]);
+            c.push(i, i, c_ground[i]);
+            if i + 1 < n {
+                g.push(i + 1, i + 1, g_line[i]);
+                g.push(i, i + 1, -g_line[i]);
+                g.push(i + 1, i, -g_line[i]);
+                c.push(i, i, c_couple[i]);
+                c.push(i + 1, i + 1, c_couple[i]);
+                c.push(i, i + 1, -c_couple[i]);
+                c.push(i + 1, i, -c_couple[i]);
+            }
+        }
+        (c.to_csr(), g.to_csr())
+    }
+
+    /// A random [`rc_pencil`] of 40 nodes (line conductances of 0.1–1 mS,
+    /// leaks of 1–10 µS, 10–100 fF to ground, 1–10 fF of coupling), a start
+    /// vector in volts and a step of 1–300 ps.
+    fn random_rc_pencil() -> impl Strategy<Value = (CsrMatrix, CsrMatrix, Vec<f64>, f64)> {
+        use proptest::collection::vec;
+        const N: usize = 40;
+        (
+            (vec(-4.0f64..-3.0, N), vec(-6.0f64..-5.0, N)),
+            (vec(-14.0f64..-13.0, N), vec(-15.0f64..-14.0, N)),
+            vec(-1.0f64..1.0, N),
+            -12.0f64..-9.5,
+        )
+            .prop_map(|((g_line, g_leak), (c_ground, c_couple), v, h)| {
+                let pow = |e: Vec<f64>| e.into_iter().map(|e| 10f64.powf(e)).collect::<Vec<_>>();
+                let (c, g) = rc_pencil(&pow(g_line), &pow(g_leak), &pow(c_ground), &pow(c_couple));
+                (c, g, v, 10f64.powf(h))
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// `‖G⁻¹r_m‖₂ = residual_scalar`: the Eq. (22) residual mapped back
+        /// through `G` is the scalar part of Eq. (22), in the unknowns' units.
+        /// First as the formula states it — the scalar times `G·v_{m+1}`,
+        /// solved with `G`: equal to rounding. Then from the definition
+        /// `r_m = C·x_m′ + G·x_m` of the residual of `C·x′ = −G·x` at
+        /// `x_m = V_m·y`, `y = β·e^{hS}·e₁`: `G⁻¹r_m` is the scalar along
+        /// `v_{m+1}`, plus the stabilizing shift's own term in the span of
+        /// `V_m`, to the rounding of forming `r_m`.
+        #[test]
+        fn the_state_residual_is_the_kcl_residual_solved_with_g(
+            (c, g, v, h) in random_rc_pencil(),
+        ) {
+            let g_lu = SparseLu::factorize(&g).unwrap();
+            let options = MevpOptions { tolerance: 1e-6, ..MevpOptions::default() };
+            let mut ws = MevpWorkspace::new();
+            let out = mevp_invert_krylov_state_residual_with(&c, &g_lu, &v, h, &options, &mut ws)
+                .unwrap();
+            let dec = &out.decomposition;
+            let next = dec.next_basis_vector().expect("a tested build, not a breakdown");
+            let scalar = dec.residual_scalar(h).unwrap();
+            prop_assert_eq!(scalar.to_bits(), out.residual.to_bits());
+            prop_assert!(scalar > 0.0 && scalar <= options.tolerance);
+
+            // As the formula states it.
+            let r_m: Vec<f64> = g.mul_vec(next).iter().map(|gv| scalar * gv).collect();
+            let y = g_lu.solve(&r_m).unwrap();
+            let y_norm = vector::norm2(&y);
+            prop_assert!((y_norm - scalar).abs() <= 1e-12 * scalar, "{y_norm} vs {scalar}");
+
+            // From the residual's definition.
+            let coefficients = dec.eval_phi_small(0, h).unwrap();
+            let s = dec.projected_jacobian().unwrap();
+            let x_m = dec.lift(&coefficients);
+            let dx_m = dec.lift(&s.matvec(&coefficients));
+            let r_m: Vec<f64> = c
+                .mul_vec(&dx_m)
+                .iter()
+                .zip(g.mul_vec(&x_m))
+                .map(|(c_dx, g_x)| c_dx + g_x)
+                .collect();
+            let y = g_lu.solve(&r_m).unwrap();
+            // Measured: within 1.1e-13 V of the prediction where x_m is O(1 V),
+            // against residuals of 1e-9 to 4e-7 V.
+            let rounding = 1e-12 * vector::norm_inf(&x_m);
+            let along = vector::dot(&y, next);
+            prop_assert!(
+                (along.abs() - scalar).abs() <= 1e-6 * scalar + rounding,
+                "component along v_(m+1): {along} vs {scalar}"
+            );
+            // `S = (H_m − δ·I)⁻¹` makes `H_m·S = I + δ·S`, which leaves
+            // `−δ·V_m·S·y = −δ·x_m′` besides Eq. (22)'s term.
+            let delta = 1e-12 * dec.hm().norm_inf();
+            let predicted: Vec<f64> = dx_m
+                .iter()
+                .zip(next)
+                .map(|(dx, v)| along * v - delta * dx)
+                .collect();
+            let off = vector::max_abs_diff(&y, &predicted);
+            prop_assert!(off <= 1e-6 * scalar + rounding, "{off} vs {scalar}");
+        }
+
+        /// The state-residual front-end stops at the first dimension the
+        /// schedule tests whose `residual_scalar` meets the tolerance, with
+        /// that residual, bit for bit.
+        #[test]
+        fn the_state_residual_build_stops_at_the_first_tested_dimension_that_meets_it(
+            (c, g, v, h) in random_rc_pencil(),
+            tolerance in (3i32..8).prop_map(|decades| 10f64.powi(-decades)),
+        ) {
+            let g_lu = SparseLu::factorize(&g).unwrap();
+            let options = MevpOptions {
+                tolerance,
+                max_dimension: 30,
+                allow_unconverged: true,
+                ..MevpOptions::default()
+            };
+            // Every dimension the schedule tests, and its residual: the
+            // schedule does not depend on the residuals, so an unmeetable
+            // tolerance runs it to the end.
+            let mut tested = Vec::new();
+            let unmeetable = MevpOptions { tolerance: -1.0, allow_unconverged: true, ..options.clone() };
+            let op = InverseJacobianOperator::new(&c, &g_lu);
+            let every = drive(&op, KIND, &v, h, &unmeetable, &mut MevpWorkspace::new(), |process, ws| {
+                let residual = residual(process, None, ws);
+                tested.push((process.dimension(), residual));
+                Some(residual)
+            })
+            .unwrap();
+            let out = mevp_invert_krylov_state_residual_with(&c, &g_lu, &v, h, &options, &mut MevpWorkspace::new())
+                .unwrap();
+            match tested.iter().find(|(_, residual)| *residual <= tolerance) {
+                Some(&(j, residual)) => {
+                    prop_assert_eq!(out.dimension, j);
+                    prop_assert_eq!(out.residual.to_bits(), residual.to_bits());
+                }
+                // Never met: the build ran to a breakdown or to the cap.
+                None => prop_assert_eq!(out.dimension, every.dimension),
+            }
+        }
 
         /// The cost-gated schedule against testing every dimension, on short
         /// stiff problems (cheap iterations, high `m`: the gate is open). The
@@ -452,7 +648,7 @@ mod tests {
             let unmeetable = MevpOptions { tolerance: -1.0, allow_unconverged: true, ..options.clone() };
             let op = EveryDimension(InverseJacobianOperator::new(&c, &g_lu));
             drive(&op, KIND, &v, h, &unmeetable, &mut MevpWorkspace::new(), |process, ws| {
-                let residual = kcl_residual(process, &g, ws);
+                let residual = residual(process, Some(&g), ws);
                 residuals[process.dimension()] = residual;
                 Some(residual)
             })

@@ -68,7 +68,10 @@ pub use arnoldi::{mevp_standard_krylov, mevp_standard_krylov_with};
 pub use decomposition::{KrylovDecomposition, ProjectionKind};
 pub use error::{KrylovError, KrylovResult};
 pub use expm::expm;
-pub use invert::{invert_krylov_residual, mevp_invert_krylov, mevp_invert_krylov_with};
+pub use invert::{
+    invert_krylov_residual, mevp_invert_krylov, mevp_invert_krylov_state_residual_with,
+    mevp_invert_krylov_with,
+};
 pub use mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
 pub use operator::{
     InverseJacobianOperator, JacobianOperator, KrylovOperator, OperatorWorkspace,
