@@ -2,9 +2,9 @@
 //! power-grid topology through the [`exi_sim::BatchRunner`], at one worker
 //! thread and at full parallelism.
 //!
-//! Reports the fleet-level amortization (one symbolic analysis for the whole
-//! sweep, `shared_symbolic_hits` for everything else) and the parallel
-//! speedup, and writes the machine-readable **`BENCH_sweep.json`** so
+//! Reports the fleet-level amortization (one plan and one `G` ordering for
+//! the whole sweep, counted as `shared_symbolic_hits` by every job after the
+//! first) and the parallel speedup, and writes the machine-readable **`BENCH_sweep.json`** so
 //! successive revisions have a sweep-throughput trajectory to regress
 //! against (the batch analogue of `BENCH_table1.json`).
 //!
@@ -28,9 +28,9 @@ const JSON_OUTPUT: &str = "BENCH_sweep.json";
 fn sweep_plan(jobs: usize) -> BatchPlan {
     let mut plan = BatchPlan::new();
     for k in 0..jobs {
-        // Monte-Carlo corners: same 24x24 grid topology, varied sink load
-        // and placement — the regime where the shared symbolic cache turns N
-        // analyses into one.
+        // Monte-Carlo corners: same 24x24 grid `G` pattern, varied sink load
+        // and placement — each corner compiles its own plan and pivots its
+        // own matrices.
         let spec = PowerGridSpec {
             rows: 24,
             cols: 24,
@@ -97,7 +97,7 @@ fn merged_json(result: &BatchResult) -> String {
     let s = &result.stats;
     // Per-worker attribution of the active solver time: an uneven schedule
     // (the 0.97x scaling regression, ROADMAP item 1) shows up here as one
-    // worker's entry dwarfing the rest. Cache-wait time is reported
+    // worker's entry dwarfing the rest. Plan-cache wait time is reported
     // separately so lock contention can never masquerade as solver work.
     let per_worker: Vec<String> = result
         .worker_active()
@@ -113,7 +113,7 @@ fn merged_json(result: &BatchResult) -> String {
         concat!(
             "{{\"batch_jobs\":{},\"worker_threads\":{},\"accepted_steps\":{},",
             "\"lu_factorizations\":{},\"symbolic_analyses\":{},\"lu_refactorizations\":{},",
-            "\"shared_symbolic_hits\":{},\"shared_symbolic_wait_events\":{},",
+            "\"shared_symbolic_hits\":{},",
             "\"active_solver_s\":{:.6},\"cache_wait_s\":{:.6},",
             "\"active_solver_s_per_worker\":[{}],\"cache_wait_s_per_worker\":[{}],",
             "\"wall_s\":{:.6}}}"
@@ -125,7 +125,6 @@ fn merged_json(result: &BatchResult) -> String {
         s.symbolic_analyses,
         s.lu_refactorizations,
         s.shared_symbolic_hits,
-        s.shared_symbolic_wait_events,
         s.active_solver_seconds(),
         s.cache_wait_seconds(),
         per_worker.join(","),
@@ -135,9 +134,9 @@ fn merged_json(result: &BatchResult) -> String {
 }
 
 /// Same-pattern RC-mesh fleet for the scaling curve: one topology, distinct
-/// step-control corners, so the whole fleet rides a single pre-published
-/// symbolic analysis — the regime the ISSUE's 2-worker gate is defined over.
-/// Mirrors the `integration_scaling` regression test.
+/// step-control corners, so the whole fleet shares one plan and one `G`
+/// ordering — the regime the 2-worker gate is defined over. Mirrors the
+/// `integration_scaling` regression test.
 fn scaling_plan(rows: usize, cols: usize, jobs: usize) -> BatchPlan {
     let mut plan = BatchPlan::new();
     for k in 0..jobs {
@@ -197,14 +196,13 @@ fn scaling_grid(rows: usize, cols: usize, jobs: usize, worker_counts: &[usize]) 
         }
         println!(
             "  {rows}x{cols} ({unknowns} unknowns), {workers} worker(s): wall {wall:.3} s | \
-             speedup {speedup:.2}x | {} wait events",
-            result.stats.shared_symbolic_wait_events,
+             speedup {speedup:.2}x"
         );
         points.push(format!(
             concat!(
                 "      {{\"worker_threads\":{},\"wall_s\":{:.6},\"speedup\":{:.3},",
                 "\"throughput_jobs_per_s\":{:.3},\"active_solver_s\":{:.6},",
-                "\"cache_wait_s\":{:.6},\"shared_symbolic_wait_events\":{}}}"
+                "\"cache_wait_s\":{:.6}}}"
             ),
             workers,
             wall,
@@ -212,7 +210,6 @@ fn scaling_grid(rows: usize, cols: usize, jobs: usize, worker_counts: &[usize]) 
             jobs as f64 / wall.max(1e-9),
             result.stats.active_solver_seconds(),
             result.stats.cache_wait_seconds(),
-            result.stats.shared_symbolic_wait_events,
         ));
     }
     let json = format!(
@@ -246,7 +243,7 @@ fn main() {
     for (tag, result) in [("1 thread", &baseline), ("parallel", &parallel)] {
         let s = &result.stats;
         println!(
-            "{tag:>9} ({} workers): wall {:.3} s | {} steps | {} LU ({} symbolic, {} shared hits) | {} failed",
+            "{tag:>9} ({} workers): wall {:.3} s | {} steps | {} LU ({} symbolic, {} on a shared ordering) | {} failed",
             s.worker_threads,
             result.wall_time.as_secs_f64(),
             s.accepted_steps,
@@ -260,7 +257,7 @@ fn main() {
     let throughput = jobs as f64 / parallel.wall_time.as_secs_f64().max(1e-9);
     println!("\nspeedup: {speedup:.2}x | throughput: {throughput:.1} jobs/s");
     println!(
-        "fleet amortization: {} symbolic analyses for {} jobs ({} shared hits)",
+        "fleet amortization: {} symbolic analyses for {} jobs ({} on a shared G ordering)",
         parallel.stats.symbolic_analyses, jobs, parallel.stats.shared_symbolic_hits
     );
 

@@ -24,8 +24,8 @@
 //! with `--stream N` for fixed-memory decimated output. `sweep` re-reads a
 //! `.param`-templated deck once per parameter value and fans the members
 //! across a [`exi_sim::BatchRunner`] worker pool, so same-structure members
-//! share one compiled stamping plan and one symbolic analysis fleet-wide.
-//! `serve` boots the resident [`exi_serve`] daemon (warm fleet caches,
+//! share one compiled stamping plan (and its `G` ordering) fleet-wide.
+//! `serve` boots the resident [`exi_serve`] daemon (warm plan cache,
 //! wire-streamed waveforms; see `docs/SERVICE.md`) and `client` drives a
 //! deck through one, producing bytes identical to a local `run`.
 //!
@@ -331,7 +331,6 @@ serve OPTIONS (the resident daemon; see docs/SERVICE.md):
                               address is printed on stdout at startup)
     --workers <N>             worker threads draining the job queue
     --queue <N>               job-queue capacity (full queue replies `busy`)
-    --symbolic-cache <N>      warm symbolic-cache capacity; 0 = unbounded
     --plan-cache <N>          warm plan-cache capacity; 0 = unbounded
     --max-unknowns <N>        per-job unknown-count admission budget
     --max-est-nnz <N>         per-job estimated-nonzeros admission budget
@@ -598,13 +597,6 @@ fn parse_serve_args(it: &mut std::slice::Iter<'_, String>) -> CliResult<Command>
                 config.default_chunk_rows =
                     parse_positive(next_value(it, "--chunk-rows")?, "--chunk-rows")?
             }
-            "--symbolic-cache" => {
-                let v = next_value(it, "--symbolic-cache")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--symbolic-cache: bad count '{v}'")))?;
-                config.symbolic_cache_capacity = (n > 0).then_some(n);
-            }
             "--plan-cache" => {
                 let v = next_value(it, "--plan-cache")?;
                 let n: usize = v
@@ -808,7 +800,7 @@ pub fn execute(command: &Command, status: &mut dyn Write) -> CliResult<()> {
             )?;
             writeln!(
                 status,
-                "cache reuse: {} symbolic analyses + {} shared hits, {} plan compilations + {} shared hits",
+                "cache reuse: {} symbolic analyses ({} on a shared G ordering), {} plan compilations + {} shared hits",
                 summary.stats.symbolic_analyses,
                 summary.stats.shared_symbolic_hits,
                 summary.stats.plan_compilations,
@@ -1066,10 +1058,8 @@ mod tests {
             "3",
             "--queue",
             "4",
-            "--symbolic-cache",
-            "0",
             "--plan-cache",
-            "8",
+            "0",
         ]))
         .unwrap();
         match cmd {
@@ -1077,8 +1067,7 @@ mod tests {
                 assert_eq!(config.addr, "127.0.0.1:9100");
                 assert_eq!(config.workers, 3);
                 assert_eq!(config.queue_capacity, 4);
-                assert_eq!(config.symbolic_cache_capacity, None);
-                assert_eq!(config.plan_cache_capacity, Some(8));
+                assert_eq!(config.plan_cache_capacity, None);
             }
             other => panic!("unexpected {other:?}"),
         }

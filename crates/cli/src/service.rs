@@ -237,7 +237,7 @@ pub fn run_serve(config: ServeConfig, status: &mut dyn Write) -> CliResult<()> {
     writeln!(
         status,
         "exi-serve: drained and stopped — {} completed, {} failed, {} cancelled, {} rejected; \
-         {} symbolic analyses + {} warm hits, {} plan compilations + {} warm hits",
+         {} symbolic analyses ({} on a warm G ordering), {} plan compilations + {} warm hits",
         stats.jobs_completed,
         stats.jobs_failed,
         stats.jobs_cancelled,

@@ -48,8 +48,8 @@ impl Default for SweepConfig {
 }
 
 /// What one sweep did — per-member lines plus the merged fleet statistics
-/// ([`RunStats::shared_symbolic_hits`] and
-/// [`RunStats::shared_plan_hits`] show the cache pooling at work).
+/// ([`RunStats::shared_plan_hits`] and [`RunStats::shared_symbolic_hits`]
+/// show the plan pooling at work).
 #[derive(Debug)]
 pub struct SweepSummary {
     /// Number of sweep members executed.
@@ -123,9 +123,10 @@ fn sanitize(label: &str) -> String {
 ///
 /// Every member must carry at least one `.tran` card (the first one is
 /// run); probes follow the same cascade as `run`. Members typically come
-/// from re-parsing one deck with different `.param` overrides, so their
-/// circuits share a structural fingerprint and the batch pools one stamping
-/// plan and one symbolic analysis for the whole fleet.
+/// from re-parsing one deck with different `.param` overrides; members whose
+/// circuits differ only in source waveforms share one compiled stamping
+/// plan (and its `G` ordering). Every member pivots its own matrices, so
+/// each is bit-identical to a `run` of its own deck.
 ///
 /// # Errors
 ///
@@ -158,10 +159,9 @@ fn sanitize(label: &str) -> String {
 /// let plan = build_sweep_plan(&members, &SweepConfig::default())?;
 /// let result = BatchRunner::new().worker_threads(2).run(&plan);
 /// assert!(result.all_ok());
-/// // Same structure, one symbolic analysis for the whole fleet — performed
-/// // up front by the runner, so every member counts as a shared hit.
-/// assert_eq!(result.stats.symbolic_analyses, 1);
-/// assert_eq!(result.stats.shared_symbolic_hits, 3);
+/// // Three resistances, three plans; each member analyzes its own `G`.
+/// assert_eq!(result.stats.plan_compilations, 3);
+/// assert_eq!(result.stats.symbolic_analyses, 3);
 /// # Ok(())
 /// # }
 /// ```
@@ -355,11 +355,11 @@ mod tests {
         assert_eq!(plan.len(), 3);
         let result = BatchRunner::new().worker_threads(2).run(&plan);
         assert!(result.all_ok());
-        assert_eq!(result.stats.symbolic_analyses, 1);
-        // The runner pre-publishes the one G analysis, so every member —
-        // the would-be pilot included — counts as a shared hit.
-        assert_eq!(result.stats.shared_symbolic_hits, 3);
-        assert_eq!(result.stats.plan_compilations, 3); // distinct resistances
+        // Distinct resistances: three plans, and each member analyzes its
+        // own `G` under its own plan's ordering.
+        assert_eq!(result.stats.plan_compilations, 3);
+        assert_eq!(result.stats.symbolic_analyses, 3);
+        assert_eq!(result.stats.shared_symbolic_hits, 0);
         let mut out = Vec::new();
         let rows = write_job_waveform(&result.jobs[0], OutputFormat::Csv, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();

@@ -1,59 +1,23 @@
-//! Parallel batch execution of simulation jobs with fleet-wide symbolic
-//! reuse.
+//! Parallel batch execution of simulation jobs.
 //!
 //! The paper's headline win amortizes one symbolic LU analysis across an
 //! entire exponential-integrator run; the [`Simulator`] session extends that
-//! across consecutive runs on one topology. This module scales the same
-//! amortization across a **fleet of concurrent jobs**: a [`BatchPlan`]
-//! describes N independent analyses (parameter sweeps, Monte-Carlo corners,
-//! per-user requests), and a [`BatchRunner`] executes them over a pool of
-//! `std::thread` workers whose sessions all pool their symbolic analyses in
-//! one [`exi_sparse::SymbolicCache`]. Same-pattern jobs — no matter which
-//! thread they land on — perform **one** symbolic analysis total; the merged
-//! [`RunStats`] expose the effect through
+//! across consecutive runs on one topology. This module runs a **fleet of
+//! independent jobs**: a [`BatchPlan`] describes N analyses (parameter
+//! sweeps, Monte-Carlo corners, per-user requests), and a [`BatchRunner`]
+//! executes them over a pool of `std::thread` workers. Every worker session
+//! factorizes and pivots its own matrices; the fleet shares only what
+//! depends on no matrix value — the compiled [`exi_netlist::EvalPlan`]s in
+//! one [`PlanCache`], and with each plan its `G` ordering
+//! ([`exi_netlist::EvalPlan::g_ordering`]). The merged [`RunStats`] expose
+//! the sharing through [`RunStats::shared_plan_hits`],
 //! [`RunStats::shared_symbolic_hits`], [`RunStats::batch_jobs`] and
 //! [`RunStats::worker_threads`].
 //!
 //! # Determinism
 //!
-//! Batch output is deterministic and independent of the worker-thread count.
-//! Two mechanisms guarantee this:
-//!
-//! 1. **Deterministic publication.** Jobs are grouped up front by the
-//!    fingerprints of every matrix pattern they will factorize — the
-//!    conductance pattern `G` for all jobs, plus the implicit-Jacobian
-//!    pattern (structural union of `C` and `G`) for BE/TR jobs — using the
-//!    same [`exi_sparse::pattern_fingerprint`] the shared cache keys its
-//!    slots by. Every distinct `G` pattern is then **pre-published on the
-//!    main thread**: the runner factorizes the already-evaluated `G(x=0)`
-//!    matrix — bit-for-bit the matrix every job's first DC Newton
-//!    iteration factorizes — straight into the shared cache before any
-//!    worker starts, so no job ever serializes behind a `G` pilot.
-//!    Implicit-Jacobian patterns (whose values depend on the per-job step
-//!    size) still run barrier-separated pilot waves: for each such pattern
-//!    that lacks a published analysis, the lowest-index not-yet-run job of
-//!    its group runs as the pattern's pilot (a failed pilot promotes the
-//!    group's next candidate into a fresh wave), and only once every
-//!    pattern is published — or its group exhausted — does the bulk wave
-//!    run everything else. Which job pilots each pattern is therefore a
-//!    function of the plan, never of thread scheduling — and on a warm
-//!    cache (a re-run batch, or analyses published by earlier batches
-//!    sharing the cache) the satisfied-check consults the cache itself, so
-//!    no pilot wave runs at all and no job ever blocks on an in-flight
-//!    slot.
-//! 2. **Bit-exact numeric derivation.** A worker that hits the shared cache
-//!    derives its factor with [`exi_sparse::SparseLu::from_symbolic`], which
-//!    replays the pilot's elimination in the recorded operation order. For
-//!    jobs whose first-factorization values equal the pilot's (the
-//!    same-topology sweep case: every run's first factorization is the DC
-//!    Newton start at `x = 0`), the derived factor — and hence the entire
-//!    run — is bit-for-bit identical to an isolated sequential
-//!    [`Simulator`] run.
-//!
-//! Jobs that share a pattern but not matrix *values* (e.g. Monte-Carlo
-//! resistance corners) still run deterministically at any thread count, but
-//! their frozen-pivot numerics may differ from an isolated run's by
-//! round-off; `tests/proptest_batch.rs` pins down the exact contract.
+//! A job's bits depend only on its own matrices: every job is bit-identical
+//! to an isolated [`Simulator`] run of it, at any worker count.
 //!
 //! # Example
 //!
@@ -76,29 +40,24 @@
 //! }
 //! let result = BatchRunner::new().worker_threads(2).run(&plan);
 //! assert!(result.all_ok());
-//! // Three same-topology jobs, one symbolic analysis for the whole fleet —
-//! // performed up front by the runner, so every job (the first included)
-//! // derives from the shared analysis.
-//! assert_eq!(result.stats.symbolic_analyses, 1);
-//! assert_eq!(result.stats.shared_symbolic_hits, 3);
+//! // Three same-topology jobs: one plan compilation, one `G` ordering, and
+//! // each job pivots its own `G` once.
+//! assert_eq!(result.stats.plan_compilations, 1);
+//! assert_eq!(result.stats.symbolic_analyses, 3);
+//! assert_eq!(result.stats.shared_symbolic_hits, 2);
 //! assert_eq!(result.stats.batch_jobs, 3);
 //! # Ok(())
 //! # }
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use exi_netlist::Circuit;
-use exi_sparse::{
-    pattern_fingerprint, CsrMatrix, FactorSource, LuOptions, LuWorkspace, OrderingMethod,
-    SymbolicCache,
-};
 
 use crate::engines::resolve_probes;
-use crate::error::{SimError, SimResult};
+use crate::error::SimError;
 use crate::observer::{DecimatedWaveform, RecordingObserver, StreamingObserver};
 use crate::options::TransientOptions;
 use crate::output::TransientResult;
@@ -417,8 +376,7 @@ pub struct JobOutcome {
     /// partial work happened and is part of the batch totals).
     pub stats: RunStats,
     /// Index of the worker slot (0-based, `< worker_threads`) that executed
-    /// the job, or `None` when the job never reached the pool (it failed
-    /// during fingerprinting, or its worker thread died before reporting).
+    /// the job, or `None` when its worker thread died before reporting.
     /// Attribution only — which worker runs a job depends on scheduling and
     /// carries no determinism guarantee, unlike the outcome itself.
     pub worker: Option<usize>,
@@ -468,7 +426,7 @@ pub struct BatchResult {
     /// the batch-level [`RunStats::batch_jobs`] and
     /// [`RunStats::worker_threads`]. Note `stats.runtime` sums *solver time
     /// across workers* (of which [`RunStats::cache_wait`] was spent waiting
-    /// on shared-cache locks — subtract it, via
+    /// on the plan cache's lock — subtract it, via
     /// [`RunStats::active_solver_seconds`], for pure compute); see
     /// [`BatchResult::wall_time`] for elapsed time.
     pub stats: RunStats,
@@ -521,7 +479,7 @@ impl BatchResult {
     }
 
     /// Active solver seconds per worker slot: entry `w` sums
-    /// [`RunStats::active_solver_seconds`] — session runtime minus shared-
+    /// [`RunStats::active_solver_seconds`] — session runtime minus plan-
     /// cache wait — over every job executed on worker `w`, so an uneven
     /// batch schedule (one worker stuck on the long tail while the rest
     /// idle) shows up directly instead of hiding inside the
@@ -532,11 +490,11 @@ impl BatchResult {
         self.per_worker(RunStats::active_solver_seconds)
     }
 
-    /// Shared-cache wait seconds per worker slot
+    /// Plan-cache wait seconds per worker slot
     /// ([`RunStats::cache_wait_seconds`] summed per worker) — the
-    /// contention complement of [`BatchResult::worker_active`]. After
-    /// warm-up these should be (near) zero: warm lookups take no blocking
-    /// lock on the step hot path.
+    /// contention complement of [`BatchResult::worker_active`]. Near zero
+    /// unless workers queued behind another's plan compile; nothing on the
+    /// step hot path takes a shared lock.
     pub fn worker_cache_wait(&self) -> Vec<f64> {
         self.per_worker(RunStats::cache_wait_seconds)
     }
@@ -626,12 +584,11 @@ impl BatchObserver for BatchProgress {
     }
 }
 
-/// Executes a [`BatchPlan`] over a scoped worker pool with one shared
-/// symbolic cache (see the module docs for the determinism contract).
+/// Executes a [`BatchPlan`] over a scoped worker pool with one shared plan
+/// cache (see the module docs for the determinism contract).
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     worker_threads: usize,
-    shared: Arc<SymbolicCache>,
     plans: Arc<PlanCache>,
     recovery: RecoveryPolicy,
 }
@@ -643,12 +600,11 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// Creates a runner with a fresh shared cache and as many workers as the
+    /// Creates a runner with a fresh plan cache and as many workers as the
     /// machine offers (`std::thread::available_parallelism`).
     pub fn new() -> Self {
         BatchRunner {
             worker_threads: 0,
-            shared: Arc::new(SymbolicCache::new()),
             plans: Arc::new(PlanCache::new()),
             recovery: RecoveryPolicy::off(),
         }
@@ -672,20 +628,6 @@ impl BatchRunner {
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = threads;
         self
-    }
-
-    /// Replaces the symbolic cache, pooling this batch's analyses with other
-    /// batches (or hand-rolled [`Simulator::with_shared_symbolic`] sessions)
-    /// holding the same cache.
-    #[must_use]
-    pub fn shared_cache(mut self, cache: Arc<SymbolicCache>) -> Self {
-        self.shared = cache;
-        self
-    }
-
-    /// The symbolic cache this runner hands to its workers.
-    pub fn cache(&self) -> &Arc<SymbolicCache> {
-        &self.shared
     }
 
     /// Replaces the evaluation-plan cache, pooling compiled
@@ -730,88 +672,7 @@ impl BatchRunner {
         let threads = self.effective_worker_threads();
         let jobs = plan.jobs();
         let mut slots: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
-
-        // --- Pattern grouping (main thread, deterministic). ---
-        // Group jobs by the fingerprints of the matrix patterns they will
-        // factorize — the conductance pattern `G` for every job, plus the
-        // implicit-Jacobian pattern (structural union of `C` and `G`) for
-        // BE/TR jobs — so each pattern's pilot analysis is performed by a
-        // job chosen from the plan, never by whichever worker happens to
-        // reach the cache first. The fingerprints come from the same
-        // `exi_sparse::pattern_fingerprint` the cache keys its slots by.
-        let mut g_queues: BTreeMap<PatternKey, Vec<usize>> = BTreeMap::new();
-        let mut jac_queues: BTreeMap<PatternKey, Vec<usize>> = BTreeMap::new();
-        // The evaluated `G(x = 0)` matrix of the lowest-index job of each
-        // pattern group — the seed for main-thread pre-publication below.
-        let mut g_seeds: BTreeMap<PatternKey, CsrMatrix> = BTreeMap::new();
-        // Fingerprinting warms the shared plan cache deterministically on
-        // the main thread (one compile per distinct structure); the compiles
-        // are charged to the merged batch stats below, while each worker
-        // session records a `shared_plan_hits` when it fetches its plan.
-        let mut precompiled_plans = 0usize;
-        for (i, job) in jobs.iter().enumerate() {
-            match job_fingerprints(job, &self.plans, &mut precompiled_plans) {
-                Ok((keys, g)) => {
-                    g_seeds.entry(keys.g).or_insert(g);
-                    g_queues.entry(keys.g).or_default().push(i);
-                    if let Some(jac) = keys.jac {
-                        jac_queues.entry(jac).or_default().push(i);
-                    }
-                }
-                Err(e) => {
-                    // The circuit cannot even be evaluated: fail the job here
-                    // (error isolation) and keep it out of every wave.
-                    observer.on_job_started(i, &job.label);
-                    let outcome = JobOutcome {
-                        label: job.label.clone(),
-                        method: job.method,
-                        result: Err(JobError::Sim(e.attributed(&job.circuit))),
-                        stats: RunStats::new(),
-                        worker: None,
-                    };
-                    observer.on_job_finished(i, &outcome);
-                    slots[i] = Some(outcome);
-                }
-            }
-        }
-
-        // --- Main-thread pre-publication of every G analysis. ---
-        // Each job's first factorization is the DC Newton start: `G`
-        // evaluated at `x = 0` — exactly the matrix fingerprinting just
-        // evaluated. Publishing its analysis here, before any worker
-        // starts, removes the G pilot waves entirely: every job (the
-        // would-be pilot included) derives its factor from the shared
-        // analysis, so a batch of same-pattern jobs parallelizes from the
-        // first job instead of running one pilot to completion alone.
-        // A pattern whose seed fails to factorize falls back to pilot-wave
-        // election below, so the owning job surfaces the error itself with
-        // full attribution.
-        let prepublish = self.prepublish_g_patterns(&g_seeds);
-
-        // --- Pilot waves, then the bulk wave, over the worker pool. ---
-        // With every G pattern published above, wave election only fires
-        // for implicit-Jacobian patterns (whose values depend on the
-        // per-job step size) and for G seeds that failed to factorize: the
-        // lowest-index not-yet-run job of each unsatisfied group pilots it.
-        // A failed pilot does not wedge its group: the next candidate is
-        // promoted into a fresh barrier-separated wave (still a function of
-        // the plan alone — whether a job fails is deterministic), so pilot
-        // identity never depends on thread scheduling. The final phase runs
-        // everything else; by then every pattern any job needs is
-        // published, so workers only read the cache.
-        for queues in [&g_queues, &jac_queues] {
-            loop {
-                let wave = elect_pilots(queues, &slots, &self.shared);
-                if wave.is_empty() {
-                    break;
-                }
-                for (i, outcome) in self.run_wave(jobs, &wave, threads, observer) {
-                    slots[i] = Some(outcome);
-                }
-            }
-        }
-        let rest: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
-        for (i, outcome) in self.run_wave(jobs, &rest, threads, observer) {
+        for (i, outcome) in self.run_jobs(jobs, threads, observer) {
             slots[i] = Some(outcome);
         }
 
@@ -845,8 +706,6 @@ impl BatchRunner {
         for outcome in &outcomes {
             stats.absorb(&outcome.stats);
         }
-        stats.absorb(&prepublish);
-        stats.plan_compilations += precompiled_plans;
         stats.batch_jobs = outcomes.len();
         stats.worker_threads = threads;
         observer.on_batch_finished(&stats);
@@ -857,20 +716,16 @@ impl BatchRunner {
         }
     }
 
-    /// Runs one wave of jobs across up to `threads` scoped workers.
-    fn run_wave(
+    /// Runs every job across up to `threads` scoped workers, each taking the
+    /// next job in submission order when it frees up.
+    fn run_jobs(
         &self,
         jobs: &[BatchJob],
-        indices: &[usize],
         threads: usize,
         observer: &dyn BatchObserver,
     ) -> Vec<(usize, JobOutcome)> {
-        if indices.is_empty() {
-            return Vec::new();
-        }
-        let workers = threads.min(indices.len()).max(1);
+        let workers = threads.min(jobs.len());
         let cursor = AtomicUsize::new(0);
-        let shared = &self.shared;
         let plans = &self.plans;
         let recovery = &self.recovery;
         let cursor = &cursor;
@@ -879,17 +734,16 @@ impl BatchRunner {
         // transient run), so a worker that later dies outside the per-job
         // panic shield loses only the job it was on, never work it already
         // completed.
-        let results = std::sync::Mutex::new(Vec::with_capacity(indices.len()));
+        let results = std::sync::Mutex::new(Vec::with_capacity(jobs.len()));
         let results_ref = &results;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     scope.spawn(move || loop {
-                        let k = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                        let Some(&i) = indices.get(k) else { break };
-                        let job = &jobs[i];
+                        let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
+                        let Some(job) = jobs.get(i) else { break };
                         observer.on_job_started(i, &job.label);
-                        let mut outcome = execute_job(job, shared, plans, recovery);
+                        let mut outcome = execute_job(job, plans, recovery);
                         outcome.worker = Some(w);
                         observer.on_job_finished(i, &outcome);
                         results_ref
@@ -912,148 +766,12 @@ impl BatchRunner {
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
-
-    /// Publishes the symbolic analysis of every distinct `G` pattern into
-    /// the shared cache, on the main thread, before any worker starts.
-    ///
-    /// Each seed is the pattern group's `G(x = 0)` — bit-for-bit the matrix
-    /// the group's lowest-index job would have factorized first (the DC
-    /// Newton start), so the published analysis (pivot order included) is
-    /// identical to what that job's pilot run used to publish. The options
-    /// mirror the DC solve's: the job's requested ordering over
-    /// [`LuOptions::default`]. Already-published patterns (a warm cache) are
-    /// skipped without touching hit/miss counters; a seed that fails to
-    /// factorize is left for pilot-wave election, so the owning job reports
-    /// the error itself. Returns the counters to fold into the merged batch
-    /// statistics (main-thread work belongs to no worker, so its `runtime`
-    /// stays zero and [`BatchResult::worker_active`] remains a partition of
-    /// worker time).
-    fn prepublish_g_patterns(&self, g_seeds: &BTreeMap<PatternKey, CsrMatrix>) -> RunStats {
-        let mut stats = RunStats::new();
-        let mut ws = LuWorkspace::new();
-        for (&(fingerprint, ordering), g) in g_seeds {
-            if self.shared.is_published(fingerprint, ordering) {
-                continue;
-            }
-            let options = LuOptions {
-                ordering,
-                ..LuOptions::default()
-            };
-            match self.shared.factorize(g, &options, &mut ws) {
-                Ok((_, FactorSource::Analyzed)) => {
-                    stats.symbolic_analyses += 1;
-                    stats.lu_factorizations += 1;
-                }
-                // Another session sharing the cache published the pattern
-                // between the `is_published` probe and the factorize call.
-                Ok((_, FactorSource::Shared)) => {
-                    stats.lu_factorizations += 1;
-                    stats.lu_refactorizations += 1;
-                    stats.shared_symbolic_hits += 1;
-                }
-                Err(_) => {}
-            }
-        }
-        stats
-    }
-}
-
-/// Grouping key for pilot election: the cache's own pattern fingerprint plus
-/// the fill-reducing ordering (a different ordering is a different cache
-/// slot). `Ord` so wave composition iterates in a stable order.
-type PatternKey = (u64, OrderingMethod);
-
-/// The matrix patterns one job will ask the shared cache for.
-#[derive(Debug, Clone, Copy)]
-struct JobKeys {
-    /// The conductance pattern `G` — factorized by every job (DC solve and
-    /// the ER step loop).
-    g: PatternKey,
-    /// The implicit-Jacobian pattern (structural union of `C` and `G`) for
-    /// BE/TR jobs. On circuits where `nnz(C) ⊆ nnz(G)` this equals `g` and
-    /// the same analysis serves both matrix roles.
-    jac: Option<PatternKey>,
-}
-
-/// Whether `method` factorizes the implicit Jacobian `C/h + θG` (a second
-/// matrix pattern beyond `G`).
-fn uses_implicit_jacobian(method: Method) -> bool {
-    matches!(method, Method::BackwardEuler | Method::Trapezoidal)
-}
-
-/// Fingerprints of the matrix patterns `job` will factorize, computed with
-/// [`exi_sparse::pattern_fingerprint`] — the exact grouping the shared cache
-/// uses — plus the evaluated `G(x = 0)` matrix itself, the pre-publication
-/// seed. Costs one plan fetch (compiled once per distinct structure, counted
-/// into `precompiled`) and one device evaluation at `x = 0` (plus one
-/// structural matrix add for implicit jobs) per job — negligible against a
-/// transient run.
-fn job_fingerprints(
-    job: &BatchJob,
-    plans: &PlanCache,
-    precompiled: &mut usize,
-) -> SimResult<(JobKeys, CsrMatrix)> {
-    let (plan, compiled) = plans.get_or_compile(&job.circuit)?;
-    if compiled {
-        *precompiled += 1;
-    }
-    let x = vec![0.0; job.circuit.num_unknowns()];
-    let ev = plan.evaluate(&x)?;
-    let ordering = job.options.ordering;
-    let jac = if uses_implicit_jacobian(job.method) {
-        // Exactly the pattern of every `C/h + θG` the job will form: a
-        // linear combination is the structural union whatever its weights.
-        let union = CsrMatrix::linear_combination(1.0, &ev.c, 1.0, &ev.g)?;
-        Some((pattern_fingerprint(&union), ordering))
-    } else {
-        None
-    };
-    let keys = JobKeys {
-        g: (pattern_fingerprint(&ev.g), ordering),
-        jac,
-    };
-    Ok((keys, ev.g))
-}
-
-/// One pilot per pattern whose analysis the shared cache has not published:
-/// the lowest-index not-yet-run member of each such group. Returns an empty
-/// wave once every pattern is either published or out of candidates.
-///
-/// The satisfied-check asks the cache itself — never the job slots — so a
-/// pattern published by pre-publication, by an earlier wave, or by a
-/// previous batch sharing the cache needs no pilot at all: on a fully
-/// warmed cache every wave is empty and every job goes straight to the bulk
-/// phase.
-fn elect_pilots(
-    queues: &BTreeMap<PatternKey, Vec<usize>>,
-    slots: &[Option<JobOutcome>],
-    shared: &SymbolicCache,
-) -> Vec<usize> {
-    let mut wave = Vec::new();
-    for (&(fingerprint, ordering), members) in queues {
-        if shared.is_published(fingerprint, ordering) {
-            continue;
-        }
-        if let Some(&candidate) = members.iter().find(|&&i| slots[i].is_none()) {
-            wave.push(candidate);
-        }
-    }
-    // Two patterns may elect the same job (e.g. a BE job piloting both its G
-    // and its distinct Jacobian pattern); dedup keeps the wave a set.
-    wave.sort_unstable();
-    wave.dedup();
-    wave
 }
 
 /// Runs one job, with panic isolation and bounded whole-job retries under
 /// the runner's recovery policy. The deadline clock starts here — when a
 /// worker picks the job up, not when the batch was submitted.
-fn execute_job(
-    job: &BatchJob,
-    shared: &Arc<SymbolicCache>,
-    plans: &Arc<PlanCache>,
-    recovery: &RecoveryPolicy,
-) -> JobOutcome {
+fn execute_job(job: &BatchJob, plans: &Arc<PlanCache>, recovery: &RecoveryPolicy) -> JobOutcome {
     let deadline = job.deadline.map(|budget| Instant::now() + budget);
     let retries = if recovery.is_off() {
         0
@@ -1063,7 +781,7 @@ fn execute_job(
     let mut total = RunStats::new();
     let mut attempt = 0usize;
     loop {
-        let mut outcome = execute_job_shielded(job, shared, plans, recovery, deadline);
+        let mut outcome = execute_job_shielded(job, plans, recovery, deadline);
         total.absorb(&outcome.stats);
         let retryable = matches!(
             &outcome.result,
@@ -1084,7 +802,6 @@ fn execute_job(
 /// of taking the worker — and with it the whole batch — down.
 fn execute_job_shielded(
     job: &BatchJob,
-    shared: &Arc<SymbolicCache>,
     plans: &Arc<PlanCache>,
     recovery: &RecoveryPolicy,
     deadline: Option<Instant>,
@@ -1092,13 +809,14 @@ fn execute_job_shielded(
     #[cfg(feature = "fault-injection")]
     crate::fault::install(&job.label);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_body(job, shared, plans, recovery, deadline)
+        run_job_body(job, plans, recovery, deadline)
     }));
     #[cfg(feature = "fault-injection")]
     crate::fault::uninstall();
-    // The shared caches stay safe to reuse after a caught panic: both the
-    // symbolic cache and the plan cache only publish fully constructed
-    // entries, and their locks are recovered from poisoning.
+    // The plan cache stays safe to reuse after a caught panic: it only
+    // publishes fully constructed plans (a plan's `G` ordering is a
+    // `OnceLock`, left unset by a panicking initializer), and its lock is
+    // recovered from poisoning.
     result.unwrap_or_else(|payload| JobOutcome {
         label: job.label.clone(),
         method: job.method,
@@ -1125,12 +843,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[allow(clippy::result_large_err)] // cold path, once per job
 fn run_job_body(
     job: &BatchJob,
-    shared: &Arc<SymbolicCache>,
     plans: &Arc<PlanCache>,
     recovery: &RecoveryPolicy,
     deadline: Option<Instant>,
 ) -> JobOutcome {
-    let mut sim = Simulator::with_shared_symbolic(&job.circuit, Arc::clone(shared))
+    let mut sim = Simulator::new(&job.circuit)
         .with_plan_cache(Arc::clone(plans))
         .with_recovery_policy(recovery.clone());
     let probe_refs: Vec<&str> = job.probes.iter().map(String::as_str).collect();
@@ -1271,12 +988,10 @@ mod tests {
         assert!(result.all_ok());
         assert_eq!(result.stats.batch_jobs, 4);
         assert_eq!(result.stats.worker_threads, 2);
-        assert_eq!(result.stats.symbolic_analyses, 1, "{:?}", result.stats);
-        // Pre-publication performs the one analysis on the main thread, so
-        // all four jobs — the would-be pilot included — derive from it.
-        assert_eq!(result.stats.shared_symbolic_hits, 4);
-        // No job ever blocked on an in-flight cache slot.
-        assert_eq!(result.stats.shared_symbolic_wait_events, 0);
+        // One plan, one `G` ordering; each job pivots its own `G` once.
+        assert_eq!(result.stats.plan_compilations, 1, "{:?}", result.stats);
+        assert_eq!(result.stats.symbolic_analyses, 4, "{:?}", result.stats);
+        assert_eq!(result.stats.shared_symbolic_hits, 3);
     }
 
     #[test]
@@ -1340,7 +1055,7 @@ mod tests {
             result.stats.active_solver_seconds()
         );
         assert_eq!(result.worker_cache_wait().len(), 2);
-        // A job that fails before reaching the pool stays unattributed.
+        // A job that cannot even compile its plan still ran on a worker.
         let mut bad = BatchPlan::new();
         bad.push(BatchJob::new(
             "empty-circuit",
@@ -1350,8 +1065,8 @@ mod tests {
         ));
         let failed = BatchRunner::new().worker_threads(2).run(&bad);
         assert_eq!(failed.failed(), 1);
-        assert_eq!(failed.jobs[0].worker, None);
-        assert_eq!(failed.worker_active(), vec![0.0, 0.0]);
+        assert_eq!(failed.jobs[0].worker, Some(0));
+        assert_eq!(failed.worker_active().len(), 2);
     }
 
     #[test]

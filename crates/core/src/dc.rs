@@ -15,7 +15,7 @@
 //! run — the transient steps never pay for a second symbolic analysis of `G`.
 
 use exi_netlist::{Circuit, EvalPlan, EvalWorkspace};
-use exi_sparse::{vector, CsrMatrix, LuOptions, LuWorkspace, SparseLu, SymbolicCache};
+use exi_sparse::{vector, CsrMatrix, LuOptions, LuWorkspace, SparseLu};
 
 use crate::engines::refresh_lu;
 use crate::error::{SimError, SimResult};
@@ -74,7 +74,6 @@ pub fn dc_operating_point(circuit: &Circuit, options: &DcOptions) -> SimResult<D
         &mut stats,
         &mut None,
         &mut None,
-        None,
         &mut lu_ws,
         &mut eval_ws,
         &Homotopy::plain(),
@@ -121,7 +120,6 @@ pub(crate) fn dc_operating_point_recovering(
     policy: &crate::RecoveryPolicy,
     stats: &mut RunStats,
     g_lu: &mut Option<SparseLu>,
-    shared: Option<&SymbolicCache>,
     lu_ws: &mut LuWorkspace,
     eval_ws: &mut EvalWorkspace,
 ) -> SimResult<DcSolution> {
@@ -136,7 +134,6 @@ pub(crate) fn dc_operating_point_recovering(
         stats,
         g_lu,
         &mut damped_lu,
-        shared,
         lu_ws,
         eval_ws,
         &Homotopy::plain(),
@@ -163,7 +160,6 @@ pub(crate) fn dc_operating_point_recovering(
                 stats,
                 g_lu,
                 &mut damped_lu,
-                shared,
                 lu_ws,
                 eval_ws,
                 &Homotopy {
@@ -188,7 +184,6 @@ pub(crate) fn dc_operating_point_recovering(
                 stats,
                 g_lu,
                 &mut damped_lu,
-                shared,
                 lu_ws,
                 eval_ws,
                 &Homotopy {
@@ -218,7 +213,6 @@ pub(crate) fn dc_operating_point_recovering(
                 stats,
                 g_lu,
                 &mut damped_lu,
-                shared,
                 lu_ws,
                 eval_ws,
                 &Homotopy {
@@ -243,9 +237,8 @@ pub(crate) fn dc_operating_point_recovering(
 /// running the Jacobian factorizations through a caller-owned LU cache and
 /// workspace — the [`crate::Simulator`] session passes its conductance-matrix
 /// cache here, so the symbolic analysis the DC solve performs is reused by
-/// every later transient step (and every later run). A `shared` symbolic
-/// cache, when provided, additionally pools the analysis across concurrent
-/// sessions (see [`crate::BatchRunner`]).
+/// every later transient step (and every later run); its ordering comes
+/// from the plan ([`EvalPlan::g_ordering`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dc_operating_point_internal(
     circuit: &Circuit,
@@ -254,7 +247,6 @@ pub(crate) fn dc_operating_point_internal(
     stats: &mut RunStats,
     g_lu: &mut Option<SparseLu>,
     damped_lu: &mut Option<SparseLu>,
-    shared: Option<&SymbolicCache>,
     lu_ws: &mut LuWorkspace,
     eval_ws: &mut EvalWorkspace,
     homotopy: &Homotopy<'_>,
@@ -318,14 +310,14 @@ pub(crate) fn dc_operating_point_internal(
         // shunt rides on the same diagonal term.
         let diag_shift = if gmin != 0.0 { damping + gmin } else { damping };
         let damped;
-        let (slot, jac) = if diag_shift > 0.0 {
+        let (slot, jac, g_plan) = if diag_shift > 0.0 {
             let scaled_identity = CsrMatrix::identity(n).scaled(diag_shift);
             damped = CsrMatrix::linear_combination(1.0, &ev.g, 1.0, &scaled_identity)?;
-            (&mut *damped_lu, &damped)
+            (&mut *damped_lu, &damped, None)
         } else {
-            (&mut *g_lu, &ev.g)
+            (&mut *g_lu, &ev.g, Some(plan))
         };
-        let lu = refresh_lu(slot, shared, jac, &lu_options, lu_ws, stats)?;
+        let lu = refresh_lu(slot, g_plan, jac, &lu_options, lu_ws, stats)?;
         lu.solve_into(&rhs, &mut delta, lu_ws)?;
         stats.linear_solves += 1;
         // Simple voltage limiting keeps exponential devices in range.
@@ -452,7 +444,6 @@ mod tests {
             &mut stats,
             &mut lu,
             &mut None,
-            None,
             &mut ws,
             &mut eval_ws,
             &Homotopy::plain(),

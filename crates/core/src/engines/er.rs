@@ -550,7 +550,7 @@ impl ErStepper<'_> {
             .mul_vec_into(&self.u_k, &mut self.bu_k);
         refresh_lu(
             &mut caches.g_lu,
-            caches.shared.as_deref(),
+            Some(&*self.plan),
             &self.eval_k.g,
             &self.lu_options,
             &mut caches.lu_ws,

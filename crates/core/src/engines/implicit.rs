@@ -278,7 +278,7 @@ impl ImplicitStepper<'_> {
                 )?;
                 let lu = refresh_lu(
                     &mut caches.jac_lu,
-                    caches.shared.as_deref(),
+                    None,
                     &self.jac,
                     &self.lu_options,
                     &mut caches.lu_ws,

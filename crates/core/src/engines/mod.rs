@@ -17,10 +17,8 @@
 pub mod er;
 pub mod implicit;
 
-use exi_netlist::Circuit;
-use exi_sparse::{
-    CsrMatrix, FactorSource, LuOptions, LuWorkspace, SparseError, SparseLu, SymbolicCache,
-};
+use exi_netlist::{Circuit, EvalPlan};
+use exi_sparse::{CsrMatrix, LuOptions, LuWorkspace, SparseError, SparseLu};
 
 use crate::error::{SimError, SimResult};
 use crate::observer::Observer;
@@ -224,7 +222,7 @@ pub(crate) fn reached_end(t: f64, t_stop: f64) -> bool {
 ///
 /// A role's sparsity pattern is fixed when the evaluation plan is compiled
 /// (see [`exi_netlist::plan`]), so one plain slot per role is the whole
-/// cache, for every kind of session:
+/// cache:
 ///
 /// 0. **The factor already held**, when `a` is value for value the matrix it
 ///    was computed from ([`SparseLu::is_factor_of`]): a refactorization
@@ -235,18 +233,17 @@ pub(crate) fn reached_end(t: f64, t_stop: f64) -> bool {
 ///    no hashing, no locks, no allocation.
 /// 2. Otherwise — the slot is empty, or the frozen pivot order is no longer
 ///    viable for `a`'s values (vanished pivot, excessive element growth) — a
-///    factor from the **shared pool** ([`SymbolicCache`]) when the session
-///    has one, else a **fresh** pivoting factorization. A pool hit derives
-///    the factor from the published analysis (counted as a refactorization
-///    plus a [`RunStats::shared_symbolic_hits`], blocked time charged to
-///    [`RunStats::cache_wait`]); a miss runs the pilot analysis and publishes
-///    it for the fleet.
+///    **fresh** factorization that pivots on `a`'s own values. For the `G`
+///    role the caller passes the plan (`g_plan`), whose `G` ordering every
+///    session holding the plan shares ([`EvalPlan::g_ordering`]); a fresh
+///    factorization that found it already computed counts a
+///    [`RunStats::shared_symbolic_hits`]. The other roles compute their own.
 ///
 /// Counts every path into `stats` so runs expose how much symbolic work they
 /// actually reused.
 pub(crate) fn refresh_lu<'s>(
     slot: &'s mut Option<SparseLu>,
-    shared: Option<&SymbolicCache>,
+    g_plan: Option<&EvalPlan>,
     a: &CsrMatrix,
     options: &LuOptions,
     ws: &mut LuWorkspace,
@@ -268,26 +265,17 @@ pub(crate) fn refresh_lu<'s>(
         // A rejected refactorization leaves the factor's values unspecified:
         // it must not survive an error return below.
         *slot = None;
-        *slot = Some(match shared {
-            Some(pool) => {
-                let (lu, source, wait) = pool.factorize_timed(a, options, ws)?;
-                stats.cache_wait += wait.blocked;
-                stats.shared_symbolic_wait_events += wait.events;
-                match source {
-                    FactorSource::Shared => {
-                        stats.lu_refactorizations += 1;
-                        stats.shared_symbolic_hits += 1;
-                    }
-                    FactorSource::Analyzed => stats.symbolic_analyses += 1,
+        *slot = Some(match g_plan {
+            Some(plan) => {
+                let (q, computed) = plan.g_ordering(options.ordering);
+                if !computed {
+                    stats.shared_symbolic_hits += 1;
                 }
-                lu
+                SparseLu::factorize_ordered(a, q.clone(), options)?
             }
-            None => {
-                let lu = SparseLu::factorize_with(a, options)?;
-                stats.symbolic_analyses += 1;
-                lu
-            }
+            None => SparseLu::factorize_with(a, options)?,
         });
+        stats.symbolic_analyses += 1;
     }
     stats.lu_factorizations += 1;
     Ok(slot.as_ref().expect("slot filled on both paths above"))
@@ -295,8 +283,8 @@ pub(crate) fn refresh_lu<'s>(
 
 /// Rejects a factor whose fill exceeds the configured budget. A new factor
 /// is held to the budget by its constructor; one that was already in the
-/// slot may predate the budget (configured after the pilot, or seeded by the
-/// DC solve, which runs without one).
+/// slot may predate the budget (seeded by the DC solve, which runs without
+/// one, or by an earlier run under another budget).
 fn check_fill_budget(lu: &SparseLu, options: &LuOptions) -> SimResult<()> {
     if let Some(budget) = options.fill_budget {
         if lu.fill() > budget {

@@ -53,12 +53,11 @@
 //!
 //! One level above sessions, the [`batch`] subsystem runs **fleets** of jobs
 //! (parameter sweeps, Monte-Carlo corners, per-user requests) over a pool of
-//! worker threads whose sessions share one
-//! [`exi_sparse::SymbolicCache`]: describe the jobs with a [`BatchPlan`] and
-//! execute with a [`BatchRunner`] — same-topology jobs perform exactly one
-//! symbolic LU analysis total, results come back in submission order with
-//! per-job error isolation, and output is bit-identical to sequential
-//! execution at any worker-thread count:
+//! worker threads whose sessions share one [`PlanCache`]: describe the jobs
+//! with a [`BatchPlan`] and execute with a [`BatchRunner`] — same-structure
+//! jobs compile one plan and compute one `G` ordering, results come back in
+//! submission order with per-job error isolation, and every job is
+//! bit-identical to an isolated run of it at any worker-thread count:
 //!
 //! ```
 //! use exi_netlist::generators::{power_grid, PowerGridSpec};
@@ -80,10 +79,10 @@
 //! }
 //! let result = BatchRunner::new().worker_threads(2).run(&plan);
 //! assert!(result.all_ok());
-//! // Two same-topology corners, one symbolic analysis for the whole fleet
-//! // — pre-published by the runner, so both corners count as shared hits.
-//! assert_eq!(result.stats.symbolic_analyses, 1);
-//! assert_eq!(result.stats.shared_symbolic_hits, 2);
+//! // The sink sets differ, so each corner compiles its own plan, and each
+//! // pivots its own `G`.
+//! assert_eq!(result.stats.plan_compilations, 2);
+//! assert_eq!(result.stats.symbolic_analyses, 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -177,6 +176,6 @@ pub use observer::{
 pub use options::{DcOptions, TransientOptions};
 pub use output::{Probe, TransientResult};
 pub use recovery::{RecoveryEvent, RecoveryPolicy};
-pub use session::{PlanCache, SessionStepper, Simulator};
+pub use session::{CacheStats, PlanCache, SessionStepper, Simulator};
 pub use stats::RunStats;
 pub use transient::Method;

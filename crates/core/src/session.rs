@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use exi_krylov::MevpWorkspace;
 use exi_netlist::{circuit_fingerprint, Circuit, EvalPlan, EvalWorkspace};
-use exi_sparse::{LuWorkspace, OrderingMethod, SparseLu, SymbolicCache};
+use exi_sparse::{LuWorkspace, OrderingMethod, SparseLu};
 
 use crate::dc::{dc_operating_point_recovering, DcSolution};
 use crate::engines::er::ErStepper;
@@ -85,35 +85,61 @@ pub(crate) struct SessionCaches {
     /// Fill-reducing ordering the cached factors were built with; a run
     /// requesting a different one drops the caches first.
     pub(crate) ordering: Option<OrderingMethod>,
-    /// Cross-session symbolic-analysis pool ([`exi_sparse::SymbolicCache`]).
-    /// `None` for a standalone session; a [`crate::BatchRunner`] hands every
-    /// worker session a clone of one shared cache so same-pattern jobs on
-    /// different threads perform one symbolic analysis total. Survives
-    /// [`Simulator::reset_caches`] — it is a handle to fleet-wide state, not
-    /// session state.
-    pub(crate) shared: Option<Arc<SymbolicCache>>,
-    /// Cross-session evaluation-plan pool; fleet-wide state like `shared`,
-    /// surviving [`Simulator::reset_caches`].
+    /// Cross-session evaluation-plan pool. `None` for a standalone session;
+    /// a [`crate::BatchRunner`] hands every worker session a clone of one
+    /// cache. Survives [`Simulator::reset_caches`] — it is a handle to
+    /// fleet-wide state, not session state.
     pub(crate) shared_plans: Option<Arc<PlanCache>>,
+}
+
+/// A point-in-time snapshot of a [`PlanCache`]'s residency counters
+/// ([`RunStats`] style: plain counts, cheap to copy, safe to diff between
+/// two snapshots); a resident daemon surfaces it in its `ServerStats` reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Entries currently cached.
+    pub entries: usize,
+    /// Configured capacity; `None` for an unbounded cache.
+    pub capacity: Option<usize>,
+    /// Lookups served from a cached entry.
+    pub hits: u64,
+    /// Lookups that found no entry and compiled one.
+    pub misses: u64,
+    /// Entries dropped to keep the cache within its capacity.
+    pub evictions: u64,
+}
+
+impl CacheStats {
+    /// Hit fraction over all lookups so far (`0.0` before the first lookup).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
 }
 
 /// A thread-shared cache of compiled [`EvalPlan`]s keyed by the circuit's
 /// structural+parametric fingerprint
-/// ([`exi_netlist::circuit_fingerprint`]) — the stamping-plan analogue of
-/// [`exi_sparse::SymbolicCache`].
+/// ([`exi_netlist::circuit_fingerprint`]).
 ///
 /// A [`crate::BatchRunner`] hands a clone to every worker session, so
 /// same-structure jobs (e.g. a corner sweep varying only source waveforms)
-/// compile exactly one plan total; the merged statistics expose the effect
-/// as `plan_compilations == distinct structures` plus one
-/// [`RunStats::shared_plan_hits`] per pooled session.
+/// compile exactly one plan total — and share the plan's `G` ordering
+/// ([`EvalPlan::g_ordering`]), the one piece of symbolic work that depends
+/// on nothing but the pattern. Every session still pivots its own matrices.
+/// The merged statistics expose the effect as
+/// `plan_compilations == distinct structures` plus one
+/// [`RunStats::shared_plan_hits`] per other pooled session.
 ///
 /// Unbounded by default (the one-shot batch case). A resident process — the
 /// `exi-serve` daemon keeping its plan pool warm across arbitrary client
 /// traffic — should bound it with [`PlanCache::with_capacity`]: the
 /// least-recently-used plan is evicted to admit a new structure, and
-/// [`PlanCache::stats`] snapshots hit/miss/eviction counters in the same
-/// [`exi_sparse::CacheStats`] form the symbolic cache reports.
+/// [`PlanCache::stats`] snapshots hit/miss/eviction counters as
+/// [`CacheStats`].
 #[derive(Debug, Default)]
 pub struct PlanCache {
     inner: Mutex<PlanCacheState>,
@@ -171,9 +197,9 @@ impl PlanCache {
 
     /// Snapshot of the residency counters (entries, capacity, hits, misses,
     /// evictions), internally consistent under the cache lock.
-    pub fn stats(&self) -> exi_sparse::CacheStats {
+    pub fn stats(&self) -> CacheStats {
         let state = self.lock();
-        exi_sparse::CacheStats {
+        CacheStats {
             entries: state.entries.len(),
             capacity: self.capacity,
             hits: state.hits,
@@ -327,33 +353,15 @@ impl<'c> Simulator<'c> {
         &self.recovery
     }
 
-    /// Creates a session for `circuit` that pools its symbolic LU analyses
-    /// with every other session holding a clone of `shared`.
-    ///
-    /// The first session (on any thread) to factorize a given matrix pattern
-    /// publishes the analysis; all others derive their numeric factors from
-    /// it — counted as [`RunStats::shared_symbolic_hits`] instead of
-    /// [`RunStats::symbolic_analyses`]. This is the per-session entry point
-    /// behind [`crate::BatchRunner`]; use it directly to pool hand-rolled
-    /// concurrent sessions.
-    pub fn with_shared_symbolic(circuit: &'c Circuit, shared: Arc<SymbolicCache>) -> Self {
-        let mut sim = Simulator::new(circuit);
-        sim.caches.shared = Some(shared);
-        sim
-    }
-
-    /// Pools this session's compiled evaluation plan with every other
-    /// session holding a clone of `cache` (see [`PlanCache`]); the
-    /// [`crate::BatchRunner`] wires this up for its workers.
+    /// Pools this session's compiled evaluation plan — and with it the
+    /// plan's `G` ordering — with every other session holding a clone of
+    /// `cache` (see [`PlanCache`]); the [`crate::BatchRunner`] wires this up
+    /// for its workers. The session's factorizations still pivot on its own
+    /// matrices, so its results are bit-identical to a standalone session's.
     #[must_use]
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.caches.shared_plans = Some(cache);
         self
-    }
-
-    /// The cross-session symbolic cache this session pools with, if any.
-    pub fn shared_symbolic(&self) -> Option<&Arc<SymbolicCache>> {
-        self.caches.shared.as_ref()
     }
 
     /// The cross-session evaluation-plan cache this session pools with, if
@@ -382,13 +390,12 @@ impl<'c> Simulator<'c> {
 
     /// Drops every cached factor, workspace and the DC solution. The next run
     /// pays for a fresh symbolic analysis — call this after mutating the
-    /// circuit between sessions if node/device structure changed. (A shared
-    /// symbolic cache attached via [`Simulator::with_shared_symbolic`] is a
-    /// fleet-wide handle and survives; it is keyed by pattern, so a changed
-    /// topology simply maps to a new entry.)
+    /// circuit between sessions if node/device structure changed. (A plan
+    /// cache attached via [`Simulator::with_plan_cache`] is a fleet-wide
+    /// handle and survives; it is keyed by the circuit's fingerprint, so a
+    /// changed circuit simply maps to a new entry.)
     pub fn reset_caches(&mut self) {
         self.caches = SessionCaches {
-            shared: self.caches.shared.take(),
             shared_plans: self.caches.shared_plans.take(),
             ..SessionCaches::default()
         };
@@ -496,7 +503,6 @@ impl<'c> Simulator<'c> {
             &self.recovery,
             &mut stats,
             &mut caches.g_lu,
-            caches.shared.as_deref(),
             &mut caches.lu_ws,
             &mut caches.eval_ws,
         )?;

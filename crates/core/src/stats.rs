@@ -24,8 +24,10 @@ pub struct RunStats {
     /// are not factorizations and do not count.
     pub lu_factorizations: usize,
     /// Number of **full** factorizations that had to run the symbolic
-    /// analysis (fill-reducing ordering, pivot search, reachability DFS).
-    /// With a fixed sparsity pattern an engine needs exactly one of these.
+    /// analysis (pivot search and reachability DFS, plus the fill-reducing
+    /// ordering unless the plan already held it — see
+    /// [`RunStats::shared_symbolic_hits`]). With a fixed sparsity pattern a
+    /// session needs exactly one of these per matrix role.
     pub symbolic_analyses: usize,
     /// Number of numeric-only refactorizations that reused a cached symbolic
     /// analysis (values changed, pattern did not).
@@ -51,7 +53,7 @@ pub struct RunStats {
     /// Number of times a session obtained its evaluation plan from a shared
     /// [`crate::PlanCache`] instead of compiling it. For an `N`-job
     /// same-structure batch the merged stats show `plan_compilations == 1`
-    /// and `shared_plan_hits == N`.
+    /// and `shared_plan_hits == N - 1`.
     pub shared_plan_hits: usize,
     /// Total nonlinear matrix entries rewritten by
     /// [`exi_netlist::EvalPlan::evaluate_into`] across all device
@@ -117,21 +119,14 @@ pub struct RunStats {
     /// [`BatchRunner`](crate::BatchRunner) (zero for a single run; failed
     /// jobs count — they did real work).
     pub batch_jobs: usize,
-    /// Number of numeric factorizations seeded from a cross-session
-    /// [`SymbolicCache`](exi_sparse::SymbolicCache) hit. Such factorizations
-    /// also count into [`RunStats::lu_refactorizations`]; for an `N`-job
-    /// same-topology sweep the merged stats show `symbolic_analyses == 1`
-    /// (the batch runner's main-thread pre-publication) and
-    /// `shared_symbolic_hits == N` — every worker session, the would-be
-    /// pilot included, derives its factor from the published analysis.
+    /// Number of fresh `G` factorizations (counted in
+    /// [`RunStats::symbolic_analyses`]) whose fill-reducing ordering the
+    /// evaluation plan already held ([`exi_netlist::EvalPlan::g_ordering`]):
+    /// the ordering is computed once per plan, whichever session asks
+    /// first. For an `N`-job same-structure batch sharing one plan the
+    /// merged stats show `symbolic_analyses == N` for `G` and
+    /// `shared_symbolic_hits == N - 1`, at any worker count.
     pub shared_symbolic_hits: usize,
-    /// Number of times a shared-cache lookup **blocked** on another
-    /// session's in-flight pilot analysis (the condvar wait in
-    /// [`SymbolicCache::factorize`](exi_sparse::SymbolicCache::factorize)).
-    /// A fully warmed batch — every pattern published before its workers
-    /// start — must show 0 here; a nonzero count means the scheduler
-    /// serialized jobs behind a pilot instead of pre-publishing.
-    pub shared_symbolic_wait_events: usize,
     /// Worker threads the executing [`BatchRunner`](crate::BatchRunner) used
     /// (zero for a plain run). [`RunStats::absorb`] keeps the maximum — for
     /// merged totals this is the batch's actual concurrency, not a sum.
@@ -155,14 +150,11 @@ pub struct RunStats {
     /// [`RunStats::active_solver_seconds`]) for the time actually spent
     /// solving.
     pub runtime: Duration,
-    /// Time this run spent **blocked on shared caches** instead of solving:
-    /// [`SymbolicCache`](exi_sparse::SymbolicCache) lock acquisitions and
-    /// in-flight condvar waits, plus the [`crate::PlanCache`] lock (which is
-    /// held across a compile, so a concurrent same-structure fetch waits
-    /// here). A subset of [`RunStats::runtime`]; reporting the two
-    /// separately is what keeps a contended schedule from masquerading as
-    /// solver work ("active_solver_s nearly doubled" under 2 workers was
-    /// exactly this misattribution).
+    /// Time this run spent **blocked on the shared [`crate::PlanCache`]**
+    /// instead of solving: its lock is held across a compile, so a
+    /// concurrent same-structure fetch waits here. A subset of
+    /// [`RunStats::runtime`]; reporting the two separately is what keeps a
+    /// contended schedule from masquerading as solver work.
     pub cache_wait: Duration,
 }
 
@@ -251,7 +243,6 @@ impl RunStats {
         self.resumed_runs += other.resumed_runs;
         self.batch_jobs += other.batch_jobs;
         self.shared_symbolic_hits += other.shared_symbolic_hits;
-        self.shared_symbolic_wait_events += other.shared_symbolic_wait_events;
         self.worker_threads = self.worker_threads.max(other.worker_threads);
         self.recovery_attempts += other.recovery_attempts;
         self.gmin_steps += other.gmin_steps;
@@ -323,15 +314,13 @@ mod tests {
             ..RunStats::default()
         };
         assert_eq!(odd.active_solver_seconds(), 0.0);
-        // Both durations and the wait-event counter are plain sums.
+        // Waits are plain sums.
         let mut total = s.clone();
         total.absorb(&RunStats {
             cache_wait: Duration::from_millis(25),
-            shared_symbolic_wait_events: 3,
             ..RunStats::default()
         });
         assert!((total.cache_wait_seconds() - 0.075).abs() < 1e-12);
-        assert_eq!(total.shared_symbolic_wait_events, 3);
     }
 
     #[test]
@@ -372,7 +361,7 @@ mod tests {
         );
         assert_eq!(total.observer_callbacks, 19);
         assert_eq!(total.resumed_runs, 2);
-        // Batch counters: jobs and cache hits add up, concurrency maxes.
+        // Batch counters: jobs and ordering hits add up, concurrency maxes.
         assert_eq!(total.batch_jobs, 3);
         assert_eq!(total.shared_symbolic_hits, 4);
         assert_eq!(total.worker_threads, 2);

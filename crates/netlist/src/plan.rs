@@ -70,7 +70,10 @@
 //! # }
 //! ```
 
-use exi_sparse::{CsrMatrix, TripletMatrix};
+use std::sync::OnceLock;
+
+use exi_sparse::ordering::compute_ordering;
+use exi_sparse::{CsrMatrix, OrderingMethod, Permutation, TripletMatrix};
 
 use crate::circuit::{Circuit, Evaluation};
 use crate::devices::{Device, DiodeModel, MosfetModel};
@@ -223,6 +226,9 @@ pub struct EvalPlan {
     kernels: Vec<DeviceKernel>,
     nl_slots: usize,
     gmin: f64,
+    /// Fill-reducing orderings of `g`'s pattern, one per [`OrderingMethod`],
+    /// each computed on first request ([`EvalPlan::g_ordering`]).
+    g_orderings: [OnceLock<Permutation>; 3],
 }
 
 /// Records stamps during compilation, mirroring `devices::StampContext`:
@@ -477,6 +483,7 @@ impl EvalPlan {
             kernels,
             nl_slots: rec.slot_cells.len(),
             gmin,
+            g_orderings: Default::default(),
         })
     }
 
@@ -508,6 +515,27 @@ impl EvalPlan {
     /// The `gmin` value baked into the plan's nonlinear kernels.
     pub fn gmin(&self) -> f64 {
         self.gmin
+    }
+
+    /// The fill-reducing column ordering of `G`'s fixed pattern under
+    /// `method`, computed on the first request and then shared by every
+    /// session holding this plan. An ordering depends on the pattern alone,
+    /// so every `G` the plan evaluates factorizes under it exactly as under
+    /// its own ([`exi_sparse::SparseLu::factorize_ordered`]); the row pivots
+    /// stay each factorization's own. The flag is `true` for the one call
+    /// that computed the ordering.
+    pub fn g_ordering(&self, method: OrderingMethod) -> (&Permutation, bool) {
+        let slot = &self.g_orderings[match method {
+            OrderingMethod::Natural => 0,
+            OrderingMethod::Rcm => 1,
+            OrderingMethod::MinDegree => 2,
+        }];
+        let mut computed = false;
+        let q = slot.get_or_init(|| {
+            computed = true;
+            compute_ordering(&self.g, method)
+        });
+        (q, computed)
     }
 
     /// Creates the workspace [`EvalPlan::evaluate_into`] counts its buffer
@@ -905,6 +933,30 @@ mod tests {
         assert_csr_bits_equal(&ev.c, &legacy.c);
         assert_bits_equal(&ev.f, &legacy.f);
         assert_bits_equal(&ev.q, &legacy.q);
+    }
+
+    #[test]
+    fn g_ordering_is_computed_once_per_method_from_the_fixed_pattern() {
+        let ckt = mixed_circuit();
+        let plan = ckt.compile_plan().unwrap();
+        let n = ckt.num_unknowns();
+        for method in [
+            OrderingMethod::Natural,
+            OrderingMethod::Rcm,
+            OrderingMethod::MinDegree,
+        ] {
+            let (first, computed) = plan.g_ordering(method);
+            assert!(computed, "{method:?}: the first request computes it");
+            let first = first.clone();
+            let (again, computed) = plan.g_ordering(method);
+            assert!(!computed, "{method:?}: later requests find it");
+            assert_eq!(again, &first);
+            // Whatever the state, an evaluated `G` orders exactly the same.
+            for x in [vec![0.0; n], (0..n).map(|i| 0.3 * i as f64).collect()] {
+                let g = plan.evaluate(&x).unwrap().g;
+                assert_eq!(compute_ordering(&g, method), first, "{method:?}");
+            }
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub enum RunEnd {
         accepted_steps: usize,
         /// Symbolic LU analyses this job performed.
         symbolic_analyses: usize,
-        /// Warm symbolic-cache hits this job recorded.
+        /// `G` analyses of this job whose ordering the warm plan held.
         shared_symbolic_hits: usize,
         /// Stamping-plan compilations this job performed.
         plan_compilations: usize,

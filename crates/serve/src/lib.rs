@@ -4,14 +4,14 @@
 //! daemon that accepts SPICE decks over TCP, runs them on a worker pool
 //! whose sessions share the fleet-wide warm caches, and streams waveforms
 //! back incrementally — the multi-tenant extension of the paper's
-//! amortization argument. Where [`exi_sim::BatchRunner`] amortizes one
-//! symbolic LU analysis across a *batch*, the daemon amortizes it across
-//! *clients and time*: every worker session is built with
-//! [`exi_sim::Simulator::with_shared_symbolic`] and
-//! [`exi_sim::Simulator::with_plan_cache`] over two capacity-bounded
-//! LRU caches, so requests sharing a circuit fingerprint perform exactly one
-//! symbolic analysis and one plan compilation server-wide, however many
-//! connections submit them and however far apart in time.
+//! amortization argument. Where [`exi_sim::BatchRunner`] shares compiled
+//! plans across a *batch*, the daemon shares them across *clients and
+//! time*: every worker session is built with
+//! [`exi_sim::Simulator::with_plan_cache`] over one capacity-bounded LRU
+//! cache, so requests sharing a circuit fingerprint perform one plan
+//! compilation (and one `G` ordering) server-wide, however many connections
+//! submit them and however far apart in time. Each job still pivots its own
+//! matrices: its bytes never depend on what the daemon served before.
 //!
 //! Everything is `std`-only: the wire format is hand-rolled length-prefixed
 //! newline-JSON ([`protocol`]), the transport is [`std::net::TcpListener`],

@@ -20,8 +20,6 @@ OPTIONS:
     --chunk-rows N        default waveform rows per chunk frame (default 64)
     --max-frame-bytes N   largest accepted frame payload (default 1048576)
     --max-deck-bytes N    largest accepted deck text (default 262144)
-    --symbolic-cache N    warm symbolic-cache capacity; 0 = unbounded
-                          (default 64)
     --plan-cache N        warm plan-cache capacity; 0 = unbounded
                           (default 64)
 
@@ -104,7 +102,7 @@ fn main() -> ExitCode {
     let stats = server.run();
     println!(
         "exi-serve: drained and stopped — {} completed, {} failed, {} cancelled, {} rejected; \
-         {} symbolic analyses + {} warm hits, {} plan compilations + {} warm hits",
+         {} symbolic analyses ({} on a warm G ordering), {} plan compilations + {} warm hits",
         stats.jobs_completed,
         stats.jobs_failed,
         stats.jobs_cancelled,
@@ -145,10 +143,6 @@ fn parse_flags(args: &[String]) -> Result<Option<ServeConfig>, String> {
             "--max-deck-bytes" => {
                 config.max_deck_bytes =
                     parse_count(&value("--max-deck-bytes")?, "--max-deck-bytes")?.max(1)
-            }
-            "--symbolic-cache" => {
-                let n = parse_count(&value("--symbolic-cache")?, "--symbolic-cache")?;
-                config.symbolic_cache_capacity = (n > 0).then_some(n);
             }
             "--plan-cache" => {
                 let n = parse_count(&value("--plan-cache")?, "--plan-cache")?;

@@ -363,9 +363,9 @@ pub enum Response {
         rows: usize,
         /// Accepted solver steps.
         accepted_steps: usize,
-        /// Symbolic LU analyses this job performed (0 on a warm cache).
+        /// Symbolic LU analyses this job performed (one per matrix role).
         symbolic_analyses: usize,
-        /// Cross-session symbolic-cache hits this job recorded.
+        /// `G` analyses of this job whose ordering the warm plan held.
         shared_symbolic_hits: usize,
         /// Stamping-plan compilations this job performed (0 on a warm cache).
         plan_compilations: usize,

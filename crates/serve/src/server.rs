@@ -10,10 +10,11 @@
 //! (deck size, parse, footprint budget, in-flight budget, overload stage)
 //! before it reaches the bounded [`JobQueue`]. A supervised pool of worker
 //! threads drains the queue; every worker session is constructed with
-//! [`Simulator::with_shared_symbolic`] and [`Simulator::with_plan_cache`]
-//! over the server's two warm caches, so jobs sharing a circuit fingerprint
-//! perform exactly one symbolic analysis and one plan compilation
-//! server-wide, however many clients submit them.
+//! [`Simulator::with_plan_cache`] over the server's warm plan cache, so jobs
+//! sharing a circuit fingerprint perform one plan compilation (and one `G`
+//! ordering) server-wide, however many clients submit them. Each job pivots
+//! its own matrices, so its bytes are those of an isolated `exi-cli run`,
+//! whatever the daemon served before.
 //!
 //! # Hostile tenants
 //!
@@ -59,7 +60,6 @@ use exi_sim::{
     analysis_options, resolve_probes, CancelReason, CancelToken, Method, Observer, PlanCache,
     Probe, RunStats, Simulator,
 };
-use exi_sparse::SymbolicCache;
 
 use crate::protocol::{write_frame, FrameError, Request, Response, RunRequest};
 use crate::queue::{JobQueue, PushError};
@@ -138,8 +138,6 @@ pub struct ServeConfig {
     /// Maximum accepted deck text in bytes (a larger deck is rejected with a
     /// `usage`-class error; the connection stays open).
     pub max_deck_bytes: usize,
-    /// Warm symbolic-cache capacity (`None` = unbounded).
-    pub symbolic_cache_capacity: Option<usize>,
     /// Warm plan-cache capacity (`None` = unbounded).
     pub plan_cache_capacity: Option<usize>,
     /// Rows per `chunk` frame when the request does not choose its own.
@@ -180,7 +178,6 @@ impl Default for ServeConfig {
             queue_capacity: 16,
             max_frame_bytes: crate::protocol::DEFAULT_MAX_FRAME_BYTES,
             max_deck_bytes: 256 * 1024,
-            symbolic_cache_capacity: Some(64),
             plan_cache_capacity: Some(64),
             default_chunk_rows: 64,
             budget: JobBudget::default(),
@@ -252,7 +249,6 @@ struct ActiveJob {
 struct Shared {
     config: ServeConfig,
     queue: JobQueue<Job>,
-    symbolic: Arc<SymbolicCache>,
     plans: Arc<PlanCache>,
     counters: Mutex<Counters>,
     /// Active (queued or running) jobs by id — the cancel registry.
@@ -305,7 +301,6 @@ impl Shared {
             shared_symbolic_hits: counters.shared_symbolic_hits,
             plan_compilations: counters.plan_compilations,
             shared_plan_hits: counters.shared_plan_hits,
-            symbolic_cache: self.symbolic.stats(),
             plan_cache: self.plans.stats(),
         }
     }
@@ -623,7 +618,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listen socket and builds the warm caches.
+    /// Binds the listen socket and builds the warm plan cache.
     ///
     /// # Errors
     ///
@@ -631,10 +626,6 @@ impl Server {
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
-        let symbolic = Arc::new(match config.symbolic_cache_capacity {
-            Some(n) => SymbolicCache::with_capacity(n),
-            None => SymbolicCache::new(),
-        });
         let plans = Arc::new(match config.plan_cache_capacity {
             Some(n) => PlanCache::with_capacity(n),
             None => PlanCache::new(),
@@ -645,7 +636,6 @@ impl Server {
             shared: Shared {
                 config,
                 queue,
-                symbolic,
                 plans,
                 counters: Mutex::new(Counters::default()),
                 active: Mutex::new(HashMap::new()),
@@ -1368,7 +1358,7 @@ fn execute_job(shared: &Shared, job: Job) -> bool {
     }
 }
 
-/// The solver side of one job: build the shared-cache session over the
+/// The solver side of one job: build the plan-cache session over the
 /// admission-parsed deck, drive the stepper with between-step cancellation
 /// checks (the PR 6 contract — a cancelled job's streamed rows are a
 /// bit-exact prefix of the uncancelled run), and stream through a
@@ -1400,8 +1390,7 @@ fn run_job(shared: &Shared, job: &Job) -> (Response, Option<RunStats>) {
         // Same class the CLI assigns to SimError (`CliError::Sim`).
         Err(e) => return (job_error(&job.id, "convergence", e.to_string()), None),
     };
-    let mut sim = Simulator::with_shared_symbolic(&deck.circuit, Arc::clone(&shared.symbolic))
-        .with_plan_cache(Arc::clone(&shared.plans));
+    let mut sim = Simulator::new(&deck.circuit).with_plan_cache(Arc::clone(&shared.plans));
     let mut observer = WireObserver::new(
         shared,
         job.id.clone(),
@@ -1449,7 +1438,6 @@ mod tests {
         let config = ServeConfig::default();
         assert!(config.queue_capacity >= 1);
         assert!(config.max_deck_bytes <= config.max_frame_bytes);
-        assert!(config.symbolic_cache_capacity.is_some());
         assert!(config.plan_cache_capacity.is_some());
         // The in-flight budget must admit at least one maximal job, and the
         // ladder thresholds must be ordered.

@@ -1,18 +1,18 @@
 //! Server-wide observability: the [`ServerStats`] snapshot a `stats`
 //! request returns.
 
-use exi_sparse::CacheStats;
+use exi_sim::CacheStats;
 
 use crate::json::{n, obj, Json};
 
 /// A consistent snapshot of the daemon's lifetime counters, queue state and
-/// warm-cache residency, taken under the server's stats lock.
+/// warm plan-cache residency, taken under the server's stats lock.
 ///
 /// The solver counters (`accepted_steps` through `shared_plan_hits`) are the
 /// server-wide merge of every finished job's
 /// [`RunStats`](exi_sim::RunStats) — the fleet-amortization contract shows
-/// up here as `symbolic_analyses == distinct patterns` and
-/// `plan_compilations == distinct structures`, however many jobs ran.
+/// up here as `plan_compilations == distinct structures`, however many jobs
+/// ran, while `symbolic_analyses` grows by one per job and matrix role.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerStats {
     /// Jobs admitted to the queue.
@@ -53,16 +53,14 @@ pub struct ServerStats {
     pub workers: usize,
     /// Merged accepted time steps across all finished jobs.
     pub accepted_steps: usize,
-    /// Merged symbolic LU analyses (fleet-wide: one per distinct pattern).
+    /// Merged symbolic LU analyses (one per job and matrix role).
     pub symbolic_analyses: usize,
-    /// Merged cross-session symbolic-cache hits.
+    /// Merged `G` analyses whose ordering the warm plan already held.
     pub shared_symbolic_hits: usize,
     /// Merged stamping-plan compilations (one per distinct structure).
     pub plan_compilations: usize,
     /// Merged shared plan-cache hits.
     pub shared_plan_hits: usize,
-    /// Residency counters of the warm symbolic cache.
-    pub symbolic_cache: CacheStats,
     /// Residency counters of the warm plan cache.
     pub plan_cache: CacheStats,
 }
@@ -139,7 +137,6 @@ impl ServerStats {
             ("shared_symbolic_hits", n(self.shared_symbolic_hits)),
             ("plan_compilations", n(self.plan_compilations)),
             ("shared_plan_hits", n(self.shared_plan_hits)),
-            ("symbolic_cache", cache_json(&self.symbolic_cache)),
             ("plan_cache", cache_json(&self.plan_cache)),
         ])
     }
@@ -168,7 +165,6 @@ impl ServerStats {
             shared_symbolic_hits: v.get("shared_symbolic_hits")?.as_u64()? as usize,
             plan_compilations: v.get("plan_compilations")?.as_u64()? as usize,
             shared_plan_hits: v.get("shared_plan_hits")?.as_u64()? as usize,
-            symbolic_cache: cache_from_json(v.get("symbolic_cache")?)?,
             plan_cache: cache_from_json(v.get("plan_cache")?)?,
         })
     }
@@ -198,17 +194,10 @@ mod tests {
             queue_capacity: 16,
             workers: 4,
             accepted_steps: 1234,
-            symbolic_analyses: 1,
+            symbolic_analyses: 7,
             shared_symbolic_hits: 6,
             plan_compilations: 1,
             shared_plan_hits: 6,
-            symbolic_cache: CacheStats {
-                entries: 1,
-                capacity: Some(64),
-                hits: 6,
-                misses: 1,
-                evictions: 0,
-            },
             plan_cache: CacheStats {
                 entries: 1,
                 capacity: None,

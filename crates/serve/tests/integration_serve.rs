@@ -1,7 +1,7 @@
-//! End-to-end tests of the exi-serve daemon over real TCP sockets: warm
-//! fleet caches across concurrent clients, wire cancellation with bit-exact
-//! prefixes, backpressure, malformed/oversized rejection and graceful
-//! shutdown draining.
+//! End-to-end tests of the exi-serve daemon over real TCP sockets: the warm
+//! plan cache across concurrent clients, served bytes independent of what
+//! ran before, wire cancellation with bit-exact prefixes, backpressure,
+//! malformed/oversized rejection and graceful shutdown draining.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -29,6 +29,57 @@ const SLOW_DECK: &str = "Vin in 0 PULSE(0 1 0 10p 10p 200p)\n\
                          C1 out 0 1f\n\
                          .tran 1p 60000p 1p\n\
                          .print v(out)\n";
+
+/// Two decks with one `G` pattern and different values: a floating source
+/// whose branch row competes with `q`'s diagonal `1/Rq` for the pivot of
+/// `q`'s column. At `Rq = 1` the diagonal wins; at `Rq = 10k` the branch row
+/// does — a deck that borrowed the other's pivot order would round
+/// differently.
+const PIVOT_DECK_A: &str = "V1 p q PULSE(0 1 0 10p 10p 200p)\n\
+                            Rp p 0 1k\n\
+                            Rq q 0 1\n\
+                            R1 p out 1k\n\
+                            C1 out 0 100f\n\
+                            .tran 1p 300p\n\
+                            .print v(p) v(q) v(out)\n";
+const PIVOT_DECK_B: &str = "V1 p q PULSE(0 1 0 10p 10p 200p)\n\
+                            Rp p 0 1k\n\
+                            Rq q 0 10k\n\
+                            R1 p out 1k\n\
+                            C1 out 0 100f\n\
+                            .tran 1p 300p\n\
+                            .print v(p) v(q) v(out)\n";
+
+/// What `exi-cli run` writes for `deck_text`: a fresh session streaming
+/// through a `CsvObserver`.
+fn local_csv(deck_text: &str, method: Method) -> String {
+    let deck = exi_netlist::parse_deck(deck_text).expect("parse");
+    let options = exi_sim::analysis_options(&deck, &deck.analyses[0]).expect("tran options");
+    let probe_names = deck.effective_probes(&[]);
+    let probe_refs: Vec<&str> = probe_names.iter().map(String::as_str).collect();
+    let probes = exi_sim::resolve_probes(&deck.circuit, &probe_refs).expect("probes");
+    let mut local = Vec::new();
+    {
+        let mut sim = exi_sim::Simulator::new(&deck.circuit);
+        let mut csv = exi_sim::CsvObserver::new(&mut local, probes);
+        sim.transient_observed(method, &options, &mut csv)
+            .expect("local run");
+        csv.finish().expect("flush");
+    }
+    String::from_utf8(local).unwrap()
+}
+
+/// What `exi-cli client` writes for `deck_text` served by the daemon at
+/// `addr`.
+fn served_csv(addr: SocketAddr, deck_text: &str, id: &str, method: Method) -> String {
+    let mut client = Client::connect(addr).expect("connect");
+    let mut served = Vec::new();
+    let end = client
+        .run_streaming(request(deck_text, id, method), &mut served, ',')
+        .expect("served run");
+    assert!(matches!(end, RunEnd::Done { .. }), "{id}: {end:?}");
+    String::from_utf8(served).unwrap()
+}
 
 fn boot(config: ServeConfig) -> (SocketAddr, JoinHandle<ServerStats>) {
     let server = Server::bind(config).expect("bind");
@@ -67,19 +118,7 @@ fn ping_stats_shutdown_round_trip() {
 #[test]
 fn served_waveform_is_bit_identical_to_a_local_run() {
     // Local reference, the exact `run_deck` unstreamed path.
-    let deck = exi_netlist::parse_deck(RC_DECK).expect("parse");
-    let options = exi_sim::analysis_options(&deck, &deck.analyses[0]).expect("tran options");
-    let probe_names = deck.effective_probes(&[]);
-    let probe_refs: Vec<&str> = probe_names.iter().map(String::as_str).collect();
-    let probes = exi_sim::resolve_probes(&deck.circuit, &probe_refs).expect("probes");
-    let mut local = Vec::new();
-    {
-        let mut sim = exi_sim::Simulator::new(&deck.circuit);
-        let mut csv = exi_sim::CsvObserver::new(&mut local, probes);
-        sim.transient_observed(Method::ExponentialRosenbrock, &options, &mut csv)
-            .expect("local run");
-        csv.finish().expect("flush");
-    }
+    let local = local_csv(RC_DECK, Method::ExponentialRosenbrock);
 
     let (addr, daemon) = boot(ServeConfig::default());
     let mut client = Client::connect(addr).expect("connect");
@@ -97,16 +136,54 @@ fn served_waveform_is_bit_identical_to_a_local_run() {
     assert!(rows > 5, "rows {rows}");
     assert_eq!(
         String::from_utf8(served).unwrap(),
-        String::from_utf8(local).unwrap(),
+        local,
         "served bytes must equal the local CsvObserver bytes"
     );
     client.shutdown().expect("shutdown");
     daemon.join().expect("join");
 }
 
+/// A job's bytes depend on its own deck only: deck B, served after deck A
+/// (same `G` pattern, other values, other pivot rows), equals B run alone —
+/// on a cold daemon and on a warm one, at 1 and 8 workers.
+#[test]
+fn served_bytes_do_not_depend_on_the_deck_served_before() {
+    let method = Method::ExponentialRosenbrock;
+    let alone_a = local_csv(PIVOT_DECK_A, method);
+    let alone_b = local_csv(PIVOT_DECK_B, method);
+    assert_ne!(alone_a, alone_b);
+    for workers in [1, 8] {
+        let (addr, daemon) = boot(ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        });
+        let mut mismatches = Vec::new();
+        // Cold: A is the first deck the daemon ever sees, then B. Warm: both
+        // have run, and B follows A again.
+        for id in ["cold", "warm"] {
+            let a = served_csv(addr, PIVOT_DECK_A, &format!("a-{id}"), method);
+            let b = served_csv(addr, PIVOT_DECK_B, &format!("b-{id}"), method);
+            if a != alone_a {
+                mismatches.push(format!("deck A, {id} daemon"));
+            }
+            if b != alone_b {
+                mismatches.push(format!("deck B, {id} daemon"));
+            }
+        }
+        let mut client = Client::connect(addr).expect("connect");
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("join");
+        assert!(
+            mismatches.is_empty(),
+            "workers={workers}: served bytes differ from `run` bytes: {mismatches:?}"
+        );
+    }
+}
+
 /// Three concurrent clients submitting the same circuit fingerprint hit the
-/// warm caches: exactly one symbolic analysis and one plan compilation
-/// server-wide, with the other sessions counted as shared hits.
+/// warm plan cache: one plan compilation and one `G` ordering server-wide,
+/// with the other sessions counted as shared hits — and each request pivots
+/// its own `G`.
 #[test]
 fn concurrent_same_fingerprint_clients_share_one_analysis_and_one_plan() {
     let (addr, daemon) = boot(ServeConfig {
@@ -149,24 +226,24 @@ fn concurrent_same_fingerprint_clients_share_one_analysis_and_one_plan() {
     let stats = observer.stats().expect("stats");
     assert_eq!(stats.jobs_completed, 3);
     assert_eq!(
-        stats.symbolic_analyses, 1,
-        "one symbolic analysis server-wide: {stats:?}"
+        stats.symbolic_analyses, 3,
+        "one symbolic analysis per request: {stats:?}"
     );
     assert_eq!(
         stats.plan_compilations, 1,
         "one plan compilation server-wide: {stats:?}"
     );
-    assert!(
-        stats.shared_symbolic_hits >= 2,
-        "two later sessions hit the warm symbolic cache: {stats:?}"
+    assert_eq!(
+        stats.shared_symbolic_hits, 2,
+        "two later sessions found the plan's G ordering: {stats:?}"
     );
-    assert!(
-        stats.shared_plan_hits >= 2,
+    assert_eq!(
+        stats.shared_plan_hits, 2,
         "two later sessions hit the warm plan cache: {stats:?}"
     );
     assert_eq!(stats.plan_cache.misses, 1, "{stats:?}");
-    assert!(stats.plan_cache.hits >= 2, "{stats:?}");
-    assert_eq!(stats.symbolic_cache.entries, 1, "{stats:?}");
+    assert_eq!(stats.plan_cache.hits, 2, "{stats:?}");
+    assert_eq!(stats.plan_cache.entries, 1, "{stats:?}");
     observer.shutdown().expect("shutdown");
     daemon.join().expect("join");
 }

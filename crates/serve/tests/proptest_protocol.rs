@@ -170,11 +170,17 @@ proptest! {
             queue_capacity: 16,
             workers: 2,
             accepted_steps: seed as usize,
-            symbolic_analyses: 1,
+            symbolic_analyses: (seed % 43) as usize,
             shared_symbolic_hits: (seed % 37) as usize,
             plan_compilations: 1,
             shared_plan_hits: (seed % 41) as usize,
-            ..ServerStats::default()
+            plan_cache: exi_sim::CacheStats {
+                entries: (seed % 9) as usize,
+                capacity: seed.is_multiple_of(2).then_some(64),
+                hits: seed,
+                misses: seed % 47,
+                evictions: seed % 53,
+            },
         };
         let resp = Response::Stats(stats);
         prop_assert_eq!(Response::from_json(&resp.to_json()).as_ref(), Ok(&resp));

@@ -17,11 +17,9 @@
 //!   Its symbolic analysis ([`SymbolicLu`]) is cached so value-only updates
 //!   go through the cheap numeric [`SparseLu::refactorize`], and
 //!   [`SparseLu::solve_into`] + [`LuWorkspace`] make hot-loop triangular
-//!   solves allocation-free.
-//! * [`SymbolicCache`] — a thread-shared, blocking cache of symbolic
-//!   analyses keyed by (pattern, ordering), so concurrent solver sessions on
-//!   the same topology perform exactly one symbolic analysis total
-//!   ([`SparseLu::from_symbolic`] derives per-thread numeric factors).
+//!   solves allocation-free. [`SparseLu::factorize_ordered`] takes the
+//!   fill-reducing ordering precomputed — it depends on the pattern alone —
+//!   and still pivots on the matrix's own values.
 //! * [`DenseMatrix`] — small dense matrices for the projected Hessenberg
 //!   systems produced by Krylov subspace methods.
 //! * [`vector`] — BLAS-1 style helpers on `&[f64]`.
@@ -57,7 +55,6 @@ pub mod error;
 pub mod lu;
 pub mod ordering;
 pub mod permutation;
-pub mod shared;
 pub mod vector;
 
 pub use coo::TripletMatrix;
@@ -68,4 +65,3 @@ pub use error::{SparseError, SparseResult};
 pub use lu::{factor_fill, solve_sparse, LuOptions, LuWorkspace, SparseLu, SymbolicLu};
 pub use ordering::OrderingMethod;
 pub use permutation::Permutation;
-pub use shared::{pattern_fingerprint, CacheStats, CacheWait, FactorSource, SymbolicCache};

@@ -30,8 +30,6 @@
 //! that replaying the elimination would reproduce the factor it already
 //! holds, so it need not.
 
-use std::sync::Arc;
-
 use crate::csr::CsrMatrix;
 use crate::error::{SparseError, SparseResult};
 use crate::ordering::{compute_ordering, OrderingMethod};
@@ -110,10 +108,9 @@ impl LuWorkspace {
 
 /// The symbolic part of a sparse LU factorization: everything that depends
 /// only on the sparsity **pattern** of the matrix (plus the pivot order the
-/// pilot factorization chose), not on its values.
+/// first factorization chose), not on its values.
 ///
-/// Stored once and shared (via [`Arc`]) by every numeric factor derived from
-/// it:
+/// Computed once per factor and replayed by every refactorization of it:
 ///
 /// * the fill-reducing column ordering `Q` and the row pivot order `P`,
 /// * the structural patterns of `L` and `U` in elimination order (the
@@ -142,7 +139,7 @@ pub struct SymbolicLu {
     /// Pattern of `U` (strictly above the diagonal), row indices in pivot
     /// positions, stored per column in elimination order. Iterating a column
     /// of this pattern visits the update sources of the left-looking solve in
-    /// exactly the order the pilot factorization applied them.
+    /// exactly the order the first factorization applied them.
     u_colptr: Vec<usize>,
     u_rows: Vec<usize>,
 }
@@ -168,11 +165,6 @@ impl SymbolicLu {
         self.nnz_l() + self.nnz_u()
     }
 
-    /// Number of nonzeros of the analyzed matrix pattern.
-    pub(crate) fn a_nnz(&self) -> usize {
-        self.a_indices.len()
-    }
-
     /// Whether `a` has exactly the sparsity pattern this analysis was
     /// computed for.
     pub fn matches_pattern(&self, a: &CsrMatrix) -> bool {
@@ -187,9 +179,9 @@ impl SymbolicLu {
 ///
 /// `P` is the row permutation chosen by partial pivoting, `Q` the
 /// fill-reducing column ordering, `L` unit lower triangular and `U` upper
-/// triangular. The symbolic analysis is cached and shared, so factorizing a
-/// sequence of matrices with the same pattern costs one full factorization
-/// plus cheap numeric [`SparseLu::refactorize`] calls.
+/// triangular. The symbolic analysis is cached, so factorizing a sequence of
+/// matrices with the same pattern costs one full factorization plus cheap
+/// numeric [`SparseLu::refactorize`] calls.
 ///
 /// # Examples
 ///
@@ -212,7 +204,7 @@ impl SymbolicLu {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SparseLu {
-    symbolic: Arc<SymbolicLu>,
+    symbolic: SymbolicLu,
     l_vals: Vec<f64>,
     u_vals: Vec<f64>,
     /// Diagonal of `U` in pivot positions.
@@ -237,7 +229,8 @@ impl SparseLu {
 
     /// Factorizes `a` with explicit options, performing the full symbolic
     /// analysis (ordering, pivoting, reachability) plus the numeric
-    /// factorization.
+    /// factorization: [`compute_ordering`] followed by
+    /// [`SparseLu::factorize_ordered`].
     ///
     /// # Errors
     ///
@@ -245,6 +238,28 @@ impl SparseLu {
     /// * [`SparseError::Singular`] if no acceptable pivot exists for a column.
     /// * [`SparseError::FillBudgetExceeded`] if the configured fill budget is hit.
     pub fn factorize_with(a: &CsrMatrix, options: &LuOptions) -> SparseResult<Self> {
+        Self::factorize_ordered(a, compute_ordering(a, options.ordering), options)
+    }
+
+    /// Factorizes `a` under a precomputed fill-reducing column ordering `q`
+    /// (`options.ordering` is not consulted): the pivoting, reachability and
+    /// numeric work of [`SparseLu::factorize_with`] without the ordering.
+    ///
+    /// An ordering depends on the sparsity pattern alone, so one computed for
+    /// any matrix with `a`'s pattern yields the factor `factorize_with` would
+    /// — bit for bit — while the row pivots are still chosen from `a`'s own
+    /// values.
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLu::factorize_with`], plus
+    /// [`SparseError::DimensionMismatch`] if `q` does not permute `a`'s
+    /// columns.
+    pub fn factorize_ordered(
+        a: &CsrMatrix,
+        q: Permutation,
+        options: &LuOptions,
+    ) -> SparseResult<Self> {
         if a.rows() != a.cols() {
             return Err(SparseError::NotSquare {
                 rows: a.rows(),
@@ -252,7 +267,13 @@ impl SparseLu {
             });
         }
         let n = a.rows();
-        let q = compute_ordering(a, options.ordering);
+        if q.len() != n {
+            return Err(SparseError::DimensionMismatch {
+                op: "lu column ordering",
+                expected: n,
+                found: q.len(),
+            });
+        }
 
         // Column-wise access to `a` that remembers, for every entry, its
         // index into `a.values()` — this becomes the refactorization scatter
@@ -449,7 +470,7 @@ impl SparseLu {
         };
 
         Ok(SparseLu {
-            symbolic: Arc::new(symbolic),
+            symbolic,
             l_vals,
             u_vals,
             u_diag,
@@ -465,7 +486,7 @@ impl SparseLu {
     /// This skips the fill-reducing ordering, the CSC conversion and the
     /// per-column reachability DFS and performs no allocation; only the
     /// floating-point elimination is replayed — in exactly the operation
-    /// order of the pilot factorization, so refactorizing with unchanged
+    /// order of the first factorization, so refactorizing with unchanged
     /// values reproduces the factors bit for bit.
     ///
     /// # Errors
@@ -505,7 +526,7 @@ impl SparseLu {
     /// # }
     /// ```
     pub fn refactorize_with(&mut self, a: &CsrMatrix, ws: &mut LuWorkspace) -> SparseResult<()> {
-        let s = Arc::clone(&self.symbolic);
+        let s = &self.symbolic;
         if !s.matches_pattern(a) {
             return Err(SparseError::PatternMismatch {
                 expected_nnz: s.a_indices.len(),
@@ -524,7 +545,7 @@ impl SparseLu {
             }
             // Replay the left-looking update in the recorded elimination
             // order: the U pattern of this column lists the update sources
-            // exactly as the pilot factorization visited them.
+            // exactly as the first factorization visited them.
             for t in s.u_colptr[jj]..s.u_colptr[jj + 1] {
                 let p = s.u_rows[t];
                 let xp = x[p];
@@ -609,69 +630,9 @@ impl SparseLu {
         self.refactorize_with(a, &mut ws)
     }
 
-    /// Builds a numeric factorization of `a` from an **existing** symbolic
-    /// analysis — the cross-factor sibling of [`SparseLu::refactorize_with`].
-    ///
-    /// Where `refactorize_with` updates a factor in place, `from_symbolic`
-    /// creates a brand-new factor (fresh value storage) that shares the
-    /// symbolic analysis behind the [`Arc`]. This is what makes the analysis
-    /// shareable across threads: many workers can hold clones of one
-    /// `Arc<SymbolicLu>` and each build its own numeric factor without any
-    /// symbolic work and without synchronization (see
-    /// [`SymbolicCache`](crate::SymbolicCache)).
-    ///
-    /// For values identical to the ones the analysis was computed from, the
-    /// resulting factor is bit-for-bit the factor a fresh
-    /// [`SparseLu::factorize_with`] would produce (the elimination replays in
-    /// the recorded operation order).
-    ///
-    /// # Errors
-    ///
-    /// * [`SparseError::PatternMismatch`] if `a` does not have the analyzed
-    ///   pattern.
-    /// * [`SparseError::FillBudgetExceeded`] if `options.fill_budget` is
-    ///   smaller than the analysis' fill.
-    /// * [`SparseError::Singular`] / [`SparseError::UnstableRefactorization`]
-    ///   if the frozen pivot order is not viable for `a`'s values — the
-    ///   caller should fall back to a fresh, re-pivoting
-    ///   [`SparseLu::factorize_with`].
-    pub fn from_symbolic(
-        symbolic: Arc<SymbolicLu>,
-        a: &CsrMatrix,
-        options: &LuOptions,
-        ws: &mut LuWorkspace,
-    ) -> SparseResult<Self> {
-        if let Some(budget) = options.fill_budget {
-            let fill = symbolic.fill();
-            if fill > budget {
-                return Err(SparseError::FillBudgetExceeded {
-                    reached: fill,
-                    budget,
-                });
-            }
-        }
-        let mut lu = SparseLu {
-            l_vals: vec![0.0; symbolic.l_rows.len()],
-            u_vals: vec![0.0; symbolic.u_rows.len()],
-            u_diag: vec![0.0; symbolic.n],
-            pivot_floor: options.pivot_tolerance * options.zero_pivot_threshold,
-            a_vals: Vec::with_capacity(symbolic.a_nnz()),
-            symbolic,
-        };
-        lu.refactorize_with(a, ws)?;
-        Ok(lu)
-    }
-
     /// The cached symbolic analysis backing this factorization.
     pub fn symbolic(&self) -> &SymbolicLu {
         &self.symbolic
-    }
-
-    /// A shareable handle to the cached symbolic analysis — cloning the
-    /// [`Arc`] lets other factors (including ones on other threads) reuse the
-    /// analysis through [`SparseLu::from_symbolic`].
-    pub fn shared_symbolic(&self) -> Arc<SymbolicLu> {
-        Arc::clone(&self.symbolic)
     }
 
     /// Dimension of the factorized matrix.
@@ -1091,11 +1052,6 @@ mod tests {
         assert_eq!(lu.u_diag, replayed.u_diag);
         lu.refactorize(&scaled).unwrap();
         assert!(lu.is_factor_of(&scaled) && !lu.is_factor_of(&a));
-        let mut ws = LuWorkspace::new();
-        let derived =
-            SparseLu::from_symbolic(lu.shared_symbolic(), &a, &LuOptions::default(), &mut ws)
-                .unwrap();
-        assert!(derived.is_factor_of(&a));
         // A pattern mismatch is refused before anything is touched ...
         assert!(lu.refactorize(&tridiag(41)).is_err());
         assert!(lu.is_factor_of(&scaled));
@@ -1207,62 +1163,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_symbolic_same_values_is_bit_identical_to_fresh() {
-        let a = tridiag(40);
-        let fresh = SparseLu::factorize(&a).unwrap();
-        let mut ws = LuWorkspace::new();
-        let derived =
-            SparseLu::from_symbolic(fresh.shared_symbolic(), &a, &LuOptions::default(), &mut ws)
-                .unwrap();
-        assert_eq!(fresh.l_vals, derived.l_vals);
-        assert_eq!(fresh.u_vals, derived.u_vals);
-        assert_eq!(fresh.u_diag, derived.u_diag);
-        // Both factors share one symbolic analysis.
-        assert!(Arc::ptr_eq(&fresh.symbolic, &derived.symbolic));
+    /// `[[d, 0, 1], [0, 2, 1], [1, 1, 0]]`: column 0's diagonal `d` passes
+    /// the threshold test against the `1` below it only when `d >= 0.1`.
+    fn pivot_choice(d: f64) -> CsrMatrix {
+        let mut t = TripletMatrix::new(3, 3);
+        for (i, j, v) in [
+            (0, 0, d),
+            (0, 2, 1.0),
+            (1, 1, 2.0),
+            (1, 2, 1.0),
+            (2, 0, 1.0),
+            (2, 1, 1.0),
+        ] {
+            t.push(i, j, v);
+        }
+        t.to_csr()
     }
 
     #[test]
-    fn from_symbolic_new_values_solves_correctly() {
-        let a = tridiag_scaled(30, 2.5, -1.0);
-        let pilot = SparseLu::factorize(&a).unwrap();
-        let b_mat = tridiag_scaled(30, 4.0, -0.5);
-        let mut ws = LuWorkspace::new();
-        let lu = SparseLu::from_symbolic(
-            pilot.shared_symbolic(),
-            &b_mat,
-            &LuOptions::default(),
-            &mut ws,
-        )
-        .unwrap();
-        let rhs: Vec<f64> = (0..30).map(|i| (i as f64 * 0.4).sin()).collect();
-        let x = lu.solve(&rhs).unwrap();
-        assert!(dense_residual(&b_mat, &x, &rhs) < 1e-10);
+    fn factorize_ordered_pivots_its_own_values_under_a_shared_ordering() {
+        let natural = LuOptions {
+            ordering: OrderingMethod::Natural,
+            ..LuOptions::default()
+        };
+        for ordering in [
+            OrderingMethod::Natural,
+            OrderingMethod::Rcm,
+            OrderingMethod::MinDegree,
+        ] {
+            // One ordering, computed from the first matrix, serves both.
+            let q = compute_ordering(&pivot_choice(1.0), ordering);
+            for d in [1.0, 1e-3] {
+                let a = pivot_choice(d);
+                let options = LuOptions {
+                    ordering,
+                    ..LuOptions::default()
+                };
+                let fresh = SparseLu::factorize_with(&a, &options).unwrap();
+                let ordered = SparseLu::factorize_ordered(&a, q.clone(), &options).unwrap();
+                assert_eq!(fresh.symbolic.pinv, ordered.symbolic.pinv);
+                assert_eq!(fresh.l_vals, ordered.l_vals);
+                assert_eq!(fresh.u_vals, ordered.u_vals);
+                assert_eq!(fresh.u_diag, ordered.u_diag);
+            }
+        }
+        // The two value sets really do pivot differently.
+        let diag = SparseLu::factorize_with(&pivot_choice(1.0), &natural).unwrap();
+        let off = SparseLu::factorize_with(&pivot_choice(1e-3), &natural).unwrap();
+        assert_ne!(diag.symbolic.pinv, off.symbolic.pinv);
     }
 
     #[test]
-    fn from_symbolic_rejects_pattern_mismatch_and_fill_budget() {
+    fn factorize_ordered_rejects_a_foreign_ordering_and_the_fill_budget() {
         let a = tridiag(12);
-        let pilot = SparseLu::factorize(&a).unwrap();
-        let mut ws = LuWorkspace::new();
-        let wrong = tridiag(13);
         assert!(matches!(
-            SparseLu::from_symbolic(
-                pilot.shared_symbolic(),
-                &wrong,
-                &LuOptions::default(),
-                &mut ws
-            ),
-            Err(SparseError::PatternMismatch { .. })
+            SparseLu::factorize_ordered(&a, Permutation::identity(13), &LuOptions::default()),
+            Err(SparseError::DimensionMismatch { .. })
         ));
         let tight = LuOptions {
             fill_budget: Some(4),
             ..LuOptions::default()
         };
         assert!(matches!(
-            SparseLu::from_symbolic(pilot.shared_symbolic(), &a, &tight, &mut ws),
+            SparseLu::factorize_ordered(&a, Permutation::identity(12), &tight),
             Err(SparseError::FillBudgetExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn lu_types_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<SymbolicLu>();
+        assert_send_sync::<SparseLu>();
+        assert_send_sync::<LuWorkspace>();
+        assert_send_sync::<CsrMatrix>();
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Integration tests for the parallel batch-sweep subsystem: the ISSUE's
-//! acceptance criterion (≥ 8 same-topology power-grid jobs, exactly one
-//! symbolic analysis, bit-identical to sequential execution at any thread
-//! count), per-job error isolation, mixed-method pattern sharing,
-//! `StreamingObserver` decimation under batch use, and warmed shared caches
+//! Integration tests for the parallel batch-sweep subsystem: same-topology
+//! power-grid fleets (one plan, one `G` ordering, bit-identical to
+//! sequential execution at any thread count), value corners that pivot
+//! differently, per-job error isolation, mixed-method plan sharing,
+//! `StreamingObserver` decimation under batch use, and a warmed plan cache
 //! across batches.
 
 use exi_netlist::generators::{power_grid, rc_ladder, PowerGridSpec, RcLadderSpec};
@@ -62,9 +62,6 @@ fn waveforms(result: &exi_sim::BatchResult) -> Vec<Waveform> {
 
 /// Zeroes the fields that legitimately vary between equivalent batch
 /// executions (wall-clock time, lock-wait time and configured concurrency).
-/// `shared_symbolic_wait_events` is deliberately *not* normalized: with
-/// every pattern pre-published before workers start, no job ever blocks on
-/// an in-flight cache slot, at any thread count.
 fn normalized(stats: &RunStats) -> RunStats {
     RunStats {
         runtime: std::time::Duration::ZERO,
@@ -74,7 +71,9 @@ fn normalized(stats: &RunStats) -> RunStats {
     }
 }
 
-/// The ISSUE acceptance criterion, end to end.
+/// Eight same-topology corners: one plan and one `G` ordering for the whole
+/// fleet, each job its own `G` analysis, and every job bit-identical to its
+/// isolated run at 1, 2 and 8 workers.
 #[test]
 fn power_grid_sweep_is_bit_identical_at_any_thread_count_with_one_symbolic_analysis() {
     const JOBS: usize = 8;
@@ -101,16 +100,15 @@ fn power_grid_sweep_is_bit_identical_at_any_thread_count_with_one_symbolic_analy
         assert!(result.all_ok(), "threads={threads}: {:?}", result.failed());
         assert_eq!(result.stats.batch_jobs, JOBS);
         assert_eq!(result.stats.worker_threads, threads);
-        // Exactly one symbolic analysis for the whole fleet — performed up
-        // front by the runner — so every job derived its factors from the
-        // shared cache, and none ever blocked on an in-flight slot.
+        // One plan, one `G` ordering: every job after the first found it
+        // computed, and each job analyzed its own `G` exactly once.
+        assert_eq!(result.stats.plan_compilations, 1);
         assert_eq!(
-            result.stats.symbolic_analyses, 1,
+            result.stats.symbolic_analyses, JOBS,
             "threads={threads}: {:?}",
             result.stats
         );
-        assert_eq!(result.stats.shared_symbolic_hits, JOBS);
-        assert_eq!(result.stats.shared_symbolic_wait_events, 0);
+        assert_eq!(result.stats.shared_symbolic_hits, JOBS - 1);
         assert_eq!(
             result.stats.lu_factorizations,
             result.stats.symbolic_analyses + result.stats.lu_refactorizations
@@ -128,9 +126,9 @@ fn power_grid_sweep_is_bit_identical_at_any_thread_count_with_one_symbolic_analy
     assert_eq!(batch_waveforms[0], reference);
 }
 
-/// Mixed methods on one topology: the `G` pattern and the implicit
-/// `C/h + θG` pattern are each analyzed exactly once, no matter how many
-/// jobs use them.
+/// Mixed methods on one topology: one plan and one `G` ordering serve every
+/// job; each job analyzes its own `G`, and each implicit job its own
+/// `C/h + θG` under an ordering of its own.
 #[test]
 fn mixed_method_batch_shares_both_pattern_analyses() {
     let options = TransientOptions {
@@ -162,27 +160,93 @@ fn mixed_method_batch_shares_both_pattern_analyses() {
         );
     }
     for threads in [1, 4] {
-        let runner = BatchRunner::new().worker_threads(threads);
-        let result = runner.run(&plan);
+        let result = BatchRunner::new().worker_threads(threads).run(&plan);
         assert!(result.all_ok());
-        // On the power grid every capacitor sits at a node that also carries
-        // conductance, so the implicit Jacobian C/h + θG has *exactly* the
-        // pattern of G — the pattern-keyed cache legitimately serves both
-        // matrix roles (and BE vs TR: θ scales values, not the pattern) from
-        // one analysis. The invariant is "one symbolic analysis per distinct
-        // pattern", measured directly against the cache:
+        // Every job seeds its G slot once (5) and every implicit job its
+        // Jacobian slot once (3).
         assert_eq!(
             result.stats.symbolic_analyses,
-            runner.cache().patterns(),
+            5 + 3,
             "threads={threads}: {:?}",
             result.stats
         );
-        assert_eq!(result.stats.symbolic_analyses, 1);
-        // Seeding events: every job seeds its G slot once (5) and every
-        // implicit job additionally seeds its Jacobian slot once (3); the
-        // single analysis was pre-published by the runner, so all eight
-        // seedings were shared-cache hits.
-        assert_eq!(result.stats.shared_symbolic_hits, 5 + 3);
+        // Only `G`'s ordering lives in the plan: the four jobs after the
+        // first found it computed.
+        assert_eq!(result.stats.plan_compilations, 1);
+        assert_eq!(result.stats.shared_symbolic_hits, 4);
+    }
+}
+
+/// A floating source `V1` between `p` and `q` whose branch row competes with
+/// `q`'s diagonal `1/rq` for the pivot of `q`'s column (the first one the
+/// ordering eliminates): at `rq = 1 Ω` the diagonal passes the threshold
+/// test against the branch row's `-1`, at `rq = 1 kΩ` the branch row wins.
+/// Every corner has the same `G` pattern, so RC-mesh-style diagonal pivots
+/// cannot hide a pivot order borrowed from another corner.
+fn floating_source_circuit(rq: f64) -> Circuit {
+    let mut ckt = Circuit::new();
+    let gnd = ckt.node("0");
+    let p = ckt.node("p");
+    let q = ckt.node("q");
+    let out = ckt.node("out");
+    ckt.add_voltage_source(
+        "V1",
+        p,
+        q,
+        exi_netlist::Waveform::Pwl(vec![(0.0, 0.0), (1e-11, 1.0)]),
+    )
+    .expect("source");
+    ckt.add_resistor("Rp", p, gnd, 1e3).expect("Rp");
+    ckt.add_resistor("Rq", q, gnd, rq).expect("Rq");
+    ckt.add_resistor("R1", p, out, 1e3).expect("R1");
+    ckt.add_capacitor("C1", out, gnd, 1e-13).expect("C1");
+    ckt
+}
+
+/// Corners whose `G` values differ — and with them the pivot rows a fresh
+/// factorization picks — are each bit-identical to their isolated run, at
+/// 1, 2 and 8 workers, for ER and for BE.
+#[test]
+fn value_corners_pivot_their_own_matrices_at_any_thread_count() {
+    let options = TransientOptions {
+        t_stop: 3e-10,
+        h_init: 1e-12,
+        h_max: 2e-11,
+        error_budget: 1e-3,
+        ..TransientOptions::default()
+    };
+    let corners = [1.0, 1e3, 3.0, 300.0, 1e4];
+    let mut plan = BatchPlan::new();
+    let mut reference = Vec::new();
+    for method in [Method::ExponentialRosenbrock, Method::BackwardEuler] {
+        for rq in corners {
+            let circuit = floating_source_circuit(rq);
+            let r = Simulator::new(&circuit)
+                .transient(method, &options, &["p", "q", "out"])
+                .expect("isolated run");
+            reference.push((r.times, r.samples, r.final_state));
+            plan.push(
+                BatchJob::new(format!("{method}-rq{rq}"), circuit, method, options.clone())
+                    .probe("p")
+                    .probe("q")
+                    .probe("out"),
+            );
+        }
+    }
+    for threads in [1, 2, 8] {
+        let result = BatchRunner::new().worker_threads(threads).run(&plan);
+        assert!(result.all_ok(), "threads={threads}");
+        let differing: Vec<&str> = waveforms(&result)
+            .iter()
+            .zip(&reference)
+            .zip(plan.jobs())
+            .filter(|((wave, isolated), _)| wave != isolated)
+            .map(|(_, job)| job.label.as_str())
+            .collect();
+        assert!(
+            differing.is_empty(),
+            "threads={threads}: not bit-identical to their isolated runs: {differing:?}"
+        );
     }
 }
 
@@ -301,77 +365,6 @@ fn streaming_jobs_decimate_the_same_accepted_points() {
     }
 }
 
-/// A pattern group whose first (pilot) job fails must promote the next
-/// candidate deterministically: output stays bit-identical at every thread
-/// count and the fleet still performs exactly one symbolic analysis.
-#[test]
-fn failed_pilot_promotes_the_next_candidate_deterministically() {
-    let build_plan = || {
-        let mut plan = BatchPlan::new();
-        // The group's lowest-index job fails option validation before doing
-        // any factorization — it must not wedge or randomize the group.
-        plan.push(BatchJob::new(
-            "doomed-pilot",
-            grid_circuit(),
-            Method::ExponentialRosenbrock,
-            TransientOptions {
-                h_init: 1.0, // > t_stop: rejected by validate()
-                ..grid_options(0)
-            },
-        ));
-        for k in 1..5 {
-            plan.push(
-                BatchJob::new(
-                    format!("corner{k}"),
-                    grid_circuit(),
-                    Method::ExponentialRosenbrock,
-                    grid_options(k),
-                )
-                .probe("g_3_3"),
-            );
-        }
-        plan
-    };
-    let mut per_thread = Vec::new();
-    for threads in [1, 4] {
-        let result = BatchRunner::new()
-            .worker_threads(threads)
-            .run(&build_plan());
-        assert_eq!(result.failed(), 1);
-        assert!(!result.jobs[0].is_ok());
-        // The runner pre-published the group's analysis before any job ran
-        // (fingerprinting does not depend on the doomed job's options), so
-        // the failure costs nothing: jobs 1..4 all shared the analysis.
-        assert_eq!(
-            result.stats.symbolic_analyses, 1,
-            "threads={threads}: {:?}",
-            result.stats
-        );
-        assert_eq!(result.stats.shared_symbolic_hits, 4);
-        let waves: Vec<Waveform> = result.jobs[1..]
-            .iter()
-            .map(|j| {
-                let r = j.recorded().expect("recorded output");
-                (r.times.clone(), r.samples.clone(), r.final_state.clone())
-            })
-            .collect();
-        per_thread.push(waves);
-    }
-    assert_eq!(per_thread[0], per_thread[1]);
-    // And identical to isolated sequential sessions.
-    for (k, wave) in per_thread[0].iter().enumerate() {
-        let circuit = grid_circuit();
-        let r = Simulator::new(&circuit)
-            .transient(
-                Method::ExponentialRosenbrock,
-                &grid_options(k + 1),
-                &["g_3_3"],
-            )
-            .expect("sequential run");
-        assert_eq!(&(r.times, r.samples, r.final_state), wave, "job {}", k + 1);
-    }
-}
-
 /// The progress hook sees every job exactly once, from worker threads.
 #[test]
 fn batch_progress_hook_reports_all_jobs() {
@@ -386,30 +379,9 @@ fn batch_progress_hook_reports_all_jobs() {
     assert_eq!(progress.failed(), 0);
 }
 
-/// Sharing one cache across several batches keeps amortizing: a second batch
-/// on the same topology performs zero symbolic analyses.
-#[test]
-fn shared_cache_survives_across_batches() {
-    let cache = std::sync::Arc::new(exi_sparse::SymbolicCache::new());
-    let first = BatchRunner::new()
-        .worker_threads(2)
-        .shared_cache(std::sync::Arc::clone(&cache))
-        .run(&grid_plan(3));
-    assert_eq!(first.stats.symbolic_analyses, 1);
-    let second = BatchRunner::new()
-        .worker_threads(2)
-        .shared_cache(cache)
-        .run(&grid_plan(3));
-    assert_eq!(second.stats.symbolic_analyses, 0, "{:?}", second.stats);
-    assert_eq!(second.stats.shared_symbolic_hits, 3);
-    // On a fully warmed cache no job may ever block on an in-flight slot:
-    // warm lookups are pure reads, never condvar waits.
-    assert_eq!(second.stats.shared_symbolic_wait_events, 0);
-}
-
-/// Warmed symbolic *and* plan caches serve BE jobs — whose implicit-Jacobian
-/// pattern goes through pilot election, not pre-publication — without a
-/// single analysis, compile or wait at 1, 2 and 8 workers.
+/// A warmed plan cache serves BE jobs without a single compile at 1, 2 and 8
+/// workers — every `G` ordering found computed — while each job still
+/// analyzes its own matrices and matches its isolated run.
 #[test]
 fn warmed_be_batches_never_wait_on_the_shared_cache() {
     let options = TransientOptions {
@@ -468,28 +440,30 @@ fn warmed_be_batches_never_wait_on_the_shared_cache() {
         );
     }
 
-    let cache = std::sync::Arc::new(exi_sparse::SymbolicCache::new());
     let plans = std::sync::Arc::new(PlanCache::new());
     let runner = |threads: usize| {
         BatchRunner::new()
             .worker_threads(threads)
-            .shared_cache(std::sync::Arc::clone(&cache))
             .shared_plan_cache(std::sync::Arc::clone(&plans))
     };
-    assert!(runner(2).run(&plan).all_ok(), "warm-up");
+    let warm_up = runner(2).run(&plan);
+    assert!(warm_up.all_ok(), "warm-up");
+    assert_eq!(warm_up.stats.plan_compilations, 2);
 
+    let jobs = plan.len();
     let mut per_thread = Vec::new();
     for threads in [1, 2, 8] {
         let result = runner(threads).run(&plan);
         assert!(result.all_ok(), "threads={threads}");
-        assert_eq!(result.stats.symbolic_analyses, 0, "threads={threads}");
         assert_eq!(result.stats.plan_compilations, 0, "threads={threads}");
-        assert_eq!(
-            result.stats.shared_symbolic_wait_events, 0,
-            "threads={threads}"
-        );
+        assert_eq!(result.stats.shared_plan_hits, jobs, "threads={threads}");
+        // One `G` and one Jacobian analysis per job; every `G` ordering
+        // came from the warm plans.
+        assert_eq!(result.stats.symbolic_analyses, 2 * jobs);
+        assert_eq!(result.stats.shared_symbolic_hits, jobs);
         per_thread.push(waveforms(&result));
     }
     assert_eq!(per_thread[0], per_thread[1]);
     assert_eq!(per_thread[0], per_thread[2]);
+    assert_eq!(per_thread[0], waveforms(&warm_up));
 }

@@ -335,11 +335,11 @@ fn cli_sweep_fans_the_template_deck_across_values() {
     let summary = run_sweep(&decks_dir().join("sweep_rc.sp"), &config, &out_dir).expect("sweep");
     assert_eq!(summary.members, 3);
     assert_eq!(summary.failed, 0);
-    // One symbolic analysis (pre-published by the runner, so all three
-    // members count as shared hits) and three distinct plans (the
-    // resistance is part of the plan's fingerprint) for the whole fleet.
-    assert_eq!(summary.stats.symbolic_analyses, 1);
-    assert_eq!(summary.stats.shared_symbolic_hits, 3);
+    // Three distinct plans (the resistance is part of the plan's
+    // fingerprint), and each member analyzes its own `G`.
+    assert_eq!(summary.stats.plan_compilations, 3);
+    assert_eq!(summary.stats.symbolic_analyses, 3);
+    assert_eq!(summary.stats.shared_symbolic_hits, 0);
     assert_eq!(summary.stats.batch_jobs, 3);
     for value in ["1k", "2k", "5k"] {
         let file = out_dir.join(format!("rload={value}.csv"));

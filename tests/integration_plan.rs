@@ -128,20 +128,19 @@ fn batch_jobs_share_one_plan_compilation() {
     let result = runner.run(&plan);
     assert!(result.all_ok());
     assert_eq!(result.stats.batch_jobs, 6);
-    // One distinct structure -> one compile (performed by the fingerprint
-    // pass), every session served from the pool.
+    // One distinct structure -> one compile (by whichever session asked
+    // first), every other session served from the pool.
     assert_eq!(result.stats.plan_compilations, 1, "{:?}", result.stats);
-    assert_eq!(result.stats.shared_plan_hits, 6);
+    assert_eq!(result.stats.shared_plan_hits, 5);
     assert_eq!(shared_plans.len(), 1);
     assert_eq!(result.stats.assembly_workspace_allocations, 0);
     let stats = shared_plans.stats();
     assert_eq!(stats.entries, 1);
     assert_eq!(stats.capacity, None);
     assert_eq!(stats.evictions, 0);
-    // Exactly one compile server-wide; every other access was a warm hit
-    // (the scheduling pre-pass and each session both consult the cache).
+    // Exactly one compile; every other session's access was a warm hit.
     assert_eq!(stats.misses, 1);
-    assert!(stats.hits >= 6, "{stats:?}");
+    assert_eq!(stats.hits, 5, "{stats:?}");
 }
 
 /// A capacity-bounded plan cache evicts its least-recently-used structure

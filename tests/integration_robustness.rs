@@ -299,9 +299,8 @@ fn batch_observer_panics_leave_the_batch_standing() {
             .probe("n2"),
         );
     }
-    // One worker runs all four jobs in submission order (the G analysis is
-    // pre-published, so there are no pilot waves); it completes and reports
-    // job 0, then dies starting job 1 — taking jobs 1..3 with it.
+    // One worker runs all four jobs in submission order; it completes and
+    // reports job 0, then dies starting job 1 — taking jobs 1..3 with it.
     let result = BatchRunner::new()
         .worker_threads(1)
         .run_observed(&plan, &PanicOnIndex(1));

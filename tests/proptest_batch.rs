@@ -1,8 +1,8 @@
 //! Property-based determinism tests for the batch subsystem: on randomly
 //! generated fixed-topology circuits and per-job option corners, a
 //! [`BatchRunner`] reproduces isolated sequential [`Simulator`] runs **bit
-//! for bit**, is invariant across worker-thread counts, and performs exactly
-//! one symbolic analysis per distinct matrix pattern.
+//! for bit**, is invariant across worker-thread counts, and computes one `G`
+//! ordering per distinct plan.
 
 use exi_netlist::{Circuit, Waveform};
 use exi_sim::{BatchJob, BatchPlan, BatchRunner, Method, RunStats, Simulator, TransientOptions};
@@ -38,9 +38,8 @@ fn rc_ladder(resistors: &[f64], caps: &[f64]) -> Circuit {
 
 /// Two ladder topologies with **distinct** lengths (hence distinct matrix
 /// patterns) plus per-job option corners. Same-pattern jobs share identical
-/// circuits — the regime where batch execution is bit-identical to isolated
-/// sequential runs (see the `exi_sim::batch` module docs for why different
-/// same-pattern values relax the guarantee to determinism).
+/// circuits, so they also share one compiled plan and its `G` ordering;
+/// corners whose values differ are `tests/integration_batch.rs`'s.
 #[allow(clippy::type_complexity)]
 fn sweep_inputs() -> impl Strategy<
     Value = (
@@ -76,10 +75,7 @@ fn job_options(t_scale: f64, budget: f64) -> TransientOptions {
 }
 
 /// The methods assigned round-robin to the option corners of topology A.
-/// `BackwardEuler` exercises the second (implicit-Jacobian) pattern; every
-/// job keeps the same `h_init` and waveform, so within a topology the first
-/// factorized matrix values are identical across jobs — the bit-identity
-/// regime.
+/// `BackwardEuler` exercises the second (implicit-Jacobian) matrix role.
 const METHODS: [Method; 3] = [
     Method::ExponentialRosenbrock,
     Method::ExponentialRosenbrockCorrected,
@@ -129,8 +125,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Batch output is bit-identical to isolated sequential `Simulator` runs
-    /// and invariant across worker-thread counts (1, 2, 8); the shared
-    /// symbolic cache performs exactly one analysis per distinct pattern.
+    /// and invariant across worker-thread counts (1, 2, 8); each plan's `G`
+    /// ordering is computed once, and every job analyzes its own matrices.
     #[test]
     fn batch_matches_sequential_bit_for_bit_at_any_thread_count(
         (ladder1, ladder2, corners) in sweep_inputs()
@@ -182,29 +178,23 @@ proptest! {
         // …and bit-identical to the isolated sequential runs.
         prop_assert_eq!(&per_thread_waves[0], &reference);
 
-        // Exactly one symbolic analysis per distinct pattern. On an RC
-        // ladder every capacitor is node-to-ground, so the implicit Jacobian
-        // C/h + θG has exactly G's pattern — each topology contributes ONE
-        // pattern, and BackwardEuler corners hit it for both matrix roles.
-        prop_assert_eq!(
-            per_thread_stats[0].symbolic_analyses,
-            2,
-            "{:?}", per_thread_stats[0]
-        );
-        // Both analyses are pre-published by the runner, so every pattern
-        // use came from the shared cache: each job (topology A's
-        // `corners.len()` plus topology B's one) seeds its G slot once, and
-        // each BackwardEuler job additionally seeds its Jacobian slot once.
+        // One analysis per job and matrix role: every job factorizes its own
+        // `G` (topology A's `corners.len()` jobs plus topology B's one), and
+        // each BackwardEuler job its own Jacobian as well.
         let jac_users = corners.iter().enumerate()
             .filter(|(k, _)| METHODS[k % METHODS.len()] == Method::BackwardEuler)
             .count();
         prop_assert_eq!(
-            per_thread_stats[0].shared_symbolic_hits,
+            per_thread_stats[0].symbolic_analyses,
             corners.len() + 1 + jac_users,
             "{:?}", per_thread_stats[0]
         );
-        // And with every analysis published before workers start, no job
-        // ever blocked on an in-flight cache slot.
-        prop_assert_eq!(per_thread_stats[0].shared_symbolic_wait_events, 0);
+        // Topology A's jobs share one plan: all but the first found its `G`
+        // ordering already computed. Topology B's lone job computed its own.
+        prop_assert_eq!(
+            per_thread_stats[0].shared_symbolic_hits,
+            corners.len() - 1,
+            "{:?}", per_thread_stats[0]
+        );
     }
 }
