@@ -5,12 +5,13 @@
 //! `C(x)/h + θ·G(x)` — the operation whose cost (and factor fill, Fig. 1)
 //! the exponential framework avoids. The *sparsity pattern* of that matrix is
 //! nevertheless fixed — the structural union of the plan's `C` and `G`
-//! patterns, whatever `x` and `h` are — so the baseline also benefits from
-//! the cached symbolic analysis: after the first Newton iteration the
-//! factorizations run through the numeric-only refactorization path. The
-//! remaining per-iteration cost asymmetry against ER is the *numeric*
-//! elimination on the much denser factors, which is exactly the paper's
-//! argument.
+//! patterns, whatever `x` and `h` are — so the stepper walks that union once,
+//! when it is built ([`CombinationMap`]), and every iteration only rewrites
+//! the values; the baseline also benefits from the cached symbolic analysis:
+//! after the first Newton iteration the factorizations run through the
+//! numeric-only refactorization path. The remaining per-iteration cost
+//! asymmetry against ER is the *numeric* elimination on the much denser
+//! factors, which is exactly the paper's argument.
 //!
 //! The engine is exposed as the incremental [`ImplicitStepper`] (one accepted
 //! step per [`Engine::advance`] call).
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use exi_netlist::{Circuit, EvalPlan, Evaluation};
-use exi_sparse::{vector, CsrMatrix, LuOptions};
+use exi_sparse::{vector, CombinationMap, CsrMatrix, LuOptions};
 
 use crate::engines::{clamp_step, prepare, reached_end, refresh_lu, Engine, StepOutcome};
 use crate::error::{SimError, SimResult};
@@ -70,9 +71,12 @@ pub struct ImplicitStepper<'a> {
     // Circuit-sized scratch buffers, allocated once per stepper.
     eval_k: Evaluation,
     eval_i: Evaluation,
-    /// Reusable buffer for the implicit Jacobian `C/h + θ·G`, combined
-    /// value-wise over the evaluation's patterns without allocation.
+    /// The implicit Jacobian `C/h + θ·G`. Its pattern, the union of the
+    /// plan's fixed `C` and `G` patterns, is built once with `jac_map`; each
+    /// Newton iteration only refills its values.
     jac: CsrMatrix,
+    /// Where each cell of `jac` reads its `C` and `G` values.
+    jac_map: CombinationMap,
     u_k: Vec<f64>,
     u_next: Vec<f64>,
     bu_k: Vec<f64>,
@@ -118,6 +122,8 @@ impl<'a> ImplicitStepper<'a> {
         );
         let input_dim = plan.input_matrix().cols();
         let assembly_alloc_baseline = caches.eval_ws.allocations();
+        let eval_k = plan.new_evaluation();
+        let (jac_map, jac) = CombinationMap::new(&eval_k.c, &eval_k.g)?;
         Ok(ImplicitStepper {
             circuit,
             caches,
@@ -126,9 +132,10 @@ impl<'a> ImplicitStepper<'a> {
             lu_options,
             breakpoints,
             n,
-            eval_k: plan.new_evaluation(),
+            eval_k,
             eval_i: plan.new_evaluation(),
-            jac: CsrMatrix::zeros(0, 0),
+            jac,
+            jac_map,
             u_k: vec![0.0; input_dim],
             u_next: vec![0.0; input_dim],
             bu_k: vec![0.0; n],
@@ -258,24 +265,23 @@ impl ImplicitStepper<'_> {
                 self.stats.restamped_entries +=
                     plan.evaluate_into(&self.xi, &mut caches.eval_ws, &mut self.eval_i)?;
                 self.stats.device_evaluations += 1;
-                let ev = &self.eval_i;
+                let (ev, ek) = (&self.eval_i, &self.eval_k);
                 // Residual T(x) of Eq. (2) generalized to the θ-method.
-                for i in 0..n {
-                    self.residual[i] = (ev.q[i] - self.eval_k.q[i]) / h_step
-                        + theta * (ev.f[i] - self.bu_next[i])
-                        + (1.0 - theta) * (self.eval_k.f[i] - self.bu_k[i]);
+                for (r, ((((q, qk), f), fk), (bn, bk))) in self.residual.iter_mut().zip(
+                    ev.q.iter()
+                        .zip(&ek.q)
+                        .zip(&ev.f)
+                        .zip(&ek.f)
+                        .zip(self.bu_next.iter().zip(&self.bu_k)),
+                ) {
+                    *r = (q - qk) / h_step + theta * (f - bn) + (1.0 - theta) * (fk - bk);
                 }
                 // Jacobian C/h + θ·G — this is the matrix whose LU dominates
-                // BENR's cost on densely coupled circuits. Combined
-                // value-wise into the reusable buffer over the evaluation's
-                // patterns (bit-identical to the allocating form).
-                CsrMatrix::linear_combination_into(
-                    1.0 / h_step,
-                    &ev.c,
-                    theta,
-                    &ev.g,
-                    &mut self.jac,
-                )?;
+                // BENR's cost on densely coupled circuits. Only its values
+                // are rewritten, through the map built with its pattern
+                // (bit-identical to `CsrMatrix::linear_combination`).
+                self.jac_map
+                    .fill(1.0 / h_step, &ev.c, theta, &ev.g, &mut self.jac)?;
                 let lu = refresh_lu(
                     &mut caches.jac_lu,
                     None,
@@ -336,8 +342,8 @@ impl ImplicitStepper<'_> {
 
             // Accept the step.
             let mut derivative = self.prev_derivative.take().unwrap_or_else(|| vec![0.0; n]);
-            for (i, d) in derivative.iter_mut().enumerate() {
-                *d = (self.xi[i] - self.x[i]) / h_step;
+            for (d, (xi, x)) in derivative.iter_mut().zip(self.xi.iter().zip(&self.x)) {
+                *d = (xi - x) / h_step;
             }
             self.prev_derivative = Some(derivative);
             std::mem::swap(&mut self.x, &mut self.xi);
@@ -505,6 +511,83 @@ mod tests {
         for (_, value) in result.waveform(p) {
             assert!(value > -0.3 && value < 1.3, "s1 = {value}");
         }
+    }
+
+    /// A three-stage MOSFET inverter chain.
+    fn mosfet_chain() -> Circuit {
+        let spec = generators::InverterChainSpec {
+            stages: 3,
+            ..generators::InverterChainSpec::default()
+        };
+        generators::inverter_chain(&spec).unwrap()
+    }
+
+    fn chain_options() -> TransientOptions {
+        TransientOptions {
+            t_stop: 2e-10,
+            h_init: 1e-12,
+            h_max: 1e-11,
+            error_budget: 1e-2,
+            ..TransientOptions::default()
+        }
+    }
+
+    #[test]
+    fn jacobian_fill_matches_linear_combination_bitwise() {
+        let ckt = mosfet_chain();
+        let x0 = crate::dc_operating_point(&ckt, &crate::DcOptions::default())
+            .unwrap()
+            .state;
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for scheme in [ImplicitScheme::BackwardEuler, ImplicitScheme::Trapezoidal] {
+            let mut caches = SessionCaches {
+                plan: Some(Arc::new(EvalPlan::compile(&ckt).unwrap())),
+                ..SessionCaches::default()
+            };
+            let mut stepper =
+                ImplicitStepper::new(&ckt, &mut caches, scheme, chain_options(), RunStats::new())
+                    .unwrap();
+            stepper.init(0.0, &x0, &mut crate::NullObserver).unwrap();
+            let (mut steps, mut step_sizes, mut g_values) = (0, Vec::new(), Vec::new());
+            while let StepOutcome::Advanced { h, .. } =
+                stepper.advance(&mut crate::NullObserver).unwrap()
+            {
+                // The accepted step's last Newton iteration formed `jac` at
+                // its `h` from the state `eval_i` was evaluated at.
+                let ev = &stepper.eval_i;
+                let merged =
+                    CsrMatrix::linear_combination(1.0 / h, &ev.c, stepper.theta, &ev.g).unwrap();
+                assert_eq!(stepper.jac.indptr(), merged.indptr(), "{scheme:?}");
+                assert_eq!(stepper.jac.indices(), merged.indices(), "{scheme:?}");
+                assert_eq!(bits(&stepper.jac), bits(&merged), "{scheme:?} at h = {h:e}");
+                steps += 1;
+                if !step_sizes.contains(&h.to_bits()) {
+                    step_sizes.push(h.to_bits());
+                }
+                if !g_values.contains(&bits(&ev.g)) {
+                    g_values.push(bits(&ev.g));
+                }
+            }
+            assert!(steps > 10, "{scheme:?}: {steps} steps");
+            assert!(step_sizes.len() >= 3, "{scheme:?}: {step_sizes:?}");
+            assert!(g_values.len() > 10, "{scheme:?}: {} states", g_values.len());
+        }
+    }
+
+    #[test]
+    fn benr_fills_its_jacobian_without_allocating_or_reanalyzing() {
+        let result = run_scheme(
+            &mosfet_chain(),
+            ImplicitScheme::BackwardEuler,
+            &chain_options(),
+            &[],
+        )
+        .unwrap();
+        let s = &result.stats;
+        assert_eq!(s.assembly_workspace_allocations, 0, "{s:?}");
+        // One analysis for the DC solve's G, one for C/h + G.
+        assert_eq!(s.symbolic_analyses, 2, "{s:?}");
+        assert!(s.newton_iterations > s.accepted_steps, "{s:?}");
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!
 //! One symbolic LU analysis per matrix role therefore serves a whole run
 //! (and, through a session, every later run): nothing downstream re-derives
-//! structure from values. The other half of the rule is
-//! [`CsrMatrix::linear_combination_into`], which returns the structural
-//! union of its operands.
+//! structure from values. The other half of the rule is that a linear
+//! combination of two matrices has the structural union of their patterns
+//! ([`CsrMatrix::linear_combination`]), so the implicit engines' `C/h + θ·G`
+//! is fixed too: they merge the two patterns once
+//! ([`exi_sparse::CombinationMap`]) and refill only values per iteration.
 //!
 //! [`EvalPlan::evaluate_into`] restamps into caller-owned buffers: flat
 //! copies of the compiled pattern and constant values, then one scatter-add

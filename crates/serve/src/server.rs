@@ -825,6 +825,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream, accept_index: u64) {
     if stream.set_nonblocking(false).is_err() {
         return;
     }
+    // A job answers with several small frames (accepted, chunks, done).
+    // Under Nagle's algorithm each one written while the previous is
+    // unacknowledged waits for the client's delayed ACK, which put tens of
+    // milliseconds of idle time into every request.
+    let _ = stream.set_nodelay(true);
     if shared.config.write_stall_ms > 0 {
         let _ = stream.set_write_timeout(Some(Duration::from_millis(
             shared.config.write_stall_ms.max(1),

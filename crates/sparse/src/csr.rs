@@ -459,8 +459,9 @@ impl CsrMatrix {
 
     /// Computes the linear combination `alpha * A + beta * B`.
     ///
-    /// This is the operation the backward-Euler baseline uses to form
-    /// `C/h + G` at every accepted step size. The result's pattern is the
+    /// This is the backward-Euler baseline's `C/h + G` (the implicit engines
+    /// refill it through a [`CombinationMap`], which reproduces these values
+    /// bit for bit). The result's pattern is the
     /// **structural union** of the operands' patterns whatever the weights
     /// and values are — a cell that evaluates to `0.0` is stored as an
     /// explicit zero — so the pattern of `C/h + θ·G` depends on neither the
@@ -482,12 +483,12 @@ impl CsrMatrix {
     }
 
     /// As [`CsrMatrix::linear_combination`], rebuilding the result inside
-    /// `out`'s existing buffers — the allocation-free form the implicit
-    /// engines use to re-form `C/h + θ·G` at every Newton iteration. `out`'s
-    /// previous contents are discarded; its buffer capacity is reused, so a
-    /// steady-state caller allocates nothing. The merge runs the exact same
-    /// row-merge loop as the allocating form, producing bit-identical
-    /// values.
+    /// `out`'s existing buffers. `out`'s previous contents are discarded; its
+    /// buffer capacity is reused, so a steady-state caller allocates nothing.
+    /// The merge is the same row walk as the allocating form, producing
+    /// bit-identical values. A caller that combines the same two patterns
+    /// over and over should build a [`CombinationMap`] once instead and only
+    /// refill values.
     ///
     /// # Errors
     ///
@@ -501,13 +502,7 @@ impl CsrMatrix {
         out: &mut CsrMatrix,
     ) -> SparseResult<()> {
         let (mut indptr, mut indices, mut values) = out.take_parts();
-        if a.rows != b.rows || a.cols != b.cols {
-            return Err(SparseError::DimensionMismatch {
-                op: "linear_combination shape",
-                expected: a.rows,
-                found: b.rows,
-            });
-        }
+        check_same_shape(a, b)?;
         let rows = a.rows;
         indptr.clear();
         indptr.resize(rows + 1, 0);
@@ -516,27 +511,14 @@ impl CsrMatrix {
         values.clear();
         values.reserve(a.nnz() + b.nnz());
         for i in 0..rows {
-            let (ac, av) = a.row(i);
-            let (bc, bv) = b.row(i);
-            let (mut p, mut q) = (0usize, 0usize);
-            while p < ac.len() || q < bc.len() {
-                let (col, val) = if q >= bc.len() || (p < ac.len() && ac[p] < bc[q]) {
-                    let out = (ac[p], alpha * av[p]);
-                    p += 1;
-                    out
-                } else if p >= ac.len() || bc[q] < ac[p] {
-                    let out = (bc[q], beta * bv[q]);
-                    q += 1;
-                    out
-                } else {
-                    let out = (ac[p], alpha * av[p] + beta * bv[q]);
-                    p += 1;
-                    q += 1;
-                    out
-                };
+            merge_row(a, b, i, |col, cell| {
                 indices.push(col);
-                values.push(val);
-            }
+                values.push(match cell {
+                    UnionCell::A(p) => alpha * a.values[p],
+                    UnionCell::B(q) => beta * b.values[q],
+                    UnionCell::Both(p, q) => alpha * a.values[p] + beta * b.values[q],
+                });
+            });
             indptr[i + 1] = indices.len();
         }
         *out = CsrMatrix::from_parts_unchecked(rows, a.cols, indptr, indices, values);
@@ -579,6 +561,176 @@ impl CsrMatrix {
             let e = self.indptr[i + 1];
             (s..e).map(move |k| (i, self.indices[k], self.values[k]))
         })
+    }
+}
+
+fn check_same_shape(a: &CsrMatrix, b: &CsrMatrix) -> SparseResult<()> {
+    if a.rows != b.rows || a.cols != b.cols {
+        return Err(SparseError::DimensionMismatch {
+            op: "linear_combination shape",
+            expected: a.rows,
+            found: b.rows,
+        });
+    }
+    Ok(())
+}
+
+/// Where a cell of the structural union of two patterns comes from: the
+/// value position(s) of the operand(s) that store it.
+enum UnionCell {
+    A(usize),
+    B(usize),
+    Both(usize, usize),
+}
+
+/// Walks row `i` of the structural union of `a`'s and `b`'s patterns in
+/// column order, handing `cell` each column and where it comes from. The
+/// one row merge behind both [`CsrMatrix::linear_combination_into`] and
+/// [`CombinationMap::new`].
+#[inline(always)]
+fn merge_row(a: &CsrMatrix, b: &CsrMatrix, i: usize, mut cell: impl FnMut(usize, UnionCell)) {
+    let (mut p, a_end) = (a.indptr[i], a.indptr[i + 1]);
+    let (mut q, b_end) = (b.indptr[i], b.indptr[i + 1]);
+    while p < a_end || q < b_end {
+        if q >= b_end || (p < a_end && a.indices[p] < b.indices[q]) {
+            cell(a.indices[p], UnionCell::A(p));
+            p += 1;
+        } else if p >= a_end || b.indices[q] < a.indices[p] {
+            cell(b.indices[q], UnionCell::B(q));
+            q += 1;
+        } else {
+            cell(a.indices[p], UnionCell::Both(p, q));
+            p += 1;
+            q += 1;
+        }
+    }
+}
+
+/// A precomputed merge of two fixed operand patterns: refills the values of
+/// `alpha * A + beta * B` on the structural union without walking a row.
+///
+/// [`CombinationMap::new`] runs the row merge of
+/// [`CsrMatrix::linear_combination`] once and records, per union cell, the
+/// operand value positions it reads, split into three flat lists (cells in
+/// both operands, in `A` only, in `B` only) so the refill loops carry no
+/// branch. [`CombinationMap::fill`] then gives every cell the merge's own
+/// expression — `alpha·a`, `beta·b` or `alpha·a + beta·b` — so its values are
+/// bit-identical to [`CsrMatrix::linear_combination`]'s. This is how the
+/// implicit engines form `C/h + θ·G` at every Newton iteration: the plan
+/// fixes both patterns, so the union is walked once per run.
+///
+/// # Examples
+///
+/// ```
+/// use exi_sparse::{CombinationMap, CsrMatrix};
+///
+/// let c = CsrMatrix::identity(2);
+/// let g = CsrMatrix::try_from_raw(2, 2, vec![0, 1, 2], vec![1, 1], vec![3.0, 4.0]).unwrap();
+/// let (map, mut jac) = CombinationMap::new(&c, &g).unwrap();
+/// map.fill(2.0, &c, 0.5, &g, &mut jac).unwrap();
+/// assert_eq!(jac, CsrMatrix::linear_combination(2.0, &c, 0.5, &g).unwrap());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct CombinationMap {
+    /// `[out, a, b]` value positions of each cell stored in both operands.
+    both: Vec<[u32; 3]>,
+    /// `[out, a]` value positions of each cell stored only in `A`.
+    a_only: Vec<[u32; 2]>,
+    /// `[out, b]` value positions of each cell stored only in `B`.
+    b_only: Vec<[u32; 2]>,
+    a_nnz: usize,
+    b_nnz: usize,
+    out_nnz: usize,
+}
+
+impl CombinationMap {
+    /// Walks the structural union of `a`'s and `b`'s patterns once and
+    /// returns the map together with the union pattern (all values `0.0`),
+    /// the matrix [`CombinationMap::fill`] refills.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if the shapes differ or the
+    /// operands hold more than `u32::MAX` entries together.
+    pub fn new(a: &CsrMatrix, b: &CsrMatrix) -> SparseResult<(CombinationMap, CsrMatrix)> {
+        check_same_shape(a, b)?;
+        let total = a.nnz() + b.nnz();
+        if u32::try_from(total).is_err() {
+            return Err(SparseError::DimensionMismatch {
+                op: "combination map index width",
+                expected: u32::MAX as usize,
+                found: total,
+            });
+        }
+        let mut map = CombinationMap {
+            a_nnz: a.nnz(),
+            b_nnz: b.nnz(),
+            ..CombinationMap::default()
+        };
+        let mut indptr = vec![0usize; a.rows + 1];
+        let mut indices = Vec::with_capacity(total);
+        for i in 0..a.rows {
+            merge_row(a, b, i, |col, cell| {
+                // Every position is below `total`, checked to fit in a u32.
+                let out = indices.len() as u32;
+                match cell {
+                    UnionCell::A(p) => map.a_only.push([out, p as u32]),
+                    UnionCell::B(q) => map.b_only.push([out, q as u32]),
+                    UnionCell::Both(p, q) => map.both.push([out, p as u32, q as u32]),
+                }
+                indices.push(col);
+            });
+            indptr[i + 1] = indices.len();
+        }
+        map.out_nnz = indices.len();
+        let values = vec![0.0; indices.len()];
+        let pattern = CsrMatrix::from_parts_unchecked(a.rows, a.cols, indptr, indices, values);
+        Ok((map, pattern))
+    }
+
+    /// Rewrites `out`'s values with `alpha * a + beta * b`, bit for bit what
+    /// [`CsrMatrix::linear_combination`] computes. Touches no structure and
+    /// allocates nothing.
+    ///
+    /// `a`, `b` and `out` must have the patterns the map was built from (and
+    /// returned); only their entry counts are checked, so other patterns of
+    /// the same sizes get wrong values, never out-of-bounds access.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::PatternMismatch`] if an entry count differs
+    /// from the map's.
+    pub fn fill(
+        &self,
+        alpha: f64,
+        a: &CsrMatrix,
+        beta: f64,
+        b: &CsrMatrix,
+        out: &mut CsrMatrix,
+    ) -> SparseResult<()> {
+        for (expected_nnz, found_nnz) in [
+            (self.a_nnz, a.nnz()),
+            (self.b_nnz, b.nnz()),
+            (self.out_nnz, out.nnz()),
+        ] {
+            if expected_nnz != found_nnz {
+                return Err(SparseError::PatternMismatch {
+                    expected_nnz,
+                    found_nnz,
+                });
+            }
+        }
+        let (av, bv, ov) = (&a.values, &b.values, &mut out.values);
+        for &[o, p, q] in &self.both {
+            ov[o as usize] = alpha * av[p as usize] + beta * bv[q as usize];
+        }
+        for &[o, p] in &self.a_only {
+            ov[o as usize] = alpha * av[p as usize];
+        }
+        for &[o, q] in &self.b_only {
+            ov[o as usize] = beta * bv[q as usize];
+        }
+        Ok(())
     }
 }
 
@@ -757,6 +909,28 @@ mod tests {
         let bad = CsrMatrix::zeros(2, 2);
         assert!(CsrMatrix::linear_combination_into(1.0, &bad, 1.0, &g, &mut out).is_err());
         assert_eq!(out.rows(), 0);
+    }
+
+    #[test]
+    fn combination_map_checks_shapes_and_entry_counts() {
+        let g = sample();
+        let c = CsrMatrix::identity(3);
+        assert!(CombinationMap::new(&CsrMatrix::zeros(2, 2), &g).is_err());
+        let (map, mut jac) = CombinationMap::new(&c, &g).unwrap();
+        let merged = CsrMatrix::linear_combination(1.0, &c, 1.0, &g).unwrap();
+        assert_eq!(jac.indptr(), merged.indptr());
+        assert_eq!(jac.indices(), merged.indices());
+        assert!(jac.values().iter().all(|&v| v == 0.0));
+        // An operand or output with another entry count is refused, untouched.
+        assert!(matches!(
+            map.fill(1.0, &g, 1.0, &g, &mut jac),
+            Err(SparseError::PatternMismatch { .. })
+        ));
+        let mut short = c.clone();
+        assert!(map.fill(1.0, &c, 1.0, &g, &mut short).is_err());
+        assert_eq!(short, c);
+        map.fill(2.0, &c, 1.0, &g, &mut jac).unwrap();
+        assert_eq!(jac.get(1, 1), 2.0 + 5.0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod vector;
 
 pub use coo::TripletMatrix;
 pub use csc::CscMatrix;
-pub use csr::CsrMatrix;
+pub use csr::{CombinationMap, CsrMatrix};
 pub use dense::{DenseLu, DenseMatrix};
 pub use error::{SparseError, SparseResult};
 pub use lu::{factor_fill, solve_sparse, LuOptions, LuWorkspace, SparseLu, SymbolicLu};

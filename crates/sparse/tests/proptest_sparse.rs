@@ -3,8 +3,8 @@
 use exi_sparse::dense::matmul_into;
 use exi_sparse::ordering::compute_ordering;
 use exi_sparse::{
-    vector, CscMatrix, CsrMatrix, DenseLu, DenseMatrix, LuOptions, LuWorkspace, OrderingMethod,
-    SparseLu, TripletMatrix,
+    vector, CombinationMap, CscMatrix, CsrMatrix, DenseLu, DenseMatrix, LuOptions, LuWorkspace,
+    OrderingMethod, SparseLu, TripletMatrix,
 };
 use proptest::prelude::*;
 
@@ -189,6 +189,61 @@ fn ordering_pattern(max_n: usize) -> impl Strategy<Value = (usize, Vec<(usize, u
         })
 }
 
+/// Strategy: two `rows × cols` operands of a linear combination, kept as
+/// drawn (explicit `0.0` and `-0.0` cells included, which
+/// [`TripletMatrix::to_csr`] would drop). Each row is drawn as one of: the
+/// same columns in both, disjoint columns, empty in `A`, empty in `B`, empty
+/// in both, or unrelated columns. Stored values spread over 24 decades.
+fn combination_operands(max_dim: usize) -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    let value =
+        (0usize..10, -1.0f64..1.0, -12i32..13).prop_map(|(special, v, decade)| match special {
+            0 => 0.0,
+            1 => -0.0,
+            _ => v * 10f64.powi(decade),
+        });
+    (0usize..max_dim, 1usize..max_dim).prop_flat_map(move |(rows, cols)| {
+        let cell = (0usize..4, value.clone(), value.clone());
+        let row = (0usize..6, proptest::collection::vec(cell, cols));
+        proptest::collection::vec(row, rows).prop_map(move |drawn| {
+            let mut a = (vec![0usize], Vec::new(), Vec::new());
+            let mut b = (vec![0usize], Vec::new(), Vec::new());
+            for (kind, cells) in drawn {
+                for (col, (presence, va, vb)) in cells.into_iter().enumerate() {
+                    let in_a = presence & 1 == 1;
+                    let (in_a, in_b) = match kind {
+                        0 => (in_a, in_a),
+                        1 => (in_a, !in_a),
+                        2 => (false, presence & 2 == 2),
+                        3 => (in_a, false),
+                        4 => (false, false),
+                        _ => (in_a, presence & 2 == 2),
+                    };
+                    if in_a {
+                        a.1.push(col);
+                        a.2.push(va);
+                    }
+                    if in_b {
+                        b.1.push(col);
+                        b.2.push(vb);
+                    }
+                }
+                a.0.push(a.1.len());
+                b.0.push(b.1.len());
+            }
+            let build = |(indptr, indices, values)| {
+                CsrMatrix::try_from_raw(rows, cols, indptr, indices, values).expect("valid CSR")
+            };
+            (build(a), build(b))
+        })
+    })
+}
+
+/// Strategy: a combination weight `±10^e`, `e` uniform in `[-15, 15)`.
+fn combination_weight() -> impl Strategy<Value = f64> {
+    (0usize..2, -15.0f64..15.0)
+        .prop_map(|(sign, e)| if sign == 0 { 1.0 } else { -1.0 } * 10f64.powf(e))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -309,6 +364,25 @@ proptest! {
         let y1 = a.mul_vec_transpose(&b);
         let y2 = t.mul_vec(&b);
         prop_assert!(vector::max_abs_diff(&y1, &y2) < 1e-12);
+    }
+
+    /// A [`CombinationMap`] built once refills `αA + βB` on the merged
+    /// pattern bit for bit as the row merge computes it, at any weights and
+    /// for every refill through the same map.
+    #[test]
+    fn combination_map_fill_matches_linear_combination_bitwise(
+        (a, b) in combination_operands(12),
+        weights in proptest::collection::vec((combination_weight(), combination_weight()), 3),
+    ) {
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (map, mut filled) = CombinationMap::new(&a, &b).expect("same shape");
+        for (alpha, beta) in weights {
+            map.fill(alpha, &a, beta, &b, &mut filled).expect("the map's patterns");
+            let merged = CsrMatrix::linear_combination(alpha, &a, beta, &b).expect("same shape");
+            prop_assert_eq!(filled.indptr(), merged.indptr());
+            prop_assert_eq!(filled.indices(), merged.indices());
+            prop_assert_eq!(bits(&filled), bits(&merged));
+        }
     }
 
     /// Linear combination is consistent with dense arithmetic on the vector level:
