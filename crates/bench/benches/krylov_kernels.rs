@@ -1,6 +1,6 @@
 //! Criterion bench for the MEVP kernels and the symbolic-reuse LU path.
 //!
-//! Six groups:
+//! Seven groups:
 //!
 //! * `lu_refactorize` — the headline comparison for the symbolic/numeric
 //!   split: a full `factorize_with` (ordering + pivoting + reachability DFS +
@@ -19,6 +19,9 @@
 //!   of an unchanged `G` vs noticing that it is unchanged, and a fresh `w₂`
 //!   (one solve, one subspace of m ≈ 26) vs re-testing and re-evaluating the
 //!   kept one at the next step size.
+//! * `orthogonalize` — one Arnoldi absorb's Gram–Schmidt with its DGKS
+//!   pass, classical on the blocked `vector` kernels (what the Arnoldi
+//!   process runs) against modified, at n = 514 and 10 002 and j = 8/16/32.
 //! * `spmv` — the engines' sequential SpMV against the 4-wide variant.
 //! * `ordering` — what the fill-reducing ordering costs and buys, `Rcm`
 //!   against `MinDegree`: ordering time, first factorization,
@@ -288,6 +291,66 @@ fn bench_reuse(c: &mut Criterion) {
     group.finish();
 }
 
+/// The dot product with one running sum, in element order.
+fn serial_dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// One Arnoldi absorb's orthogonalisation, DGKS pass included (it runs in
+/// about 96 % of the absorbs of exibench's `er_sparse_drivers`): classical
+/// Gram–Schmidt as `ArnoldiProcess` runs it — per pass one `dots_against`
+/// and one `sub_combination`, plus three `norm2` — next to modified
+/// Gram–Schmidt with a serial dot then an `axpy` per basis vector, as the
+/// process ran it before the blocked kernels. At n = 514 (16 driven
+/// lines) and n = 10 002 (the 100×100 mesh), against j + 1 = 9/17/33 basis
+/// vectors. Timings depend on `n` and `j` alone, so the vectors are a fixed
+/// pattern with no zero coefficient, and `w` is reset before every absorb.
+fn bench_orthogonalize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("orthogonalize");
+    group.sample_size(20);
+    let entry = |i: usize, k: usize| ((7 * i + 13 * k) % 17) as f64 / 17.0 - 0.45;
+    for n in [514, 10_002] {
+        let basis: Vec<Vec<f64>> = (0..=32)
+            .map(|i| (0..n).map(|k| entry(i, k)).collect())
+            .collect();
+        let w0: Vec<f64> = (0..n).map(|k| entry(33, k)).collect();
+        let mut w = w0.clone();
+        let mut coefficients = [0.0; 33];
+        for j in [8, 16, 32] {
+            let basis = &basis[..=j];
+            let coefficients = &mut coefficients[..=j];
+            group.bench_function(format!("n{n}/j{j}/classical"), |b| {
+                b.iter(|| {
+                    w.copy_from_slice(&w0);
+                    let pre_norm = vector::norm2(&w);
+                    vector::dots_against(basis, &w, coefficients);
+                    vector::sub_combination(basis, coefficients, &mut w);
+                    let first = vector::norm2(&w);
+                    vector::dots_against(basis, &w, coefficients);
+                    vector::sub_combination(basis, coefficients, &mut w);
+                    (pre_norm, first, vector::norm2(&w))
+                })
+            });
+            group.bench_function(format!("n{n}/j{j}/modified"), |b| {
+                b.iter(|| {
+                    w.copy_from_slice(&w0);
+                    let pre_norm = serial_dot(&w, &w).sqrt();
+                    let mut norms = [0.0; 2];
+                    for norm in &mut norms {
+                        for v in basis {
+                            let hij = serial_dot(&w, v);
+                            vector::axpy(-hij, v, &mut w);
+                        }
+                        *norm = serial_dot(&w, &w).sqrt();
+                    }
+                    (pre_norm, norms)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 /// SpMV kernel comparison: the sequential `mul_vec_into` (the engines' hot
 /// path — its summation order is pinned by the golden-waveform suite)
 /// against the 4-wide-accumulator `mul_vec_into_unrolled` variant (which
@@ -395,6 +458,7 @@ criterion_group!(
     bench_mevp_kernels,
     bench_small_dense,
     bench_reuse,
+    bench_orthogonalize,
     bench_spmv,
     bench_ordering
 );

@@ -68,9 +68,11 @@ fn test_can_pay(n: usize, nnz: usize, j: usize) -> bool {
     test <= iteration
 }
 
-/// Incremental Arnoldi factorization with modified Gram–Schmidt
-/// orthogonalization (and one guarded step of re-orthogonalization for
-/// robustness in stiff problems).
+/// Incremental Arnoldi factorization with classical Gram–Schmidt
+/// orthogonalization and the DGKS correction (Daniel, Gragg, Kaufman &
+/// Stewart 1976): one guarded second pass, "twice is enough" (Giraud, Langou
+/// & Rozložník 2005). Each pass is two blocked kernels over `w`: all
+/// coefficients, then one combined update.
 #[derive(Debug)]
 pub(crate) struct ArnoldiProcess {
     basis: Vec<Vec<f64>>,
@@ -113,6 +115,9 @@ impl ArnoldiProcess {
         }
         let mut basis = Vec::with_capacity(max_m + 1);
         basis.push(v1);
+        if ws.coefficients.len() < max_m {
+            ws.coefficients.resize(max_m, 0.0);
+        }
         Ok(ArnoldiProcess {
             basis,
             hess: ws.take_hess(max_m + 1, max_m),
@@ -192,32 +197,35 @@ impl ArnoldiProcess {
             });
         }
         self.w.copy_from_slice(&w);
-        self.absorb_candidate(&mut MevpWorkspace::new())
+        let mut ws = MevpWorkspace::new();
+        ws.coefficients.resize(self.max_m, 0.0);
+        self.absorb_candidate(&mut ws)
     }
 
     /// Orthogonalizes `self.w` against the basis and appends a new column to
     /// the Hessenberg matrix. Returns the subdiagonal entry `h_{j+1,j}`.
     fn absorb_candidate(&mut self, ws: &mut MevpWorkspace) -> KrylovResult<f64> {
         let j = self.m;
+        let basis = &self.basis[..=j];
+        let coefficients = &mut ws.coefficients[..=j];
         let pre_norm = vector::norm2(&self.w);
-        // Modified Gram–Schmidt.
-        for i in 0..=j {
-            let hij = vector::dot(&self.w, &self.basis[i]);
+        // Classical Gram–Schmidt: every coefficient against the same `w`,
+        // then one combined update.
+        vector::dots_against(basis, &self.w, coefficients);
+        vector::sub_combination(basis, coefficients, &mut self.w);
+        for (i, &hij) in coefficients.iter().enumerate() {
             self.hess.add_to(i, j, hij);
-            vector::axpy(-hij, &self.basis[i], &mut self.w);
         }
         // One guarded re-orthogonalization pass (DGKS): only when the first
         // sweep cancelled most of the vector can round-off have contaminated
         // the remainder; otherwise the second sweep contributes nothing and
-        // is skipped, halving the Gram–Schmidt work of a typical absorb.
+        // is skipped.
         let mut hnext = vector::norm2(&self.w);
         if hnext < REORTH_NORM_RATIO * pre_norm {
-            for i in 0..=j {
-                let correction = vector::dot(&self.w, &self.basis[i]);
-                if correction != 0.0 {
-                    self.hess.add_to(i, j, correction);
-                    vector::axpy(-correction, &self.basis[i], &mut self.w);
-                }
+            vector::dots_against(basis, &self.w, coefficients);
+            vector::sub_combination(basis, coefficients, &mut self.w);
+            for (i, &correction) in coefficients.iter().enumerate() {
+                self.hess.add_to(i, j, correction);
             }
             hnext = vector::norm2(&self.w);
         }
@@ -504,6 +512,47 @@ mod tests {
                 assert!((dot - expected).abs() < 1e-10, "({i},{j}) -> {dot}");
             }
         }
+    }
+
+    /// Classical Gram–Schmidt alone loses orthogonality as fast as the
+    /// subspace converges (without the DGKS pass this reads 1.0); with it the
+    /// basis stays orthonormal to round-off (6.7e-16). A stiff 514-node RC
+    /// ladder — capacitances over six decades, so the invert-Krylov subspace
+    /// locks onto its slow modes early — built to 120 dimensions with a
+    /// tolerance no residual meets.
+    #[test]
+    fn a_long_stiff_invert_krylov_basis_stays_orthonormal() {
+        let n = 514;
+        let capacitances: Vec<f64> = (0..n).map(|i| 10f64.powi(-((i % 7) as i32))).collect();
+        let c = diag(&capacitances);
+        let mut g = TripletMatrix::new(n, n);
+        for i in 0..n {
+            g.push(i, i, 1.0);
+            if i + 1 < n {
+                g.push(i, i + 1, -0.45);
+                g.push(i + 1, i, -0.45);
+            }
+        }
+        let g = g.to_csr();
+        let g_lu = SparseLu::factorize(&g).unwrap();
+        let v: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 7) % 11) as f64 / 11.0).collect();
+        let opts = MevpOptions {
+            tolerance: 0.0,
+            max_dimension: 120,
+            allow_unconverged: true,
+            ..MevpOptions::default()
+        };
+        let out = crate::invert::mevp_invert_krylov(&c, &g, &g_lu, &v, 1.0, &opts).unwrap();
+        let basis = out.decomposition.basis();
+        assert!(out.dimension >= 100, "dimension {}", out.dimension);
+        let mut worst = 0.0f64;
+        for (i, vi) in basis.iter().enumerate() {
+            for (j, vj) in basis.iter().enumerate() {
+                let identity = if i == j { 1.0 } else { 0.0 };
+                worst = worst.max((vector::dot(vi, vj) - identity).abs());
+            }
+        }
+        assert!(worst <= 1e-13, "max |VᵀV − I| = {worst:e}");
     }
 
     #[test]

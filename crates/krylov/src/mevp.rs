@@ -110,6 +110,8 @@ pub struct MevpWorkspace {
     pub(crate) op: OperatorWorkspace,
     /// Scratch for residual-norm products (`G·v_{m+1}`).
     scratch: Vec<f64>,
+    /// One Gram–Schmidt pass's coefficients, `max_dimension` long.
+    pub(crate) coefficients: Vec<f64>,
     /// Number of fresh heap allocations the pool could not serve.
     allocations: usize,
     /// Everything `O(m²)` under the Arnoldi loop.

@@ -102,28 +102,74 @@ fn matmul_term_by_term(a: &[f64], b: &[f64], cols: usize, out: &mut [f64]) {
     }
 }
 
-/// Strategy: a `rows × inner` and an `inner × cols` matrix, all three
-/// dimensions free (so not multiples of four, and `inner < 4`), entries
-/// spread over twelve decades with a share of `0.0`, `-0.0`, `±∞` and NaN.
-fn matmul_operands(max_dim: usize) -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64>)> {
-    let entries = |len: usize| {
-        proptest::collection::vec((-1.0f64..1.0, -6i32..7, 0usize..24), len).prop_map(|draws| {
-            draws
-                .into_iter()
-                .map(|(v, decade, special)| match special {
-                    0 | 1 => 0.0,
-                    2 => -0.0,
-                    3 => f64::INFINITY,
-                    4 => f64::NEG_INFINITY,
-                    5 => f64::NAN,
-                    _ => v * 10f64.powi(decade),
-                })
-                .collect::<Vec<f64>>()
-        })
-    };
-    (1usize..max_dim, 1usize..max_dim, 1usize..max_dim).prop_flat_map(move |(rows, inner, cols)| {
-        (Just(cols), entries(rows * inner), entries(inner * cols))
+/// Strategy: `len` entries spread over twelve decades with a share of
+/// `0.0` and `-0.0`, and of `±∞` and NaN if `non_finite`.
+fn special_entries(len: usize, non_finite: bool) -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec((-1.0f64..1.0, -6i32..7, 0usize..24), len).prop_map(move |draws| {
+        draws
+            .into_iter()
+            .map(|(v, decade, special)| match special {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 if non_finite => f64::INFINITY,
+                4 if non_finite => f64::NEG_INFINITY,
+                5 if non_finite => f64::NAN,
+                _ => v * 10f64.powi(decade),
+            })
+            .collect::<Vec<f64>>()
     })
+}
+
+/// Strategy: a `rows × inner` and an `inner × cols` matrix, all three
+/// dimensions free (so not multiples of four, and `inner < 4`), entries from
+/// [`special_entries`].
+fn matmul_operands(max_dim: usize) -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64>)> {
+    (1usize..max_dim, 1usize..max_dim, 1usize..max_dim).prop_flat_map(move |(rows, inner, cols)| {
+        (
+            Just(cols),
+            special_entries(rows * inner, true),
+            special_entries(inner * cols, true),
+        )
+    })
+}
+
+/// [`vector::dot`]'s documented order, written out: product `k` into lane
+/// `k mod 4`, lanes from `+0.0`, then `(l₀ + l₁) + (l₂ + l₃)`.
+fn dot_in_lane_order(a: &[f64], b: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+        lanes[k % 4] += x * y;
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+}
+
+/// Strategy: a vector length, half the draws in `0..=9` (every tail a lane
+/// split can leave, and the empty vector), half in `10..300`.
+fn kernel_length() -> impl Strategy<Value = usize> {
+    (0usize..2, 0usize..10, 10usize..300).prop_map(|(pick, short, long)| match pick {
+        0 => short,
+        _ => long,
+    })
+}
+
+/// Strategy: `count` vectors and one more, all of one [`kernel_length`],
+/// entries from [`special_entries`].
+fn kernel_vectors(
+    count: std::ops::Range<usize>,
+    non_finite: bool,
+) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
+    (count, kernel_length()).prop_flat_map(move |(count, len)| {
+        (
+            proptest::collection::vec(special_entries(len, non_finite), count),
+            special_entries(len, non_finite),
+        )
+    })
+}
+
+/// Bitwise equality, a NaN matching any NaN (its payload is the hardware's
+/// choice, not the loop's).
+fn same_bits(got: f64, want: f64) -> bool {
+    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
 }
 
 /// Strategy: a random diagonally dominant sparse matrix (always factorizable)
@@ -319,10 +365,53 @@ proptest! {
         matmul_into(&a, &b, cols, &mut blocked);
         matmul_term_by_term(&a, &b, cols, &mut reference);
         for (got, want) in blocked.iter().zip(&reference) {
-            prop_assert!(
-                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                "{got:e} vs {want:e}"
-            );
+            prop_assert!(same_bits(*got, *want), "{got:e} vs {want:e}");
+        }
+    }
+
+    /// `dot` sums in its documented lane order, and `norm2` is its square
+    /// root — bit for bit, at every length a lane split can leave.
+    #[test]
+    fn dot_and_norm2_follow_the_documented_lane_order((vectors, w) in kernel_vectors(1..2, false)) {
+        let v = &vectors[0];
+        let got = vector::dot(&w, v);
+        prop_assert!(same_bits(got, dot_in_lane_order(&w, v)), "{got:e}");
+        let norm = vector::norm2(v);
+        prop_assert!(same_bits(norm, vector::dot(v, v).sqrt()), "{norm:e}");
+        prop_assert!(same_bits(norm, dot_in_lane_order(v, v).sqrt()), "{norm:e}");
+    }
+
+    /// Four basis vectors per pass over `w` or one: `dots_against` writes
+    /// each `dot(w, basis[i])` bit for bit, at every group remainder.
+    #[test]
+    fn dots_against_matches_dot_per_vector_bitwise((basis, w) in kernel_vectors(1..10, false)) {
+        let mut out = vec![7.0; basis.len()];
+        vector::dots_against(&basis, &w, &mut out);
+        for (v, got) in basis.iter().zip(&out) {
+            let want = vector::dot(&w, v);
+            prop_assert!(same_bits(*got, want), "{got:e} vs {want:e}");
+        }
+    }
+
+    /// One combined update or one `axpy` per nonzero coefficient in index
+    /// order: the same bits, through coefficients that are `0.0` or `-0.0`
+    /// (skipped), `±∞` or NaN, and entries of every kind.
+    #[test]
+    fn sub_combination_matches_the_axpy_loop_bitwise(
+        (basis, w) in kernel_vectors(0..10, true),
+        coefficients in special_entries(9, true),
+    ) {
+        let c = &coefficients[..basis.len()];
+        let mut combined = w.clone();
+        vector::sub_combination(&basis, c, &mut combined);
+        let mut reference = w;
+        for (v, &ci) in basis.iter().zip(c) {
+            if ci != 0.0 {
+                vector::axpy(-ci, v, &mut reference);
+            }
+        }
+        for (got, want) in combined.iter().zip(&reference) {
+            prop_assert!(same_bits(*got, *want), "{got:e} vs {want:e}");
         }
     }
 
