@@ -1,6 +1,6 @@
 //! Criterion bench for the MEVP kernels and the symbolic-reuse LU path.
 //!
-//! Seven groups:
+//! Six groups:
 //!
 //! * `lu_refactorize` — the headline comparison for the symbolic/numeric
 //!   split: a full `factorize_with` (ordering + pivoting + reachability DFS +
@@ -22,7 +22,6 @@
 //! * `orthogonalize` — one Arnoldi absorb's Gram–Schmidt with its DGKS
 //!   pass, classical on the blocked `vector` kernels (what the Arnoldi
 //!   process runs) against modified, at n = 514 and 10 002 and j = 8/16/32.
-//! * `spmv` — the engines' sequential SpMV against the 4-wide variant.
 //! * `ordering` — what the fill-reducing ordering costs and buys, `Rcm`
 //!   against `MinDegree`: ordering time, first factorization,
 //!   refactorization and one solve of `G` on the two circuits at the ends of
@@ -351,55 +350,6 @@ fn bench_orthogonalize(c: &mut Criterion) {
     group.finish();
 }
 
-/// SpMV kernel comparison: the sequential `mul_vec_into` (the engines' hot
-/// path — its summation order is pinned by the golden-waveform suite)
-/// against the 4-wide-accumulator `mul_vec_into_unrolled` variant (which
-/// reassociates the sum and is offered for throughput-first consumers).
-fn bench_spmv(c: &mut Criterion) {
-    let g = power_grid_conductance();
-    let n = g.rows();
-    let x: Vec<f64> = (0..n).map(|i| ((i % 9) as f64 - 4.0) / 4.0).collect();
-    let mut y = vec![0.0; n];
-
-    let mut group = c.benchmark_group("spmv");
-    group.sample_size(20);
-    group.bench_function("scalar", |b| b.iter(|| g.mul_vec_into(&x, &mut y)));
-    group.bench_function("unrolled_4wide", |b| {
-        b.iter(|| g.mul_vec_into_unrolled(&x, &mut y))
-    });
-    group.finish();
-
-    // Head-to-head ratio plus a drift check: the variants agree to
-    // round-off, never bitwise by contract.
-    let reps = 200;
-    let start = Instant::now();
-    for _ in 0..reps {
-        g.mul_vec_into(&x, &mut y);
-    }
-    let scalar = start.elapsed().as_secs_f64() / reps as f64;
-    let mut y2 = vec![0.0; n];
-    let start = Instant::now();
-    for _ in 0..reps {
-        g.mul_vec_into_unrolled(&x, &mut y2);
-    }
-    let unrolled = start.elapsed().as_secs_f64() / reps as f64;
-    let max_drift = y
-        .iter()
-        .zip(&y2)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    println!(
-        "spmv: scalar {:.3} us vs 4-wide {:.3} us -> {:.2}x (n = {}, nnz = {}, max |drift| = {:.1e})",
-        scalar * 1e6,
-        unrolled * 1e6,
-        scalar / unrolled,
-        g.rows(),
-        g.nnz(),
-        max_drift
-    );
-    assert!(max_drift < 1e-12, "unrolled SpMV drifted: {max_drift:e}");
-}
-
 fn bench_ordering(c: &mut Criterion) {
     let lines = coupled_lines(&CoupledLinesSpec {
         lines: 16,
@@ -459,7 +409,6 @@ criterion_group!(
     bench_small_dense,
     bench_reuse,
     bench_orthogonalize,
-    bench_spmv,
     bench_ordering
 );
 criterion_main!(benches);

@@ -9,14 +9,11 @@
 //!
 //! Usage: `cargo run --release -p exi-bench --bin fig1 [scale]`
 
-use exi_bench::{fig1_circuit, TextTable};
+use exi_bench::{arg_or_exit, fig1_circuit, TextTable};
 use exi_sparse::{factor_fill, CsrMatrix, OrderingMethod};
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let scale: f64 = arg_or_exit(std::env::args().nth(1).as_deref(), 1.0, "fig1 [scale]");
     let circuit = fig1_circuit(scale).expect("fig1 circuit generation");
     let n = circuit.num_unknowns();
     let x = vec![0.0; n];

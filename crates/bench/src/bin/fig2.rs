@@ -4,13 +4,19 @@
 //!
 //! Usage: `cargo run --release -p exi-bench --bin fig2 [stages] [--gamma-sweep]`
 
-use exi_bench::TextTable;
+use exi_bench::{arg_or_exit, TextTable};
 use exi_sim::{Method, Simulator, TransientOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let stages: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(6);
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let gamma_sweep = args.iter().any(|a| a == "--gamma-sweep");
+    let stages: usize = arg_or_exit(
+        args.iter()
+            .map(String::as_str)
+            .find(|a| *a != "--gamma-sweep"),
+        6,
+        "fig2 [stages] [--gamma-sweep]",
+    );
 
     let circuit = exi_bench::fig2_circuit(stages).expect("fig2 circuit generation");
     let observed = format!("s{stages}");

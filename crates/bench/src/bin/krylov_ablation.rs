@@ -8,15 +8,16 @@
 //!
 //! Usage: `cargo run --release -p exi-bench --bin krylov_ablation [scale]`
 
-use exi_bench::TextTable;
+use exi_bench::{arg_or_exit, TextTable};
 use exi_krylov::{mevp_invert_krylov, mevp_rational_krylov, mevp_standard_krylov, MevpOptions};
 use exi_sparse::{vector, SparseLu};
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let scale: f64 = arg_or_exit(
+        std::env::args().nth(1).as_deref(),
+        1.0,
+        "krylov_ablation [scale]",
+    );
     let circuit = exi_bench::fig1_circuit(scale.min(0.6)).expect("ablation circuit");
     let n = circuit.num_unknowns();
     let x = vec![0.0; n];

@@ -19,6 +19,7 @@
 //! Usage: `cargo run --release -p exi-bench --bin sweep [jobs] [threads]`
 //! (`jobs` defaults to 12, `threads` to the hardware parallelism)
 
+use exi_bench::arg_or_exit;
 use exi_netlist::generators::{power_grid, rc_mesh, PowerGridSpec, RcMeshSpec};
 use exi_sim::{BatchPlan, BatchResult, BatchRunner, Method, TransientOptions};
 
@@ -224,14 +225,9 @@ fn scaling_grid(rows: usize, cols: usize, jobs: usize, worker_counts: &[usize]) 
 }
 
 fn main() {
-    let jobs: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12);
-    let threads: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    const USAGE: &str = "sweep [jobs] [threads]";
+    let jobs: usize = arg_or_exit(std::env::args().nth(1).as_deref(), 12, USAGE);
+    let threads: usize = arg_or_exit(std::env::args().nth(2).as_deref(), 0, USAGE);
 
     let runner = BatchRunner::new().worker_threads(threads);
     let threads = runner.effective_worker_threads();

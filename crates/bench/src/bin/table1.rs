@@ -18,7 +18,7 @@
 //! Usage: `cargo run --release -p exi-bench --bin table1 [scale]`
 //! (`scale` defaults to 1.0; use e.g. 0.5 for a quicker run)
 
-use exi_bench::{run_case, table1_cases, CaseOutcome, TextTable};
+use exi_bench::{arg_or_exit, run_case, table1_cases, CaseOutcome, TextTable};
 use exi_sim::Method;
 
 /// Fill budget handed to the BENR baseline, in nonzeros per unknown. The
@@ -63,10 +63,7 @@ fn outcome_cells(
 }
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let scale: f64 = arg_or_exit(std::env::args().nth(1).as_deref(), 1.0, "table1 [scale]");
     let cases = table1_cases(scale);
 
     println!("Table I reproduction (scale = {scale}): BENR vs ER vs ER-C");

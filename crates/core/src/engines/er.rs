@@ -1351,12 +1351,42 @@ mod tests {
             error_budget: 1e-3,
             ..TransientOptions::default()
         };
-        let result = run_er(&ckt, false, &options, &["mid", "out"]).unwrap();
-        assert!(result.final_state.iter().all(|v| v.is_finite()));
-        // Final value approaches the resistive divider limit 0.5 as the cap charges.
-        let p_out = result.probe_index("out").unwrap();
-        let v_end = result.sample_at(p_out, 1e-9);
-        assert!(v_end > 0.8, "out should charge towards 1.0, got {v_end}");
+        // The source ramps from 0 to 1 V over `r` after a delay `d` and
+        // charges C1 through R1 + R2 (τ = 2e-10 s); `mid` is the divider's
+        // midpoint. The ramp-then-step RC response is closed form.
+        let (d, r, tau) = (1e-11, 1e-12, 2e3 * 1e-13);
+        let source = |t: f64| ((t - d) / r).clamp(0.0, 1.0);
+        let exact_out = |t: f64| {
+            let s = t - d;
+            if s <= 0.0 {
+                0.0
+            } else if s <= r {
+                (s - tau * (1.0 - (-s / tau).exp())) / r
+            } else {
+                1.0 - tau / r * ((r / tau).exp() - 1.0) * (-s / tau).exp()
+            }
+        };
+        for correction in [false, true] {
+            let result = run_er(&ckt, correction, &options, &["a", "mid", "out"]).unwrap();
+            assert!(result.final_state.iter().all(|v| v.is_finite()));
+            let probe = |label| result.probe_index(label).unwrap();
+            let (p_a, p_mid, p_out) = (probe("a"), probe("mid"), probe("out"));
+            let (mut a_err, mut mid_err, mut out_err) = (0.0f64, 0.0f64, 0.0f64);
+            for (&t, row) in result.times.iter().zip(&result.samples) {
+                let (a, mid, out) = (row[p_a], row[p_mid], row[p_out]);
+                a_err = a_err.max((a - source(t)).abs());
+                mid_err = mid_err.max((mid - (a + out) / 2.0).abs());
+                out_err = out_err.max((out - exact_out(t)).abs());
+            }
+            // Measured: out 1.8e-7 V, mid 6.7e-16 V, a 2.2e-10 V, both methods.
+            let method = if correction { "ER-C" } else { "ER" };
+            assert!(out_err < 1e-6, "{method}: max |out - exact| = {out_err:e}");
+            assert!(
+                mid_err < 1e-12,
+                "{method}: max |mid - (a+out)/2| = {mid_err:e}"
+            );
+            assert!(a_err < 1e-9, "{method}: max |a - source| = {a_err:e}");
+        }
     }
 
     #[test]

@@ -332,24 +332,6 @@ pub fn mevp_standard_krylov(
     h: f64,
     options: &MevpOptions,
 ) -> KrylovResult<MevpOutcome> {
-    mevp_standard_krylov_with(g, c_lu, v, h, options, &mut MevpWorkspace::new())
-}
-
-/// As [`mevp_standard_krylov`], drawing all scratch storage from `ws` — the
-/// allocation-free variant for hot loops. Recycle the returned decomposition
-/// with [`MevpWorkspace::recycle`] when done with it.
-///
-/// # Errors
-///
-/// Same as [`mevp_standard_krylov`].
-pub fn mevp_standard_krylov_with(
-    g: &CsrMatrix,
-    c_lu: &SparseLu,
-    v: &[f64],
-    h: f64,
-    options: &MevpOptions,
-    ws: &mut MevpWorkspace,
-) -> KrylovResult<MevpOutcome> {
     let op = JacobianOperator::new(g, c_lu);
     // Saad's posterior estimate: beta * h_{m+1,m} * |e_mᵀ e^{hH_m} e₁|.
     drive(
@@ -358,7 +340,7 @@ pub fn mevp_standard_krylov_with(
         v,
         h,
         options,
-        ws,
+        &mut MevpWorkspace::new(),
         |process, ws| Some(process.residual_scalar(ProjectionKind::Direct, ws)),
     )
 }

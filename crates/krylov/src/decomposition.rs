@@ -27,7 +27,7 @@ use crate::phi::MAX_PHI_ORDER;
 
 /// How the small Hessenberg matrix relates to the circuit Jacobian `J`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProjectionKind {
+pub(crate) enum ProjectionKind {
     /// Standard Krylov subspace: `H_m ≈ V_mᵀ J V_m`.
     Direct,
     /// Invert Krylov subspace: `H_m ≈ V_mᵀ J⁻¹ V_m`, so `J ≈ V_m H_m⁻¹ V_mᵀ`.
@@ -341,39 +341,20 @@ impl KrylovDecomposition {
         self.m
     }
 
-    /// Norm of the vector the subspace was built from.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
-    /// The projection kind used to build this subspace.
-    pub fn kind(&self) -> ProjectionKind {
-        self.kind
-    }
-
-    /// The `(m+1) × m` (or `m × m` on happy breakdown) Hessenberg matrix.
-    pub fn hessenberg(&self) -> &DenseMatrix {
-        &self.hess
-    }
-
     /// The orthonormal basis vectors (length `n` each).
-    pub fn basis(&self) -> &[Vec<f64>] {
+    #[cfg(test)]
+    pub(crate) fn basis(&self) -> &[Vec<f64>] {
         &self.basis
     }
 
     /// Consumes the decomposition, handing back its basis vectors so a
     /// workspace (see `MevpWorkspace::recycle`) can reuse their storage.
-    pub fn into_basis(self) -> Vec<Vec<f64>> {
+    pub(crate) fn into_basis(self) -> Vec<Vec<f64>> {
         self.basis
     }
 
-    /// The square `m × m` leading block of the Hessenberg matrix.
-    pub fn hm(&self) -> DenseMatrix {
-        self.hess.submatrix(self.m, self.m)
-    }
-
     /// The subdiagonal element `h_{m+1,m}` (zero on happy breakdown).
-    pub fn h_next(&self) -> f64 {
+    fn h_next(&self) -> f64 {
         if self.hess.rows() > self.m {
             self.hess.get(self.m, self.m - 1)
         } else {
@@ -382,7 +363,7 @@ impl KrylovDecomposition {
     }
 
     /// The `(m+1)`-th basis vector if it exists (it does not on happy breakdown).
-    pub fn next_basis_vector(&self) -> Option<&[f64]> {
+    pub(crate) fn next_basis_vector(&self) -> Option<&[f64]> {
         if self.basis.len() > self.m {
             Some(&self.basis[self.m])
         } else {
@@ -416,34 +397,11 @@ impl KrylovDecomposition {
         Ok(DenseMatrix::from_vec(m, m, arena.s))
     }
 
-    /// Evaluates `φ_order(h·J)·v ≈ β · V_m · φ_order(h·S) · e₁`.
+    /// Evaluates `φ_order(h·J)·v ≈ β · V_m · φ_order(h·S) · e₁` into `out`
+    /// (length `n`), drawing the small dense scratch from `ws`.
     ///
     /// Changing `h` re-uses the same basis: only an `m × m` dense computation
     /// is performed (the scaling-invariance property).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dense-kernel errors and unsupported φ orders.
-    pub fn eval_phi(&self, order: usize, h: f64) -> KrylovResult<Vec<f64>> {
-        let n = self.basis[0].len();
-        let mut out = vec![0.0; n];
-        self.eval_phi_into(order, h, &mut out)?;
-        Ok(out)
-    }
-
-    /// As [`KrylovDecomposition::eval_phi`], writing into a caller-provided
-    /// buffer of length `n` (convenience over
-    /// [`KrylovDecomposition::eval_phi_in`] with a throwaway workspace).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KrylovDecomposition::eval_phi_in`].
-    pub fn eval_phi_into(&self, order: usize, h: f64, out: &mut [f64]) -> KrylovResult<()> {
-        self.eval_phi_in(order, h, out, &mut MevpWorkspace::new())
-    }
-
-    /// As [`KrylovDecomposition::eval_phi_into`], drawing the small dense
-    /// scratch from `ws` — the allocation-free variant for hot loops.
     ///
     /// # Errors
     ///
@@ -468,23 +426,14 @@ impl KrylovDecomposition {
         Ok(())
     }
 
-    /// Evaluates `e^{hJ}·v` (φ of order zero).
+    /// Evaluates `e^{hJ}·v` (φ of order zero) into `out`, with a throwaway
+    /// workspace.
     ///
     /// # Errors
     ///
-    /// Same as [`KrylovDecomposition::eval_phi`].
-    pub fn eval_expv(&self, h: f64) -> KrylovResult<Vec<f64>> {
-        self.eval_phi(0, h)
-    }
-
-    /// As [`KrylovDecomposition::eval_expv`], writing into a caller-provided
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KrylovDecomposition::eval_phi_into`].
+    /// Same as [`KrylovDecomposition::eval_phi_in`].
     pub fn eval_expv_into(&self, h: f64, out: &mut [f64]) -> KrylovResult<()> {
-        self.eval_phi_into(0, h, out)
+        self.eval_phi_in(0, h, out, &mut MevpWorkspace::new())
     }
 
     /// As [`KrylovDecomposition::eval_expv_into`], drawing the small dense
@@ -502,45 +451,9 @@ impl KrylovDecomposition {
         self.eval_phi_in(0, h, out, ws)
     }
 
-    /// The small-space coefficient vector `β · φ_order(h·S) · e₁` (length `m`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dense-kernel errors and unsupported φ orders.
-    pub fn eval_phi_small(&self, order: usize, h: f64) -> KrylovResult<Vec<f64>> {
-        let mut arena = DenseArena::default();
-        arena.phi_column(self.kind, &self.hess, self.m, order, h)?;
-        Ok(arena
-            .column(self.m)
-            .iter()
-            .map(|phi| self.beta * phi)
-            .collect())
-    }
-
-    /// Lifts a small-space vector back to the full space: `V_m · y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != m`.
-    pub fn lift(&self, y: &[f64]) -> Vec<f64> {
-        let n = self.basis[0].len();
-        let mut out = vec![0.0; n];
-        self.lift_into(y, &mut out);
-        out
-    }
-
-    /// Lifts a small-space vector into a caller-provided buffer: `out = V_m·y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != m` or `out.len()` differs from the space
-    /// dimension.
-    pub fn lift_into(&self, y: &[f64], out: &mut [f64]) {
-        self.lift_scaled_into(1.0, y, out);
-    }
-
-    /// `out = V_m·(scale·y)`: the lift with the start-vector norm folded in,
-    /// so a φ column needs no coefficient vector of its own.
+    /// `out = V_m·(scale·y)`: lifts a small-space vector back to the full
+    /// space with the start-vector norm folded in, so a φ column needs no
+    /// coefficient vector of its own.
     pub(crate) fn lift_scaled_into(&self, scale: f64, y: &[f64], out: &mut [f64]) {
         assert_eq!(y.len(), self.m, "lift: coefficient length mismatch");
         assert_eq!(
@@ -611,6 +524,13 @@ mod tests {
         KrylovDecomposition::new(kind, vec![vec![1.0]], hess, 2.0, 1)
     }
 
+    /// `φ_order(h·J)·v` evaluated through a fresh workspace.
+    fn phi(d: &KrylovDecomposition, order: usize, h: f64) -> KrylovResult<Vec<f64>> {
+        let mut out = vec![0.0; d.basis[0].len()];
+        d.eval_phi_in(order, h, &mut out, &mut MevpWorkspace::new())?;
+        Ok(out)
+    }
+
     #[test]
     fn scalar_exponential_all_kinds() {
         let j = -3.0;
@@ -621,7 +541,7 @@ mod tests {
             ProjectionKind::ShiftInvert { gamma: 0.1 },
         ] {
             let d = scalar_decomposition(kind, j);
-            let v = d.eval_expv(h).unwrap();
+            let v = phi(&d, 0, h).unwrap();
             assert!(
                 (v[0] - 2.0 * (h * j).exp()).abs() < 1e-9,
                 "kind {kind:?}: {} vs {}",
@@ -636,7 +556,7 @@ mod tests {
         let j = -2.0;
         let h = 0.5;
         let d = scalar_decomposition(ProjectionKind::Inverse, j);
-        let v = d.eval_phi(1, h).unwrap();
+        let v = phi(&d, 1, h).unwrap();
         let expected = 2.0 * ((h * j).exp() - 1.0) / (h * j);
         assert!((v[0] - expected).abs() < 1e-9);
     }
@@ -653,17 +573,17 @@ mod tests {
     fn accessors() {
         let d = scalar_decomposition(ProjectionKind::Inverse, -4.0);
         assert_eq!(d.dimension(), 1);
-        assert_eq!(d.beta(), 2.0);
-        assert_eq!(d.kind(), ProjectionKind::Inverse);
-        assert_eq!(d.hm().get(0, 0), -0.25);
+        assert_eq!(d.beta, 2.0);
+        assert_eq!(d.kind, ProjectionKind::Inverse);
+        assert_eq!(d.hess.get(0, 0), -0.25);
         assert_eq!(d.basis().len(), 1);
     }
 
     #[test]
     fn rescaling_h_changes_only_the_small_problem() {
         let d = scalar_decomposition(ProjectionKind::Inverse, -1.5);
-        let a = d.eval_expv(0.1).unwrap()[0];
-        let b = d.eval_expv(0.2).unwrap()[0];
+        let a = phi(&d, 0, 0.1).unwrap()[0];
+        let b = phi(&d, 0, 0.2).unwrap()[0];
         assert!((a - 2.0 * (-0.15_f64).exp()).abs() < 1e-9);
         assert!((b - 2.0 * (-0.3_f64).exp()).abs() < 1e-9);
     }
@@ -671,16 +591,15 @@ mod tests {
     #[test]
     fn into_variants_match_allocating_versions() {
         let d = scalar_decomposition(ProjectionKind::Inverse, -2.5);
-        let alloc = d.eval_phi(1, 0.3).unwrap();
         let mut buf = vec![42.0; 1];
-        d.eval_phi_into(1, 0.3, &mut buf).unwrap();
-        assert_eq!(alloc, buf);
-        let mut buf = vec![0.0; 1];
         d.eval_expv_into(0.3, &mut buf).unwrap();
-        assert_eq!(d.eval_expv(0.3).unwrap(), buf);
+        assert_eq!(buf, phi(&d, 0, 0.3).unwrap());
         // Wrong output length is rejected.
         let mut bad = vec![0.0; 2];
         assert!(d.eval_expv_into(0.3, &mut bad).is_err());
+        assert!(d
+            .eval_phi_in(1, 0.3, &mut bad, &mut MevpWorkspace::new())
+            .is_err());
     }
 
     #[test]
@@ -698,7 +617,7 @@ mod tests {
                 1.0,
                 1,
             );
-            let _ = tx.send(d.eval_expv(1e200));
+            let _ = tx.send(phi(&d, 0, 1e200));
         });
         let v = rx
             .recv_timeout(std::time::Duration::from_secs(10))
@@ -720,9 +639,9 @@ mod tests {
         let mut out = vec![0.0; 3];
         for _ in 0..2 {
             d.eval_phi_in(2, 0.3, &mut out, &mut ws).unwrap();
-            assert_eq!(out, d.eval_phi(2, 0.3).unwrap());
+            assert_eq!(out, phi(&d, 2, 0.3).unwrap());
             d.eval_expv_in(0.3, &mut out, &mut ws).unwrap();
-            assert_eq!(out, d.eval_expv(0.3).unwrap());
+            assert_eq!(out, phi(&d, 0, 0.3).unwrap());
             assert_eq!(
                 d.residual_scalar_in(0.3, &mut ws).unwrap(),
                 d.residual_scalar(0.3).unwrap()
@@ -732,7 +651,6 @@ mod tests {
         let grown = ws.dense_allocations();
         d.eval_phi_in(2, 0.7, &mut out, &mut ws).unwrap();
         assert_eq!(ws.dense_allocations(), grown);
-        assert_eq!(d.eval_phi_small(1, 0.3).unwrap().len(), 2);
         let s = d.projected_jacobian().unwrap();
         assert_eq!((s.rows(), s.cols()), (2, 2));
     }

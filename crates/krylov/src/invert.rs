@@ -323,12 +323,19 @@ mod tests {
         let g_lu = SparseLu::factorize(&g).unwrap();
         let v = vec![1.0, 1.0];
         let out = mevp_invert_krylov(&c, &g, &g_lu, &v, 0.2, &MevpOptions::default()).unwrap();
+        let mut ws = MevpWorkspace::new();
         // Halve the step: same decomposition, new evaluation.
-        let half = out.decomposition.eval_expv(0.1).unwrap();
+        let mut half = vec![0.0; 2];
+        out.decomposition
+            .eval_expv_in(0.1, &mut half, &mut ws)
+            .unwrap();
         assert!((half[0] - (-0.2_f64).exp()).abs() < 1e-7);
         assert!((half[1] - (-2.0 / 3.0 * 0.1_f64).exp()).abs() < 1e-7);
         // phi1 evaluation from the same subspace.
-        let p1 = out.decomposition.eval_phi(1, 0.2).unwrap();
+        let mut p1 = vec![0.0; 2];
+        out.decomposition
+            .eval_phi_in(1, 0.2, &mut p1, &mut ws)
+            .unwrap();
         let expected0 = ((-0.4_f64).exp() - 1.0) / (-0.4);
         assert!((p1[0] - expected0).abs() < 1e-7);
     }
@@ -380,7 +387,9 @@ mod tests {
         assert!(ws.residual_tests() > 3);
         assert_eq!(ws.small_dense_exponentials(), ws.residual_tests());
         // ... and it is the product a re-evaluation of the decomposition gives.
-        assert_eq!(out.mevp, out.decomposition.eval_expv(0.05).unwrap());
+        let mut again = vec![0.0; n];
+        out.decomposition.eval_expv_into(0.05, &mut again).unwrap();
+        assert_eq!(out.mevp, again);
         // A second build of the same work finds the dense arena grown.
         let grown = ws.dense_allocations();
         assert!(grown > 0);
@@ -543,11 +552,14 @@ mod tests {
             let y_norm = vector::norm2(&y);
             prop_assert!((y_norm - scalar).abs() <= 1e-12 * scalar, "{y_norm} vs {scalar}");
 
-            // From the residual's definition.
-            let coefficients = dec.eval_phi_small(0, h).unwrap();
+            // From the residual's definition: `x_m = V_m·y` with
+            // `y = β·φ₀(hS)·e₁`, whose column the evaluation leaves in `ws`.
+            let mut x_m = vec![0.0; v.len()];
+            dec.eval_expv_in(h, &mut x_m, &mut ws).unwrap();
             let s = dec.projected_jacobian().unwrap();
-            let x_m = dec.lift(&coefficients);
-            let dx_m = dec.lift(&s.matvec(&coefficients));
+            let mut dx_m = vec![0.0; v.len()];
+            let column = ws.dense.column(dec.dimension());
+            dec.lift_scaled_into(vector::norm2(&v), &s.matvec(column), &mut dx_m);
             let r_m: Vec<f64> = c
                 .mul_vec(&dx_m)
                 .iter()
@@ -564,8 +576,9 @@ mod tests {
                 "component along v_(m+1): {along} vs {scalar}"
             );
             // `S = (H_m − δ·I)⁻¹` makes `H_m·S = I + δ·S`, which leaves
-            // `−δ·V_m·S·y = −δ·x_m′` besides Eq. (22)'s term.
-            let delta = 1e-12 * dec.hm().norm_inf();
+            // `−δ·V_m·S·y = −δ·x_m′` besides Eq. (22)'s term; `δ = 1e-12·‖H_m‖`,
+            // and `‖S⁻¹‖ = ‖H_m − δ·I‖` is `‖H_m‖` to twelve digits.
+            let delta = 1e-12 * s.inverse().unwrap().norm_inf();
             let predicted: Vec<f64> = dx_m
                 .iter()
                 .zip(next)

@@ -20,8 +20,9 @@
 //! for different step sizes `h` and φ orders without rebuilding the basis —
 //! the scaling-invariance the ER engine relies on when it rejects a step.
 //!
-//! Each front-end also has a `*_with` variant taking a [`MevpWorkspace`]: an
-//! arena of recycled basis vectors, Hessenberg storage, operator scratch
+//! The paper's front-end also has variants taking a [`MevpWorkspace`]
+//! ([`mevp_invert_krylov_with`], [`mevp_invert_krylov_state_residual_with`]):
+//! an arena of recycled basis vectors, Hessenberg storage, operator scratch
 //! buffers and the small dense temporaries of the convergence tests and φ
 //! evaluations, which makes repeated subspace builds (the transient engines'
 //! hot loop) allocation-free in steady state. The decomposition's
@@ -54,18 +55,18 @@
 
 #![deny(missing_docs)]
 
-pub mod arnoldi;
-pub mod decomposition;
-pub mod error;
-pub mod expm;
-pub mod invert;
-pub mod mevp;
-pub mod operator;
-pub mod phi;
-pub mod rational;
+mod arnoldi;
+mod decomposition;
+mod error;
+mod expm;
+mod invert;
+mod mevp;
+mod operator;
+mod phi;
+mod rational;
 
-pub use arnoldi::{mevp_standard_krylov, mevp_standard_krylov_with};
-pub use decomposition::{KrylovDecomposition, ProjectionKind};
+pub use arnoldi::mevp_standard_krylov;
+pub use decomposition::KrylovDecomposition;
 pub use error::{KrylovError, KrylovResult};
 pub use expm::expm;
 pub use invert::{
@@ -73,9 +74,6 @@ pub use invert::{
     mevp_invert_krylov_with,
 };
 pub use mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
-pub use operator::{
-    InverseJacobianOperator, JacobianOperator, KrylovOperator, OperatorWorkspace,
-    ShiftInvertOperator,
-};
-pub use phi::{phi_matrices, phi_scalar, phi_vectors, MAX_PHI_ORDER};
-pub use rational::{mevp_rational_krylov, mevp_rational_krylov_with};
+pub use operator::{InverseJacobianOperator, KrylovOperator, OperatorWorkspace};
+pub use phi::{phi_matrices, phi_scalar, MAX_PHI_ORDER};
+pub use rational::mevp_rational_krylov;

@@ -34,17 +34,6 @@ impl Default for MevpOptions {
     }
 }
 
-impl MevpOptions {
-    /// Convenience constructor with an explicit tolerance and defaults for the
-    /// remaining fields.
-    pub fn with_tolerance(tolerance: f64) -> Self {
-        MevpOptions {
-            tolerance,
-            ..MevpOptions::default()
-        }
-    }
-}
-
 /// Result of a converged MEVP computation.
 #[derive(Debug, Clone)]
 pub struct MevpOutcome {
@@ -159,11 +148,6 @@ impl MevpWorkspace {
         self.residual_tests
     }
 
-    /// Number of pooled vectors currently available.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Takes a zeroed length-`n` vector from the pool (or allocates one).
     pub(crate) fn take_vec(&mut self, n: usize) -> Vec<f64> {
         match self.pool.pop() {
@@ -217,8 +201,6 @@ mod tests {
         let o = MevpOptions::default();
         assert_eq!(o.tolerance, 1e-7);
         assert!(o.max_dimension >= 100);
-        let o = MevpOptions::with_tolerance(1e-9);
-        assert_eq!(o.tolerance, 1e-9);
     }
 
     #[test]
@@ -227,7 +209,7 @@ mod tests {
         let a = ws.take_vec(8);
         assert_eq!(ws.allocations(), 1);
         ws.recycle_vec(a);
-        assert_eq!(ws.pooled(), 1);
+        assert_eq!(ws.pool.len(), 1);
         let b = ws.take_vec(4);
         assert_eq!(b.len(), 4);
         assert!(b.iter().all(|&x| x == 0.0));

@@ -88,14 +88,14 @@ pub trait KrylovOperator {
 
 /// The circuit Jacobian `J = -C⁻¹ G` (standard Krylov subspace).
 #[derive(Debug)]
-pub struct JacobianOperator<'a> {
+pub(crate) struct JacobianOperator<'a> {
     g: &'a CsrMatrix,
     c_lu: &'a SparseLu,
 }
 
 impl<'a> JacobianOperator<'a> {
     /// Creates the operator from `G` and a factorization of `C`.
-    pub fn new(g: &'a CsrMatrix, c_lu: &'a SparseLu) -> Self {
+    pub(crate) fn new(g: &'a CsrMatrix, c_lu: &'a SparseLu) -> Self {
         JacobianOperator { g, c_lu }
     }
 }
@@ -166,14 +166,14 @@ impl KrylovOperator for InverseJacobianOperator<'_> {
 
 /// The shift-and-invert operator `(I - γJ)⁻¹ = (C + γG)⁻¹ C`.
 #[derive(Debug)]
-pub struct ShiftInvertOperator<'a> {
+pub(crate) struct ShiftInvertOperator<'a> {
     c: &'a CsrMatrix,
     shifted_lu: &'a SparseLu,
 }
 
 impl<'a> ShiftInvertOperator<'a> {
     /// Creates the operator from `C` and a factorization of `C + γG`.
-    pub fn new(c: &'a CsrMatrix, shifted_lu: &'a SparseLu) -> Self {
+    pub(crate) fn new(c: &'a CsrMatrix, shifted_lu: &'a SparseLu) -> Self {
         ShiftInvertOperator { c, shifted_lu }
     }
 }

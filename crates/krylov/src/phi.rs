@@ -114,23 +114,6 @@ pub fn phi_matrices(a: &DenseMatrix, order: usize) -> KrylovResult<Vec<DenseMatr
     Ok(out)
 }
 
-/// Computes the vectors `[φ0(A)·v, φ1(A)·v, …, φ_order(A)·v]` for a dense `A`.
-///
-/// # Errors
-///
-/// Same conditions as [`phi_matrices`], plus a
-/// [`KrylovError::DimensionMismatch`] when `v.len() != a.rows()`.
-pub fn phi_vectors(a: &DenseMatrix, v: &[f64], order: usize) -> KrylovResult<Vec<Vec<f64>>> {
-    if v.len() != a.rows() {
-        return Err(KrylovError::DimensionMismatch {
-            expected: a.rows(),
-            found: v.len(),
-        });
-    }
-    let phis = phi_matrices(a, order)?;
-    Ok(phis.iter().map(|p| p.matvec(v)).collect())
-}
-
 /// Scalar φ-functions, used by tests and by step-size heuristics.
 ///
 /// Numerically stable near `z = 0` via Taylor expansion.
@@ -237,29 +220,11 @@ mod tests {
     }
 
     #[test]
-    fn phi_vectors_match_matrix_product() {
-        let a = DenseMatrix::from_rows(&[&[-0.5, 0.1], &[0.0, -1.5]]);
-        let v = vec![1.0, 2.0];
-        let pv = phi_vectors(&a, &v, 2).unwrap();
-        let pm = phi_matrices(&a, 2).unwrap();
-        for k in 0..=2 {
-            let direct = pm[k].matvec(&v);
-            for i in 0..2 {
-                assert!((pv[k][i] - direct[i]).abs() < 1e-13);
-            }
-        }
-    }
-
-    #[test]
     fn unsupported_order_rejected() {
         let a = DenseMatrix::identity(2);
         assert!(matches!(
             phi_matrices(&a, MAX_PHI_ORDER + 1),
             Err(KrylovError::UnsupportedPhiOrder { .. })
-        ));
-        assert!(matches!(
-            phi_vectors(&a, &[1.0], 1),
-            Err(KrylovError::DimensionMismatch { .. })
         ));
     }
 

@@ -62,26 +62,6 @@ pub fn mevp_rational_krylov(
     h: f64,
     options: &MevpOptions,
 ) -> KrylovResult<MevpOutcome> {
-    mevp_rational_krylov_with(c, g, gamma, v, h, options, &mut MevpWorkspace::new())
-}
-
-/// As [`mevp_rational_krylov`], drawing scratch storage from `ws`. The
-/// factorization of `C + γG` is still performed internally (it depends on the
-/// shift); recycle the returned decomposition with
-/// [`MevpWorkspace::recycle`].
-///
-/// # Errors
-///
-/// Same as [`mevp_rational_krylov`].
-pub fn mevp_rational_krylov_with(
-    c: &CsrMatrix,
-    g: &CsrMatrix,
-    gamma: f64,
-    v: &[f64],
-    h: f64,
-    options: &MevpOptions,
-    ws: &mut MevpWorkspace,
-) -> KrylovResult<MevpOutcome> {
     if v.len() != c.rows() {
         return Err(KrylovError::DimensionMismatch {
             expected: c.rows(),
@@ -95,7 +75,8 @@ pub fn mevp_rational_krylov_with(
 
     let vnorm = vector::norm2(v);
     let mut previous: Vec<f64> = Vec::new();
-    drive(&op, kind, v, h, options, ws, |process, ws| {
+    let mut ws = MevpWorkspace::new();
+    drive(&op, kind, v, h, options, &mut ws, |process, ws| {
         let m = process.dimension();
         let current = ws.dense.column(m).iter().map(|phi| process.beta() * phi);
         // ‖y_m − y_prev‖₂ over the shared leading coefficients; the new

@@ -145,7 +145,8 @@ proptest! {
         prop_assume!(v.iter().any(|x| x.abs() > 1e-6));
         let opts = MevpOptions { tolerance: 1e-10, ..MevpOptions::default() };
         let full = mevp_invert_krylov(&c, &g, &g_lu, &v, h, &opts).expect("mevp at h");
-        let rescaled = full.decomposition.eval_expv(h / 2.0).expect("rescale");
+        let mut rescaled = vec![0.0; n];
+        full.decomposition.eval_expv_into(h / 2.0, &mut rescaled).expect("rescale");
         let fresh = mevp_invert_krylov(&c, &g, &g_lu, &v, h / 2.0, &opts).expect("mevp at h/2");
         for i in 0..n {
             prop_assert!((rescaled[i] - fresh.mevp[i]).abs() < 1e-6);

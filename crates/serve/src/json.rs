@@ -256,12 +256,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // A run of plain characters up to the next quote or escape,
+                // validated once, keeps a deck's parse linear in its size.
+                // Both delimiters are ASCII, so the run ends on a character
+                // boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |k| *pos + k);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| format!("invalid utf-8 at byte {}", *pos))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -363,9 +369,14 @@ mod tests {
 
     #[test]
     fn escapes_survive_the_round_trip() {
-        let original = Json::Str("quote \" backslash \\ newline \n tab \t ctrl \u{1}".to_string());
-        let parsed = Json::parse(&original.dump()).unwrap();
-        assert_eq!(parsed, original);
+        for text in [
+            "quote \" backslash \\ newline \n tab \t ctrl \u{1}",
+            "é\"€\\😀\n, plain",
+        ] {
+            let original = Json::Str(text.to_string());
+            let parsed = Json::parse(&original.dump()).unwrap();
+            assert_eq!(parsed, original);
+        }
     }
 
     #[test]

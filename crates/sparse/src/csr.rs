@@ -7,7 +7,6 @@
 //! merging rows.
 
 use crate::error::{SparseError, SparseResult};
-use crate::DenseMatrix;
 
 /// An immutable sparse matrix in compressed sparse row format.
 ///
@@ -354,100 +353,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Sparse matrix - dense vector product with 4-wide accumulator
-    /// chunking (`y = A x`).
-    ///
-    /// Splits each row's dot product over four independent accumulators so
-    /// the compiler can keep multiple FMA chains in flight, then reduces
-    /// them pairwise. **This reassociates the floating-point sum**: results
-    /// can differ from [`CsrMatrix::mul_vec_into`] in the last bits. The
-    /// engines' hot path deliberately keeps the sequential kernel — the
-    /// golden-waveform suite pins its summation order — so this variant is
-    /// for throughput-first consumers that tolerate reassociation; the
-    /// `krylov_kernels` bench `spmv` group compares the two.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols` or `y.len() != rows`.
-    pub fn mul_vec_into_unrolled(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "mul_vec: x dimension mismatch");
-        assert_eq!(y.len(), self.rows, "mul_vec: y dimension mismatch");
-        for (i, yi) in y.iter_mut().enumerate() {
-            let s = self.indptr[i];
-            let e = self.indptr[i + 1];
-            let vals = &self.values[s..e];
-            let cols = &self.indices[s..e];
-            let mut acc = [0.0f64; 4];
-            let mut chunks_v = vals.chunks_exact(4);
-            let mut chunks_c = cols.chunks_exact(4);
-            for (v4, c4) in (&mut chunks_v).zip(&mut chunks_c) {
-                acc[0] += v4[0] * x[c4[0]];
-                acc[1] += v4[1] * x[c4[1]];
-                acc[2] += v4[2] * x[c4[2]];
-                acc[3] += v4[3] * x[c4[3]];
-            }
-            let mut tail = 0.0;
-            for (v, c) in chunks_v.remainder().iter().zip(chunks_c.remainder()) {
-                tail += v * x[*c];
-            }
-            *yi = (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
-        }
-    }
-
-    /// Transpose-vector product `y = Aᵀ x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != rows`.
-    pub fn mul_vec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "mul_vec_transpose: dimension mismatch");
-        let mut y = vec![0.0; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            let s = self.indptr[i];
-            let e = self.indptr[i + 1];
-            for k in s..e {
-                y[self.indices[k]] += self.values[k] * xi;
-            }
-        }
-        y
-    }
-
-    /// Returns the transposed matrix.
-    pub fn transpose(&self) -> CsrMatrix {
-        // Prefix-sum the per-column counts to obtain the transpose's row pointers.
-        let mut indptr = vec![0usize; self.cols + 1];
-        for &c in &self.indices {
-            indptr[c + 1] += 1;
-        }
-        for j in 0..self.cols {
-            indptr[j + 1] += indptr[j];
-        }
-        let mut indices = vec![0usize; self.nnz()];
-        let mut values = vec![0.0f64; self.nnz()];
-        let mut next = indptr.clone();
-        for i in 0..self.rows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                let c = self.indices[k];
-                let pos = next[c];
-                indices[pos] = i;
-                values[pos] = self.values[k];
-                next[c] += 1;
-            }
-        }
-        // Rows of the transpose are filled in increasing original-row order,
-        // so the column indices of each transposed row are already sorted.
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// Returns `alpha * self` as a new matrix.
     pub fn scaled(&self, alpha: f64) -> CsrMatrix {
         let mut out = self.clone();
@@ -529,18 +434,6 @@ impl CsrMatrix {
     pub fn diagonal(&self) -> Vec<f64> {
         let n = self.rows.min(self.cols);
         (0..n).map(|i| self.get(i, i)).collect()
-    }
-
-    /// Converts to a dense matrix (intended for tests and tiny matrices).
-    pub fn to_dense(&self) -> DenseMatrix {
-        let mut d = DenseMatrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (c, v) in cols.iter().zip(vals.iter()) {
-                d.set(i, *c, *v);
-            }
-        }
-        d
     }
 
     /// Infinity norm (maximum absolute row sum).
@@ -765,32 +658,10 @@ mod tests {
         let a = sample();
         let x = vec![1.0, 2.0, 3.0];
         let y = a.mul_vec(&x);
-        let d = a.to_dense();
-        let yd = d.matvec(&x);
-        for (u, v) in y.iter().zip(yd.iter()) {
-            assert!((u - v).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let a = sample();
-        let t = a.transpose();
-        assert_eq!(t.get(2, 0), 1.0);
-        assert_eq!(t.get(0, 2), 2.0);
-        let tt = t.transpose();
-        assert_eq!(tt, a);
-    }
-
-    #[test]
-    fn transpose_vec_matches_transpose_mul() {
-        let a = sample();
-        let x = vec![1.0, -1.0, 2.0];
-        let y1 = a.mul_vec_transpose(&x);
-        let y2 = a.transpose().mul_vec(&x);
-        for (u, v) in y1.iter().zip(y2.iter()) {
-            assert!((u - v).abs() < 1e-14);
-        }
+        let yd: Vec<f64> = (0..3)
+            .map(|i| (0..3).map(|j| a.get(i, j) * x[j]).sum())
+            .collect();
+        assert_eq!(y, yd);
     }
 
     #[test]
@@ -931,29 +802,5 @@ mod tests {
         assert_eq!(short, c);
         map.fill(2.0, &c, 1.0, &g, &mut jac).unwrap();
         assert_eq!(jac.get(1, 1), 2.0 + 5.0);
-    }
-
-    #[test]
-    fn unrolled_spmv_matches_scalar_within_roundoff() {
-        // A wider matrix so rows exercise both the 4-chunks and the tail.
-        let mut t = TripletMatrix::new(6, 11);
-        let mut v = 0.37;
-        for i in 0..6 {
-            for j in 0..11 {
-                if (i + j) % 2 == 0 {
-                    t.push(i, j, v);
-                    v = -1.1 * v + 0.21;
-                }
-            }
-        }
-        let a = t.to_csr();
-        let x: Vec<f64> = (0..11).map(|k| (k as f64 - 4.3) * 0.77).collect();
-        let mut y_scalar = vec![0.0; 6];
-        let mut y_unrolled = vec![0.0; 6];
-        a.mul_vec_into(&x, &mut y_scalar);
-        a.mul_vec_into_unrolled(&x, &mut y_unrolled);
-        for (s, u) in y_scalar.iter().zip(&y_unrolled) {
-            assert!((s - u).abs() <= 1e-12 * s.abs().max(1.0), "{s} vs {u}");
-        }
     }
 }

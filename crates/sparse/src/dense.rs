@@ -177,17 +177,6 @@ impl DenseMatrix {
         y
     }
 
-    /// Returns the transpose.
-    pub fn transpose(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
-            }
-        }
-        out
-    }
-
     /// Returns `self + other`.
     ///
     /// # Panics
@@ -254,11 +243,6 @@ impl DenseMatrix {
     /// Infinity-norm (maximum absolute row sum).
     pub fn norm_inf(&self) -> f64 {
         norm_inf(&self.data, self.cols)
-    }
-
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Solves the dense linear system `self * x = b` with partial pivoting.
@@ -581,8 +565,6 @@ mod tests {
         assert_eq!(c.get(0, 0), 19.0);
         assert_eq!(c.get(1, 1), 50.0);
         assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-        let t = a.transpose();
-        assert_eq!(t.get(0, 1), 3.0);
     }
 
     #[test]
@@ -590,7 +572,6 @@ mod tests {
         let a = DenseMatrix::from_rows(&[&[1.0, -2.0], &[-3.0, 4.0]]);
         assert_eq!(a.norm_one(), 6.0);
         assert_eq!(a.norm_inf(), 7.0);
-        assert!((a.norm_fro() - (30.0_f64).sqrt()).abs() < 1e-14);
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! more:
 //!
 //! * [`TripletMatrix`] — coordinate-format builder used by MNA stamping.
-//! * [`CsrMatrix`] / [`CscMatrix`] — compressed sparse row/column storage,
-//!   sparse matrix–vector products and linear combinations such as `C/h + G`.
+//! * [`CsrMatrix`] — compressed sparse row storage, sparse matrix–vector
+//!   products and linear combinations such as `C/h + G`.
 //! * [`SparseLu`] — left-looking Gilbert–Peierls sparse LU with threshold
 //!   partial pivoting, fill-reducing orderings ([`ordering`]) and an optional
 //!   fill budget (used to emulate out-of-memory failures of the baseline).
 //!   Its symbolic analysis ([`SymbolicLu`]) is cached so value-only updates
-//!   go through the cheap numeric [`SparseLu::refactorize`], and
+//!   go through the cheap numeric [`SparseLu::refactorize_with`], and
 //!   [`SparseLu::solve_into`] + [`LuWorkspace`] make hot-loop triangular
 //!   solves allocation-free. [`SparseLu::factorize_ordered`] takes the
 //!   fill-reducing ordering precomputed — it depends on the pattern alone —
@@ -47,21 +47,19 @@
 
 #![deny(missing_docs)]
 
-pub mod coo;
-pub mod csc;
-pub mod csr;
+mod coo;
+mod csr;
 pub mod dense;
-pub mod error;
-pub mod lu;
+mod error;
+mod lu;
 pub mod ordering;
-pub mod permutation;
+mod permutation;
 pub mod vector;
 
 pub use coo::TripletMatrix;
-pub use csc::CscMatrix;
 pub use csr::{CombinationMap, CsrMatrix};
 pub use dense::{DenseLu, DenseMatrix};
 pub use error::{SparseError, SparseResult};
-pub use lu::{factor_fill, solve_sparse, LuOptions, LuWorkspace, SparseLu, SymbolicLu};
+pub use lu::{factor_fill, LuOptions, LuWorkspace, SparseLu, SymbolicLu};
 pub use ordering::OrderingMethod;
 pub use permutation::Permutation;

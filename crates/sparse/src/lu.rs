@@ -22,7 +22,7 @@
 //! a factorization — the fill-reducing ordering, the pivot order and the
 //! per-column reachability DFS — are computed **once** and cached in a
 //! [`SymbolicLu`]. Subsequent factorizations of matrices with the identical
-//! pattern go through [`SparseLu::refactorize`], which replays the recorded
+//! pattern go through [`SparseLu::refactorize_with`], which replays the recorded
 //! elimination in the recorded order: no ordering, no DFS, no allocation, and
 //! bit-for-bit the same result as a fresh factorization when the values are
 //! unchanged (KLU-style "refactor"). Which is why a factor also remembers the
@@ -181,7 +181,7 @@ impl SymbolicLu {
 /// fill-reducing column ordering, `L` unit lower triangular and `U` upper
 /// triangular. The symbolic analysis is cached, so factorizing a sequence of
 /// matrices with the same pattern costs one full factorization plus cheap
-/// numeric [`SparseLu::refactorize`] calls.
+/// numeric [`SparseLu::refactorize_with`] calls.
 ///
 /// # Examples
 ///
@@ -620,16 +620,6 @@ impl SparseLu {
             && self.symbolic.matches_pattern(a)
     }
 
-    /// As [`SparseLu::refactorize_with`], with an internal scratch workspace.
-    ///
-    /// # Errors
-    ///
-    /// See [`SparseLu::refactorize_with`].
-    pub fn refactorize(&mut self, a: &CsrMatrix) -> SparseResult<()> {
-        let mut ws = LuWorkspace::new();
-        self.refactorize_with(a, &mut ws)
-    }
-
     /// The cached symbolic analysis backing this factorization.
     pub fn symbolic(&self) -> &SymbolicLu {
         &self.symbolic
@@ -724,22 +714,6 @@ impl SparseLu {
         }
         Ok(())
     }
-
-    /// Solves `A x = b` for several right-hand sides.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SparseLu::solve`], checked per right-hand side.
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> SparseResult<Vec<Vec<f64>>> {
-        let mut ws = LuWorkspace::new();
-        rhs.iter()
-            .map(|b| {
-                let mut out = vec![0.0f64; self.symbolic.n];
-                self.solve_into(b, &mut out, &mut ws)?;
-                Ok(out)
-            })
-            .collect()
-    }
 }
 
 /// Column-wise view of a CSR pattern: for every column, the original row
@@ -767,15 +741,6 @@ fn csc_pattern_with_sources(a: &CsrMatrix) -> (Vec<usize>, Vec<usize>, Vec<usize
         }
     }
     (colptr, rows, src)
-}
-
-/// Convenience function: factorize `a` and solve a single system.
-///
-/// # Errors
-///
-/// Propagates factorization and solve errors from [`SparseLu`].
-pub fn solve_sparse(a: &CsrMatrix, b: &[f64]) -> SparseResult<Vec<f64>> {
-    SparseLu::factorize(a)?.solve(b)
 }
 
 /// Reports the factor fill of a matrix under a given ordering without keeping
@@ -852,7 +817,7 @@ mod tests {
         for n in [1usize, 2, 3, 10, 50, 200] {
             let a = tridiag(n);
             let b: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 1.0).collect();
-            let x = solve_sparse(&a, &b).unwrap();
+            let x = SparseLu::factorize(&a).unwrap().solve(&b).unwrap();
             assert!(dense_residual(&a, &x, &b) < 1e-10, "n = {n}");
         }
     }
@@ -889,7 +854,7 @@ mod tests {
         t.push(0, 1, 1.0);
         t.push(1, 0, 1.0);
         let a = t.to_csr();
-        let x = solve_sparse(&a, &[3.0, 5.0]).unwrap();
+        let x = SparseLu::factorize(&a).unwrap().solve(&[3.0, 5.0]).unwrap();
         assert!((x[1] - 3.0).abs() < 1e-14);
         assert!((x[0] - 5.0).abs() < 1e-14);
     }
@@ -961,19 +926,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_matches_individual_solves() {
-        let a = tridiag(15);
-        let rhs: Vec<Vec<f64>> = (0..3)
-            .map(|k| (0..15).map(|i| (i + k) as f64).collect())
-            .collect();
-        let lu = SparseLu::factorize(&a).unwrap();
-        let xs = lu.solve_many(&rhs).unwrap();
-        for (x, b) in xs.iter().zip(rhs.iter()) {
-            assert!(dense_residual(&a, x, b) < 1e-10);
-        }
-    }
-
-    #[test]
     fn wrong_rhs_length_is_rejected() {
         let a = tridiag(4);
         let lu = SparseLu::factorize(&a).unwrap();
@@ -1020,7 +972,7 @@ mod tests {
             }
             let a = t.to_csr();
             let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let x = solve_sparse(&a, &b).unwrap();
+            let x = SparseLu::factorize(&a).unwrap().solve(&b).unwrap();
             assert!(dense_residual(&a, &x, &b) < 1e-9, "trial {trial}");
         }
     }
@@ -1042,24 +994,25 @@ mod tests {
         let a = tridiag(40);
         let scaled = a.scaled(4.0);
         let mut lu = SparseLu::factorize(&a).unwrap();
+        let mut ws = LuWorkspace::new();
         assert!(lu.is_factor_of(&a) && !lu.is_factor_of(&scaled));
         assert!(!lu.is_factor_of(&tridiag(41)), "another pattern");
         // What the early exit skips: a replay that changes no bit.
         let mut replayed = lu.clone();
-        replayed.refactorize(&a).unwrap();
+        replayed.refactorize_with(&a, &mut ws).unwrap();
         assert_eq!(lu.l_vals, replayed.l_vals);
         assert_eq!(lu.u_vals, replayed.u_vals);
         assert_eq!(lu.u_diag, replayed.u_diag);
-        lu.refactorize(&scaled).unwrap();
+        lu.refactorize_with(&scaled, &mut ws).unwrap();
         assert!(lu.is_factor_of(&scaled) && !lu.is_factor_of(&a));
         // A pattern mismatch is refused before anything is touched ...
-        assert!(lu.refactorize(&tridiag(41)).is_err());
+        assert!(lu.refactorize_with(&tridiag(41), &mut ws).is_err());
         assert!(lu.is_factor_of(&scaled));
         // ... a failed elimination leaves the factor of nothing at all.
         let singular = tridiag_scaled(40, 1e-30, 1e-30);
-        assert!(lu.refactorize(&singular).is_err());
+        assert!(lu.refactorize_with(&singular, &mut ws).is_err());
         assert!(!lu.is_factor_of(&singular) && !lu.is_factor_of(&scaled));
-        lu.refactorize(&a).unwrap();
+        lu.refactorize_with(&a, &mut ws).unwrap();
         assert!(lu.is_factor_of(&a));
     }
 
@@ -1112,9 +1065,10 @@ mod tests {
     fn refactorize_rejects_different_pattern() {
         let a = tridiag(10);
         let mut lu = SparseLu::factorize(&a).unwrap();
+        let mut ws = LuWorkspace::new();
         let b = tridiag(12);
         assert!(matches!(
-            lu.refactorize(&b),
+            lu.refactorize_with(&b, &mut ws),
             Err(SparseError::PatternMismatch { .. })
         ));
         // Same size, different pattern.
@@ -1123,7 +1077,7 @@ mod tests {
             t.push(i, i, 1.0);
         }
         assert!(matches!(
-            lu.refactorize(&t.to_csr()),
+            lu.refactorize_with(&t.to_csr(), &mut ws),
             Err(SparseError::PatternMismatch { .. })
         ));
     }
@@ -1135,7 +1089,7 @@ mod tests {
         // Same pattern, but numerically singular values (rank-deficient:
         // every row sums the same entries so columns collapse).
         let bad = tridiag_scaled(8, 1e-30, 1e-30);
-        assert!(lu.refactorize(&bad).is_err());
+        assert!(lu.refactorize_with(&bad, &mut LuWorkspace::new()).is_err());
     }
 
     #[test]
@@ -1157,7 +1111,7 @@ mod tests {
             .unwrap();
             let mut lu = SparseLu::factorize(&a).unwrap();
             assert!(
-                lu.refactorize(&bad).is_err(),
+                lu.refactorize_with(&bad, &mut LuWorkspace::new()).is_err(),
                 "refactorize must reject {bad_value} in the values"
             );
         }
@@ -1246,7 +1200,8 @@ mod tests {
         let a = tridiag(30);
         let scaled = a.scaled(4.0);
         let mut lu = SparseLu::factorize(&a).unwrap();
-        lu.refactorize(&scaled).unwrap();
+        lu.refactorize_with(&scaled, &mut LuWorkspace::new())
+            .unwrap();
         let fresh = SparseLu::factorize(&scaled).unwrap();
         assert_eq!(lu.u_diag, fresh.u_diag);
         assert_eq!(lu.l_vals, fresh.l_vals);

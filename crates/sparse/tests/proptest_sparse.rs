@@ -3,7 +3,7 @@
 use exi_sparse::dense::matmul_into;
 use exi_sparse::ordering::compute_ordering;
 use exi_sparse::{
-    vector, CombinationMap, CscMatrix, CsrMatrix, DenseLu, DenseMatrix, LuOptions, LuWorkspace,
+    vector, CombinationMap, CsrMatrix, DenseLu, DenseMatrix, LuOptions, LuWorkspace,
     OrderingMethod, SparseLu, TripletMatrix,
 };
 use proptest::prelude::*;
@@ -436,23 +436,6 @@ proptest! {
         for s in &solutions[1..] {
             prop_assert!(vector::max_abs_diff(&solutions[0], s) < 1e-7);
         }
-    }
-
-    /// CSR → CSC → CSR round-trips exactly.
-    #[test]
-    fn csr_csc_roundtrip((a, _b) in dominant_system(30)) {
-        let csc = CscMatrix::from_csr(&a);
-        prop_assert_eq!(csc.to_csr(), a);
-    }
-
-    /// Transposing twice is the identity, and (Aᵀ)x equals the transpose product.
-    #[test]
-    fn transpose_involution((a, b) in dominant_system(30)) {
-        let t = a.transpose();
-        prop_assert_eq!(t.transpose(), a.clone());
-        let y1 = a.mul_vec_transpose(&b);
-        let y2 = t.mul_vec(&b);
-        prop_assert!(vector::max_abs_diff(&y1, &y2) < 1e-12);
     }
 
     /// A [`CombinationMap`] built once refills `αA + βB` on the merged
