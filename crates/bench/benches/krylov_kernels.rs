@@ -1,12 +1,18 @@
 //! Criterion bench for the MEVP kernels and the symbolic-reuse LU path.
 //!
-//! Six groups:
+//! Seven groups. A refactorization with the values the factor already holds
+//! is only a compare, so every timed replay alternates between a matrix and
+//! its double, which differ in every column — except where the point is what
+//! changed.
 //!
 //! * `lu_refactorize` — the headline comparison for the symbolic/numeric
 //!   split: a full `factorize_with` (ordering + pivoting + reachability DFS +
 //!   numeric elimination) vs a numeric-only `refactorize_with` of the
 //!   power-grid conductance matrix. The refactorization must be ≥2× faster;
 //!   the measured ratio is printed alongside the timings.
+//! * `partial_refactorize` — what a BENR Newton iteration on tc2 refactorizes:
+//!   `C/h + G` where only the MOSFET cells changed, against a replay of every
+//!   column; the share of columns recomputed is printed.
 //! * `krylov_mevp` — ablation A: invert vs standard vs rational Krylov
 //!   subspaces on the same matrices, plus the workspace-reusing invert
 //!   variant the ER engine actually runs.
@@ -16,7 +22,7 @@
 //!   `m × m` products `expm` is made of.
 //! * `reuse` — what an ER step on a linear circuit no longer redoes, on the
 //!   100×100 RC mesh (exibench's `er_large_mesh`): replaying the elimination
-//!   of an unchanged `G` vs noticing that it is unchanged, and a fresh `w₂`
+//!   of `G` vs refactorizing an unchanged `G` (a compare), and a fresh `w₂`
 //!   (one solve, one subspace of m ≈ 26) vs re-testing and re-evaluating the
 //!   kept one at the next step size.
 //! * `orthogonalize` — one Arnoldi absorb's Gram–Schmidt with its DGKS
@@ -66,8 +72,29 @@ fn conductance(circuit: &Circuit) -> CsrMatrix {
         .g
 }
 
+/// Two value sets on one pattern, refactorized in turn.
+struct Alternating<'m> {
+    values: [&'m CsrMatrix; 2],
+    turn: usize,
+}
+
+impl<'m> Alternating<'m> {
+    fn new(values: [&'m CsrMatrix; 2]) -> Self {
+        Alternating { values, turn: 0 }
+    }
+
+    /// Refactorizes `lu` with the other value set than last time; returns
+    /// the number of columns recomputed.
+    fn refactorize(&mut self, lu: &mut SparseLu, ws: &mut LuWorkspace) -> usize {
+        self.turn ^= 1;
+        lu.refactorize_with(self.values[self.turn], ws)
+            .expect("refactorization")
+    }
+}
+
 fn bench_lu_refactorize(c: &mut Criterion) {
     let g = power_grid_conductance();
+    let g2 = g.scaled(2.0);
     let options = LuOptions::default();
     let mut refac = SparseLu::factorize_with(&g, &options).expect("pilot LU of G");
     let mut ws = LuWorkspace::new();
@@ -77,12 +104,9 @@ fn bench_lu_refactorize(c: &mut Criterion) {
     group.bench_function("factorize_full", |b| {
         b.iter(|| SparseLu::factorize_with(&g, &options).expect("full factorization"))
     });
+    let mut replay = Alternating::new([&g, &g2]);
     group.bench_function("refactorize_numeric", |b| {
-        b.iter(|| {
-            refac
-                .refactorize_with(&g, &mut ws)
-                .expect("numeric refactorization")
-        })
+        b.iter(|| replay.refactorize(&mut refac, &mut ws))
     });
     group.finish();
 
@@ -95,7 +119,7 @@ fn bench_lu_refactorize(c: &mut Criterion) {
     let full = start.elapsed().as_secs_f64() / reps as f64;
     let start = Instant::now();
     for _ in 0..reps {
-        refac.refactorize_with(&g, &mut ws).expect("numeric");
+        assert_eq!(replay.refactorize(&mut refac, &mut ws), g.rows());
     }
     let numeric = start.elapsed().as_secs_f64() / reps as f64;
     println!(
@@ -105,6 +129,61 @@ fn bench_lu_refactorize(c: &mut Criterion) {
         full / numeric,
         g.rows(),
         g.nnz()
+    );
+}
+
+/// What a BENR Newton iteration refactorizes on tc2 (16 MOSFET-driven
+/// lines, n = 514): `C/h + G` at a mid-switching state, then at that state
+/// nudged by 0.1 %, so that only the MOSFET cells differ — against a replay
+/// of every column.
+fn bench_partial_refactorize(c: &mut Criterion) {
+    let case = &exi_bench::table1_cases(1.0)[1];
+    assert_eq!(case.name, "tc2");
+    let circuit = case.build().expect("tc2 circuit");
+    let x = Simulator::new(&circuit)
+        .transient(
+            Method::ExponentialRosenbrock,
+            &exi_bench::runner::table1_options(0.15e-9, None),
+            &[],
+        )
+        .expect("tc2 transient to mid-switching")
+        .final_state;
+    let nudged: Vec<f64> = x.iter().map(|v| v * (1.0 + 1e-3)).collect();
+    let plan = circuit.compile_plan().expect("plan");
+    let h = 1e-13;
+    let jacobian = |x: &[f64]| {
+        let eval = plan.evaluate(x).expect("evaluation");
+        CsrMatrix::linear_combination(1.0 / h, &eval.c, 1.0, &eval.g).expect("C/h + G")
+    };
+    let (at, near) = (jacobian(&x), jacobian(&nudged));
+    let far = at.scaled(2.0);
+    let cells = at
+        .values()
+        .iter()
+        .zip(near.values())
+        .filter(|(a, b)| a.to_bits() != b.to_bits())
+        .count();
+    let mut lu = SparseLu::factorize(&at).expect("LU of C/h + G");
+    let mut ws = LuWorkspace::new();
+
+    let mut group = c.benchmark_group("partial_refactorize");
+    group.sample_size(20);
+    let mut full = Alternating::new([&at, &far]);
+    group.bench_function("tc2/every_column", |b| {
+        b.iter(|| full.refactorize(&mut lu, &mut ws))
+    });
+    lu.refactorize_with(&at, &mut ws).expect("back to C/h + G");
+    let mut partial = Alternating::new([&at, &near]);
+    let columns = partial.refactorize(&mut lu, &mut ws);
+    group.bench_function("tc2/mosfet_cells", |b| {
+        b.iter(|| partial.refactorize(&mut lu, &mut ws))
+    });
+    group.finish();
+    println!(
+        "partial_refactorize/tc2: {cells} of {} cells changed; {columns} of {} columns ({:.1} %) recomputed",
+        at.nnz(),
+        at.rows(),
+        100.0 * columns as f64 / at.rows() as f64
     );
 }
 
@@ -238,15 +317,21 @@ fn bench_reuse(c: &mut Criterion) {
     let mut g_lu = SparseLu::factorize(&eval.g).expect("LU of G");
     let mut lu_ws = LuWorkspace::new();
 
+    let g2 = eval.g.scaled(2.0);
     let mut group = c.benchmark_group("reuse");
     group.sample_size(10);
+    let mut replay = Alternating::new([&eval.g, &g2]);
     group.bench_function("g_refactorize", |b| {
-        b.iter(|| g_lu.refactorize_with(&eval.g, &mut lu_ws).expect("replay"))
+        b.iter(|| replay.refactorize(&mut g_lu, &mut lu_ws))
     });
-    group.bench_function("g_is_factor_of", |b| {
-        b.iter(|| criterion::black_box(&g_lu).is_factor_of(&eval.g))
+    g_lu.refactorize_with(&eval.g, &mut lu_ws).expect("replay");
+    group.bench_function("g_unchanged", |b| {
+        b.iter(|| g_lu.refactorize_with(&eval.g, &mut lu_ws).expect("compare"))
     });
-    assert!(g_lu.is_factor_of(&eval.g));
+    assert_eq!(
+        g_lu.refactorize_with(&eval.g, &mut lu_ws).expect("compare"),
+        0
+    );
 
     // w₂ = −G⁻¹B·(u(t+h) − u(t)) for a step on the input ramp, as the engine
     // forms it, and its subspace at the engine's tolerance.
@@ -371,6 +456,7 @@ fn bench_ordering(c: &mut Criterion) {
     group.sample_size(10);
     for (name, circuit) in [("lines16x30", &lines), ("mesh100x100", &mesh)] {
         let g = conductance(circuit);
+        let g2 = g.scaled(2.0);
         let n = g.rows();
         let rhs: Vec<f64> = (0..n).map(|i| ((i % 9) as f64 - 4.0) / 4.0).collect();
         for ordering in [OrderingMethod::Rcm, OrderingMethod::MinDegree] {
@@ -386,8 +472,9 @@ fn bench_ordering(c: &mut Criterion) {
             group.bench_function(id("factorize"), |b| {
                 b.iter(|| SparseLu::factorize_with(&g, &options).expect("factorization"))
             });
+            let mut replay = Alternating::new([&g, &g2]);
             group.bench_function(id("refactorize"), |b| {
-                b.iter(|| lu.refactorize_with(&g, &mut ws).expect("replay"))
+                b.iter(|| replay.refactorize(&mut lu, &mut ws))
             });
             group.bench_function(id("solve"), |b| {
                 b.iter(|| lu.solve_into(&rhs, &mut x, &mut ws).expect("solve"))
@@ -405,6 +492,7 @@ fn bench_ordering(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_lu_refactorize,
+    bench_partial_refactorize,
     bench_mevp_kernels,
     bench_small_dense,
     bench_reuse,

@@ -9,9 +9,12 @@
 //! when it is built ([`CombinationMap`]), and every iteration only rewrites
 //! the values; the baseline also benefits from the cached symbolic analysis:
 //! after the first Newton iteration the factorizations run through the
-//! numeric-only refactorization path. The remaining per-iteration cost
+//! numeric-only refactorization path, which recomputes only the factor
+//! columns the changed cells reach. The remaining per-iteration cost
 //! asymmetry against ER is the *numeric* elimination on the much denser
-//! factors, which is exactly the paper's argument.
+//! factors, which is exactly the paper's argument. Each attempt's first
+//! Newton iterate is the step's start state, so that iteration reads the
+//! device evaluation the step already made there.
 //!
 //! The engine is exposed as the incremental [`ImplicitStepper`] (one accepted
 //! step per [`Engine::advance`] call).
@@ -262,10 +265,15 @@ impl ImplicitStepper<'_> {
             let mut iterations = 0usize;
             while iterations < self.options.newton_max_iterations {
                 iterations += 1;
-                self.stats.restamped_entries +=
-                    plan.evaluate_into(&self.xi, &mut caches.eval_ws, &mut self.eval_i)?;
-                self.stats.device_evaluations += 1;
-                let (ev, ek) = (&self.eval_i, &self.eval_k);
+                // The first iterate is `x` itself, bit for bit, and `eval_k`
+                // was evaluated there; later iterates are evaluated afresh.
+                if iterations > 1 {
+                    self.stats.restamped_entries +=
+                        plan.evaluate_into(&self.xi, &mut caches.eval_ws, &mut self.eval_i)?;
+                    self.stats.device_evaluations += 1;
+                }
+                let ek = &self.eval_k;
+                let ev = if iterations == 1 { ek } else { &self.eval_i };
                 // Residual T(x) of Eq. (2) generalized to the θ-method.
                 for (r, ((((q, qk), f), fk), (bn, bk))) in self.residual.iter_mut().zip(
                     ev.q.iter()
@@ -549,12 +557,28 @@ mod tests {
                     .unwrap();
             stepper.init(0.0, &x0, &mut crate::NullObserver).unwrap();
             let (mut steps, mut step_sizes, mut g_values) = (0, Vec::new(), Vec::new());
-            while let StepOutcome::Advanced { h, .. } =
-                stepper.advance(&mut crate::NullObserver).unwrap()
-            {
-                // The accepted step's last Newton iteration formed `jac` at
-                // its `h` from the state `eval_i` was evaluated at.
-                let ev = &stepper.eval_i;
+            let mut from_eval_k = 0;
+            loop {
+                let before = stepper.stats.clone();
+                let StepOutcome::Advanced { h, .. } =
+                    stepper.advance(&mut crate::NullObserver).unwrap()
+                else {
+                    break;
+                };
+                // Without a rejection the step's one attempt ran all its
+                // Newton iterations; only then is the last one's known.
+                if stepper.stats.rejected_steps > before.rejected_steps {
+                    continue;
+                }
+                // The last iteration formed `jac` at the step's `h` from the
+                // evaluation it read: `eval_k` at iteration 1, else `eval_i`.
+                let iterations = stepper.stats.newton_iterations - before.newton_iterations;
+                let ev = if iterations == 1 {
+                    from_eval_k += 1;
+                    &stepper.eval_k
+                } else {
+                    &stepper.eval_i
+                };
                 let merged =
                     CsrMatrix::linear_combination(1.0 / h, &ev.c, stepper.theta, &ev.g).unwrap();
                 assert_eq!(stepper.jac.indptr(), merged.indptr(), "{scheme:?}");
@@ -569,8 +593,39 @@ mod tests {
                 }
             }
             assert!(steps > 10, "{scheme:?}: {steps} steps");
+            assert!(
+                from_eval_k > 0,
+                "{scheme:?}: no step converged at iteration 1"
+            );
             assert!(step_sizes.len() >= 3, "{scheme:?}: {step_sizes:?}");
             assert!(g_values.len() > 10, "{scheme:?}: {} states", g_values.len());
+        }
+    }
+
+    #[test]
+    fn newton_iteration_one_reads_the_evaluation_at_the_step_start() {
+        let ckt = mosfet_chain();
+        let x0 = crate::dc_operating_point(&ckt, &crate::DcOptions::default())
+            .unwrap()
+            .state;
+        for scheme in [ImplicitScheme::BackwardEuler, ImplicitScheme::Trapezoidal] {
+            let mut caches = SessionCaches {
+                plan: Some(Arc::new(EvalPlan::compile(&ckt).unwrap())),
+                ..SessionCaches::default()
+            };
+            let mut stepper =
+                ImplicitStepper::new(&ckt, &mut caches, scheme, chain_options(), RunStats::new())
+                    .unwrap();
+            stepper.init(0.0, &x0, &mut crate::NullObserver).unwrap();
+            let s = stepper.run_to_end(&mut crate::NullObserver).unwrap();
+            // One evaluation at each step's start, then one per Newton
+            // iteration after the first of every attempt, retried ones too.
+            assert_eq!(
+                s.device_evaluations,
+                s.newton_iterations - s.rejected_steps,
+                "{scheme:?}: {s:?}"
+            );
+            assert!(s.rejected_steps > 0, "{scheme:?}: {s:?}");
         }
     }
 

@@ -224,13 +224,13 @@ pub(crate) fn reached_end(t: f64, t_stop: f64) -> bool {
 /// (see [`exi_netlist::plan`]), so one plain slot per role is the whole
 /// cache:
 ///
-/// 0. **The factor already held**, when `a` is value for value the matrix it
-///    was computed from ([`SparseLu::is_factor_of`]): a refactorization
-///    would replay to the same bits, so none runs
-///    ([`RunStats::lu_reuses`]). On a linear circuit that is every ER step
-///    after the DC solve, and every implicit step that keeps its `h`.
 /// 1. **In-place refactorization** of the slot's factor — the step hot path:
-///    no hashing, no locks, no allocation.
+///    no hashing, no locks, no allocation. It recomputes only the factor
+///    columns that `a`'s changed values reach ([`SparseLu::refactorize_with`]).
+///    One that recomputes nothing found `a` value for value the matrix the
+///    factor was computed from and counts as a [`RunStats::lu_reuses`]; on a
+///    linear circuit that is every ER step after the DC solve, and every
+///    implicit step that keeps its `h`.
 /// 2. Otherwise — the slot is empty, or the frozen pivot order is no longer
 ///    viable for `a`'s values (vanished pivot, excessive element growth) — a
 ///    **fresh** factorization that pivots on `a`'s own values. For the `G`
@@ -249,17 +249,14 @@ pub(crate) fn refresh_lu<'s>(
     ws: &mut LuWorkspace,
     stats: &mut RunStats,
 ) -> SimResult<&'s SparseLu> {
-    if slot.as_ref().is_some_and(|lu| lu.is_factor_of(a)) {
-        let lu = slot.as_ref().expect("tested above");
+    let recomputed = slot.as_mut().map(|lu| lu.refactorize_with(a, ws));
+    if let Some(Ok(columns)) = recomputed {
+        let lu = slot.as_ref().expect("refactorized above");
         check_fill_budget(lu, options)?;
-        stats.lu_reuses += 1;
-        return Ok(lu);
-    }
-    let refactorized = slot
-        .as_mut()
-        .is_some_and(|lu| lu.refactorize_with(a, ws).is_ok());
-    if refactorized {
-        check_fill_budget(slot.as_ref().expect("refactorized above"), options)?;
+        if columns == 0 {
+            stats.lu_reuses += 1;
+            return Ok(lu);
+        }
         stats.lu_refactorizations += 1;
     } else {
         // A rejected refactorization leaves the factor's values unspecified:

@@ -34,10 +34,11 @@ pub struct RunStats {
     pub lu_refactorizations: usize,
     /// Number of times an engine asked for the factorization of a matrix
     /// whose values were, bit for bit, the ones its cached factor had been
-    /// computed from ([`exi_sparse::SparseLu::is_factor_of`]) — answered
-    /// without factorizing. A refactorization replays bit for bit on equal
-    /// values, so this changes no result; on a linear circuit it is every ER
-    /// step, and every BE/TR Newton iteration that keeps the previous `h`.
+    /// computed from (a [`exi_sparse::SparseLu::refactorize_with`] that
+    /// recomputed no column) — answered with one compare pass over the
+    /// values. A refactorization replays bit for bit on equal values, so
+    /// this changes no result; on a linear circuit it is every ER step, and
+    /// every BE/TR Newton iteration that keeps the previous `h`.
     pub lu_reuses: usize,
     /// Number of sparse triangular solves performed.
     pub linear_solves: usize,

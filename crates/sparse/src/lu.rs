@@ -25,10 +25,18 @@
 //! pattern go through [`SparseLu::refactorize_with`], which replays the recorded
 //! elimination in the recorded order: no ordering, no DFS, no allocation, and
 //! bit-for-bit the same result as a fresh factorization when the values are
-//! unchanged (KLU-style "refactor"). Which is why a factor also remembers the
-//! values it was computed from: [`SparseLu::is_factor_of`] tells a caller
-//! that replaying the elimination would reproduce the factor it already
-//! holds, so it need not.
+//! unchanged (KLU-style "refactor").
+//!
+//! The replay redoes only what moved. In the left-looking elimination, factor
+//! column `j` (pivot order) reads nothing but `A[:, q(j)]` and the `L`
+//! columns its `U` pattern lists, all to the left of `j`. A factor remembers
+//! the values it was computed from, so one forward pass finds the *dirty*
+//! columns — an entry of `A[:, q(j)]` changed in any bit, or a column its
+//! `U` pattern lists is dirty — and only those are recomputed. A clean
+//! column keeps its `L`, `U` and pivot, which a replay would rewrite with the
+//! same bits; a matrix with no changed value costs one compare pass. On a
+//! circuit Jacobian the dirty set is the nonlinear devices' columns and
+//! their descendants in the elimination, not the whole matrix.
 
 use crate::csr::CsrMatrix;
 use crate::error::{SparseError, SparseResult};
@@ -213,8 +221,12 @@ pub struct SparseLu {
     pivot_floor: f64,
     /// The values of the matrix the numeric factors were computed from, in
     /// its CSR order; empty while they are not known to be current (a
-    /// refactorization is under way, or one failed).
+    /// refactorization failed).
     a_vals: Vec<f64>,
+    /// Per factor column (pivot order): recomputed by the refactorization
+    /// under way. Sized with the factor, so a refactorization allocates
+    /// nothing.
+    dirty: Vec<bool>,
 }
 
 impl SparseLu {
@@ -476,12 +488,14 @@ impl SparseLu {
             u_diag,
             pivot_floor: options.pivot_tolerance * options.zero_pivot_threshold,
             a_vals: a_vals.to_vec(),
+            dirty: vec![false; n],
         })
     }
 
     /// Recomputes the numeric factorization for a matrix `a` with the **same
     /// sparsity pattern** as the one this factor was built from, reusing the
-    /// cached symbolic analysis (ordering, pivot order, factor patterns).
+    /// cached symbolic analysis (ordering, pivot order, factor patterns), and
+    /// returns how many factor columns it recomputed.
     ///
     /// This skips the fill-reducing ordering, the CSC conversion and the
     /// per-column reachability DFS and performs no allocation; only the
@@ -489,18 +503,26 @@ impl SparseLu {
     /// order of the first factorization, so refactorizing with unchanged
     /// values reproduces the factors bit for bit.
     ///
+    /// Only the columns that would come out different are replayed (see the
+    /// module docs): those whose entries of `a` differ, in any bit (`-0.0`
+    /// from `+0.0` included), from the values the factor was last computed
+    /// from, and those that read the `L` column of one that is recomputed.
+    /// The others keep their values, which a replay would reproduce bit for
+    /// bit. So the result equals a full replay, and `Ok(0)` means the factor
+    /// already was the factorization of exactly `a`. After a failed
+    /// refactorization every column is recomputed.
+    ///
     /// # Errors
     ///
     /// * [`SparseError::PatternMismatch`] if `a` does not have the analyzed
     ///   pattern (the caller should fall back to
-    ///   [`SparseLu::factorize_with`]).
+    ///   [`SparseLu::factorize_with`]). Nothing is touched.
     /// * [`SparseError::Singular`] if a frozen pivot became numerically zero.
     /// * [`SparseError::UnstableRefactorization`] if element growth shows the
     ///   frozen pivot order is no longer viable and fresh pivoting is needed.
     ///
-    /// On error the numeric contents of the factor are unspecified (and
-    /// [`SparseLu::is_factor_of`] answers `false` for every matrix); the
-    /// factor must be rebuilt before further solves.
+    /// On the last two errors the numeric contents of the factor are
+    /// unspecified; the factor must be rebuilt before further solves.
     ///
     /// # Examples
     ///
@@ -519,13 +541,20 @@ impl SparseLu {
     /// t.push(0, 0, 8.0);
     /// t.push(1, 1, 6.0);
     /// let mut ws = LuWorkspace::new();
-    /// lu.refactorize_with(&t.to_csr(), &mut ws)?;
+    /// assert_eq!(lu.refactorize_with(&t.to_csr(), &mut ws)?, 2);
     /// let x = lu.solve(&[8.0, 6.0])?;
     /// assert!((x[0] - 1.0).abs() < 1e-14 && (x[1] - 1.0).abs() < 1e-14);
+    ///
+    /// // Only the second column changes: the first keeps its values.
+    /// let mut t = TripletMatrix::new(2, 2);
+    /// t.push(0, 0, 8.0);
+    /// t.push(1, 1, 5.0);
+    /// assert_eq!(lu.refactorize_with(&t.to_csr(), &mut ws)?, 1);
+    /// assert_eq!(lu.refactorize_with(&t.to_csr(), &mut ws)?, 0);
     /// # Ok(())
     /// # }
     /// ```
-    pub fn refactorize_with(&mut self, a: &CsrMatrix, ws: &mut LuWorkspace) -> SparseResult<()> {
+    pub fn refactorize_with(&mut self, a: &CsrMatrix, ws: &mut LuWorkspace) -> SparseResult<usize> {
         let s = &self.symbolic;
         if !s.matches_pattern(a) {
             return Err(SparseError::PatternMismatch {
@@ -533,12 +562,61 @@ impl SparseLu {
                 found_nnz: a.nnz(),
             });
         }
-        let a_vals = a.values();
-        // From here on the factors are in flux: whatever goes wrong below,
-        // they must not pass for the factor of any matrix.
-        self.a_vals.clear();
+        // One pass over the values marks the columns whose entries changed
+        // and records the new values. Unknown previous values (a failed
+        // refactorization cleared them) mark every column.
+        let mut first = 0;
+        if self.a_vals.is_empty() {
+            self.dirty.fill(true);
+            self.a_vals.extend_from_slice(a.values());
+        } else {
+            self.dirty.fill(false);
+            first = s.n;
+            for ((kept, &v), &col) in self.a_vals.iter_mut().zip(a.values()).zip(&s.a_indices) {
+                if kept.to_bits() != v.to_bits() {
+                    *kept = v;
+                    let jj = s.q.map(col);
+                    self.dirty[jj] = true;
+                    first = first.min(jj);
+                }
+            }
+            if first == s.n {
+                return Ok(0);
+            }
+        }
+        let recomputed = self.replay_dirty_columns(first, ws);
+        if recomputed.is_err() {
+            // The factors are in flux: they must not pass for the factor of
+            // any matrix.
+            self.a_vals.clear();
+        }
+        recomputed
+    }
+
+    /// The elimination replay behind [`SparseLu::refactorize_with`], over
+    /// the columns marked dirty plus every column that reads a recomputed
+    /// one, on the values in `a_vals`. No column left of `first` is dirty.
+    fn replay_dirty_columns(&mut self, first: usize, ws: &mut LuWorkspace) -> SparseResult<usize> {
+        let SparseLu {
+            symbolic: s,
+            l_vals,
+            u_vals,
+            u_diag,
+            pivot_floor,
+            a_vals,
+            dirty,
+        } = self;
         let x = ws.zeroed(s.n);
-        for jj in 0..s.n {
+        let mut recomputed = 0;
+        for jj in first..s.n {
+            let u_range = s.u_colptr[jj]..s.u_colptr[jj + 1];
+            // Column jj reads A[:, q(jj)] and the L columns its U pattern
+            // lists, all left of jj: one forward pass settles dirtiness.
+            if !dirty[jj] && !s.u_rows[u_range.clone()].iter().any(|&p| dirty[p]) {
+                continue;
+            }
+            dirty[jj] = true;
+            recomputed += 1;
             // Scatter A[:, q(jj)] into pivot-position slots.
             for t in s.acol_ptr[jj]..s.acol_ptr[jj + 1] {
                 x[s.acol_pos[t]] = a_vals[s.acol_src[t]];
@@ -546,78 +624,52 @@ impl SparseLu {
             // Replay the left-looking update in the recorded elimination
             // order: the U pattern of this column lists the update sources
             // exactly as the first factorization visited them.
-            for t in s.u_colptr[jj]..s.u_colptr[jj + 1] {
+            for t in u_range.clone() {
                 let p = s.u_rows[t];
                 let xp = x[p];
                 if xp == 0.0 {
                     continue;
                 }
                 for idx in s.l_colptr[p]..s.l_colptr[p + 1] {
-                    x[s.l_rows[idx]] -= self.l_vals[idx] * xp;
+                    x[s.l_rows[idx]] -= l_vals[idx] * xp;
                 }
             }
             // Frozen pivot.
             let pivot = x[jj];
-            if !pivot.is_finite() || pivot.abs() < self.pivot_floor {
+            if !pivot.is_finite() || pivot.abs() < *pivot_floor {
                 return Err(SparseError::Singular {
                     column: jj,
                     unknown: Some(s.q.unmap(jj)),
                 });
             }
-            self.u_diag[jj] = pivot;
+            u_diag[jj] = pivot;
             // Gather the column back out (and clear the workspace slots).
             // U carries the matrix's own scale, so it is only checked for
             // finiteness; L is dimensionless and additionally bounded by the
             // growth limit. NaN must be caught explicitly (a plain
             // `growth.max(..)` accumulator would swallow it).
-            for t in s.u_colptr[jj]..s.u_colptr[jj + 1] {
-                let p = s.u_rows[t];
-                let uv = x[p];
-                if !uv.is_finite() {
+            for (&p, uv) in s.u_rows[u_range.clone()].iter().zip(&mut u_vals[u_range]) {
+                if !x[p].is_finite() {
                     return Err(SparseError::UnstableRefactorization {
                         growth: f64::INFINITY,
                     });
                 }
-                self.u_vals[t] = uv;
+                *uv = x[p];
                 x[p] = 0.0;
             }
             x[jj] = 0.0;
-            for t in s.l_colptr[jj]..s.l_colptr[jj + 1] {
-                let p = s.l_rows[t];
-                let lv = x[p] / pivot;
-                let magnitude = lv.abs();
+            let l_range = s.l_colptr[jj]..s.l_colptr[jj + 1];
+            for (&p, lv) in s.l_rows[l_range.clone()].iter().zip(&mut l_vals[l_range]) {
+                let value = x[p] / pivot;
+                let magnitude = value.abs();
                 if magnitude > REFACTOR_GROWTH_LIMIT || magnitude.is_nan() {
                     return Err(SparseError::UnstableRefactorization { growth: magnitude });
                 }
-                self.l_vals[t] = lv;
+                *lv = value;
                 x[p] = 0.0;
             }
         }
-        self.a_vals.extend_from_slice(a_vals);
-        Ok(())
-    }
-
-    /// Whether this is the factorization of exactly `a`: the analyzed
-    /// pattern and, bit for bit, the values the numeric factors were last
-    /// computed from. A refactorization replays the recorded elimination, so
-    /// when this holds [`SparseLu::refactorize_with`]`(a)` would rewrite every
-    /// factor entry with the value it already has — the caller can skip it.
-    /// `O(nnz(a))`, against the `O(flops)` of the replay.
-    ///
-    /// Never `true` after a refactorization that returned an error (its
-    /// factors are unspecified) until one succeeds again.
-    pub fn is_factor_of(&self, a: &CsrMatrix) -> bool {
-        // Cleared values have length 0: a mismatch for every matrix that has
-        // a factorization to get wrong (one without entries is singular).
-        // Values before pattern: where they moved — every step of a
-        // nonlinear run — the compare stops at the first one that did.
-        self.a_vals.len() == a.nnz()
-            && self
-                .a_vals
-                .iter()
-                .zip(a.values())
-                .all(|(kept, v)| kept.to_bits() == v.to_bits())
-            && self.symbolic.matches_pattern(a)
+        Ok(recomputed)
     }
 
     /// The cached symbolic analysis backing this factorization.
@@ -977,43 +1029,69 @@ mod tests {
         }
     }
 
+    /// `a` with the value at `(i, j)` replaced by `v` (the entry must exist).
+    fn with_entry(a: &CsrMatrix, i: usize, j: usize, v: f64) -> CsrMatrix {
+        let (cols, _) = a.row(i);
+        let k = a.indptr()[i] + cols.iter().position(|&c| c == j).expect("stored entry");
+        let mut vals = a.values().to_vec();
+        vals[k] = v;
+        CsrMatrix::try_from_raw(
+            a.rows(),
+            a.cols(),
+            a.indptr().to_vec(),
+            a.indices().to_vec(),
+            vals,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn refactorize_same_values_is_bit_identical() {
         let a = tridiag(60);
         let fresh = SparseLu::factorize(&a).unwrap();
         let mut refac = fresh.clone();
         let mut ws = LuWorkspace::new();
-        refac.refactorize_with(&a, &mut ws).unwrap();
+        // Through a matrix that differs in every column, so the way back is
+        // a full replay rather than a compare.
+        assert_eq!(refac.refactorize_with(&a.scaled(2.0), &mut ws).unwrap(), 60);
+        assert_eq!(refac.refactorize_with(&a, &mut ws).unwrap(), 60);
         assert_eq!(fresh.l_vals, refac.l_vals);
         assert_eq!(fresh.u_vals, refac.u_vals);
         assert_eq!(fresh.u_diag, refac.u_diag);
     }
 
     #[test]
-    fn is_factor_of_follows_the_values_the_factors_were_computed_from() {
+    fn refactorize_recomputes_the_changed_columns_and_the_columns_they_reach() {
+        let natural = LuOptions {
+            ordering: OrderingMethod::Natural,
+            ..LuOptions::default()
+        };
         let a = tridiag(40);
-        let scaled = a.scaled(4.0);
-        let mut lu = SparseLu::factorize(&a).unwrap();
+        let mut lu = SparseLu::factorize_with(&a, &natural).unwrap();
         let mut ws = LuWorkspace::new();
-        assert!(lu.is_factor_of(&a) && !lu.is_factor_of(&scaled));
-        assert!(!lu.is_factor_of(&tridiag(41)), "another pattern");
-        // What the early exit skips: a replay that changes no bit.
-        let mut replayed = lu.clone();
-        replayed.refactorize_with(&a, &mut ws).unwrap();
-        assert_eq!(lu.l_vals, replayed.l_vals);
-        assert_eq!(lu.u_vals, replayed.u_vals);
-        assert_eq!(lu.u_diag, replayed.u_diag);
-        lu.refactorize_with(&scaled, &mut ws).unwrap();
-        assert!(lu.is_factor_of(&scaled) && !lu.is_factor_of(&a));
+        assert_eq!(lu.refactorize_with(&a, &mut ws).unwrap(), 0);
+        // Column k of a tridiagonal factor reads L column k - 1 only, so a
+        // change at (30, 30) reaches columns 30..40 and nothing before.
+        let moved = with_entry(&a, 30, 30, 3.0);
+        assert_eq!(lu.refactorize_with(&moved, &mut ws).unwrap(), 10);
+        let mut full = SparseLu::factorize_with(&a, &natural).unwrap();
+        assert_eq!(
+            full.refactorize_with(&moved.scaled(4.0), &mut ws).unwrap(),
+            40
+        );
+        assert_eq!(full.refactorize_with(&moved, &mut ws).unwrap(), 40);
+        assert_eq!(lu.l_vals, full.l_vals);
+        assert_eq!(lu.u_vals, full.u_vals);
+        assert_eq!(lu.u_diag, full.u_diag);
+        assert_eq!(lu.refactorize_with(&moved, &mut ws).unwrap(), 0);
         // A pattern mismatch is refused before anything is touched ...
         assert!(lu.refactorize_with(&tridiag(41), &mut ws).is_err());
-        assert!(lu.is_factor_of(&scaled));
-        // ... a failed elimination leaves the factor of nothing at all.
+        assert_eq!(lu.refactorize_with(&moved, &mut ws).unwrap(), 0);
+        // ... a failed elimination leaves no value to compare against.
         let singular = tridiag_scaled(40, 1e-30, 1e-30);
         assert!(lu.refactorize_with(&singular, &mut ws).is_err());
-        assert!(!lu.is_factor_of(&singular) && !lu.is_factor_of(&scaled));
-        lu.refactorize_with(&a, &mut ws).unwrap();
-        assert!(lu.is_factor_of(&a));
+        assert_eq!(lu.refactorize_with(&moved, &mut ws).unwrap(), 40);
+        assert_eq!(lu.u_diag, full.u_diag);
     }
 
     #[test]

@@ -509,75 +509,108 @@ proptest! {
     }
 
     /// Refactorizing with *unchanged* values reproduces the original solve
-    /// bit for bit (same elimination, same operation order).
+    /// bit for bit (same elimination, same operation order). The way back
+    /// from a matrix that differs in every column is a full replay, not a
+    /// compare.
     #[test]
     fn refactorize_same_values_is_exact((a, b) in dominant_system(30)) {
         let fresh = SparseLu::factorize(&a).expect("factorize");
         let mut refac = fresh.clone();
         let mut ws = LuWorkspace::new();
-        refac.refactorize_with(&a, &mut ws).expect("refactorize");
+        let n = a.rows();
+        prop_assert_eq!(refac.refactorize_with(&a.scaled(2.0), &mut ws).expect("refactorize"), n);
+        prop_assert_eq!(refac.refactorize_with(&a, &mut ws).expect("refactorize"), n);
         let x_fresh = fresh.solve(&b).expect("solve fresh");
         let x_refac = refac.solve(&b).expect("solve refac");
         prop_assert_eq!(x_fresh, x_refac);
     }
 
-    /// `is_factor_of` is the licence to skip a refactorization: where it
-    /// holds, the replay it skips reproduces the factor bit for bit (every
-    /// unit-vector solve, i.e. every column of the inverse); any single
-    /// value that differs in any bit — the sign of a zero included — revokes
-    /// it, and so does a refactorization that failed.
+    /// A refactorization recomputes only the columns its changed values
+    /// reach, and the factor it leaves is, bit for bit, the one a replay of
+    /// every column leaves: `L`, `U` and the diagonal (compared through the
+    /// factor's `Debug` form, which prints every float round-trip exactly)
+    /// and every unit-vector solve. A value that differs in any bit — the
+    /// sign of a zero included — is a change; a call with no change
+    /// recomputes nothing; the call after a failed refactorization
+    /// recomputes everything.
     #[test]
-    fn is_factor_of_holds_exactly_where_a_replay_would_change_nothing(
+    fn partial_refactorization_matches_a_full_replay_bitwise(
         (a, b) in dominant_system(30),
-        flip in 0usize..1000,
+        edits in proptest::collection::vec((0usize..1000, 0.5f64..1.0), 0..6),
         zeroed in 0usize..1000,
     ) {
-        let with_value = |k: usize, v: f64| {
-            let mut vals = a.values().to_vec();
-            vals[k] = v;
-            CsrMatrix::try_from_raw(a.rows(), a.cols(), a.indptr().to_vec(), a.indices().to_vec(), vals)
+        let n = a.rows();
+        let row_of = |k: usize| (0..n).find(|&i| a.indptr()[i + 1] > k).expect("entry in a row");
+        let with_values = |m: &CsrMatrix, set: &[(usize, f64)]| {
+            let mut vals = m.values().to_vec();
+            for &(k, v) in set {
+                vals[k] = v;
+            }
+            CsrMatrix::try_from_raw(m.rows(), m.cols(), m.indptr().to_vec(), m.indices().to_vec(), vals)
                 .expect("pattern is unchanged")
         };
-        let n = a.rows();
-        let mut ws = LuWorkspace::new();
-        let held = SparseLu::factorize(&a).expect("factorize");
-        prop_assert!(held.is_factor_of(&a));
-        let mut replayed = held.clone();
-        replayed.refactorize_with(&a, &mut ws).expect("refactorize");
-        prop_assert!(replayed.is_factor_of(&a));
-        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        for c in 0..n {
-            let unit: Vec<f64> = (0..n).map(|r| f64::from(u8::from(r == c))).collect();
-            prop_assert_eq!(bits(held.solve(&unit).unwrap()), bits(replayed.solve(&unit).unwrap()));
-        }
-        prop_assert_eq!(bits(held.solve(&b).unwrap()), bits(replayed.solve(&b).unwrap()));
-
-        // One value off by one ulp.
-        let k = flip % a.nnz();
-        let nudged = with_value(k, f64::from_bits(a.values()[k].to_bits() ^ 1));
-        prop_assert!(!held.is_factor_of(&nudged));
-        // +0.0 and -0.0 compare equal as numbers, not as the bits a replay reads.
+        // An off-diagonal entry, if any, holds +0.0 in the first matrix and
+        // -0.0 in the second.
         let z = zeroed % a.nnz();
-        if a.indices()[z] != (0..n).find(|&i| a.indptr()[i + 1] > z).unwrap() {
-            let mut of_plus = SparseLu::factorize(&with_value(z, 0.0)).expect("still dominant");
-            prop_assert!(of_plus.is_factor_of(&with_value(z, 0.0)));
-            prop_assert!(!of_plus.is_factor_of(&with_value(z, -0.0)));
-            of_plus.refactorize_with(&with_value(z, -0.0), &mut ws).expect("refactorize");
-            prop_assert!(of_plus.is_factor_of(&with_value(z, -0.0)));
+        let signed_zero = a.indices()[z] != row_of(z);
+        let a0 = if signed_zero { with_values(&a, &[(z, 0.0)]) } else { a.clone() };
+        // The edits keep diagonal dominance: off-diagonals shrink, diagonals grow.
+        let mut set: Vec<(usize, f64)> = edits
+            .iter()
+            .map(|&(k, s)| {
+                let k = k % a.nnz();
+                let v = a0.values()[k];
+                (k, if a.indices()[k] == row_of(k) { v / s } else { v * s })
+            })
+            .collect();
+        if signed_zero {
+            set.push((z, -0.0));
         }
+        let a1 = with_values(&a0, &set);
+        let changed = a0.values().iter().zip(a1.values()).any(|(p, q)| p.to_bits() != q.to_bits());
 
-        // A refactorization that fails leaves the factor of no matrix.
-        let mut broken = held.clone();
-        let collapsed = a.scaled(1e-300);
+        let mut ws = LuWorkspace::new();
+        let mut partial = SparseLu::factorize(&a0).expect("factorize");
+        let recomputed = partial.refactorize_with(&a1, &mut ws).expect("refactorize");
+        prop_assert_eq!(recomputed > 0, changed);
+        prop_assert!(recomputed <= n);
+        if signed_zero {
+            let mut of_plus = SparseLu::factorize(&a0).expect("factorize");
+            let only_the_sign = with_values(&a0, &[(z, -0.0)]);
+            prop_assert!(of_plus.refactorize_with(&only_the_sign, &mut ws).expect("refactorize") > 0);
+        }
+        let mut full = SparseLu::factorize(&a0).expect("factorize");
+        prop_assert_eq!(full.refactorize_with(&a1.scaled(2.0), &mut ws).expect("refactorize"), n);
+        prop_assert_eq!(full.refactorize_with(&a1, &mut ws).expect("refactorize"), n);
+        // A call with no change recomputes nothing (and leaves both with the
+        // same per-column bookkeeping, so `Debug` compares values only).
+        prop_assert_eq!(partial.refactorize_with(&a1, &mut ws).expect("refactorize"), 0);
+        prop_assert_eq!(full.refactorize_with(&a1, &mut ws).expect("refactorize"), 0);
+        let same_factor = |p: &SparseLu, f: &SparseLu| {
+            prop_assert_eq!(format!("{p:?}"), format!("{f:?}"));
+            let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            for c in 0..n {
+                let unit: Vec<f64> = (0..n).map(|r| f64::from(u8::from(r == c))).collect();
+                prop_assert_eq!(bits(p.solve(&unit).unwrap()), bits(f.solve(&unit).unwrap()));
+            }
+            prop_assert_eq!(bits(p.solve(&b).unwrap()), bits(f.solve(&b).unwrap()));
+        };
+        same_factor(&partial, &full);
+
+        // A refactorization that fails leaves no values to compare against:
+        // the next one recomputes every column.
+        let mut broken = partial.clone();
         prop_assert!(matches!(
-            broken.refactorize_with(&collapsed, &mut ws),
+            broken.refactorize_with(&a1.scaled(1e-300), &mut ws),
             Err(exi_sparse::SparseError::Singular { .. })
         ));
-        prop_assert!(!broken.is_factor_of(&collapsed) && !broken.is_factor_of(&a));
-        let mut unstable = held.clone();
-        let overflowing = with_value(k, f64::INFINITY);
+        prop_assert_eq!(broken.refactorize_with(&a1, &mut ws).expect("refactorize"), n);
+        prop_assert_eq!(broken.refactorize_with(&a1, &mut ws).expect("refactorize"), 0);
+        same_factor(&broken, &full);
+        let mut unstable = partial.clone();
+        let overflowing = with_values(&a1, &[(row_of(0), f64::INFINITY)]);
         prop_assert!(unstable.refactorize_with(&overflowing, &mut ws).is_err());
-        prop_assert!(!unstable.is_factor_of(&overflowing) && !unstable.is_factor_of(&a));
+        prop_assert_eq!(unstable.refactorize_with(&a1, &mut ws).expect("refactorize"), n);
     }
 
     /// Triplet accumulation order does not matter.
