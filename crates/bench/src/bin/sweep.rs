@@ -71,18 +71,10 @@ fn jobs_json(result: &BatchResult) -> String {
         .iter()
         .map(|j| match &j.result {
             Ok(_) => format!(
-                concat!(
-                    "    {{\"label\":\"{}\",\"status\":\"ok\",\"steps\":{},",
-                    "\"lu_factorizations\":{},\"shared_symbolic_hits\":{},\"runtime_s\":{:.6},",
-                    "\"active_solver_s\":{:.6},\"cache_wait_s\":{:.6}}}"
-                ),
+                "    {{\"label\":\"{}\",\"status\":\"ok\",{},\"active_solver_s\":{:.6}}}",
                 j.label,
-                j.stats.accepted_steps,
-                j.stats.lu_factorizations,
-                j.stats.shared_symbolic_hits,
-                j.stats.runtime_seconds(),
-                j.stats.active_solver_seconds(),
-                j.stats.cache_wait_seconds()
+                j.stats.json_fields(),
+                j.stats.active_solver_seconds()
             ),
             Err(e) => format!(
                 "    {{\"label\":\"{}\",\"status\":\"failed\",\"error\":\"{}\"}}",
@@ -112,22 +104,12 @@ fn merged_json(result: &BatchResult) -> String {
         .collect();
     format!(
         concat!(
-            "{{\"batch_jobs\":{},\"worker_threads\":{},\"accepted_steps\":{},",
-            "\"lu_factorizations\":{},\"symbolic_analyses\":{},\"lu_refactorizations\":{},",
-            "\"shared_symbolic_hits\":{},",
-            "\"active_solver_s\":{:.6},\"cache_wait_s\":{:.6},",
+            "{{{},\"active_solver_s\":{:.6},",
             "\"active_solver_s_per_worker\":[{}],\"cache_wait_s_per_worker\":[{}],",
             "\"wall_s\":{:.6}}}"
         ),
-        s.batch_jobs,
-        s.worker_threads,
-        s.accepted_steps,
-        s.lu_factorizations,
-        s.symbolic_analyses,
-        s.lu_refactorizations,
-        s.shared_symbolic_hits,
+        s.json_fields(),
         s.active_solver_seconds(),
-        s.cache_wait_seconds(),
         per_worker.join(","),
         per_worker_wait.join(","),
         result.wall_time.as_secs_f64(),

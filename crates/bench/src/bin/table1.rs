@@ -7,11 +7,10 @@
 //! ER/ER-C — which only factorize `G` — complete.
 //!
 //! Besides the human-readable table, the binary writes
-//! `BENCH_table1.json` (per-case unknown counts, nonzeros, and per-method
-//! steps / rejections / LU counters / refactorization counters / Krylov
-//! small-dense counters / runtimes, plus the host's parallelism) so
-//! successive revisions have a machine-readable performance trajectory to
-//! regress against. The
+//! `BENCH_table1.json` (per-case unknown counts, nonzeros, and per method
+//! every `RunStats` field under its own name plus the Table-I averages,
+//! and the host's parallelism) so successive revisions have a
+//! machine-readable performance trajectory to regress against. The
 //! committed copy is the scale-1.0 run; CI gates on its ratios and counts,
 //! never on absolute seconds.
 //!
@@ -34,23 +33,24 @@ fn outcome_cells(
     baseline_runtime: Option<f64>,
 ) -> (String, String, String, String) {
     match outcome {
-        CaseOutcome::Completed {
-            steps,
-            avg_newton,
-            avg_krylov,
-            runtime,
-            ..
-        } => {
-            let detail = if *avg_krylov > 0.0 {
+        CaseOutcome::Completed(stats) => {
+            let avg_krylov = stats.avg_krylov_dimension();
+            let detail = if avg_krylov > 0.0 {
                 format!("{avg_krylov:.1}")
             } else {
-                format!("{avg_newton:.1}")
+                format!("{:.1}", stats.avg_newton_iterations())
             };
+            let runtime = stats.runtime_seconds();
             let speedup = match baseline_runtime {
-                Some(base) if *runtime > 0.0 => format!("{:.1}x", base / runtime),
+                Some(base) if runtime > 0.0 => format!("{:.1}x", base / runtime),
                 _ => "NA".to_string(),
             };
-            (steps.to_string(), detail, format!("{runtime:.2}"), speedup)
+            (
+                stats.accepted_steps.to_string(),
+                detail,
+                format!("{runtime:.2}"),
+                speedup,
+            )
         }
         CaseOutcome::OutOfMemory => ("-".into(), "-".into(), "Out of Memory".into(), "NA".into()),
         CaseOutcome::Failed(msg) => (

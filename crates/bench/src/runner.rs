@@ -1,7 +1,7 @@
 //! Runs one benchmark case with one method and collects Table-I row data.
 
 use exi_netlist::Circuit;
-use exi_sim::{Method, SimError, Simulator, TransientOptions};
+use exi_sim::{Method, RunStats, SimError, Simulator, TransientOptions};
 use exi_sparse::SparseError;
 
 use crate::cases::CaseSpec;
@@ -9,43 +9,8 @@ use crate::cases::CaseSpec;
 /// Result of running one (case, method) pair.
 #[derive(Debug, Clone)]
 pub enum CaseOutcome {
-    /// The run completed.
-    Completed {
-        /// Accepted steps (`#step`).
-        steps: usize,
-        /// Attempts the step control rejected (each one retried at a smaller
-        /// step from the same point).
-        rejected_steps: usize,
-        /// Average Newton iterations per step (`#NRa`, implicit methods only).
-        avg_newton: f64,
-        /// Average Krylov dimension (`#m_a`, exponential methods only).
-        avg_krylov: f64,
-        /// Number of LU factorizations (fresh + numeric-only).
-        lu_count: usize,
-        /// Number of full symbolic analyses among them.
-        symbolic_analyses: usize,
-        /// Number of numeric-only refactorizations among them.
-        lu_refactorizations: usize,
-        /// Factor requests answered by the factor already held (unchanged
-        /// matrix values); not factorizations.
-        lu_reuses: usize,
-        /// Number of full device evaluations performed.
-        device_evaluations: usize,
-        /// Number of stamping-plan compilations (one per topology).
-        plan_compilations: usize,
-        /// Total nonlinear matrix entries rewritten across all evaluations.
-        restamped_entries: usize,
-        /// ER steps whose input term came from a kept `w₂` subspace.
-        krylov_subspace_reuses: usize,
-        /// Krylov convergence tests run (exponential methods only).
-        krylov_residual_tests: usize,
-        /// Small dense matrix exponentials computed.
-        small_dense_exponentials: usize,
-        /// Growths of the small-dense arena under the Arnoldi loop.
-        dense_workspace_allocations: usize,
-        /// Wall-clock runtime in seconds.
-        runtime: f64,
-    },
+    /// The run completed with these statistics.
+    Completed(Box<RunStats>),
     /// The run hit the configured fill (memory) budget — the analogue of the
     /// paper's "Out of Memory" entries.
     OutOfMemory,
@@ -54,67 +19,30 @@ pub enum CaseOutcome {
 }
 
 impl CaseOutcome {
-    /// Runtime if the run completed.
+    /// Runtime in seconds if the run completed.
     pub fn runtime(&self) -> Option<f64> {
         match self {
-            CaseOutcome::Completed { runtime, .. } => Some(*runtime),
+            CaseOutcome::Completed(stats) => Some(stats.runtime_seconds()),
             _ => None,
         }
     }
 
     /// `true` if the run completed.
     pub fn is_completed(&self) -> bool {
-        matches!(self, CaseOutcome::Completed { .. })
+        matches!(self, CaseOutcome::Completed(_))
     }
 
     /// Serializes the outcome as a JSON object (used by the `table1` binary
-    /// to emit the machine-readable `BENCH_table1.json`).
+    /// to emit the machine-readable `BENCH_table1.json`): a completed run
+    /// carries every [`RunStats`] field under its own name, plus the Table-I
+    /// averages `#NRa` and `#m_a`.
     pub fn to_json(&self) -> String {
         match self {
-            CaseOutcome::Completed {
-                steps,
-                rejected_steps,
-                avg_newton,
-                avg_krylov,
-                lu_count,
-                symbolic_analyses,
-                lu_refactorizations,
-                lu_reuses,
-                device_evaluations,
-                plan_compilations,
-                restamped_entries,
-                krylov_subspace_reuses,
-                krylov_residual_tests,
-                small_dense_exponentials,
-                dense_workspace_allocations,
-                runtime,
-            } => format!(
-                concat!(
-                    "{{\"status\":\"completed\",\"steps\":{},\"rejected_steps\":{},",
-                    "\"avg_newton\":{:.3},",
-                    "\"avg_krylov\":{:.3},\"lu_factorizations\":{},\"symbolic_analyses\":{},",
-                    "\"lu_refactorizations\":{},\"lu_reuses\":{},\"device_evaluations\":{},",
-                    "\"plan_compilations\":{},\"restamped_entries\":{},",
-                    "\"krylov_subspace_reuses\":{},",
-                    "\"krylov_residual_tests\":{},\"small_dense_exponentials\":{},",
-                    "\"dense_workspace_allocations\":{},\"runtime_s\":{:.6}}}"
-                ),
-                steps,
-                rejected_steps,
-                avg_newton,
-                avg_krylov,
-                lu_count,
-                symbolic_analyses,
-                lu_refactorizations,
-                lu_reuses,
-                device_evaluations,
-                plan_compilations,
-                restamped_entries,
-                krylov_subspace_reuses,
-                krylov_residual_tests,
-                small_dense_exponentials,
-                dense_workspace_allocations,
-                runtime
+            CaseOutcome::Completed(stats) => format!(
+                "{{\"status\":\"completed\",\"avg_newton\":{:.3},\"avg_krylov\":{:.3},{}}}",
+                stats.avg_newton_iterations(),
+                stats.avg_krylov_dimension(),
+                stats.json_fields()
             ),
             CaseOutcome::OutOfMemory => "{\"status\":\"out_of_memory\"}".to_string(),
             CaseOutcome::Failed(msg) => {
@@ -175,24 +103,7 @@ pub fn run_circuit_in(
     probes: &[&str],
 ) -> CaseOutcome {
     match simulator.transient(method, options, probes) {
-        Ok(result) => CaseOutcome::Completed {
-            steps: result.stats.accepted_steps,
-            rejected_steps: result.stats.rejected_steps,
-            avg_newton: result.stats.avg_newton_iterations(),
-            avg_krylov: result.stats.avg_krylov_dimension(),
-            lu_count: result.stats.lu_factorizations,
-            symbolic_analyses: result.stats.symbolic_analyses,
-            lu_refactorizations: result.stats.lu_refactorizations,
-            lu_reuses: result.stats.lu_reuses,
-            device_evaluations: result.stats.device_evaluations,
-            plan_compilations: result.stats.plan_compilations,
-            restamped_entries: result.stats.restamped_entries,
-            krylov_subspace_reuses: result.stats.krylov_subspace_reuses,
-            krylov_residual_tests: result.stats.krylov_residual_tests,
-            small_dense_exponentials: result.stats.small_dense_exponentials,
-            dense_workspace_allocations: result.stats.dense_workspace_allocations,
-            runtime: result.stats.runtime_seconds(),
-        },
+        Ok(result) => CaseOutcome::Completed(Box::new(result.stats)),
         Err(SimError::Sparse(SparseError::FillBudgetExceeded { .. })) => CaseOutcome::OutOfMemory,
         Err(e) => CaseOutcome::Failed(e.to_string()),
     }
@@ -211,22 +122,15 @@ mod tests {
         assert!(er.is_completed(), "{er:?}");
         let benr = run_case(case, Method::BackwardEuler, None);
         assert!(benr.is_completed(), "{benr:?}");
-        if let (
-            CaseOutcome::Completed {
-                avg_krylov,
-                symbolic_analyses,
-                lu_refactorizations,
-                lu_count,
-                ..
-            },
-            CaseOutcome::Completed { avg_newton, .. },
-        ) = (&er, &benr)
-        {
-            assert!(*avg_krylov > 0.0);
-            assert!(*avg_newton >= 1.0);
+        if let (CaseOutcome::Completed(er), CaseOutcome::Completed(benr)) = (&er, &benr) {
+            assert!(er.avg_krylov_dimension() > 0.0);
+            assert!(benr.avg_newton_iterations() >= 1.0);
             // The symbolic-reuse path carries the run.
-            assert!(*symbolic_analyses < *lu_count / 2);
-            assert_eq!(*lu_count, symbolic_analyses + lu_refactorizations);
+            assert!(er.symbolic_analyses < er.lu_factorizations / 2);
+            assert_eq!(
+                er.lu_factorizations,
+                er.symbolic_analyses + er.lu_refactorizations
+            );
         }
     }
 
@@ -241,18 +145,15 @@ mod tests {
         let first = run_circuit_in(&mut sim, Method::ExponentialRosenbrock, &options, &[]);
         let second = run_circuit_in(&mut sim, Method::ExponentialRosenbrock, &options, &[]);
         assert!(first.is_completed() && second.is_completed());
-        if let CaseOutcome::Completed {
-            steps,
-            lu_count,
-            symbolic_analyses,
-            lu_reuses,
-            ..
-        } = &second
-        {
+        if let CaseOutcome::Completed(stats) = &second {
             // The second run reuses the session's cached symbolic analysis —
             // and, tc3 being linear, the numeric factor as it stands.
-            assert_eq!(*symbolic_analyses, 0, "{second:?}");
-            assert_eq!((*lu_count, *lu_reuses), (0, *steps), "{second:?}");
+            assert_eq!(stats.symbolic_analyses, 0, "{second:?}");
+            assert_eq!(
+                (stats.lu_factorizations, stats.lu_reuses),
+                (0, stats.accepted_steps),
+                "{second:?}"
+            );
         }
         assert_eq!(sim.session_stats().symbolic_analyses, 1);
         assert_eq!(sim.completed_runs(), 2);
@@ -269,35 +170,22 @@ mod tests {
 
     #[test]
     fn outcomes_serialize_to_json() {
-        let done = CaseOutcome::Completed {
-            steps: 10,
+        let done = CaseOutcome::Completed(Box::new(RunStats {
+            accepted_steps: 10,
             rejected_steps: 3,
-            avg_newton: 2.0,
-            avg_krylov: 0.0,
-            lu_count: 12,
-            symbolic_analyses: 1,
-            lu_refactorizations: 11,
+            newton_iterations: 20,
             lu_reuses: 9,
-            device_evaluations: 31,
-            plan_compilations: 1,
-            restamped_entries: 62,
-            krylov_subspace_reuses: 8,
-            krylov_residual_tests: 40,
-            small_dense_exponentials: 45,
-            dense_workspace_allocations: 7,
-            runtime: 0.25,
-        };
+            runtime: std::time::Duration::from_millis(250),
+            ..RunStats::default()
+        }));
         let json = done.to_json();
-        assert!(json.contains("\"status\":\"completed\""));
-        assert!(json.contains("\"steps\":10,\"rejected_steps\":3,"));
-        assert!(json.contains("\"lu_refactorizations\":11"));
+        assert!(json
+            .starts_with("{\"status\":\"completed\",\"avg_newton\":2.000,\"avg_krylov\":0.000,"));
+        assert!(json.contains("\"accepted_steps\":10,\"rejected_steps\":3,"));
         assert!(json.contains("\"lu_reuses\":9"));
-        assert!(json.contains("\"krylov_subspace_reuses\":8"));
-        assert!(json.contains("\"plan_compilations\":1"));
-        assert!(json.contains("\"restamped_entries\":62"));
-        assert!(json.contains("\"krylov_residual_tests\":40"));
-        assert!(json.contains("\"small_dense_exponentials\":45"));
-        assert!(json.contains("\"dense_workspace_allocations\":7"));
+        assert!(json.contains("\"runtime_s\":0.250000"));
+        assert!(json.ends_with('}'));
+        assert_eq!(done.runtime(), Some(0.25));
         assert_eq!(
             CaseOutcome::OutOfMemory.to_json(),
             "{\"status\":\"out_of_memory\"}"

@@ -5,7 +5,7 @@
 //! them through the [`exi_sim::Simulator`] session and
 //! [`exi_sim::BatchRunner`] batch machinery.
 //!
-//! Four subcommands:
+//! Three subcommands:
 //!
 //! ```text
 //! exi-cli run <deck.sp> [--method er|erc|be|tr] [--out csv|tsv]
@@ -13,7 +13,6 @@
 //! exi-cli sweep <deck.sp> --param NAME=v1,v2,... [--method ...] [--out ...]
 //!                       [--threads N] [--output-dir DIR] [--stream N]
 //!                       [--probe NODE]...
-//! exi-cli serve [--addr HOST:PORT] [--workers N] [--queue N] ...
 //! exi-cli client [<deck.sp>] --addr HOST:PORT [--output FILE] [--shutdown] ...
 //! ```
 //!
@@ -25,9 +24,9 @@
 //! `.param`-templated deck once per parameter value and fans the members
 //! across a [`exi_sim::BatchRunner`] worker pool, so same-structure members
 //! share one compiled stamping plan (and its `G` ordering) fleet-wide.
-//! `serve` boots the resident [`exi_serve`] daemon (warm plan cache,
-//! wire-streamed waveforms; see `docs/SERVICE.md`) and `client` drives a
-//! deck through one, producing bytes identical to a local `run`.
+//! `client` drives a deck through a resident `exi-serve` daemon (warm plan
+//! cache, wire-streamed waveforms; see `docs/SERVICE.md`), producing bytes
+//! identical to a local `run`.
 //!
 //! The library surface mirrors the binary so everything is callable (and
 //! doc-tested) in-process:
@@ -64,11 +63,12 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use exi_netlist::NetlistError;
+use exi_serve::json::{self, Json};
 use exi_sim::{Method, SimError};
 
 pub use run::{analysis_options, effective_probes, run_deck, tran_options, RunConfig, RunSummary};
 pub use service::{
-    fetch_stats, run_client, run_serve, shutdown_server, write_stats, ClientCommand, ClientConfig,
+    fetch_stats, run_client, shutdown_server, write_stats, ClientCommand, ClientConfig,
 };
 pub use sweep::{
     build_sweep_plan, expand_param_grid, member_label, members_from_template, run_sweep,
@@ -191,34 +191,20 @@ impl ErrorFormat {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders `error` for stderr in the requested format. The JSON form is a
 /// single line so scripts can parse it with one `json.loads`.
 pub fn render_error(error: &CliError, format: ErrorFormat) -> String {
     match format {
         ErrorFormat::Text => format!("exi-cli: {error}"),
-        ErrorFormat::Json => format!(
-            "{{\"error\":{{\"class\":\"{}\",\"message\":\"{}\",\"exit_code\":{}}}}}",
-            error.class(),
-            json_escape(&error.to_string()),
-            error.exit_code(),
-        ),
+        ErrorFormat::Json => json::obj(vec![(
+            "error",
+            json::obj(vec![
+                ("class", json::s(error.class())),
+                ("message", json::s(error.to_string())),
+                ("exit_code", Json::Num(error.exit_code().into())),
+            ]),
+        )])
+        .dump(),
     }
 }
 
@@ -302,7 +288,6 @@ exi-cli — SPICE-deck front-end for the exi-sim circuit simulator
 USAGE:
     exi-cli run <deck.sp> [OPTIONS]
     exi-cli sweep <deck.sp> --param NAME=v1,v2,... [OPTIONS]
-    exi-cli serve [SERVE OPTIONS]
     exi-cli client [<deck.sp>] --addr HOST:PORT [OPTIONS]
 
 COMMON OPTIONS:
@@ -326,27 +311,8 @@ sweep OPTIONS:
     --keep-going              exit 0 even when members failed; default exits
                               nonzero after writing the successful members
 
-serve OPTIONS (the resident daemon; see docs/SERVICE.md):
-    --addr <HOST:PORT>        listen address (default 127.0.0.1:0; the bound
-                              address is printed on stdout at startup)
-    --workers <N>             worker threads draining the job queue
-    --queue <N>               job-queue capacity (full queue replies `busy`)
-    --plan-cache <N>          warm plan-cache capacity; 0 = unbounded
-    --max-unknowns <N>        per-job unknown-count admission budget
-    --max-est-nnz <N>         per-job estimated-nonzeros admission budget
-    --max-declared-steps <N>  per-job declared .tran step admission budget
-    --max-inflight-unknowns <N>
-                              server-wide active-unknowns budget; 0 = off
-    --default-deadline-ms <N> deadline for jobs that declare none; 0 = off
-    --read-timeout-ms <N>     reap a connection whose frame stalls; 0 = off
-    --idle-timeout-ms <N>     reap a connection idle between frames; 0 = off
-    --write-stall-ms <N>      abandon writes blocked on a stalled client
-    --respawn-limit <N>       worker respawns per window before degraded mode
-    --shed-after-ms <N>       queue-full time before the overload ladder
-                              sheds new decks (see 'Overload ladder' in
-                              docs/SERVICE.md)
-
-client OPTIONS (submit a deck to a running daemon):
+client OPTIONS (submit a deck to a running `exi-serve` daemon; see
+docs/SERVICE.md):
     --addr <HOST:PORT>        daemon address (default 127.0.0.1:7878)
     --output <FILE>           write the waveform to FILE instead of stdout
     --id <NAME>               job id (default: the deck file stem)
@@ -393,11 +359,6 @@ pub enum Command {
         /// Directory receiving one waveform file per sweep member.
         output_dir: PathBuf,
     },
-    /// `exi-cli serve`: run the resident daemon until a `shutdown` request.
-    Serve {
-        /// Daemon settings.
-        config: exi_serve::ServeConfig,
-    },
     /// `exi-cli client`: drive one deck through a running daemon.
     Client(ClientCommand),
     /// `exi-cli --help`.
@@ -413,17 +374,16 @@ pub fn parse_args(args: &[String]) -> CliResult<Command> {
     let mut it = args.iter();
     let Some(cmd) = it.next() else {
         return Err(CliError::Usage(
-            "missing subcommand (run, sweep, serve or client)".into(),
+            "missing subcommand (run, sweep or client)".into(),
         ));
     };
     match cmd.as_str() {
         "-h" | "--help" | "help" => Ok(Command::Help),
         "run" => parse_run_args(&mut it),
         "sweep" => parse_sweep_args(&mut it),
-        "serve" => parse_serve_args(&mut it),
         "client" => parse_client_args(&mut it),
         other => Err(CliError::Usage(format!(
-            "unknown subcommand '{other}' (expected run, sweep, serve or client)"
+            "unknown subcommand '{other}' (expected run, sweep or client)"
         ))),
     }
 }
@@ -570,104 +530,10 @@ fn parse_positive(value: &str, flag: &str) -> CliResult<usize> {
     Ok(n)
 }
 
-fn parse_nonnegative(value: &str, flag: &str) -> CliResult<usize> {
-    value
-        .parse()
-        .map_err(|_| CliError::Usage(format!("{flag}: bad count '{value}'")))
-}
-
 fn parse_millis(value: &str, flag: &str) -> CliResult<u64> {
     value
         .parse()
         .map_err(|_| CliError::Usage(format!("{flag}: bad millisecond count '{value}'")))
-}
-
-fn parse_serve_args(it: &mut std::slice::Iter<'_, String>) -> CliResult<Command> {
-    let mut config = exi_serve::ServeConfig::default();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => config.addr = next_value(it, "--addr")?.clone(),
-            "--workers" => {
-                config.workers = parse_positive(next_value(it, "--workers")?, "--workers")?
-            }
-            "--queue" => {
-                config.queue_capacity = parse_positive(next_value(it, "--queue")?, "--queue")?
-            }
-            "--chunk-rows" => {
-                config.default_chunk_rows =
-                    parse_positive(next_value(it, "--chunk-rows")?, "--chunk-rows")?
-            }
-            "--plan-cache" => {
-                let v = next_value(it, "--plan-cache")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("--plan-cache: bad count '{v}'")))?;
-                config.plan_cache_capacity = (n > 0).then_some(n);
-            }
-            "--max-unknowns" => {
-                config.budget.max_unknowns =
-                    parse_positive(next_value(it, "--max-unknowns")?, "--max-unknowns")?
-            }
-            "--max-est-nnz" => {
-                config.budget.max_est_nnz =
-                    parse_positive(next_value(it, "--max-est-nnz")?, "--max-est-nnz")?
-            }
-            "--max-declared-steps" => {
-                config.budget.max_declared_steps = parse_positive(
-                    next_value(it, "--max-declared-steps")?,
-                    "--max-declared-steps",
-                )?
-            }
-            "--max-inflight-unknowns" => {
-                config.max_inflight_unknowns = parse_nonnegative(
-                    next_value(it, "--max-inflight-unknowns")?,
-                    "--max-inflight-unknowns",
-                )?
-            }
-            "--default-deadline-ms" => {
-                config.default_deadline_ms = parse_millis(
-                    next_value(it, "--default-deadline-ms")?,
-                    "--default-deadline-ms",
-                )?
-            }
-            "--read-timeout-ms" => {
-                config.read_timeout_ms =
-                    parse_millis(next_value(it, "--read-timeout-ms")?, "--read-timeout-ms")?
-            }
-            "--idle-timeout-ms" => {
-                config.idle_timeout_ms =
-                    parse_millis(next_value(it, "--idle-timeout-ms")?, "--idle-timeout-ms")?
-            }
-            "--write-stall-ms" => {
-                config.write_stall_ms =
-                    parse_millis(next_value(it, "--write-stall-ms")?, "--write-stall-ms")?
-            }
-            "--respawn-limit" => {
-                config.respawn_limit =
-                    parse_positive(next_value(it, "--respawn-limit")?, "--respawn-limit")?
-            }
-            "--shed-after-ms" => {
-                let shed =
-                    parse_millis(next_value(it, "--shed-after-ms")?, "--shed-after-ms")?.max(1);
-                // Keep the ladder ordered when only the first rung is tuned.
-                config.overload.shed_after_ms = shed;
-                config.overload.cancel_after_ms = config.overload.cancel_after_ms.max(shed);
-                config.overload.drain_after_ms = config
-                    .overload
-                    .drain_after_ms
-                    .max(config.overload.cancel_after_ms);
-            }
-            "--error-format" => {
-                ErrorFormat::parse(next_value(it, "--error-format")?)?;
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown option '{other}' for serve"
-                )))
-            }
-        }
-    }
-    Ok(Command::Serve { config })
 }
 
 fn parse_client_args(it: &mut std::slice::Iter<'_, String>) -> CliResult<Command> {
@@ -696,10 +562,10 @@ fn parse_client_args(it: &mut std::slice::Iter<'_, String>) -> CliResult<Command
                 )?)
             }
             "--deadline-ms" => {
-                let v = next_value(it, "--deadline-ms")?;
-                config.deadline_ms = Some(v.parse().map_err(|_| {
-                    CliError::Usage(format!("--deadline-ms: bad millisecond count '{v}'"))
-                })?);
+                config.deadline_ms = Some(parse_millis(
+                    next_value(it, "--deadline-ms")?,
+                    "--deadline-ms",
+                )?)
             }
             "--retries" => {
                 let v = next_value(it, "--retries")?;
@@ -826,7 +692,6 @@ pub fn execute(command: &Command, status: &mut dyn Write) -> CliResult<()> {
             }
             Ok(())
         }
-        Command::Serve { config } => run_serve(config.clone(), status),
         Command::Client(client) => {
             if let Some(deck) = &client.deck {
                 match &client.output {
@@ -991,6 +856,8 @@ mod tests {
             vec!["sweep", "deck.sp", "--param", "r="],
             // A repeated name would cross itself in the cartesian product.
             vec!["sweep", "deck.sp", "--param", "r=1k", "--param", "R=2k"],
+            // The daemon has one front end, the `exi-serve` binary.
+            vec!["serve", "--addr", "127.0.0.1:0"],
             vec![],
         ] {
             let args = s(&bad);
@@ -1049,28 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_client_arguments_parse() {
-        let cmd = parse_args(&s(&[
-            "serve",
-            "--addr",
-            "127.0.0.1:9100",
-            "--workers",
-            "3",
-            "--queue",
-            "4",
-            "--plan-cache",
-            "0",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Serve { config } => {
-                assert_eq!(config.addr, "127.0.0.1:9100");
-                assert_eq!(config.workers, 3);
-                assert_eq!(config.queue_capacity, 4);
-                assert_eq!(config.plan_cache_capacity, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+    fn client_arguments_parse() {
         let cmd = parse_args(&s(&[
             "client",
             "deck.sp",
@@ -1113,9 +959,7 @@ mod tests {
             vec!["client"],
             vec!["client", "deck.sp", "--decimate", "0"],
             vec!["client", "deck.sp", "--retries", "many"],
-            vec!["serve", "--queue", "zero"],
-            vec!["serve", "--read-timeout-ms", "soon"],
-            vec!["serve", "deck.sp"],
+            vec!["client", "deck.sp", "--deadline-ms", "soon"],
         ] {
             match parse_args(&s(&bad)) {
                 Err(CliError::Usage(_)) => {}
@@ -1126,42 +970,6 @@ mod tests {
 
     #[test]
     fn hardening_flags_parse() {
-        let cmd = parse_args(&s(&[
-            "serve",
-            "--max-declared-steps",
-            "1000",
-            "--max-inflight-unknowns",
-            "0",
-            "--default-deadline-ms",
-            "250",
-            "--read-timeout-ms",
-            "200",
-            "--idle-timeout-ms",
-            "0",
-            "--write-stall-ms",
-            "100",
-            "--respawn-limit",
-            "2",
-            "--shed-after-ms",
-            "50",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Serve { config } => {
-                assert_eq!(config.budget.max_declared_steps, 1000);
-                assert_eq!(config.max_inflight_unknowns, 0);
-                assert_eq!(config.default_deadline_ms, 250);
-                assert_eq!(config.read_timeout_ms, 200);
-                assert_eq!(config.idle_timeout_ms, 0);
-                assert_eq!(config.write_stall_ms, 100);
-                assert_eq!(config.respawn_limit, 2);
-                assert_eq!(config.overload.shed_after_ms, 50);
-                // Tuning only the first rung keeps the ladder ordered.
-                assert!(config.overload.shed_after_ms <= config.overload.cancel_after_ms);
-                assert!(config.overload.cancel_after_ms <= config.overload.drain_after_ms);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
         let cmd = parse_args(&s(&[
             "client",
             "deck.sp",

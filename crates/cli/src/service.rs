@@ -1,5 +1,5 @@
-//! The `serve` and `client` subcommands: run a resident `exi-serve` daemon,
-//! or drive a deck through one and stream the waveform back.
+//! The `client` subcommand: drive a deck through a resident `exi-serve`
+//! daemon and stream the waveform back.
 //!
 //! The client path is byte-compatible with `exi-cli run`: waveform values
 //! arrive as preformatted 17-significant-digit strings and are written
@@ -10,7 +10,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use exi_serve::{Client, ClientError, RunEnd, RunRequest, ServeConfig, Server, ServerStats};
+use exi_serve::json::Json;
+use exi_serve::{Client, ClientError, RunEnd, RunRequest, ServerStats};
 
 use crate::{CliError, CliResult, OutputFormat};
 
@@ -187,66 +188,19 @@ pub fn fetch_stats(addr: &str) -> CliResult<ServerStats> {
     })
 }
 
-/// Renders a [`ServerStats`] snapshot as stable `key: value` lines (the
-/// `exi-cli client --stats` output; scripts grep these).
+/// Renders a [`ServerStats`] snapshot as stable `key: value` lines, one per
+/// key of the daemon's `stats` reply, in its order (the `exi-cli client
+/// --stats` output; scripts grep these).
 ///
 /// # Errors
 ///
 /// Propagates write failures on `out`.
 pub fn write_stats(stats: &ServerStats, out: &mut dyn Write) -> CliResult<()> {
-    writeln!(out, "jobs_accepted: {}", stats.jobs_accepted)?;
-    writeln!(out, "jobs_completed: {}", stats.jobs_completed)?;
-    writeln!(out, "jobs_failed: {}", stats.jobs_failed)?;
-    writeln!(out, "jobs_cancelled: {}", stats.jobs_cancelled)?;
-    writeln!(out, "jobs_rejected: {}", stats.jobs_rejected)?;
-    writeln!(out, "jobs_rejected_budget: {}", stats.jobs_rejected_budget)?;
-    writeln!(out, "jobs_shed_overload: {}", stats.jobs_shed_overload)?;
-    writeln!(
-        out,
-        "jobs_cancelled_overload: {}",
-        stats.jobs_cancelled_overload
-    )?;
-    writeln!(out, "workers_respawned: {}", stats.workers_respawned)?;
-    writeln!(out, "connections_reaped: {}", stats.connections_reaped)?;
-    writeln!(out, "write_stalls: {}", stats.write_stalls)?;
-    writeln!(out, "overload_transitions: {}", stats.overload_transitions)?;
-    writeln!(out, "overload_stage: {}", stats.overload_stage)?;
-    writeln!(out, "queue_depth: {}", stats.queue_depth)?;
-    writeln!(out, "queue_capacity: {}", stats.queue_capacity)?;
-    writeln!(out, "workers: {}", stats.workers)?;
-    writeln!(out, "accepted_steps: {}", stats.accepted_steps)?;
-    writeln!(out, "symbolic_analyses: {}", stats.symbolic_analyses)?;
-    writeln!(out, "shared_symbolic_hits: {}", stats.shared_symbolic_hits)?;
-    writeln!(out, "plan_compilations: {}", stats.plan_compilations)?;
-    writeln!(out, "shared_plan_hits: {}", stats.shared_plan_hits)?;
-    Ok(())
-}
-
-/// Boots an `exi-serve` daemon in-process and blocks until a client sends a
-/// `shutdown` request. Announces the bound address on `status` first (the
-/// line scripts and CI wait for).
-///
-/// # Errors
-///
-/// [`CliError::Io`] for bind failures.
-pub fn run_serve(config: ServeConfig, status: &mut dyn Write) -> CliResult<()> {
-    let server = Server::bind(config)?;
-    writeln!(status, "exi-serve listening on {}", server.local_addr()?)?;
-    status.flush()?;
-    let stats = server.run();
-    writeln!(
-        status,
-        "exi-serve: drained and stopped — {} completed, {} failed, {} cancelled, {} rejected; \
-         {} symbolic analyses ({} on a warm G ordering), {} plan compilations + {} warm hits",
-        stats.jobs_completed,
-        stats.jobs_failed,
-        stats.jobs_cancelled,
-        stats.jobs_rejected,
-        stats.symbolic_analyses,
-        stats.shared_symbolic_hits,
-        stats.plan_compilations,
-        stats.shared_plan_hits,
-    )?;
+    if let Json::Obj(members) = stats.to_json() {
+        for (key, value) in members {
+            writeln!(out, "{key}: {}", value.dump())?;
+        }
+    }
     Ok(())
 }
 

@@ -545,35 +545,35 @@ impl<'c> Simulator<'c> {
             .expect("ensure_dc populated the cache")
             .state
             .clone();
-        let inner = match method {
-            Method::BackwardEuler => InnerStepper::Implicit(Box::new(ImplicitStepper::new(
+        let inner: Box<dyn Engine + '_> = match method {
+            Method::BackwardEuler => Box::new(ImplicitStepper::new(
                 self.circuit,
                 &mut self.caches,
                 ImplicitScheme::BackwardEuler,
                 options.clone(),
                 dc_stats,
-            )?)),
-            Method::Trapezoidal => InnerStepper::Implicit(Box::new(ImplicitStepper::new(
+            )?),
+            Method::Trapezoidal => Box::new(ImplicitStepper::new(
                 self.circuit,
                 &mut self.caches,
                 ImplicitScheme::Trapezoidal,
                 options.clone(),
                 dc_stats,
-            )?)),
-            Method::ExponentialRosenbrock => InnerStepper::Er(Box::new(ErStepper::new(
+            )?),
+            Method::ExponentialRosenbrock => Box::new(ErStepper::new(
                 self.circuit,
                 &mut self.caches,
                 false,
                 options.clone(),
                 dc_stats,
-            )?)),
-            Method::ExponentialRosenbrockCorrected => InnerStepper::Er(Box::new(ErStepper::new(
+            )?),
+            Method::ExponentialRosenbrockCorrected => Box::new(ErStepper::new(
                 self.circuit,
                 &mut self.caches,
                 true,
                 options.clone(),
                 dc_stats,
-            )?)),
+            )?),
         };
         Ok(SessionStepper {
             inner,
@@ -892,17 +892,20 @@ impl Observer for BufferedRun {
 /// Wraps the concrete per-method steppers behind the [`Engine`] trait and
 /// adds lazy initialization at the session's DC operating point. See
 /// [`Engine`] for the driving interface and the pause/resume contract.
-#[derive(Debug)]
 pub struct SessionStepper<'a> {
-    inner: InnerStepper<'a>,
+    inner: Box<dyn Engine + 'a>,
     x0: Vec<f64>,
     initialized: bool,
 }
 
-#[derive(Debug)]
-enum InnerStepper<'a> {
-    Er(Box<ErStepper<'a>>),
-    Implicit(Box<ImplicitStepper<'a>>),
+impl std::fmt::Debug for SessionStepper<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionStepper")
+            .field("time", &self.inner.time())
+            .field("initialized", &self.initialized)
+            .field("stats", self.inner.stats())
+            .finish_non_exhaustive()
+    }
 }
 
 impl SessionStepper<'_> {
@@ -915,10 +918,7 @@ impl SessionStepper<'_> {
     /// Propagates [`Engine::init`] errors.
     pub fn start(&mut self, observer: &mut dyn Observer) -> SimResult<()> {
         let x0 = std::mem::take(&mut self.x0);
-        let r = match &mut self.inner {
-            InnerStepper::Er(s) => s.init(0.0, &x0, observer),
-            InnerStepper::Implicit(s) => s.init(0.0, &x0, observer),
-        };
+        let r = self.inner.init(0.0, &x0, observer);
         self.x0 = x0;
         self.initialized = r.is_ok();
         r
@@ -927,10 +927,7 @@ impl SessionStepper<'_> {
 
 impl Engine for SessionStepper<'_> {
     fn init(&mut self, t0: f64, x0: &[f64], observer: &mut dyn Observer) -> SimResult<()> {
-        let r = match &mut self.inner {
-            InnerStepper::Er(s) => s.init(t0, x0, observer),
-            InnerStepper::Implicit(s) => s.init(t0, x0, observer),
-        };
+        let r = self.inner.init(t0, x0, observer);
         // Only a successful init arms the stepper; a failed one leaves the
         // DC auto-start available for the next advance.
         self.initialized = r.is_ok();
@@ -941,59 +938,35 @@ impl Engine for SessionStepper<'_> {
         if !self.initialized {
             self.start(observer)?;
         }
-        match &mut self.inner {
-            InnerStepper::Er(s) => s.advance(observer),
-            InnerStepper::Implicit(s) => s.advance(observer),
-        }
+        self.inner.advance(observer)
     }
 
     fn state(&self) -> &[f64] {
         if !self.initialized {
             return &self.x0;
         }
-        match &self.inner {
-            InnerStepper::Er(s) => s.state(),
-            InnerStepper::Implicit(s) => s.state(),
-        }
+        self.inner.state()
     }
 
     fn time(&self) -> f64 {
-        match &self.inner {
-            InnerStepper::Er(s) => s.time(),
-            InnerStepper::Implicit(s) => s.time(),
-        }
+        self.inner.time()
     }
 
     fn stats(&self) -> &RunStats {
-        match &self.inner {
-            InnerStepper::Er(s) => s.stats(),
-            InnerStepper::Implicit(s) => s.stats(),
-        }
+        self.inner.stats()
     }
 
     fn stats_mut(&mut self) -> &mut RunStats {
-        match &mut self.inner {
-            InnerStepper::Er(s) => s.stats_mut(),
-            InnerStepper::Implicit(s) => s.stats_mut(),
-        }
+        self.inner.stats_mut()
     }
 
     fn is_finished(&self) -> bool {
         // A not-yet-started stepper still has its whole run ahead (it
         // auto-initializes on the first advance).
-        if !self.initialized {
-            return false;
-        }
-        match &self.inner {
-            InnerStepper::Er(s) => s.is_finished(),
-            InnerStepper::Implicit(s) => s.is_finished(),
-        }
+        self.initialized && self.inner.is_finished()
     }
 
     fn finish(&mut self, observer: &mut dyn Observer) -> RunStats {
-        match &mut self.inner {
-            InnerStepper::Er(s) => s.finish(observer),
-            InnerStepper::Implicit(s) => s.finish(observer),
-        }
+        self.inner.finish(observer)
     }
 }

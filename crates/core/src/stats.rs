@@ -5,7 +5,17 @@
 //! subspace dimension per step (ER/ER-C), LU factorization count and runtime —
 //! plus the symbolic-reuse and allocation counters introduced with the
 //! KLU-style refactorization path (see `docs/PERFORMANCE.md`).
+//!
+//! [`RunStats::fields`] lists every field once, with the name it is reported
+//! under and how [`RunStats::absorb`] merges it. The merge, the JSON writer
+//! ([`RunStats::json_fields`]) and the by-name reader
+//! ([`RunStats::from_named`]) walk that list, and so does every report that
+//! carries a `RunStats` (`BENCH_table1.json`, `BENCH_sweep.json`, the
+//! daemon's `done` and `stats` frames): a new counter is one field plus one
+//! list entry.
 
+use std::fmt::Write as _;
+use std::ops::Add;
 use std::time::Duration;
 
 /// Counters accumulated over one transient analysis.
@@ -216,41 +226,217 @@ impl RunStats {
         self.runtime.saturating_sub(self.cache_wait).as_secs_f64()
     }
 
-    /// Folds another run's counters into these (session totals): counts add
-    /// up, peaks take the maximum, runtimes accumulate.
+    /// Every field, once, in declaration order: the name it is reported
+    /// under, how [`RunStats::absorb`] merges it, and where it lives. A
+    /// count's name is its field's name; a duration's name adds `_s`, and its
+    /// value is in seconds.
+    ///
+    /// The list borrows mutably so that one list serves readers and writers
+    /// alike; a reader walks a clone.
+    pub fn fields(&mut self) -> impl Iterator<Item = Field<'_>> {
+        use Merge::{Max, Sum};
+        [
+            Field::new("accepted_steps", Sum, &mut self.accepted_steps),
+            Field::new("rejected_steps", Sum, &mut self.rejected_steps),
+            Field::new("newton_iterations", Sum, &mut self.newton_iterations),
+            Field::new("lu_factorizations", Sum, &mut self.lu_factorizations),
+            Field::new("symbolic_analyses", Sum, &mut self.symbolic_analyses),
+            Field::new("lu_refactorizations", Sum, &mut self.lu_refactorizations),
+            Field::new("lu_reuses", Sum, &mut self.lu_reuses),
+            Field::new("linear_solves", Sum, &mut self.linear_solves),
+            Field::new("device_evaluations", Sum, &mut self.device_evaluations),
+            Field::new("plan_compilations", Sum, &mut self.plan_compilations),
+            Field::new("shared_plan_hits", Sum, &mut self.shared_plan_hits),
+            Field::new("restamped_entries", Sum, &mut self.restamped_entries),
+            Field::new(
+                "assembly_workspace_allocations",
+                Sum,
+                &mut self.assembly_workspace_allocations,
+            ),
+            Field::new("krylov_subspaces", Sum, &mut self.krylov_subspaces),
+            Field::new(
+                "krylov_dimension_total",
+                Sum,
+                &mut self.krylov_dimension_total,
+            ),
+            Field::new(
+                "peak_krylov_dimension",
+                Max,
+                &mut self.peak_krylov_dimension,
+            ),
+            Field::new(
+                "krylov_workspace_allocations",
+                Sum,
+                &mut self.krylov_workspace_allocations,
+            ),
+            Field::new(
+                "krylov_subspace_reuses",
+                Sum,
+                &mut self.krylov_subspace_reuses,
+            ),
+            Field::new(
+                "krylov_residual_tests",
+                Sum,
+                &mut self.krylov_residual_tests,
+            ),
+            Field::new(
+                "small_dense_exponentials",
+                Sum,
+                &mut self.small_dense_exponentials,
+            ),
+            Field::new(
+                "dense_workspace_allocations",
+                Sum,
+                &mut self.dense_workspace_allocations,
+            ),
+            Field::new("observer_callbacks", Sum, &mut self.observer_callbacks),
+            Field::new("resumed_runs", Sum, &mut self.resumed_runs),
+            Field::new("batch_jobs", Sum, &mut self.batch_jobs),
+            Field::new("shared_symbolic_hits", Sum, &mut self.shared_symbolic_hits),
+            Field::new("worker_threads", Max, &mut self.worker_threads),
+            Field::new("recovery_attempts", Sum, &mut self.recovery_attempts),
+            Field::new("gmin_steps", Sum, &mut self.gmin_steps),
+            Field::new("source_steps", Sum, &mut self.source_steps),
+            Field::new("method_fallbacks", Sum, &mut self.method_fallbacks),
+            Field::new("runtime_s", Sum, &mut self.runtime),
+            Field::new("cache_wait_s", Sum, &mut self.cache_wait),
+        ]
+        .into_iter()
+    }
+
+    /// Folds another run's counters into these (session totals): each field
+    /// merges by its [`Merge`] rule in [`RunStats::fields`] — counts and
+    /// times add up, peaks and concurrency keep the maximum.
     pub fn absorb(&mut self, other: &RunStats) {
-        self.accepted_steps += other.accepted_steps;
-        self.rejected_steps += other.rejected_steps;
-        self.newton_iterations += other.newton_iterations;
-        self.lu_factorizations += other.lu_factorizations;
-        self.symbolic_analyses += other.symbolic_analyses;
-        self.lu_refactorizations += other.lu_refactorizations;
-        self.lu_reuses += other.lu_reuses;
-        self.linear_solves += other.linear_solves;
-        self.device_evaluations += other.device_evaluations;
-        self.plan_compilations += other.plan_compilations;
-        self.shared_plan_hits += other.shared_plan_hits;
-        self.restamped_entries += other.restamped_entries;
-        self.assembly_workspace_allocations += other.assembly_workspace_allocations;
-        self.krylov_subspaces += other.krylov_subspaces;
-        self.krylov_dimension_total += other.krylov_dimension_total;
-        self.peak_krylov_dimension = self.peak_krylov_dimension.max(other.peak_krylov_dimension);
-        self.krylov_workspace_allocations += other.krylov_workspace_allocations;
-        self.krylov_subspace_reuses += other.krylov_subspace_reuses;
-        self.krylov_residual_tests += other.krylov_residual_tests;
-        self.small_dense_exponentials += other.small_dense_exponentials;
-        self.dense_workspace_allocations += other.dense_workspace_allocations;
-        self.observer_callbacks += other.observer_callbacks;
-        self.resumed_runs += other.resumed_runs;
-        self.batch_jobs += other.batch_jobs;
-        self.shared_symbolic_hits += other.shared_symbolic_hits;
-        self.worker_threads = self.worker_threads.max(other.worker_threads);
-        self.recovery_attempts += other.recovery_attempts;
-        self.gmin_steps += other.gmin_steps;
-        self.source_steps += other.source_steps;
-        self.method_fallbacks += other.method_fallbacks;
-        self.runtime += other.runtime;
-        self.cache_wait += other.cache_wait;
+        let mut other = other.clone();
+        for (mine, theirs) in self.fields().zip(other.fields()) {
+            match (mine.slot, theirs.slot) {
+                (Slot::Count(a), Slot::Count(b)) => *a = mine.merge.apply(*a, *b),
+                (Slot::Seconds(a), Slot::Seconds(b)) => *a = mine.merge.apply(*a, *b),
+                _ => unreachable!("both sides walk the same list"),
+            }
+        }
+    }
+
+    /// Every field as the members of a flat JSON object, in list order and
+    /// without the braces, so a report can add keys of its own: counts as
+    /// integers, durations in seconds with six decimals.
+    pub fn json_fields(&self) -> String {
+        let mut out = String::new();
+        for field in self.clone().fields() {
+            if !out.is_empty() {
+                out.push(',');
+            }
+            let _ = match field.slot {
+                Slot::Count(n) => write!(out, "\"{}\":{n}", field.name),
+                Slot::Seconds(t) => write!(out, "\"{}\":{:.6}", field.name, t.as_secs_f64()),
+            };
+        }
+        out
+    }
+
+    /// Reads every field back by name: `lookup` returns the number reported
+    /// under a name (seconds for a duration).
+    ///
+    /// # Errors
+    ///
+    /// The name of the first field `lookup` has no value for, or whose value
+    /// does not fit ([`Slot::set`]).
+    pub fn from_named(
+        mut lookup: impl FnMut(&str) -> Option<f64>,
+    ) -> Result<RunStats, &'static str> {
+        let mut stats = RunStats::default();
+        for mut field in stats.fields() {
+            if !lookup(field.name).is_some_and(|value| field.slot.set(value)) {
+                return Err(field.name);
+            }
+        }
+        Ok(stats)
+    }
+}
+
+/// How [`RunStats::absorb`] merges one field of another run into these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// The totals add up.
+    Sum,
+    /// The larger value stays (peaks and concurrency).
+    Max,
+}
+
+impl Merge {
+    fn apply<T: Ord + Add<Output = T>>(self, mine: T, theirs: T) -> T {
+        match self {
+            Merge::Sum => mine + theirs,
+            Merge::Max => mine.max(theirs),
+        }
+    }
+}
+
+/// Where one field of a [`RunStats`] lives.
+#[derive(Debug)]
+pub enum Slot<'a> {
+    /// A count.
+    Count(&'a mut usize),
+    /// A duration, reported in seconds.
+    Seconds(&'a mut Duration),
+}
+
+impl Slot<'_> {
+    /// The value as reported: the count, or the duration in seconds.
+    pub fn get(&self) -> f64 {
+        match self {
+            Slot::Count(n) => **n as f64,
+            Slot::Seconds(t) => t.as_secs_f64(),
+        }
+    }
+
+    /// Stores a reported value; `false` (and nothing stored) when it does
+    /// not fit: a count that is negative or fractional, a duration that is
+    /// negative or not finite.
+    pub fn set(&mut self, value: f64) -> bool {
+        match self {
+            Slot::Count(n) if value >= 0.0 && value.fract() == 0.0 => **n = value as usize,
+            Slot::Seconds(t) => match Duration::try_from_secs_f64(value) {
+                Ok(value) => **t = value,
+                Err(_) => return false,
+            },
+            Slot::Count(_) => return false,
+        }
+        true
+    }
+}
+
+impl<'a> From<&'a mut usize> for Slot<'a> {
+    fn from(count: &'a mut usize) -> Self {
+        Slot::Count(count)
+    }
+}
+
+impl<'a> From<&'a mut Duration> for Slot<'a> {
+    fn from(time: &'a mut Duration) -> Self {
+        Slot::Seconds(time)
+    }
+}
+
+/// One entry of [`RunStats::fields`].
+#[derive(Debug)]
+pub struct Field<'a> {
+    /// The name the field is reported under.
+    pub name: &'static str,
+    /// How [`RunStats::absorb`] merges it.
+    pub merge: Merge,
+    /// Where it lives.
+    pub slot: Slot<'a>,
+}
+
+impl<'a> Field<'a> {
+    fn new(name: &'static str, merge: Merge, slot: impl Into<Slot<'a>>) -> Self {
+        Field {
+            name,
+            merge,
+            slot: slot.into(),
+        }
     }
 }
 
@@ -399,6 +585,91 @@ mod tests {
         assert_eq!(
             total.lu_factorizations,
             a.lu_factorizations + b.lu_factorizations
+        );
+    }
+
+    /// Sets field `k` of the list to `k + 1` (seconds for a duration).
+    fn numbered() -> RunStats {
+        let mut stats = RunStats::default();
+        for (k, mut field) in stats.fields().enumerate() {
+            assert!(field.slot.set(k as f64 + 1.0), "{}", field.name);
+        }
+        stats
+    }
+
+    #[test]
+    fn the_list_names_every_field_once_in_declaration_order() {
+        // The pattern has no `..`: a field added to the struct without being
+        // named here does not compile, and one named here but missing from
+        // the list keeps its zero and fails below.
+        macro_rules! declared {
+            ($stats:expr; $($count:ident),*; $($time:ident),*) => {{
+                let RunStats { $($count,)* $($time,)* } = $stats;
+                vec![
+                    $((stringify!($count).to_string(), $count as f64),)*
+                    $((concat!(stringify!($time), "_s").to_string(), $time.as_secs_f64()),)*
+                ]
+            }};
+        }
+        let declared = declared!(numbered();
+            accepted_steps, rejected_steps, newton_iterations, lu_factorizations,
+            symbolic_analyses, lu_refactorizations, lu_reuses, linear_solves,
+            device_evaluations, plan_compilations, shared_plan_hits, restamped_entries,
+            assembly_workspace_allocations, krylov_subspaces, krylov_dimension_total,
+            peak_krylov_dimension, krylov_workspace_allocations, krylov_subspace_reuses,
+            krylov_residual_tests, small_dense_exponentials, dense_workspace_allocations,
+            observer_callbacks, resumed_runs, batch_jobs, shared_symbolic_hits,
+            worker_threads, recovery_attempts, gmin_steps, source_steps, method_fallbacks;
+            runtime, cache_wait);
+        let expected: Vec<(String, f64)> = RunStats::default()
+            .fields()
+            .enumerate()
+            .map(|(k, field)| (field.name.to_string(), k as f64 + 1.0))
+            .collect();
+        assert_eq!(declared, expected);
+    }
+
+    #[test]
+    fn absorb_follows_each_fields_merge_rule() {
+        let mut total = numbered();
+        let mut other = numbered();
+        other.peak_krylov_dimension = 1;
+        total.absorb(&other);
+        for ((mut mine, theirs), k) in total.fields().zip(other.fields()).zip(1..) {
+            let value = mine.slot.get();
+            match mine.merge {
+                Merge::Sum => assert_eq!(value, theirs.slot.get() + k as f64, "{}", mine.name),
+                Merge::Max => assert_eq!(value, k as f64, "{}", mine.name),
+            }
+            assert!(mine.slot.set(0.0));
+        }
+        assert_eq!(total, RunStats::default());
+    }
+
+    #[test]
+    fn json_fields_read_back_by_name() {
+        let stats = numbered();
+        let json = stats.json_fields();
+        assert!(
+            json.starts_with("\"accepted_steps\":1,\"rejected_steps\":2,"),
+            "{json}"
+        );
+        assert!(json.ends_with(",\"runtime_s\":31.000000,\"cache_wait_s\":32.000000"));
+        let lookup = |name: &str| {
+            let start = json.find(&format!("\"{name}\":"))? + name.len() + 3;
+            let end = json[start..].find(',').map_or(json.len(), |k| start + k);
+            json[start..end].parse().ok()
+        };
+        assert_eq!(RunStats::from_named(lookup), Ok(stats));
+        // A missing or ill-fitting value names its field.
+        assert_eq!(
+            RunStats::from_named(|name| (name != "lu_reuses").then_some(1.0)),
+            Err("lu_reuses")
+        );
+        assert_eq!(RunStats::from_named(|_| Some(0.5)), Err("accepted_steps"));
+        assert_eq!(
+            RunStats::from_named(|name| Some(if name == "runtime_s" { -1.0 } else { 0.0 })),
+            Err("runtime_s")
         );
     }
 }

@@ -4,6 +4,8 @@
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
+use exi_sim::RunStats;
+
 use crate::protocol::{
     read_frame, write_frame, FrameError, Request, Response, RunRequest, DEFAULT_MAX_FRAME_BYTES,
 };
@@ -52,20 +54,12 @@ impl From<FrameError> for ClientError {
 /// any — has been written to the sink).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunEnd {
-    /// Complete waveform; carries the server's `done` counters.
+    /// Complete waveform; carries the server's `done` statistics.
     Done {
         /// Data rows written (header not counted).
         rows: usize,
-        /// Accepted solver steps.
-        accepted_steps: usize,
-        /// Symbolic LU analyses this job performed.
-        symbolic_analyses: usize,
-        /// `G` analyses of this job whose ordering the warm plan held.
-        shared_symbolic_hits: usize,
-        /// Stamping-plan compilations this job performed.
-        plan_compilations: usize,
-        /// Warm plan-cache hits this job recorded.
-        shared_plan_hits: usize,
+        /// The job's session statistics.
+        stats: Box<RunStats>,
     },
     /// Cancelled (wire or deadline); the sink holds a bit-exact prefix.
     Cancelled {
@@ -161,7 +155,7 @@ impl Client {
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
         self.send(&Request::Stats)?;
         match self.recv()? {
-            Response::Stats(stats) => Ok(stats),
+            Response::Stats(stats) => Ok(*stats),
             other => Err(unexpected("stats", &other)),
         }
     }
@@ -238,21 +232,10 @@ impl Client {
                 Response::Done {
                     id: done_id,
                     rows,
-                    accepted_steps,
-                    symbolic_analyses,
-                    shared_symbolic_hits,
-                    plan_compilations,
-                    shared_plan_hits,
+                    stats,
                 } if done_id == id => {
                     sink.flush()?;
-                    return Ok(RunEnd::Done {
-                        rows,
-                        accepted_steps,
-                        symbolic_analyses,
-                        shared_symbolic_hits,
-                        plan_compilations,
-                        shared_plan_hits,
-                    });
+                    return Ok(RunEnd::Done { rows, stats });
                 }
                 Response::Cancelled {
                     id: cancelled_id,

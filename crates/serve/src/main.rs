@@ -107,10 +107,10 @@ fn main() -> ExitCode {
         stats.jobs_failed,
         stats.jobs_cancelled,
         stats.jobs_rejected,
-        stats.symbolic_analyses,
-        stats.shared_symbolic_hits,
-        stats.plan_compilations,
-        stats.shared_plan_hits,
+        stats.solver.symbolic_analyses,
+        stats.solver.shared_symbolic_hits,
+        stats.solver.plan_compilations,
+        stats.solver.shared_plan_hits,
     );
     ExitCode::SUCCESS
 }
@@ -268,4 +268,33 @@ fn arm_fault(text: &str) -> Result<(), String> {
 #[cfg(not(feature = "fault-injection"))]
 fn arm_fault(_text: &str) -> Result<(), String> {
     Err("--arm-fault requires a build with --features fault-injection".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_flags_orders_the_ladder_clamps_workers_and_rejects_unknowns() {
+        // A shed threshold above the cancel threshold is refused, not
+        // silently reordered.
+        assert!(parse_flags(&args(&[
+            "--shed-after-ms",
+            "90000",
+            "--cancel-after-ms",
+            "60000"
+        ]))
+        .is_err());
+        assert!(parse_flags(&args(&["--cancel-after-ms", "500000"])).is_err());
+        // Zero workers would never drain the queue: clamped to one.
+        let config = parse_flags(&args(&["--workers", "0"])).unwrap().unwrap();
+        assert_eq!(config.workers, 1);
+        assert!(parse_flags(&args(&["--symbolic-cache", "8"])).is_err());
+        assert!(parse_flags(&args(&["--workers"])).is_err());
+        assert_eq!(parse_flags(&args(&["--queue", "4", "--help"])), Ok(None));
+    }
 }

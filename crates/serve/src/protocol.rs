@@ -27,10 +27,10 @@
 
 use std::io::{BufRead, Read, Write};
 
-use exi_sim::Method;
+use exi_sim::{Method, RunStats};
 
 use crate::json::{n, obj, s, Json};
-use crate::stats::ServerStats;
+use crate::stats::{run_stats_from_json, run_stats_json, ServerStats};
 
 /// Default cap on a single frame's JSON payload (1 MiB) — large enough for
 /// any realistic deck or chunk, small enough that a hostile length prefix
@@ -361,16 +361,9 @@ pub enum Response {
         id: String,
         /// Total data rows streamed (after decimation).
         rows: usize,
-        /// Accepted solver steps.
-        accepted_steps: usize,
-        /// Symbolic LU analyses this job performed (one per matrix role).
-        symbolic_analyses: usize,
-        /// `G` analyses of this job whose ordering the warm plan held.
-        shared_symbolic_hits: usize,
-        /// Stamping-plan compilations this job performed (0 on a warm cache).
-        plan_compilations: usize,
-        /// Shared plan-cache hits this job recorded.
-        shared_plan_hits: usize,
+        /// The job's session statistics; on the wire every field is a
+        /// top-level key of its own.
+        stats: Box<RunStats>,
     },
     /// The job stopped early; everything streamed so far is a bit-exact
     /// prefix of the uncancelled run.
@@ -402,7 +395,7 @@ pub enum Response {
         known: bool,
     },
     /// A [`ServerStats`] snapshot.
-    Stats(ServerStats),
+    Stats(Box<ServerStats>),
     /// Liveness reply.
     Pong,
     /// The server is draining and will exit; no further work is accepted.
@@ -462,25 +455,11 @@ impl Response {
                 ));
                 obj(pairs).dump()
             }
-            Response::Done {
-                id,
-                rows,
-                accepted_steps,
-                symbolic_analyses,
-                shared_symbolic_hits,
-                plan_compilations,
-                shared_plan_hits,
-            } => obj(vec![
-                ("type", s("done")),
-                ("id", s(id)),
-                ("rows", n(*rows)),
-                ("accepted_steps", n(*accepted_steps)),
-                ("symbolic_analyses", n(*symbolic_analyses)),
-                ("shared_symbolic_hits", n(*shared_symbolic_hits)),
-                ("plan_compilations", n(*plan_compilations)),
-                ("shared_plan_hits", n(*shared_plan_hits)),
-            ])
-            .dump(),
+            Response::Done { id, rows, stats } => {
+                let mut members = vec![("type", s("done")), ("id", s(id)), ("rows", n(*rows))];
+                members.extend(run_stats_json(stats));
+                obj(members).dump()
+            }
             Response::Cancelled {
                 id,
                 reason,
@@ -605,11 +584,7 @@ impl Response {
             "done" => Ok(Response::Done {
                 id: id(&v)?,
                 rows: count(&v, "rows")?,
-                accepted_steps: count(&v, "accepted_steps")?,
-                symbolic_analyses: count(&v, "symbolic_analyses")?,
-                shared_symbolic_hits: count(&v, "shared_symbolic_hits")?,
-                plan_compilations: count(&v, "plan_compilations")?,
-                shared_plan_hits: count(&v, "shared_plan_hits")?,
+                stats: Box::new(run_stats_from_json(&v)?),
             }),
             "cancelled" => Ok(Response::Cancelled {
                 id: id(&v)?,
@@ -647,9 +622,9 @@ impl Response {
             }),
             "stats" => {
                 let stats = v.get("stats").ok_or("stats: missing payload")?;
-                Ok(Response::Stats(
+                Ok(Response::Stats(Box::new(
                     ServerStats::from_json(stats).ok_or("stats: bad payload")?,
-                ))
+                )))
             }
             "pong" => Ok(Response::Pong),
             "shutting_down" => Ok(Response::ShuttingDown),
@@ -668,6 +643,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::tests::distinct_counters;
 
     #[test]
     fn frames_round_trip_over_a_buffer() {
@@ -796,11 +772,7 @@ mod tests {
             Response::Done {
                 id: "j".to_string(),
                 rows: 42,
-                accepted_steps: 41,
-                symbolic_analyses: 1,
-                shared_symbolic_hits: 0,
-                plan_compilations: 1,
-                shared_plan_hits: 0,
+                stats: Box::new(distinct_counters()),
             },
             Response::Cancelled {
                 id: "j".to_string(),
@@ -817,7 +789,10 @@ mod tests {
                 id: "j".to_string(),
                 known: true,
             },
-            Response::Stats(ServerStats::default()),
+            Response::Stats(Box::new(ServerStats {
+                solver: distinct_counters(),
+                ..ServerStats::default()
+            })),
             Response::Pong,
             Response::ShuttingDown,
             Response::ProtocolError {

@@ -209,11 +209,7 @@ struct Counters {
     connections_reaped: u64,
     write_stalls: u64,
     overload_transitions: u64,
-    accepted_steps: usize,
-    symbolic_analyses: usize,
-    shared_symbolic_hits: usize,
-    plan_compilations: usize,
-    shared_plan_hits: usize,
+    solver: RunStats,
 }
 
 /// One admitted `run` request, queued for a worker. The deck is parsed at
@@ -296,11 +292,7 @@ impl Shared {
             queue_depth: self.queue.depth(),
             queue_capacity: self.queue.capacity(),
             workers: self.config.workers,
-            accepted_steps: counters.accepted_steps,
-            symbolic_analyses: counters.symbolic_analyses,
-            shared_symbolic_hits: counters.shared_symbolic_hits,
-            plan_compilations: counters.plan_compilations,
-            shared_plan_hits: counters.shared_plan_hits,
+            solver: counters.solver.clone(),
             plan_cache: self.plans.stats(),
         }
     }
@@ -894,7 +886,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream, accept_index: u64) {
                 }
             }
             Request::Stats => {
-                if !send(shared, &writer, &Response::Stats(shared.snapshot())) {
+                if !send(
+                    shared,
+                    &writer,
+                    &Response::Stats(Box::new(shared.snapshot())),
+                ) {
                     break;
                 }
             }
@@ -1331,11 +1327,7 @@ fn execute_job(shared: &Shared, job: Job) -> bool {
             {
                 let mut counters = lock(&shared.counters);
                 if let Some(stats) = &session_stats {
-                    counters.accepted_steps += stats.accepted_steps;
-                    counters.symbolic_analyses += stats.symbolic_analyses;
-                    counters.shared_symbolic_hits += stats.shared_symbolic_hits;
-                    counters.plan_compilations += stats.plan_compilations;
-                    counters.shared_plan_hits += stats.shared_plan_hits;
+                    counters.solver.absorb(stats);
                 }
                 match reply {
                     Response::Done { .. } => counters.jobs_completed += 1,
@@ -1414,11 +1406,7 @@ fn run_job(shared: &Shared, job: &Job) -> (Response, Option<RunStats>) {
         Ok((stats, None)) => Response::Done {
             id: job.id.clone(),
             rows: observer.rows_sent,
-            accepted_steps: stats.accepted_steps,
-            symbolic_analyses: stats.symbolic_analyses,
-            shared_symbolic_hits: stats.shared_symbolic_hits,
-            plan_compilations: stats.plan_compilations,
-            shared_plan_hits: stats.shared_plan_hits,
+            stats: Box::new(stats),
         },
         Ok((_, Some((reason, at_time)))) => Response::Cancelled {
             id: job.id.clone(),
@@ -1467,7 +1455,7 @@ mod tests {
             counters.workers_respawned = 1;
             counters.connections_reaped = 3;
             counters.write_stalls = 1;
-            counters.accepted_steps = 99;
+            counters.solver.accepted_steps = 99;
         }
         let snap = server.shared.snapshot();
         assert_eq!(snap.jobs_accepted, 4);
@@ -1476,7 +1464,7 @@ mod tests {
         assert_eq!(snap.workers_respawned, 1);
         assert_eq!(snap.connections_reaped, 3);
         assert_eq!(snap.write_stalls, 1);
-        assert_eq!(snap.accepted_steps, 99);
+        assert_eq!(snap.solver.accepted_steps, 99);
         assert_eq!(snap.queue_capacity, 3);
         assert_eq!(snap.workers, 5);
         assert_eq!(snap.queue_depth, 0);

@@ -1,19 +1,18 @@
 //! Server-wide observability: the [`ServerStats`] snapshot a `stats`
 //! request returns.
 
-use exi_sim::CacheStats;
+use exi_sim::{CacheStats, RunStats};
 
 use crate::json::{n, obj, Json};
 
 /// A consistent snapshot of the daemon's lifetime counters, queue state and
 /// warm plan-cache residency, taken under the server's stats lock.
 ///
-/// The solver counters (`accepted_steps` through `shared_plan_hits`) are the
-/// server-wide merge of every finished job's
-/// [`RunStats`](exi_sim::RunStats) — the fleet-amortization contract shows
-/// up here as `plan_compilations == distinct structures`, however many jobs
-/// ran, while `symbolic_analyses` grows by one per job and matrix role.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// [`ServerStats::solver`] is the server-wide merge of every finished job's
+/// [`RunStats`] — the fleet-amortization contract shows up there as
+/// `plan_compilations == distinct structures`, however many jobs ran, while
+/// `symbolic_analyses` grows by one per job and matrix role.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServerStats {
     /// Jobs admitted to the queue.
     pub jobs_accepted: u64,
@@ -51,16 +50,9 @@ pub struct ServerStats {
     pub queue_capacity: usize,
     /// Worker threads draining the queue.
     pub workers: usize,
-    /// Merged accepted time steps across all finished jobs.
-    pub accepted_steps: usize,
-    /// Merged symbolic LU analyses (one per job and matrix role).
-    pub symbolic_analyses: usize,
-    /// Merged `G` analyses whose ordering the warm plan already held.
-    pub shared_symbolic_hits: usize,
-    /// Merged stamping-plan compilations (one per distinct structure).
-    pub plan_compilations: usize,
-    /// Merged shared plan-cache hits.
-    pub shared_plan_hits: usize,
+    /// Every finished job's session statistics, merged by
+    /// [`RunStats::absorb`].
+    pub solver: RunStats,
     /// Residency counters of the warm plan cache.
     pub plan_cache: CacheStats,
 }
@@ -94,10 +86,31 @@ fn cache_from_json(v: &Json) -> Option<CacheStats> {
     })
 }
 
+/// Every [`RunStats`] field as a JSON member under its own name
+/// ([`RunStats::fields`]).
+pub(crate) fn run_stats_json(stats: &RunStats) -> Vec<(&'static str, Json)> {
+    stats
+        .clone()
+        .fields()
+        .map(|field| (field.name, Json::Num(field.slot.get())))
+        .collect()
+}
+
+/// Reads the [`RunStats`] fields of an object back by name.
+///
+/// # Errors
+///
+/// Names the first field that is missing or does not fit.
+pub(crate) fn run_stats_from_json(v: &Json) -> Result<RunStats, String> {
+    RunStats::from_named(|name| v.get(name)?.as_f64())
+        .map_err(|name| format!("missing counter '{name}'"))
+}
+
 impl ServerStats {
-    /// Serializes the snapshot as the payload of a `stats` response.
+    /// Serializes the snapshot as the payload of a `stats` response, with
+    /// every [`ServerStats::solver`] field as a top-level key of its own.
     pub fn to_json(&self) -> Json {
-        obj(vec![
+        let mut members = vec![
             ("jobs_accepted", Json::Num(self.jobs_accepted as f64)),
             ("jobs_completed", Json::Num(self.jobs_completed as f64)),
             ("jobs_failed", Json::Num(self.jobs_failed as f64)),
@@ -132,13 +145,10 @@ impl ServerStats {
             ("queue_depth", n(self.queue_depth)),
             ("queue_capacity", n(self.queue_capacity)),
             ("workers", n(self.workers)),
-            ("accepted_steps", n(self.accepted_steps)),
-            ("symbolic_analyses", n(self.symbolic_analyses)),
-            ("shared_symbolic_hits", n(self.shared_symbolic_hits)),
-            ("plan_compilations", n(self.plan_compilations)),
-            ("shared_plan_hits", n(self.shared_plan_hits)),
-            ("plan_cache", cache_json(&self.plan_cache)),
-        ])
+        ];
+        members.extend(run_stats_json(&self.solver));
+        members.push(("plan_cache", cache_json(&self.plan_cache)));
+        obj(members)
     }
 
     /// Reads a snapshot back from its JSON form (the client side).
@@ -160,19 +170,24 @@ impl ServerStats {
             queue_depth: v.get("queue_depth")?.as_u64()? as usize,
             queue_capacity: v.get("queue_capacity")?.as_u64()? as usize,
             workers: v.get("workers")?.as_u64()? as usize,
-            accepted_steps: v.get("accepted_steps")?.as_u64()? as usize,
-            symbolic_analyses: v.get("symbolic_analyses")?.as_u64()? as usize,
-            shared_symbolic_hits: v.get("shared_symbolic_hits")?.as_u64()? as usize,
-            plan_compilations: v.get("plan_compilations")?.as_u64()? as usize,
-            shared_plan_hits: v.get("shared_plan_hits")?.as_u64()? as usize,
+            solver: run_stats_from_json(v).ok()?,
             plan_cache: cache_from_json(v.get("plan_cache")?)?,
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A [`RunStats`] whose every field holds a distinct, nonzero value.
+    pub(crate) fn distinct_counters() -> RunStats {
+        let mut stats = RunStats::default();
+        for (k, mut field) in stats.fields().enumerate() {
+            assert!(field.slot.set(1000.0 + k as f64));
+        }
+        stats
+    }
 
     #[test]
     fn snapshot_round_trips_through_json() {
@@ -193,11 +208,7 @@ mod tests {
             queue_depth: 3,
             queue_capacity: 16,
             workers: 4,
-            accepted_steps: 1234,
-            symbolic_analyses: 7,
-            shared_symbolic_hits: 6,
-            plan_compilations: 1,
-            shared_plan_hits: 6,
+            solver: distinct_counters(),
             plan_cache: CacheStats {
                 entries: 1,
                 capacity: None,

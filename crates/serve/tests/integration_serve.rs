@@ -226,19 +226,19 @@ fn concurrent_same_fingerprint_clients_share_one_analysis_and_one_plan() {
     let stats = observer.stats().expect("stats");
     assert_eq!(stats.jobs_completed, 3);
     assert_eq!(
-        stats.symbolic_analyses, 3,
+        stats.solver.symbolic_analyses, 3,
         "one symbolic analysis per request: {stats:?}"
     );
     assert_eq!(
-        stats.plan_compilations, 1,
+        stats.solver.plan_compilations, 1,
         "one plan compilation server-wide: {stats:?}"
     );
     assert_eq!(
-        stats.shared_symbolic_hits, 2,
+        stats.solver.shared_symbolic_hits, 2,
         "two later sessions found the plan's G ordering: {stats:?}"
     );
     assert_eq!(
-        stats.shared_plan_hits, 2,
+        stats.solver.shared_plan_hits, 2,
         "two later sessions hit the warm plan cache: {stats:?}"
     );
     assert_eq!(stats.plan_cache.misses, 1, "{stats:?}");

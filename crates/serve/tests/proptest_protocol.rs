@@ -8,6 +8,7 @@ use std::io::BufReader;
 
 use exi_serve::protocol::DEFAULT_MAX_FRAME_BYTES;
 use exi_serve::{read_frame, write_frame, Request, Response, RunRequest, ServerStats};
+use exi_sim::RunStats;
 use proptest::prelude::*;
 
 /// Charset covering JSON's sharp edges: quotes, backslashes, braces,
@@ -59,6 +60,17 @@ fn run_request() -> impl Strategy<Value = RunRequest> {
         )
 }
 
+/// A [`RunStats`] whose fields, in list order, hold `base + 1`, `base + 2`,
+/// …: every one distinct and nonzero (whole seconds for the durations), so a
+/// dropped or swapped field cannot round-trip.
+fn distinct_counters(base: usize) -> RunStats {
+    let mut stats = RunStats::default();
+    for (k, mut field) in stats.fields().enumerate() {
+        assert!(field.slot.set((base + k + 1) as f64));
+    }
+    stats
+}
+
 /// One of every [`Response`] variant with randomized payloads.
 fn response() -> impl Strategy<Value = Response> {
     (
@@ -94,11 +106,7 @@ fn response() -> impl Strategy<Value = Response> {
             4 => Response::Done {
                 id,
                 rows: num,
-                accepted_steps: num / 2,
-                symbolic_analyses: flag,
-                shared_symbolic_hits: num % 7,
-                plan_compilations: flag,
-                shared_plan_hits: num % 5,
+                stats: Box::new(distinct_counters(num)),
             },
             5 => Response::Cancelled {
                 id,
@@ -169,11 +177,7 @@ proptest! {
             queue_depth: (seed % 16) as usize,
             queue_capacity: 16,
             workers: 2,
-            accepted_steps: seed as usize,
-            symbolic_analyses: (seed % 43) as usize,
-            shared_symbolic_hits: (seed % 37) as usize,
-            plan_compilations: 1,
-            shared_plan_hits: (seed % 41) as usize,
+            solver: distinct_counters(seed as usize),
             plan_cache: exi_sim::CacheStats {
                 entries: (seed % 9) as usize,
                 capacity: seed.is_multiple_of(2).then_some(64),
@@ -182,7 +186,7 @@ proptest! {
                 evictions: seed % 53,
             },
         };
-        let resp = Response::Stats(stats);
+        let resp = Response::Stats(Box::new(stats));
         prop_assert_eq!(Response::from_json(&resp.to_json()).as_ref(), Ok(&resp));
     }
 
