@@ -4,14 +4,16 @@
 //! The `assembly` group covers the two workload shapes the plan was built
 //! for:
 //!
-//! * `power_grid` — linear-dominated (the plan restores every row by flat
-//!   copies; `restamp` should beat `legacy_coo` by a wide margin),
+//! * `power_grid` — linear-dominated (the plan restores the values by flat
+//!   copies and shares its patterns; `restamp` should beat `legacy_coo` by a
+//!   wide margin),
 //! * `coupled_mosfets` — nonlinear drivers on long RC lines (only the
-//!   driver rows are re-deduplicated per evaluation; the win shrinks with
+//!   drivers' cells are scatter-added per evaluation; the win shrinks with
 //!   the nonlinear fraction but must remain clear).
 //!
-//! A head-to-head ratio is printed after each subgroup; the plan-compile
-//! timing shows how many evaluations amortize one compilation.
+//! A head-to-head ratio is printed after each subgroup, with the restamp
+//! time in microseconds; the plan-compile timing shows how many evaluations
+//! amortize one compilation.
 
 use std::time::Instant;
 
@@ -74,12 +76,13 @@ fn bench_case(c: &mut Criterion, tag: &str, circuit: &Circuit) {
     let legacy = start.elapsed().as_secs_f64() / reps as f64;
     println!(
         "assembly/{tag}: legacy COO {:.3} us vs plan restamp {:.3} us -> {:.1}x speedup \
-         (n = {n}, nnz(G) = {}, nonlinear stamps = {}, assembly allocations = {})",
+         (n = {n}, nnz(G) = {}, nonlinear stamps = {} on {} cells, assembly allocations = {})",
         legacy * 1e6,
         restamp * 1e6,
         legacy / restamp,
         ev.g.nnz(),
         plan.nonlinear_stamp_count(),
+        plan.nonlinear_cells().len(),
         ws.allocations(),
     );
     assert_eq!(

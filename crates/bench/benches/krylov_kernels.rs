@@ -12,7 +12,9 @@
 //!   the measured ratio is printed alongside the timings.
 //! * `partial_refactorize` — what a BENR Newton iteration on tc2 refactorizes:
 //!   `C/h + G` where only the MOSFET cells changed, against a replay of every
-//!   column; the share of columns recomputed is printed.
+//!   column; the changed columns found by comparing every value, and by
+//!   comparing only the cells that read the plan's nonlinear cells of `G` (as
+//!   the engine does); the share of columns recomputed is printed.
 //! * `krylov_mevp` — ablation A: invert vs standard vs rational Krylov
 //!   subspaces on the same matrices, plus the workspace-reusing invert
 //!   variant the ER engine actually runs.
@@ -49,7 +51,9 @@ use exi_netlist::Circuit;
 use exi_sim::{Method, Simulator};
 use exi_sparse::dense::matmul_into;
 use exi_sparse::ordering::compute_ordering;
-use exi_sparse::{vector, CsrMatrix, LuOptions, LuWorkspace, OrderingMethod, SparseLu};
+use exi_sparse::{
+    vector, CombinationMap, CsrMatrix, LuOptions, LuWorkspace, OrderingMethod, SparseLu,
+};
 
 /// The conductance matrix of a laptop-scale power-distribution mesh — the
 /// workload whose per-step `G` factorization dominates the ER engine.
@@ -86,8 +90,19 @@ impl<'m> Alternating<'m> {
     /// Refactorizes `lu` with the other value set than last time; returns
     /// the number of columns recomputed.
     fn refactorize(&mut self, lu: &mut SparseLu, ws: &mut LuWorkspace) -> usize {
+        self.refactorize_changed(lu, None, ws)
+    }
+
+    /// As `refactorize`, comparing only the `changed` value positions when
+    /// given (the two value sets must differ nowhere else).
+    fn refactorize_changed(
+        &mut self,
+        lu: &mut SparseLu,
+        changed: Option<&[usize]>,
+        ws: &mut LuWorkspace,
+    ) -> usize {
         self.turn ^= 1;
-        lu.refactorize_with(self.values[self.turn], ws)
+        lu.refactorize_changed(self.values[self.turn], changed, ws)
             .expect("refactorization")
     }
 }
@@ -135,7 +150,9 @@ fn bench_lu_refactorize(c: &mut Criterion) {
 /// What a BENR Newton iteration refactorizes on tc2 (16 MOSFET-driven
 /// lines, n = 514): `C/h + G` at a mid-switching state, then at that state
 /// nudged by 0.1 %, so that only the MOSFET cells differ — against a replay
-/// of every column.
+/// of every column. The engine's Jacobian fill reports the cells it wrote
+/// (those that read a nonlinear cell of `G`); `mosfet_cells_listed` compares
+/// only those.
 fn bench_partial_refactorize(c: &mut Criterion) {
     let case = &exi_bench::table1_cases(1.0)[1];
     assert_eq!(case.name, "tc2");
@@ -165,6 +182,19 @@ fn bench_partial_refactorize(c: &mut Criterion) {
         .count();
     let mut lu = SparseLu::factorize(&at).expect("LU of C/h + G");
     let mut ws = LuWorkspace::new();
+    // The positions the engine's partial fill reports between the two states.
+    let (eval_at, eval_near) = (
+        plan.evaluate(&x).expect("x"),
+        plan.evaluate(&nudged).expect("x'"),
+    );
+    let mut map = CombinationMap::new(&eval_at.c, &eval_at.g, plan.nonlinear_cells()).expect("map");
+    map.fill(1.0 / h, &eval_at.c, 1.0, &eval_at.g, true)
+        .expect("fill at x");
+    let (filled, listed) = map
+        .fill(1.0 / h, &eval_near.c, 1.0, &eval_near.g, true)
+        .expect("fill at x'");
+    assert_eq!(filled, &near);
+    let listed = listed.expect("a partial fill").to_vec();
 
     let mut group = c.benchmark_group("partial_refactorize");
     group.sample_size(20);
@@ -178,10 +208,19 @@ fn bench_partial_refactorize(c: &mut Criterion) {
     group.bench_function("tc2/mosfet_cells", |b| {
         b.iter(|| partial.refactorize(&mut lu, &mut ws))
     });
+    assert_eq!(
+        partial.refactorize_changed(&mut lu, Some(&listed), &mut ws),
+        columns
+    );
+    group.bench_function("tc2/mosfet_cells_listed", |b| {
+        b.iter(|| partial.refactorize_changed(&mut lu, Some(&listed), &mut ws))
+    });
     group.finish();
     println!(
-        "partial_refactorize/tc2: {cells} of {} cells changed; {columns} of {} columns ({:.1} %) recomputed",
+        "partial_refactorize/tc2: {cells} of {} cells changed, {} compared when listed; \
+         {columns} of {} columns ({:.1} %) recomputed",
         at.nnz(),
+        listed.len(),
         at.rows(),
         100.0 * columns as f64 / at.rows() as f64
     );

@@ -317,7 +317,7 @@ pub(crate) fn dc_operating_point_internal(
         } else {
             (&mut *g_lu, &ev.g, Some(plan))
         };
-        let lu = refresh_lu(slot, g_plan, jac, &lu_options, lu_ws, stats)?;
+        let lu = refresh_lu(slot, g_plan, jac, None, &lu_options, lu_ws, stats)?;
         lu.solve_into(&rhs, &mut delta, lu_ws)?;
         stats.linear_solves += 1;
         // Simple voltage limiting keeps exponential devices in range.

@@ -552,6 +552,7 @@ impl ErStepper<'_> {
             &mut caches.g_lu,
             Some(&*self.plan),
             &self.eval_k.g,
+            None,
             &self.lu_options,
             &mut caches.lu_ws,
             &mut self.stats,

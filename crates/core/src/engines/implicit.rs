@@ -7,14 +7,18 @@
 //! nevertheless fixed — the structural union of the plan's `C` and `G`
 //! patterns, whatever `x` and `h` are — so the stepper walks that union once,
 //! when it is built ([`CombinationMap`]), and every iteration only rewrites
-//! the values; the baseline also benefits from the cached symbolic analysis:
-//! after the first Newton iteration the factorizations run through the
-//! numeric-only refactorization path, which recomputes only the factor
-//! columns the changed cells reach. The remaining per-iteration cost
-//! asymmetry against ER is the *numeric* elimination on the much denser
-//! factors, which is exactly the paper's argument. Each attempt's first
-//! Newton iterate is the step's start state, so that iteration reads the
-//! device evaluation the step already made there.
+//! values: at a step size the previous iteration already used, only the
+//! cells that read the plan's nonlinear cells of `G`
+//! ([`EvalPlan::nonlinear_cells`]), since `C` and the rest of `G` are
+//! compile-time constants. The baseline also benefits from the cached
+//! symbolic analysis: after the first Newton iteration the factorizations
+//! run through the numeric-only refactorization path, which compares the
+//! cells the fill rewrote and recomputes only the factor columns the changed
+//! ones reach. The remaining per-iteration cost asymmetry against ER is the
+//! *numeric* elimination on the much denser factors, which is exactly the
+//! paper's argument. Each attempt's first Newton iterate is the step's start
+//! state, so that iteration reads the device evaluation the step already
+//! made there.
 //!
 //! The engine is exposed as the incremental [`ImplicitStepper`] (one accepted
 //! step per [`Engine::advance`] call).
@@ -23,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use exi_netlist::{Circuit, EvalPlan, Evaluation};
-use exi_sparse::{vector, CombinationMap, CsrMatrix, LuOptions};
+use exi_sparse::{vector, CombinationMap, LuOptions};
 
 use crate::engines::{clamp_step, prepare, reached_end, refresh_lu, Engine, StepOutcome};
 use crate::error::{SimError, SimResult};
@@ -74,11 +78,10 @@ pub struct ImplicitStepper<'a> {
     // Circuit-sized scratch buffers, allocated once per stepper.
     eval_k: Evaluation,
     eval_i: Evaluation,
-    /// The implicit Jacobian `C/h + θ·G`. Its pattern, the union of the
-    /// plan's fixed `C` and `G` patterns, is built once with `jac_map`; each
-    /// Newton iteration only refills its values.
-    jac: CsrMatrix,
-    /// Where each cell of `jac` reads its `C` and `G` values.
+    /// The implicit Jacobian `C/h + θ·G` and where each of its cells reads
+    /// its `C` and `G` values. Its pattern, the union of the plan's fixed `C`
+    /// and `G` patterns, is built once; each Newton iteration only refills
+    /// values, all of them or just the nonlinear devices' cells.
     jac_map: CombinationMap,
     u_k: Vec<f64>,
     u_next: Vec<f64>,
@@ -126,7 +129,7 @@ impl<'a> ImplicitStepper<'a> {
         let input_dim = plan.input_matrix().cols();
         let assembly_alloc_baseline = caches.eval_ws.allocations();
         let eval_k = plan.new_evaluation();
-        let (jac_map, jac) = CombinationMap::new(&eval_k.c, &eval_k.g)?;
+        let jac_map = CombinationMap::new(&eval_k.c, &eval_k.g, plan.nonlinear_cells())?;
         Ok(ImplicitStepper {
             circuit,
             caches,
@@ -137,7 +140,6 @@ impl<'a> ImplicitStepper<'a> {
             n,
             eval_k,
             eval_i: plan.new_evaluation(),
-            jac,
             jac_map,
             u_k: vec![0.0; input_dim],
             u_next: vec![0.0; input_dim],
@@ -236,8 +238,13 @@ impl ImplicitStepper<'_> {
         self.stats.restamped_entries +=
             plan.evaluate_into(&self.x, &mut caches.eval_ws, &mut self.eval_k)?;
         self.stats.device_evaluations += 1;
+        // A fault hook that edited `eval_k` may have touched cells no device
+        // writes: the fills that read it, and the fill after each, rewrite
+        // every cell.
         #[cfg(feature = "fault-injection")]
-        crate::fault::on_device_eval(&mut self.eval_k);
+        let eval_k_edited = crate::fault::on_device_eval(&mut self.eval_k);
+        #[cfg(not(feature = "fault-injection"))]
+        let eval_k_edited = false;
         let b = plan.input_matrix();
         self.circuit.input_vector_into(self.t, &mut self.u_k);
         b.mul_vec_into(&self.u_k, &mut self.bu_k);
@@ -287,13 +294,20 @@ impl ImplicitStepper<'_> {
                 // Jacobian C/h + θ·G — this is the matrix whose LU dominates
                 // BENR's cost on densely coupled circuits. Only its values
                 // are rewritten, through the map built with its pattern
-                // (bit-identical to `CsrMatrix::linear_combination`).
-                self.jac_map
-                    .fill(1.0 / h_step, &ev.c, theta, &ev.g, &mut self.jac)?;
+                // (bit-identical to `CsrMatrix::linear_combination`): at the
+                // last fill's `h`, only the cells of the nonlinear devices,
+                // and the refactorization compares only those.
+                let only_devices_moved = !(iterations == 1 && eval_k_edited);
+                let (jac, changed) =
+                    self.jac_map
+                        .fill(1.0 / h_step, &ev.c, theta, &ev.g, only_devices_moved)?;
+                #[cfg(test)]
+                tests::audit_fill(self.t, h_step, theta, ev, jac, changed);
                 let lu = refresh_lu(
                     &mut caches.jac_lu,
                     None,
-                    &self.jac,
+                    jac,
+                    changed,
                     &self.lu_options,
                     &mut caches.lu_ws,
                     &mut self.stats,
@@ -397,6 +411,8 @@ mod tests {
     use crate::session::Simulator;
     use crate::transient::Method;
     use exi_netlist::{generators, Waveform};
+    use exi_sparse::CsrMatrix;
+    use std::cell::RefCell;
 
     fn run_scheme(
         ckt: &Circuit,
@@ -540,66 +556,244 @@ mod tests {
         }
     }
 
+    /// One Jacobian fill, as [`audit_fill`] saw it.
+    #[derive(Debug, Clone, Copy)]
+    struct Fill {
+        /// Start of the step attempt.
+        t: f64,
+        h: f64,
+        /// Cells a partial fill wrote; `None` for a fill of every cell.
+        written: Option<usize>,
+    }
+
+    thread_local! {
+        /// Every fill on this thread, while armed.
+        static FILLS: RefCell<Option<Vec<Fill>>> = const { RefCell::new(None) };
+    }
+
+    /// When [`audited_fills`] has armed this thread: checks that the fill
+    /// left `jac` equal, pattern and value bits, to
+    /// `CsrMatrix::linear_combination` of the evaluation it read, and
+    /// records it.
+    pub(super) fn audit_fill(
+        t: f64,
+        h: f64,
+        theta: f64,
+        ev: &Evaluation,
+        jac: &CsrMatrix,
+        changed: Option<&[usize]>,
+    ) {
+        FILLS.with(|fills| {
+            if let Some(fills) = fills.borrow_mut().as_mut() {
+                let merged = CsrMatrix::linear_combination(1.0 / h, &ev.c, theta, &ev.g).unwrap();
+                let bits =
+                    |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(jac.indptr(), merged.indptr(), "fill {}", fills.len());
+                assert_eq!(jac.indices(), merged.indices(), "fill {}", fills.len());
+                assert_eq!(
+                    bits(jac),
+                    bits(&merged),
+                    "fill {} at h = {h:e}",
+                    fills.len()
+                );
+                fills.push(Fill {
+                    t,
+                    h,
+                    written: changed.map(<[usize]>::len),
+                });
+            }
+        });
+    }
+
+    /// Runs `scheme` on `ckt` from its DC operating point with every
+    /// Jacobian fill audited: the transient's own stats and the fills, in
+    /// order.
+    fn audited_fills(
+        ckt: &Circuit,
+        scheme: ImplicitScheme,
+        options: &TransientOptions,
+    ) -> (RunStats, Vec<Fill>) {
+        audited_fills_after(ckt, scheme, options, || {})
+    }
+
+    /// [`audited_fills`], calling `before` between the DC solve and the
+    /// transient.
+    fn audited_fills_after(
+        ckt: &Circuit,
+        scheme: ImplicitScheme,
+        options: &TransientOptions,
+        before: impl FnOnce(),
+    ) -> (RunStats, Vec<Fill>) {
+        let x0 = crate::dc_operating_point(ckt, &crate::DcOptions::default())
+            .unwrap()
+            .state;
+        let mut caches = SessionCaches {
+            plan: Some(Arc::new(EvalPlan::compile(ckt).unwrap())),
+            ..SessionCaches::default()
+        };
+        let mut stepper =
+            ImplicitStepper::new(ckt, &mut caches, scheme, options.clone(), RunStats::new())
+                .unwrap();
+        stepper.init(0.0, &x0, &mut crate::NullObserver).unwrap();
+        before();
+        FILLS.with(|fills| *fills.borrow_mut() = Some(Vec::new()));
+        let stats = stepper.run_to_end(&mut crate::NullObserver);
+        let fills = FILLS.with(|fills| fills.borrow_mut().take()).unwrap();
+        (stats.unwrap(), fills)
+    }
+
     #[test]
     fn jacobian_fill_matches_linear_combination_bitwise() {
         let ckt = mosfet_chain();
-        let x0 = crate::dc_operating_point(&ckt, &crate::DcOptions::default())
-            .unwrap()
-            .state;
-        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cells = EvalPlan::compile(&ckt).unwrap().nonlinear_cells().len();
         for scheme in [ImplicitScheme::BackwardEuler, ImplicitScheme::Trapezoidal] {
-            let mut caches = SessionCaches {
-                plan: Some(Arc::new(EvalPlan::compile(&ckt).unwrap())),
-                ..SessionCaches::default()
-            };
-            let mut stepper =
-                ImplicitStepper::new(&ckt, &mut caches, scheme, chain_options(), RunStats::new())
-                    .unwrap();
-            stepper.init(0.0, &x0, &mut crate::NullObserver).unwrap();
-            let (mut steps, mut step_sizes, mut g_values) = (0, Vec::new(), Vec::new());
-            let mut from_eval_k = 0;
-            loop {
-                let before = stepper.stats.clone();
-                let StepOutcome::Advanced { h, .. } =
-                    stepper.advance(&mut crate::NullObserver).unwrap()
-                else {
-                    break;
-                };
-                // Without a rejection the step's one attempt ran all its
-                // Newton iterations; only then is the last one's known.
-                if stepper.stats.rejected_steps > before.rejected_steps {
+            // The audit compares every fill, partial or full, with the merge.
+            let (s, fills) = audited_fills(&ckt, scheme, &chain_options());
+            assert_eq!(fills.len(), s.newton_iterations, "{scheme:?}");
+            let partial: Vec<usize> = fills.iter().filter_map(|f| f.written).collect();
+            assert!(
+                partial.len() > fills.len() / 2,
+                "{scheme:?}: {} of {} fills partial",
+                partial.len(),
+                fills.len()
+            );
+            // A partial fill writes exactly the nonlinear devices' cells.
+            assert!(
+                partial.iter().all(|&w| w == cells),
+                "{scheme:?}: {partial:?}"
+            );
+            let mut step_sizes: Vec<u64> = fills.iter().map(|f| f.h.to_bits()).collect();
+            step_sizes.sort_unstable();
+            step_sizes.dedup();
+            assert!(s.accepted_steps > 10, "{scheme:?}: {s:?}");
+            assert!(step_sizes.len() >= 3, "{scheme:?}: {step_sizes:?}");
+        }
+    }
+
+    #[test]
+    fn every_change_of_the_step_size_refills_every_cell() {
+        let ckt = mosfet_chain();
+        let options = chain_options();
+        let breakpoints = ckt.breakpoints(options.t_stop);
+        let at_breakpoint = |f: &Fill| {
+            breakpoints
+                .iter()
+                .any(|&bp| (f.t + f.h - bp).abs() <= 1e-9 * f.h)
+        };
+        for scheme in [ImplicitScheme::BackwardEuler, ImplicitScheme::Trapezoidal] {
+            let (s, fills) = audited_fills(&ckt, scheme, &options);
+            assert!(fills[0].written.is_none(), "{scheme:?}: the first fill");
+            let (mut rejection, mut growth, mut clamp) = (0, 0, 0);
+            for pair in fills.windows(2) {
+                let (before, fill) = (pair[0], pair[1]);
+                if fill.h.to_bits() == before.h.to_bits() {
+                    assert!(
+                        fill.written.is_some(),
+                        "{scheme:?}: {fill:?} after {before:?}"
+                    );
                     continue;
                 }
-                // The last iteration formed `jac` at the step's `h` from the
-                // evaluation it read: `eval_k` at iteration 1, else `eval_i`.
-                let iterations = stepper.stats.newton_iterations - before.newton_iterations;
-                let ev = if iterations == 1 {
-                    from_eval_k += 1;
-                    &stepper.eval_k
-                } else {
-                    &stepper.eval_i
-                };
-                let merged =
-                    CsrMatrix::linear_combination(1.0 / h, &ev.c, stepper.theta, &ev.g).unwrap();
-                assert_eq!(stepper.jac.indptr(), merged.indptr(), "{scheme:?}");
-                assert_eq!(stepper.jac.indices(), merged.indices(), "{scheme:?}");
-                assert_eq!(bits(&stepper.jac), bits(&merged), "{scheme:?} at h = {h:e}");
-                steps += 1;
-                if !step_sizes.contains(&h.to_bits()) {
-                    step_sizes.push(h.to_bits());
-                }
-                if !g_values.contains(&bits(&ev.g)) {
-                    g_values.push(bits(&ev.g));
+                assert!(
+                    fill.written.is_none(),
+                    "{scheme:?}: {fill:?} after {before:?}"
+                );
+                if fill.t == before.t {
+                    rejection += 1;
+                } else if at_breakpoint(&fill) && fill.h < before.h {
+                    clamp += 1;
+                } else if fill.h > before.h {
+                    growth += 1;
                 }
             }
-            assert!(steps > 10, "{scheme:?}: {steps} steps");
-            assert!(
-                from_eval_k > 0,
-                "{scheme:?}: no step converged at iteration 1"
-            );
-            assert!(step_sizes.len() >= 3, "{scheme:?}: {step_sizes:?}");
-            assert!(g_values.len() > 10, "{scheme:?}: {} states", g_values.len());
+            assert!(s.rejected_steps > 0, "{scheme:?}: {s:?}");
+            assert!(rejection > 0, "{scheme:?}: no retry at a shrunk h");
+            assert!(growth > 0, "{scheme:?}: no step grew");
+            assert!(clamp > 0, "{scheme:?}: no step was clamped to a breakpoint");
         }
+    }
+
+    /// A fault hook that zeroes a row and column of a step's `eval_k.g`
+    /// edits cells no device writes: the fill that reads it, and the one
+    /// after, write every cell (so `refresh_lu` compares every value), where
+    /// a clean run wrote only the devices' cells. The audit checks each fill
+    /// against the merge of what it read.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_fault_edited_evaluation_is_filled_and_compared_in_full() {
+        use crate::fault::{install, FaultGuard, FaultSpec};
+        let ckt = mosfet_chain();
+        let options = chain_options();
+        let (_, clean) = audited_fills(&ckt, ImplicitScheme::BackwardEuler, &options);
+        // The step whose first fill, and the fill after it, were partial:
+        // its `eval_k` is device evaluation `step` of the transient.
+        let (mut step, mut at) = (0, None);
+        for (i, pair) in clean.windows(2).enumerate() {
+            if i == 0 || clean[i - 1].t != pair[0].t {
+                step += 1;
+                if pair[0].written.is_some() && pair[1].written.is_some() && step > 3 {
+                    at = Some(i);
+                    break;
+                }
+            }
+        }
+        let at = at.expect("a step at an unchanged h");
+        let unknown = ckt.find_node("s2").and_then(|n| n.unknown()).unwrap();
+        let label = "implicit-fill-fault-edited-evaluation";
+        let _guard = FaultGuard::arm(
+            label,
+            FaultSpec {
+                singular_unknown: Some((step, unknown)),
+                ..FaultSpec::default()
+            },
+        );
+        let (_, faulted) =
+            audited_fills_after(&ckt, ImplicitScheme::BackwardEuler, &options, || {
+                assert!(install(label));
+            });
+        let key = |f: &Fill| (f.t.to_bits(), f.h.to_bits(), f.written);
+        let same: Vec<_> = clean[..at].iter().map(key).collect();
+        assert_eq!(faulted[..at].iter().map(key).collect::<Vec<_>>(), same);
+        assert_eq!(faulted[at].t, clean[at].t);
+        assert_eq!((faulted[at].written, faulted[at + 1].written), (None, None));
+    }
+
+    /// `benr_sparse_drivers`' circuit (exibench; Table I's tc2 analogue):
+    /// 16 lines of 30 segments, each driven by an inverter.
+    fn sparse_drivers() -> Circuit {
+        generators::coupled_lines(&generators::CoupledLinesSpec {
+            lines: 16,
+            segments: 30,
+            coupling_capacitance: 0.0,
+            random_couplings: 0,
+            mosfet_drivers: true,
+            ..generators::CoupledLinesSpec::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn a_partial_fill_writes_the_plans_nonlinear_cells_on_the_sparse_drivers() {
+        let ckt = sparse_drivers();
+        let plan = EvalPlan::compile(&ckt).unwrap();
+        assert_eq!(ckt.num_unknowns(), 514);
+        assert_eq!(plan.nonlinear_stamp_count(), 128);
+        assert_eq!(plan.nonlinear_cells().len(), 81);
+        let eval = plan.new_evaluation();
+        let map = CombinationMap::new(&eval.c, &eval.g, plan.nonlinear_cells()).unwrap();
+        assert_eq!((eval.g.nnz(), map.matrix().nnz()), (1507, 1555));
+        // Past the first driver's switching, so that steps take several
+        // Newton iterations.
+        let options = TransientOptions {
+            t_stop: 1.4e-10,
+            h_init: 1e-12,
+            h_max: 5e-12,
+            error_budget: 1e-3,
+            ..TransientOptions::default()
+        };
+        let (s, fills) = audited_fills(&ckt, ImplicitScheme::BackwardEuler, &options);
+        let partial: Vec<usize> = fills.iter().filter_map(|f| f.written).collect();
+        assert!(partial.len() > s.accepted_steps, "{s:?}");
+        assert!(partial.iter().all(|&w| w == 81), "{partial:?}");
     }
 
     #[test]

@@ -226,11 +226,15 @@ pub(crate) fn reached_end(t: f64, t_stop: f64) -> bool {
 ///
 /// 1. **In-place refactorization** of the slot's factor — the step hot path:
 ///    no hashing, no locks, no allocation. It recomputes only the factor
-///    columns that `a`'s changed values reach ([`SparseLu::refactorize_with`]).
-///    One that recomputes nothing found `a` value for value the matrix the
-///    factor was computed from and counts as a [`RunStats::lu_reuses`]; on a
-///    linear circuit that is every ER step after the DC solve, and every
-///    implicit step that keeps its `h`.
+///    columns that `a`'s changed values reach
+///    ([`SparseLu::refactorize_changed`]), comparing every value (`changed`
+///    is `None`) or only the listed positions of a matrix whose caller knows
+///    nothing else moved since the slot's factor last saw it (the implicit
+///    Jacobian's nonlinear cells, as [`exi_sparse::CombinationMap::fill`]
+///    reports them). One that recomputes nothing found `a` value for value
+///    the matrix the factor was computed from and counts as a
+///    [`RunStats::lu_reuses`]; on a linear circuit that is every ER step
+///    after the DC solve, and every implicit step that keeps its `h`.
 /// 2. Otherwise — the slot is empty, or the frozen pivot order is no longer
 ///    viable for `a`'s values (vanished pivot, excessive element growth) — a
 ///    **fresh** factorization that pivots on `a`'s own values. For the `G`
@@ -245,11 +249,14 @@ pub(crate) fn refresh_lu<'s>(
     slot: &'s mut Option<SparseLu>,
     g_plan: Option<&EvalPlan>,
     a: &CsrMatrix,
+    changed: Option<&[usize]>,
     options: &LuOptions,
     ws: &mut LuWorkspace,
     stats: &mut RunStats,
 ) -> SimResult<&'s SparseLu> {
-    let recomputed = slot.as_mut().map(|lu| lu.refactorize_with(a, ws));
+    let recomputed = slot
+        .as_mut()
+        .map(|lu| lu.refactorize_changed(a, changed, ws));
     if let Some(Ok(columns)) = recomputed {
         let lu = slot.as_ref().expect("refactorized above");
         check_fill_budget(lu, options)?;

@@ -187,15 +187,22 @@ pub fn uninstall() {
 }
 
 /// Engine hook: a device evaluation just produced `eval`. Applies
-/// `singular_unknown` / `nan_f` when their trigger count is reached.
-pub(crate) fn on_device_eval(eval: &mut exi_netlist::Evaluation) {
+/// `singular_unknown` / `nan_f` when their trigger count is reached, and
+/// returns whether it edited `eval.g` — which can touch cells no device
+/// writes, so a consumer that refreshes only the devices' cells must refresh
+/// every cell of this evaluation and of the next.
+pub(crate) fn on_device_eval(eval: &mut exi_netlist::Evaluation) -> bool {
     ACTIVE.with(|slot| {
         let mut slot = slot.borrow_mut();
-        let Some(state) = slot.as_mut() else { return };
+        let Some(state) = slot.as_mut() else {
+            return false;
+        };
         state.evals += 1;
+        let mut edited_g = false;
         if let Some((at, unknown)) = state.spec.singular_unknown {
             if state.evals == at {
                 zero_row_col(&mut eval.g, unknown);
+                edited_g = true;
             }
         }
         if let Some((at, index)) = state.spec.nan_f {
@@ -205,7 +212,8 @@ pub(crate) fn on_device_eval(eval: &mut exi_netlist::Evaluation) {
                 }
             }
         }
-    });
+        edited_g
+    })
 }
 
 /// Engine hook: about to build Krylov subspace number `n` (thread-local

@@ -167,20 +167,14 @@ fn reset_vec<T: Copy>(v: &mut Vec<T>, len: usize, fill: T, allocs: &mut usize) {
     v.resize(len, fill);
 }
 
-/// Overwrites `out` with `src` — three flat copies into `out`'s existing
-/// buffers — counting capacity growths into `allocs`.
+/// Overwrites `out` with `src`: shares `src`'s pattern handle and copies
+/// its values into `out`'s value buffer, counting a capacity growth into
+/// `allocs`.
 fn restore(src: &CsrMatrix, out: &mut CsrMatrix, allocs: &mut usize) {
-    let (mut indptr, mut indices, mut values) = out.take_parts();
-    if indptr.capacity() < src.indptr().len() {
+    if out.value_capacity() < src.nnz() {
         *allocs += 1;
     }
-    if indices.capacity() < src.nnz() || values.capacity() < src.nnz() {
-        *allocs += 1;
-    }
-    src.indptr().clone_into(&mut indptr);
-    src.indices().clone_into(&mut indices);
-    src.values().clone_into(&mut values);
-    *out = CsrMatrix::from_parts_unchecked(src.rows(), src.cols(), indptr, indices, values);
+    out.clone_from(src);
 }
 
 /// A precompiled evaluation plan for one circuit topology.
@@ -227,6 +221,9 @@ pub struct EvalPlan {
     b: CsrMatrix,
     kernels: Vec<DeviceKernel>,
     nl_slots: usize,
+    /// The `G` value positions the nonlinear slots write, ascending, once
+    /// each.
+    nl_cells: Vec<usize>,
     gmin: f64,
     /// Fill-reducing orderings of `g`'s pattern, one per [`OrderingMethod`],
     /// each computed on first request ([`EvalPlan::g_ordering`]).
@@ -476,6 +473,9 @@ impl EvalPlan {
                 *cell = value_index[*cell];
             }
         }
+        let mut nl_cells = value_index;
+        nl_cells.sort_unstable();
+        nl_cells.dedup();
         Ok(EvalPlan {
             n,
             input_dim,
@@ -484,6 +484,7 @@ impl EvalPlan {
             b: rec.b.to_csr(),
             kernels,
             nl_slots: rec.slot_cells.len(),
+            nl_cells,
             gmin,
             g_orderings: Default::default(),
         })
@@ -512,6 +513,16 @@ impl EvalPlan {
     /// `restamped_entries` counter). Zero for a purely linear circuit.
     pub fn nonlinear_stamp_count(&self) -> usize {
         self.nl_slots
+    }
+
+    /// The value positions of `G` the nonlinear slots write, ascending and
+    /// each once: the only cells of an evaluated `G` that depend on `x`.
+    /// Every other value is a compile-time constant, restored with the same
+    /// bits by every evaluation. Several slots can share a cell (two
+    /// devices on one node pair), so this can be shorter than
+    /// [`EvalPlan::nonlinear_stamp_count`].
+    pub fn nonlinear_cells(&self) -> &[usize] {
+        &self.nl_cells
     }
 
     /// The `gmin` value baked into the plan's nonlinear kernels.
@@ -563,8 +574,9 @@ impl EvalPlan {
     /// ([`EvalPlan::nonlinear_stamp_count`]).
     ///
     /// `out.g` and `out.c` come back on the plan's fixed patterns at every
-    /// `x` (see the module docs). `out`'s previous contents are irrelevant —
-    /// only its buffer capacity is reused.
+    /// `x` (see the module docs), sharing the plan's pattern handles: a
+    /// restamp copies values only. `out`'s previous contents are irrelevant
+    /// — only its value buffers' capacity is reused.
     ///
     /// # Errors
     ///
@@ -935,6 +947,73 @@ mod tests {
         assert_csr_bits_equal(&ev.c, &legacy.c);
         assert_bits_equal(&ev.f, &legacy.f);
         assert_bits_equal(&ev.q, &legacy.q);
+    }
+
+    #[test]
+    fn a_restamp_shares_the_plans_patterns_whatever_the_evaluation_held() {
+        let ckt = mixed_circuit();
+        let plan = ckt.compile_plan().unwrap();
+        let n = ckt.num_unknowns();
+        let x: Vec<f64> = (0..n).map(|i| 0.2 * i as f64 - 0.3).collect();
+        let expected = plan.evaluate(&x).unwrap();
+        let shared = |a: &CsrMatrix, b: &CsrMatrix| {
+            a.indptr().as_ptr() == b.indptr().as_ptr()
+                && a.indices().as_ptr() == b.indices().as_ptr()
+        };
+        // An evaluation another plan made: previous contents are irrelevant.
+        let mut foreign = Circuit::new();
+        let a = foreign.node("a");
+        let gnd = foreign.node("0");
+        foreign
+            .add_voltage_source("V", a, gnd, Waveform::Dc(1.0))
+            .unwrap();
+        foreign.add_resistor("R", a, gnd, 1e3).unwrap();
+        let mut ev = foreign.compile_plan().unwrap().new_evaluation();
+        let mut ws = plan.new_workspace();
+        for _ in 0..2 {
+            plan.evaluate_into(&x, &mut ws, &mut ev).unwrap();
+            assert_csr_bits_equal(&ev.g, &expected.g);
+            assert_csr_bits_equal(&ev.c, &expected.c);
+            assert_bits_equal(&ev.f, &expected.f);
+            assert_bits_equal(&ev.q, &expected.q);
+            assert!(shared(&ev.g, &expected.g) && shared(&ev.c, &expected.c));
+        }
+        // The smaller buffers grew once, on the first restamp.
+        let grown = ws.allocations();
+        assert!(grown > 0);
+        plan.evaluate_into(&x, &mut ws, &mut ev).unwrap();
+        assert_eq!(ws.allocations(), grown);
+        // The plan's own evaluations restamp without allocating.
+        let mut ws = plan.new_workspace();
+        let mut own = plan.new_evaluation();
+        plan.evaluate_into(&x, &mut ws, &mut own).unwrap();
+        assert!(shared(&own.g, &expected.g) && shared(&own.c, &expected.c));
+        assert_eq!(ws.allocations(), 0);
+    }
+
+    #[test]
+    fn nonlinear_cells_are_the_g_values_the_devices_write() {
+        let ckt = mixed_circuit();
+        let plan = ckt.compile_plan().unwrap();
+        let cells = plan.nonlinear_cells();
+        assert!(cells.windows(2).all(|w| w[0] < w[1]));
+        assert!(!cells.is_empty() && cells.len() <= plan.nonlinear_stamp_count());
+        // Every other value is the same at any state.
+        let n = ckt.num_unknowns();
+        let at = |scale: f64| {
+            plan.evaluate(&(0..n).map(|i| scale * i as f64).collect::<Vec<_>>())
+                .unwrap()
+        };
+        let (a, b) = (at(0.1), at(-0.7));
+        let moved: Vec<usize> = (0..a.g.nnz())
+            .filter(|&k| a.g.values()[k].to_bits() != b.g.values()[k].to_bits())
+            .collect();
+        assert!(!moved.is_empty());
+        assert!(
+            moved.iter().all(|k| cells.binary_search(k).is_ok()),
+            "{moved:?} vs {cells:?}"
+        );
+        assert_csr_bits_equal(&a.c, &b.c);
     }
 
     #[test]

@@ -6,11 +6,26 @@
 //! such as `C/h + G` (needed by the backward-Euler baseline) are computed by
 //! merging rows.
 
+use std::sync::Arc;
+
 use crate::error::{SparseError, SparseResult};
+
+/// The structure of a CSR matrix: row pointers and sorted, unique column
+/// indices per row. Immutable once built and shared behind an [`Arc`] by
+/// every matrix (and every [`crate::SymbolicLu`]) that has it.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Pattern {
+    pub(crate) indptr: Vec<usize>,
+    pub(crate) indices: Vec<usize>,
+}
 
 /// An immutable sparse matrix in compressed sparse row format.
 ///
-/// Column indices within each row are sorted and unique.
+/// Column indices within each row are sorted and unique. The structure
+/// (`indptr`/`indices`) lives behind one shared, immutable handle: cloning a
+/// matrix — or [`Clone::clone_from`] into one — copies its values and shares
+/// its pattern, and code that knows two matrices share a pattern compares the
+/// handles, not the arrays (see [`crate::SymbolicLu::matches_pattern`]).
 ///
 /// # Examples
 ///
@@ -24,39 +39,45 @@ use crate::error::{SparseError, SparseResult};
 /// let a: CsrMatrix = t.to_csr();
 /// assert_eq!(a.mul_vec(&[1.0, 1.0]), vec![1.0, 3.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
-    indptr: Vec<usize>,
-    indices: Vec<usize>,
+    pattern: Arc<Pattern>,
     values: Vec<f64>,
+}
+
+impl Clone for CsrMatrix {
+    fn clone(&self) -> Self {
+        CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            pattern: Arc::clone(&self.pattern),
+            values: self.values.clone(),
+        }
+    }
+
+    /// Shares `source`'s pattern and copies its values into `self`'s value
+    /// buffer, which allocates only when that buffer is too small.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        if !Arc::ptr_eq(&self.pattern, &source.pattern) {
+            self.pattern = Arc::clone(&source.pattern);
+        }
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl CsrMatrix {
     /// Creates an empty (all-zero) `rows x cols` matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        CsrMatrix {
-            rows,
-            cols,
-            indptr: vec![0; rows + 1],
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
+        Self::from_parts_unchecked(rows, cols, vec![0; rows + 1], Vec::new(), Vec::new())
     }
 
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
-        let indptr = (0..=n).collect();
-        let indices = (0..n).collect();
-        let values = vec![1.0; n];
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            indptr,
-            indices,
-            values,
-        }
+        Self::from_parts_unchecked(n, n, (0..=n).collect(), (0..n).collect(), vec![1.0; n])
     }
 
     /// Builds a CSR matrix from raw triplets, summing duplicates and dropping
@@ -110,13 +131,7 @@ impl CsrMatrix {
             }
             indptr[r + 1] = indices.len();
         }
-        CsrMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        }
+        Self::from_parts_unchecked(rows, cols, indptr, indices, values)
     }
 
     /// Builds a CSR matrix directly from its raw components.
@@ -184,79 +199,42 @@ impl CsrMatrix {
                 prev = Some(c);
             }
         }
-        Ok(CsrMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        })
+        Ok(Self::from_parts_unchecked(
+            rows, cols, indptr, indices, values,
+        ))
     }
 
-    /// Builds a CSR matrix directly from its raw components without
-    /// validating them.
-    ///
-    /// This is the reassembly half of the allocation-free stamping path: a
-    /// caller that obtained buffers via [`CsrMatrix::take_parts`] refills
-    /// them and hands them back here, so the steady-state hot loop performs
-    /// no allocation and no structural re-validation. The caller must uphold
-    /// the CSR invariants checked by [`CsrMatrix::try_from_raw`] (correct
-    /// `indptr` length and terminator, sorted unique in-range column indices
-    /// per row); they are `debug_assert`ed, and a violating matrix makes
-    /// later queries return wrong results or panic.
-    pub fn from_parts_unchecked(
+    /// Builds a CSR matrix from raw components the caller built valid: the
+    /// CSR invariants checked by [`CsrMatrix::try_from_raw`] are only
+    /// `debug_assert`ed. The vectors move into the matrix (the structure
+    /// into a fresh shared pattern); nothing is copied.
+    fn from_parts_unchecked(
         rows: usize,
         cols: usize,
         indptr: Vec<usize>,
         indices: Vec<usize>,
         values: Vec<f64>,
     ) -> Self {
-        debug_assert_eq!(indptr.len(), rows + 1, "csr indptr length");
         debug_assert_eq!(indices.len(), values.len(), "csr indices/values length");
-        debug_assert_eq!(
-            *indptr.last().unwrap_or(&0),
-            indices.len(),
-            "csr indptr terminator"
-        );
-        #[cfg(debug_assertions)]
-        {
-            for r in 0..rows {
-                debug_assert!(indptr[r] <= indptr[r + 1], "csr indptr monotonicity");
-                let row = &indices[indptr[r]..indptr[r + 1]];
-                debug_assert!(
-                    row.windows(2).all(|w| w[0] < w[1]),
-                    "csr columns sorted and unique in row {r}"
-                );
-                debug_assert!(row.iter().all(|&c| c < cols), "csr column range in row {r}");
-            }
-        }
+        let pattern = Pattern { indptr, indices };
+        debug_assert_valid(&pattern, rows, cols);
         CsrMatrix {
             rows,
             cols,
-            indptr,
-            indices,
+            pattern: Arc::new(pattern),
             values,
         }
     }
 
-    /// Takes the raw `(indptr, indices, values)` buffers out of the matrix
-    /// (previous contents included — clear before refilling), leaving it
-    /// **dismantled**: a `0 × 0` placeholder whose `indptr` is empty rather
-    /// than the canonical `[0]`. The dismantled state answers size queries
-    /// (`rows`/`cols`/`nnz`) and compares unequal to any real matrix, but
-    /// must not be used for element access; callers are expected to
-    /// overwrite it via [`CsrMatrix::from_parts_unchecked`] right away.
-    /// Deliberately no allocation happens on either side of the round trip —
-    /// this is the storage-recycling half of the stamping-plan hot path, and
-    /// the buffers keep their capacity.
-    pub fn take_parts(&mut self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        self.rows = 0;
-        self.cols = 0;
-        (
-            std::mem::take(&mut self.indptr),
-            std::mem::take(&mut self.indices),
-            std::mem::take(&mut self.values),
-        )
+    /// The shared structure handle.
+    pub(crate) fn pattern(&self) -> &Arc<Pattern> {
+        &self.pattern
+    }
+
+    /// Capacity of the value buffer: how many values the matrix can take
+    /// on (through [`Clone::clone_from`], say) without allocating.
+    pub fn value_capacity(&self) -> usize {
+        self.values.capacity()
     }
 
     /// Number of rows.
@@ -276,12 +254,12 @@ impl CsrMatrix {
 
     /// Row pointer array (`rows + 1` entries).
     pub fn indptr(&self) -> &[usize] {
-        &self.indptr
+        &self.pattern.indptr
     }
 
     /// Column index array.
     pub fn indices(&self) -> &[usize] {
-        &self.indices
+        &self.pattern.indices
     }
 
     /// Value array.
@@ -305,9 +283,9 @@ impl CsrMatrix {
     /// Panics if `i >= rows`.
     pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
         assert!(i < self.rows, "row index out of bounds");
-        let s = self.indptr[i];
-        let e = self.indptr[i + 1];
-        (&self.indices[s..e], &self.values[s..e])
+        let p = &*self.pattern;
+        let (s, e) = (p.indptr[i], p.indptr[i + 1]);
+        (&p.indices[s..e], &self.values[s..e])
     }
 
     /// Returns the value at `(i, j)`, or `0.0` if not stored.
@@ -342,12 +320,13 @@ impl CsrMatrix {
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "mul_vec: x dimension mismatch");
         assert_eq!(y.len(), self.rows, "mul_vec: y dimension mismatch");
+        let p = &*self.pattern;
         for (i, yi) in y.iter_mut().enumerate() {
-            let s = self.indptr[i];
-            let e = self.indptr[i + 1];
+            let s = p.indptr[i];
+            let e = p.indptr[i + 1];
             let mut acc = 0.0;
             for k in s..e {
-                acc += self.values[k] * x[self.indices[k]];
+                acc += self.values[k] * x[p.indices[k]];
             }
             *yi = acc;
         }
@@ -389,8 +368,10 @@ impl CsrMatrix {
 
     /// As [`CsrMatrix::linear_combination`], rebuilding the result inside
     /// `out`'s existing buffers. `out`'s previous contents are discarded; its
-    /// buffer capacity is reused, so a steady-state caller allocates nothing.
-    /// The merge is the same row walk as the allocating form, producing
+    /// buffer capacity is reused when nothing else shares its pattern (a
+    /// shared pattern is left to its other holders and a new one is built),
+    /// so a steady-state caller that owns its output allocates nothing. The
+    /// merge is the same row walk as the allocating form, producing
     /// bit-identical values. A caller that combines the same two patterns
     /// over and over should build a [`CombinationMap`] once instead and only
     /// refill values.
@@ -406,9 +387,16 @@ impl CsrMatrix {
         b: &CsrMatrix,
         out: &mut CsrMatrix,
     ) -> SparseResult<()> {
-        let (mut indptr, mut indices, mut values) = out.take_parts();
-        check_same_shape(a, b)?;
-        let rows = a.rows;
+        if let Err(e) = check_same_shape(a, b) {
+            *out = CsrMatrix::zeros(0, 0);
+            return Err(e);
+        }
+        if Arc::get_mut(&mut out.pattern).is_none() {
+            out.pattern = Arc::default();
+        }
+        let Pattern { indptr, indices } =
+            Arc::get_mut(&mut out.pattern).expect("a fresh handle is unique");
+        let (rows, values) = (a.rows, &mut out.values);
         indptr.clear();
         indptr.resize(rows + 1, 0);
         indices.clear();
@@ -426,7 +414,9 @@ impl CsrMatrix {
             });
             indptr[i + 1] = indices.len();
         }
-        *out = CsrMatrix::from_parts_unchecked(rows, a.cols, indptr, indices, values);
+        out.rows = rows;
+        out.cols = a.cols;
+        debug_assert_valid(&out.pattern, rows, a.cols);
         Ok(())
     }
 
@@ -449,11 +439,33 @@ impl CsrMatrix {
 
     /// Iterates over all stored entries as `(row, col, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        let p = &*self.pattern;
         (0..self.rows).flat_map(move |i| {
-            let s = self.indptr[i];
-            let e = self.indptr[i + 1];
-            (s..e).map(move |k| (i, self.indices[k], self.values[k]))
+            (p.indptr[i]..p.indptr[i + 1]).map(move |k| (i, p.indices[k], self.values[k]))
         })
+    }
+}
+
+/// `debug_assert`s the CSR invariants [`CsrMatrix::try_from_raw`] checks.
+fn debug_assert_valid(pattern: &Pattern, rows: usize, cols: usize) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let Pattern { indptr, indices } = pattern;
+    assert_eq!(indptr.len(), rows + 1, "csr indptr length");
+    assert_eq!(
+        indptr.last().copied().unwrap_or(0),
+        indices.len(),
+        "csr indptr terminator"
+    );
+    for r in 0..rows {
+        assert!(indptr[r] <= indptr[r + 1], "csr indptr monotonicity");
+        let row = &indices[indptr[r]..indptr[r + 1]];
+        assert!(
+            row.windows(2).all(|w| w[0] < w[1]),
+            "csr columns sorted and unique in row {r}"
+        );
+        assert!(row.iter().all(|&c| c < cols), "csr column range in row {r}");
     }
 }
 
@@ -482,6 +494,7 @@ enum UnionCell {
 /// [`CombinationMap::new`].
 #[inline(always)]
 fn merge_row(a: &CsrMatrix, b: &CsrMatrix, i: usize, mut cell: impl FnMut(usize, UnionCell)) {
+    let (a, b) = (&*a.pattern, &*b.pattern);
     let (mut p, a_end) = (a.indptr[i], a.indptr[i + 1]);
     let (mut q, b_end) = (b.indptr[i], b.indptr[i + 1]);
     while p < a_end || q < b_end {
@@ -499,18 +512,23 @@ fn merge_row(a: &CsrMatrix, b: &CsrMatrix, i: usize, mut cell: impl FnMut(usize,
     }
 }
 
-/// A precomputed merge of two fixed operand patterns: refills the values of
-/// `alpha * A + beta * B` on the structural union without walking a row.
+/// A precomputed merge of two fixed operand patterns that owns the matrix
+/// it fills: `alpha * A + beta * B` on the structural union, refilled without
+/// walking a row, and — when the caller says only some listed values of `B`
+/// moved — refilled only where they are read.
 ///
 /// [`CombinationMap::new`] runs the row merge of
 /// [`CsrMatrix::linear_combination`] once and records, per union cell, the
 /// operand value positions it reads, split into three flat lists (cells in
 /// both operands, in `A` only, in `B` only) so the refill loops carry no
-/// branch. [`CombinationMap::fill`] then gives every cell the merge's own
-/// expression — `alpha·a`, `beta·b` or `alpha·a + beta·b` — so its values are
-/// bit-identical to [`CsrMatrix::linear_combination`]'s. This is how the
-/// implicit engines form `C/h + θ·G` at every Newton iteration: the plan
-/// fixes both patterns, so the union is walked once per run.
+/// branch, plus the same lists restricted to the cells that read one of the
+/// given *moving* positions of `B`. [`CombinationMap::fill`] gives every cell
+/// it writes the merge's own expression — `alpha·a`, `beta·b` or
+/// `alpha·a + beta·b` — so its values are bit-identical to
+/// [`CsrMatrix::linear_combination`]'s. This is how the implicit engines form
+/// `C/h + θ·G` at every Newton iteration: the plan fixes both patterns, so
+/// the union is walked once per run, and between two iterations at one step
+/// size only the cells the nonlinear devices write change.
 ///
 /// # Examples
 ///
@@ -518,12 +536,18 @@ fn merge_row(a: &CsrMatrix, b: &CsrMatrix, i: usize, mut cell: impl FnMut(usize,
 /// use exi_sparse::{CombinationMap, CsrMatrix};
 ///
 /// let c = CsrMatrix::identity(2);
-/// let g = CsrMatrix::try_from_raw(2, 2, vec![0, 1, 2], vec![1, 1], vec![3.0, 4.0]).unwrap();
-/// let (map, mut jac) = CombinationMap::new(&c, &g).unwrap();
-/// map.fill(2.0, &c, 0.5, &g, &mut jac).unwrap();
-/// assert_eq!(jac, CsrMatrix::linear_combination(2.0, &c, 0.5, &g).unwrap());
+/// let mut g = CsrMatrix::try_from_raw(2, 2, vec![0, 1, 2], vec![1, 1], vec![3.0, 4.0]).unwrap();
+/// // Only G's second value moves between fills.
+/// let mut map = CombinationMap::new(&c, &g, &[1]).unwrap();
+/// let (jac, written) = map.fill(2.0, &c, 0.5, &g, true).unwrap();
+/// assert_eq!(written, None); // the first fill writes every cell
+/// assert_eq!(jac, &CsrMatrix::linear_combination(2.0, &c, 0.5, &g).unwrap());
+/// g.values_mut()[1] = 5.0;
+/// let (jac, written) = map.fill(2.0, &c, 0.5, &g, true).unwrap();
+/// assert_eq!(written, Some(&[2][..])); // the cell (1, 1) alone
+/// assert_eq!(jac, &CsrMatrix::linear_combination(2.0, &c, 0.5, &g).unwrap());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CombinationMap {
     /// `[out, a, b]` value positions of each cell stored in both operands.
     both: Vec<[u32; 3]>,
@@ -531,21 +555,34 @@ pub struct CombinationMap {
     a_only: Vec<[u32; 2]>,
     /// `[out, b]` value positions of each cell stored only in `B`.
     b_only: Vec<[u32; 2]>,
+    /// The entries of `both` and `b_only` whose `b` position is moving.
+    moving_both: Vec<[u32; 3]>,
+    moving_b_only: Vec<[u32; 2]>,
+    /// Their `out` positions, ascending: what a partial fill reports.
+    moving_out: Vec<usize>,
     a_nnz: usize,
     b_nnz: usize,
-    out_nnz: usize,
+    /// The combination on the union pattern, as last filled.
+    out: CsrMatrix,
+    /// The bits of `(alpha, beta)` at the last full fill, while every fill
+    /// since was told that only listed values moved.
+    weights: Option<(u64, u64)>,
 }
 
 impl CombinationMap {
     /// Walks the structural union of `a`'s and `b`'s patterns once and
-    /// returns the map together with the union pattern (all values `0.0`),
-    /// the matrix [`CombinationMap::fill`] refills.
+    /// returns the map, holding the union pattern with all values `0.0`.
+    /// `moving` lists the value positions of `b` that may change between
+    /// two fills which leave everything else alone (for the implicit
+    /// engines, the cells of `G` the plan's nonlinear devices write), in any
+    /// order.
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] if the shapes differ or the
-    /// operands hold more than `u32::MAX` entries together.
-    pub fn new(a: &CsrMatrix, b: &CsrMatrix) -> SparseResult<(CombinationMap, CsrMatrix)> {
+    /// Returns [`SparseError::DimensionMismatch`] if the shapes differ, the
+    /// operands hold more than `u32::MAX` entries together, or a moving
+    /// position is not one of `b`'s.
+    pub fn new(a: &CsrMatrix, b: &CsrMatrix, moving: &[usize]) -> SparseResult<CombinationMap> {
         check_same_shape(a, b)?;
         let total = a.nnz() + b.nnz();
         if u32::try_from(total).is_err() {
@@ -555,10 +592,30 @@ impl CombinationMap {
                 found: total,
             });
         }
+        let mut listed = vec![false; b.nnz()];
+        for &q in moving {
+            match listed.get_mut(q) {
+                Some(slot) => *slot = true,
+                None => {
+                    return Err(SparseError::DimensionMismatch {
+                        op: "combination map moving position",
+                        expected: b.nnz(),
+                        found: q,
+                    })
+                }
+            }
+        }
         let mut map = CombinationMap {
+            both: Vec::new(),
+            a_only: Vec::new(),
+            b_only: Vec::new(),
+            moving_both: Vec::new(),
+            moving_b_only: Vec::new(),
+            moving_out: Vec::new(),
             a_nnz: a.nnz(),
             b_nnz: b.nnz(),
-            ..CombinationMap::default()
+            out: CsrMatrix::zeros(0, 0),
+            weights: None,
         };
         let mut indptr = vec![0usize; a.rows + 1];
         let mut indices = Vec::with_capacity(total);
@@ -568,44 +625,67 @@ impl CombinationMap {
                 let out = indices.len() as u32;
                 match cell {
                     UnionCell::A(p) => map.a_only.push([out, p as u32]),
-                    UnionCell::B(q) => map.b_only.push([out, q as u32]),
-                    UnionCell::Both(p, q) => map.both.push([out, p as u32, q as u32]),
+                    UnionCell::B(q) => {
+                        map.b_only.push([out, q as u32]);
+                        if listed[q] {
+                            map.moving_b_only.push([out, q as u32]);
+                            map.moving_out.push(indices.len());
+                        }
+                    }
+                    UnionCell::Both(p, q) => {
+                        map.both.push([out, p as u32, q as u32]);
+                        if listed[q] {
+                            map.moving_both.push([out, p as u32, q as u32]);
+                            map.moving_out.push(indices.len());
+                        }
+                    }
                 }
                 indices.push(col);
             });
             indptr[i + 1] = indices.len();
         }
-        map.out_nnz = indices.len();
         let values = vec![0.0; indices.len()];
-        let pattern = CsrMatrix::from_parts_unchecked(a.rows, a.cols, indptr, indices, values);
-        Ok((map, pattern))
+        map.out = CsrMatrix::from_parts_unchecked(a.rows, a.cols, indptr, indices, values);
+        Ok(map)
     }
 
-    /// Rewrites `out`'s values with `alpha * a + beta * b`, bit for bit what
-    /// [`CsrMatrix::linear_combination`] computes. Touches no structure and
-    /// allocates nothing.
+    /// The combination as last filled (all `0.0` before the first fill).
+    pub fn matrix(&self) -> &CsrMatrix {
+        &self.out
+    }
+
+    /// Refills the map's matrix with `alpha * a + beta * b`, bit for bit what
+    /// [`CsrMatrix::linear_combination`] computes, and returns it with the
+    /// value positions this fill wrote: `None` for every cell, or the cells
+    /// that read a moving position of `b` (ascending). Touches no structure
+    /// and allocates nothing.
     ///
-    /// `a`, `b` and `out` must have the patterns the map was built from (and
-    /// returned); only their entry counts are checked, so other patterns of
-    /// the same sizes get wrong values, never out-of-bounds access.
+    /// `only_listed_moved` is the caller's word that, since the map's last
+    /// fill, every value of `a` and every value of `b` at a position not
+    /// listed as moving kept its bits. With it, and with `alpha` and `beta`
+    /// bit-equal to those of the last fill that wrote every cell, only the
+    /// moving cells are rewritten; the others already hold these values.
+    /// Otherwise every cell is rewritten — and without it, the next fill
+    /// rewrites every cell too. Debug builds check every cell after a
+    /// partial fill.
+    ///
+    /// `a` and `b` must have the patterns the map was built from; only their
+    /// entry counts are checked, so other patterns of the same sizes get
+    /// wrong values, never out-of-bounds access.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::PatternMismatch`] if an entry count differs
     /// from the map's.
     pub fn fill(
-        &self,
+        &mut self,
         alpha: f64,
         a: &CsrMatrix,
         beta: f64,
         b: &CsrMatrix,
-        out: &mut CsrMatrix,
-    ) -> SparseResult<()> {
-        for (expected_nnz, found_nnz) in [
-            (self.a_nnz, a.nnz()),
-            (self.b_nnz, b.nnz()),
-            (self.out_nnz, out.nnz()),
-        ] {
+        only_listed_moved: bool,
+    ) -> SparseResult<(&CsrMatrix, Option<&[usize]>)> {
+        for (expected_nnz, found_nnz) in [(self.a_nnz, a.nnz()), (self.b_nnz, b.nnz())] {
             if expected_nnz != found_nnz {
                 return Err(SparseError::PatternMismatch {
                     expected_nnz,
@@ -613,17 +693,55 @@ impl CombinationMap {
                 });
             }
         }
-        let (av, bv, ov) = (&a.values, &b.values, &mut out.values);
-        for &[o, p, q] in &self.both {
-            ov[o as usize] = alpha * av[p as usize] + beta * bv[q as usize];
+        let weights = (alpha.to_bits(), beta.to_bits());
+        let (av, bv, ov) = (&a.values, &b.values, &mut self.out.values);
+        if only_listed_moved && self.weights == Some(weights) {
+            fill_both(&self.moving_both, alpha, av, beta, bv, ov);
+            fill_one(&self.moving_b_only, beta, bv, ov);
+            debug_assert!(
+                self.holds(alpha, a, beta, b),
+                "a cell outside the moving ones changed since the last fill"
+            );
+            return Ok((&self.out, Some(&self.moving_out)));
         }
-        for &[o, p] in &self.a_only {
-            ov[o as usize] = alpha * av[p as usize];
-        }
-        for &[o, q] in &self.b_only {
-            ov[o as usize] = beta * bv[q as usize];
-        }
-        Ok(())
+        fill_both(&self.both, alpha, av, beta, bv, ov);
+        fill_one(&self.a_only, alpha, av, ov);
+        fill_one(&self.b_only, beta, bv, ov);
+        self.weights = only_listed_moved.then_some(weights);
+        Ok((&self.out, None))
+    }
+
+    /// Whether every cell holds, bit for bit, what a full fill would write.
+    fn holds(&self, alpha: f64, a: &CsrMatrix, beta: f64, b: &CsrMatrix) -> bool {
+        let (av, bv, ov) = (&a.values, &b.values, &self.out.values);
+        let same = |o: u32, v: f64| ov[o as usize].to_bits() == v.to_bits();
+        self.both
+            .iter()
+            .all(|&[o, p, q]| same(o, alpha * av[p as usize] + beta * bv[q as usize]))
+            && self
+                .a_only
+                .iter()
+                .all(|&[o, p]| same(o, alpha * av[p as usize]))
+            && self
+                .b_only
+                .iter()
+                .all(|&[o, q]| same(o, beta * bv[q as usize]))
+    }
+}
+
+/// `out = alpha·a + beta·b` at each `[out, a, b]` position triple.
+#[inline]
+fn fill_both(cells: &[[u32; 3]], alpha: f64, av: &[f64], beta: f64, bv: &[f64], ov: &mut [f64]) {
+    for &[o, p, q] in cells {
+        ov[o as usize] = alpha * av[p as usize] + beta * bv[q as usize];
+    }
+}
+
+/// `out = weight·v` at each `[out, v]` position pair.
+#[inline]
+fn fill_one(cells: &[[u32; 2]], weight: f64, v: &[f64], ov: &mut [f64]) {
+    for &[o, p] in cells {
+        ov[o as usize] = weight * v[p as usize];
     }
 }
 
@@ -729,24 +847,24 @@ mod tests {
     }
 
     #[test]
-    fn take_parts_round_trips_and_reuses_buffers() {
-        let mut a = sample();
-        let (expected_ip, expected_ix, expected_v) = (
-            a.indptr().to_vec(),
-            a.indices().to_vec(),
-            a.values().to_vec(),
-        );
-        let (ip, ix, v) = a.take_parts();
-        // The emptied matrix is a valid 0x0.
-        assert_eq!(a.rows(), 0);
-        assert_eq!(a.nnz(), 0);
-        assert_eq!(ip, expected_ip);
-        let cap = ix.capacity();
-        let b = CsrMatrix::from_parts_unchecked(3, 3, ip, ix, v);
-        assert_eq!(b, sample());
-        assert_eq!(b.indices().to_vec(), expected_ix);
-        assert_eq!(b.values().to_vec(), expected_v);
-        assert!(b.indices.capacity() >= cap);
+    fn clones_share_the_pattern_and_clone_from_reuses_the_value_buffer() {
+        let a = sample();
+        let b = a.clone();
+        assert_eq!(b, a);
+        assert!(Arc::ptr_eq(b.pattern(), a.pattern()));
+        // Into a matrix of another pattern with room for the values: the
+        // pattern handle is replaced, the value buffer kept.
+        let mut out = CsrMatrix::identity(6);
+        let (values_at, capacity) = (out.values().as_ptr(), out.value_capacity());
+        out.clone_from(&a);
+        assert_eq!(out, a);
+        assert!(Arc::ptr_eq(out.pattern(), a.pattern()));
+        assert_eq!(out.values().as_ptr(), values_at);
+        assert_eq!(out.value_capacity(), capacity);
+        // Rewriting the copy's values leaves the original alone.
+        out.values_mut()[0] = -1.0;
+        assert_eq!(a.get(0, 0), 4.0);
+        assert_eq!(out.get(0, 0), -1.0);
     }
 
     #[test]
@@ -783,24 +901,98 @@ mod tests {
     }
 
     #[test]
+    fn linear_combination_into_allocates_nothing_once_warm() {
+        let g = sample();
+        let c = CsrMatrix::identity(3);
+        let mut t = TripletMatrix::new(3, 3);
+        t.push(0, 1, 1.0);
+        t.push(1, 0, 3.0);
+        t.push(2, 1, 2.0);
+        let other = t.to_csr();
+        let merged =
+            |alpha, a: &CsrMatrix| CsrMatrix::linear_combination(alpha, a, 0.5, &g).unwrap();
+        let mut out = CsrMatrix::zeros(0, 0);
+        CsrMatrix::linear_combination_into(3.0, &other, 0.5, &g, &mut out).unwrap();
+        let buffers = |m: &CsrMatrix| (m.indices().as_ptr(), m.values().as_ptr());
+        let warm = buffers(&out);
+        // Owning its pattern alone, `out` is rebuilt in its own buffers —
+        // for another (smaller) union as for the same one.
+        CsrMatrix::linear_combination_into(2.0, &c, 0.5, &g, &mut out).unwrap();
+        assert_eq!(out, merged(2.0, &c));
+        assert_eq!(buffers(&out), warm);
+        CsrMatrix::linear_combination_into(3.0, &other, 0.5, &g, &mut out).unwrap();
+        assert_eq!(out, merged(3.0, &other));
+        assert_eq!(buffers(&out), warm);
+        // Shared: a new pattern; the other holder keeps its own.
+        let holder = out.clone();
+        CsrMatrix::linear_combination_into(2.0, &c, 0.5, &g, &mut out).unwrap();
+        assert_eq!(out, merged(2.0, &c));
+        assert!(!Arc::ptr_eq(out.pattern(), holder.pattern()));
+        assert_eq!(holder, merged(3.0, &other));
+    }
+
+    #[test]
     fn combination_map_checks_shapes_and_entry_counts() {
         let g = sample();
         let c = CsrMatrix::identity(3);
-        assert!(CombinationMap::new(&CsrMatrix::zeros(2, 2), &g).is_err());
-        let (map, mut jac) = CombinationMap::new(&c, &g).unwrap();
+        assert!(CombinationMap::new(&CsrMatrix::zeros(2, 2), &g, &[]).is_err());
+        assert!(CombinationMap::new(&c, &g, &[g.nnz()]).is_err());
+        let mut map = CombinationMap::new(&c, &g, &[]).unwrap();
         let merged = CsrMatrix::linear_combination(1.0, &c, 1.0, &g).unwrap();
+        let jac = map.matrix();
         assert_eq!(jac.indptr(), merged.indptr());
         assert_eq!(jac.indices(), merged.indices());
         assert!(jac.values().iter().all(|&v| v == 0.0));
-        // An operand or output with another entry count is refused, untouched.
+        // An operand with another entry count is refused, nothing written.
         assert!(matches!(
-            map.fill(1.0, &g, 1.0, &g, &mut jac),
+            map.fill(1.0, &g, 1.0, &g, true),
             Err(SparseError::PatternMismatch { .. })
         ));
-        let mut short = c.clone();
-        assert!(map.fill(1.0, &c, 1.0, &g, &mut short).is_err());
-        assert_eq!(short, c);
-        map.fill(2.0, &c, 1.0, &g, &mut jac).unwrap();
+        assert!(map.fill(1.0, &c, 1.0, &c, true).is_err());
+        assert!(map.matrix().values().iter().all(|&v| v == 0.0));
+        let (jac, written) = map.fill(2.0, &c, 1.0, &g, true).unwrap();
         assert_eq!(jac.get(1, 1), 2.0 + 5.0);
+        assert_eq!(written, None);
+    }
+
+    #[test]
+    fn combination_map_rewrites_the_moving_cells_while_the_weights_hold() {
+        let c = sample();
+        let mut t = TripletMatrix::new(3, 3);
+        for (i, j, v) in [
+            (0, 0, 1.0),
+            (0, 1, 2.0),
+            (1, 1, 3.0),
+            (2, 1, 4.0),
+            (2, 2, 5.0),
+        ] {
+            t.push(i, j, v);
+        }
+        let mut g = t.to_csr();
+        // G's values 1 = (0, 1) and 3 = (2, 1) move: union cells 1 and 5,
+        // both in `G` only.
+        let mut map = CombinationMap::new(&c, &g, &[3, 1]).unwrap();
+        let fill = |map: &mut CombinationMap, alpha: f64, g: &CsrMatrix, kept: bool| {
+            let (jac, written) = map.fill(alpha, &c, 0.5, g, kept).unwrap();
+            assert_eq!(
+                jac,
+                &CsrMatrix::linear_combination(alpha, &c, 0.5, g).unwrap()
+            );
+            written.map(<[usize]>::to_vec)
+        };
+        assert_eq!(fill(&mut map, 2.0, &g, true), None);
+        g.values_mut()[1] = -7.0;
+        g.values_mut()[3] = -0.0;
+        assert_eq!(fill(&mut map, 2.0, &g, true), Some(vec![1, 5]));
+        // Other weights: every cell, then the moving ones again.
+        assert_eq!(fill(&mut map, 4.0, &g, true), None);
+        assert_eq!(fill(&mut map, 4.0, &g, true), Some(vec![1, 5]));
+        // An unlisted value moved: the caller says so, and both this fill and
+        // the next write every cell.
+        g.values_mut()[4] = 9.0;
+        assert_eq!(fill(&mut map, 4.0, &g, false), None);
+        g.values_mut()[4] = 5.0;
+        assert_eq!(fill(&mut map, 4.0, &g, true), None);
+        assert_eq!(fill(&mut map, 4.0, &g, true), Some(vec![1, 5]));
     }
 }

@@ -9,13 +9,16 @@
 //! more:
 //!
 //! * [`TripletMatrix`] — coordinate-format builder used by MNA stamping.
-//! * [`CsrMatrix`] — compressed sparse row storage, sparse matrix–vector
-//!   products and linear combinations such as `C/h + G`.
+//! * [`CsrMatrix`] — compressed sparse row storage behind one shared,
+//!   immutable pattern handle, sparse matrix–vector products and linear
+//!   combinations such as `C/h + G` ([`CombinationMap`] refills a fixed one,
+//!   only where the listed moving values are read when nothing else moved).
 //! * [`SparseLu`] — left-looking Gilbert–Peierls sparse LU with threshold
 //!   partial pivoting, fill-reducing orderings ([`ordering`]) and an optional
 //!   fill budget (used to emulate out-of-memory failures of the baseline).
 //!   Its symbolic analysis ([`SymbolicLu`]) is cached so value-only updates
-//!   go through the cheap numeric [`SparseLu::refactorize_with`], and
+//!   go through the cheap numeric [`SparseLu::refactorize_with`] (or
+//!   [`SparseLu::refactorize_changed`], told which values may have moved), and
 //!   [`SparseLu::solve_into`] + [`LuWorkspace`] make hot-loop triangular
 //!   solves allocation-free. [`SparseLu::factorize_ordered`] takes the
 //!   fill-reducing ordering precomputed — it depends on the pattern alone —

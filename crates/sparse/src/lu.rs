@@ -38,7 +38,9 @@
 //! circuit Jacobian the dirty set is the nonlinear devices' columns and
 //! their descendants in the elimination, not the whole matrix.
 
-use crate::csr::CsrMatrix;
+use std::sync::Arc;
+
+use crate::csr::{CsrMatrix, Pattern};
 use crate::error::{SparseError, SparseResult};
 use crate::ordering::{compute_ordering, OrderingMethod};
 use crate::permutation::Permutation;
@@ -132,9 +134,9 @@ pub struct SymbolicLu {
     q: Permutation,
     /// `pinv[original_row]` = pivot position of that row.
     pinv: Vec<usize>,
-    /// CSR pattern of the analyzed matrix (for cheap validation on refactorize).
-    a_indptr: Vec<usize>,
-    a_indices: Vec<usize>,
+    /// CSR pattern of the analyzed matrix, shared with it: a refactorization
+    /// of a matrix holding the same handle validates it by pointer.
+    a_pattern: Arc<Pattern>,
     /// Scatter map, per factor column: workspace positions and CSR value
     /// indices of the input matrix entries of that column.
     acol_ptr: Vec<usize>,
@@ -174,12 +176,13 @@ impl SymbolicLu {
     }
 
     /// Whether `a` has exactly the sparsity pattern this analysis was
-    /// computed for.
+    /// computed for. A matrix sharing the analyzed matrix's pattern handle
+    /// (a clone of it, or restored from one) answers by pointer; any other
+    /// compares `indptr` and `indices`.
     pub fn matches_pattern(&self, a: &CsrMatrix) -> bool {
         a.rows() == self.n
             && a.cols() == self.n
-            && a.indptr() == &self.a_indptr[..]
-            && a.indices() == &self.a_indices[..]
+            && (Arc::ptr_eq(a.pattern(), &self.a_pattern) || **a.pattern() == *self.a_pattern)
     }
 }
 
@@ -470,8 +473,7 @@ impl SparseLu {
             n,
             q,
             pinv,
-            a_indptr: a.indptr().to_vec(),
-            a_indices: a.indices().to_vec(),
+            a_pattern: Arc::clone(a.pattern()),
             acol_ptr,
             acol_pos,
             acol_src,
@@ -555,16 +557,46 @@ impl SparseLu {
     /// # }
     /// ```
     pub fn refactorize_with(&mut self, a: &CsrMatrix, ws: &mut LuWorkspace) -> SparseResult<usize> {
+        self.refactorize_changed(a, None, ws)
+    }
+
+    /// [`SparseLu::refactorize_with`], told where `a`'s values may have
+    /// changed: `None` compares every value with the factor's, `Some(list)`
+    /// only the value positions (indices into `a.values()`) listed. The
+    /// caller vouches that every value not listed equals, bit for bit, the
+    /// one the factor was last computed from; debug builds check it with a
+    /// compare of every value. The result, the recomputed-column count
+    /// included, is that of `refactorize_with`. After a failed
+    /// refactorization the list is not consulted: every column is
+    /// recomputed.
+    ///
+    /// This is how a Newton iteration that rewrote only its devices' cells
+    /// refreshes the factor of its Jacobian: it compares those cells, not
+    /// the whole matrix.
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLu::refactorize_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed position is not below `a.nnz()`.
+    pub fn refactorize_changed(
+        &mut self,
+        a: &CsrMatrix,
+        changed: Option<&[usize]>,
+        ws: &mut LuWorkspace,
+    ) -> SparseResult<usize> {
         let s = &self.symbolic;
         if !s.matches_pattern(a) {
             return Err(SparseError::PatternMismatch {
-                expected_nnz: s.a_indices.len(),
+                expected_nnz: s.a_pattern.indices.len(),
                 found_nnz: a.nnz(),
             });
         }
-        // One pass over the values marks the columns whose entries changed
-        // and records the new values. Unknown previous values (a failed
-        // refactorization cleared them) mark every column.
+        // One pass over the candidate values marks the columns whose entries
+        // changed and records the new values. Unknown previous values (a
+        // failed refactorization cleared them) mark every column.
         let mut first = 0;
         if self.a_vals.is_empty() {
             self.dirty.fill(true);
@@ -572,14 +604,35 @@ impl SparseLu {
         } else {
             self.dirty.fill(false);
             first = s.n;
-            for ((kept, &v), &col) in self.a_vals.iter_mut().zip(a.values()).zip(&s.a_indices) {
+            let (values, columns) = (a.values(), &s.a_pattern.indices);
+            let dirty = &mut self.dirty;
+            let mut compare = |kept: &mut f64, v: f64, col: usize| {
                 if kept.to_bits() != v.to_bits() {
                     *kept = v;
                     let jj = s.q.map(col);
-                    self.dirty[jj] = true;
+                    dirty[jj] = true;
                     first = first.min(jj);
                 }
+            };
+            match changed {
+                None => {
+                    for ((kept, &v), &col) in self.a_vals.iter_mut().zip(values).zip(columns) {
+                        compare(kept, v, col);
+                    }
+                }
+                Some(list) => {
+                    for &k in list {
+                        compare(&mut self.a_vals[k], values[k], columns[k]);
+                    }
+                }
             }
+            debug_assert!(
+                self.a_vals
+                    .iter()
+                    .zip(values)
+                    .all(|(kept, v)| kept.to_bits() == v.to_bits()),
+                "a value outside the listed positions changed"
+            );
             if first == s.n {
                 return Ok(0);
             }
@@ -1092,6 +1145,49 @@ mod tests {
         assert!(lu.refactorize_with(&singular, &mut ws).is_err());
         assert_eq!(lu.refactorize_with(&moved, &mut ws).unwrap(), 40);
         assert_eq!(lu.u_diag, full.u_diag);
+    }
+
+    #[test]
+    fn listed_refactorization_recomputes_every_column_after_a_failure() {
+        let natural = LuOptions {
+            ordering: OrderingMethod::Natural,
+            ..LuOptions::default()
+        };
+        let a = tridiag(12);
+        let mut ws = LuWorkspace::new();
+        // (5, 4) is in `L`: a huge value there is element growth.
+        let k = a.indptr()[5];
+        assert_eq!(a.indices()[k], 4);
+        let grown = with_entry(&a, 5, 4, 1e300);
+        let diagonal = a.indptr()[5] + 1;
+        let lost = with_entry(&a, 5, 5, f64::NAN);
+        for (bad, at) in [(grown, k), (lost, diagonal)] {
+            let mut lu = SparseLu::factorize_with(&a, &natural).unwrap();
+            assert_eq!(lu.refactorize_changed(&a, Some(&[]), &mut ws).unwrap(), 0);
+            let failed = lu.refactorize_changed(&bad, Some(&[at]), &mut ws);
+            assert!(
+                matches!(
+                    failed,
+                    Err(SparseError::UnstableRefactorization { .. } | SparseError::Singular { .. })
+                ),
+                "{failed:?}"
+            );
+            // The kept values are gone: every column, whatever the list.
+            assert_eq!(
+                lu.refactorize_changed(&a, Some(&[at]), &mut ws).unwrap(),
+                12
+            );
+            assert_eq!(lu.refactorize_changed(&a, Some(&[at]), &mut ws).unwrap(), 0);
+        }
+        let mut lu = SparseLu::factorize_with(&a, &natural).unwrap();
+        assert!(matches!(
+            lu.refactorize_changed(&with_entry(&a, 5, 4, 1e300), Some(&[k]), &mut ws),
+            Err(SparseError::UnstableRefactorization { .. })
+        ));
+        assert!(matches!(
+            lu.refactorize_changed(&with_entry(&a, 5, 5, f64::NAN), None, &mut ws),
+            Err(SparseError::Singular { .. })
+        ));
     }
 
     #[test]

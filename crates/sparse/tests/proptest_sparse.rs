@@ -440,20 +440,43 @@ proptest! {
 
     /// A [`CombinationMap`] built once refills `αA + βB` on the merged
     /// pattern bit for bit as the row merge computes it, at any weights and
-    /// for every refill through the same map.
+    /// for every refill through the same map: a fill at new weights writes
+    /// every cell, and a fill at the same weights after edits confined to
+    /// the moving positions of `B` writes exactly their cells.
     #[test]
     fn combination_map_fill_matches_linear_combination_bitwise(
         (a, b) in combination_operands(12),
         weights in proptest::collection::vec((combination_weight(), combination_weight()), 3),
+        moving in proptest::collection::vec(0usize..1000, 0..8),
+        edits in proptest::collection::vec((0usize..1000, -1.0f64..1.0), 0..6),
     ) {
         let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let (map, mut filled) = CombinationMap::new(&a, &b).expect("same shape");
+        let listed: Vec<usize> = if b.nnz() == 0 {
+            Vec::new()
+        } else {
+            moving.iter().map(|k| k % b.nnz()).collect()
+        };
+        let mut distinct = listed.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut map = CombinationMap::new(&a, &b, &listed).expect("same shape");
+        let mut b = b;
         for (alpha, beta) in weights {
-            map.fill(alpha, &a, beta, &b, &mut filled).expect("the map's patterns");
-            let merged = CsrMatrix::linear_combination(alpha, &a, beta, &b).expect("same shape");
-            prop_assert_eq!(filled.indptr(), merged.indptr());
-            prop_assert_eq!(filled.indices(), merged.indices());
-            prop_assert_eq!(bits(&filled), bits(&merged));
+            for again in [false, true] {
+                if again && !listed.is_empty() {
+                    for &(k, v) in &edits {
+                        b.values_mut()[listed[k % listed.len()]] = v;
+                    }
+                }
+                let (filled, written) = map.fill(alpha, &a, beta, &b, true).expect("the map's patterns");
+                let merged = CsrMatrix::linear_combination(alpha, &a, beta, &b).expect("same shape");
+                prop_assert_eq!(filled.indptr(), merged.indptr());
+                prop_assert_eq!(filled.indices(), merged.indices());
+                prop_assert_eq!(bits(filled), bits(&merged));
+                if again {
+                    prop_assert_eq!(written.map(<[usize]>::len), Some(distinct.len()));
+                }
+            }
         }
     }
 
@@ -611,6 +634,90 @@ proptest! {
         let overflowing = with_values(&a1, &[(row_of(0), f64::INFINITY)]);
         prop_assert!(unstable.refactorize_with(&overflowing, &mut ws).is_err());
         prop_assert_eq!(unstable.refactorize_with(&a1, &mut ws).expect("refactorize"), n);
+    }
+
+    /// A refactorization told which values may have changed — random edits
+    /// confined to a position list, one of them a `+0.0 → −0.0` swap —
+    /// recomputes the same columns as one that compares every value, and
+    /// leaves the factor a replay of every column leaves, bit for bit. A
+    /// call with no change recomputes nothing, and the call after a failed
+    /// refactorization recomputes every column whatever the list.
+    #[test]
+    fn listed_refactorization_matches_the_every_value_compare_bitwise(
+        (a, _) in dominant_system(30),
+        positions in proptest::collection::vec(0usize..1000, 1..8),
+        edits in proptest::collection::vec((0usize..1000, 0.5f64..1.0), 0..6),
+        zeroed in 0usize..1000,
+    ) {
+        let n = a.rows();
+        let row_of = |k: usize| (0..n).find(|&i| a.indptr()[i + 1] > k).expect("entry in a row");
+        let with_values = |m: &CsrMatrix, set: &[(usize, f64)]| {
+            let mut vals = m.values().to_vec();
+            for &(k, v) in set {
+                vals[k] = v;
+            }
+            CsrMatrix::try_from_raw(m.rows(), m.cols(), m.indptr().to_vec(), m.indices().to_vec(), vals)
+                .expect("pattern is unchanged")
+        };
+        let mut list: Vec<usize> = positions.iter().map(|k| k % a.nnz()).collect();
+        // An off-diagonal entry, if any, holds +0.0 before and -0.0 after.
+        let z = zeroed % a.nnz();
+        let signed_zero = a.indices()[z] != row_of(z);
+        let a0 = if signed_zero { with_values(&a, &[(z, 0.0)]) } else { a.clone() };
+        // The edits keep diagonal dominance: off-diagonals shrink, diagonals grow.
+        let mut set: Vec<(usize, f64)> = edits
+            .iter()
+            .map(|&(e, s)| {
+                let k = list[e % list.len()];
+                let v = a0.values()[k];
+                (k, if a.indices()[k] == row_of(k) { v / s } else { v * s })
+            })
+            .collect();
+        if signed_zero {
+            list.push(z);
+            set.push((z, -0.0));
+        }
+        let a1 = with_values(&a0, &set);
+
+        let mut ws = LuWorkspace::new();
+        let mut listed = SparseLu::factorize(&a0).expect("factorize");
+        let mut every = listed.clone();
+        let recomputed = listed.refactorize_changed(&a1, Some(&list), &mut ws).expect("refactorize");
+        prop_assert_eq!(recomputed, every.refactorize_with(&a1, &mut ws).expect("refactorize"));
+        if signed_zero {
+            let mut of_plus = SparseLu::factorize(&a0).expect("factorize");
+            let only_the_sign = with_values(&a0, &[(z, -0.0)]);
+            prop_assert!(of_plus.refactorize_changed(&only_the_sign, Some(&[z]), &mut ws).expect("refactorize") > 0);
+        }
+        // Against a replay of every column.
+        let mut full = SparseLu::factorize(&a0).expect("factorize");
+        prop_assert_eq!(full.refactorize_with(&a1.scaled(2.0), &mut ws).expect("refactorize"), n);
+        prop_assert_eq!(full.refactorize_with(&a1, &mut ws).expect("refactorize"), n);
+        // No change: nothing recomputed, listed or not (which also leaves
+        // every factor with the same per-column bookkeeping, so `Debug`
+        // compares values only).
+        prop_assert_eq!(listed.refactorize_changed(&a1, Some(&[]), &mut ws).expect("refactorize"), 0);
+        prop_assert_eq!(listed.refactorize_changed(&a1, Some(&list), &mut ws).expect("refactorize"), 0);
+        prop_assert_eq!(every.refactorize_with(&a1, &mut ws).expect("refactorize"), 0);
+        prop_assert_eq!(full.refactorize_with(&a1, &mut ws).expect("refactorize"), 0);
+        prop_assert_eq!(format!("{listed:?}"), format!("{full:?}"));
+        prop_assert_eq!(format!("{every:?}"), format!("{full:?}"));
+        // After a failure the list is not consulted.
+        let mut broken = listed.clone();
+        prop_assert!(matches!(
+            broken.refactorize_changed(&a1.scaled(1e-300), None, &mut ws),
+            Err(exi_sparse::SparseError::Singular { .. })
+        ));
+        prop_assert_eq!(broken.refactorize_changed(&a1, Some(&list), &mut ws).expect("refactorize"), n);
+        prop_assert_eq!(broken.refactorize_changed(&a1, Some(&list), &mut ws).expect("refactorize"), 0);
+        prop_assert_eq!(format!("{broken:?}"), format!("{full:?}"));
+        let mut infinite = listed.clone();
+        let first = 0; // row 0's first entry
+        let overflowing = with_values(&a1, &[(first, f64::INFINITY)]);
+        prop_assert!(infinite.refactorize_changed(&overflowing, Some(&[first]), &mut ws).is_err());
+        prop_assert_eq!(infinite.refactorize_changed(&a1, Some(&[first]), &mut ws).expect("refactorize"), n);
+        prop_assert_eq!(infinite.refactorize_changed(&a1, Some(&[first]), &mut ws).expect("refactorize"), 0);
+        prop_assert_eq!(format!("{infinite:?}"), format!("{full:?}"));
     }
 
     /// Triplet accumulation order does not matter.
