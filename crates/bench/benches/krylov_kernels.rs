@@ -20,8 +20,9 @@
 //!   variant the ER engine actually runs.
 //! * `small_dense` — what sits under the Arnoldi loop, at `m = 16/32/64` on
 //!   Hessenberg matrices captured from the tc6 analogue mid-transient: one
-//!   Eq. (22) residual test, one φ₁ column, one plain `expm` and one of the
-//!   `m × m` products `expm` is made of.
+//!   Eq. (22) residual test, the `O(m²)` screen of the same residual (which
+//!   must agree with it within 1 %), one φ₁ column, one plain `expm` and one
+//!   of the `m × m` products `expm` is made of.
 //! * `reuse` — what an ER step on a linear circuit no longer redoes, on the
 //!   100×100 RC mesh (exibench's `er_large_mesh`): replaying the elimination
 //!   of `G` vs refactorizing an unchanged `G` (a compare), and a fresh `w₂`
@@ -324,6 +325,22 @@ fn bench_small_dense(c: &mut Criterion) {
         assert_eq!(built.dimension(), m);
         group.bench_function(format!("residual_test/m{m}"), |b| {
             b.iter(|| built.residual_scalar_in(h, &mut ws).expect("residual"))
+        });
+        // The test's screen, on the same Hessenberg: the same residual
+        // without an exponential. It agrees within 1 % wherever a build
+        // could stop; at m = 64 the residual (2.6e-20) is below the
+        // quadrature's floor, and only both being that small is checked.
+        let exact = built.residual_scalar_in(h, &mut ws).expect("residual");
+        let screened = built
+            .screened_residual_scalar_in(h, &mut ws)
+            .expect("a screen of an invert-Krylov subspace");
+        println!("small_dense/m{m}: residual {exact:.4e}, screened {screened:.4e}");
+        assert!(
+            (screened / exact - 1.0).abs() <= 0.01 || exact.max(screened) < 1e-15,
+            "m = {m}: the screen reads {screened:e} for {exact:e}"
+        );
+        group.bench_function(format!("screen/m{m}"), |b| {
+            b.iter(|| built.screened_residual_scalar_in(h, &mut ws))
         });
         group.bench_function(format!("phi1_column/m{m}"), |b| {
             b.iter(|| built.eval_phi_in(1, h, &mut out, &mut ws).expect("phi1"))

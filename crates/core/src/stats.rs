@@ -97,19 +97,25 @@ pub struct RunStats {
     /// size — neither a solve nor a subspace build. Only on plans without
     /// nonlinear stamps, where `(G, C)` cannot have changed in between.
     pub krylov_subspace_reuses: usize,
-    /// Number of Krylov convergence tests run (paper Eq. 22 for ER): each
-    /// costs one small dense exponential, `O(m³)` at subspace dimension
-    /// `m`. The Arnoldi drive loop tests every dimension while a test costs
+    /// Number of Krylov convergence tests scheduled (paper Eq. 22 for ER).
+    /// The Arnoldi drive loop tests every dimension while a test costs
     /// no more than one more iteration, and on a geometric schedule once it
     /// costs more — so on long-vector circuits this equals
     /// `krylov_dimension_total − krylov_subspaces` (every dimension from 2
-    /// up) and on short-vector, high-`m` circuits it is well below. Re-tests
-    /// of a retained input subspace ([`RunStats::krylov_subspace_reuses`],
-    /// plus the ones that failed and led to a rebuild) count here too.
+    /// up) and on short-vector, high-`m` circuits it is well below. A test
+    /// that can pay computes one small dense exponential, `O(m³)` at
+    /// subspace dimension `m`; one that cannot is screened first in `O(m²)`
+    /// and computes it only when it may pass, but counts here either way.
+    /// Re-tests of a retained input subspace
+    /// ([`RunStats::krylov_subspace_reuses`], plus the ones that failed and
+    /// led to a rebuild) count here too.
     pub krylov_residual_tests: usize,
     /// Number of small dense matrix exponentials computed: one per
-    /// convergence test, one per φ evaluation that a test had not already
-    /// paid for, plus one per stabilizing-shift retry.
+    /// convergence test the screen did not skip, one per φ evaluation that
+    /// a test had not already paid for, plus one per stabilizing-shift
+    /// retry. Not at least [`RunStats::krylov_residual_tests`]: on
+    /// short-vector, high-`m` circuits most tests are skipped, and this is
+    /// well below it.
     pub small_dense_exponentials: usize,
     /// Number of times the small-dense arena under the Arnoldi loop had to
     /// grow a buffer (Padé temporaries, LU storage, `H_m` copies, φ columns).

@@ -15,7 +15,12 @@
 //! materializing a decomposition and, in steady state, without allocating.
 //! The rule of this layer: **every small exponential is computed once, in
 //! `O(m³)`, at the smallest size that yields what is read** — which is one
-//! column, `φ_p(hS)·e₁`, of one `(m+p) × (m+p)` exponential.
+//! column, `φ_p(hS)·e₁`, of one `(m+p) × (m+p)` exponential — **and only
+//! when it can pass**: a convergence test that cannot pay is screened first
+//! by `DenseArena::screen`, the Eq. (22) scalar as a contour integral in
+//! `O(m²)`.
+
+use std::sync::OnceLock;
 
 use exi_sparse::dense::{norm_inf, DenseLu};
 use exi_sparse::DenseMatrix;
@@ -68,6 +73,46 @@ fn shifted_inverse(
     Ok(())
 }
 
+/// Quadrature nodes of the contour screen: the trapezoid rule on Trefethen,
+/// Weideman & Schmelzer's parabola `z(θ) = N(0.1309 − 0.1194θ² + 0.25iθ)`
+/// (BIT 2006), whose error for `e^z` on the negative real axis falls like
+/// `2.85^{−N}`. Fixed by measurement (docs/PERFORMANCE.md, "Small dense
+/// layer"): on the benchmark circuits 16 nodes read the Eq. (22) scalar to
+/// 0.3 %, 12 to 20 % and 8 to a factor of 12.
+pub(crate) const SCREEN_NODES: usize = 16;
+
+/// Nodes the screen evaluates: `H_m` is real, so the nodes below the real
+/// axis contribute the conjugates of those above.
+const SCREEN_LANES: usize = SCREEN_NODES / 2;
+
+/// Per node above the real axis, `θ_k = (2k−1)π/N`: `1/z_k` and the weight
+/// `e^{z_k}·z′(θ_k)/z_k`, as `[re, im, re, im]`. They depend on neither `h`
+/// nor `m`, so they are computed once per process.
+fn screen_nodes() -> &'static [[f64; 4]; SCREEN_LANES] {
+    static NODES: OnceLock<[[f64; 4]; SCREEN_LANES]> = OnceLock::new();
+    NODES.get_or_init(|| {
+        let n = SCREEN_NODES as f64;
+        std::array::from_fn(|k| {
+            let theta = (2 * k + 1) as f64 * std::f64::consts::PI / n;
+            let z = (n * (0.1309 - 0.1194 * theta * theta), n * 0.25 * theta);
+            let dz = (-n * 2.0 * 0.1194 * theta, n * 0.25);
+            let exp_z = (z.0.exp() * z.1.cos(), z.0.exp() * z.1.sin());
+            let inv_z = complex_div((1.0, 0.0), z);
+            let weight = complex_mul(complex_mul(exp_z, dz), inv_z);
+            [inv_z.0, inv_z.1, weight.0, weight.1]
+        })
+    })
+}
+
+fn complex_mul(a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
+    (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
+}
+
+fn complex_div(a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
+    let d = b.0 * b.0 + b.1 * b.1;
+    ((a.0 * b.0 + a.1 * b.1) / d, (a.1 * b.0 - a.0 * b.1) / d)
+}
+
 /// The small-dense scratch of one [`MevpWorkspace`]: `H_m`, the stabilised
 /// projected Jacobian `S`, the augmented matrix whose exponential is taken,
 /// the Padé temporaries and the one φ column that is read. Buffers grow to
@@ -87,6 +132,10 @@ pub(crate) struct DenseArena {
     augmented: Vec<f64>,
     /// `φ_p(hS)·e₁` of the last evaluation (length `m`).
     column: Vec<f64>,
+    /// The screen's carried elimination row, one lane per node (real and
+    /// imaginary parts, length `m`).
+    lanes_re: Vec<[f64; SCREEN_LANES]>,
+    lanes_im: Vec<[f64; SCREEN_LANES]>,
     allocations: usize,
     exponentials: usize,
 }
@@ -272,19 +321,137 @@ impl DenseArena {
         h_next: f64,
         beta: f64,
     ) -> f64 {
+        beta * h_next.abs() * self.last_entry(kind, m).abs()
+    }
+
+    /// [`DenseArena::residual_scalar`], screened: from `H_m`, the leading
+    /// `m × m` block of `hess`, alone, without an exponential
+    /// ([`DenseArena::screen`]).
+    pub(crate) fn screened_residual_scalar(
+        &mut self,
+        kind: ProjectionKind,
+        hess: &DenseMatrix,
+        m: usize,
+        h: f64,
+        beta: f64,
+    ) -> Option<f64> {
+        let h_next = hess.get(m, m - 1);
+        Some(beta * h_next.abs() * self.screen(kind, hess, m, h)?.abs())
+    }
+
+    /// The signed entry the residual estimate scales: `e_mᵀ φ₀(hS) e₁`, or
+    /// for the inverse kinds Eq. (22)'s `e_mᵀ S e^{hS} e₁` — note the extra
+    /// `S`, which plays the role of `H_m⁻¹`.
+    pub(crate) fn last_entry(&self, kind: ProjectionKind, m: usize) -> f64 {
         let column = self.column(m);
-        let last = match kind {
+        match kind {
             ProjectionKind::Direct => column[m - 1],
-            // Eq. (22): e_mᵀ · H_m⁻¹ · e^{h H_m⁻¹} · e₁  — note the extra H_m⁻¹
-            // (the stabilized projection `S` plays the role of H_m⁻¹ here).
             ProjectionKind::Inverse | ProjectionKind::ShiftInvert { .. } => self.s
                 [(m - 1) * m..m * m]
                 .iter()
                 .zip(column)
                 .map(|(a, b)| a * b)
                 .sum(),
-        };
-        beta * h_next.abs() * last.abs()
+        }
+    }
+
+    /// The screen: Eq. (22)'s `e_mᵀ S e^{hS} e₁` for `H_m`, the leading
+    /// `m × m` block of `hess`, and `S = K⁻¹`, `K = H_m − δI` at
+    /// [`DenseArena::phi_column`]'s first shift — in `O(m²)`, with no
+    /// inverse and no exponential. `None` for the direct and shift-invert
+    /// kinds, and when the value is not finite.
+    ///
+    /// `S·e^{hS} = (1/2πi)∮ e^z (zK − hI)⁻¹ dz` on a contour around the
+    /// spectrum of `hS`, which a stable projection puts on the left, so
+    /// `e_mᵀ S e^{hS} e₁` is the integral of `e^z·F(z)`,
+    /// `F(z) = z⁻¹·[(K − (h/z)I)⁻¹ e₁]_m`, taken by the trapezoid rule on
+    /// [`SCREEN_NODES`] nodes. At each node `K − (h/z)I` is upper
+    /// Hessenberg: one elimination with adjacent-row pivoting reaches its
+    /// last pivot carrying two rows, and the last unknown is the carried
+    /// right-hand side over that pivot — no back substitution. The nodes
+    /// run side by side in lanes.
+    ///
+    /// Unlike the exponential it does not escalate the shift, so it answers
+    /// for the test's first rung only; the drive loop uses it to decide
+    /// whether that test is worth running.
+    pub(crate) fn screen(
+        &mut self,
+        kind: ProjectionKind,
+        hess: &DenseMatrix,
+        m: usize,
+        h: f64,
+    ) -> Option<f64> {
+        if kind != ProjectionKind::Inverse {
+            return None;
+        }
+        self.load_hm(hess, m);
+        grow(&mut self.lanes_re, m, &mut self.allocations);
+        grow(&mut self.lanes_im, m, &mut self.allocations);
+        let hm = &self.hm[..m * m];
+        let delta = 1e-12 * norm_inf(hm, m).max(f64::MIN_POSITIVE);
+        let nodes = screen_nodes();
+        // Each node's system is `H_m − σI`, `σ = δ + h/z`.
+        let sigma_re: [f64; SCREEN_LANES] = std::array::from_fn(|k| delta + h * nodes[k][0]);
+        let sigma_im: [f64; SCREEN_LANES] = std::array::from_fn(|k| h * nodes[k][1]);
+        let (re, im) = (&mut self.lanes_re[..m], &mut self.lanes_im[..m]);
+        // The carried row starts as the first row of `H_m − σI`, with the
+        // first entry of `e₁` as its right-hand side.
+        for ((lane_re, lane_im), &h0j) in re.iter_mut().zip(im.iter_mut()).zip(&hm[..m]) {
+            *lane_re = [h0j; SCREEN_LANES];
+            *lane_im = [0.0; SCREEN_LANES];
+        }
+        for k in 0..SCREEN_LANES {
+            re[0][k] -= sigma_re[k];
+            im[0][k] = -sigma_im[k];
+        }
+        let mut rhs_re = [1.0; SCREEN_LANES];
+        let mut rhs_im = [0.0; SCREEN_LANES];
+        for i in 0..m - 1 {
+            let below = &hm[(i + 1) * m..(i + 2) * m];
+            let sub = below[i];
+            // The next carried row is `a·(row i+1) + b·(carried row)`, which
+            // eliminates column `i` with the larger of the two as pivot.
+            let mut a = ([0.0; SCREEN_LANES], [0.0; SCREEN_LANES]);
+            let mut b = ([0.0; SCREEN_LANES], [0.0; SCREEN_LANES]);
+            for k in 0..SCREEN_LANES {
+                let (p_re, p_im) = (re[i][k], im[i][k]);
+                let pivot2 = p_re * p_re + p_im * p_im;
+                if sub * sub > pivot2 {
+                    // Row i+1 pivots: carried − (p/sub)·row.
+                    (a.0[k], a.1[k]) = (-p_re / sub, -p_im / sub);
+                    (b.0[k], b.1[k]) = (1.0, 0.0);
+                } else {
+                    // The carried row pivots: row − (sub/p)·carried.
+                    (a.0[k], a.1[k]) = (1.0, 0.0);
+                    (b.0[k], b.1[k]) = (-sub * p_re / pivot2, sub * p_im / pivot2);
+                }
+            }
+            for ((lane_re, lane_im), &hij) in re[i + 1..]
+                .iter_mut()
+                .zip(im[i + 1..].iter_mut())
+                .zip(&below[i + 1..])
+            {
+                for k in 0..SCREEN_LANES {
+                    let (r_re, r_im) = (lane_re[k], lane_im[k]);
+                    lane_re[k] = a.0[k] * hij + b.0[k] * r_re - b.1[k] * r_im;
+                    lane_im[k] = a.1[k] * hij + b.0[k] * r_im + b.1[k] * r_re;
+                }
+            }
+            // Row i+1's diagonal carries `−σ`; its right-hand side is zero.
+            for k in 0..SCREEN_LANES {
+                re[i + 1][k] -= a.0[k] * sigma_re[k] - a.1[k] * sigma_im[k];
+                im[i + 1][k] -= a.0[k] * sigma_im[k] + a.1[k] * sigma_re[k];
+                (rhs_re[k], rhs_im[k]) = complex_mul((b.0[k], b.1[k]), (rhs_re[k], rhs_im[k]));
+            }
+        }
+        // `(2/N)·Im Σ e^{z_k}·F(z_k)·z′_k` over the nodes above the axis.
+        let mut sum = 0.0;
+        for (k, node) in nodes.iter().enumerate() {
+            let x = complex_div((rhs_re[k], rhs_im[k]), (re[m - 1][k], im[m - 1][k]));
+            sum += node[2] * x.1 + node[3] * x.0;
+        }
+        let value = 2.0 / SCREEN_NODES as f64 * sum;
+        value.is_finite().then_some(value)
     }
 }
 
@@ -345,6 +512,12 @@ impl KrylovDecomposition {
     #[cfg(test)]
     pub(crate) fn basis(&self) -> &[Vec<f64>] {
         &self.basis
+    }
+
+    /// The `(m+1) × m` Hessenberg matrix (`m × m` after a breakdown).
+    #[cfg(test)]
+    pub(crate) fn hessenberg(&self) -> &DenseMatrix {
+        &self.hess
     }
 
     /// Consumes the decomposition, handing back its basis vectors so a
@@ -505,6 +678,19 @@ impl KrylovDecomposition {
             .dense
             .residual_scalar(self.kind, self.m, hnext, self.beta))
     }
+
+    /// The screen of [`KrylovDecomposition::residual_scalar_in`]: the same
+    /// scalar from a contour integral in `O(m²)`, with no exponential —
+    /// what a build runs before a convergence test that cannot pay. `None`
+    /// where there is no screen (the standard and rational subspaces) or its
+    /// value is not finite.
+    pub fn screened_residual_scalar_in(&self, h: f64, ws: &mut MevpWorkspace) -> Option<f64> {
+        if self.h_next() == 0.0 {
+            return Some(0.0);
+        }
+        ws.dense
+            .screened_residual_scalar(self.kind, &self.hess, self.m, h, self.beta)
+    }
 }
 
 #[cfg(test)]
@@ -653,6 +839,40 @@ mod tests {
         assert_eq!(ws.dense_allocations(), grown);
         let s = d.projected_jacobian().unwrap();
         assert_eq!((s.rows(), s.cols()), (2, 2));
+    }
+
+    /// The screen against `e_mᵀ S e^{hS} e₁` by hand, on the diagonal
+    /// system `C = diag(1, 0)`, `G = I`: `J⁻¹ = −G⁻¹C = diag(−1, 0)` is
+    /// singular, and from `v = (1, 1)` the invert-Krylov Hessenberg is
+    /// `H_1 = [−½]` and `H_2 = [[−½, ½], [½, −½]]`, similar to `J⁻¹`. Only
+    /// the stabilizing shift `δ = 1e-12·‖H_m‖∞` keeps `S = (H_m − δI)⁻¹`
+    /// finite: at `h` near `δ` the mode it makes decays at a rate `h/δ` of
+    /// order one and dominates the value.
+    #[test]
+    fn the_screen_is_the_eq22_scalar_by_hand_on_a_diagonal_system() {
+        let hess = DenseMatrix::from_rows(&[&[-0.5, 0.5], &[0.5, -0.5]]);
+        let g = |h: f64, x: f64| x * (h * x).exp();
+        for h in [1e-12, 4e-12, 0.3, 3.0] {
+            // m = 1: S = 1/(−½ − δ) with δ = ½·1e-12, a scalar.
+            let s = 1.0 / (-0.5 - 0.5e-12);
+            // m = 2: S's eigenvalues are 1/(−δ) and 1/(−1 − δ), and the
+            // (2, 1) entry of any function f of a 2 × 2 matrix is
+            // S₂₁·(f(μ₁) − f(μ₂))/(μ₁ − μ₂).
+            let delta = 1e-12;
+            let s21 = -0.5 / (delta * (1.0 + delta));
+            let (mu1, mu2) = (-1.0 / delta, -1.0 / (1.0 + delta));
+            let by_hand = [g(h, s), s21 * (g(h, mu1) - g(h, mu2)) / (mu1 - mu2)];
+            let mut arena = DenseArena::default();
+            for (m, expected) in [1, 2].into_iter().zip(by_hand) {
+                let screened = arena.screen(ProjectionKind::Inverse, &hess, m, h).unwrap();
+                // Measured: within 9e-5, the quadrature's error.
+                let err = (screened - expected).abs() / expected.abs();
+                assert!(
+                    err < 1e-3,
+                    "h = {h:e}, m = {m}: {screened:e} vs {expected:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use exi_sparse::{vector, CsrMatrix, SparseLu};
 
-use crate::arnoldi::{drive, ArnoldiProcess};
+use crate::arnoldi::{drive, ArnoldiProcess, Estimate};
 use crate::decomposition::{KrylovDecomposition, ProjectionKind};
 use crate::error::KrylovResult;
 use crate::mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
@@ -112,7 +112,8 @@ pub fn mevp_invert_krylov_state_residual_with(
     build(c, None, g_lu, v, h, options, ws)
 }
 
-/// Both front-ends: one invert-Krylov build, stopping on [`residual`].
+/// Both front-ends: one invert-Krylov build, stopping on the Eq. (22)
+/// residual with [`residual_factor`].
 fn build(
     c: &CsrMatrix,
     g: Option<&CsrMatrix>,
@@ -123,22 +124,22 @@ fn build(
     ws: &mut MevpWorkspace,
 ) -> KrylovResult<MevpOutcome> {
     let op = InverseJacobianOperator::new(c, g_lu);
-    drive(&op, KIND, v, h, options, ws, |process, ws| {
-        Some(residual(process, g, ws))
-    })
+    let factor = Estimate::Residual(&mut |process, ws| residual_factor(process, g, ws));
+    drive(&op, KIND, v, h, options, ws, factor)
 }
 
 const KIND: ProjectionKind = ProjectionKind::Inverse;
 
-/// The residual of paper Eq. (22) for the dimension [`drive`] has just
-/// exponentiated. With the circuit's `g`, the KCL/KVL residual in amperes,
-/// `‖r_m(h)‖ = β · |h_{m+1,m}| · ‖G·v_{m+1}‖ · |e_mᵀ H_m⁻¹ e^{h H_m⁻¹} e₁|`;
-/// without, its scalar part, which is `‖G⁻¹r_m(h)‖₂` (`‖v_{m+1}‖ = 1`).
-fn residual(process: &ArnoldiProcess, g: Option<&CsrMatrix>, ws: &mut MevpWorkspace) -> f64 {
-    let scalar = process.residual_scalar(KIND, ws);
+/// The circuit-matrix factor of paper Eq. (22) for the dimension [`drive`]
+/// is testing, which [`drive`] multiplies by the residual scalar
+/// `β · |h_{m+1,m}| · |e_mᵀ H_m⁻¹ e^{h H_m⁻¹} e₁|`. With the circuit's `g`,
+/// `‖G·v_{m+1}‖`, so the residual is the KCL/KVL residual `‖r_m(h)‖` in
+/// amperes; without, 1, so it is the scalar part, which is `‖G⁻¹r_m(h)‖₂`
+/// (`‖v_{m+1}‖ = 1`).
+fn residual_factor(process: &ArnoldiProcess, g: Option<&CsrMatrix>, ws: &mut MevpWorkspace) -> f64 {
     match g {
-        Some(g) => scalar * gv_norm(process.next_vector(), g, ws),
-        None => scalar,
+        Some(g) => gv_norm(process.next_vector(), g, ws),
+        None => 1.0,
     }
 }
 
@@ -186,6 +187,7 @@ pub fn invert_krylov_residual(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomposition::DenseArena;
     use crate::error::KrylovError;
     use crate::operator::{KrylovOperator, OperatorWorkspace};
     use exi_sparse::{SparseResult, TripletMatrix};
@@ -212,6 +214,16 @@ mod tests {
         ) -> SparseResult<()> {
             self.0.apply_into(v, out, ws)
         }
+    }
+
+    /// The residual an exact test computes, from the column [`drive`] has
+    /// just left in `ws`.
+    fn exact_residual(
+        process: &ArnoldiProcess,
+        g: Option<&CsrMatrix>,
+        ws: &mut MevpWorkspace,
+    ) -> f64 {
+        process.residual_scalar(KIND, ws) * residual_factor(process, g, ws)
     }
 
     fn diag(vals: &[f64]) -> CsrMatrix {
@@ -373,7 +385,9 @@ mod tests {
     #[test]
     fn the_eager_product_costs_no_exponential_beyond_the_tests() {
         // The converging test and the eager product are functions of the
-        // same (H_m, h): one exponential serves both.
+        // same (H_m, h): one exponential serves both. Short vectors, so no
+        // test past the first few can pay: the screen skips the ones that
+        // cannot pass, and they cost no exponential at all.
         let n = 30;
         let c = tridiag(n, 2.0, 0.4);
         let g = tridiag(n, 1.0, -0.3);
@@ -385,7 +399,8 @@ mod tests {
                 .unwrap();
         assert!(out.dimension > 3 && out.residual > 0.0, "a tested build");
         assert!(ws.residual_tests() > 3);
-        assert_eq!(ws.small_dense_exponentials(), ws.residual_tests());
+        // Measured: 3 exponentials for 14 tests.
+        assert!(ws.small_dense_exponentials() < ws.residual_tests());
         // ... and it is the product a re-evaluation of the decomposition gives.
         let mut again = vec![0.0; n];
         out.decomposition.eval_expv_into(0.05, &mut again).unwrap();
@@ -397,6 +412,34 @@ mod tests {
         ws.recycle(out.decomposition);
         mevp_invert_krylov_with(&c, &g, &g_lu, &v, 0.05, &MevpOptions::default(), &mut ws).unwrap();
         assert_eq!(ws.dense_allocations(), grown);
+    }
+
+    #[test]
+    fn a_build_whose_every_test_can_pay_computes_one_exponential_per_test() {
+        // The build of the test above, priced so that every test pays: none
+        // is screened, each computes its exponential, and the converging
+        // one's serves the product.
+        let n = 30;
+        let c = tridiag(n, 2.0, 0.4);
+        let g = tridiag(n, 1.0, -0.3);
+        let g_lu = SparseLu::factorize(&g).unwrap();
+        let v: Vec<f64> = (0..n).map(|i| ((i % 3) as f64) - 1.0).collect();
+        let op = EveryDimension(InverseJacobianOperator::new(&c, &g_lu));
+        let mut ws = MevpWorkspace::new();
+        let factor = Estimate::Residual(&mut |process, ws| residual_factor(process, Some(&g), ws));
+        let out = drive(
+            &op,
+            KIND,
+            &v,
+            0.05,
+            &MevpOptions::default(),
+            &mut ws,
+            factor,
+        )
+        .unwrap();
+        assert!(out.dimension > 3 && out.residual > 0.0, "a tested build");
+        assert_eq!(ws.residual_tests(), out.dimension - 1);
+        assert_eq!(ws.small_dense_exponentials(), ws.residual_tests());
     }
 
     #[test]
@@ -523,6 +566,37 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
+        /// The screen reads Eq. (22)'s `e_mᵀ S e^{hS} e₁` — sign included,
+        /// so the contour's orientation is checked too — to 10 % at every
+        /// dimension a build to a tolerance in volts tests: the Hessenbergs
+        /// of invert-Krylov builds of random RC ladders, which the exact
+        /// test exponentiates at its first shift. Measured over 400 cases:
+        /// 0.958–1.040.
+        #[test]
+        fn the_screen_reads_the_eq22_scalar_of_rc_builds(
+            (c, g, v, h) in random_rc_pencil(),
+            tolerance in (3i32..8).prop_map(|decades| 10f64.powi(-decades)),
+        ) {
+            let g_lu = SparseLu::factorize(&g).unwrap();
+            let options = MevpOptions {
+                tolerance,
+                max_dimension: 30,
+                allow_unconverged: true,
+                ..MevpOptions::default()
+            };
+            let out = mevp_invert_krylov_state_residual_with(&c, &g_lu, &v, h, &options, &mut MevpWorkspace::new())
+                .unwrap();
+            let hess = out.decomposition.hessenberg();
+            let (mut exact, mut screen) = (DenseArena::default(), DenseArena::default());
+            for m in 1..=out.dimension {
+                exact.phi_column(KIND, hess, m, 0, h).unwrap();
+                let expected = exact.last_entry(KIND, m);
+                let screened = screen.screen(KIND, hess, m, h).expect("a finite screen");
+                let ratio = screened / expected;
+                prop_assert!((0.9..=1.1).contains(&ratio), "m = {m}: {screened:e} vs {expected:e}");
+            }
+        }
+
         /// `‖G⁻¹r_m‖₂ = residual_scalar`: the Eq. (22) residual mapped back
         /// through `G` is the scalar part of Eq. (22), in the unknowns' units.
         /// First as the formula states it — the scalar times `G·v_{m+1}`,
@@ -603,17 +677,19 @@ mod tests {
                 allow_unconverged: true,
                 ..MevpOptions::default()
             };
-            // Every dimension the schedule tests, and its residual: the
-            // schedule does not depend on the residuals, so an unmeetable
-            // tolerance runs it to the end.
+            // Every dimension the schedule tests, and its exact residual:
+            // the schedule does not depend on the residuals, so an
+            // unmeetable tolerance runs it to the end, and an estimate read
+            // off the column is never screened. The build under test screens
+            // its tests: it must stop where the exact tests do.
             let mut tested = Vec::new();
             let unmeetable = MevpOptions { tolerance: -1.0, allow_unconverged: true, ..options.clone() };
             let op = InverseJacobianOperator::new(&c, &g_lu);
-            let every = drive(&op, KIND, &v, h, &unmeetable, &mut MevpWorkspace::new(), |process, ws| {
-                let residual = residual(process, None, ws);
+            let every = drive(&op, KIND, &v, h, &unmeetable, &mut MevpWorkspace::new(), Estimate::Column(&mut |process, ws| {
+                let residual = exact_residual(process, None, ws);
                 tested.push((process.dimension(), residual));
                 Some(residual)
-            })
+            }))
             .unwrap();
             let out = mevp_invert_krylov_state_residual_with(&c, &g_lu, &v, h, &options, &mut MevpWorkspace::new())
                 .unwrap();
@@ -660,11 +736,11 @@ mod tests {
             let mut residuals = vec![f64::INFINITY; options.max_dimension + 1];
             let unmeetable = MevpOptions { tolerance: -1.0, allow_unconverged: true, ..options.clone() };
             let op = EveryDimension(InverseJacobianOperator::new(&c, &g_lu));
-            drive(&op, KIND, &v, h, &unmeetable, &mut MevpWorkspace::new(), |process, ws| {
-                let residual = residual(process, Some(&g), ws);
+            drive(&op, KIND, &v, h, &unmeetable, &mut MevpWorkspace::new(), Estimate::Column(&mut |process, ws| {
+                let residual = exact_residual(process, Some(&g), ws);
                 residuals[process.dimension()] = residual;
                 Some(residual)
-            })
+            }))
             .unwrap();
             let met = |j: usize| residuals[j] <= options.tolerance;
             let Some(m_every) = (2..=options.max_dimension).find(|&j| met(j)) else {

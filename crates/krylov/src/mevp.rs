@@ -58,12 +58,13 @@ pub struct MevpOutcome {
 ///
 /// The workspace also owns the small-dense arena every `O(m²)` temporary
 /// under the Arnoldi loop is drawn from (the `H_m` copy, the projected
-/// Jacobian, the augmented matrix, the Padé temporaries and LU storage). It
-/// grows to the largest subspace dimension seen and then stops allocating
-/// too; [`MevpWorkspace::dense_allocations`] counts the growths. The
-/// counters of the layer — convergence tests run and small exponentials
-/// computed — live here as well, per workspace, so concurrent sessions never
-/// share a cache line over them.
+/// Jacobian, the augmented matrix, the Padé temporaries, LU storage and the
+/// convergence-test screen's lanes). It grows to the largest subspace
+/// dimension seen and then stops allocating too;
+/// [`MevpWorkspace::dense_allocations`] counts the growths. The counters of
+/// the layer — convergence tests scheduled and small exponentials computed —
+/// live here as well, per workspace, so concurrent sessions never share a
+/// cache line over them.
 ///
 /// # Examples
 ///
@@ -105,7 +106,7 @@ pub struct MevpWorkspace {
     allocations: usize,
     /// Everything `O(m²)` under the Arnoldi loop.
     pub(crate) dense: DenseArena,
-    /// Convergence tests the Arnoldi drive loop has run.
+    /// Convergence tests the Arnoldi drive loop has scheduled.
     pub(crate) residual_tests: usize,
 }
 
@@ -142,8 +143,9 @@ impl MevpWorkspace {
         self.dense.exponentials()
     }
 
-    /// Number of convergence tests the Arnoldi drive loop has run through
-    /// this workspace.
+    /// Number of convergence tests the Arnoldi drive loop has scheduled
+    /// through this workspace, the ones its screen skipped without an
+    /// exponential included.
     pub fn residual_tests(&self) -> usize {
         self.residual_tests
     }

@@ -9,7 +9,7 @@
 
 use exi_sparse::{vector, CsrMatrix, SparseLu};
 
-use crate::arnoldi::drive;
+use crate::arnoldi::{drive, Estimate};
 use crate::decomposition::ProjectionKind;
 use crate::error::{KrylovError, KrylovResult};
 use crate::mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
@@ -76,7 +76,7 @@ pub fn mevp_rational_krylov(
     let vnorm = vector::norm2(v);
     let mut previous: Vec<f64> = Vec::new();
     let mut ws = MevpWorkspace::new();
-    drive(&op, kind, v, h, options, &mut ws, |process, ws| {
+    let estimate = Estimate::Column(&mut |process, ws| {
         let m = process.dimension();
         let current = ws.dense.column(m).iter().map(|phi| process.beta() * phi);
         // ‖y_m − y_prev‖₂ over the shared leading coefficients; the new
@@ -92,7 +92,8 @@ pub fn mevp_rational_krylov(
         previous.clear();
         previous.extend(current);
         estimated
-    })
+    });
+    drive(&op, kind, v, h, options, &mut ws, estimate)
 }
 
 #[cfg(test)]

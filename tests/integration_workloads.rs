@@ -154,8 +154,10 @@ fn er_power_grid_run_reuses_a_single_symbolic_analysis() {
 /// `er_dense_coupling` circuit) a test costs more than an Arnoldi iteration
 /// from dimension ~10 on, so tests thin out geometrically. Counts only: at
 /// most three tests per four dimensions built (testing every dimension is
-/// 0.96), a dense arena that a second run of the session finds grown, and
-/// the folded step's budget of subspaces and exponentials.
+/// 0.96), a dense arena that a second run of the session finds grown, the
+/// folded step's budget of subspaces, and exponentials for fewer than two
+/// in three tests: the tests that cannot pay are screened, and most of them
+/// cannot pass.
 #[test]
 fn dense_coupling_tests_convergence_on_a_schedule_and_stops_allocating() {
     let ckt = coupled_lines(&CoupledLinesSpec {
@@ -185,18 +187,16 @@ fn dense_coupling_tests_convergence_on_a_schedule_and_stops_allocating() {
         4 * first.krylov_residual_tests <= 3 * first.krylov_dimension_total,
         "{first:?}"
     );
-    assert!(first.small_dense_exponentials >= first.krylov_residual_tests);
     assert!(first.dense_workspace_allocations > 0);
     // One subspace per step (the input term rides in the exponential's start
-    // vector) and one per attempt's estimator — and no φ₁ evaluation: beyond
-    // the convergence tests, the only exponentials left are the re-read of a
-    // rejected step's subspace and the closing column of a subspace that
-    // ended on an untested dimension. One φ₁ per attempt would alone put
-    // that remainder above the number of attempts.
+    // vector) and one per attempt's estimator.
     let attempts = first.accepted_steps + first.rejected_steps;
     assert!(first.krylov_subspaces <= 2 * attempts, "{first:?}");
+    // Every test computed its exponential before the screen: 747 for 735
+    // tests. Measured with it: 396, every count but the exponentials and
+    // the arena's growths unchanged.
     assert!(
-        first.small_dense_exponentials - first.krylov_residual_tests < first.accepted_steps,
+        5 * first.small_dense_exponentials <= 3 * first.krylov_residual_tests,
         "{first:?}"
     );
     // A prefix of the same run meets no dimension the first one did not.
