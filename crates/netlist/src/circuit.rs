@@ -2,9 +2,9 @@
 
 use std::collections::HashSet;
 
-use exi_sparse::{CsrMatrix, TripletMatrix};
+use exi_sparse::CsrMatrix;
 
-use crate::devices::{Device, DiodeModel, MosfetModel, StampContext};
+use crate::devices::{Device, DiodeModel, MosfetModel};
 use crate::error::{NetlistError, NetlistResult};
 use crate::node::{NodeId, NodeMap};
 use crate::waveform::Waveform;
@@ -12,7 +12,10 @@ use crate::waveform::Waveform;
 /// Result of evaluating all devices at a state vector `x`.
 ///
 /// Together these describe the linearization the integrators work with:
-/// `C(x)·dx/dt + f(x) = B·u(t)` with `G(x) = ∂f/∂x` and `C(x) = ∂q/∂x`.
+/// `C(x)·dx/dt + f(x) = B·u(t)` with `C(x) = ∂q/∂x` and
+/// `G(x) = ∂f/∂x + gmin·(junction stamps)`: `G` also carries the `gmin`
+/// conductance stamp across every diode and every MOSFET's drain–source,
+/// which `f` carries no current for (see [`crate::devices`]).
 #[derive(Debug, Clone)]
 pub struct Evaluation {
     /// Capacitance/inductance Jacobian `C(x)`.
@@ -384,87 +387,6 @@ impl Circuit {
     /// Returns [`NetlistError::EmptyCircuit`] for a circuit with no unknowns.
     pub fn compile_plan(&self) -> NetlistResult<crate::plan::EvalPlan> {
         crate::plan::EvalPlan::compile(self)
-    }
-
-    /// The original COO-assembly evaluation path, kept as the independent
-    /// value oracle for the plan path ([`Circuit::compile_plan`]): `f`, `q`
-    /// and `C` agree bit for bit, `G` cell for cell (this path drops cells
-    /// whose value is `0.0`; the plan keeps them as explicit zeros — see
-    /// [`crate::plan`]). `tests/proptest_plan.rs` asserts it on randomized
-    /// circuits; the `assembly` bench group measures the gap.
-    #[doc(hidden)]
-    pub fn evaluate_reference(&self, x: &[f64]) -> NetlistResult<Evaluation> {
-        let n = self.num_unknowns();
-        if n == 0 {
-            return Err(NetlistError::EmptyCircuit);
-        }
-        if x.len() != n {
-            return Err(NetlistError::Parse {
-                line: 0,
-                message: format!(
-                    "state vector length {} does not match {} unknowns",
-                    x.len(),
-                    n
-                ),
-            });
-        }
-        let mut g = TripletMatrix::with_capacity(n, n, 8 * self.devices.len());
-        let mut c = TripletMatrix::with_capacity(n, n, 4 * self.devices.len());
-        let mut f = vec![0.0; n];
-        let mut q = vec![0.0; n];
-        {
-            let mut ctx = StampContext {
-                x,
-                g: &mut g,
-                c: &mut c,
-                f: &mut f,
-                q: &mut q,
-                b: None,
-                gmin: self.gmin,
-                branch_offset: self.num_nodes(),
-            };
-            for device in &self.devices {
-                device.stamp(&mut ctx);
-            }
-        }
-        Ok(Evaluation {
-            c: c.to_csr(),
-            g: g.to_csr(),
-            f,
-            q,
-        })
-    }
-
-    /// The legacy stamping-pass construction of `B`, retained as the
-    /// differential-testing reference for the plan path.
-    #[doc(hidden)]
-    pub fn input_matrix_reference(&self) -> NetlistResult<CsrMatrix> {
-        let n = self.num_unknowns();
-        if n == 0 {
-            return Err(NetlistError::EmptyCircuit);
-        }
-        let x = vec![0.0; n];
-        let mut g = TripletMatrix::new(n, n);
-        let mut c = TripletMatrix::new(n, n);
-        let mut f = vec![0.0; n];
-        let mut q = vec![0.0; n];
-        let mut b = TripletMatrix::new(n, self.sources.len().max(1));
-        {
-            let mut ctx = StampContext {
-                x: &x,
-                g: &mut g,
-                c: &mut c,
-                f: &mut f,
-                q: &mut q,
-                b: Some(&mut b),
-                gmin: self.gmin,
-                branch_offset: self.num_nodes(),
-            };
-            for device in &self.devices {
-                device.stamp(&mut ctx);
-            }
-        }
-        Ok(b.to_csr())
     }
 
     /// Number of entries of the input vector `u(t)` — the column count of

@@ -1,4 +1,4 @@
-//! Circuit devices and their MNA stamps.
+//! Circuit devices and the MNA system they stamp.
 //!
 //! Every device contributes to the nonlinear MNA system
 //!
@@ -7,17 +7,24 @@
 //! ```
 //!
 //! through four quantities evaluated at a state `x`: the static current
-//! vector `f(x)`, the charge/flux vector `q(x)`, and their Jacobians
-//! `G(x) = ∂f/∂x` and `C(x) = ∂q/∂x`. Independent sources contribute columns
-//! of the incidence matrix `B` and entries of `u(t)`.
+//! vector `f(x)`, the charge/flux vector `q(x)`, and the matrices
+//! `C(x) = ∂q/∂x` and
+//!
+//! ```text
+//! G(x) = ∂f/∂x + gmin·(junction stamps)
+//! ```
+//!
+//! where the junction stamps are the two-terminal conductance stamps across
+//! every diode and every MOSFET's drain–source: `gmin` conditions `G` but
+//! carries no current in `f`. Independent sources contribute columns of the
+//! incidence matrix `B` and entries of `u(t)`. Each device's stamp lives in
+//! one place, the evaluation plan ([`crate::plan`]).
 
 mod diode;
 mod mosfet;
 
 pub use diode::{DiodeModel, DiodeOperatingPoint};
 pub use mosfet::{MosfetModel, MosfetOperatingPoint, MosfetPolarity};
-
-use exi_sparse::TripletMatrix;
 
 use crate::node::NodeId;
 
@@ -126,220 +133,5 @@ impl Device {
     /// Returns `true` for devices whose stamps depend on the state vector.
     pub fn is_nonlinear(&self) -> bool {
         matches!(self, Device::Diode { .. } | Device::Mosfet { .. })
-    }
-
-    /// Stamps the device's contribution at state `x` into the assembly
-    /// context.
-    pub(crate) fn stamp(&self, ctx: &mut StampContext<'_>) {
-        match self {
-            Device::Resistor {
-                a, b, resistance, ..
-            } => {
-                let g = 1.0 / resistance;
-                let va = ctx.voltage(*a);
-                let vb = ctx.voltage(*b);
-                let i = g * (va - vb);
-                ctx.add_f(a.unknown(), i);
-                ctx.add_f(b.unknown(), -i);
-                ctx.stamp_conductance(*a, *b, g);
-            }
-            Device::Capacitor {
-                a, b, capacitance, ..
-            } => {
-                let va = ctx.voltage(*a);
-                let vb = ctx.voltage(*b);
-                let q = capacitance * (va - vb);
-                ctx.add_q(a.unknown(), q);
-                ctx.add_q(b.unknown(), -q);
-                ctx.stamp_capacitance(*a, *b, *capacitance);
-            }
-            Device::Inductor {
-                a,
-                b,
-                inductance,
-                branch,
-                ..
-            } => {
-                let row = ctx.branch_row(*branch);
-                let il = ctx.branch_value(*branch);
-                let va = ctx.voltage(*a);
-                let vb = ctx.voltage(*b);
-                // KCL: the branch current leaves `a` and enters `b`.
-                ctx.add_f(a.unknown(), il);
-                ctx.add_f(b.unknown(), -il);
-                ctx.add_g(a.unknown(), row, 1.0);
-                ctx.add_g(b.unknown(), row, -1.0);
-                // Branch equation: L·di/dt − (v_a − v_b) = 0.
-                ctx.add_q(row, inductance * il);
-                ctx.add_c(row, row, *inductance);
-                ctx.add_f(row, -(va - vb));
-                ctx.add_g(row, a.unknown(), -1.0);
-                ctx.add_g(row, b.unknown(), 1.0);
-            }
-            Device::VoltageSource {
-                pos,
-                neg,
-                branch,
-                source,
-                ..
-            } => {
-                let row = ctx.branch_row(*branch);
-                let i = ctx.branch_value(*branch);
-                let vp = ctx.voltage(*pos);
-                let vn = ctx.voltage(*neg);
-                ctx.add_f(pos.unknown(), i);
-                ctx.add_f(neg.unknown(), -i);
-                ctx.add_g(pos.unknown(), row, 1.0);
-                ctx.add_g(neg.unknown(), row, -1.0);
-                // Branch equation: v_pos − v_neg = u(t).
-                ctx.add_f(row, vp - vn);
-                ctx.add_g(row, pos.unknown(), 1.0);
-                ctx.add_g(row, neg.unknown(), -1.0);
-                ctx.add_b(row, *source, 1.0);
-            }
-            Device::CurrentSource {
-                from, to, source, ..
-            } => {
-                ctx.add_b(to.unknown(), *source, 1.0);
-                ctx.add_b(from.unknown(), *source, -1.0);
-            }
-            Device::Diode {
-                anode,
-                cathode,
-                model,
-                ..
-            } => {
-                let vd = ctx.voltage(*anode) - ctx.voltage(*cathode);
-                let op = model.evaluate(vd);
-                ctx.add_f(anode.unknown(), op.current);
-                ctx.add_f(cathode.unknown(), -op.current);
-                ctx.stamp_conductance(*anode, *cathode, op.conductance + ctx.gmin);
-                let q = model.junction_capacitance * vd;
-                ctx.add_q(anode.unknown(), q);
-                ctx.add_q(cathode.unknown(), -q);
-                ctx.stamp_capacitance(*anode, *cathode, model.junction_capacitance);
-            }
-            Device::Mosfet {
-                drain,
-                gate,
-                source,
-                model,
-                ..
-            } => {
-                let vd = ctx.voltage(*drain);
-                let vg = ctx.voltage(*gate);
-                let vs = ctx.voltage(*source);
-                let op = model.evaluate(vg - vs, vd - vs);
-                // Channel current flows from drain to source.
-                ctx.add_f(drain.unknown(), op.ids);
-                ctx.add_f(source.unknown(), -op.ids);
-                let gm = op.gm;
-                let gds = op.gds;
-                ctx.add_g(drain.unknown(), drain.unknown(), gds);
-                ctx.add_g(drain.unknown(), gate.unknown(), gm);
-                ctx.add_g(drain.unknown(), source.unknown(), -(gm + gds));
-                ctx.add_g(source.unknown(), drain.unknown(), -gds);
-                ctx.add_g(source.unknown(), gate.unknown(), -gm);
-                ctx.add_g(source.unknown(), source.unknown(), gm + gds);
-                // Leakage conductance keeps the Jacobian well conditioned in
-                // cut-off, mirroring SPICE's GMIN.
-                ctx.stamp_conductance(*drain, *source, ctx.gmin);
-                // Gate overlap capacitances.
-                let qgs = model.cgs * (vg - vs);
-                ctx.add_q(gate.unknown(), qgs);
-                ctx.add_q(source.unknown(), -qgs);
-                ctx.stamp_capacitance(*gate, *source, model.cgs);
-                let qgd = model.cgd * (vg - vd);
-                ctx.add_q(gate.unknown(), qgd);
-                ctx.add_q(drain.unknown(), -qgd);
-                ctx.stamp_capacitance(*gate, *drain, model.cgd);
-            }
-        }
-    }
-}
-
-/// Mutable assembly buffers a device stamps into.
-#[derive(Debug)]
-pub(crate) struct StampContext<'a> {
-    /// State vector the devices are evaluated at.
-    pub x: &'a [f64],
-    /// Jacobian of the static currents, `G(x)`.
-    pub g: &'a mut TripletMatrix,
-    /// Jacobian of the charges, `C(x)`.
-    pub c: &'a mut TripletMatrix,
-    /// Static current vector `f(x)`.
-    pub f: &'a mut [f64],
-    /// Charge/flux vector `q(x)`.
-    pub q: &'a mut [f64],
-    /// Source incidence triplets (`B`), only filled when requested.
-    pub b: Option<&'a mut TripletMatrix>,
-    /// Minimum conductance stamped across nonlinear junctions.
-    pub gmin: f64,
-    /// Index of the first branch-current unknown (= number of node unknowns).
-    pub branch_offset: usize,
-}
-
-impl StampContext<'_> {
-    fn voltage(&self, node: NodeId) -> f64 {
-        match node.unknown() {
-            Some(i) => self.x[i],
-            None => 0.0,
-        }
-    }
-
-    /// Row index of the branch-current unknown with the given ordinal.
-    fn branch_row(&self, ordinal: usize) -> Option<usize> {
-        Some(self.branch_offset + ordinal)
-    }
-
-    /// Value of the branch-current unknown with the given ordinal.
-    fn branch_value(&self, ordinal: usize) -> f64 {
-        self.x[self.branch_offset + ordinal]
-    }
-
-    fn add_f(&mut self, row: Option<usize>, value: f64) {
-        if let Some(r) = row {
-            self.f[r] += value;
-        }
-    }
-
-    fn add_q(&mut self, row: Option<usize>, value: f64) {
-        if let Some(r) = row {
-            self.q[r] += value;
-        }
-    }
-
-    fn add_g(&mut self, row: Option<usize>, col: Option<usize>, value: f64) {
-        if let (Some(r), Some(c)) = (row, col) {
-            self.g.push(r, c, value);
-        }
-    }
-
-    fn add_c(&mut self, row: Option<usize>, col: Option<usize>, value: f64) {
-        if let (Some(r), Some(c)) = (row, col) {
-            self.c.push(r, c, value);
-        }
-    }
-
-    fn add_b(&mut self, row: Option<usize>, source: usize, value: f64) {
-        if let (Some(b), Some(r)) = (self.b.as_deref_mut(), row) {
-            b.push(r, source, value);
-        }
-    }
-
-    /// Standard two-terminal conductance stamp.
-    fn stamp_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
-        self.add_g(a.unknown(), a.unknown(), g);
-        self.add_g(b.unknown(), b.unknown(), g);
-        self.add_g(a.unknown(), b.unknown(), -g);
-        self.add_g(b.unknown(), a.unknown(), -g);
-    }
-
-    /// Standard two-terminal capacitance stamp.
-    fn stamp_capacitance(&mut self, a: NodeId, b: NodeId, c: f64) {
-        self.add_c(a.unknown(), a.unknown(), c);
-        self.add_c(b.unknown(), b.unknown(), c);
-        self.add_c(a.unknown(), b.unknown(), -c);
-        self.add_c(b.unknown(), a.unknown(), -c);
     }
 }

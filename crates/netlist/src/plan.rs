@@ -34,18 +34,18 @@
 //! ([`EvalWorkspace::allocations`] counts the warm-ups so regressions are
 //! observable).
 //!
-//! # Value oracle
+//! # One stamp per device, checked against calculus
 //!
-//! [`Circuit::evaluate_reference`] keeps the original COO assembly as an
-//! independent *value* oracle: `f`, `q`, `C` and `B` agree bit for bit, and
-//! `G` agrees cell for cell — a cell the reference dropped because its value
-//! was `0.0` is an explicit `0.0` here, and a cell that sums several stamps
-//! may differ in the last bits because the plan adds its slots onto the
-//! precomputed constant sum instead of sorting the raw stamps.
-//! `tests/proptest_plan.rs` pins this on randomized circuits. The
-//! bit-identity the simulator guarantees is *across execution strategies*
-//! (scalar, worker threads, over the wire), all of which restamp
-//! through this one plan.
+//! This module is the one place that knows each device's stamp: the
+//! compile-time `Recorder` for the constants, `run_kernels` for what `x`
+//! moves. Its values are checked against definitions, not against a second
+//! copy: `tests/proptest_plan.rs` asserts on random circuits that column `j`
+//! of `G` is the central difference of `f` in `x_j` plus the `gmin` junction
+//! stamps (see [`crate::devices`]) and column `j` of `C` the central
+//! difference of `q`, and the unit tests below hold a literal stamp table
+//! per device kind. The bit-identity the simulator guarantees is *across
+//! execution strategies* (scalar, worker threads, over the wire), all of
+//! which restamp through this one plan.
 //!
 //! # Example
 //!
@@ -230,9 +230,9 @@ pub struct EvalPlan {
     g_orderings: [OnceLock<Permutation>; 3],
 }
 
-/// Records stamps during compilation, mirroring `devices::StampContext`:
-/// constants go straight into triplet matrices (whose `push` drops an exact
-/// `0.0`), nonlinear conductance entries are numbered as slots.
+/// Records stamps during compilation: constants go straight into triplet
+/// matrices (whose `push` drops an exact `0.0`), nonlinear conductance
+/// entries are numbered as slots.
 struct Recorder {
     g: TripletMatrix,
     c: TripletMatrix,
@@ -267,8 +267,8 @@ impl Recorder {
         }
     }
 
-    /// The standard two-terminal conductance stamp with a constant value,
-    /// in `StampContext::stamp_conductance` push order.
+    /// The standard two-terminal conductance stamp with a constant value.
+    /// The push order fixes the summation bits of the constant cells.
     fn const_conductance(&mut self, a: Option<usize>, b: Option<usize>, g: f64) {
         self.push_g(a, a, g);
         self.push_g(b, b, g);
@@ -276,8 +276,8 @@ impl Recorder {
         self.push_g(b, a, -g);
     }
 
-    /// The standard two-terminal capacitance stamp, in
-    /// `StampContext::stamp_capacitance` push order.
+    /// The standard two-terminal capacitance stamp, in the push order of
+    /// [`Recorder::const_conductance`].
     fn const_capacitance(&mut self, a: Option<usize>, b: Option<usize>, c: f64) {
         self.push_c(a, a, c);
         self.push_c(b, b, c);
@@ -338,8 +338,9 @@ impl EvalPlan {
         };
         let mut kernels = Vec::with_capacity(circuit.num_devices());
 
-        // One pass over the devices in `Device::stamp` push order, so `f`,
-        // `q` and the constant cells sum in the reference's order.
+        // One pass over the devices in circuit order: that order, with each
+        // arm's push order, fixes the summation bits of the constant cells
+        // (and `run_kernels` the bits of `f` and `q`), which the goldens pin.
         for device in circuit.devices() {
             match device {
                 Device::Resistor {
@@ -559,7 +560,8 @@ impl EvalPlan {
 
     /// Creates an [`Evaluation`] whose buffers are pre-sized for this plan,
     /// so the first [`EvalPlan::evaluate_into`] into it already runs
-    /// allocation-free.
+    /// allocation-free. Its `g` and `c` hold the compiled constants on the
+    /// fixed patterns: `0.0` in a cell only nonlinear slots write.
     pub fn new_evaluation(&self) -> Evaluation {
         Evaluation {
             c: self.c.clone(),
@@ -620,8 +622,9 @@ impl EvalPlan {
     }
 
     /// Runs the per-device kernels in device order: `f`/`q` accumulation
-    /// (matching the reference stamp order exactly) and the nonlinear
-    /// conductance stamps, scatter-added onto the constants already in `g`.
+    /// (the order fixes their summation bits, which the goldens pin) and the
+    /// nonlinear conductance stamps, scatter-added onto the constants already
+    /// in `g`.
     fn run_kernels(&self, x: &[f64], f: &mut [f64], q: &mut [f64], g: &mut [f64]) {
         let v = |idx: Option<usize>| idx.map_or(0.0, |i| x[i]);
         let add = |buf: &mut [f64], idx: Option<usize>, val: f64| {
@@ -866,87 +869,183 @@ mod tests {
         assert_bits_equal(a.values(), b.values());
     }
 
-    /// `G` against the COO reference, cell for cell: a cell the reference
-    /// dropped is an explicit `0.0` here, and shared cells agree to rounding
-    /// (a multi-stamp cell sums its stamps in a different order).
-    fn assert_g_matches_reference(planned: &CsrMatrix, reference: &CsrMatrix) {
-        for r in 0..planned.rows() {
-            let (cols, vals) = planned.row(r);
-            let (ref_cols, _) = reference.row(r);
-            assert!(ref_cols.iter().all(|c| cols.binary_search(c).is_ok()));
-            let scale = vals.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            for (&c, &v) in cols.iter().zip(vals) {
-                if ref_cols.binary_search(&c).is_err() {
-                    assert_eq!(v, 0.0, "G({r},{c}) is structural only");
-                }
-                let want = reference.get(r, c);
-                assert!(
-                    (v - want).abs() <= 4.0 * f64::EPSILON * scale,
-                    "G({r},{c}): {v:e} vs {want:e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn plan_matches_legacy_on_a_mixed_circuit() {
-        let ckt = mixed_circuit();
-        let plan = ckt.compile_plan().unwrap();
-        let n = ckt.num_unknowns();
-        let mut ws = plan.new_workspace();
-        let mut ev = plan.new_evaluation();
-        let pattern = (ev.g.indptr().to_vec(), ev.g.indices().to_vec());
-        // Several states, including ones that drive the MOSFETs through
-        // cut-off (gm == gds == 0): the reference drops those cells, the
-        // plan keeps them as explicit zeros.
-        let states: Vec<Vec<f64>> = vec![
-            vec![0.0; n],
-            (0..n).map(|i| 0.1 * i as f64 - 0.2).collect(),
-            (0..n)
-                .map(|i| ((i * 7 + 3) % 5) as f64 * 0.3 - 0.6)
-                .collect(),
-        ];
-        let mut dropped_cells = 0;
-        for x in &states {
-            let restamped = plan.evaluate_into(x, &mut ws, &mut ev).unwrap();
-            assert_eq!(restamped, plan.nonlinear_stamp_count());
-            assert_eq!(ev.g.indptr(), pattern.0);
-            assert_eq!(ev.g.indices(), pattern.1);
-            let legacy = ckt.evaluate_reference(x).unwrap();
-            assert_g_matches_reference(&ev.g, &legacy.g);
-            assert_csr_bits_equal(&ev.c, &legacy.c);
-            assert_bits_equal(&ev.f, &legacy.f);
-            assert_bits_equal(&ev.q, &legacy.q);
-            dropped_cells += ev.g.nnz() - legacy.g.nnz();
-        }
-        assert!(dropped_cells > 0, "no state reached cut-off");
-        // Buffer reuse across different states leaves no stale entries and
-        // never allocates after warm-up.
-        assert_eq!(ws.allocations(), 0);
-        assert_eq!(plan.input_matrix(), &ckt.input_matrix_reference().unwrap());
-    }
-
-    #[test]
-    fn linear_circuit_is_fully_baseline() {
+    /// One device alone on the nodes `a`, `b`, `c` (plus branch unknown 3 for
+    /// an inductor or a voltage source), evaluated at `x`, against its stamp
+    /// table: `G`, `C`, `B`'s one column, `f` and `q` worked out by hand from
+    /// the device equations. Each entry agrees to 1e-12 relative; an expected
+    /// `0.0` is an exact zero.
+    fn assert_stamp_table(
+        add: impl FnOnce(&mut Circuit, [NodeId; 3]),
+        x: &[f64],
+        g: &[&[f64]],
+        c: &[&[f64]],
+        b: &[f64],
+        f: &[f64],
+        q: &[f64],
+    ) {
         let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        let gnd = ckt.node("0");
-        ckt.add_voltage_source("V", a, gnd, Waveform::Dc(1.0))
-            .unwrap();
-        ckt.add_resistor("R", a, b, 1e3).unwrap();
-        ckt.add_capacitor("C", b, gnd, 1e-12).unwrap();
+        let nodes = [ckt.node("a"), ckt.node("b"), ckt.node("c")];
+        add(&mut ckt, nodes);
+        assert_eq!(ckt.num_unknowns(), x.len());
         let plan = ckt.compile_plan().unwrap();
-        assert_eq!(plan.nonlinear_stamp_count(), 0);
-        let x = vec![0.7, 0.3, -1e-4];
-        let ev = plan.evaluate(&x).unwrap();
-        // No nonlinear slot: even `G`'s pattern and bits are the
-        // reference's.
-        let legacy = ckt.evaluate_reference(&x).unwrap();
-        assert_csr_bits_equal(&ev.g, &legacy.g);
-        assert_csr_bits_equal(&ev.c, &legacy.c);
-        assert_bits_equal(&ev.f, &legacy.f);
-        assert_bits_equal(&ev.q, &legacy.q);
+        let ev = plan.evaluate(x).unwrap();
+        let check = |what: String, got: f64, want: f64| {
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "{what}: {got:e}, expected {want:e}"
+            );
+        };
+        for i in 0..x.len() {
+            for j in 0..x.len() {
+                check(format!("G({i},{j})"), ev.g.get(i, j), g[i][j]);
+                check(format!("C({i},{j})"), ev.c.get(i, j), c[i][j]);
+            }
+            check(format!("B({i},0)"), plan.input_matrix().get(i, 0), b[i]);
+            check(format!("f[{i}]"), ev.f[i], f[i]);
+            check(format!("q[{i}]"), ev.q[i], q[i]);
+        }
+    }
+
+    /// The node voltages of every stamp table: `v_a - v_b = 0.7`,
+    /// `v_b - v_c = 0.6`, `v_a - v_c = 1.3`.
+    const V: [f64; 3] = [0.9, 0.2, -0.4];
+    const ZERO: &[f64] = &[0.0; 4];
+
+    #[test]
+    fn resistor_stamp_table() {
+        // 2 kΩ from a to b: g = 5e-4 S carries 5e-4 · 0.7 = 3.5e-4 A.
+        assert_stamp_table(
+            |ckt, [a, b, _]| ckt.add_resistor("R", a, b, 2e3).unwrap(),
+            &V,
+            &[&[5e-4, -5e-4, 0.0], &[-5e-4, 5e-4, 0.0], ZERO],
+            &[ZERO; 3],
+            ZERO,
+            &[3.5e-4, -3.5e-4, 0.0],
+            ZERO,
+        );
+    }
+
+    #[test]
+    fn capacitor_stamp_table() {
+        // 1 pF from b to c holds 1e-12 · 0.6 = 6e-13 C.
+        assert_stamp_table(
+            |ckt, [_, b, c]| ckt.add_capacitor("C", b, c, 1e-12).unwrap(),
+            &V,
+            &[ZERO; 3],
+            &[ZERO, &[0.0, 1e-12, -1e-12], &[0.0, -1e-12, 1e-12]],
+            ZERO,
+            ZERO,
+            &[0.0, 6e-13, -6e-13],
+        );
+    }
+
+    #[test]
+    fn inductor_stamp_table() {
+        // 1 nH from a to c carrying i = 2 mA from a to c: KCL rows get ±i,
+        // the branch row `L·di/dt - (v_a - v_c) = 0` gets f = -1.3, q = L·i.
+        assert_stamp_table(
+            |ckt, [a, _, c]| ckt.add_inductor("L", a, c, 1e-9).unwrap(),
+            &[0.9, 0.2, -0.4, 2e-3],
+            &[
+                &[0.0, 0.0, 0.0, 1.0],
+                ZERO,
+                &[0.0, 0.0, 0.0, -1.0],
+                &[-1.0, 0.0, 1.0, 0.0],
+            ],
+            &[ZERO, ZERO, ZERO, &[0.0, 0.0, 0.0, 1e-9]],
+            ZERO,
+            &[2e-3, 0.0, -2e-3, -1.3],
+            &[0.0, 0.0, 0.0, 2e-12],
+        );
+    }
+
+    #[test]
+    fn voltage_source_stamp_table() {
+        // From a (+) to b carrying i = -1 mA: KCL rows get ±i, the branch
+        // row `v_a - v_b = u` gets f = 0.7 and B = 1.
+        assert_stamp_table(
+            |ckt, [a, b, _]| {
+                ckt.add_voltage_source("V", a, b, Waveform::Dc(0.7))
+                    .unwrap()
+            },
+            &[0.9, 0.2, -0.4, -1e-3],
+            &[
+                &[0.0, 0.0, 0.0, 1.0],
+                &[0.0, 0.0, 0.0, -1.0],
+                ZERO,
+                &[1.0, -1.0, 0.0, 0.0],
+            ],
+            &[ZERO; 4],
+            &[0.0, 0.0, 0.0, 1.0],
+            &[-1e-3, 1e-3, 0.0, 0.7],
+            ZERO,
+        );
+    }
+
+    #[test]
+    fn current_source_stamp_table() {
+        // Drawn from b, injected into c: only B.
+        assert_stamp_table(
+            |ckt, [_, b, c]| {
+                ckt.add_current_source("I", b, c, Waveform::Dc(1e-3))
+                    .unwrap()
+            },
+            &V,
+            &[ZERO; 3],
+            &[ZERO; 3],
+            &[0.0, -1.0, 1.0],
+            ZERO,
+            ZERO,
+        );
+    }
+
+    #[test]
+    fn diode_stamp_table() {
+        // Anode b, cathode c: v_d = 0.6 V = 20·n·V_T with V_T = 30 mV, so
+        // i = I_S·(e^20 - 1) = 4.851651944097903e-6 A and
+        // g_d = I_S·e^20/V_T = 1.6172173180326343e-4 S, plus gmin = 1e-12 S
+        // in G only; q = C_j·v_d = 1.2e-15 C.
+        let model = DiodeModel {
+            saturation_current: 1e-14,
+            emission_coefficient: 1.0,
+            thermal_voltage: 0.03,
+            junction_capacitance: 2e-15,
+        };
+        let gd = 1.6172173280326343e-4;
+        let i = 4.851651944097903e-6;
+        assert_stamp_table(
+            |ckt, [_, b, c]| ckt.add_diode("D", b, c, model).unwrap(),
+            &V,
+            &[ZERO, &[0.0, gd, -gd], &[0.0, -gd, gd]],
+            &[ZERO, &[0.0, 2e-15, -2e-15], &[0.0, -2e-15, 2e-15]],
+            ZERO,
+            &[0.0, i, -i],
+            &[0.0, 1.2e-15, -1.2e-15],
+        );
+    }
+
+    #[test]
+    fn mosfet_stamp_table() {
+        // Drain a, gate b, source c of the default NMOS (V_th = 0.4,
+        // β = k'·W/L = 2e-3, λ = 0.05): v_gs = 0.6, v_ov = 0.2 < v_ds = 1.3
+        // saturates, so with 1 + λ·v_ds = 1.065
+        // i_ds = β/2·v_ov²·1.065 = 4.26e-5 A, g_m = β·v_ov·1.065 = 4.26e-4 S,
+        // g_ds = β/2·v_ov²·λ = 2e-6 S, plus gmin = 1e-12 S drain to source.
+        // Charges: q_gs = 0.5 fF · 0.6, q_gd = 0.3 fF · (0.2 - 0.9).
+        let (dd, ds) = (2.000001e-6, 4.28000001e-4);
+        assert_stamp_table(
+            |ckt, [a, b, c]| ckt.add_mosfet("M", a, b, c, MosfetModel::nmos()).unwrap(),
+            &V,
+            &[&[dd, 4.26e-4, -ds], ZERO, &[-dd, -4.26e-4, ds]],
+            &[
+                &[3e-16, -3e-16, 0.0],
+                &[-3e-16, 8e-16, -5e-16],
+                &[0.0, -5e-16, 5e-16],
+            ],
+            ZERO,
+            &[4.26e-5, 0.0, -4.26e-5],
+            &[2.1e-16, 9e-17, -3e-16],
+        );
     }
 
     #[test]
@@ -998,13 +1097,17 @@ mod tests {
         let cells = plan.nonlinear_cells();
         assert!(cells.windows(2).all(|w| w[0] < w[1]));
         assert!(!cells.is_empty() && cells.len() <= plan.nonlinear_stamp_count());
-        // Every other value is the same at any state.
+        // Every other value is the same at any state, on one pattern, and
+        // restamps through pre-sized buffers allocate nothing.
         let n = ckt.num_unknowns();
-        let at = |scale: f64| {
-            plan.evaluate(&(0..n).map(|i| scale * i as f64).collect::<Vec<_>>())
-                .unwrap()
-        };
-        let (a, b) = (at(0.1), at(-0.7));
+        let at = |scale: f64| (0..n).map(|i| scale * i as f64).collect::<Vec<_>>();
+        let mut ws = plan.new_workspace();
+        let [mut a, mut b] = [(); 2].map(|_| plan.new_evaluation());
+        for (x, ev) in [(at(0.1), &mut a), (at(-0.7), &mut b)] {
+            let restamped = plan.evaluate_into(&x, &mut ws, ev).unwrap();
+            assert_eq!(restamped, plan.nonlinear_stamp_count());
+        }
+        assert_eq!(a.g.indices(), b.g.indices());
         let moved: Vec<usize> = (0..a.g.nnz())
             .filter(|&k| a.g.values()[k].to_bits() != b.g.values()[k].to_bits())
             .collect();
@@ -1014,6 +1117,19 @@ mod tests {
             "{moved:?} vs {cells:?}"
         );
         assert_csr_bits_equal(&a.c, &b.c);
+        // At x = 0 both MOSFETs are in cut-off: the cells only their slots
+        // write (no compiled constant) stay in the pattern as exact zeros.
+        let constants = plan.new_evaluation().g;
+        plan.evaluate_into(&at(0.0), &mut ws, &mut a).unwrap();
+        let slot_only: Vec<usize> = cells
+            .iter()
+            .copied()
+            .filter(|&k| constants.values()[k] == 0.0)
+            .collect();
+        assert!(!slot_only.is_empty());
+        assert!(slot_only.iter().all(|&k| a.g.values()[k] == 0.0));
+        assert_eq!(a.g.indices(), b.g.indices());
+        assert_eq!(ws.allocations(), 0);
     }
 
     #[test]
