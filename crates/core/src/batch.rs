@@ -61,7 +61,6 @@ use crate::error::SimError;
 use crate::observer::{DecimatedWaveform, RecordingObserver, StreamingObserver};
 use crate::options::TransientOptions;
 use crate::output::TransientResult;
-use crate::recovery::RecoveryPolicy;
 use crate::session::{PlanCache, Simulator};
 use crate::stats::RunStats;
 use crate::transient::Method;
@@ -590,7 +589,6 @@ impl BatchObserver for BatchProgress {
 pub struct BatchRunner {
     worker_threads: usize,
     plans: Arc<PlanCache>,
-    recovery: RecoveryPolicy,
 }
 
 impl Default for BatchRunner {
@@ -606,20 +604,7 @@ impl BatchRunner {
         BatchRunner {
             worker_threads: 0,
             plans: Arc::new(PlanCache::new()),
-            recovery: RecoveryPolicy::off(),
         }
-    }
-
-    /// Installs a [`RecoveryPolicy`] on every worker session (DC homotopy
-    /// and the transient retry ladder) and allows up to
-    /// [`RecoveryPolicy::max_job_retries`] whole-job re-runs of a job that
-    /// failed with a retryable numerical error. The default
-    /// ([`RecoveryPolicy::off`]) keeps all output bit-identical to previous
-    /// releases.
-    #[must_use]
-    pub fn recovery_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
     }
 
     /// Sets the worker-thread count; `0` restores the hardware default.
@@ -727,7 +712,6 @@ impl BatchRunner {
         let workers = threads.min(jobs.len());
         let cursor = AtomicUsize::new(0);
         let plans = &self.plans;
-        let recovery = &self.recovery;
         let cursor = &cursor;
         // Finished jobs report into a shared buffer immediately (one lock
         // acquisition per *job*, not per step — invisible next to a
@@ -743,7 +727,7 @@ impl BatchRunner {
                         let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
                         let Some(job) = jobs.get(i) else { break };
                         observer.on_job_started(i, &job.label);
-                        let mut outcome = execute_job(job, plans, recovery);
+                        let mut outcome = execute_job(job, plans);
                         outcome.worker = Some(w);
                         observer.on_job_finished(i, &outcome);
                         results_ref
@@ -768,48 +752,17 @@ impl BatchRunner {
     }
 }
 
-/// Runs one job, with panic isolation and bounded whole-job retries under
-/// the runner's recovery policy. The deadline clock starts here — when a
-/// worker picks the job up, not when the batch was submitted.
-fn execute_job(job: &BatchJob, plans: &Arc<PlanCache>, recovery: &RecoveryPolicy) -> JobOutcome {
+/// Runs one job under its deadline, wrapped in `catch_unwind` so a
+/// panicking simulation (or observer) is reported as
+/// [`JobError::Panicked`] instead of taking the worker — and with it the
+/// whole batch — down. The deadline clock starts here — when a worker picks
+/// the job up, not when the batch was submitted.
+fn execute_job(job: &BatchJob, plans: &Arc<PlanCache>) -> JobOutcome {
     let deadline = job.deadline.map(|budget| Instant::now() + budget);
-    let retries = if recovery.is_off() {
-        0
-    } else {
-        recovery.max_job_retries
-    };
-    let mut total = RunStats::new();
-    let mut attempt = 0usize;
-    loop {
-        let mut outcome = execute_job_shielded(job, plans, recovery, deadline);
-        total.absorb(&outcome.stats);
-        let retryable = matches!(
-            &outcome.result,
-            Err(JobError::Sim(e)) if RecoveryPolicy::transient_retryable(e)
-        );
-        if retryable && attempt < retries {
-            attempt += 1;
-            total.recovery_attempts += 1;
-            continue;
-        }
-        outcome.stats = total;
-        return outcome;
-    }
-}
-
-/// One attempt at a job, wrapped in `catch_unwind` so a panicking
-/// simulation (or observer) is reported as [`JobError::Panicked`] instead
-/// of taking the worker — and with it the whole batch — down.
-fn execute_job_shielded(
-    job: &BatchJob,
-    plans: &Arc<PlanCache>,
-    recovery: &RecoveryPolicy,
-    deadline: Option<Instant>,
-) -> JobOutcome {
     #[cfg(feature = "fault-injection")]
     crate::fault::install(&job.label);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_body(job, plans, recovery, deadline)
+        run_job_body(job, plans, deadline)
     }));
     #[cfg(feature = "fault-injection")]
     crate::fault::uninstall();
@@ -841,15 +794,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs one job in its own pooled session.
 #[allow(clippy::result_large_err)] // cold path, once per job
-fn run_job_body(
-    job: &BatchJob,
-    plans: &Arc<PlanCache>,
-    recovery: &RecoveryPolicy,
-    deadline: Option<Instant>,
-) -> JobOutcome {
-    let mut sim = Simulator::new(&job.circuit)
-        .with_plan_cache(Arc::clone(plans))
-        .with_recovery_policy(recovery.clone());
+fn run_job_body(job: &BatchJob, plans: &Arc<PlanCache>, deadline: Option<Instant>) -> JobOutcome {
+    let mut sim = Simulator::new(&job.circuit).with_plan_cache(Arc::clone(plans));
     let probe_refs: Vec<&str> = job.probes.iter().map(String::as_str).collect();
     let result = if job.is_cancellable() {
         run_cancellable(&mut sim, job, &probe_refs, deadline)
@@ -992,35 +938,6 @@ mod tests {
         assert_eq!(result.stats.plan_compilations, 1, "{:?}", result.stats);
         assert_eq!(result.stats.symbolic_analyses, 4, "{:?}", result.stats);
         assert_eq!(result.stats.shared_symbolic_hits, 3);
-    }
-
-    #[test]
-    fn recovery_policy_leaves_a_healthy_batch_bit_identical() {
-        let mut plan = BatchPlan::new();
-        for k in 1..=4 {
-            plan.push(
-                BatchJob::new(
-                    format!("r{k}k"),
-                    rc_circuit(1e3 * k as f64),
-                    Method::BackwardEuler,
-                    options(),
-                )
-                .probe("out"),
-            );
-        }
-        let plain = BatchRunner::new().worker_threads(2).run(&plan);
-        let guarded = BatchRunner::new()
-            .worker_threads(2)
-            .recovery_policy(RecoveryPolicy::standard())
-            .run(&plan);
-        assert!(plain.all_ok());
-        assert!(guarded.all_ok());
-        assert_eq!(guarded.stats.recovery_attempts, 0);
-        for (a, b) in plain.jobs.iter().zip(&guarded.jobs) {
-            let (a, b) = (a.recorded().unwrap(), b.recorded().unwrap());
-            assert_eq!(a.times, b.times);
-            assert_eq!(a.samples, b.samples);
-        }
     }
 
     #[test]

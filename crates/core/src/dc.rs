@@ -76,160 +76,7 @@ pub fn dc_operating_point(circuit: &Circuit, options: &DcOptions) -> SimResult<D
         &mut None,
         &mut lu_ws,
         &mut eval_ws,
-        &Homotopy::plain(),
     )
-}
-
-/// Continuation parameters of one homotopy stage. [`Homotopy::plain`] is the
-/// identity stage: zero shunt conductance, full-strength sources, cold start.
-/// The plain stage takes the exact code path the solver always took — every
-/// homotopy term is behind a branch — so recovery-off runs stay
-/// bit-identical.
-#[derive(Debug, Clone)]
-pub(crate) struct Homotopy<'a> {
-    /// Shunt conductance added to every diagonal (gmin stepping), in S.
-    pub gmin: f64,
-    /// Scale applied to the independent sources (source stepping), in `(0, 1]`.
-    pub source_scale: f64,
-    /// Warm-start state (the previous stage's solution), or `None` for zeros.
-    pub x0: Option<&'a [f64]>,
-}
-
-impl Homotopy<'_> {
-    pub(crate) fn plain() -> Self {
-        Homotopy {
-            gmin: 0.0,
-            source_scale: 1.0,
-            x0: None,
-        }
-    }
-}
-
-/// As [`dc_operating_point_internal`], escalating through the
-/// [`RecoveryPolicy`](crate::RecoveryPolicy) homotopy ladder when the plain
-/// damped-Newton solve fails: gmin stepping first (largest shunt conductance
-/// to smallest, each stage warm-started from the last, finishing with a
-/// warm-started gmin-free solve), then a source-stepping ramp. Counts every
-/// stage into `stats` and returns the *original* error when the whole ladder
-/// fails.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dc_operating_point_recovering(
-    circuit: &Circuit,
-    plan: &EvalPlan,
-    options: &DcOptions,
-    policy: &crate::RecoveryPolicy,
-    stats: &mut RunStats,
-    g_lu: &mut Option<SparseLu>,
-    lu_ws: &mut LuWorkspace,
-    eval_ws: &mut EvalWorkspace,
-) -> SimResult<DcSolution> {
-    // The damped Jacobian `G + σI` has its own pattern (and only exists
-    // while a solve struggles): its factor lives for this solve, ladder
-    // stages included, and never displaces the session's `G` factor.
-    let mut damped_lu = None;
-    let plain = dc_operating_point_internal(
-        circuit,
-        plan,
-        options,
-        stats,
-        g_lu,
-        &mut damped_lu,
-        lu_ws,
-        eval_ws,
-        &Homotopy::plain(),
-    );
-    let err = match plain {
-        Ok(dc) => return Ok(dc),
-        Err(e) if policy.is_off() => return Err(e),
-        Err(e) => e,
-    };
-
-    // --- Gmin stepping: solve easier shunted systems, tracking the solution
-    // as the shunt steps down, then drop the shunt entirely. ---
-    let stages = policy.gmin_stages();
-    if !stages.is_empty() {
-        stats.recovery_attempts += 1;
-        let mut warm: Option<Vec<f64>> = None;
-        let mut ladder_ok = true;
-        for &gmin in &stages {
-            stats.gmin_steps += 1;
-            let stage = dc_operating_point_internal(
-                circuit,
-                plan,
-                options,
-                stats,
-                g_lu,
-                &mut damped_lu,
-                lu_ws,
-                eval_ws,
-                &Homotopy {
-                    gmin,
-                    source_scale: 1.0,
-                    x0: warm.as_deref(),
-                },
-            );
-            match stage {
-                Ok(dc) => warm = Some(dc.state),
-                Err(_) => {
-                    ladder_ok = false;
-                    break;
-                }
-            }
-        }
-        if ladder_ok {
-            if let Ok(dc) = dc_operating_point_internal(
-                circuit,
-                plan,
-                options,
-                stats,
-                g_lu,
-                &mut damped_lu,
-                lu_ws,
-                eval_ws,
-                &Homotopy {
-                    gmin: 0.0,
-                    source_scale: 1.0,
-                    x0: warm.as_deref(),
-                },
-            ) {
-                return Ok(dc);
-            }
-        }
-    }
-
-    // --- Source stepping: ramp the independent sources up from a fraction,
-    // following the solution branch from the trivial zero-input system. ---
-    if policy.source_ramp_steps > 0 {
-        stats.recovery_attempts += 1;
-        let mut warm: Option<Vec<f64>> = None;
-        let ramp = policy.source_ramp_steps;
-        for k in 1..=ramp {
-            stats.source_steps += 1;
-            let scale = k as f64 / ramp as f64;
-            let stage = dc_operating_point_internal(
-                circuit,
-                plan,
-                options,
-                stats,
-                g_lu,
-                &mut damped_lu,
-                lu_ws,
-                eval_ws,
-                &Homotopy {
-                    gmin: 0.0,
-                    source_scale: scale,
-                    x0: warm.as_deref(),
-                },
-            );
-            match stage {
-                Ok(dc) if k == ramp => return Ok(dc),
-                Ok(dc) => warm = Some(dc.state),
-                Err(_) => break,
-            }
-        }
-    }
-
-    Err(err)
 }
 
 /// As [`dc_operating_point`], additionally accounting every device
@@ -249,24 +96,12 @@ pub(crate) fn dc_operating_point_internal(
     damped_lu: &mut Option<SparseLu>,
     lu_ws: &mut LuWorkspace,
     eval_ws: &mut EvalWorkspace,
-    homotopy: &Homotopy<'_>,
 ) -> SimResult<DcSolution> {
     let n = circuit.num_unknowns();
     let b = plan.input_matrix();
     let u0 = circuit.input_vector(0.0);
-    let mut bu = b.mul_vec(&u0);
-    // Source stepping scales the whole input vector; the plain stage
-    // (scale = 1) skips the multiply so its values are bit-identical.
-    if homotopy.source_scale != 1.0 {
-        for v in bu.iter_mut() {
-            *v *= homotopy.source_scale;
-        }
-    }
-    let gmin = homotopy.gmin;
-    let mut x = match homotopy.x0 {
-        Some(x0) => x0.to_vec(),
-        None => vec![0.0; n],
-    };
+    let bu = b.mul_vec(&u0);
+    let mut x = vec![0.0; n];
     let mut damping = 0.0;
     let mut previous_residual = f64::INFINITY;
 
@@ -286,13 +121,6 @@ pub(crate) fn dc_operating_point_internal(
         for i in 0..n {
             rhs[i] = bu[i] - ev.f[i];
         }
-        // Gmin stepping sees the shunt's current in the residual; the plain
-        // stage (gmin = 0) skips the loop entirely.
-        if gmin != 0.0 {
-            for i in 0..n {
-                rhs[i] -= gmin * x[i];
-            }
-        }
         let residual_norm = vector::norm_inf(&rhs);
         // Adaptive Levenberg damping: engage when the residual grows or the
         // iteration produced non-finite values.
@@ -306,12 +134,10 @@ pub(crate) fn dc_operating_point_internal(
         previous_residual = residual_norm.min(previous_residual);
 
         // The cold Levenberg fallback allocates its damped Jacobian; the
-        // common path factorizes the restamped `G` directly. The homotopy
-        // shunt rides on the same diagonal term.
-        let diag_shift = if gmin != 0.0 { damping + gmin } else { damping };
+        // common path factorizes the restamped `G` directly.
         let damped;
-        let (slot, jac, g_plan) = if diag_shift > 0.0 {
-            let scaled_identity = CsrMatrix::identity(n).scaled(diag_shift);
+        let (slot, jac, g_plan) = if damping > 0.0 {
+            let scaled_identity = CsrMatrix::identity(n).scaled(damping);
             damped = CsrMatrix::linear_combination(1.0, &ev.g, 1.0, &scaled_identity)?;
             (&mut *damped_lu, &damped, None)
         } else {
@@ -446,7 +272,6 @@ mod tests {
             &mut None,
             &mut ws,
             &mut eval_ws,
-            &Homotopy::plain(),
         )
         .unwrap();
         assert!(dc.iterations > 1);

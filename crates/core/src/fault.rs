@@ -1,6 +1,6 @@
 //! Deterministic, test-only fault injection (feature `fault-injection`).
 //!
-//! The recovery and isolation paths of this crate exist for failures that
+//! The attribution and isolation paths of this crate exist for failures that
 //! healthy fixtures never produce: a numerically singular conductance
 //! matrix, a device evaluation that overflows to NaN, a Krylov basis that
 //! breaks down, an observer that panics. This module forces each of those

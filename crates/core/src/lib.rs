@@ -153,7 +153,6 @@ pub mod error;
 pub mod observer;
 pub mod options;
 pub mod output;
-pub mod recovery;
 pub mod session;
 pub mod stats;
 pub mod transient;
@@ -175,7 +174,6 @@ pub use observer::{
 };
 pub use options::{DcOptions, TransientOptions};
 pub use output::{Probe, TransientResult};
-pub use recovery::{RecoveryEvent, RecoveryPolicy};
 pub use session::{CacheStats, PlanCache, SessionStepper, Simulator};
 pub use stats::RunStats;
 pub use transient::Method;

@@ -51,14 +51,6 @@ pub trait Observer {
     fn on_finish(&mut self, final_state: &[f64], stats: &RunStats) {
         let _ = (final_state, stats);
     }
-
-    /// The [`RecoveryPolicy`](crate::RecoveryPolicy) escalated: a DC homotopy
-    /// stage engaged or the transient retry ladder restarted the run. Never
-    /// fired on healthy runs (the policy only engages where the run would
-    /// otherwise error).
-    fn on_recovery(&mut self, event: &crate::recovery::RecoveryEvent) {
-        let _ = event;
-    }
 }
 
 /// An observer that ignores every event.

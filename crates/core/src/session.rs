@@ -44,7 +44,7 @@ use exi_krylov::MevpWorkspace;
 use exi_netlist::{circuit_fingerprint, Circuit, EvalPlan, EvalWorkspace};
 use exi_sparse::{LuWorkspace, OrderingMethod, SparseLu};
 
-use crate::dc::{dc_operating_point_recovering, DcSolution};
+use crate::dc::{dc_operating_point_internal, DcSolution};
 use crate::engines::er::ErStepper;
 use crate::engines::implicit::{ImplicitScheme, ImplicitStepper};
 use crate::engines::{resolve_probes, Engine, StepOutcome};
@@ -52,7 +52,6 @@ use crate::error::SimResult;
 use crate::observer::{Observer, RecordingObserver};
 use crate::options::{DcOptions, TransientOptions};
 use crate::output::TransientResult;
-use crate::recovery::{RecoveryEvent, RecoveryPolicy};
 use crate::stats::RunStats;
 use crate::transient::Method;
 
@@ -311,7 +310,6 @@ pub struct Simulator<'c> {
     caches: SessionCaches,
     session_stats: RunStats,
     completed_runs: usize,
-    recovery: RecoveryPolicy,
 }
 
 impl<'c> Simulator<'c> {
@@ -322,35 +320,7 @@ impl<'c> Simulator<'c> {
             caches: SessionCaches::default(),
             session_stats: RunStats::new(),
             completed_runs: 0,
-            recovery: RecoveryPolicy::off(),
         }
-    }
-
-    /// Installs a [`RecoveryPolicy`]: DC homotopy on Newton failure and a
-    /// transient retry ladder on step-control failure. With the (default)
-    /// [`RecoveryPolicy::off`] every run behaves exactly as before —
-    /// bit-identical waveforms, zero recovery counters. With a policy
-    /// enabled, healthy runs are still untouched; only runs that would
-    /// otherwise error escalate (see [`crate::recovery`]).
-    ///
-    /// Note: while recovering from a failed transient attempt, observer
-    /// events of retry attempts are buffered and replayed only from the
-    /// attempt that succeeds, so a failed attempt's partial waveform never
-    /// contaminates the stream.
-    #[must_use]
-    pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
-    }
-
-    /// Replaces the session's [`RecoveryPolicy`] in place.
-    pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
-        self.recovery = policy;
-    }
-
-    /// The session's current [`RecoveryPolicy`].
-    pub fn recovery_policy(&self) -> &RecoveryPolicy {
-        &self.recovery
     }
 
     /// Pools this session's compiled evaluation plan — and with it the
@@ -496,13 +466,16 @@ impl<'c> Simulator<'c> {
             .plan
             .as_ref()
             .expect("ensure_plan populated the cache");
-        let dc = dc_operating_point_recovering(
+        // The damped Jacobian `G + σI` has its own pattern and only exists
+        // while a solve struggles: its factor lives for this solve and never
+        // displaces the session's `G` factor.
+        let dc = dc_operating_point_internal(
             self.circuit,
             plan,
             options,
-            &self.recovery,
             &mut stats,
             &mut caches.g_lu,
+            &mut None,
             &mut caches.lu_ws,
             &mut caches.eval_ws,
         )?;
@@ -608,112 +581,25 @@ impl<'c> Simulator<'c> {
     /// Pair with [`crate::StreamingObserver`] for fixed-memory waveforms or
     /// [`crate::NullObserver`] to measure pure solver throughput.
     ///
+    /// Events are delivered live. A run that fails after its DC point has
+    /// already streamed [`Observer::on_dc`] and every accepted and rejected
+    /// step; it then delivers one [`Observer::on_finish`] carrying the
+    /// partial statistics, which the session absorbs too.
+    ///
     /// # Errors
     ///
-    /// As [`Simulator::transient`].
+    /// As [`Simulator::transient`], attributed to the circuit.
     pub fn transient_observed(
         &mut self,
         method: Method,
         options: &TransientOptions,
         observer: &mut dyn Observer,
     ) -> SimResult<RunStats> {
-        if self.recovery.is_off() {
-            return self
-                .transient_attempt(method, options, observer)
-                .map_err(|e| e.attributed(self.circuit));
-        }
-
-        // With recovery enabled, every attempt streams into a private buffer
-        // and only the attempt that succeeds is replayed to the caller's
-        // observer — a failed attempt's partial waveform never reaches it.
-        // Recovery events themselves are delivered live.
-        let policy = self.recovery.clone();
-        let mut buffer = BufferedRun::new();
-        let first = self.transient_attempt(method, options, &mut buffer);
-        let mut last_err = match first {
-            Ok(stats) => {
-                buffer.replay(observer);
-                return Ok(stats);
-            }
-            Err(e) => e,
-        };
-        if !RecoveryPolicy::transient_retryable(&last_err) {
-            return Err(last_err.attributed(self.circuit));
-        }
-
-        // Rung 1: cut the step floor back past the nominal h_min.
-        let mut cutback = options.clone();
-        cutback.h_min = options.h_min * policy.step_cutback;
-        cutback.h_init = (options.h_init * policy.step_cutback).max(cutback.h_min);
-        // Rung 2: on top of the cutback, enlarge the Newton budget.
-        let mut tightened = cutback.clone();
-        tightened.newton_max_iterations =
-            options.newton_max_iterations * policy.newton_budget_factor.max(1);
-
-        let mut ladder: Vec<(Method, TransientOptions, RecoveryEvent)> = vec![
-            (
-                method,
-                cutback.clone(),
-                RecoveryEvent::StepCutback {
-                    time: transient_error_time(&last_err),
-                    h_min: cutback.h_min,
-                },
-            ),
-            (
-                method,
-                tightened.clone(),
-                RecoveryEvent::NewtonTightened {
-                    max_iterations: tightened.newton_max_iterations,
-                },
-            ),
-        ];
-        if policy.method_fallback {
-            if let Some(fallback) = RecoveryPolicy::fallback_method(method) {
-                ladder.push((
-                    fallback,
-                    tightened,
-                    RecoveryEvent::MethodFallback {
-                        from: method,
-                        to: fallback,
-                    },
-                ));
-            }
-        }
-
-        let mut extra = RunStats::new();
-        for (rung_method, rung_options, event) in ladder {
-            extra.recovery_attempts += 1;
-            if matches!(event, RecoveryEvent::MethodFallback { .. }) {
-                extra.method_fallbacks += 1;
-            }
-            observer.on_recovery(&event);
-            extra.observer_callbacks += 1;
-            let mut buffer = BufferedRun::new();
-            match self.transient_attempt(rung_method, &rung_options, &mut buffer) {
-                Ok(mut stats) => {
-                    buffer.replay(observer);
-                    stats.absorb(&extra);
-                    self.absorb_partial(&extra);
-                    return Ok(stats);
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        self.absorb_partial(&extra);
-        Err(last_err.attributed(self.circuit))
-    }
-
-    /// One bare transient attempt: build the stepper, drive it to the end,
-    /// absorb its statistics. [`Simulator::transient_observed`] wraps this in
-    /// the recovery ladder; with recovery off it is the whole story.
-    fn transient_attempt(
-        &mut self,
-        method: Method,
-        options: &TransientOptions,
-        observer: &mut dyn Observer,
-    ) -> SimResult<RunStats> {
+        let circuit = self.circuit;
         let outcome = {
-            let mut stepper = self.stepper(method, options)?;
+            let mut stepper = self
+                .stepper(method, options)
+                .map_err(|e| e.attributed(circuit))?;
             match stepper
                 .start(observer)
                 .and_then(|()| stepper.run_to_end(observer))
@@ -732,7 +618,7 @@ impl<'c> Simulator<'c> {
             }
             Err((e, partial)) => {
                 self.absorb_partial(&partial);
-                Err(e)
+                Err(e.attributed(circuit))
             }
         }
     }
@@ -818,72 +704,6 @@ impl<'c> Simulator<'c> {
     /// cache mutations persist), but it does not count as a completed run.
     pub fn absorb_partial(&mut self, run: &RunStats) {
         self.session_stats.absorb(run);
-    }
-}
-
-/// The time an escalation-worthy transient error occurred at, for
-/// [`RecoveryEvent::StepCutback`] reporting.
-fn transient_error_time(err: &crate::SimError) -> f64 {
-    match err {
-        crate::SimError::NewtonDidNotConverge { time, .. }
-        | crate::SimError::StepSizeUnderflow { time, .. }
-        | crate::SimError::NonFinite { time, .. } => *time,
-        _ => 0.0,
-    }
-}
-
-/// Buffers one attempt's observer events so the recovery ladder can replay
-/// only the successful attempt into the caller's observer.
-#[derive(Debug, Default)]
-struct BufferedRun {
-    events: Vec<BufferedEvent>,
-}
-
-#[derive(Debug)]
-enum BufferedEvent {
-    Dc(f64, Vec<f64>),
-    Accepted(f64, Vec<f64>),
-    Rejected(f64, f64),
-    // Boxed: `RunStats` dwarfs the per-step variants, and `Finish` occurs
-    // once per attempt.
-    Finish(Vec<f64>, Box<RunStats>),
-}
-
-impl BufferedRun {
-    fn new() -> Self {
-        BufferedRun::default()
-    }
-
-    fn replay(self, observer: &mut dyn Observer) {
-        for event in self.events {
-            match event {
-                BufferedEvent::Dc(t0, x0) => observer.on_dc(t0, &x0),
-                BufferedEvent::Accepted(t, x) => observer.on_step_accepted(t, &x),
-                BufferedEvent::Rejected(t, h) => observer.on_step_rejected(t, h),
-                BufferedEvent::Finish(x, stats) => observer.on_finish(&x, &stats),
-            }
-        }
-    }
-}
-
-impl Observer for BufferedRun {
-    fn on_dc(&mut self, t0: f64, x0: &[f64]) {
-        self.events.push(BufferedEvent::Dc(t0, x0.to_vec()));
-    }
-
-    fn on_step_accepted(&mut self, t: f64, x: &[f64]) {
-        self.events.push(BufferedEvent::Accepted(t, x.to_vec()));
-    }
-
-    fn on_step_rejected(&mut self, t: f64, h: f64) {
-        self.events.push(BufferedEvent::Rejected(t, h));
-    }
-
-    fn on_finish(&mut self, final_state: &[f64], stats: &RunStats) {
-        self.events.push(BufferedEvent::Finish(
-            final_state.to_vec(),
-            Box::new(stats.clone()),
-        ));
     }
 }
 

@@ -148,18 +148,6 @@ pub struct RunStats {
     /// (zero for a plain run). [`RunStats::absorb`] keeps the maximum — for
     /// merged totals this is the batch's actual concurrency, not a sum.
     pub worker_threads: usize,
-    /// Number of recovery escalations taken by the
-    /// [`RecoveryPolicy`](crate::RecoveryPolicy) ladder (DC homotopy stages
-    /// and transient retries alike). Zero on every healthy run — the policy
-    /// only engages where the run would otherwise error.
-    pub recovery_attempts: usize,
-    /// Gmin-stepping homotopy solves performed during DC recovery.
-    pub gmin_steps: usize,
-    /// Source-stepping homotopy solves performed during DC recovery.
-    pub source_steps: usize,
-    /// Number of times the transient retry ladder fell back to another
-    /// integration method (ER → BENR, TRNR → BENR).
-    pub method_fallbacks: usize,
     /// Active wall-clock time of the analysis: the DC solve (for the run
     /// that triggered it) plus time spent inside `advance()`. Idle time while
     /// a stepper is paused (checkpointing, co-simulation interleaves) is not
@@ -300,10 +288,6 @@ impl RunStats {
             Field::new("batch_jobs", Sum, &mut self.batch_jobs),
             Field::new("shared_symbolic_hits", Sum, &mut self.shared_symbolic_hits),
             Field::new("worker_threads", Max, &mut self.worker_threads),
-            Field::new("recovery_attempts", Sum, &mut self.recovery_attempts),
-            Field::new("gmin_steps", Sum, &mut self.gmin_steps),
-            Field::new("source_steps", Sum, &mut self.source_steps),
-            Field::new("method_fallbacks", Sum, &mut self.method_fallbacks),
             Field::new("runtime_s", Sum, &mut self.runtime),
             Field::new("cache_wait_s", Sum, &mut self.cache_wait),
         ]
@@ -574,16 +558,8 @@ mod tests {
         planned.absorb(&RunStats {
             shared_plan_hits: 3,
             restamped_entries: 2,
-            recovery_attempts: 2,
-            gmin_steps: 5,
-            source_steps: 3,
-            method_fallbacks: 1,
             ..RunStats::default()
         });
-        assert_eq!(planned.recovery_attempts, 2);
-        assert_eq!(planned.gmin_steps, 5);
-        assert_eq!(planned.source_steps, 3);
-        assert_eq!(planned.method_fallbacks, 1);
         assert_eq!(planned.plan_compilations, 1);
         assert_eq!(planned.shared_plan_hits, 3);
         assert_eq!(planned.restamped_entries, 42);
@@ -625,7 +601,7 @@ mod tests {
             peak_krylov_dimension, krylov_workspace_allocations, krylov_subspace_reuses,
             krylov_residual_tests, small_dense_exponentials, dense_workspace_allocations,
             observer_callbacks, resumed_runs, batch_jobs, shared_symbolic_hits,
-            worker_threads, recovery_attempts, gmin_steps, source_steps, method_fallbacks;
+            worker_threads;
             runtime, cache_wait);
         let expected: Vec<(String, f64)> = RunStats::default()
             .fields()
@@ -660,7 +636,7 @@ mod tests {
             json.starts_with("\"accepted_steps\":1,\"rejected_steps\":2,"),
             "{json}"
         );
-        assert!(json.ends_with(",\"runtime_s\":31.000000,\"cache_wait_s\":32.000000"));
+        assert!(json.ends_with(",\"runtime_s\":27.000000,\"cache_wait_s\":28.000000"));
         let lookup = |name: &str| {
             let start = json.find(&format!("\"{name}\":"))? + name.len() + 3;
             let end = json[start..].find(',').map_or(json.len(), |k| start + k);

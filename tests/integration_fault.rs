@@ -4,8 +4,9 @@
 //! members — one deliberate panic, one genuinely singular system — must
 //! complete the other 6 bit-identically to an uninjected batch, with the
 //! failures attributed to the injected faults (panic message / named
-//! circuit node). Plus: NaN injection is rescued by the recovery ladder,
-//! and Krylov breakdowns surface as typed, non-retryable errors.
+//! circuit node). Plus: an injected NaN fails the run with `NonFinite`
+//! after its steps streamed live, and a Krylov breakdown surfaces as a
+//! typed error.
 //!
 //! Labels are unique per test, and each test arms its faults through a
 //! scoped [`fault::FaultGuard`]: the armed-fault map is process-global and
@@ -15,8 +16,8 @@
 use exi_netlist::generators::{rc_ladder, RcLadderSpec};
 use exi_netlist::Circuit;
 use exi_sim::{
-    fault, BatchJob, BatchPlan, BatchRunner, JobError, Method, RecoveryPolicy, SimError, Simulator,
-    TransientOptions,
+    fault, BatchJob, BatchPlan, BatchRunner, JobError, Method, Observer, RunStats, SimError,
+    Simulator, TransientOptions,
 };
 
 fn ladder() -> Circuit {
@@ -134,12 +135,45 @@ fn injected_panic_and_singularity_leave_six_jobs_bit_identical() {
     }
 }
 
+/// One observer event, in the order it arrived.
+#[derive(Debug, PartialEq)]
+enum Event {
+    Dc,
+    Accepted,
+    Rejected,
+    Finish {
+        accepted_steps: usize,
+        rejected_steps: usize,
+    },
+}
+
+#[derive(Default)]
+struct EventLog(Vec<Event>);
+
+impl Observer for EventLog {
+    fn on_dc(&mut self, _t0: f64, _x0: &[f64]) {
+        self.0.push(Event::Dc);
+    }
+    fn on_step_accepted(&mut self, _t: f64, _x: &[f64]) {
+        self.0.push(Event::Accepted);
+    }
+    fn on_step_rejected(&mut self, _t: f64, _h: f64) {
+        self.0.push(Event::Rejected);
+    }
+    fn on_finish(&mut self, _final_state: &[f64], stats: &RunStats) {
+        self.0.push(Event::Finish {
+            accepted_steps: stats.accepted_steps,
+            rejected_steps: stats.rejected_steps,
+        });
+    }
+}
+
 /// A NaN stamped mid-transient fails the run with `NonFinite` at the stamp
-/// boundary — and because the injection counter is past its trigger on the
-/// retry, the recovery ladder's first rung completes the run, counting the
-/// escalation.
+/// boundary. What the observer of the failed run receives is the contract:
+/// the DC point and every accepted and rejected step live, then exactly one
+/// `on_finish` carrying the partial counters, which the session absorbs.
 #[test]
-fn nan_injection_is_rescued_by_the_recovery_ladder() {
+fn nan_injection_fails_the_run_after_streaming_its_steps_live() {
     let _faults = fault::FaultGuard::arm(
         "nan-solo",
         fault::FaultSpec {
@@ -148,32 +182,49 @@ fn nan_injection_is_rescued_by_the_recovery_ladder() {
             ..fault::FaultSpec::default()
         },
     );
-
-    // Without a policy: the NaN surfaces as a typed NonFinite error.
     fault::install("nan-solo");
     let circuit = ladder();
-    let err = Simulator::new(&circuit)
-        .transient(Method::ExponentialRosenbrock, &options(), &["n2"])
+    let mut sim = Simulator::new(&circuit);
+    let mut log = EventLog::default();
+    let err = sim
+        .transient_observed(Method::ExponentialRosenbrock, &options(), &mut log)
         .unwrap_err();
     assert!(
         matches!(err, SimError::NonFinite { time, .. } if time > 0.0),
         "got {err:?}"
     );
 
-    // With the standard policy: rung 1 reruns past the (spent) trigger.
-    fault::install("nan-solo"); // reset the eval counter
-    let mut sim = Simulator::new(&circuit).with_recovery_policy(RecoveryPolicy::standard());
-    let result = sim
-        .transient(Method::ExponentialRosenbrock, &options(), &["n2"])
-        .expect("the ladder rescues the injected NaN");
-    assert!(result.times.len() > 2);
-    assert!(sim.session_stats().recovery_attempts >= 1);
+    let events = &log.0;
+    let accepted = events.iter().filter(|e| **e == Event::Accepted).count();
+    let rejected = events.iter().filter(|e| **e == Event::Rejected).count();
+    assert!(
+        accepted > 0,
+        "the NaN lands after accepted steps: {events:?}"
+    );
+    assert_eq!(events.first(), Some(&Event::Dc), "{events:?}");
+    assert_eq!(events.iter().filter(|e| **e == Event::Dc).count(), 1);
+    let finishes: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e, Event::Finish { .. }))
+        .collect();
+    assert_eq!(
+        finishes,
+        [&Event::Finish {
+            accepted_steps: accepted,
+            rejected_steps: rejected,
+        }]
+    );
+    assert!(matches!(events.last(), Some(Event::Finish { .. })));
+
+    let session = sim.session_stats();
+    assert_eq!(session.accepted_steps, accepted);
+    assert_eq!(session.rejected_steps, rejected);
+    assert_eq!(sim.completed_runs(), 0);
 }
 
-/// An injected Krylov basis breakdown surfaces as a typed kernel error —
-/// and is *not* retryable: the ladder must not mask kernel bugs.
+/// An injected Krylov basis breakdown surfaces as a typed kernel error.
 #[test]
-fn krylov_breakdown_is_typed_and_not_retried() {
+fn krylov_breakdown_is_typed() {
     let _faults = fault::FaultGuard::arm(
         "kry-solo",
         fault::FaultSpec {
@@ -183,16 +234,10 @@ fn krylov_breakdown_is_typed_and_not_retried() {
     );
     fault::install("kry-solo");
     let circuit = ladder();
-    let mut sim = Simulator::new(&circuit).with_recovery_policy(RecoveryPolicy::standard());
-    let err = sim
+    let err = Simulator::new(&circuit)
         .transient(Method::ExponentialRosenbrock, &options(), &["n2"])
         .unwrap_err();
     assert!(matches!(err, SimError::Krylov(_)), "got {err:?}");
-    assert_eq!(
-        sim.session_stats().method_fallbacks,
-        0,
-        "kernel errors must not be retried"
-    );
 }
 
 /// Arming a label affects only jobs carrying that label — a batch whose

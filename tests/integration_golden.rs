@@ -260,38 +260,6 @@ fn golden_coupled_lines_all_methods() {
     check_case(&golden_cases()[3]);
 }
 
-/// The recovery contract on healthy runs: with `RecoveryPolicy::standard()`
-/// installed, all 16 (case × method) fixtures are reproduced bit for bit
-/// and no recovery counter moves — the ladder only engages after a failure,
-/// and a healthy run's instruction stream is untouched.
-#[test]
-fn recovery_policy_on_is_bit_identical_on_healthy_fixtures() {
-    for case in golden_cases() {
-        for method in Method::all() {
-            let mut sim = Simulator::new(&case.circuit)
-                .with_recovery_policy(exi_sim::RecoveryPolicy::standard());
-            let result = sim
-                .transient(method, &case.options, &case.probes)
-                .unwrap_or_else(|e| panic!("{} / {} failed: {e}", case.name, method.label()));
-            assert_eq!(sim.session_stats().recovery_attempts, 0);
-            assert_eq!(sim.session_stats().gmin_steps, 0);
-            assert_eq!(sim.session_stats().method_fallbacks, 0);
-            let path = fixture_path(case.name, method);
-            let golden = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden fixture {path:?} ({e})"));
-            let expected = parse_fixture(&golden);
-            let got = parse_fixture(&fixture_text(&case, method, &result));
-            assert_eq!(
-                expected,
-                got,
-                "{} / {}: recovery-on waveform drifted from the fixture",
-                case.name,
-                method.label()
-            );
-        }
-    }
-}
-
 /// The pattern rule's payoff, on the eight nonlinear fixtures: a fresh
 /// session performs one symbolic LU analysis per matrix role the run touches
 /// — `G` for every method, plus `C/h + θG` for BENR/TRNR — however often the

@@ -3,8 +3,8 @@
 //! Pathological circuits and decks must fail with *named*, non-panicking
 //! diagnostics; cancellable batch jobs must stop at a step boundary with a
 //! bit-exact partial prefix; a panicking `BatchObserver` must not take the
-//! batch down with it; and the transient recovery ladder must rescue what
-//! it can while counting every escalation honestly.
+//! batch down with it; and a failed transient run must surface its own
+//! error, never another method's waveform.
 
 use std::time::Duration;
 
@@ -12,8 +12,8 @@ use exi_netlist::generators::{inverter_chain, rc_ladder, InverterChainSpec, RcLa
 use exi_netlist::{parse_deck, Circuit, NetlistError, Waveform};
 use exi_sim::{
     BatchJob, BatchObserver, BatchPlan, BatchRunner, CancelReason, CancelToken, Engine, JobError,
-    JobOutcome, JobOutput, Method, Observer, RecordingObserver, RecoveryEvent, RecoveryPolicy,
-    SimError, Simulator, StepOutcome, TransientOptions,
+    JobOutcome, JobOutput, Method, RecordingObserver, SimError, Simulator, StepOutcome,
+    TransientOptions,
 };
 
 fn short_options() -> TransientOptions {
@@ -323,18 +323,8 @@ fn batch_observer_panics_leave_the_batch_standing() {
 }
 
 // ---------------------------------------------------------------------------
-// The transient recovery ladder.
+// Transient failures, attributed.
 // ---------------------------------------------------------------------------
-
-/// Observer that records the live recovery escalations.
-#[derive(Default)]
-struct EventLog(Vec<RecoveryEvent>);
-
-impl Observer for EventLog {
-    fn on_recovery(&mut self, event: &RecoveryEvent) {
-        self.0.push(event.clone());
-    }
-}
 
 fn stiff_chain() -> Circuit {
     inverter_chain(&InverterChainSpec {
@@ -346,7 +336,7 @@ fn stiff_chain() -> Circuit {
 
 /// Options ER cannot satisfy: a fixed step with an unreachable error
 /// budget. ER rejects the nonlinear error estimate and underflows the step
-/// floor; BENR accepts at the floor (its LTE guard yields at `2·h_min`).
+/// floor.
 fn impossible_for_er() -> TransientOptions {
     TransientOptions {
         t_stop: 5e-11,
@@ -358,10 +348,10 @@ fn impossible_for_er() -> TransientOptions {
     }
 }
 
-/// With recovery off the failure surfaces untouched and no recovery
-/// counter moves — the exact pre-PR behavior.
+/// A step-control failure surfaces as itself: ER is never swapped for
+/// another method.
 #[test]
-fn recovery_off_surfaces_the_original_error() {
+fn er_underflow_surfaces_as_step_size_underflow() {
     let circuit = stiff_chain();
     let mut sim = Simulator::new(&circuit);
     let err = sim
@@ -371,146 +361,23 @@ fn recovery_off_surfaces_the_original_error() {
         matches!(err, SimError::StepSizeUnderflow { .. }),
         "got {err:?}"
     );
-    assert_eq!(sim.session_stats().recovery_attempts, 0);
-    assert_eq!(sim.session_stats().method_fallbacks, 0);
 }
 
-/// The cutback rung rescues an ER underflow: with the step floor cut back
-/// three decades, the nonlinear error estimate drops under the budget and
-/// the retry completes. The escalation streams live, the counters record
-/// exactly one attempt, and the waveform the caller receives is the
-/// *replayed successful attempt only* — bit-identical to a plain ER run
-/// under the cutback rung's options.
+/// An unreachable Newton tolerance fails TRNR's first step with the Newton
+/// error, not a generic one.
 #[test]
-fn recovery_ladder_rescues_er_underflow_at_the_cutback_rung() {
-    let circuit = stiff_chain();
-    let options = impossible_for_er();
-
-    let mut sim = Simulator::new(&circuit).with_recovery_policy(RecoveryPolicy::standard());
-    let mut events = EventLog::default();
-    let probes = exi_sim::resolve_probes(&circuit, &["s1", "s2"]).unwrap();
-    let mut recording = RecordingObserver::new(probes, false);
-    // Compose: record the waveform AND log recovery events.
-    struct Tee<'a>(&'a mut RecordingObserver, &'a mut EventLog);
-    impl Observer for Tee<'_> {
-        fn on_dc(&mut self, t0: f64, x0: &[f64]) {
-            self.0.on_dc(t0, x0);
-        }
-        fn on_step_accepted(&mut self, t: f64, x: &[f64]) {
-            self.0.on_step_accepted(t, x);
-        }
-        fn on_step_rejected(&mut self, t: f64, h: f64) {
-            self.0.on_step_rejected(t, h);
-        }
-        fn on_finish(&mut self, final_state: &[f64], stats: &exi_sim::RunStats) {
-            self.0.on_finish(final_state, stats);
-        }
-        fn on_recovery(&mut self, event: &RecoveryEvent) {
-            self.1.on_recovery(event);
-        }
-    }
-    let stats = sim
-        .transient_observed(
-            Method::ExponentialRosenbrock,
-            &options,
-            &mut Tee(&mut recording, &mut events),
-        )
-        .expect("the ladder rescues the run");
-    let rescued = recording.into_result();
-
-    // Exactly one escalation — the step cutback — delivered live.
-    let policy = RecoveryPolicy::standard();
-    assert_eq!(events.0.len(), 1, "{:?}", events.0);
-    assert!(
-        matches!(events.0[0], RecoveryEvent::StepCutback { h_min, time }
-            if h_min == options.h_min * policy.step_cutback && time > 0.0),
-        "{:?}",
-        events.0[0]
-    );
-    assert_eq!(stats.recovery_attempts, 1);
-    assert_eq!(stats.method_fallbacks, 0);
-    assert_eq!(sim.session_stats().recovery_attempts, 1);
-
-    // The caller's waveform is exactly the successful (cutback) attempt:
-    // a plain ER run under the rung-1 options, bit for bit — the failed
-    // first attempt's buffered events never reached the observer.
-    let mut rung1 = options.clone();
-    rung1.h_min = options.h_min * policy.step_cutback;
-    rung1.h_init = (options.h_init * policy.step_cutback).max(rung1.h_min);
-    let reference = Simulator::new(&circuit)
-        .transient(Method::ExponentialRosenbrock, &rung1, &["s1", "s2"])
-        .expect("plain ER run under the rung-1 options");
-    assert_eq!(rescued.times, reference.times);
-    assert_eq!(rescued.samples, reference.samples);
-    assert_eq!(rescued.final_state, reference.final_state);
-}
-
-/// A failure no rung can fix — an unreachable Newton tolerance poisons the
-/// original method, the cutback retry, the tightened retry, AND the BENR
-/// fallback (it runs the same Newton). The ladder runs all three rungs, the
-/// escalations stream in order, and the original error class surfaces.
-#[test]
-fn recovery_ladder_exhausts_into_the_original_error() {
+fn unreachable_newton_tolerance_surfaces_newton_did_not_converge() {
     let circuit = stiff_chain();
     let options = TransientOptions {
         newton_tolerance: 0.0, // no finite residual can satisfy this
         newton_max_iterations: 2,
         ..short_options()
     };
-    let mut sim = Simulator::new(&circuit).with_recovery_policy(RecoveryPolicy::standard());
-    let mut events = EventLog::default();
-    let err = sim
-        .transient_observed(Method::Trapezoidal, &options, &mut events)
+    let err = Simulator::new(&circuit)
+        .transient(Method::Trapezoidal, &options, &["s1"])
         .unwrap_err();
     assert!(
         matches!(err, SimError::NewtonDidNotConverge { .. }),
         "got {err:?}"
-    );
-    let policy = RecoveryPolicy::standard();
-    assert_eq!(events.0.len(), 3, "{:?}", events.0);
-    assert!(matches!(events.0[0], RecoveryEvent::StepCutback { .. }));
-    assert!(
-        matches!(events.0[1], RecoveryEvent::NewtonTightened { max_iterations }
-            if max_iterations == options.newton_max_iterations * policy.newton_budget_factor),
-        "{:?}",
-        events.0[1]
-    );
-    assert!(
-        matches!(
-            events.0[2],
-            RecoveryEvent::MethodFallback {
-                from: Method::Trapezoidal,
-                to: Method::BackwardEuler,
-            }
-        ),
-        "{:?}",
-        events.0[2]
-    );
-    assert_eq!(sim.session_stats().recovery_attempts, 3);
-    assert_eq!(sim.session_stats().method_fallbacks, 1);
-}
-
-/// Non-retryable failures (a singular system) bypass the ladder entirely,
-/// even with the policy enabled: the diagnosis is structural, and retrying
-/// would only repeat it.
-#[test]
-fn recovery_ladder_skips_non_retryable_errors() {
-    let mut ckt = Circuit::new();
-    let vin = ckt.node("in");
-    let gnd = ckt.node("0");
-    let float = ckt.node("float");
-    ckt.add_voltage_source("V1", vin, gnd, Waveform::Dc(1.0))
-        .unwrap();
-    ckt.add_resistor("R1", vin, gnd, 1e3).unwrap();
-    ckt.add_capacitor("Cf", float, gnd, 1e-12).unwrap();
-    let mut sim = Simulator::new(&ckt).with_recovery_policy(RecoveryPolicy::standard());
-    let err = sim
-        .transient(Method::ExponentialRosenbrock, &short_options(), &[])
-        .unwrap_err();
-    assert!(err.to_string().contains("node 'float'"), "{err}");
-    assert_eq!(
-        sim.session_stats().method_fallbacks,
-        0,
-        "no transient ladder for a structural failure"
     );
 }

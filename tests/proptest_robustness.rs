@@ -4,7 +4,7 @@
 //! unpaired, or the whole circuit empty — none of that may panic.
 
 use exi_netlist::parse_deck;
-use exi_sim::{Method, RecoveryPolicy, Simulator, TransientOptions};
+use exi_sim::{Method, Simulator, TransientOptions};
 use proptest::prelude::*;
 
 /// Device lines of a healthy mixed deck: sources, a resistive ladder, caps
@@ -61,9 +61,8 @@ proptest! {
         }
     }
 
-    /// Deleting any pair of device lines never panics either — including
-    /// with the recovery ladder switched on, whose homotopy stages must
-    /// fail just as cleanly on structurally broken circuits.
+    /// Deleting any pair of device lines never panics either, under ER or
+    /// BENR.
     #[test]
     fn double_device_deletion_never_panics(
         a in 0usize..DEVICE_LINES.len(),
@@ -74,7 +73,6 @@ proptest! {
             let _ = Simulator::new(&deck.circuit)
                 .transient(Method::ExponentialRosenbrock, &options(), &[]);
             let _ = Simulator::new(&deck.circuit)
-                .with_recovery_policy(RecoveryPolicy::standard())
                 .transient(Method::BackwardEuler, &options(), &[]);
         }
     }
