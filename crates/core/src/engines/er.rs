@@ -39,13 +39,14 @@
 //!
 //! All triangular solves, matrix–vector products, Krylov subspace builds
 //! **and device evaluations** (restamped through the session's precompiled
-//! [`EvalPlan`] — no COO assembly, no sort) run through reusable workspaces,
-//! so the hot loop performs no circuit-sized allocation in steady state. The
-//! caches live in the [`Simulator`](crate::Simulator) session, so they also
-//! survive across runs.
+//! [`EvalPlan`](exi_netlist::EvalPlan) — no COO assembly, no sort) run
+//! through reusable workspaces, so the hot loop performs no circuit-sized
+//! allocation in steady state. The caches live in the
+//! [`Simulator`](crate::Simulator) session, so they also survive across runs.
 //!
-//! The engine is exposed as the incremental [`ErStepper`] (one accepted step
-//! per [`Engine::advance`] call).
+//! The engine is exposed as the [`ErStepper`], the attempts of one step; the
+//! engines' shared step loop drives it, one accepted step per
+//! [`Engine::advance`](crate::Engine::advance) call.
 //!
 //! All `C⁻¹` factors that appear in the paper's formulas cancel analytically
 //! against the φ denominators, so a singular capacitance matrix needs no
@@ -77,24 +78,15 @@
 //! subspace of `w₂` — is kept where that subspace serves many steps
 //! (`ErStepper::keeps_input_term`: constant `J`, piecewise-linear inputs).
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use exi_krylov::{
     invert_krylov_residual, mevp_invert_krylov_state_residual_with, mevp_invert_krylov_with,
     KrylovDecomposition, KrylovResult, MevpOptions, MevpWorkspace,
 };
-use exi_netlist::{Circuit, EvalPlan, Evaluation};
-use exi_sparse::{vector, LuOptions, SparseLu};
+use exi_netlist::Evaluation;
+use exi_sparse::{vector, SparseLu};
 
-use crate::engines::{
-    breakpoint_interval, clamp_step, prepare, reached_end, refresh_lu, Engine, StepOutcome,
-};
+use crate::engines::{breakpoint_interval, refresh_lu, Attempt, Run, Stepper};
 use crate::error::{SimError, SimResult};
-use crate::observer::Observer;
-use crate::options::TransientOptions;
-use crate::session::SessionCaches;
-use crate::stats::RunStats;
 
 /// Threshold below which a Krylov start vector is treated as zero (its
 /// contribution to the step is exactly representable as zero).
@@ -216,31 +208,20 @@ impl KrylovCounters {
     }
 }
 
-/// Incremental exponential Rosenbrock–Euler stepper (ER, and ER-C with the
-/// φ₂ correction).
+/// The attempts of an exponential Rosenbrock–Euler step (ER, and ER-C with
+/// the φ₂ correction): Algorithm 2, its LU-free rejection loop included.
 ///
 /// Created by [`Simulator::stepper`](crate::Simulator::stepper) with
 /// [`Method::ExponentialRosenbrock`](crate::Method::ExponentialRosenbrock) or
-/// [`Method::ExponentialRosenbrockCorrected`](crate::Method::ExponentialRosenbrockCorrected);
-/// driven through the [`Engine`] trait. Each [`Engine::advance`] performs one
-/// accepted step of Algorithm 2 (including its LU-free rejection loop). All
-/// hot-loop state lives in the struct — the input subspace kept from step to
-/// step included — so a paused stepper resumes bit-identically.
+/// [`Method::ExponentialRosenbrockCorrected`](crate::Method::ExponentialRosenbrockCorrected).
+/// All hot-loop state lives in the stepper — the input subspace kept from
+/// step to step included — so a paused one resumes bit-identically.
 #[derive(Debug)]
-pub struct ErStepper<'a> {
-    circuit: &'a Circuit,
-    caches: &'a mut SessionCaches,
-    /// The session's compiled stamping plan (shared handle; the per-step
-    /// restamps go through it instead of COO assembly).
-    plan: Arc<EvalPlan>,
-    options: TransientOptions,
+pub struct ErStepper {
     correction: bool,
-    lu_options: LuOptions,
     mevp_options: MevpOptions,
-    breakpoints: Vec<f64>,
     /// Every source is linear in `t` between breakpoints: `w₂ ∝ h` there.
     inputs_piecewise_linear: bool,
-    n: usize,
     // Circuit-sized scratch buffers, allocated once per stepper.
     eval_k: Evaluation,
     u_k: Vec<f64>,
@@ -264,49 +245,21 @@ pub struct ErStepper<'a> {
     /// Kept across accepted steps where `estimator` is `None` and the inputs
     /// are piecewise linear; otherwise for the duration of one step.
     input_term: Option<InputTerm>,
-    x: Vec<f64>,
-    t: f64,
-    h: f64,
-    stats: RunStats,
-    finished: bool,
-    finalized: bool,
     krylov_baseline: KrylovCounters,
-    assembly_alloc_baseline: usize,
 }
 
-impl<'a> ErStepper<'a> {
-    /// Builds a stepper over the session caches; `dc_stats` is the DC cost
-    /// charged to this run (zeroed when the session reused a cached DC
-    /// solution).
-    pub(crate) fn new(
-        circuit: &'a Circuit,
-        caches: &'a mut SessionCaches,
-        correction: bool,
-        options: TransientOptions,
-        dc_stats: RunStats,
-    ) -> SimResult<Self> {
-        let breakpoints = prepare(circuit, &options)?;
-        let n = circuit.num_unknowns();
-        let lu_options = LuOptions {
-            ordering: options.ordering,
-            fill_budget: options.fill_budget,
-            ..LuOptions::default()
-        };
+impl ErStepper {
+    pub(crate) fn new(run: &Run<'_>, correction: bool) -> Self {
+        let (n, options) = (run.x.len(), &run.options);
         let mevp_options = MevpOptions {
             tolerance: options.krylov_tolerance,
             max_dimension: options.krylov_max_dimension,
             min_dimension: 2,
             allow_unconverged: true,
         };
-        let plan = Arc::clone(
-            caches
-                .plan
-                .as_ref()
-                .expect("session compiled the evaluation plan"),
-        );
-        let input_dim = plan.input_matrix().cols();
-        let estimator = (plan.nonlinear_stamp_count() > 0).then(|| Estimator {
-            eval_next: plan.new_evaluation(),
+        let input_dim = run.plan.input_matrix().cols();
+        let estimator = (run.plan.nonlinear_stamp_count() > 0).then(|| Estimator {
+            eval_next: run.plan.new_evaluation(),
             dx: vec![0.0; n],
             delta_f: vec![0.0; n],
             w3: vec![0.0; n],
@@ -316,22 +269,13 @@ impl<'a> ErStepper<'a> {
                 ..mevp_options.clone()
             },
         });
-        let krylov_baseline = KrylovCounters::of(&caches.mevp_ws);
-        let assembly_alloc_baseline = caches.eval_ws.allocations();
-        Ok(ErStepper {
-            circuit,
-            caches,
-            options,
+        ErStepper {
             correction,
-            lu_options,
             mevp_options,
-            breakpoints,
-            inputs_piecewise_linear: circuit.inputs_are_piecewise_linear(),
-            n,
-            eval_k: plan.new_evaluation(),
+            inputs_piecewise_linear: run.circuit.inputs_are_piecewise_linear(),
+            eval_k: run.plan.new_evaluation(),
             u_k: vec![0.0; input_dim],
             u_next: vec![0.0; input_dim],
-            plan,
             bu_k: vec![0.0; n],
             rhs: vec![0.0; n],
             bdu: vec![0.0; n],
@@ -343,251 +287,115 @@ impl<'a> ErStepper<'a> {
             estimator,
             exp_subspace: None,
             input_term: None,
-            x: vec![0.0; n],
-            t: 0.0,
-            h: 0.0,
-            stats: dc_stats,
-            finished: true, // until init() places the stepper
-            finalized: false,
-            krylov_baseline,
-            assembly_alloc_baseline,
-        })
+            krylov_baseline: KrylovCounters::of(&run.caches.mevp_ws),
+        }
     }
 }
 
-impl Engine for ErStepper<'_> {
-    fn init(&mut self, t0: f64, x0: &[f64], observer: &mut dyn Observer) -> SimResult<()> {
-        if x0.len() != self.n {
-            return Err(SimError::InvalidOptions {
-                message: format!(
-                    "initial state has {} entries, circuit has {} unknowns",
-                    x0.len(),
-                    self.n
-                ),
-            });
-        }
-        self.x.copy_from_slice(x0);
-        self.t = t0;
-        self.h = self.options.h_init;
-        self.release_input_term();
-        self.finished = reached_end(t0, self.options.t_stop);
-        self.finalized = false;
-        self.stats.observer_callbacks += 1;
-        observer.on_dc(t0, &self.x);
-        Ok(())
+impl Stepper for ErStepper {
+    /// Algorithm 2 lines 4-6: linearize, factorize G, build subspaces.
+    fn start_step(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
+        self.linearize(run, h)
     }
 
-    fn advance(&mut self, observer: &mut dyn Observer) -> SimResult<StepOutcome> {
-        let started = Instant::now();
-        let result = self.advance_step(observer);
-        // Return what is still checked out of the session arena (it outlives
-        // the run): the per-step bases, and after an error the kept input
-        // term as well — the state it was valid for is gone.
+    /// One pass of the step-size loop (Algorithm 2 lines 8-21): no LU, and
+    /// no new subspace for the exponential where `w₂` only rescales with
+    /// `h` (`v` then does not depend on `h` at all).
+    fn attempt(&mut self, run: &mut Run<'_>, h: f64, retry: bool) -> SimResult<Attempt> {
+        if !retry {
+            if self.keeps_input_term() {
+                self.place_input_term(run, h)?;
+            } else {
+                self.fold_input_term(run, h)?;
+            }
+        } else if !self.inputs_piecewise_linear {
+            // w₂′ moves with h: back to v = w₁, and fold again.
+            self.solve_w1(run)?;
+            self.fold_input_term(run, h)?;
+        }
+        self.form_candidate(run, h)?;
+        let err = self.estimate_and_correct(run, h)?;
+        Ok(Attempt::Estimated { err })
+    }
+
+    fn commit(&mut self, x: &mut Vec<f64>, _h: f64) {
+        x.copy_from_slice(&self.candidate);
+    }
+
+    /// The per-step bases, and where the input term is not kept (or `all`)
+    /// the input term's as well.
+    fn release(&mut self, run: &mut Run<'_>, all: bool) {
         let per_step = [
             self.exp_subspace.take(),
             self.estimator.as_mut().and_then(|e| e.subspace.take()),
         ];
         for subspace in per_step.into_iter().flatten() {
-            subspace.recycle_into(&mut self.caches.mevp_ws);
+            subspace.recycle_into(&mut run.caches.mevp_ws);
         }
-        if result.is_err() || !self.keeps_input_term() {
-            self.release_input_term();
+        if all || !self.keeps_input_term() {
+            self.release_input_term(run);
         }
-        // Runtime accumulates only active solver time: pauses between
-        // advance() calls (checkpointing, co-simulation interleaves) and the
-        // idle life of the stepper are not charged.
-        self.stats.runtime += started.elapsed();
-        result
     }
 
-    fn state(&self) -> &[f64] {
-        &self.x
-    }
-
-    fn time(&self) -> f64 {
-        self.t
-    }
-
-    fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut RunStats {
-        &mut self.stats
-    }
-
-    fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    fn finish(&mut self, observer: &mut dyn Observer) -> RunStats {
-        // Back into the arena, so the session's next run finds it warm.
-        self.release_input_term();
-        if !self.finalized {
-            self.finalized = true;
-            let (now, then) = (
-                KrylovCounters::of(&self.caches.mevp_ws),
-                self.krylov_baseline,
-            );
-            self.stats.krylov_workspace_allocations = now.allocations - then.allocations;
-            self.stats.dense_workspace_allocations = now.dense_allocations - then.dense_allocations;
-            self.stats.krylov_residual_tests = now.residual_tests - then.residual_tests;
-            self.stats.small_dense_exponentials = now.exponentials - then.exponentials;
-            self.stats.assembly_workspace_allocations =
-                self.caches.eval_ws.allocations() - self.assembly_alloc_baseline;
-            self.stats.observer_callbacks += 1;
-            observer.on_finish(&self.x, &self.stats);
-        }
-        self.stats.clone()
+    fn finalize(&self, run: &mut Run<'_>) {
+        let (now, then) = (
+            KrylovCounters::of(&run.caches.mevp_ws),
+            self.krylov_baseline,
+        );
+        let stats = &mut run.stats;
+        stats.krylov_workspace_allocations = now.allocations - then.allocations;
+        stats.dense_workspace_allocations = now.dense_allocations - then.dense_allocations;
+        stats.krylov_residual_tests = now.residual_tests - then.residual_tests;
+        stats.small_dense_exponentials = now.exponentials - then.exponentials;
     }
 }
 
-impl ErStepper<'_> {
-    /// One accepted step of Algorithm 2. Subspaces still checked out of the
-    /// arena when an error unwinds are recycled by [`Engine::advance`].
-    fn advance_step(&mut self, observer: &mut dyn Observer) -> SimResult<StepOutcome> {
-        if self.finished {
-            return Ok(StepOutcome::Finished);
-        }
-        // --- Algorithm 2 lines 4-6: linearize, factorize G, build subspaces. ---
-        self.linearize()?;
-
-        // The step-size loop (Algorithm 2 lines 8-21): no LU, no new subspace
-        // for the exponential.
-        let h_base = clamp_step(
-            self.t,
-            self.h.min(self.options.h_max),
-            self.options.t_stop,
-            &self.breakpoints,
-        );
-        if h_base < self.options.h_min {
-            return Err(SimError::StepSizeUnderflow {
-                time: self.t,
-                step: h_base,
-            });
-        }
-        let mut h_step = h_base;
-        if self.keeps_input_term() {
-            self.place_input_term(h_step)?;
-        } else {
-            self.fold_input_term(h_step)?;
-        }
-
-        let mut rejections = 0usize;
-        let accepted_h = loop {
-            self.form_candidate(h_step)?;
-            let error_norm = self.estimate_and_correct(h_step)?;
-            if error_norm <= self.options.error_budget {
-                break h_step;
-            }
-            // Reject: shrink the step. No LU decomposition and no rebuild of
-            // a subspace is needed (Algorithm 2 lines 20) where w2 only
-            // rescales with h: v then does not depend on h at all.
-            rejections += 1;
-            self.stats.rejected_steps += 1;
-            self.stats.observer_callbacks += 1;
-            observer.on_step_rejected(self.t, h_step);
-            h_step *= self.options.shrink_factor;
-            if h_step < self.options.h_min {
-                return Err(SimError::StepSizeUnderflow {
-                    time: self.t,
-                    step: h_step,
-                });
-            }
-            if !self.inputs_piecewise_linear {
-                // w₂′ moves with h: back to v = w₁, and fold again.
-                self.solve_w1()?;
-                self.fold_input_term(h_step)?;
-            }
-        };
-
-        self.x.copy_from_slice(&self.candidate);
-        self.t += accepted_h;
-        // Solution-boundary guard: a non-finite accepted state means a
-        // matrix-exponential evaluation overflowed past the w-vector checks.
-        if self.x.iter().any(|v| !v.is_finite()) {
-            return Err(SimError::NonFinite {
-                time: self.t,
-                device: None,
-            });
-        }
-        self.stats.accepted_steps += 1;
-        self.stats.observer_callbacks += 1;
-        #[cfg(feature = "fault-injection")]
-        crate::fault::maybe_panic_on_accept();
-        observer.on_step_accepted(self.t, &self.x);
-
-        // Algorithm 2 lines 23-25: an easy step earns a larger next step.
-        if rejections <= self.options.easy_step_threshold {
-            self.h = (accepted_h * self.options.growth_factor).min(self.options.h_max);
-        } else {
-            self.h = accepted_h;
-        }
-
-        if reached_end(self.t, self.options.t_stop) {
-            self.finished = true;
-        }
-        Ok(StepOutcome::Advanced {
-            t: self.t,
-            h: accepted_h,
-        })
-    }
-
+impl ErStepper {
     /// Linearizes at `(t_k, x_k)`: device evaluation, the factor of `G_k` and
     /// `v = w₁ = G_k⁻¹(f(x_k) − B·u_k)`, the "distance to quasi-equilibrium". On
-    /// the kept path that is all of `v`, and its subspace is built here.
-    fn linearize(&mut self) -> SimResult<()> {
-        let caches = &mut *self.caches;
-        self.stats.restamped_entries +=
-            self.plan
-                .evaluate_into(&self.x, &mut caches.eval_ws, &mut self.eval_k)?;
-        self.stats.device_evaluations += 1;
+    /// the kept path that is all of `v`, and its subspace is built here, for
+    /// the step size `h` the step asks for.
+    fn linearize(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
+        let (plan, caches) = (&*run.plan, &mut *run.caches);
+        run.stats.restamped_entries +=
+            plan.evaluate_into(&run.x, &mut caches.eval_ws, &mut self.eval_k)?;
+        run.stats.device_evaluations += 1;
         #[cfg(feature = "fault-injection")]
         crate::fault::on_device_eval(&mut self.eval_k);
-        self.circuit.input_vector_into(self.t, &mut self.u_k);
-        self.plan
-            .input_matrix()
-            .mul_vec_into(&self.u_k, &mut self.bu_k);
+        run.circuit.input_vector_into(run.t, &mut self.u_k);
+        plan.input_matrix().mul_vec_into(&self.u_k, &mut self.bu_k);
         refresh_lu(
             &mut caches.g_lu,
-            Some(&*self.plan),
+            Some(plan),
             &self.eval_k.g,
             None,
-            &self.lu_options,
+            &run.lu_options,
             &mut caches.lu_ws,
-            &mut self.stats,
+            &mut run.stats,
         )?;
-        for i in 0..self.n {
+        for i in 0..self.rhs.len() {
             self.rhs[i] = self.eval_k.f[i] - self.bu_k[i];
         }
-        self.solve_w1()?;
+        self.solve_w1(run)?;
         if self.keeps_input_term() {
-            let caches = &mut *self.caches;
-            let g_lu = caches.g_lu.as_ref().expect("refreshed above");
             self.exp_subspace = build_subspace(
+                run,
                 &self.eval_k,
-                g_lu,
                 &self.v,
-                self.t,
-                self.h,
+                h,
                 Residual::Kcl,
                 &self.mevp_options,
-                &mut self.stats,
-                &mut caches.mevp_ws,
             )?;
         }
         Ok(())
     }
 
     /// `v = w₁ = G_k⁻¹·rhs`, `rhs = f(x_k) − B·u_k` as `linearize` left it.
-    fn solve_w1(&mut self) -> SimResult<()> {
-        let caches = &mut *self.caches;
-        let g_lu = caches
-            .g_lu
-            .as_ref()
-            .expect("linearize left the factor of G in the session");
+    fn solve_w1(&mut self, run: &mut Run<'_>) -> SimResult<()> {
+        let caches = &mut *run.caches;
+        let g_lu = g_factor(&caches.g_lu);
         g_lu.solve_into(&self.rhs, &mut self.v, &mut caches.lu_ws)?;
-        self.stats.linear_solves += 1;
+        run.stats.linear_solves += 1;
         Ok(())
     }
 
@@ -600,23 +408,23 @@ impl ErStepper<'_> {
     }
 
     /// Hands the input term's basis, if any, back to the arena.
-    fn release_input_term(&mut self) {
+    fn release_input_term(&mut self, run: &mut Run<'_>) {
         if let Some(InputTerm {
             form: InputForm::Phi1(subspace),
             ..
         }) = self.input_term.take()
         {
-            subspace.recycle_into(&mut self.caches.mevp_ws);
+            subspace.recycle_into(&mut run.caches.mevp_ws);
         }
     }
 
     /// Leaves in `self.input_term` an input term good for a step of size `h`
-    /// from `self.t`: the kept one, when it was computed on this breakpoint
+    /// from `run.t`: the kept one, when it was computed on this breakpoint
     /// interval and its subspace still meets the Krylov tolerance for
     /// `w₂(h) = w₂(h_ref)·h/h_ref` (the residual is linear in the vector);
     /// a new one otherwise.
-    fn place_input_term(&mut self, h: f64) -> SimResult<()> {
-        let interval = breakpoint_interval(self.t, self.options.t_stop, &self.breakpoints);
+    fn place_input_term(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
+        let interval = breakpoint_interval(run.t, run.options.t_stop, &run.breakpoints);
         if let Some(kept) = self.input_term.as_ref().filter(|k| k.interval == interval) {
             let InputForm::Phi1(subspace) = &kept.form else {
                 return Ok(());
@@ -625,31 +433,23 @@ impl ErStepper<'_> {
                 &subspace.decomposition,
                 &self.eval_k.g,
                 h,
-                &mut self.caches.mevp_ws,
+                &mut run.caches.mevp_ws,
             );
             // A re-test that cannot be evaluated is a miss like any other.
             if residual.is_ok_and(|r| h / kept.h_ref * r <= self.mevp_options.tolerance) {
-                self.stats.krylov_subspace_reuses += 1;
+                run.stats.krylov_subspace_reuses += 1;
                 return Ok(());
             }
         }
-        self.release_input_term();
-        let form = if self.solve_w2(h)? {
-            let caches = &mut *self.caches;
-            let g_lu = caches
-                .g_lu
-                .as_ref()
-                .expect("linearize left the factor of G in the session");
+        self.release_input_term(run);
+        let form = if self.solve_w2(run, h)? {
             build_subspace(
+                run,
                 &self.eval_k,
-                g_lu,
                 &self.w2,
-                self.t,
                 h,
                 Residual::Kcl,
                 &self.mevp_options,
-                &mut self.stats,
-                &mut caches.mevp_ws,
             )?
             .map_or(InputForm::Flat, InputForm::Phi1)
         } else {
@@ -663,7 +463,7 @@ impl ErStepper<'_> {
         Ok(())
     }
 
-    /// Folds the input term of a step of size `h` from `self.t` into `v`,
+    /// Folds the input term of a step of size `h` from `run.t` into `v`,
     /// which holds `w₁` on entry, and builds the step's one subspace:
     ///
     /// ```text
@@ -676,22 +476,17 @@ impl ErStepper<'_> {
     /// source drives — which a φ₁ evaluation on `w₂` itself would have to
     /// resolve through a near-singular `H_m`. On a linear piece of the inputs
     /// `w₂ ∝ h`: `w₂′` and `v` hold for every `h` the rejection loop tries.
-    fn fold_input_term(&mut self, h: f64) -> SimResult<()> {
+    fn fold_input_term(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
         if let Some(stale) = self.exp_subspace.take() {
-            stale.recycle_into(&mut self.caches.mevp_ws);
+            stale.recycle_into(&mut run.caches.mevp_ws);
         }
-        let moves = self.solve_w2(h)?;
-        let caches = &mut *self.caches;
-        let g_lu = caches
-            .g_lu
-            .as_ref()
-            .expect("linearize left the factor of G in the session");
-        let form = if moves {
+        let form = if self.solve_w2(run, h)? {
             // `bdu` is free again: `solve_w2` consumed it.
             self.eval_k.c.mul_vec_into(&self.w2, &mut self.bdu);
-            g_lu.solve_into(&self.bdu, &mut self.kry, &mut caches.lu_ws)?;
-            self.stats.linear_solves += 1;
-            for i in 0..self.n {
+            let caches = &mut *run.caches;
+            g_factor(&caches.g_lu).solve_into(&self.bdu, &mut self.kry, &mut caches.lu_ws)?;
+            run.stats.linear_solves += 1;
+            for i in 0..self.v.len() {
                 self.v[i] -= self.kry[i] / h;
             }
             InputForm::Folded
@@ -699,19 +494,16 @@ impl ErStepper<'_> {
             InputForm::Flat
         };
         self.exp_subspace = build_subspace(
+            run,
             &self.eval_k,
-            g_lu,
             &self.v,
-            self.t,
             h,
             Residual::Kcl,
             &self.mevp_options,
-            &mut self.stats,
-            &mut caches.mevp_ws,
         )?;
         self.input_term = Some(InputTerm {
             h_ref: h,
-            interval: breakpoint_interval(self.t, self.options.t_stop, &self.breakpoints),
+            interval: breakpoint_interval(run.t, run.options.t_stop, &run.breakpoints),
             form,
         });
         Ok(())
@@ -719,8 +511,8 @@ impl ErStepper<'_> {
 
     /// `w₂ = −G_k⁻¹B·(u(t + h) − u(t))` into `self.w2`; `false`, without a
     /// solve, when no source moves over the step and `w₂ = 0`.
-    fn solve_w2(&mut self, h: f64) -> SimResult<bool> {
-        self.circuit.input_vector_into(self.t + h, &mut self.u_next);
+    fn solve_w2(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<bool> {
+        run.circuit.input_vector_into(run.t + h, &mut self.u_next);
         for (d, (un, uk)) in self
             .du
             .iter_mut()
@@ -731,28 +523,26 @@ impl ErStepper<'_> {
         if self.du.iter().all(|&d| d == 0.0) {
             return Ok(false);
         }
-        let caches = &mut *self.caches;
-        let g_lu = caches
-            .g_lu
-            .as_ref()
-            .expect("linearize left the factor of G in the session");
-        self.plan
+        let caches = &mut *run.caches;
+        let g_lu = g_factor(&caches.g_lu);
+        run.plan
             .input_matrix()
             .mul_vec_into(&self.du, &mut self.bdu);
         g_lu.solve_into(&self.bdu, &mut self.w2, &mut caches.lu_ws)?;
-        self.stats.linear_solves += 1;
+        run.stats.linear_solves += 1;
         vector::scale(-1.0, &mut self.w2);
         Ok(true)
     }
 
     /// The candidate `x_{k+1}` of Eq. (14) for step size `h`: no solve, no
     /// new basis vector.
-    fn form_candidate(&mut self, h: f64) -> SimResult<()> {
-        let ws = &mut self.caches.mevp_ws;
-        self.candidate.copy_from_slice(&self.x);
+    fn form_candidate(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
+        let n = run.x.len();
+        let ws = &mut run.caches.mevp_ws;
+        self.candidate.copy_from_slice(&run.x);
         if let Some(dec) = &self.exp_subspace {
             dec.expv_into(h, &mut self.kry, ws)?;
-            for i in 0..self.n {
+            for i in 0..n {
                 self.candidate[i] += self.kry[i] - self.v[i];
             }
         }
@@ -766,12 +556,12 @@ impl ErStepper<'_> {
             InputForm::Flat => {}
             InputForm::Phi1(dec) => {
                 dec.decomposition.eval_phi_in(1, h, &mut self.kry, ws)?;
-                for i in 0..self.n {
+                for i in 0..n {
                     self.candidate[i] += scale * (self.kry[i] - self.w2[i]);
                 }
             }
             InputForm::Folded => {
-                for i in 0..self.n {
+                for i in 0..n {
                     self.candidate[i] -= scale * self.w2[i];
                 }
             }
@@ -783,80 +573,76 @@ impl ErStepper<'_> {
     /// `h`; for ER-C, a candidate within budget also receives the correction
     /// of Eq. (25). Without an [`Estimator`] there is no nonlinearity to
     /// estimate: zero, and nothing to correct.
-    fn estimate_and_correct(&mut self, h: f64) -> SimResult<f64> {
+    fn estimate_and_correct(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<f64> {
         let Some(est) = &mut self.estimator else {
             return Ok(0.0);
         };
-        let n = self.n;
-        let caches = &mut *self.caches;
-        let g_lu = caches
-            .g_lu
-            .as_ref()
-            .expect("linearize left the factor of G in the session");
-        self.stats.restamped_entries +=
-            self.plan
-                .evaluate_into(&self.candidate, &mut caches.eval_ws, &mut est.eval_next)?;
-        self.stats.device_evaluations += 1;
+        let n = run.x.len();
+        let (plan, caches) = (&*run.plan, &mut *run.caches);
+        run.stats.restamped_entries +=
+            plan.evaluate_into(&self.candidate, &mut caches.eval_ws, &mut est.eval_next)?;
+        run.stats.device_evaluations += 1;
         // ΔF_k = G_k·(x_{k+1} − x_k) − (f(x_{k+1}) − f(x_k)).
         for i in 0..n {
-            est.dx[i] = self.candidate[i] - self.x[i];
+            est.dx[i] = self.candidate[i] - run.x[i];
         }
         self.eval_k.g.mul_vec_into(&est.dx, &mut est.delta_f);
         for (i, df) in est.delta_f.iter_mut().enumerate() {
             *df -= est.eval_next.f[i] - self.eval_k.f[i];
         }
-        g_lu.solve_into(&est.delta_f, &mut est.w3, &mut caches.lu_ws)?;
-        self.stats.linear_solves += 1;
+        g_factor(&caches.g_lu).solve_into(&est.delta_f, &mut est.w3, &mut caches.lu_ws)?;
+        run.stats.linear_solves += 1;
         est.subspace = build_subspace(
+            run,
             &self.eval_k,
-            g_lu,
             &est.w3,
-            self.t,
             h,
             Residual::State,
             &est.mevp_options,
-            &mut self.stats,
-            &mut caches.mevp_ws,
         )?;
         let Some(dec) = &est.subspace else {
             return Ok(0.0);
         };
-        dec.expv_into(h, &mut self.kry, &mut caches.mevp_ws)?;
+        let ws = &mut run.caches.mevp_ws;
+        dec.expv_into(h, &mut self.kry, ws)?;
         let mut err = 0.0_f64;
         for i in 0..n {
             err = err.max((self.kry[i] - est.w3[i]).abs());
         }
         #[cfg(test)]
-        tests::audit_estimate(err, &self.eval_k.c, g_lu, &est.w3, h, &est.mevp_options);
-        if self.correction && err <= self.options.error_budget {
+        tests::audit_estimate(
+            err,
+            &self.eval_k.c,
+            g_factor(&run.caches.g_lu),
+            &est.w3,
+            h,
+            &est.mevp_options,
+        );
+        if self.correction && err <= run.options.error_budget {
             // D_k = −γ·(φ₁(hJ) − I)·w₃  (Eq. 25); x_{k+1,c} = x_{k+1} − D_k.
-            dec.decomposition
-                .eval_phi_in(1, h, &mut self.kry, &mut caches.mevp_ws)?;
+            dec.decomposition.eval_phi_in(1, h, &mut self.kry, ws)?;
             for i in 0..n {
-                self.candidate[i] += self.options.correction_gamma * (self.kry[i] - est.w3[i]);
+                self.candidate[i] += run.options.correction_gamma * (self.kry[i] - est.w3[i]);
             }
         }
         if let Some(dec) = est.subspace.take() {
-            dec.recycle_into(&mut caches.mevp_ws);
+            dec.recycle_into(ws);
         }
         Ok(err)
     }
 }
 
-/// Builds an invert-Krylov subspace for vector `v` at step size `h`, tested
-/// with `residual` against `mevp_options.tolerance`, or `None` when the
-/// vector is (numerically) zero and its contribution vanishes.
-#[allow(clippy::too_many_arguments)]
+/// Builds an invert-Krylov subspace for vector `v` at step size `h` on the
+/// factor of `G_k` in the session, tested with `residual` against
+/// `mevp_options.tolerance`, or `None` when the vector is (numerically) zero
+/// and its contribution vanishes.
 fn build_subspace(
-    eval: &exi_netlist::Evaluation,
-    g_lu: &SparseLu,
+    run: &mut Run<'_>,
+    eval: &Evaluation,
     v: &[f64],
-    t: f64,
     h: f64,
     residual: Residual,
     mevp_options: &MevpOptions,
-    stats: &mut RunStats,
-    ws: &mut MevpWorkspace,
 ) -> SimResult<Option<Subspace>> {
     if vector::norm2(v) < NEGLIGIBLE_NORM {
         return Ok(None);
@@ -864,7 +650,7 @@ fn build_subspace(
     if v.iter().any(|x| !x.is_finite()) {
         // A non-finite vector here means an upstream evaluation overflowed.
         return Err(SimError::NonFinite {
-            time: t,
+            time: run.t,
             device: None,
         });
     }
@@ -874,12 +660,14 @@ fn build_subspace(
             dimension: 0,
         }));
     }
+    let (g_lu, ws) = (g_factor(&run.caches.g_lu), &mut run.caches.mevp_ws);
     let outcome = match residual {
         Residual::Kcl => mevp_invert_krylov_with(&eval.c, &eval.g, g_lu, v, h, mevp_options, ws),
         Residual::State => {
             mevp_invert_krylov_state_residual_with(&eval.c, g_lu, v, h, mevp_options, ws)
         }
     }?;
+    let stats = &mut run.stats;
     stats.krylov_subspaces += 1;
     stats.krylov_dimension_total += outcome.dimension;
     stats.peak_krylov_dimension = stats.peak_krylov_dimension.max(outcome.dimension);
@@ -890,14 +678,23 @@ fn build_subspace(
     }))
 }
 
+/// The factor of `G_k` that [`ErStepper::linearize`] left in the session.
+fn g_factor(slot: &Option<SparseLu>) -> &SparseLu {
+    slot.as_ref()
+        .expect("linearize left the factor of G in the session")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engines::implicit::ImplicitScheme;
+    use crate::engines::{Engine, StepOutcome};
+    use crate::options::TransientOptions;
     use crate::output::TransientResult;
     use crate::session::Simulator;
+    use crate::stats::RunStats;
     use crate::transient::Method;
-    use exi_netlist::{generators, Waveform};
+    use exi_netlist::{generators, Circuit, Waveform};
     use exi_sparse::{CsrMatrix, OrderingMethod};
     use std::cell::RefCell;
 

@@ -9,32 +9,26 @@
 //! when it is built ([`CombinationMap`]), and every iteration only rewrites
 //! values: at a step size the previous iteration already used, only the
 //! cells that read the plan's nonlinear cells of `G`
-//! ([`EvalPlan::nonlinear_cells`]), since `C` and the rest of `G` are
-//! compile-time constants. The baseline also benefits from the cached
-//! symbolic analysis: after the first Newton iteration the factorizations
-//! run through the numeric-only refactorization path, which compares the
-//! cells the fill rewrote and recomputes only the factor columns the changed
-//! ones reach. The remaining per-iteration cost asymmetry against ER is the
-//! *numeric* elimination on the much denser factors, which is exactly the
-//! paper's argument. Each attempt's first Newton iterate is the step's start
-//! state, so that iteration reads the device evaluation the step already
-//! made there.
+//! ([`EvalPlan::nonlinear_cells`](exi_netlist::EvalPlan::nonlinear_cells)),
+//! since `C` and the rest of `G` are compile-time constants. The baseline
+//! also benefits from the cached symbolic analysis: after the first Newton
+//! iteration the factorizations run through the numeric-only
+//! refactorization path, which compares the cells the fill rewrote and
+//! recomputes only the factor columns the changed ones reach. The remaining
+//! per-iteration cost asymmetry against ER is the *numeric* elimination on
+//! the much denser factors, which is exactly the paper's argument. Each
+//! attempt's first Newton iterate is the step's start state, so that
+//! iteration reads the device evaluation the step already made there.
 //!
-//! The engine is exposed as the incremental [`ImplicitStepper`] (one accepted
-//! step per [`Engine::advance`] call).
+//! The engine is exposed as the [`ImplicitStepper`], the attempts of one
+//! step; the engines' shared step loop drives it, one accepted step per
+//! [`Engine::advance`](crate::Engine::advance) call.
 
-use std::sync::Arc;
-use std::time::Instant;
+use exi_netlist::Evaluation;
+use exi_sparse::{vector, CombinationMap};
 
-use exi_netlist::{Circuit, EvalPlan, Evaluation};
-use exi_sparse::{vector, CombinationMap, LuOptions};
-
-use crate::engines::{clamp_step, prepare, reached_end, refresh_lu, Engine, StepOutcome};
-use crate::error::{SimError, SimResult};
-use crate::observer::Observer;
-use crate::options::TransientOptions;
-use crate::session::SessionCaches;
-use crate::stats::RunStats;
+use crate::engines::{refresh_lu, Attempt, Run, Stepper};
+use crate::error::SimResult;
 
 /// Implicit one-step discretization parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,29 +48,21 @@ impl ImplicitScheme {
     }
 }
 
-/// Incremental implicit (BE or TR) stepper with Newton–Raphson iterations and
-/// adaptive step control.
+/// The attempts of an implicit (BE or TR) step: Newton–Raphson iterations,
+/// then the local truncation error of a forward-Euler predictor.
 ///
 /// Created by [`Simulator::stepper`](crate::Simulator::stepper) with
 /// [`Method::BackwardEuler`](crate::Method::BackwardEuler) or
-/// [`Method::Trapezoidal`](crate::Method::Trapezoidal); driven through the
-/// [`Engine`] trait. Each [`Engine::advance`] performs one accepted step
-/// (with the full Newton/LTE retry loop inside). All hot-loop state lives in
-/// the struct, so a paused stepper resumes bit-identically.
+/// [`Method::Trapezoidal`](crate::Method::Trapezoidal). All hot-loop state
+/// lives in the stepper, so a paused one resumes bit-identically.
 #[derive(Debug)]
-pub struct ImplicitStepper<'a> {
-    circuit: &'a Circuit,
-    caches: &'a mut SessionCaches,
-    /// The session's compiled stamping plan (shared handle; every Newton
-    /// iteration restamps through it instead of COO assembly).
-    plan: Arc<EvalPlan>,
-    options: TransientOptions,
+pub struct ImplicitStepper {
     theta: f64,
-    lu_options: LuOptions,
-    breakpoints: Vec<f64>,
-    n: usize,
     // Circuit-sized scratch buffers, allocated once per stepper.
     eval_k: Evaluation,
+    /// A fault hook edited `eval_k`, maybe in cells no device writes: the
+    /// fills that read it, and the fill after each, rewrite every cell.
+    eval_k_edited: bool,
     eval_i: Evaluation,
     /// The implicit Jacobian `C/h + θ·G` and where each of its cells reads
     /// its `C` and `G` values. Its pattern, the union of the plan's fixed `C`
@@ -93,326 +79,163 @@ pub struct ImplicitStepper<'a> {
     /// Previous derivative estimate used by the forward-Euler predictor for
     /// local-truncation-error control.
     prev_derivative: Option<Vec<f64>>,
-    x: Vec<f64>,
-    t: f64,
-    h: f64,
-    stats: RunStats,
-    finished: bool,
-    finalized: bool,
-    assembly_alloc_baseline: usize,
 }
 
-impl<'a> ImplicitStepper<'a> {
-    /// Builds a stepper over the session caches; `dc_stats` is the DC cost
-    /// charged to this run (zeroed when the session reused a cached DC
-    /// solution).
-    pub(crate) fn new(
-        circuit: &'a Circuit,
-        caches: &'a mut SessionCaches,
-        scheme: ImplicitScheme,
-        options: TransientOptions,
-        dc_stats: RunStats,
-    ) -> SimResult<Self> {
-        let breakpoints = prepare(circuit, &options)?;
-        let n = circuit.num_unknowns();
-        let lu_options = LuOptions {
-            ordering: options.ordering,
-            fill_budget: options.fill_budget,
-            ..LuOptions::default()
-        };
-        let plan = Arc::clone(
-            caches
-                .plan
-                .as_ref()
-                .expect("session compiled the evaluation plan"),
-        );
-        let input_dim = plan.input_matrix().cols();
-        let assembly_alloc_baseline = caches.eval_ws.allocations();
-        let eval_k = plan.new_evaluation();
-        let jac_map = CombinationMap::new(&eval_k.c, &eval_k.g, plan.nonlinear_cells())?;
+impl ImplicitStepper {
+    pub(crate) fn new(run: &Run<'_>, scheme: ImplicitScheme) -> SimResult<Self> {
+        let n = run.x.len();
+        let input_dim = run.plan.input_matrix().cols();
+        let eval_k = run.plan.new_evaluation();
+        let jac_map = CombinationMap::new(&eval_k.c, &eval_k.g, run.plan.nonlinear_cells())?;
         Ok(ImplicitStepper {
-            circuit,
-            caches,
-            options,
             theta: scheme.theta(),
-            lu_options,
-            breakpoints,
-            n,
             eval_k,
-            eval_i: plan.new_evaluation(),
+            eval_k_edited: false,
+            eval_i: run.plan.new_evaluation(),
             jac_map,
             u_k: vec![0.0; input_dim],
             u_next: vec![0.0; input_dim],
             bu_k: vec![0.0; n],
             bu_next: vec![0.0; n],
             xi: vec![0.0; n],
-            plan,
             residual: vec![0.0; n],
             delta: vec![0.0; n],
             prev_derivative: None,
-            x: vec![0.0; n],
-            t: 0.0,
-            h: 0.0,
-            stats: dc_stats,
-            finished: true, // until init() places the stepper
-            finalized: false,
-            assembly_alloc_baseline,
         })
+    }
+
+    /// The forward-Euler predictor's local truncation error estimate for the
+    /// step of size `h` from `x` to `xi`; zero before the first accepted step.
+    fn lte(&self, x: &[f64], h: f64) -> f64 {
+        let Some(dxdt) = &self.prev_derivative else {
+            return 0.0;
+        };
+        let mut err = 0.0_f64;
+        for (i, d) in dxdt.iter().enumerate() {
+            let predicted = x[i] + h * d;
+            err = err.max((self.xi[i] - predicted).abs());
+        }
+        err * 0.5
     }
 }
 
-impl Engine for ImplicitStepper<'_> {
-    fn init(&mut self, t0: f64, x0: &[f64], observer: &mut dyn Observer) -> SimResult<()> {
-        if x0.len() != self.n {
-            return Err(SimError::InvalidOptions {
-                message: format!(
-                    "initial state has {} entries, circuit has {} unknowns",
-                    x0.len(),
-                    self.n
-                ),
-            });
-        }
-        self.x.copy_from_slice(x0);
-        self.t = t0;
-        self.h = self.options.h_init;
+impl Stepper for ImplicitStepper {
+    fn reset(&mut self, _run: &mut Run<'_>) {
         self.prev_derivative = None;
-        self.finished = reached_end(t0, self.options.t_stop);
-        self.finalized = false;
-        self.stats.observer_callbacks += 1;
-        observer.on_dc(t0, &self.x);
+    }
+
+    fn start_step(&mut self, run: &mut Run<'_>, _h: f64) -> SimResult<()> {
+        run.stats.restamped_entries +=
+            run.plan
+                .evaluate_into(&run.x, &mut run.caches.eval_ws, &mut self.eval_k)?;
+        run.stats.device_evaluations += 1;
+        #[cfg(feature = "fault-injection")]
+        {
+            self.eval_k_edited = crate::fault::on_device_eval(&mut self.eval_k);
+        }
+        run.circuit.input_vector_into(run.t, &mut self.u_k);
+        run.plan
+            .input_matrix()
+            .mul_vec_into(&self.u_k, &mut self.bu_k);
         Ok(())
     }
 
-    fn advance(&mut self, observer: &mut dyn Observer) -> SimResult<StepOutcome> {
-        // Runtime accumulates only active solver time; pauses between
-        // advance() calls are not charged.
-        let started = Instant::now();
-        let result = self.advance_step(observer);
-        self.stats.runtime += started.elapsed();
-        result
-    }
-
-    fn state(&self) -> &[f64] {
-        &self.x
-    }
-
-    fn time(&self) -> f64 {
-        self.t
-    }
-
-    fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut RunStats {
-        &mut self.stats
-    }
-
-    fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    fn finish(&mut self, observer: &mut dyn Observer) -> RunStats {
-        if !self.finalized {
-            self.finalized = true;
-            self.stats.assembly_workspace_allocations =
-                self.caches.eval_ws.allocations() - self.assembly_alloc_baseline;
-            self.stats.observer_callbacks += 1;
-            observer.on_finish(&self.x, &self.stats);
-        }
-        self.stats.clone()
-    }
-}
-
-impl ImplicitStepper<'_> {
-    /// One accepted step of the θ-method (with its Newton/LTE retry loop).
-    fn advance_step(&mut self, observer: &mut dyn Observer) -> SimResult<StepOutcome> {
-        if self.finished {
-            return Ok(StepOutcome::Finished);
-        }
-        let n = self.n;
+    /// Newton–Raphson on the θ-method's residual at step size `h`, from
+    /// `x_k`; converged, the predictor's LTE.
+    fn attempt(&mut self, run: &mut Run<'_>, h: f64, _retry: bool) -> SimResult<Attempt> {
         let theta = self.theta;
-        let caches = &mut *self.caches;
-        let plan = Arc::clone(&self.plan);
-
-        self.stats.restamped_entries +=
-            plan.evaluate_into(&self.x, &mut caches.eval_ws, &mut self.eval_k)?;
-        self.stats.device_evaluations += 1;
-        // A fault hook that edited `eval_k` may have touched cells no device
-        // writes: the fills that read it, and the fill after each, rewrite
-        // every cell.
-        #[cfg(feature = "fault-injection")]
-        let eval_k_edited = crate::fault::on_device_eval(&mut self.eval_k);
-        #[cfg(not(feature = "fault-injection"))]
-        let eval_k_edited = false;
-        let b = plan.input_matrix();
-        self.circuit.input_vector_into(self.t, &mut self.u_k);
-        b.mul_vec_into(&self.u_k, &mut self.bu_k);
-
-        loop {
-            let h_step = clamp_step(
-                self.t,
-                self.h.min(self.options.h_max),
-                self.options.t_stop,
-                &self.breakpoints,
-            );
-            if h_step < self.options.h_min {
-                return Err(SimError::StepSizeUnderflow {
-                    time: self.t,
-                    step: h_step,
-                });
+        let (plan, caches) = (&*run.plan, &mut *run.caches);
+        run.circuit.input_vector_into(run.t + h, &mut self.u_next);
+        plan.input_matrix()
+            .mul_vec_into(&self.u_next, &mut self.bu_next);
+        self.xi.copy_from_slice(&run.x);
+        let mut iterations = 0usize;
+        while iterations < run.options.newton_max_iterations {
+            iterations += 1;
+            // The first iterate is `x` itself, bit for bit, and `eval_k`
+            // was evaluated there; later iterates are evaluated afresh.
+            if iterations > 1 {
+                run.stats.restamped_entries +=
+                    plan.evaluate_into(&self.xi, &mut caches.eval_ws, &mut self.eval_i)?;
+                run.stats.device_evaluations += 1;
             }
-            self.circuit
-                .input_vector_into(self.t + h_step, &mut self.u_next);
-            b.mul_vec_into(&self.u_next, &mut self.bu_next);
-
-            // --- Newton–Raphson iterations for the implicit step. ---
-            self.xi.copy_from_slice(&self.x);
-            let mut converged = false;
-            let mut iterations = 0usize;
-            while iterations < self.options.newton_max_iterations {
-                iterations += 1;
-                // The first iterate is `x` itself, bit for bit, and `eval_k`
-                // was evaluated there; later iterates are evaluated afresh.
-                if iterations > 1 {
-                    self.stats.restamped_entries +=
-                        plan.evaluate_into(&self.xi, &mut caches.eval_ws, &mut self.eval_i)?;
-                    self.stats.device_evaluations += 1;
-                }
-                let ek = &self.eval_k;
-                let ev = if iterations == 1 { ek } else { &self.eval_i };
-                // Residual T(x) of Eq. (2) generalized to the θ-method.
-                for (r, ((((q, qk), f), fk), (bn, bk))) in self.residual.iter_mut().zip(
-                    ev.q.iter()
-                        .zip(&ek.q)
-                        .zip(&ev.f)
-                        .zip(&ek.f)
-                        .zip(self.bu_next.iter().zip(&self.bu_k)),
-                ) {
-                    *r = (q - qk) / h_step + theta * (f - bn) + (1.0 - theta) * (fk - bk);
-                }
-                // Jacobian C/h + θ·G — this is the matrix whose LU dominates
-                // BENR's cost on densely coupled circuits. Only its values
-                // are rewritten, through the map built with its pattern
-                // (bit-identical to `CsrMatrix::linear_combination`): at the
-                // last fill's `h`, only the cells of the nonlinear devices,
-                // and the refactorization compares only those.
-                let only_devices_moved = !(iterations == 1 && eval_k_edited);
-                let (jac, changed) =
-                    self.jac_map
-                        .fill(1.0 / h_step, &ev.c, theta, &ev.g, only_devices_moved)?;
-                #[cfg(test)]
-                tests::audit_fill(self.t, h_step, theta, ev, jac, changed);
-                let lu = refresh_lu(
-                    &mut caches.jac_lu,
-                    None,
-                    jac,
-                    changed,
-                    &self.lu_options,
-                    &mut caches.lu_ws,
-                    &mut self.stats,
-                )?;
-                lu.solve_into(&self.residual, &mut self.delta, &mut caches.lu_ws)?;
-                self.stats.linear_solves += 1;
-                vector::scale(-1.0, &mut self.delta);
-                let update = vector::norm_inf(&self.delta);
-                vector::axpy(1.0, &self.delta, &mut self.xi);
-                self.stats.newton_iterations += 1;
-                if !update.is_finite() {
-                    break;
-                }
-                if update < self.options.newton_tolerance {
-                    converged = true;
-                    break;
-                }
+            let ek = &self.eval_k;
+            let ev = if iterations == 1 { ek } else { &self.eval_i };
+            // Residual T(x) of Eq. (2) generalized to the θ-method.
+            for (r, ((((q, qk), f), fk), (bn, bk))) in self.residual.iter_mut().zip(
+                ev.q.iter()
+                    .zip(&ek.q)
+                    .zip(&ev.f)
+                    .zip(&ek.f)
+                    .zip(self.bu_next.iter().zip(&self.bu_k)),
+            ) {
+                *r = (q - qk) / h + theta * (f - bn) + (1.0 - theta) * (fk - bk);
             }
-
-            if !converged {
-                self.stats.rejected_steps += 1;
-                self.stats.observer_callbacks += 1;
-                observer.on_step_rejected(self.t, h_step);
-                self.h *= self.options.shrink_factor;
-                if self.h < self.options.h_min {
-                    return Err(SimError::NewtonDidNotConverge {
-                        time: self.t,
-                        step: h_step,
-                        iterations: self.options.newton_max_iterations,
-                    });
-                }
-                continue;
+            // Jacobian C/h + θ·G — this is the matrix whose LU dominates
+            // BENR's cost on densely coupled circuits. Only its values
+            // are rewritten, through the map built with its pattern
+            // (bit-identical to `CsrMatrix::linear_combination`): at the
+            // last fill's `h`, only the cells of the nonlinear devices,
+            // and the refactorization compares only those.
+            let only_devices_moved = !(iterations == 1 && self.eval_k_edited);
+            let (jac, changed) =
+                self.jac_map
+                    .fill(1.0 / h, &ev.c, theta, &ev.g, only_devices_moved)?;
+            #[cfg(test)]
+            tests::audit_fill(run.t, h, theta, ev, jac, changed);
+            let lu = refresh_lu(
+                &mut caches.jac_lu,
+                None,
+                jac,
+                changed,
+                &run.lu_options,
+                &mut caches.lu_ws,
+                &mut run.stats,
+            )?;
+            lu.solve_into(&self.residual, &mut self.delta, &mut caches.lu_ws)?;
+            run.stats.linear_solves += 1;
+            vector::scale(-1.0, &mut self.delta);
+            let update = vector::norm_inf(&self.delta);
+            vector::axpy(1.0, &self.delta, &mut self.xi);
+            run.stats.newton_iterations += 1;
+            if !update.is_finite() {
+                break;
             }
-
-            // --- Local truncation error control via a forward-Euler predictor. ---
-            let lte = match &self.prev_derivative {
-                Some(dxdt) => {
-                    let mut err = 0.0_f64;
-                    for (i, d) in dxdt.iter().enumerate() {
-                        let predicted = self.x[i] + h_step * d;
-                        err = err.max((self.xi[i] - predicted).abs());
-                    }
-                    err * 0.5
-                }
-                None => 0.0,
-            };
-            if lte > self.options.error_budget && h_step > 2.0 * self.options.h_min {
-                self.stats.rejected_steps += 1;
-                self.stats.observer_callbacks += 1;
-                observer.on_step_rejected(self.t, h_step);
-                self.h = h_step * self.options.shrink_factor;
-                continue;
+            if update < run.options.newton_tolerance {
+                let lte = self.lte(&run.x, h);
+                return Ok(Attempt::Converged { iterations, lte });
             }
-
-            // Accept the step.
-            let mut derivative = self.prev_derivative.take().unwrap_or_else(|| vec![0.0; n]);
-            for (d, (xi, x)) in derivative.iter_mut().zip(self.xi.iter().zip(&self.x)) {
-                *d = (xi - x) / h_step;
-            }
-            self.prev_derivative = Some(derivative);
-            std::mem::swap(&mut self.x, &mut self.xi);
-            self.t += h_step;
-            // Solution-boundary guard: a converged-but-non-finite Newton
-            // state must surface as NonFinite, not propagate silently.
-            if self.x.iter().any(|v| !v.is_finite()) {
-                return Err(SimError::NonFinite {
-                    time: self.t,
-                    device: None,
-                });
-            }
-            self.stats.accepted_steps += 1;
-            self.stats.observer_callbacks += 1;
-            #[cfg(feature = "fault-injection")]
-            crate::fault::maybe_panic_on_accept();
-            observer.on_step_accepted(self.t, &self.x);
-
-            // Easy step: grow the step size for the next attempt.
-            if iterations <= self.options.easy_step_threshold + 1
-                && lte < 0.5 * self.options.error_budget
-            {
-                self.h = (h_step * self.options.growth_factor).min(self.options.h_max);
-            } else {
-                self.h = h_step;
-            }
-
-            if reached_end(self.t, self.options.t_stop) {
-                self.finished = true;
-            }
-            return Ok(StepOutcome::Advanced {
-                t: self.t,
-                h: h_step,
-            });
         }
+        Ok(Attempt::NewtonFailed)
+    }
+
+    fn commit(&mut self, x: &mut Vec<f64>, h: f64) {
+        let mut derivative = self
+            .prev_derivative
+            .take()
+            .unwrap_or_else(|| vec![0.0; x.len()]);
+        for (d, (xi, x)) in derivative.iter_mut().zip(self.xi.iter().zip(x.iter())) {
+            *d = (xi - x) / h;
+        }
+        self.prev_derivative = Some(derivative);
+        std::mem::swap(x, &mut self.xi);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::{Engine, StepLoop};
+    use crate::error::SimError;
+    use crate::options::TransientOptions;
     use crate::output::TransientResult;
-    use crate::session::Simulator;
+    use crate::session::{SessionCaches, Simulator};
+    use crate::stats::RunStats;
     use crate::transient::Method;
-    use exi_netlist::{generators, Waveform};
+    use exi_netlist::{generators, Circuit, EvalPlan, Waveform};
     use exi_sparse::CsrMatrix;
     use std::cell::RefCell;
+    use std::sync::Arc;
 
     fn run_scheme(
         ckt: &Circuit,
@@ -631,9 +454,10 @@ mod tests {
             plan: Some(Arc::new(EvalPlan::compile(ckt).unwrap())),
             ..SessionCaches::default()
         };
-        let mut stepper =
-            ImplicitStepper::new(ckt, &mut caches, scheme, options.clone(), RunStats::new())
-                .unwrap();
+        let mut stepper = StepLoop::new(ckt, &mut caches, options, RunStats::new(), |run| {
+            ImplicitStepper::new(run, scheme)
+        })
+        .unwrap();
         stepper.init(0.0, &x0, &mut crate::NullObserver).unwrap();
         before();
         FILLS.with(|fills| *fills.borrow_mut() = Some(Vec::new()));
@@ -799,19 +623,8 @@ mod tests {
     #[test]
     fn newton_iteration_one_reads_the_evaluation_at_the_step_start() {
         let ckt = mosfet_chain();
-        let x0 = crate::dc_operating_point(&ckt, &crate::DcOptions::default())
-            .unwrap()
-            .state;
         for scheme in [ImplicitScheme::BackwardEuler, ImplicitScheme::Trapezoidal] {
-            let mut caches = SessionCaches {
-                plan: Some(Arc::new(EvalPlan::compile(&ckt).unwrap())),
-                ..SessionCaches::default()
-            };
-            let mut stepper =
-                ImplicitStepper::new(&ckt, &mut caches, scheme, chain_options(), RunStats::new())
-                    .unwrap();
-            stepper.init(0.0, &x0, &mut crate::NullObserver).unwrap();
-            let s = stepper.run_to_end(&mut crate::NullObserver).unwrap();
+            let (s, _) = audited_fills(&ckt, scheme, &chain_options());
             // One evaluation at each step's start, then one per Newton
             // iteration after the first of every attempt, retried ones too.
             assert_eq!(

@@ -7,22 +7,26 @@
 //!   its corrected variant (ER-C), with invert-Krylov MEVP evaluation and
 //!   LU-free step-size control (Algorithm 2).
 //!
-//! Both engines expose the same incremental [`Engine`] interface: a stepper
-//! is initialized at `(t0, x0)`, advanced one accepted step at a time, can be
-//! queried (and paused) between steps, and is finalized into a
-//! [`RunStats`]. Simulation events stream to an
-//! [`Observer`]. The [`Simulator`](crate::Simulator) session object
-//! owns the reusable caches the steppers borrow.
+//! Each engine supplies only the attempts of one step; one step loop (the
+//! crate-private `StepLoop`) runs the adaptive skeleton around them — the
+//! clamp, rejections, acceptance, growth — and exposes every engine through
+//! the same incremental [`Engine`] interface: a stepper is initialized at
+//! `(t0, x0)`, advanced one accepted step at a time, can be queried (and
+//! paused) between steps, and is finalized into a [`RunStats`]. Simulation
+//! events stream to an [`Observer`]. The [`Simulator`](crate::Simulator)
+//! session object owns the reusable caches the steppers borrow.
 
 pub mod er;
 pub mod implicit;
+mod step_loop;
+
+pub(crate) use step_loop::{Attempt, Run, StepLoop, Stepper};
 
 use exi_netlist::{Circuit, EvalPlan};
 use exi_sparse::{CsrMatrix, LuOptions, LuWorkspace, SparseError, SparseLu};
 
 use crate::error::{SimError, SimResult};
 use crate::observer::Observer;
-use crate::options::TransientOptions;
 use crate::output::Probe;
 use crate::stats::RunStats;
 
@@ -73,8 +77,8 @@ pub trait Engine {
     ///
     /// # Errors
     ///
-    /// Currently infallible for the built-in engines; the `Result` leaves
-    /// room for engines that must validate `x0`.
+    /// [`SimError::InvalidOptions`] when `x0` does not hold one entry per
+    /// circuit unknown; the stepper is then left as it was.
     fn init(&mut self, t0: f64, x0: &[f64], observer: &mut dyn Observer) -> SimResult<()>;
 
     /// Advances the simulation by one accepted step, or returns
@@ -299,13 +303,6 @@ fn check_fill_budget(lu: &SparseLu, options: &LuOptions) -> SimResult<()> {
         }
     }
     Ok(())
-}
-
-/// Validates options and computes waveform breakpoints; shared preamble of
-/// every engine.
-pub(crate) fn prepare(circuit: &Circuit, options: &TransientOptions) -> SimResult<Vec<f64>> {
-    options.validate()?;
-    Ok(circuit.breakpoints(options.t_stop))
 }
 
 #[cfg(test)]

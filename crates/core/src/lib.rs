@@ -45,7 +45,6 @@
 //!   accepted step at a time, pause before `t_stop`, inspect
 //!   [`Engine::state`], and resume **bit-identically** — the substrate for
 //!   checkpointed long runs and interleaved co-simulation.
-//! * [`Simulator::sweep`] — several runs back to back on the shared caches.
 //!
 //! The free function [`dc_operating_point`] remains for a one-shot DC solve.
 //!

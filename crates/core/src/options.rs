@@ -11,7 +11,9 @@ pub struct TransientOptions {
     pub t_stop: f64,
     /// Initial step size (seconds).
     pub h_init: f64,
-    /// Smallest step size the adaptive control may use before giving up.
+    /// Smallest step size the adaptive control may use before giving up
+    /// (and, for BE/TR, the floor under the LTE test: a step no longer than
+    /// `2·h_min` is not rejected for its LTE).
     pub h_min: f64,
     /// Largest step size the adaptive control may grow to.
     pub h_max: f64,
@@ -26,12 +28,19 @@ pub struct TransientOptions {
     pub newton_max_iterations: usize,
     /// Newton update norm below which the iteration is declared converged.
     pub newton_tolerance: f64,
-    /// Step shrink factor α applied on rejection (paper uses 1/2).
+    /// Step shrink factor α applied on rejection (paper uses 1/2). ER and a
+    /// BE/TR LTE rejection shrink the attempted (clamped) step; a BE/TR
+    /// Newton failure shrinks the step size asked for before the clamp to
+    /// `h_max`, breakpoints and `t_stop`. Read, like `growth_factor`,
+    /// `easy_step_threshold` and `h_min`, only by the engines' one step
+    /// loop (`StepLoop::verdict` and `StepLoop::shrink`).
     pub shrink_factor: f64,
-    /// Step growth factor β applied after easy steps (paper uses 2).
+    /// Step growth factor β applied after easy steps (paper uses 2); the
+    /// next step asks for `min(h·β, h_max)`.
     pub growth_factor: f64,
     /// A step is "easy" (eligible for growth) if it needed at most this many
-    /// rejections (ER) or Newton iterations minus one (BENR).
+    /// rejections (ER), or if its accepted attempt took at most this many
+    /// Newton iterations plus one with an LTE below `½·error_budget` (BE/TR).
     pub easy_step_threshold: usize,
     /// Correction coefficient γ of the ER-C method (paper uses 0.1).
     pub correction_gamma: f64,

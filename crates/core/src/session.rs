@@ -47,7 +47,7 @@ use exi_sparse::{LuWorkspace, OrderingMethod, SparseLu};
 use crate::dc::{dc_operating_point_internal, DcSolution};
 use crate::engines::er::ErStepper;
 use crate::engines::implicit::{ImplicitScheme, ImplicitStepper};
-use crate::engines::{resolve_probes, Engine, StepOutcome};
+use crate::engines::{resolve_probes, Engine, StepLoop, StepOutcome};
 use crate::error::SimResult;
 use crate::observer::{Observer, RecordingObserver};
 use crate::options::{DcOptions, TransientOptions};
@@ -297,7 +297,6 @@ impl PlanCache {
 ///
 /// * [`Simulator::transient`] — one full run, returns a [`TransientResult`]
 ///   (the classic buffered waveform).
-/// * [`Simulator::sweep`] — several runs back to back, sharing all caches.
 /// * [`Simulator::transient_observed`] — one full run streaming to a caller
 ///   [`Observer`] (fixed-memory recording, live dashboards, nothing at all).
 /// * [`Simulator::stepper`] — an incremental [`Engine`] stepper: advance step
@@ -518,35 +517,21 @@ impl<'c> Simulator<'c> {
             .expect("ensure_dc populated the cache")
             .state
             .clone();
+        let (circuit, caches) = (self.circuit, &mut self.caches);
         let inner: Box<dyn Engine + '_> = match method {
-            Method::BackwardEuler => Box::new(ImplicitStepper::new(
-                self.circuit,
-                &mut self.caches,
-                ImplicitScheme::BackwardEuler,
-                options.clone(),
-                dc_stats,
-            )?),
-            Method::Trapezoidal => Box::new(ImplicitStepper::new(
-                self.circuit,
-                &mut self.caches,
-                ImplicitScheme::Trapezoidal,
-                options.clone(),
-                dc_stats,
-            )?),
-            Method::ExponentialRosenbrock => Box::new(ErStepper::new(
-                self.circuit,
-                &mut self.caches,
-                false,
-                options.clone(),
-                dc_stats,
-            )?),
-            Method::ExponentialRosenbrockCorrected => Box::new(ErStepper::new(
-                self.circuit,
-                &mut self.caches,
-                true,
-                options.clone(),
-                dc_stats,
-            )?),
+            Method::BackwardEuler | Method::Trapezoidal => {
+                let scheme = match method {
+                    Method::Trapezoidal => ImplicitScheme::Trapezoidal,
+                    _ => ImplicitScheme::BackwardEuler,
+                };
+                let make = |run: &_| ImplicitStepper::new(run, scheme);
+                Box::new(StepLoop::new(circuit, caches, options, dc_stats, make)?)
+            }
+            Method::ExponentialRosenbrock | Method::ExponentialRosenbrockCorrected => {
+                let correction = method == Method::ExponentialRosenbrockCorrected;
+                let make = |run: &_| Ok(ErStepper::new(run, correction));
+                Box::new(StepLoop::new(circuit, caches, options, dc_stats, make)?)
+            }
         };
         Ok(SessionStepper {
             inner,
@@ -670,23 +655,6 @@ impl<'c> Simulator<'c> {
         Ok((stats, outcome.map_err(|e| e.attributed(circuit))?))
     }
 
-    /// Runs several analyses back to back on the shared caches — a parameter
-    /// or method sweep. Only the first run of the session pays for symbolic
-    /// analysis and DC.
-    ///
-    /// # Errors
-    ///
-    /// Stops at (and returns) the first failing run.
-    pub fn sweep(
-        &mut self,
-        runs: &[(Method, TransientOptions)],
-        probe_names: &[&str],
-    ) -> SimResult<Vec<TransientResult>> {
-        runs.iter()
-            .map(|(method, options)| self.transient(*method, options, probe_names))
-            .collect()
-    }
-
     /// Folds a finished run's statistics into the session totals.
     ///
     /// Steppers obtained via [`Simulator::stepper`] borrow the session
@@ -738,9 +706,8 @@ impl SessionStepper<'_> {
     /// Propagates [`Engine::init`] errors.
     pub fn start(&mut self, observer: &mut dyn Observer) -> SimResult<()> {
         let x0 = std::mem::take(&mut self.x0);
-        let r = self.inner.init(0.0, &x0, observer);
+        let r = self.init(0.0, &x0, observer);
         self.x0 = x0;
-        self.initialized = r.is_ok();
         r
     }
 }

@@ -27,7 +27,7 @@ use exi_netlist::generators::{
     PowerGridSpec, RcLadderSpec,
 };
 use exi_netlist::Circuit;
-use exi_sim::{Method, Simulator, TransientOptions, TransientResult};
+use exi_sim::{Method, Observer, Simulator, TransientOptions, TransientResult};
 
 /// One golden case: a generator circuit plus the options and probes every
 /// method replays with.
@@ -291,6 +291,114 @@ fn nonlinear_goldens_analyze_each_matrix_role_once() {
             }
         }
     }
+}
+
+/// Every rejected attempt of a run, as the bits of `(t, h)`: how many, and
+/// their FNV-1a hash in order.
+struct RejectionTrace {
+    count: usize,
+    hash: u64,
+    /// Rejections at the bit-equal `(t, h)` of the one before.
+    repeats: usize,
+    last: Option<(u64, u64)>,
+}
+
+impl RejectionTrace {
+    fn new() -> Self {
+        RejectionTrace {
+            count: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+            repeats: 0,
+            last: None,
+        }
+    }
+}
+
+impl Observer for RejectionTrace {
+    fn on_step_rejected(&mut self, t: f64, h: f64) {
+        let bits = (t.to_bits(), h.to_bits());
+        for byte in bits.0.to_le_bytes().into_iter().chain(bits.1.to_le_bytes()) {
+            self.hash = (self.hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+        self.count += 1;
+        self.repeats += usize::from(self.last == Some(bits));
+        self.last = Some(bits);
+    }
+}
+
+/// The step controller's rejections, bit for bit: the 16 golden runs, plus
+/// BE and TR on the golden inverter chain at `h_max = 5e-11` with at most
+/// three Newton iterations, the runs that reach BENR's Newton-failure shrink
+/// (which shrinks the unclamped step, so a step clamped at a breakpoint can
+/// fail twice at a bit-equal `(t, h)`). The goldens pin only the accepted
+/// points; this pins every attempt the controller threw away.
+#[test]
+fn rejection_traces_are_bit_stable() {
+    // (case, method, rejections, FNV-1a of their (t, h) bits).
+    const EXPECTED: [(&str, &str, usize, u64); 18] = [
+        ("rc_ladder", "benr", 35, 0x19b0373d2a131b94),
+        ("rc_ladder", "trnr", 25, 0x1a2906b424f5cda9),
+        ("rc_ladder", "er", 0, 0xcbf29ce484222325),
+        ("rc_ladder", "erc", 0, 0xcbf29ce484222325),
+        ("inverter_chain", "benr", 5, 0x86e62eb974bfa2d7),
+        ("inverter_chain", "trnr", 5, 0x86e62eb974bfa2d7),
+        ("inverter_chain", "er", 24, 0x02d1943e03297dc1),
+        ("inverter_chain", "erc", 24, 0x02d1943e03297dc1),
+        ("power_grid", "benr", 0, 0xcbf29ce484222325),
+        ("power_grid", "trnr", 0, 0xcbf29ce484222325),
+        ("power_grid", "er", 0, 0xcbf29ce484222325),
+        ("power_grid", "erc", 0, 0xcbf29ce484222325),
+        ("coupled_lines", "benr", 5, 0x71e71a6bee6f36ba),
+        ("coupled_lines", "trnr", 5, 0x71e71a6bee6f36ba),
+        ("coupled_lines", "er", 12, 0x18944217671e2bf2),
+        ("coupled_lines", "erc", 12, 0x18944217671e2bf2),
+        ("inverter_chain_newton_3", "benr", 8, 0x8877c05140cce34d),
+        ("inverter_chain_newton_3", "trnr", 8, 0x8877c05140cce34d),
+    ];
+    let mut runs = Vec::new();
+    for case in golden_cases() {
+        for method in Method::all() {
+            runs.push((
+                case.name,
+                method,
+                case.circuit.clone(),
+                case.options.clone(),
+            ));
+        }
+    }
+    let chain = golden_cases().swap_remove(1);
+    for method in [Method::BackwardEuler, Method::Trapezoidal] {
+        let options = TransientOptions {
+            h_max: 5e-11,
+            newton_max_iterations: 3,
+            ..chain.options.clone()
+        };
+        runs.push((
+            "inverter_chain_newton_3",
+            method,
+            chain.circuit.clone(),
+            options,
+        ));
+    }
+    let mut got = Vec::new();
+    for (name, method, circuit, options) in &runs {
+        let mut trace = RejectionTrace::new();
+        Simulator::new(circuit)
+            .transient_observed(*method, options, &mut trace)
+            .unwrap_or_else(|e| panic!("{name} / {} failed: {e}", method.label()));
+        if name.ends_with("newton_3") {
+            // The Newton-failure shrink is reached, at a bit-equal pair too.
+            assert!(trace.repeats > 0, "{name} / {}", method.label());
+        }
+        got.push((*name, method_tag(*method), trace.count, trace.hash));
+    }
+    let show = |rows: &[(&str, &str, usize, u64)]| {
+        rows.iter()
+            .map(|(c, m, n, h)| format!("(\"{c}\", \"{m}\", {n}, {h:#018x}),"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert!(got == EXPECTED, "rejection traces moved:\n{}", show(&got));
 }
 
 /// Accuracy report behind the drift table in `docs/PERFORMANCE.md`: for each

@@ -306,6 +306,48 @@ fn ordering_change_triggers_a_fresh_symbolic_analysis() {
     assert_eq!(solo.samples, second.samples);
 }
 
+/// Counts the `on_dc` events of a run and keeps the last starting point.
+#[derive(Default)]
+struct DcEvents {
+    count: usize,
+    x0: Vec<f64>,
+}
+
+impl exi_sim::Observer for DcEvents {
+    fn on_dc(&mut self, _t0: f64, x0: &[f64]) {
+        self.count += 1;
+        self.x0 = x0.to_vec();
+    }
+}
+
+/// `Engine::init` rejects an `x0` of the wrong length on every engine, and
+/// leaves the session stepper's lazy start in place: the next advance still
+/// starts at the DC operating point, announcing it once.
+#[test]
+fn a_short_initial_state_is_rejected_and_the_dc_start_survives() {
+    let ckt = grid_circuit();
+    let options = grid_options();
+    let dc = Simulator::new(&ckt).dc().unwrap().state;
+    for method in Method::all() {
+        let mut sim = Simulator::new(&ckt);
+        let mut stepper = sim.stepper(method, &options).unwrap();
+        let mut events = DcEvents::default();
+        let err = stepper
+            .init(0.0, &dc[1..], &mut events)
+            .expect_err("a short x0");
+        assert!(
+            matches!(&err, exi_sim::SimError::InvalidOptions { message }
+                if message.contains(&format!("{} entries", dc.len() - 1))),
+            "{method}: {err}"
+        );
+        assert_eq!(events.count, 0, "{method}");
+        let outcome = stepper.advance(&mut events).unwrap();
+        assert!(matches!(outcome, StepOutcome::Advanced { .. }), "{method}");
+        assert_eq!(events.count, 1, "{method}");
+        assert_eq!(events.x0, dc, "{method}");
+    }
+}
+
 /// A method sweep on one session shares the DC solution and workspaces; the
 /// results match per-method throwaway sessions bit-for-bit.
 #[test]
@@ -322,12 +364,11 @@ fn sweep_matches_individual_sessions() {
         error_budget: 1e-2,
         ..TransientOptions::default()
     };
-    let runs: Vec<(Method, TransientOptions)> = Method::all()
-        .into_iter()
-        .map(|m| (m, options.clone()))
-        .collect();
     let mut sim = Simulator::new(&ckt);
-    let swept = sim.sweep(&runs, &["s2"]).unwrap();
+    let swept: Vec<_> = Method::all()
+        .into_iter()
+        .map(|method| sim.transient(method, &options, &["s2"]).unwrap())
+        .collect();
     assert_eq!(swept.len(), 4);
     assert_eq!(sim.completed_runs(), 4);
     for (method, result) in Method::all().into_iter().zip(&swept) {
