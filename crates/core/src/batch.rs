@@ -58,7 +58,7 @@ use exi_netlist::Circuit;
 
 use crate::engines::resolve_probes;
 use crate::error::SimError;
-use crate::observer::{DecimatedWaveform, RecordingObserver, StreamingObserver};
+use crate::observer::{DecimatedWaveform, Observer, RecordingObserver, StreamingObserver};
 use crate::options::TransientOptions;
 use crate::output::TransientResult;
 use crate::session::{PlanCache, Simulator};
@@ -119,7 +119,7 @@ pub enum CancelReason {
 impl CancelReason {
     /// The between-steps cancellation poll: a fired `token` first, then an
     /// expired `deadline`.
-    pub fn poll(token: Option<&CancelToken>, deadline: Option<Instant>) -> Option<CancelReason> {
+    fn poll(token: Option<&CancelToken>, deadline: Option<Instant>) -> Option<CancelReason> {
         if token.is_some_and(CancelToken::is_cancelled) {
             Some(CancelReason::Token)
         } else if deadline.is_some_and(|limit| Instant::now() >= limit) {
@@ -215,10 +215,49 @@ impl BatchJob {
         self
     }
 
-    /// Whether this job must be driven step-by-step with cancellation checks
-    /// (any deadline or token present).
-    fn is_cancellable(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
+    /// Runs this job once — the one job executor, behind every
+    /// [`BatchRunner`] job and every `exi-serve` worker — streaming to
+    /// `observer`.
+    ///
+    /// The deadline clock starts here, at pickup. Under `fault-injection`
+    /// the job's armed fault (keyed by `label`) is installed for the run. A
+    /// pooled session over `plans` drives [`Simulator::transient_until`],
+    /// which polls between accepted steps: the token first, then the
+    /// deadline, then `stop` (a sink ending its own run, reported as
+    /// [`CancelReason::Token`]). A stop that never fires leaves every bit of
+    /// the run as [`Simulator::transient`] computes it.
+    ///
+    /// Returns `Some((reason, time reached))` for a stopped run, and the
+    /// session's statistics. A panic is caught: it returns
+    /// [`JobError::Panicked`] with empty statistics, and never takes the
+    /// caller's thread down. The plan cache stays safe to reuse after it,
+    /// because it only publishes fully constructed plans (a plan's `G`
+    /// ordering is a `OnceLock` a panicking initializer leaves unset) and
+    /// recovers its lock from poisoning.
+    pub fn execute<O: Observer>(
+        &self,
+        plans: &Arc<PlanCache>,
+        observer: &mut O,
+        mut stop: impl FnMut(&O) -> bool,
+    ) -> (Result<Option<(CancelReason, f64)>, JobError>, RunStats) {
+        let deadline = self.deadline.map(|budget| Instant::now() + budget);
+        #[cfg(feature = "fault-injection")]
+        crate::fault::install(&self.label);
+        let shielded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut sim = Simulator::new(&self.circuit).with_plan_cache(Arc::clone(plans));
+            let run = sim.transient_until(self.method, &self.options, observer, |observer| {
+                CancelReason::poll(self.cancel.as_ref(), deadline)
+                    .or_else(|| stop(observer).then_some(CancelReason::Token))
+            });
+            let stopped = run.map(|(_, stopped)| stopped).map_err(JobError::Sim);
+            (stopped, sim.session_stats().clone())
+        }));
+        #[cfg(feature = "fault-injection")]
+        crate::fault::uninstall();
+        shielded.unwrap_or_else(|payload| {
+            let message = panic_message(payload);
+            (Err(JobError::Panicked { message }), RunStats::new())
+        })
     }
 }
 
@@ -727,7 +766,7 @@ impl BatchRunner {
                         let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
                         let Some(job) = jobs.get(i) else { break };
                         observer.on_job_started(i, &job.label);
-                        let mut outcome = execute_job(job, plans);
+                        let mut outcome = run_job(job, plans);
                         outcome.worker = Some(w);
                         observer.on_job_finished(i, &outcome);
                         results_ref
@@ -738,7 +777,7 @@ impl BatchRunner {
                 })
                 .collect();
             for handle in handles {
-                // Job panics are caught inside `execute_job`; a join error
+                // Job panics are caught inside `BatchJob::execute`; a join error
                 // here means the worker died outside that shield (e.g. in a
                 // `BatchObserver` callback). Only its in-flight job is lost
                 // — the merge backfills that slot with a Panicked outcome
@@ -752,35 +791,6 @@ impl BatchRunner {
     }
 }
 
-/// Runs one job under its deadline, wrapped in `catch_unwind` so a
-/// panicking simulation (or observer) is reported as
-/// [`JobError::Panicked`] instead of taking the worker — and with it the
-/// whole batch — down. The deadline clock starts here — when a worker picks
-/// the job up, not when the batch was submitted.
-fn execute_job(job: &BatchJob, plans: &Arc<PlanCache>) -> JobOutcome {
-    let deadline = job.deadline.map(|budget| Instant::now() + budget);
-    #[cfg(feature = "fault-injection")]
-    crate::fault::install(&job.label);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_body(job, plans, deadline)
-    }));
-    #[cfg(feature = "fault-injection")]
-    crate::fault::uninstall();
-    // The plan cache stays safe to reuse after a caught panic: it only
-    // publishes fully constructed plans (a plan's `G` ordering is a
-    // `OnceLock`, left unset by a panicking initializer), and its lock is
-    // recovered from poisoning.
-    result.unwrap_or_else(|payload| JobOutcome {
-        label: job.label.clone(),
-        method: job.method,
-        result: Err(JobError::Panicked {
-            message: panic_message(payload),
-        }),
-        stats: RunStats::new(),
-        worker: None,
-    })
-}
-
 /// The text carried by a panic payload, when it has one.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -792,73 +802,52 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one job in its own pooled session.
-#[allow(clippy::result_large_err)] // cold path, once per job
-fn run_job_body(job: &BatchJob, plans: &Arc<PlanCache>, deadline: Option<Instant>) -> JobOutcome {
-    let mut sim = Simulator::new(&job.circuit).with_plan_cache(Arc::clone(plans));
-    let probe_refs: Vec<&str> = job.probes.iter().map(String::as_str).collect();
-    let result = if job.is_cancellable() {
-        run_cancellable(&mut sim, job, &probe_refs, deadline)
-    } else {
-        match job.sink {
-            JobSink::Record => sim
-                .transient(job.method, &job.options, &probe_refs)
-                .map(JobOutput::Recorded)
-                .map_err(JobError::Sim),
-            JobSink::Stream { capacity } => resolve_probes(&job.circuit, &probe_refs)
-                .map_err(JobError::Sim)
-                .and_then(|probes| {
-                    let mut streaming = StreamingObserver::new(probes, capacity);
-                    sim.transient_observed(job.method, &job.options, &mut streaming)
-                        .map_err(JobError::Sim)?;
-                    Ok(JobOutput::Streamed(streaming.into_waveform()))
-                }),
-        }
-    };
-    JobOutcome {
+/// Runs one job of a batch: validates its options, resolves its probes (in
+/// [`Simulator::transient`]'s order), and hands the observer of its sink to
+/// [`BatchJob::execute`].
+fn run_job(job: &BatchJob, plans: &Arc<PlanCache>) -> JobOutcome {
+    let outcome = |result, stats| JobOutcome {
         label: job.label.clone(),
         method: job.method,
         result,
-        stats: sim.session_stats().clone(),
+        stats,
         worker: None,
-    }
-}
-
-/// Drives a cancellable job through [`Simulator::transient_until`]: the
-/// token and deadline are polled **between** accepted steps, so the partial
-/// waveform of a cancelled job is a bit-exact prefix of the uncancelled run.
-#[allow(clippy::result_large_err)] // cold path, once per job
-fn run_cancellable(
-    sim: &mut Simulator<'_>,
-    job: &BatchJob,
-    probe_refs: &[&str],
-    deadline: Option<Instant>,
-) -> Result<JobOutput, JobError> {
-    job.options.validate().map_err(JobError::Sim)?;
-    let probes = resolve_probes(&job.circuit, probe_refs).map_err(JobError::Sim)?;
-    let stop = || CancelReason::poll(job.cancel.as_ref(), deadline);
-    let (cancelled, output) = match job.sink {
+    };
+    let probe_names: Vec<&str> = job.probes.iter().map(String::as_str).collect();
+    let checked = job
+        .options
+        .validate()
+        .and_then(|()| resolve_probes(&job.circuit, &probe_names));
+    let probes = match checked {
+        Ok(probes) => probes,
+        Err(e) => return outcome(Err(JobError::Sim(e)), RunStats::new()),
+    };
+    let (stopped, output, stats) = match job.sink {
         JobSink::Record => {
             let mut observer = RecordingObserver::new(probes, job.options.record_full_states);
-            let (_, cancelled) =
-                sim.transient_until(job.method, &job.options, &mut observer, |_| stop())?;
-            (cancelled, JobOutput::Recorded(observer.into_result()))
+            let (stopped, stats) = job.execute(plans, &mut observer, |_| false);
+            (stopped, JobOutput::Recorded(observer.into_result()), stats)
         }
         JobSink::Stream { capacity } => {
             let mut observer = StreamingObserver::new(probes, capacity);
-            let (_, cancelled) =
-                sim.transient_until(job.method, &job.options, &mut observer, |_| stop())?;
-            (cancelled, JobOutput::Streamed(observer.into_waveform()))
+            let (stopped, stats) = job.execute(plans, &mut observer, |_| false);
+            (
+                stopped,
+                JobOutput::Streamed(observer.into_waveform()),
+                stats,
+            )
         }
     };
-    match cancelled {
-        None => Ok(output),
-        Some((reason, at_time)) => Err(JobError::Cancelled {
+    let result = match stopped {
+        Ok(None) => Ok(output),
+        Ok(Some((reason, at_time))) => Err(JobError::Cancelled {
             reason,
             at_time,
             partial: Some(output),
         }),
-    }
+        Err(e) => Err(e),
+    };
+    outcome(result, stats)
 }
 
 #[cfg(test)]

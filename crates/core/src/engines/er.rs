@@ -85,7 +85,7 @@ use exi_krylov::{
 use exi_netlist::Evaluation;
 use exi_sparse::{vector, SparseLu};
 
-use crate::engines::{breakpoint_interval, refresh_lu, Attempt, Run, Stepper};
+use crate::engines::{breakpoint_interval, crosses_breakpoint, refresh_lu, Attempt, Run, Stepper};
 use crate::error::{SimError, SimResult};
 
 /// Threshold below which a Krylov start vector is treated as zero (its
@@ -420,12 +420,18 @@ impl ErStepper {
 
     /// Leaves in `self.input_term` an input term good for a step of size `h`
     /// from `run.t`: the kept one, when it was computed on this breakpoint
-    /// interval and its subspace still meets the Krylov tolerance for
-    /// `w₂(h) = w₂(h_ref)·h/h_ref` (the residual is linear in the vector);
-    /// a new one otherwise.
+    /// interval, the step stays on it, and its subspace still meets the
+    /// Krylov tolerance for `w₂(h) = w₂(h_ref)·h/h_ref` (the residual is
+    /// linear in the vector); a new one otherwise. A step across a
+    /// breakpoint sliver ([`crosses_breakpoint`]) reads its `w₂` off the
+    /// segment after the breakpoint, and the next step starts on a later
+    /// interval, so its term is never reused.
     fn place_input_term(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
-        let interval = breakpoint_interval(run.t, run.options.t_stop, &run.breakpoints);
-        if let Some(kept) = self.input_term.as_ref().filter(|k| k.interval == interval) {
+        let (t, t_stop, breakpoints) = (run.t, run.options.t_stop, &run.breakpoints);
+        let interval = breakpoint_interval(t, t_stop, breakpoints);
+        let stays = !crosses_breakpoint(t, h, t_stop, breakpoints, interval);
+        let kept = self.input_term.as_ref();
+        if let Some(kept) = kept.filter(|k| stays && k.interval == interval) {
             let InputForm::Phi1(subspace) = &kept.form else {
                 return Ok(());
             };

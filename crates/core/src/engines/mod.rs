@@ -197,10 +197,27 @@ fn breakpoint_guard(t_stop: f64) -> f64 {
 /// Index of the breakpoint interval a step starting at `t` lies in: the
 /// number of (sorted) breakpoints at or before `t`. [`clamp_step`] keeps a
 /// step from crossing `breakpoints[index]`, so two steps with the same index
-/// see every source on one and the same linear piece.
+/// see every source on one and the same linear piece — unless one of them
+/// crosses a breakpoint sliver ([`crosses_breakpoint`]).
 pub(crate) fn breakpoint_interval(t: f64, t_stop: f64, breakpoints: &[f64]) -> usize {
     let guard = breakpoint_guard(t_stop);
     breakpoints.partition_point(|&bp| bp <= t + guard)
+}
+
+/// Whether a step of `h` from `t` runs past `breakpoints[interval]`, the
+/// breakpoint that closes the step's [`breakpoint_interval`]: only a step
+/// clamped across a breakpoint less than `h_min` ahead does
+/// (`StepLoop::clamp_past_sliver`); [`clamp_step`] never lets one.
+pub(crate) fn crosses_breakpoint(
+    t: f64,
+    h: f64,
+    t_stop: f64,
+    breakpoints: &[f64],
+    interval: usize,
+) -> bool {
+    breakpoints
+        .get(interval)
+        .is_some_and(|&bp| bp < t + h - breakpoint_guard(t_stop))
 }
 
 /// Computes the largest step that may be taken from `t` without overshooting

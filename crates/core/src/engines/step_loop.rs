@@ -98,6 +98,16 @@ pub(crate) trait Stepper {
 ///   easy_step_threshold + 1` and `lte < ½·error_budget`, ER when the step
 ///   took at most `easy_step_threshold` rejections. Both grow to
 ///   `min(h·β, h_max)`; otherwise the next step asks for the accepted `h`.
+/// * A breakpoint less than `h_min` ahead, where the clamp would fall below
+///   `h_min`, counts as reached ([`StepLoop::clamp_past_sliver`]): the step
+///   is clamped against the breakpoints after it and crosses the sliver, so
+///   it is the one step that leaves its
+///   [`breakpoint_interval`](crate::engines::breakpoint_interval): ER reads
+///   its input term afresh off the segment after the breakpoint instead of
+///   reusing the interval's kept one
+///   ([`crosses_breakpoint`](crate::engines::crosses_breakpoint)). No attempted
+///   step is snapped onto a breakpoint near it. A sliver before `t_stop`
+///   still fails with [`SimError::StepSizeUnderflow`].
 #[derive(Debug)]
 pub(crate) struct StepLoop<'a, M> {
     run: Run<'a>,
@@ -193,9 +203,25 @@ impl<'a, M: Stepper> StepLoop<'a, M> {
         let (o, t) = (&self.run.options, self.run.t);
         let h = clamp_step(t, self.h.min(o.h_max), o.t_stop, &self.run.breakpoints);
         if h < o.h_min {
-            return Err(SimError::StepSizeUnderflow { time: t, step: h });
+            return self.clamp_past_sliver(h);
         }
         Ok(h)
+    }
+
+    /// [`StepLoop::clamped_step`] when the clamp fell below `h_min`: the
+    /// breakpoints less than `h_min` ahead count as reached, and the step is
+    /// clamped against the ones after them. `h` is the clamp's result, the
+    /// reported step when that does not reach `h_min` either.
+    #[cold]
+    fn clamp_past_sliver(&self, h: f64) -> SimResult<f64> {
+        let (o, t) = (&self.run.options, self.run.t);
+        let breakpoints = &self.run.breakpoints;
+        let ahead = breakpoints.partition_point(|&bp| bp < t + o.h_min);
+        let past = clamp_step(t, self.h.min(o.h_max), o.t_stop, &breakpoints[ahead..]);
+        if past < o.h_min {
+            return Err(SimError::StepSizeUnderflow { time: t, step: h });
+        }
+        Ok(past)
     }
 
     /// The verdict on `attempt` at `h`, the step's attempt after

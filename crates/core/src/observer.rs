@@ -53,6 +53,26 @@ pub trait Observer {
     }
 }
 
+/// A borrowed observer observes for its owner, so a `&mut dyn Observer`
+/// can drive a generic run.
+impl<O: Observer + ?Sized> Observer for &mut O {
+    fn on_dc(&mut self, t0: f64, x0: &[f64]) {
+        (**self).on_dc(t0, x0);
+    }
+
+    fn on_step_accepted(&mut self, t: f64, x: &[f64]) {
+        (**self).on_step_accepted(t, x);
+    }
+
+    fn on_step_rejected(&mut self, t: f64, h: f64) {
+        (**self).on_step_rejected(t, h);
+    }
+
+    fn on_finish(&mut self, final_state: &[f64], stats: &RunStats) {
+        (**self).on_finish(final_state, stats);
+    }
+}
+
 /// An observer that ignores every event.
 ///
 /// Useful for benchmarking the pure solver throughput without any recording

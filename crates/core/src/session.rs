@@ -578,39 +578,20 @@ impl<'c> Simulator<'c> {
         &mut self,
         method: Method,
         options: &TransientOptions,
-        observer: &mut dyn Observer,
+        mut observer: &mut dyn Observer,
     ) -> SimResult<RunStats> {
-        let circuit = self.circuit;
-        let outcome = {
-            let mut stepper = self
-                .stepper(method, options)
-                .map_err(|e| e.attributed(circuit))?;
-            match stepper
-                .start(observer)
-                .and_then(|()| stepper.run_to_end(observer))
-            {
-                Ok(stats) => Ok(stats),
-                // The failed run still did real work (and left its cache
-                // mutations in the session): finalize and keep its counters
-                // so the session totals stay truthful.
-                Err(e) => Err((e, stepper.finish(observer))),
-            }
-        };
-        match outcome {
-            Ok(stats) => {
-                self.absorb_run(&stats);
-                Ok(stats)
-            }
-            Err((e, partial)) => {
-                self.absorb_partial(&partial);
-                Err(e.attributed(circuit))
-            }
-        }
+        self.transient_until(method, options, &mut observer, |_| {
+            None::<std::convert::Infallible>
+        })
+        .map(|(stats, _)| stats)
     }
 
     /// Runs one transient analysis step by step, polling `stop` between
-    /// accepted steps — the cancellable drive loop behind
-    /// [`crate::BatchRunner`] jobs and `exi-serve` workers.
+    /// accepted steps — the one drive loop of a session:
+    /// [`Simulator::transient_observed`] runs it with a stop that never
+    /// fires, and [`crate::BatchJob::execute`], the job executor behind
+    /// [`crate::BatchRunner`] jobs and `exi-serve` workers, with its token,
+    /// deadline and sink checks.
     ///
     /// The stepper starts (DC solve, [`Observer::on_dc`]) before the first
     /// poll, so even a run stopped on arrival delivers its DC point; and
@@ -620,8 +601,9 @@ impl<'c> Simulator<'c> {
     /// a full buffer).
     ///
     /// Returns the run's statistics — absorbed into the session whatever the
-    /// outcome — and, for a stopped run, `stop`'s reason with the simulation
-    /// time reached.
+    /// outcome; a failed run still did real work and left its cache
+    /// mutations in the session — and, for a stopped run, `stop`'s reason
+    /// with the simulation time reached.
     ///
     /// # Errors
     ///

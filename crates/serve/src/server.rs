@@ -9,12 +9,12 @@
 //! inline to everything except `run`, which passes **admission control**
 //! (deck size, parse, footprint budget, in-flight budget, overload stage)
 //! before it reaches the bounded [`JobQueue`]. A supervised pool of worker
-//! threads drains the queue; every worker session is constructed with
-//! [`Simulator::with_plan_cache`] over the server's warm plan cache, so jobs
-//! sharing a circuit fingerprint perform one plan compilation (and one `G`
-//! ordering) server-wide, however many clients submit them. Each job pivots
-//! its own matrices, so its bytes are those of an isolated `exi-cli run`,
-//! whatever the daemon served before.
+//! threads drains the queue, running each job through the batch layer's
+//! executor, [`BatchJob::execute`], over the server's warm plan cache, so
+//! jobs sharing a circuit fingerprint perform one plan compilation (and one
+//! `G` ordering) server-wide, however many clients submit them. Each job
+//! pivots its own matrices, so its bytes are those of an isolated `exi-cli
+//! run`, whatever the daemon served before.
 //!
 //! # Hostile tenants
 //!
@@ -50,15 +50,14 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::Read as _;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use exi_netlist::{parse_deck, Analysis, Deck};
 use exi_sim::{
-    analysis_options, resolve_probes, CancelReason, CancelToken, Method, Observer, PlanCache,
-    Probe, RunStats, Simulator,
+    analysis_options, resolve_probes, BatchJob, CancelReason, CancelToken, JobError, Observer,
+    PlanCache, Probe, RunStats,
 };
 
 use crate::protocol::{write_frame, FrameError, Request, Response, RunRequest};
@@ -212,18 +211,14 @@ struct Counters {
     solver: RunStats,
 }
 
-/// One admitted `run` request, queued for a worker. The deck is parsed at
-/// admission (the footprint budget needs the circuit), so workers never see
-/// unparseable input.
+/// One admitted `run` request, queued for a worker. The deck is parsed, and
+/// its options and probes are worked out, at admission (the footprint budget
+/// needs the circuit), so workers never see unparseable input.
 struct Job {
-    id: String,
-    deck: Deck,
-    method: Method,
-    probes: Vec<String>,
+    /// What the executor runs; its label is the wire id.
+    spec: BatchJob,
     decimate: usize,
     chunk_rows: usize,
-    deadline: Option<Duration>,
-    token: CancelToken,
     writer: Arc<ConnWriter>,
 }
 
@@ -996,10 +991,10 @@ fn admit_run(shared: &Shared, writer: &Arc<ConnWriter>, run: RunRequest) -> bool
             );
         }
     };
-    let Some(analysis) = deck
+    let Some((analysis, options)) = deck
         .analyses
         .iter()
-        .find(|a| matches!(a, Analysis::Tran { .. }))
+        .find_map(|a| Some((a, analysis_options(&deck, a)?)))
     else {
         lock(&shared.counters).jobs_failed += 1;
         return send(
@@ -1130,15 +1125,15 @@ fn admit_run(shared: &Shared, writer: &Arc<ConnWriter>, run: RunRequest) -> bool
             },
         );
     }
+    let probes = deck.effective_probes(&run.probes);
+    let mut spec =
+        BatchJob::new(run.id.clone(), deck.circuit, run.method, options).cancel_token(token);
+    spec.probes = probes;
+    spec.deadline = deadline_ms.map(Duration::from_millis);
     let job = Job {
-        id: run.id.clone(),
-        deck,
-        method: run.method,
-        probes: run.probes,
+        spec,
         decimate: run.decimate,
         chunk_rows: run.chunk_rows.unwrap_or(shared.config.default_chunk_rows),
-        deadline: deadline_ms.map(Duration::from_millis),
-        token,
         writer: Arc::clone(writer),
     };
     // Admission and the `accepted` reply happen under the writer lock so the
@@ -1294,132 +1289,70 @@ fn job_error(id: &str, class: &str, message: String) -> Response {
     }
 }
 
-/// Extracts the human-readable message from a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "panic payload of unknown type".to_string()
-    }
-}
-
-/// Runs one job end to end, shielded by `catch_unwind`: a panicking job is
-/// attributed to its id as an `internal`-class error and the return value
-/// tells the worker to retire (the supervisor replaces it). Reports the
-/// terminal frame plus the server-side counter updates. Returns `true` when
-/// the job panicked.
+/// Runs one job on this worker and reports it: the run streams through a
+/// [`WireObserver`] on the job executor, which also ends the run when the
+/// client vanished; then the terminal frame plus the server-side counter
+/// updates. Returns `true` when the job panicked, which attributes the
+/// failure to its id as an `internal`-class error and tells the worker to
+/// retire (the supervisor replaces it).
 fn execute_job(shared: &Shared, job: Job) -> bool {
-    if let Some(entry) = lock(&shared.active).get_mut(&job.id) {
+    let spec = &job.spec;
+    let id = spec.label.clone();
+    if let Some(entry) = lock(&shared.active).get_mut(&id) {
         entry.started = Some(Instant::now());
     }
-    // Match the batch executor's discipline: install the job's armed fault
-    // (if the feature is on), shield the run, always uninstall.
-    #[cfg(feature = "fault-injection")]
-    exi_sim::fault::install(&job.id);
-    let result = catch_unwind(AssertUnwindSafe(|| run_job(shared, &job)));
-    #[cfg(feature = "fault-injection")]
-    exi_sim::fault::uninstall();
-    match result {
-        Ok((reply, session_stats)) => {
-            shared.release_job(&job.id);
-            {
-                let mut counters = lock(&shared.counters);
-                if let Some(stats) = &session_stats {
-                    counters.solver.absorb(stats);
-                }
-                match reply {
-                    Response::Done { .. } => counters.jobs_completed += 1,
-                    Response::Cancelled { .. } => counters.jobs_cancelled += 1,
-                    _ => counters.jobs_failed += 1,
-                }
-            }
-            send(shared, &job.writer, &reply);
-            false
-        }
-        Err(payload) => {
-            shared.release_job(&job.id);
-            lock(&shared.counters).jobs_failed += 1;
-            let reply = job_error(
-                &job.id,
-                "internal",
-                format!(
-                    "worker panicked while running this job: {}",
-                    panic_message(payload)
-                ),
+    let probe_names: Vec<&str> = spec.probes.iter().map(String::as_str).collect();
+    let (outcome, stats, rows) = match resolve_probes(&spec.circuit, &probe_names) {
+        Ok(probes) => {
+            let mut observer = WireObserver::new(
+                shared,
+                id.clone(),
+                &job.writer,
+                probes,
+                job.decimate,
+                job.chunk_rows,
             );
-            send(shared, &job.writer, &reply);
-            true
+            let (outcome, stats) = spec.execute(&shared.plans, &mut observer, |o| o.dead);
+            (outcome, stats, observer.rows_sent)
         }
-    }
-}
-
-/// The solver side of one job: build the plan-cache session over the
-/// admission-parsed deck, drive the stepper with between-step cancellation
-/// checks (the PR 6 contract — a cancelled job's streamed rows are a
-/// bit-exact prefix of the uncancelled run), and stream through a
-/// [`WireObserver`].
-fn run_job(shared: &Shared, job: &Job) -> (Response, Option<RunStats>) {
-    let deck = &job.deck;
-    let Some(analysis) = deck
-        .analyses
-        .iter()
-        .find(|a| matches!(a, Analysis::Tran { .. }))
-    else {
-        // Unreachable: admission requires a .tran card. Kept as a typed
-        // error rather than a panic so a future admission change degrades
-        // gracefully.
-        return (
-            job_error(
-                &job.id,
-                "usage",
-                "deck has no .tran card (exi-serve runs transient analyses only)".to_string(),
-            ),
-            None,
-        );
+        Err(e) => (Err(JobError::Sim(e)), RunStats::new(), 0),
     };
-    let options = analysis_options(deck, analysis).expect("transient card maps to options");
-    let probe_names = deck.effective_probes(&job.probes);
-    let probe_refs: Vec<&str> = probe_names.iter().map(String::as_str).collect();
-    let probes = match resolve_probes(&deck.circuit, &probe_refs) {
-        Ok(probes) => probes,
-        // Same class the CLI assigns to SimError (`CliError::Sim`).
-        Err(e) => return (job_error(&job.id, "convergence", e.to_string()), None),
-    };
-    let mut sim = Simulator::new(&deck.circuit).with_plan_cache(Arc::clone(&shared.plans));
-    let mut observer = WireObserver::new(
-        shared,
-        job.id.clone(),
-        &job.writer,
-        probes,
-        job.decimate,
-        job.chunk_rows,
-    );
-    let deadline = job.deadline.map(|budget| Instant::now() + budget);
-    let outcome = sim.transient_until(job.method, &options, &mut observer, |observer| {
-        CancelReason::poll(Some(&job.token), deadline)
-            // The client vanished; treat as a wire cancellation.
-            .or(observer.dead.then_some(CancelReason::Token))
-    });
+    let panicked = matches!(outcome, Err(JobError::Panicked { .. }));
     let reply = match outcome {
-        Ok((stats, None)) => Response::Done {
-            id: job.id.clone(),
-            rows: observer.rows_sent,
-            stats: Box::new(stats),
+        Ok(None) => Response::Done {
+            id,
+            rows,
+            stats: Box::new(stats.clone()),
         },
-        Ok((_, Some((reason, at_time)))) => Response::Cancelled {
-            id: job.id.clone(),
+        Ok(Some((reason, at_time))) => Response::Cancelled {
+            id,
             reason: match reason {
                 CancelReason::Token => "token".to_string(),
                 CancelReason::Deadline => "deadline".to_string(),
             },
             at_time: format!("{at_time:.17e}"),
-            rows: observer.rows_sent,
+            rows,
         },
-        Err(e) => job_error(&job.id, "convergence", e.to_string()),
+        Err(JobError::Panicked { message }) => job_error(
+            &id,
+            "internal",
+            format!("worker panicked while running this job: {message}"),
+        ),
+        // Same class the CLI assigns to SimError (`CliError::Sim`).
+        Err(e) => job_error(&id, "convergence", e.to_string()),
     };
-    (reply, Some(sim.session_stats().clone()))
+    shared.release_job(&spec.label);
+    {
+        let mut counters = lock(&shared.counters);
+        counters.solver.absorb(&stats);
+        match reply {
+            Response::Done { .. } => counters.jobs_completed += 1,
+            Response::Cancelled { .. } => counters.jobs_cancelled += 1,
+            _ => counters.jobs_failed += 1,
+        }
+    }
+    send(shared, &job.writer, &reply);
+    panicked
 }
 
 #[cfg(test)]

@@ -5,11 +5,15 @@
 //! `StreamingObserver` decimation under batch use, and a warmed plan cache
 //! across batches.
 
-use exi_netlist::generators::{power_grid, rc_ladder, PowerGridSpec, RcLadderSpec};
+use std::time::Duration;
+
+use exi_netlist::generators::{
+    inverter_chain, power_grid, rc_ladder, InverterChainSpec, PowerGridSpec, RcLadderSpec,
+};
 use exi_netlist::Circuit;
 use exi_sim::{
-    BatchJob, BatchPlan, BatchProgress, BatchRunner, Method, PlanCache, RunStats, Simulator,
-    TransientOptions,
+    BatchJob, BatchPlan, BatchProgress, BatchRunner, CancelToken, JobError, JobOutcome, JobSink,
+    Method, PlanCache, RunStats, SimError, Simulator, TransientOptions,
 };
 
 fn grid_circuit() -> Circuit {
@@ -466,4 +470,120 @@ fn warmed_be_batches_never_wait_on_the_shared_cache() {
     assert_eq!(per_thread[0], per_thread[1]);
     assert_eq!(per_thread[0], per_thread[2]);
     assert_eq!(per_thread[0], waveforms(&warm_up));
+}
+
+/// Runs one job alone on a fresh runner (its own plan cache), so its
+/// statistics compare with a solo session's.
+fn run_alone(job: BatchJob) -> JobOutcome {
+    let mut plan = BatchPlan::new();
+    plan.push(job);
+    let mut result = BatchRunner::new().worker_threads(1).run(&plan);
+    result.jobs.pop().expect("one outcome")
+}
+
+/// A stop that never fires moves no bit: a job with an unfired token and a
+/// deadline an hour away, the same job without either, and a solo
+/// `Simulator::transient` agree on every waveform bit and every counter, for
+/// every method and both sinks, on the golden inverter chain.
+#[test]
+fn a_stop_that_never_fires_is_bit_identical() {
+    let circuit = inverter_chain(&InverterChainSpec {
+        stages: 2,
+        ..InverterChainSpec::default()
+    })
+    .expect("inverter_chain builds");
+    let options = TransientOptions {
+        t_stop: 3e-10,
+        h_init: 1e-12,
+        h_max: 5e-12,
+        error_budget: 5e-3,
+        ..TransientOptions::default()
+    };
+    let probes = ["s1", "s2"];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for method in Method::all() {
+        let solo = Simulator::new(&circuit)
+            .transient(method, &options, &probes)
+            .expect("solo run");
+        for sink in [JobSink::Record, JobSink::Stream { capacity: 64 }] {
+            let job = |label: &str| {
+                let mut job = BatchJob::new(label, circuit.clone(), method, options.clone());
+                job.probes = probes.iter().map(|p| p.to_string()).collect();
+                job.sink = sink;
+                job
+            };
+            let plain = run_alone(job("plain"));
+            let armed = run_alone(
+                job("armed")
+                    .cancel_token(CancelToken::new())
+                    .deadline(Duration::from_secs(3600)),
+            );
+            for outcome in [&plain, &armed] {
+                let what = format!("{method} {sink:?} {}", outcome.label);
+                assert_eq!(
+                    normalized(&outcome.stats),
+                    normalized(&solo.stats),
+                    "{what}"
+                );
+                match sink {
+                    JobSink::Record => {
+                        let r = outcome.recorded().expect("recorded output");
+                        assert_eq!(bits(&r.times), bits(&solo.times), "{what}");
+                        assert_eq!(r.samples.len(), solo.samples.len(), "{what}");
+                        for (a, b) in r.samples.iter().zip(&solo.samples) {
+                            assert_eq!(bits(a), bits(b), "{what}");
+                        }
+                        assert_eq!(bits(&r.final_state), bits(&solo.final_state), "{what}");
+                        assert_eq!(normalized(&r.stats), normalized(&solo.stats), "{what}");
+                    }
+                    JobSink::Stream { .. } => {
+                        // The retained points are the solo run's points on
+                        // the final stride grid.
+                        let w = outcome.streamed().expect("streamed output");
+                        assert_eq!(w.observed, solo.times.len(), "{what}");
+                        assert_eq!(w.len(), solo.times.len().div_ceil(w.stride), "{what}");
+                        for (k, (&t, row)) in w.times.iter().zip(w.values.chunks(2)).enumerate() {
+                            let source = k * w.stride;
+                            assert_eq!(t.to_bits(), solo.times[source].to_bits(), "{what}");
+                            assert_eq!(bits(row), bits(&solo.samples[source]), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Invalid options are reported before an unknown probe, whatever the sink
+/// and whether or not the job carries a token — the precedence of
+/// `Simulator::transient`.
+#[test]
+fn invalid_options_are_reported_before_an_unknown_probe_on_every_job_path() {
+    let invalid = TransientOptions {
+        h_init: 1.0,
+        ..grid_options(0)
+    };
+    for sink in [JobSink::Record, JobSink::Stream { capacity: 16 }] {
+        for token in [None, Some(CancelToken::new())] {
+            let mut job = BatchJob::new(
+                "both-wrong",
+                grid_circuit(),
+                Method::ExponentialRosenbrock,
+                invalid.clone(),
+            )
+            .probe("nope");
+            job.sink = sink;
+            job.cancel = token.clone();
+            let outcome = run_alone(job);
+            assert!(
+                matches!(
+                    outcome.error(),
+                    Some(JobError::Sim(SimError::InvalidOptions { .. }))
+                ),
+                "{sink:?}, token {}: {:?}",
+                token.is_some(),
+                outcome.error()
+            );
+        }
+    }
 }

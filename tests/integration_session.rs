@@ -476,3 +476,82 @@ fn interleaved_co_simulation_matches_solo_runs() {
     assert_eq!(solo_b.times, co_b.times);
     assert_eq!(solo_b.final_state, co_b.final_state);
 }
+
+/// A breakpoint closer than `h_min` counts as reached: a step that starts
+/// 6e-19 s before a PWL corner (far inside `h_min` = 1e-16, far outside the
+/// breakpoint guard of `1e-12·t_stop`) clamps against the next breakpoint
+/// instead of failing with `StepSizeUnderflow`, on every engine, and the
+/// step across the corner sees the segment after it. The first step starts
+/// inside the held segment, so ER carries a kept input term of the hold up
+/// to the sliver; the state after the crossing step is checked against the
+/// RC's closed-form ramp response.
+#[test]
+fn a_breakpoint_sliver_does_not_fail_the_step() {
+    let (corner, slope, tau) = (1e-10, 5e9, 1e-10);
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let out = ckt.node("out");
+    let gnd = ckt.node("0");
+    ckt.add_voltage_source(
+        "Vin",
+        vin,
+        gnd,
+        Waveform::Pwl(vec![(0.0, 0.0), (corner, 0.0), (3e-10, 1.0)]),
+    )
+    .unwrap();
+    ckt.add_resistor("R1", vin, out, 1e3).unwrap();
+    ckt.add_capacitor("C1", out, gnd, 1e-13).unwrap();
+    let (i_in, i_out) = (
+        ckt.unknown_of("in").unwrap(),
+        ckt.unknown_of("out").unwrap(),
+    );
+    let h_first = 1e-11;
+    let options = TransientOptions {
+        t_stop: 5e-10,
+        h_init: h_first,
+        h_max: 2e-11,
+        h_min: 1e-16,
+        error_budget: 1e-3,
+        ..TransientOptions::default()
+    };
+    let sliver = corner - 6e-19;
+    assert!(corner - sliver > 1e-12 * options.t_stop);
+    let x0 = Simulator::new(&ckt).dc().unwrap().state;
+    for method in Method::all() {
+        let mut sim = Simulator::new(&ckt);
+        let mut stepper = sim.stepper(method, &options).unwrap();
+        stepper
+            .init(sliver - h_first, &x0, &mut NullObserver)
+            .unwrap();
+        stepper.advance(&mut NullObserver).unwrap();
+        assert_eq!(stepper.time(), sliver, "{method}");
+        let (t, h) = match stepper.advance(&mut NullObserver) {
+            Ok(StepOutcome::Advanced { t, h }) => (t, h),
+            other => panic!("{method}: {other:?}"),
+        };
+        assert!(t > corner, "{method}: t = {t:e}");
+        assert!(h >= options.h_min, "{method}: h = {h:e}");
+        let x = stepper.state();
+        let ramp = t - corner;
+        assert!(
+            (x[i_in] - slope * ramp).abs() <= 1e-9,
+            "{method}: v(in) = {:e}",
+            x[i_in]
+        );
+        if matches!(
+            method,
+            Method::ExponentialRosenbrock | Method::ExponentialRosenbrockCorrected
+        ) {
+            // Linear circuit: no estimator, the only error is Krylov's. A
+            // step that kept the hold's input term would leave v(out) at 0.
+            let exact = slope * (ramp - tau * (1.0 - (-ramp / tau).exp()));
+            assert!(exact > 1e-3);
+            let rel = (x[i_out] - exact).abs() / exact;
+            assert!(
+                rel <= options.error_budget,
+                "{method}: v(out) = {:e} against {exact:e}",
+                x[i_out]
+            );
+        }
+    }
+}
