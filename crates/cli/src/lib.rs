@@ -1,7 +1,7 @@
 //! # exi-cli
 //!
 //! Command-line front-end for the `exi-sim` exponential-integrator circuit
-//! simulator: parses SPICE decks through [`exi_netlist::deck`] and drives
+//! simulator: parses SPICE decks through [`exi_netlist::parse_deck`] and drives
 //! them through the [`exi_sim::Simulator`] session and
 //! [`exi_sim::BatchRunner`] batch machinery.
 //!
@@ -53,9 +53,9 @@
 
 #![deny(missing_docs)]
 
-pub mod run;
-pub mod service;
-pub mod sweep;
+mod run;
+mod service;
+mod sweep;
 
 use std::fmt;
 use std::fs::File;
@@ -66,14 +66,10 @@ use exi_netlist::NetlistError;
 use exi_serve::json::{self, Json};
 use exi_sim::{Method, SimError};
 
-pub use run::{analysis_options, effective_probes, run_deck, tran_options, RunConfig, RunSummary};
-pub use service::{
-    fetch_stats, run_client, shutdown_server, write_stats, ClientCommand, ClientConfig,
-};
-pub use sweep::{
-    build_sweep_plan, expand_param_grid, member_label, members_from_template, run_sweep,
-    write_job_waveform, SweepConfig, SweepSummary,
-};
+pub use run::{run_deck, RunConfig};
+pub use sweep::{build_sweep_plan, expand_param_grid, run_sweep, SweepConfig};
+
+use service::{fetch_stats, run_client, shutdown_server, write_stats, ClientCommand, ClientConfig};
 
 /// Errors surfaced by the command-line front-end.
 #[derive(Debug)]

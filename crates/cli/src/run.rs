@@ -4,7 +4,9 @@
 use std::io::Write;
 
 use exi_netlist::{Analysis, Deck};
-use exi_sim::{resolve_probes, CsvObserver, Method, RunStats, Simulator, StreamingObserver};
+use exi_sim::{
+    analysis_options, resolve_probes, CsvObserver, Method, RunStats, Simulator, StreamingObserver,
+};
 
 use crate::{CliError, CliResult, OutputFormat};
 
@@ -44,19 +46,6 @@ pub struct RunSummary {
     pub rows: usize,
     /// The session's cumulative statistics.
     pub stats: RunStats,
-}
-
-// The deck-card → solver-options mapping lives in `exi_sim::deck` so every
-// deck driver (this CLI and the `exi-serve` daemon) shares one definition;
-// re-exported here because it has always been part of this crate's API.
-pub use exi_sim::{analysis_options, tran_options};
-
-/// The probe names a run of `deck` records: the explicit `overrides` when
-/// non-empty, else the deck's `.print` cards, else every non-ground node in
-/// unknown order (delegates to [`Deck::effective_probes`], the shared
-/// cascade).
-pub fn effective_probes(deck: &Deck, overrides: &[String]) -> Vec<String> {
-    deck.effective_probes(overrides)
 }
 
 /// Runs every analysis card of `deck` in one [`Simulator`] session, writing
@@ -107,7 +96,7 @@ pub fn run_deck(
             "deck has no analysis cards (.tran or .op)".to_string(),
         ));
     }
-    let probe_names = effective_probes(deck, &config.probes);
+    let probe_names = deck.effective_probes(&config.probes);
     let probe_refs: Vec<&str> = probe_names.iter().map(String::as_str).collect();
     let probes = resolve_probes(&deck.circuit, &probe_refs)?;
     let delimiter = config.format.delimiter();
@@ -227,13 +216,13 @@ mod tests {
     #[test]
     fn probe_defaults_cascade() {
         let deck = rc_deck(".tran 1p 500p\n.print v(out)\n");
-        assert_eq!(effective_probes(&deck, &[]), vec!["out"]);
+        assert_eq!(deck.effective_probes(&[]), vec!["out"]);
         assert_eq!(
-            effective_probes(&deck, &["in".to_string()]),
+            deck.effective_probes(&["in".to_string()]),
             vec!["in".to_string()]
         );
         let no_prints = rc_deck(".tran 1p 500p\n");
-        assert_eq!(effective_probes(&no_prints, &[]), vec!["in", "out"]);
+        assert_eq!(no_prints.effective_probes(&[]), vec!["in", "out"]);
     }
 
     #[test]

@@ -5,10 +5,11 @@ use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
-use exi_netlist::{parse_deck_file_with_params, parse_deck_with_params, Deck};
-use exi_sim::{BatchJob, BatchPlan, BatchRunner, JobOutcome, JobOutput, Method, RunStats};
+use exi_netlist::{parse_deck_file_with_params, Deck};
+use exi_sim::{
+    analysis_options, BatchJob, BatchPlan, BatchRunner, JobOutcome, JobOutput, Method, RunStats,
+};
 
-use crate::run::{analysis_options, effective_probes};
 use crate::{CliError, CliResult, OutputFormat};
 
 /// Settings of one `exi-cli sweep` invocation.
@@ -174,7 +175,7 @@ pub fn build_sweep_plan(members: &[(String, Deck)], config: &SweepConfig) -> Cli
             .find_map(|a| analysis_options(deck, a))
             .ok_or_else(|| CliError::Deck(format!("sweep member '{label}' has no .tran card")))?;
         let mut job = BatchJob::new(label.clone(), deck.circuit.clone(), config.method, tran);
-        for probe in effective_probes(deck, &config.probes) {
+        for probe in deck.effective_probes(&config.probes) {
             job = job.probe(probe);
         }
         if let Some(capacity) = config.stream {
@@ -194,7 +195,7 @@ pub fn build_sweep_plan(members: &[(String, Deck)], config: &SweepConfig) -> Cli
 ///
 /// Parse errors of any member, I/O errors, or [`CliError::Deck`] for decks
 /// without `.tran` cards. Member *simulation* failures do not abort the
-/// sweep — they are counted in [`SweepSummary::failed`].
+/// sweep — they are counted in the summary's `failed`.
 pub fn run_sweep(path: &Path, config: &SweepConfig, output_dir: &Path) -> CliResult<SweepSummary> {
     let grid = expand_param_grid(&config.params);
     let mut members = Vec::with_capacity(grid.len());
@@ -295,29 +296,26 @@ pub fn write_job_waveform(
     }
 }
 
-/// Parses one templated deck text per override set — the string-based twin
-/// of [`run_sweep`]'s file loop, used by tests and doc examples.
-///
-/// # Errors
-///
-/// Parse errors of any member.
-pub fn members_from_template(
-    template: &str,
-    grid: &[Vec<(String, String)>],
-) -> CliResult<Vec<(String, Deck)>> {
-    grid.iter()
-        .map(|combo| {
-            Ok((
-                member_label(combo),
-                parse_deck_with_params(template, combo)?,
-            ))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exi_netlist::parse_deck_with_params;
+
+    /// Parses one templated deck text per override set — the string-based
+    /// twin of [`run_sweep`]'s file loop.
+    fn members_from_template(
+        template: &str,
+        grid: &[Vec<(String, String)>],
+    ) -> CliResult<Vec<(String, Deck)>> {
+        grid.iter()
+            .map(|combo| {
+                Ok((
+                    member_label(combo),
+                    parse_deck_with_params(template, combo)?,
+                ))
+            })
+            .collect()
+    }
 
     const TEMPLATE: &str = ".param rload=1k\n\
                             Vin in 0 PULSE(0 1 0 10p 10p 200p)\n\

@@ -362,16 +362,6 @@ pub enum JobError {
     },
 }
 
-impl JobError {
-    /// The underlying simulation error, for [`JobError::Sim`].
-    pub fn sim(&self) -> Option<&SimError> {
-        match self {
-            JobError::Sim(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -499,16 +489,6 @@ impl BatchResult {
     /// [`BatchResult::failed`]).
     pub fn cancelled(&self) -> usize {
         self.jobs.iter().filter(|j| j.is_cancelled()).count()
-    }
-
-    /// The failed jobs with their errors, in submission order — the partial
-    /// results contract: everything not listed here carries a complete
-    /// waveform in [`BatchResult::jobs`].
-    pub fn failures(&self) -> impl Iterator<Item = (usize, &JobOutcome, &JobError)> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, j)| j.error().map(|e| (i, j, e)))
     }
 
     /// Returns `true` when every job completed.
@@ -661,11 +641,6 @@ impl BatchRunner {
     pub fn shared_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plans = cache;
         self
-    }
-
-    /// The evaluation-plan cache this runner hands to its workers.
-    pub fn plan_cache(&self) -> &Arc<PlanCache> {
-        &self.plans
     }
 
     /// The effective worker count [`BatchRunner::run`] will use.
@@ -824,7 +799,7 @@ fn run_job(job: &BatchJob, plans: &Arc<PlanCache>) -> JobOutcome {
     };
     let (stopped, output, stats) = match job.sink {
         JobSink::Record => {
-            let mut observer = RecordingObserver::new(probes, job.options.record_full_states);
+            let mut observer = RecordingObserver::new(probes, false);
             let (stopped, stats) = job.execute(plans, &mut observer, |_| false);
             (stopped, JobOutput::Recorded(observer.into_result()), stats)
         }

@@ -33,7 +33,13 @@ pub struct DcSolution {
     pub residual: f64,
 }
 
-/// Computes the DC operating point of `circuit` at `t = 0`.
+/// Computes the DC operating point of `circuit` at `t = 0`, accounting every
+/// device evaluation, Newton iteration and (re)factorization into `stats`
+/// and running the Jacobian factorizations through a caller-owned LU cache
+/// and workspace — the [`crate::Simulator`] session passes its
+/// conductance-matrix cache here, so the symbolic analysis the DC solve
+/// performs is reused by every later transient step (and every later run);
+/// its ordering comes from the plan ([`EvalPlan::g_ordering`]).
 ///
 /// # Errors
 ///
@@ -41,53 +47,8 @@ pub struct DcSolution {
 ///   factorization failures.
 /// * [`SimError::NewtonDidNotConverge`] if the iteration does not converge
 ///   within `options.max_iterations`.
-///
-/// # Examples
-///
-/// ```
-/// use exi_netlist::{Circuit, Waveform};
-/// use exi_sim::{dc_operating_point, DcOptions};
-///
-/// # fn main() -> Result<(), exi_sim::SimError> {
-/// let mut ckt = Circuit::new();
-/// let a = ckt.node("a");
-/// let b = ckt.node("b");
-/// let gnd = ckt.node("0");
-/// ckt.add_voltage_source("V1", a, gnd, Waveform::Dc(2.0))?;
-/// ckt.add_resistor("R1", a, b, 1e3)?;
-/// ckt.add_resistor("R2", b, gnd, 1e3)?;
-/// let dc = dc_operating_point(&ckt, &DcOptions::default())?;
-/// assert!((dc.state[1] - 1.0).abs() < 1e-9); // resistive divider
-/// # Ok(())
-/// # }
-/// ```
-pub fn dc_operating_point(circuit: &Circuit, options: &DcOptions) -> SimResult<DcSolution> {
-    let mut stats = RunStats::new();
-    let mut lu_ws = LuWorkspace::new();
-    let plan = circuit.compile_plan()?;
-    stats.plan_compilations += 1;
-    let mut eval_ws = plan.new_workspace();
-    dc_operating_point_internal(
-        circuit,
-        &plan,
-        options,
-        &mut stats,
-        &mut None,
-        &mut None,
-        &mut lu_ws,
-        &mut eval_ws,
-    )
-}
-
-/// As [`dc_operating_point`], additionally accounting every device
-/// evaluation, Newton iteration and (re)factorization into `stats` and
-/// running the Jacobian factorizations through a caller-owned LU cache and
-/// workspace — the [`crate::Simulator`] session passes its conductance-matrix
-/// cache here, so the symbolic analysis the DC solve performs is reused by
-/// every later transient step (and every later run); its ordering comes
-/// from the plan ([`EvalPlan::g_ordering`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn dc_operating_point_internal(
+pub(crate) fn dc_operating_point(
     circuit: &Circuit,
     plan: &EvalPlan,
     options: &DcOptions,
@@ -182,6 +143,22 @@ mod tests {
     use super::*;
     use exi_netlist::{DiodeModel, MosfetModel, Waveform};
 
+    /// One DC solve on a fresh plan, cache and workspace.
+    fn solve(circuit: &Circuit, options: &DcOptions) -> SimResult<DcSolution> {
+        let plan = circuit.compile_plan()?;
+        let mut eval_ws = plan.new_workspace();
+        dc_operating_point(
+            circuit,
+            &plan,
+            options,
+            &mut RunStats::new(),
+            &mut None,
+            &mut None,
+            &mut LuWorkspace::new(),
+            &mut eval_ws,
+        )
+    }
+
     #[test]
     fn resistive_divider() {
         let mut ckt = Circuit::new();
@@ -192,7 +169,7 @@ mod tests {
             .unwrap();
         ckt.add_resistor("R1", a, b, 2e3).unwrap();
         ckt.add_resistor("R2", b, gnd, 1e3).unwrap();
-        let dc = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
+        let dc = solve(&ckt, &DcOptions::default()).unwrap();
         assert!((dc.state[0] - 3.0).abs() < 1e-9);
         assert!((dc.state[1] - 1.0).abs() < 1e-9);
         // Source branch current = -(3/3k) (current flows out of the source).
@@ -210,7 +187,7 @@ mod tests {
             .unwrap();
         ckt.add_resistor("R1", a, d, 1e3).unwrap();
         ckt.add_diode("D1", d, gnd, DiodeModel::default()).unwrap();
-        let dc = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
+        let dc = solve(&ckt, &DcOptions::default()).unwrap();
         let vd = dc.state[1];
         // Forward drop of a silicon-like diode at ~1 mA.
         assert!(vd > 0.5 && vd < 0.8, "vd = {vd}");
@@ -235,7 +212,7 @@ mod tests {
             ckt.add_mosfet("MP", out, inp, vdd, MosfetModel::pmos())
                 .unwrap();
             ckt.add_resistor("Rload", out, gnd, 1e8).unwrap();
-            let dc = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
+            let dc = solve(&ckt, &DcOptions::default()).unwrap();
             let vout = dc.state[ckt.unknown_of("out").unwrap()];
             if expect_high {
                 assert!(vout > 0.9, "vin = {vin}: vout = {vout}");
@@ -263,7 +240,7 @@ mod tests {
         let mut ws = LuWorkspace::new();
         let plan = ckt.compile_plan().unwrap();
         let mut eval_ws = plan.new_workspace();
-        let dc = dc_operating_point_internal(
+        let dc = dc_operating_point(
             &ckt,
             &plan,
             &DcOptions::default(),
@@ -305,7 +282,7 @@ mod tests {
             ..DcOptions::default()
         };
         assert!(matches!(
-            dc_operating_point(&ckt, &opts),
+            solve(&ckt, &opts),
             Err(SimError::NewtonDidNotConverge { .. })
         ));
     }

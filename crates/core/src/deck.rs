@@ -2,10 +2,10 @@
 //!
 //! The single source of truth for how a parsed SPICE deck's `.tran` cards
 //! and `.options reltol` become [`TransientOptions`]. Every deck driver —
-//! `exi-cli run`/`sweep` and the `exi-serve` daemon — goes through these two
-//! functions, which is what makes a waveform obtained through any of them
-//! bit-identical to the others (and to the generator-built sessions the
-//! round-trip tests compare against).
+//! `exi-cli run`/`sweep` and the `exi-serve` daemon — goes through
+//! [`analysis_options`], which is what makes a waveform obtained through
+//! any of them bit-identical to the others (and to the generator-built
+//! sessions the round-trip tests compare against).
 
 use exi_netlist::{Analysis, Deck};
 
@@ -16,7 +16,7 @@ use crate::options::TransientOptions;
 /// given) overrides the default `stop / 10` step ceiling. All other knobs
 /// keep their defaults — the deck-vs-generator bit-identity tests rely on
 /// this mapping being the single source of truth.
-pub fn tran_options(step: f64, stop: f64, h_max: Option<f64>) -> TransientOptions {
+fn tran_options(step: f64, stop: f64, h_max: Option<f64>) -> TransientOptions {
     let mut options = TransientOptions::new(stop, step);
     if let Some(h) = h_max {
         options.h_max = h;
@@ -24,9 +24,11 @@ pub fn tran_options(step: f64, stop: f64, h_max: Option<f64>) -> TransientOption
     options
 }
 
-/// The [`TransientOptions`] a deck's analysis card runs with: the
-/// [`tran_options`] card mapping plus the deck's `.options reltol` as the
-/// error budget. `None` for non-transient cards.
+/// The [`TransientOptions`] a deck's analysis card runs with: a `.tran
+/// <step> <stop> [hmax]` card's `step` is the initial step, `stop` the
+/// interval end and `hmax` (when given) the step ceiling in place of
+/// `stop / 10`; the deck's `.options reltol` is the error budget. `None`
+/// for non-transient cards.
 pub fn analysis_options(deck: &Deck, analysis: &Analysis) -> Option<TransientOptions> {
     match analysis {
         Analysis::Tran { step, stop, h_max } => {

@@ -447,9 +447,7 @@ mod tests {
         options: &TransientOptions,
         before: impl FnOnce(),
     ) -> (RunStats, Vec<Fill>) {
-        let x0 = crate::dc_operating_point(ckt, &crate::DcOptions::default())
-            .unwrap()
-            .state;
+        let x0 = crate::Simulator::new(ckt).dc().unwrap().state;
         let mut caches = SessionCaches {
             plan: Some(Arc::new(EvalPlan::compile(ckt).unwrap())),
             ..SessionCaches::default()

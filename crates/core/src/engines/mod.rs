@@ -16,8 +16,8 @@
 //! events stream to an [`Observer`]. The [`Simulator`](crate::Simulator)
 //! session object owns the reusable caches the steppers borrow.
 
-pub mod er;
-pub mod implicit;
+pub(crate) mod er;
+pub(crate) mod implicit;
 mod step_loop;
 
 pub(crate) use step_loop::{Attempt, Run, StepLoop, Stepper};
@@ -27,6 +27,7 @@ use exi_sparse::{CsrMatrix, LuOptions, LuWorkspace, SparseError, SparseLu};
 
 use crate::error::{SimError, SimResult};
 use crate::observer::Observer;
+use crate::options::TransientOptions;
 use crate::output::Probe;
 use crate::stats::RunStats;
 
@@ -232,9 +233,11 @@ pub(crate) fn clamp_step(t: f64, h: f64, t_stop: f64, breakpoints: &[f64]) -> f6
     h.max(0.0)
 }
 
-/// Returns `true` when the simulation time has reached the stop time.
-pub(crate) fn reached_end(t: f64, t_stop: f64) -> bool {
-    t >= t_stop * (1.0 - TIME_EPSILON)
+/// Returns `true` when the simulation time has reached the stop time: within
+/// a relative [`TIME_EPSILON`], or less than `h_min` short of it, where no
+/// step the run may take fits.
+pub(crate) fn reached_end(t: f64, options: &TransientOptions) -> bool {
+    t >= options.t_stop * (1.0 - TIME_EPSILON) || options.t_stop - t < options.h_min
 }
 
 /// Obtains an LU factorization of `a` in `slot` — the caller's cache for
@@ -242,7 +245,7 @@ pub(crate) fn reached_end(t: f64, t_stop: f64) -> bool {
 /// Jacobian `C/h + θG`).
 ///
 /// A role's sparsity pattern is fixed when the evaluation plan is compiled
-/// (see [`exi_netlist::plan`]), so one plain slot per role is the whole
+/// (see [`EvalPlan`]), so one plain slot per role is the whole
 /// cache:
 ///
 /// 1. **In-place refactorization** of the slot's factor — the step hot path:
@@ -351,9 +354,16 @@ mod tests {
 
     #[test]
     fn reached_end_is_tolerant() {
-        assert!(reached_end(1.0, 1.0));
-        assert!(reached_end(1.0 - 1e-15, 1.0));
-        assert!(!reached_end(0.5, 1.0));
+        let o = TransientOptions {
+            h_min: 1e-18,
+            ..TransientOptions::new(1.0, 1e-3)
+        };
+        assert!(reached_end(1.0, &o));
+        assert!(reached_end(1.0 - 1e-15, &o));
+        assert!(!reached_end(0.5, &o));
+        let o = TransientOptions { h_min: 1e-3, ..o };
+        assert!(reached_end(1.0 - 1e-4, &o));
+        assert!(!reached_end(1.0 - 2e-3, &o));
     }
 
     #[test]

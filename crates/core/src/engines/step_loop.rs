@@ -17,6 +17,20 @@ use crate::options::TransientOptions;
 use crate::session::SessionCaches;
 use crate::stats::RunStats;
 
+/// The step shrink factor α applied on rejection (the paper's ½). ER and a
+/// BE/TR LTE rejection shrink the attempted (clamped) step; a BE/TR Newton
+/// failure shrinks the step size asked for before the clamp.
+const SHRINK_FACTOR: f64 = 0.5;
+
+/// The step growth factor β applied after an easy step (the paper's 2); the
+/// next step asks for `min(h·β, h_max)`.
+const GROWTH_FACTOR: f64 = 2.0;
+
+/// A step is easy (eligible for growth) if it needed at most this many
+/// rejections (ER), or if its accepted attempt took at most this many Newton
+/// iterations plus one with an LTE below `½·error_budget` (BE/TR).
+const EASY_STEP_THRESHOLD: usize = 1;
+
 /// What an engine's hooks read and write of the run: the session, the
 /// options and the state `(t, x)` the next step starts from.
 #[derive(Debug)]
@@ -85,19 +99,21 @@ pub(crate) trait Stepper {
 /// ROADMAP item 1(b)'s one step-size rule will change:
 ///
 /// * A BENR Newton failure shrinks the **unclamped** step asked for
-///   (`self.h *= α`) and fails with [`SimError::NewtonDidNotConverge`]
-///   (`step` the attempted size) once that is below `h_min`; so a step
-///   clamped at a breakpoint can fail twice at a bit-equal `h`.
+///   (`self.h *= α`, [`SHRINK_FACTOR`]) and fails with
+///   [`SimError::NewtonDidNotConverge`] (`step` the attempted size) once
+///   that is below `h_min`; so a step clamped at a breakpoint can fail
+///   twice at a bit-equal `h`.
 /// * A BENR LTE failure asks for `h·α`, but only when `h > 2·h_min`:
 ///   otherwise the step is accepted with `lte > error_budget`. Underflow
 ///   surfaces at the next clamp, as [`SimError::StepSizeUnderflow`].
 /// * ER clamps once per step. Each rejection multiplies the clamped step by
 ///   α and raises [`SimError::StepSizeUnderflow`] (`step` the shrunk size)
 ///   below `h_min`, before the engine's next attempt.
-/// * Growth ([`StepLoop::verdict`]): BENR grows when `iterations ≤
-///   easy_step_threshold + 1` and `lte < ½·error_budget`, ER when the step
-///   took at most `easy_step_threshold` rejections. Both grow to
-///   `min(h·β, h_max)`; otherwise the next step asks for the accepted `h`.
+/// * Growth ([`StepLoop::verdict`]): BENR grows when `iterations ≤`
+///   [`EASY_STEP_THRESHOLD`]` + 1` and `lte < ½·error_budget`, ER when the
+///   step took at most [`EASY_STEP_THRESHOLD`] rejections. Both grow to
+///   `min(h·β, h_max)` ([`GROWTH_FACTOR`]); otherwise the next step asks for
+///   the accepted `h`.
 /// * A breakpoint less than `h_min` ahead, where the clamp would fall below
 ///   `h_min`, counts as reached ([`StepLoop::clamp_past_sliver`]): the step
 ///   is clamped against the breakpoints after it and crosses the sliver, so
@@ -106,8 +122,10 @@ pub(crate) trait Stepper {
 ///   its input term afresh off the segment after the breakpoint instead of
 ///   reusing the interval's kept one
 ///   ([`crosses_breakpoint`](crate::engines::crosses_breakpoint)). No attempted
-///   step is snapped onto a breakpoint near it. A sliver before `t_stop`
-///   still fails with [`SimError::StepSizeUnderflow`].
+///   step is snapped onto a breakpoint near it.
+/// * A `t_stop` less than `h_min` ahead counts as reached
+///   ([`reached_end`]): the run finishes where it stands instead of failing
+///   with a step below `h_min`.
 #[derive(Debug)]
 pub(crate) struct StepLoop<'a, M> {
     run: Run<'a>,
@@ -193,7 +211,7 @@ impl<'a, M: Stepper> StepLoop<'a, M> {
         crate::fault::maybe_panic_on_accept();
         observer.on_step_accepted(self.run.t, &self.run.x);
         self.h = h_next;
-        self.finished = reached_end(self.run.t, self.run.options.t_stop);
+        self.finished = reached_end(self.run.t, &self.run.options);
         Ok(StepOutcome::Advanced { t: self.run.t, h })
     }
 
@@ -236,15 +254,15 @@ impl<'a, M: Stepper> StepLoop<'a, M> {
                 return None
             }
             Attempt::Converged { iterations, lte } => {
-                iterations <= o.easy_step_threshold + 1 && lte < 0.5 * o.error_budget
+                iterations <= EASY_STEP_THRESHOLD + 1 && lte < 0.5 * o.error_budget
             }
             Attempt::Estimated { err } if err <= o.error_budget => {
-                rejections <= o.easy_step_threshold
+                rejections <= EASY_STEP_THRESHOLD
             }
             Attempt::Estimated { .. } => return None,
         };
         Some(if easy {
-            (h * o.growth_factor).min(o.h_max)
+            (h * GROWTH_FACTOR).min(o.h_max)
         } else {
             h
         })
@@ -255,7 +273,7 @@ impl<'a, M: Stepper> StepLoop<'a, M> {
         let (o, t) = (&self.run.options, self.run.t);
         match attempt {
             Attempt::NewtonFailed => {
-                self.h *= o.shrink_factor;
+                self.h *= SHRINK_FACTOR;
                 if self.h < o.h_min {
                     return Err(SimError::NewtonDidNotConverge {
                         time: t,
@@ -266,11 +284,11 @@ impl<'a, M: Stepper> StepLoop<'a, M> {
                 self.clamped_step()
             }
             Attempt::Converged { .. } => {
-                self.h = h * o.shrink_factor;
+                self.h = h * SHRINK_FACTOR;
                 self.clamped_step()
             }
             Attempt::Estimated { .. } => {
-                let h = h * o.shrink_factor;
+                let h = h * SHRINK_FACTOR;
                 if h < o.h_min {
                     return Err(SimError::StepSizeUnderflow { time: t, step: h });
                 }
@@ -291,7 +309,7 @@ impl<M: Stepper> Engine for StepLoop<'_, M> {
         self.run.t = t0;
         self.h = self.run.options.h_init;
         self.method.reset(&mut self.run);
-        self.finished = reached_end(t0, self.run.options.t_stop);
+        self.finished = reached_end(t0, &self.run.options);
         self.finalized = false;
         self.run.stats.observer_callbacks += 1;
         observer.on_dc(t0, &self.run.x);

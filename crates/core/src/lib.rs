@@ -46,11 +46,9 @@
 //!   [`Engine::state`], and resume **bit-identically** — the substrate for
 //!   checkpointed long runs and interleaved co-simulation.
 //!
-//! The free function [`dc_operating_point`] remains for a one-shot DC solve.
-//!
 //! # Batch execution
 //!
-//! One level above sessions, the [`batch`] subsystem runs **fleets** of jobs
+//! One level above sessions, the batch subsystem runs **fleets** of jobs
 //! (parameter sweeps, Monte-Carlo corners, per-user requests) over a pool of
 //! worker threads whose sessions share one [`PlanCache`]: describe the jobs
 //! with a [`BatchPlan`] and execute with a [`BatchRunner`] — same-structure
@@ -144,35 +142,31 @@
 
 #![deny(missing_docs)]
 
-pub mod batch;
-pub mod dc;
-pub mod deck;
-pub mod engines;
-pub mod error;
-pub mod observer;
-pub mod options;
-pub mod output;
-pub mod session;
-pub mod stats;
-pub mod transient;
+mod batch;
+mod dc;
+mod deck;
+mod engines;
+mod error;
+mod observer;
+mod options;
+mod output;
+mod session;
+mod stats;
+mod transient;
 
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 
 pub use batch::{
     BatchJob, BatchObserver, BatchPlan, BatchProgress, BatchResult, BatchRunner, CancelReason,
-    CancelToken, JobError, JobOutcome, JobOutput, JobSink, NullBatchObserver,
+    CancelToken, JobError, JobOutcome, JobOutput, JobSink,
 };
-pub use dc::{dc_operating_point, DcSolution};
-pub use deck::{analysis_options, tran_options};
-pub use engines::implicit::ImplicitScheme;
+pub use deck::analysis_options;
 pub use engines::{resolve_probes, Engine, StepOutcome};
-pub use error::{SimError, SimResult};
-pub use observer::{
-    CsvObserver, DecimatedWaveform, NullObserver, Observer, RecordingObserver, StreamingObserver,
-};
-pub use options::{DcOptions, TransientOptions};
+pub use error::SimError;
+pub use observer::{CsvObserver, NullObserver, Observer, RecordingObserver, StreamingObserver};
+pub use options::TransientOptions;
 pub use output::{Probe, TransientResult};
-pub use session::{CacheStats, PlanCache, SessionStepper, Simulator};
+pub use session::{CacheStats, PlanCache, Simulator};
 pub use stats::RunStats;
 pub use transient::Method;

@@ -273,11 +273,6 @@ impl StreamingObserver {
         self.observed
     }
 
-    /// Current sampling stride (1 until the first decimation).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// The retained (decimated) waveform of probe `p` as `(time, value)`
     /// pairs.
     ///
@@ -294,7 +289,7 @@ impl StreamingObserver {
             .collect()
     }
 
-    /// Finalizes the observer into its retained [`DecimatedWaveform`] — the
+    /// Finalizes the observer into its retained decimated waveform — the
     /// fixed-memory result a batch job with a
     /// [`JobSink::Stream`](crate::JobSink::Stream) sink returns.
     pub fn into_waveform(self) -> DecimatedWaveform {
@@ -430,12 +425,6 @@ impl<W: Write> CsvObserver<W> {
     /// Number of data rows written so far (the header is not counted).
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// The first I/O error the sink reported, if any. Once set, no further
-    /// rows are written.
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
     }
 
     /// Flushes the sink and returns it.
@@ -587,7 +576,7 @@ mod tests {
         }
         assert!(s.len() < 8, "len {} should stay under capacity", s.len());
         assert_eq!(s.observed(), 1000);
-        assert!(s.stride() > 1);
+        assert!(s.stride > 1);
         let wf = s.waveform(0);
         // The retained points are genuine (time, value) samples in order.
         for w in wf.windows(2) {
@@ -605,7 +594,7 @@ mod tests {
             s.on_step_accepted(k as f64, &[2.0 * k as f64]);
         }
         assert_eq!(s.len(), 10);
-        assert_eq!(s.stride(), 1);
+        assert_eq!(s.stride, 1);
         assert_eq!(s.waveform(0)[3], (3.0, 6.0));
     }
 
@@ -619,7 +608,7 @@ mod tests {
         for k in 0..4 {
             s.on_step_accepted(k as f64, &[k as f64]);
         }
-        assert_eq!(s.stride(), 2, "filling to capacity must trigger decimation");
+        assert_eq!(s.stride, 2, "filling to capacity must trigger decimation");
         assert_eq!(s.waveform(0), vec![(0.0, 0.0), (2.0, 2.0)]);
         s.on_step_accepted(4.0, &[4.0]);
         s.on_step_accepted(5.0, &[5.0]);
@@ -627,7 +616,7 @@ mod tests {
         // The next boundary: index 6 fills the buffer to capacity again and
         // the stride doubles to 4, keeping exactly the multiples of 4.
         s.on_step_accepted(6.0, &[6.0]);
-        assert_eq!(s.stride(), 4);
+        assert_eq!(s.stride, 4);
         assert_eq!(s.waveform(0), vec![(0.0, 0.0), (4.0, 4.0)]);
         assert_eq!(s.observed(), 7);
     }
@@ -640,7 +629,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(s.observed(), 0);
-        assert_eq!(s.stride(), 1);
+        assert_eq!(s.stride, 1);
         assert!(s.waveform(0).is_empty());
         let w = s.into_waveform();
         assert!(w.is_empty());
@@ -679,7 +668,7 @@ mod tests {
             csv.on_step_accepted(*t, x);
         }
         assert_eq!(csv.rows(), 3);
-        assert!(csv.io_error().is_none());
+        assert!(csv.error.is_none());
         let text = String::from_utf8(csv.finish().unwrap()).unwrap();
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("time,a,b"));
@@ -712,7 +701,7 @@ mod tests {
         bad.on_dc(0.0, &[1.0]);
         bad.on_step_accepted(1.0, &[1.0]);
         assert_eq!(bad.rows(), 0);
-        assert!(bad.io_error().is_some());
+        assert!(bad.error.is_some());
         assert!(bad.finish().is_err());
     }
 
@@ -763,10 +752,10 @@ mod tests {
 
         let mut csv = CsvObserver::new(FailingFlush, vec![Probe::new("a", 0)]);
         csv.on_step_accepted(1.0, &[2.0]);
-        assert!(csv.io_error().is_none());
+        assert!(csv.error.is_none());
         // on_finish latches the flush error instead of losing it...
         csv.on_finish(&[2.0], &RunStats::new());
-        assert!(csv.io_error().is_some());
+        assert!(csv.error.is_some());
         // ...and finish() hands exactly that error to the caller (the drop
         // that follows has nothing left to report).
         assert!(csv.finish().is_err());

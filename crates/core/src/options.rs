@@ -28,20 +28,6 @@ pub struct TransientOptions {
     pub newton_max_iterations: usize,
     /// Newton update norm below which the iteration is declared converged.
     pub newton_tolerance: f64,
-    /// Step shrink factor α applied on rejection (paper uses 1/2). ER and a
-    /// BE/TR LTE rejection shrink the attempted (clamped) step; a BE/TR
-    /// Newton failure shrinks the step size asked for before the clamp to
-    /// `h_max`, breakpoints and `t_stop`. Read, like `growth_factor`,
-    /// `easy_step_threshold` and `h_min`, only by the engines' one step
-    /// loop (`StepLoop::verdict` and `StepLoop::shrink`).
-    pub shrink_factor: f64,
-    /// Step growth factor β applied after easy steps (paper uses 2); the
-    /// next step asks for `min(h·β, h_max)`.
-    pub growth_factor: f64,
-    /// A step is "easy" (eligible for growth) if it needed at most this many
-    /// rejections (ER), or if its accepted attempt took at most this many
-    /// Newton iterations plus one with an LTE below `½·error_budget` (BE/TR).
-    pub easy_step_threshold: usize,
     /// Correction coefficient γ of the ER-C method (paper uses 0.1).
     pub correction_gamma: f64,
     /// Fill-reducing ordering used for every LU factorization.
@@ -49,9 +35,6 @@ pub struct TransientOptions {
     /// Optional bound on LU fill (`nnz(L) + nnz(U)`), emulating a memory
     /// budget. `None` means unlimited.
     pub fill_budget: Option<usize>,
-    /// Record the full state vector at every accepted step (in addition to
-    /// the probed nodes). Costs memory on large circuits.
-    pub record_full_states: bool,
 }
 
 impl Default for TransientOptions {
@@ -66,13 +49,9 @@ impl Default for TransientOptions {
             krylov_max_dimension: 120,
             newton_max_iterations: 30,
             newton_tolerance: 1e-9,
-            shrink_factor: 0.5,
-            growth_factor: 2.0,
-            easy_step_threshold: 1,
             correction_gamma: 0.1,
             ordering: OrderingMethod::default(),
             fill_budget: None,
-            record_full_states: false,
         }
     }
 }
@@ -102,8 +81,8 @@ impl TransientOptions {
         };
         // NaN-aware: a NaN value fails the `positive` test and is rejected.
         let positive = |v: f64| v > 0.0;
-        if !positive(self.t_stop) {
-            return fail("t_stop must be positive");
+        if !(positive(self.t_stop) && self.t_stop.is_finite()) {
+            return fail("t_stop must be positive and finite");
         }
         if !positive(self.h_init) || self.h_init > self.t_stop {
             return fail("h_init must be positive and no larger than t_stop");
@@ -117,12 +96,6 @@ impl TransientOptions {
         if !positive(self.error_budget) {
             return fail("error_budget must be positive");
         }
-        if !(positive(self.shrink_factor) && self.shrink_factor < 1.0) {
-            return fail("shrink_factor must lie in (0, 1)");
-        }
-        if self.growth_factor < 1.0 {
-            return fail("growth_factor must be at least 1");
-        }
         if self.newton_max_iterations == 0 {
             return fail("newton_max_iterations must be at least 1");
         }
@@ -130,21 +103,22 @@ impl TransientOptions {
     }
 }
 
-/// Options for the DC operating-point solver.
+/// Options for the DC operating-point solver; a session sets only the
+/// `ordering`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DcOptions {
+pub(crate) struct DcOptions {
     /// Maximum Newton iterations.
-    pub max_iterations: usize,
+    pub(crate) max_iterations: usize,
     /// Convergence tolerance on the update infinity norm.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Largest per-entry Newton update (simple damping that keeps exponential
     /// devices from overflowing).
-    pub max_update: f64,
+    pub(crate) max_update: f64,
     /// Fill-reducing ordering used for the Jacobian factorization.
-    pub ordering: OrderingMethod,
+    pub(crate) ordering: OrderingMethod,
     /// Levenberg-style diagonal damping added when the plain iteration
     /// diverges (a pragmatic stand-in for gmin stepping).
-    pub fallback_damping: f64,
+    pub(crate) fallback_damping: f64,
 }
 
 impl Default for DcOptions {
@@ -200,11 +174,7 @@ mod tests {
                 ..base.clone()
             },
             TransientOptions {
-                shrink_factor: 1.5,
-                ..base.clone()
-            },
-            TransientOptions {
-                growth_factor: 0.5,
+                t_stop: f64::INFINITY,
                 ..base.clone()
             },
             TransientOptions {

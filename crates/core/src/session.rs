@@ -44,7 +44,7 @@ use exi_krylov::MevpWorkspace;
 use exi_netlist::{circuit_fingerprint, Circuit, EvalPlan, EvalWorkspace};
 use exi_sparse::{LuWorkspace, OrderingMethod, SparseLu};
 
-use crate::dc::{dc_operating_point_internal, DcSolution};
+use crate::dc::{dc_operating_point, DcSolution};
 use crate::engines::er::ErStepper;
 use crate::engines::implicit::{ImplicitScheme, ImplicitStepper};
 use crate::engines::{resolve_probes, Engine, StepLoop, StepOutcome};
@@ -86,8 +86,8 @@ pub(crate) struct SessionCaches {
     pub(crate) ordering: Option<OrderingMethod>,
     /// Cross-session evaluation-plan pool. `None` for a standalone session;
     /// a [`crate::BatchRunner`] hands every worker session a clone of one
-    /// cache. Survives [`Simulator::reset_caches`] — it is a handle to
-    /// fleet-wide state, not session state.
+    /// cache. Survives a change of ordering — it is a handle to fleet-wide
+    /// state, not session state.
     pub(crate) shared_plans: Option<Arc<PlanCache>>,
 }
 
@@ -218,31 +218,17 @@ impl PlanCache {
 
     /// Returns the cached plan for `circuit`'s structure, compiling and
     /// publishing it on a miss. The second component is `true` when this
-    /// call performed the compilation. The cache lock is held across the
-    /// compile, so concurrent same-structure requests block instead of
-    /// duplicating the work.
+    /// call performed the compilation; the third is how long the call
+    /// waited to acquire the cache lock (close to zero for a warm lookup on
+    /// an uncontended cache), which a session charges to
+    /// [`RunStats::cache_wait`] so `active_solver_s` stays a pure compute
+    /// figure. The lock is held across the compile, so concurrent
+    /// same-structure requests block instead of duplicating the work.
     ///
     /// # Errors
     ///
     /// Propagates [`EvalPlan::compile`] errors (e.g. an empty circuit).
-    pub fn get_or_compile(&self, circuit: &Circuit) -> SimResult<(Arc<EvalPlan>, bool)> {
-        self.get_or_compile_timed(circuit)
-            .map(|(plan, compiled, _)| (plan, compiled))
-    }
-
-    /// As [`PlanCache::get_or_compile`], additionally reporting how long this
-    /// call waited to acquire the cache lock. A warm lookup on an
-    /// uncontended cache reports (close to) zero; the batch runner charges
-    /// the wait to [`RunStats::cache_wait`] so `active_solver_s` stays a
-    /// pure compute figure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalPlan::compile`] errors (e.g. an empty circuit).
-    pub fn get_or_compile_timed(
-        &self,
-        circuit: &Circuit,
-    ) -> SimResult<(Arc<EvalPlan>, bool, Duration)> {
+    pub fn get_or_compile(&self, circuit: &Circuit) -> SimResult<(Arc<EvalPlan>, bool, Duration)> {
         let key = circuit_fingerprint(circuit);
         let acquire = Instant::now();
         let mut state = self.lock();
@@ -333,17 +319,6 @@ impl<'c> Simulator<'c> {
         self
     }
 
-    /// The cross-session evaluation-plan cache this session pools with, if
-    /// any.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.caches.shared_plans.as_ref()
-    }
-
-    /// The circuit this session is bound to.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
-    }
-
     /// Cumulative statistics over every run (and the shared DC solve) this
     /// session performed. On an unchanged topology
     /// `session_stats().symbolic_analyses` stays at the value the first run
@@ -357,42 +332,39 @@ impl<'c> Simulator<'c> {
         self.completed_runs
     }
 
-    /// Drops every cached factor, workspace and the DC solution. The next run
-    /// pays for a fresh symbolic analysis — call this after mutating the
-    /// circuit between sessions if node/device structure changed. (A plan
-    /// cache attached via [`Simulator::with_plan_cache`] is a fleet-wide
-    /// handle and survives; it is keyed by the circuit's fingerprint, so a
-    /// changed circuit simply maps to a new entry.)
-    pub fn reset_caches(&mut self) {
-        self.caches = SessionCaches {
-            shared_plans: self.caches.shared_plans.take(),
-            ..SessionCaches::default()
-        };
-    }
-
     /// The DC operating point of the circuit, computed on first use and
-    /// cached for the lifetime of the session (default [`DcOptions`]).
+    /// cached for the lifetime of the session: the state every run of the
+    /// session starts from.
     ///
     /// # Errors
     ///
     /// Propagates DC Newton convergence and kernel errors.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use exi_netlist::{Circuit, Waveform};
+    /// use exi_sim::Simulator;
+    ///
+    /// # fn main() -> Result<(), exi_sim::SimError> {
+    /// let mut ckt = Circuit::new();
+    /// let a = ckt.node("a");
+    /// let b = ckt.node("b");
+    /// let gnd = ckt.node("0");
+    /// ckt.add_voltage_source("V1", a, gnd, Waveform::Dc(2.0))?;
+    /// ckt.add_resistor("R1", a, b, 1e3)?;
+    /// ckt.add_resistor("R2", b, gnd, 1e3)?;
+    /// let dc = Simulator::new(&ckt).dc()?;
+    /// assert!((dc.state[1] - 1.0).abs() < 1e-9); // resistive divider
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn dc(&mut self) -> SimResult<DcSolution> {
-        self.dc_with(&DcOptions::default())
-    }
-
-    /// As [`Simulator::dc`] with explicit options. The options only matter
-    /// for the first call of the session (a differing `ordering` drops the
-    /// caches, as on every entry point); later calls return the cached
-    /// solution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DC Newton convergence and kernel errors.
-    pub fn dc_with(&mut self, options: &DcOptions) -> SimResult<DcSolution> {
+        let options = DcOptions::default();
         self.ensure_ordering(options.ordering);
         // No transient run will ever absorb this solve's counters, so they
         // enter the session totals right here.
-        let stats = match self.ensure_dc(options) {
+        let stats = match self.ensure_dc(&options) {
             Ok(stats) => stats,
             Err(e) => return Err(e.attributed(self.circuit)),
         };
@@ -411,7 +383,12 @@ impl<'c> Simulator<'c> {
     fn ensure_ordering(&mut self, ordering: OrderingMethod) {
         if self.caches.ordering != Some(ordering) {
             if self.caches.ordering.is_some() {
-                self.reset_caches();
+                // Every cached factor, workspace and the DC solution go; the
+                // plan cache is a fleet-wide handle and survives.
+                self.caches = SessionCaches {
+                    shared_plans: self.caches.shared_plans.take(),
+                    ..SessionCaches::default()
+                };
             }
             self.caches.ordering = Some(ordering);
         }
@@ -424,7 +401,7 @@ impl<'c> Simulator<'c> {
         if self.caches.plan.is_none() {
             let plan = match &self.caches.shared_plans {
                 Some(pool) => {
-                    let (plan, compiled, waited) = pool.get_or_compile_timed(self.circuit)?;
+                    let (plan, compiled, waited) = pool.get_or_compile(self.circuit)?;
                     stats.cache_wait += waited;
                     if compiled {
                         stats.plan_compilations += 1;
@@ -448,7 +425,7 @@ impl<'c> Simulator<'c> {
     /// of a fresh solve — zeroed when the cached solution was reused. The
     /// caller decides where to charge them: [`Simulator::stepper`] folds them
     /// into the triggering run's statistics (absorbed into the session when
-    /// that run is), [`Simulator::dc_with`] absorbs them directly.
+    /// that run is), [`Simulator::dc`] absorbs them directly.
     fn ensure_dc(&mut self, options: &DcOptions) -> SimResult<RunStats> {
         let mut stats = RunStats::new();
         if self.caches.dc.is_some() {
@@ -468,7 +445,7 @@ impl<'c> Simulator<'c> {
         // The damped Jacobian `G + σI` has its own pattern and only exists
         // while a solve struggles: its factor lives for this solve and never
         // displaces the session's `G` factor.
-        let dc = dc_operating_point_internal(
+        let dc = dc_operating_point(
             self.circuit,
             plan,
             options,
@@ -487,7 +464,7 @@ impl<'c> Simulator<'c> {
     /// the DC operating point.
     ///
     /// The stepper auto-initializes on the first [`Engine::advance`] /
-    /// [`Engine::run_until`]; call [`SessionStepper::start`] (or
+    /// [`Engine::run_until`]; call its `start` (or
     /// [`Engine::init`] with a custom `(t0, x0)` checkpoint) to control when
     /// the initial [`Observer::on_dc`] event fires. While the stepper lives
     /// it exclusively borrows the session's caches; drop it before starting
@@ -555,7 +532,7 @@ impl<'c> Simulator<'c> {
     ) -> SimResult<TransientResult> {
         options.validate()?;
         let probes = resolve_probes(self.circuit, probe_names)?;
-        let mut observer = RecordingObserver::new(probes, options.record_full_states);
+        let mut observer = RecordingObserver::new(probes, false);
         self.transient_observed(method, options, &mut observer)?;
         Ok(observer.into_result())
     }
@@ -630,30 +607,14 @@ impl<'c> Simulator<'c> {
             });
             (outcome, stepper.finish(observer))
         };
-        match outcome {
-            Ok(None) => self.absorb_run(&stats),
-            _ => self.absorb_partial(&stats),
+        // A run's statistics already include the DC share it triggered (and
+        // only that run's do), so absorbing every run once keeps the totals
+        // exact; only a run that reached `t_stop` counts as completed.
+        self.session_stats.absorb(&stats);
+        if matches!(outcome, Ok(None)) {
+            self.completed_runs += 1;
         }
         Ok((stats, outcome.map_err(|e| e.attributed(circuit))?))
-    }
-
-    /// Folds a finished run's statistics into the session totals.
-    ///
-    /// Steppers obtained via [`Simulator::stepper`] borrow the session
-    /// exclusively, so their statistics must be absorbed once the stepper is
-    /// dropped; [`Simulator::transient_observed`] does this automatically.
-    /// A run's statistics already include the DC share it triggered (and only
-    /// that run's do), so absorbing every run once keeps the totals exact.
-    pub fn absorb_run(&mut self, run: &RunStats) {
-        self.absorb_partial(run);
-        self.completed_runs += 1;
-    }
-
-    /// As [`Simulator::absorb_run`] for a run that errored out mid-way: its
-    /// counters still enter the session totals (the work happened and its
-    /// cache mutations persist), but it does not count as a completed run.
-    pub fn absorb_partial(&mut self, run: &RunStats) {
-        self.session_stats.absorb(run);
     }
 }
 

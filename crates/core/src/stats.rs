@@ -295,8 +295,8 @@ impl RunStats {
     }
 
     /// Folds another run's counters into these (session totals): each field
-    /// merges by its [`Merge`] rule in [`RunStats::fields`] — counts and
-    /// times add up, peaks and concurrency keep the maximum.
+    /// merges by its rule in [`RunStats::fields`] — counts and times add up,
+    /// peaks and concurrency keep the maximum.
     pub fn absorb(&mut self, other: &RunStats) {
         let mut other = other.clone();
         for (mine, theirs) in self.fields().zip(other.fields()) {
@@ -331,7 +331,8 @@ impl RunStats {
     /// # Errors
     ///
     /// The name of the first field `lookup` has no value for, or whose value
-    /// does not fit ([`Slot::set`]).
+    /// does not fit: a count that is negative or fractional, a duration that
+    /// is negative or not finite.
     pub fn from_named(
         mut lookup: impl FnMut(&str) -> Option<f64>,
     ) -> Result<RunStats, &'static str> {

@@ -15,7 +15,7 @@ use crate::waveform::Waveform;
 /// `C(x)·dx/dt + f(x) = B·u(t)` with `C(x) = ∂q/∂x` and
 /// `G(x) = ∂f/∂x + gmin·(junction stamps)`: `G` also carries the `gmin`
 /// conductance stamp across every diode and every MOSFET's drain–source,
-/// which `f` carries no current for (see [`crate::devices`]).
+/// which `f` carries no current for.
 #[derive(Debug, Clone)]
 pub struct Evaluation {
     /// Capacitance/inductance Jacobian `C(x)`.
@@ -377,7 +377,7 @@ impl Circuit {
 
     /// Compiles a precompiled evaluation plan for this topology — the
     /// allocation-free restamping entry point of the hot loop (see
-    /// [`crate::plan`] for the full story).
+    /// [`EvalPlan`](crate::EvalPlan) for the pattern rule).
     ///
     /// The plan snapshots the devices and `gmin`: recompile after any
     /// mutation of the circuit.

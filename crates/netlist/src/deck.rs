@@ -30,7 +30,7 @@
 //! A deck with a subcircuit, a parameter and analysis cards:
 //!
 //! ```
-//! use exi_netlist::deck::{parse_deck, Analysis};
+//! use exi_netlist::{parse_deck, Analysis};
 //!
 //! # fn main() -> Result<(), exi_netlist::NetlistError> {
 //! let deck = parse_deck(
@@ -1162,7 +1162,10 @@ mod tests {
             .circuit
             .devices()
             .iter()
-            .map(|d| d.name().to_string())
+            .filter_map(|d| match d {
+                crate::Device::Resistor { name, .. } => Some(name.clone()),
+                _ => None,
+            })
             .collect();
         assert!(names.contains(&"Xp.X1.R1".to_string()), "{names:?}");
         assert!(names.contains(&"Xp.X2.R1".to_string()), "{names:?}");

@@ -49,7 +49,7 @@ impl DiodeModel {
     /// # Examples
     ///
     /// ```
-    /// use exi_netlist::devices::DiodeModel;
+    /// use exi_netlist::DiodeModel;
     ///
     /// let d = DiodeModel::default();
     /// let op = d.evaluate(0.0);

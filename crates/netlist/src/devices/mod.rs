@@ -23,8 +23,8 @@
 mod diode;
 mod mosfet;
 
-pub use diode::{DiodeModel, DiodeOperatingPoint};
-pub use mosfet::{MosfetModel, MosfetOperatingPoint, MosfetPolarity};
+pub use diode::DiodeModel;
+pub use mosfet::{MosfetModel, MosfetPolarity};
 
 use crate::node::NodeId;
 
@@ -117,19 +117,6 @@ pub enum Device {
 }
 
 impl Device {
-    /// Instance name of the device.
-    pub fn name(&self) -> &str {
-        match self {
-            Device::Resistor { name, .. }
-            | Device::Capacitor { name, .. }
-            | Device::Inductor { name, .. }
-            | Device::VoltageSource { name, .. }
-            | Device::CurrentSource { name, .. }
-            | Device::Diode { name, .. }
-            | Device::Mosfet { name, .. } => name,
-        }
-    }
-
     /// Returns `true` for devices whose stamps depend on the state vector.
     pub fn is_nonlinear(&self) -> bool {
         matches!(self, Device::Diode { .. } | Device::Mosfet { .. })

@@ -90,7 +90,7 @@ impl MosfetModel {
     /// # Examples
     ///
     /// ```
-    /// use exi_netlist::devices::MosfetModel;
+    /// use exi_netlist::MosfetModel;
     ///
     /// let m = MosfetModel::nmos();
     /// let off = m.evaluate(0.0, 1.0);

@@ -60,7 +60,8 @@ impl NetlistError {
     }
 
     /// The innermost error, unwrapping any [`NetlistError::Spec`] layers.
-    pub fn root_cause(&self) -> &NetlistError {
+    #[cfg(test)]
+    pub(crate) fn root_cause(&self) -> &NetlistError {
         match self {
             NetlistError::Spec { source, .. } => source.root_cause(),
             other => other,

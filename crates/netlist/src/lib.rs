@@ -40,11 +40,11 @@
 //! ```
 //!
 //! Or parse a SPICE deck — subcircuits, `.param` substitution and analysis
-//! cards included — with [`deck::parse_deck`] / [`deck::parse_deck_file`]
-//! (the plain [`parse_netlist`] returns just the flattened [`Circuit`]):
+//! cards included — with [`parse_deck`] / [`parse_deck_file`] (the
+//! flattened [`Circuit`] is the deck's `circuit`):
 //!
 //! ```
-//! use exi_netlist::deck::parse_deck;
+//! use exi_netlist::parse_deck;
 //!
 //! # fn main() -> Result<(), exi_netlist::NetlistError> {
 //! let deck = parse_deck(
@@ -63,15 +63,15 @@
 
 #![deny(missing_docs)]
 
-pub mod circuit;
-pub mod deck;
-pub mod devices;
-pub mod error;
+mod circuit;
+mod deck;
+mod devices;
+mod error;
 pub mod generators;
-pub mod node;
-pub mod parser;
-pub mod plan;
-pub mod waveform;
+mod node;
+mod parser;
+mod plan;
+mod waveform;
 
 pub use circuit::{Circuit, Evaluation};
 pub use deck::{
@@ -79,8 +79,7 @@ pub use deck::{
     Deck,
 };
 pub use devices::{Device, DiodeModel, MosfetModel, MosfetPolarity};
-pub use error::{NetlistError, NetlistResult};
+pub use error::NetlistError;
 pub use node::NodeId;
-pub use parser::{parse_netlist, parse_value};
 pub use plan::{circuit_fingerprint, EvalPlan, EvalWorkspace};
 pub use waveform::Waveform;

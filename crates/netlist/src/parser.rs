@@ -20,46 +20,10 @@
 use std::collections::HashMap;
 
 use crate::circuit::Circuit;
-use crate::deck::parse_deck;
 use crate::devices::{DiodeModel, MosfetModel};
 use crate::error::{NetlistError, NetlistResult};
 use crate::node::is_ground_name;
 use crate::waveform::Waveform;
-
-/// Parses a netlist string into a [`Circuit`], ignoring analysis cards.
-///
-/// This is the historical entry point, kept as a thin wrapper over the full
-/// deck front-end: it accepts everything [`crate::deck::parse_deck`] accepts
-/// (including `.subckt`/`.ends` definitions with `X` instantiation and
-/// `.param` substitution) and returns only the flattened circuit, discarding
-/// `.tran`/`.op`/`.print` cards. Use [`crate::deck::parse_deck`] when the
-/// analysis cards matter (the `exi-cli` front-end does).
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Parse`] with a line number for any malformed line,
-/// and propagates device-construction errors (duplicates, invalid values).
-///
-/// # Examples
-///
-/// ```
-/// use exi_netlist::parse_netlist;
-///
-/// # fn main() -> Result<(), exi_netlist::NetlistError> {
-/// let ckt = parse_netlist(
-///     "* rc low-pass\n\
-///      Vin in 0 PULSE(0 1 0 1n 1n 5n 20n)\n\
-///      R1 in out 1k\n\
-///      C1 out 0 1p\n\
-///      .end\n",
-/// )?;
-/// assert_eq!(ckt.num_unknowns(), 3);
-/// # Ok(())
-/// # }
-/// ```
-pub fn parse_netlist(text: &str) -> NetlistResult<Circuit> {
-    Ok(parse_deck(text)?.circuit)
-}
 
 /// Name-resolution scope for element lines expanded from a subcircuit body.
 ///
@@ -350,6 +314,12 @@ fn function_args(token: &str, name: &str) -> Option<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deck::parse_deck;
+
+    /// The flattened circuit of a deck, analysis cards dropped.
+    fn parse_netlist(text: &str) -> NetlistResult<Circuit> {
+        Ok(parse_deck(text)?.circuit)
+    }
 
     #[test]
     fn values_with_suffixes() {

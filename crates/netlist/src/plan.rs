@@ -1,38 +1,6 @@
 //! Precompiled evaluation plans: allocation-free device restamping onto a
-//! sparsity pattern that is fixed when the plan is compiled.
-//!
-//! # The pattern rule
-//!
-//! **A matrix pattern depends on the circuit — topology and parameter
-//! values — never on the state `x` or the step `h`.** Every cell of `G(x)`
-//! and `C(x)` that any device can write exists from compilation on:
-//!
-//! * A **constant** stamp (resistors, capacitors, inductors, sources, the
-//!   `gmin` and junction/overlap capacitances of the nonlinear devices) is
-//!   summed into its cell at compile time. A constant that is exactly `0.0`
-//!   (`gmin = 0`, a diode without junction capacitance) stamps nothing, and
-//!   duplicate constants that cancel to exactly `0.0` leave no cell: both are
-//!   properties of the circuit's parameter values, so dropping them keeps the
-//!   rule — and keeps linear circuits on the pattern they always had.
-//! * A **nonlinear slot** — one conductance entry a diode or MOSFET rewrites
-//!   per evaluation — is always a cell, explicit zero included: a MOSFET in
-//!   cut-off (`gm == gds == 0.0`) stamps `0.0` into cells that stay in the
-//!   matrix.
-//!
-//! One symbolic LU analysis per matrix role therefore serves a whole run
-//! (and, through a session, every later run): nothing downstream re-derives
-//! structure from values. The other half of the rule is that a linear
-//! combination of two matrices has the structural union of their patterns
-//! ([`CsrMatrix::linear_combination`]), so the implicit engines' `C/h + θ·G`
-//! is fixed too: they merge the two patterns once
-//! ([`exi_sparse::CombinationMap`]) and refill only values per iteration.
-//!
-//! [`EvalPlan::evaluate_into`] restamps into caller-owned buffers: flat
-//! copies of the compiled pattern and constant values, then one scatter-add
-//! per nonlinear slot ([`EvalPlan::nonlinear_stamp_count`]) — no COO, no
-//! sort, and, once the buffers have warmed up, no allocation
-//! ([`EvalWorkspace::allocations`] counts the warm-ups so regressions are
-//! observable).
+//! sparsity pattern that is fixed when the plan is compiled ([`EvalPlan`]
+//! states the pattern rule).
 //!
 //! # One stamp per device, checked against calculus
 //!
@@ -182,8 +150,40 @@ fn restore(src: &CsrMatrix, out: &mut CsrMatrix, allocs: &mut usize) {
 /// Compile with [`Circuit::compile_plan`]; restamp with
 /// [`EvalPlan::evaluate_into`]. The plan snapshots the circuit's devices and
 /// `gmin`, so it is invalidated by **any** circuit mutation — recompile
-/// after adding devices or changing parameters. See the [module
-/// docs](self) for the pattern rule.
+/// after adding devices or changing parameters.
+///
+/// # The pattern rule
+///
+/// **A matrix pattern depends on the circuit — topology and parameter
+/// values — never on the state `x` or the step `h`.** Every cell of `G(x)`
+/// and `C(x)` that any device can write exists from compilation on:
+///
+/// * A **constant** stamp (resistors, capacitors, inductors, sources, the
+///   `gmin` and junction/overlap capacitances of the nonlinear devices) is
+///   summed into its cell at compile time. A constant that is exactly `0.0`
+///   (`gmin = 0`, a diode without junction capacitance) stamps nothing, and
+///   duplicate constants that cancel to exactly `0.0` leave no cell: both are
+///   properties of the circuit's parameter values, so dropping them keeps the
+///   rule — and keeps linear circuits on the pattern they always had.
+/// * A **nonlinear slot** — one conductance entry a diode or MOSFET rewrites
+///   per evaluation — is always a cell, explicit zero included: a MOSFET in
+///   cut-off (`gm == gds == 0.0`) stamps `0.0` into cells that stay in the
+///   matrix.
+///
+/// One symbolic LU analysis per matrix role therefore serves a whole run
+/// (and, through a session, every later run): nothing downstream re-derives
+/// structure from values. The other half of the rule is that a linear
+/// combination of two matrices has the structural union of their patterns
+/// ([`CsrMatrix::linear_combination`]), so the implicit engines' `C/h + θ·G`
+/// is fixed too: they merge the two patterns once
+/// ([`exi_sparse::CombinationMap`]) and refill only values per iteration.
+///
+/// [`EvalPlan::evaluate_into`] restamps into caller-owned buffers: flat
+/// copies of the compiled pattern and constant values, then one scatter-add
+/// per nonlinear slot ([`EvalPlan::nonlinear_stamp_count`]) — no COO, no
+/// sort, and, once the buffers have warmed up, no allocation
+/// ([`EvalWorkspace::allocations`] counts the warm-ups so regressions are
+/// observable).
 ///
 /// # Examples
 ///

@@ -195,6 +195,31 @@ impl Waveform {
         out
     }
 
+    /// At least as many as [`Waveform::breakpoints`] lists up to `t_end`,
+    /// counted without building the list: a pulse counts four corners for
+    /// every period that starts by `t_end`, and a periodic pulse with no end
+    /// in sight counts `usize::MAX`.
+    pub fn breakpoint_count(&self, t_end: f64) -> usize {
+        match self {
+            Waveform::Dc(_) => 0,
+            Waveform::Pulse { delay, period, .. } => {
+                if t_end < *delay {
+                    0
+                } else if period.is_finite() && *period > 0.0 {
+                    // A float-to-integer cast saturates: +∞ is usize::MAX.
+                    (4.0 * (((t_end - delay) / period).floor() + 1.0)) as usize
+                } else {
+                    4
+                }
+            }
+            Waveform::Pwl(points) => points
+                .iter()
+                .filter(|&&(t, _)| t >= 0.0 && t <= t_end)
+                .count(),
+            Waveform::Sine { delay, .. } => usize::from(*delay > 0.0 && *delay <= t_end),
+        }
+    }
+
     /// Whether the waveform is linear in `t` between consecutive
     /// [`Waveform::breakpoints`] — everything but the sinusoid. On such a
     /// piece `u(t + h) − u(t)` is proportional to `h` whatever `t` is, which
@@ -266,6 +291,47 @@ mod tests {
         assert_eq!(w.value(1.5e-9), 0.0);
         let bp = w.breakpoints(4e-9);
         assert!(bp.len() >= 8);
+    }
+
+    #[test]
+    fn breakpoint_counts_match_the_lists() {
+        let pulse = |delay, period| Waveform::Pulse {
+            v1: 0.0,
+            v2: 1.0,
+            delay,
+            rise: 1e-10,
+            fall: 1e-10,
+            width: 4e-10,
+            period,
+        };
+        let sine = Waveform::Sine {
+            offset: 0.0,
+            amplitude: 1.0,
+            frequency: 1e9,
+            delay: 1e-9,
+            damping: 0.0,
+        };
+        for (w, t_end) in [
+            (Waveform::Dc(1.0), 1.0),
+            (pulse(0.0, 2e-9), 5.5e-9),
+            (pulse(3e-9, 2e-9), 1e-9),
+            (pulse(1e-9, f64::INFINITY), 5e-9),
+            (Waveform::Pwl(vec![(0.0, 0.0), (1.0, 2.0), (3.0, 1.0)]), 2.0),
+            (sine, 2e-9),
+        ] {
+            assert_eq!(
+                w.breakpoint_count(t_end),
+                w.breakpoints(t_end).len(),
+                "{w:?}"
+            );
+        }
+        // A period cut short by `t_end` still counts all four corners.
+        assert_eq!(pulse(0.0, 2e-9).breakpoints(4e-9).len(), 9);
+        assert_eq!(pulse(0.0, 2e-9).breakpoint_count(4e-9), 12);
+        // 5e10 periods of 20 ns in 1000 s, and no end at all.
+        assert_eq!(pulse(0.0, 2e-8).breakpoint_count(1000.0), 200_000_000_004);
+        assert_eq!(pulse(0.0, 2e-8).breakpoint_count(f64::INFINITY), usize::MAX);
+        assert_eq!(pulse(0.0, f64::INFINITY).breakpoint_count(f64::INFINITY), 4);
     }
 
     #[test]

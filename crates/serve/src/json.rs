@@ -7,7 +7,7 @@
 //! finite numbers, booleans and `null`; no comments, no trailing commas,
 //! and numbers round-trip through `f64`. Waveform values never pass through
 //! this number path: they travel as preformatted 17-significant-digit
-//! *strings* (see [`crate::protocol`]), so bit-identity cannot depend on
+//! *strings* (see [`crate::Response`]), so bit-identity cannot depend on
 //! anyone's float parser.
 
 use std::fmt::Write as _;

@@ -14,22 +14,23 @@
 //! matrices: its bytes never depend on what the daemon served before.
 //!
 //! Everything is `std`-only: the wire format is hand-rolled length-prefixed
-//! newline-JSON ([`protocol`]), the transport is [`std::net::TcpListener`],
-//! and concurrency is `Mutex`/`Condvar` ([`queue`]) plus scoped threads.
+//! newline-JSON ([`read_frame`]/[`write_frame`]), the transport is
+//! [`std::net::TcpListener`], and concurrency is `Mutex`/`Condvar` (a
+//! bounded job queue) plus scoped threads.
 //!
 //! The moving parts:
 //!
-//! * [`protocol`] — frames, [`Request`]/[`Response`], and the bit-identity
+//! * `protocol` — frames, [`Request`]/[`Response`], and the bit-identity
 //!   contract (waveform values travel as preformatted 17-digit strings).
-//! * [`queue`] — the bounded FIFO with `busy` backpressure and
+//! * `queue` — the bounded FIFO with `busy` backpressure and
 //!   close-and-drain shutdown.
-//! * [`server`] — [`Server`]: accept loop, per-connection handlers, worker
+//! * `server` — [`Server`]: accept loop, per-connection handlers, worker
 //!   pool, the socket-backed streaming `Observer`, per-job deadlines and
 //!   wire cancellation on the `CancelToken` contract (cancelled jobs stream
 //!   a bit-exact prefix of the uncancelled run).
-//! * [`client`] — [`Client`]: the blocking client library behind
+//! * `client` — [`Client`]: the blocking client library behind
 //!   `exi-cli client`.
-//! * [`stats`] — [`ServerStats`]: the consistent observability snapshot a
+//! * `stats` — [`ServerStats`]: the consistent observability snapshot a
 //!   `stats` request returns (job counters, queue state, cache residency).
 //! * `wirefault` *(feature `wire-fault-injection`)* — deterministic
 //!   wire-level fault injection for chaos tests: truncated frames,
@@ -92,19 +93,18 @@
 
 #![deny(missing_docs)]
 
-pub mod client;
+mod client;
 pub mod json;
-pub mod protocol;
-pub mod queue;
-pub mod server;
-pub mod stats;
+mod protocol;
+mod queue;
+mod server;
+mod stats;
 #[cfg(feature = "wire-fault-injection")]
 pub mod wirefault;
 
 pub use client::{Client, ClientError, RunEnd};
 pub use protocol::{
-    method_name, parse_method, read_frame, write_frame, FrameError, Request, Response, RunRequest,
+    read_frame, write_frame, Request, Response, RunRequest, DEFAULT_MAX_FRAME_BYTES,
 };
-pub use queue::{JobQueue, PushError};
 pub use server::{JobBudget, OverloadConfig, ServeConfig, Server};
 pub use stats::ServerStats;

@@ -97,10 +97,10 @@ pub fn write_frame(w: &mut dyn Write, json: &str) -> std::io::Result<()> {
 ///
 /// # Errors
 ///
-/// [`FrameError::Oversized`] when the declared length exceeds `max_bytes`
+/// `FrameError::Oversized` when the declared length exceeds `max_bytes`
 /// (nothing beyond the length line has been consumed);
-/// [`FrameError::Malformed`] for a non-decimal length line or a missing
-/// trailing newline; [`FrameError::Io`] for transport failures.
+/// `FrameError::Malformed` for a non-decimal length line or a missing
+/// trailing newline; `FrameError::Io` for transport failures.
 pub fn read_frame(r: &mut dyn BufRead, max_bytes: usize) -> Result<Option<String>, FrameError> {
     let mut len_line = String::new();
     // Bound the length line itself: 20 digits covers u64, anything longer

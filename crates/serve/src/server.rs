@@ -930,21 +930,36 @@ struct Footprint {
 /// Estimates a deck's resource footprint from its circuit and `.tran` card.
 /// The nnz estimate is structural: each device or branch couples a bounded
 /// number of unknown pairs (4 covers every two-terminal stamp plus the
-/// diagonal contributions of MNA branch rows).
+/// diagonal contributions of MNA branch rows). The declared steps are
+/// `⌈stop/step⌉` or, if more, the sources' breakpoints up to `stop`: every
+/// breakpoint forces a step (and a list entry) of its own. A stop with no
+/// end counts `usize::MAX`.
 fn estimate_footprint(deck: &Deck, analysis: &Analysis) -> Footprint {
     let circuit = &deck.circuit;
     let unknowns = circuit.num_unknowns();
     let est_nnz = 4 * (circuit.num_devices() + circuit.num_branches()) + unknowns;
     let declared_steps = match analysis {
-        Analysis::Tran { step, stop, .. } if *step > 0.0 && stop.is_finite() => {
-            let ratio = (stop / step).ceil();
-            if ratio.is_finite() && ratio >= 0.0 {
+        Analysis::Tran { step, stop, .. } if stop.is_finite() => {
+            let ratio = if *step > 0.0 {
+                (stop / step).ceil()
+            } else {
+                0.0
+            };
+            // A float-to-integer cast saturates: +∞ is usize::MAX.
+            let steps = if ratio >= 0.0 {
                 ratio as usize
             } else {
                 usize::MAX
-            }
+            };
+            let breakpoints = circuit
+                .sources()
+                .iter()
+                .map(|(_, w)| w.breakpoint_count(*stop))
+                .fold(0, usize::saturating_add);
+            steps.max(breakpoints)
         }
-        _ => 0,
+        Analysis::Tran { .. } => usize::MAX,
+        Analysis::OperatingPoint => 0,
     };
     Footprint {
         unknowns,
@@ -1434,6 +1449,31 @@ mod tests {
         assert_eq!(footprint.unknowns, deck.circuit.num_unknowns());
         assert_eq!(footprint.declared_steps, 100);
         assert!(footprint.est_nnz >= footprint.unknowns);
+    }
+
+    /// The declared steps of `.tran <card>` on an RC driven by a 20 ns
+    /// PULSE.
+    fn declared_steps(card: &str) -> usize {
+        let deck = parse_deck(&format!(
+            "V1 in 0 PULSE(0 1 0 1n 1n 5n 20n)\nR1 in out 1k\nC1 out 0 1f\n.tran {card}\n"
+        ))
+        .expect("parse");
+        estimate_footprint(&deck, &deck.analyses[0]).declared_steps
+    }
+
+    #[test]
+    fn footprint_counts_the_steps_breakpoints_force() {
+        // 1e6 steps by the card, but the PULSE lists 4 corners for each of
+        // its 5e10 periods in 1000 s.
+        let steps = declared_steps("1m 1000");
+        assert!(steps >= 200_000_000_000, "{steps}");
+        // Few breakpoints leave the card's count.
+        assert_eq!(declared_steps("1p 100p"), 100);
+    }
+
+    #[test]
+    fn footprint_of_a_stop_that_overflows_is_unbounded() {
+        assert_eq!(declared_steps("1p 1e999"), usize::MAX);
     }
 
     #[test]

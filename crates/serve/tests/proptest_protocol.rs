@@ -6,8 +6,9 @@
 
 use std::io::BufReader;
 
-use exi_serve::protocol::DEFAULT_MAX_FRAME_BYTES;
-use exi_serve::{read_frame, write_frame, Request, Response, RunRequest, ServerStats};
+use exi_serve::{
+    read_frame, write_frame, Request, Response, RunRequest, ServerStats, DEFAULT_MAX_FRAME_BYTES,
+};
 use exi_sim::RunStats;
 use proptest::prelude::*;
 

@@ -16,13 +16,13 @@
 
 use std::path::PathBuf;
 
-use exi_cli::{analysis_options, run_deck, RunConfig};
+use exi_cli::{run_deck, RunConfig};
 use exi_netlist::generators::{
     coupled_lines, inverter_chain, power_grid, rc_ladder, CoupledLinesSpec, InverterChainSpec,
     PowerGridSpec, RcLadderSpec,
 };
 use exi_netlist::{circuit_fingerprint, parse_deck_file, Analysis, Circuit, Deck};
-use exi_sim::{Method, RunStats, Simulator, TransientResult};
+use exi_sim::{analysis_options, Method, RunStats, Simulator, TransientResult};
 
 /// One fixture: a generator circuit plus the `.tran` card and probes its
 /// deck carries.
@@ -381,4 +381,31 @@ fn cli_argv_path_writes_an_output_file() {
     assert!(text.starts_with("time,g_1_1,g_2_2\n"));
     assert!(text.lines().count() > 5);
     std::fs::remove_file(&out_file).ok();
+}
+
+/// A `.tran` stop that overflows to +∞ is invalid options (exit 4), caught
+/// before a periodic PULSE lists its breakpoints without end.
+#[test]
+fn an_infinite_stop_time_is_rejected_as_invalid_options() {
+    let deck = exi_netlist::parse_deck(
+        "V1 in 0 PULSE(0 1 0 10p 10p 200p 1n)\n\
+         R1 in out 1k\n\
+         C1 out 0 1f\n\
+         .tran 1p 1e999\n\
+         .print v(out)\n",
+    )
+    .expect("deck parses");
+    assert!(matches!(
+        deck.analyses[0],
+        Analysis::Tran { stop, .. } if stop == f64::INFINITY
+    ));
+    let err = run_deck(&deck, &RunConfig::default(), &mut Vec::new()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            exi_cli::CliError::Sim(exi_sim::SimError::InvalidOptions { .. })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(err.exit_code(), 4);
 }

@@ -335,11 +335,11 @@ fn stiff_chain() -> Circuit {
 }
 
 /// Options ER cannot satisfy: a fixed step with an unreachable error
-/// budget. ER rejects the nonlinear error estimate and underflows the step
-/// floor.
+/// budget. ER rejects the nonlinear error estimate on the input's rising
+/// edge (at 1e-10 s) and underflows the step floor.
 fn impossible_for_er() -> TransientOptions {
     TransientOptions {
-        t_stop: 5e-11,
+        t_stop: 2e-10,
         h_init: 2e-11,
         h_min: 2e-11,
         h_max: 2e-11,
@@ -357,8 +357,10 @@ fn er_underflow_surfaces_as_step_size_underflow() {
     let err = sim
         .transient(Method::ExponentialRosenbrock, &impossible_for_er(), &["s1"])
         .unwrap_err();
+    // On the edge, a whole step of `h_min` short of `t_stop`: the
+    // estimate's rejection, not the end of the run.
     assert!(
-        matches!(err, SimError::StepSizeUnderflow { .. }),
+        matches!(err, SimError::StepSizeUnderflow { time, step } if time < 1.5e-10 && step == 1e-11),
         "got {err:?}"
     );
 }

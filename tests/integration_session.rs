@@ -65,7 +65,6 @@ fn paused_and_resumed_er_run_is_bit_identical() {
         // Final resume through run_to_end — it counts as a resume too.
         stepper.run_to_end(&mut observer).unwrap()
     };
-    sim.absorb_run(&stats);
     let resumed = observer.into_result();
 
     assert_eq!(stats.resumed_runs, 2, "{stats:?}");
@@ -553,5 +552,46 @@ fn a_breakpoint_sliver_does_not_fail_the_step() {
                 x[i_out]
             );
         }
+    }
+}
+
+/// A run whose steps end less than `h_min` short of `t_stop` has reached
+/// it. Started 6e-19 s before a PWL corner, TRNR's steps sum to 5.7e-19 s
+/// short of `t_stop` (far inside `h_min` = 1e-16, far outside the
+/// `1e-12·t_stop` guard): the run finishes there, on every engine, instead
+/// of failing with a last step below `h_min`.
+#[test]
+fn a_run_that_ends_a_hair_short_of_t_stop_finishes() {
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let out = ckt.node("out");
+    let gnd = ckt.node("0");
+    ckt.add_voltage_source(
+        "Vin",
+        vin,
+        gnd,
+        Waveform::Pwl(vec![(0.0, 0.0), (1e-10, 1.0), (3e-10, 0.5)]),
+    )
+    .unwrap();
+    ckt.add_resistor("R1", vin, out, 1e3).unwrap();
+    ckt.add_capacitor("C1", out, gnd, 1e-13).unwrap();
+    let options = TransientOptions {
+        t_stop: 5e-10,
+        h_max: 2e-11,
+        h_min: 1e-16,
+        ..TransientOptions::default()
+    };
+    let x0 = Simulator::new(&ckt).dc().unwrap().state;
+    for method in Method::all() {
+        let mut sim = Simulator::new(&ckt);
+        let mut stepper = sim.stepper(method, &options).unwrap();
+        stepper.init(1e-10 - 6e-19, &x0, &mut NullObserver).unwrap();
+        let stats = stepper
+            .run_to_end(&mut NullObserver)
+            .unwrap_or_else(|e| panic!("{method}: {e}"));
+        assert!(stats.accepted_steps > 0, "{method}");
+        assert!(stepper.is_finished(), "{method}");
+        let short = options.t_stop - stepper.time();
+        assert!(short < options.h_min, "{method}: {short:e} short of t_stop");
     }
 }

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: netlist parsing → MNA assembly → DC and
 //! transient analysis, checked against analytic solutions.
 
-use exi_netlist::{parse_netlist, Circuit, Waveform};
-use exi_sim::{dc_operating_point, DcOptions, Method, Simulator, TransientOptions};
+use exi_netlist::{parse_deck, Circuit, Waveform};
+use exi_sim::{Method, Simulator, TransientOptions};
 
 /// RC charging through a ramp source, compared with the analytic response at
 /// the accepted time points of each method.
@@ -46,7 +46,7 @@ fn rc_charging_matches_analytic_solution_for_all_methods() {
 /// The parser, stamping and simulator cooperate end to end on a textual netlist.
 #[test]
 fn parsed_netlist_simulates_end_to_end() {
-    let ckt = parse_netlist(
+    let ckt = parse_deck(
         "* parsed rc ladder\n\
          Vin in 0 PULSE(0 1 0.1n 0.05n 0.05n 2n 10n)\n\
          R1 in n1 500\n\
@@ -57,7 +57,8 @@ fn parsed_netlist_simulates_end_to_end() {
          C3 out 0 0.2p\n\
          .end\n",
     )
-    .unwrap();
+    .unwrap()
+    .circuit;
     let options = TransientOptions {
         t_stop: 2e-9,
         h_init: 1e-12,
@@ -93,7 +94,7 @@ fn dc_point_is_a_transient_fixed_point() {
         .unwrap();
     ckt.add_capacitor("C1", d, gnd, 1e-13).unwrap();
 
-    let dc = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
+    let dc = Simulator::new(&ckt).dc().unwrap();
     let options = TransientOptions {
         t_stop: 1e-9,
         h_init: 1e-12,
