@@ -1,22 +1,14 @@
 //! Fig. 2 reproduction: waveform accuracy of BENR, ER and ER-C against a
-//! fine-step reference on a stiff inverter chain, plus a γ ablation for the
-//! ER-C correction term (DESIGN.md ablation B).
+//! fine-step reference on a stiff inverter chain.
 //!
-//! Usage: `cargo run --release -p exi-bench --bin fig2 [stages] [--gamma-sweep]`
+//! Usage: `cargo run --release -p exi-bench --bin fig2 [stages]`
 
 use exi_bench::{arg_or_exit, TextTable};
 use exi_sim::{Method, Simulator, TransientOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let gamma_sweep = args.iter().any(|a| a == "--gamma-sweep");
-    let stages: usize = arg_or_exit(
-        args.iter()
-            .map(String::as_str)
-            .find(|a| *a != "--gamma-sweep"),
-        6,
-        "fig2 [stages] [--gamma-sweep]",
-    );
+    let stages: usize = arg_or_exit(args.first().map(String::as_str), 6, "fig2 [stages]");
 
     let circuit = exi_bench::fig2_circuit(stages).expect("fig2 circuit generation");
     let observed = format!("s{stages}");
@@ -49,8 +41,8 @@ fn main() {
     println!("Fig. 2 reproduction: accuracy on a {stages}-stage inverter chain (node {observed})");
     println!("reference: BENR @ h = {:.0e} s\n", reference_options.h_init);
 
-    // One session serves the reference, all compared methods and the gamma
-    // sweep: the DC solution and LU caches are shared across every run.
+    // One session serves the reference and all compared methods: the DC
+    // solution and LU caches are shared across every run.
     let mut sim = Simulator::new(&circuit);
     let reference = sim
         .transient(Method::BackwardEuler, &reference_options, &probes)
@@ -84,24 +76,4 @@ fn main() {
     println!();
     println!("Expected shape (paper Fig. 2): ER and ER-C track the reference more closely than");
     println!("BENR at the same step; ER-C holds its accuracy even at twice the step size.");
-
-    if gamma_sweep {
-        println!("\nAblation B: effect of the correction coefficient gamma (ER-C)");
-        let mut table = TextTable::new(vec!["gamma", "max err (V)", "rms err (V)"]);
-        for gamma in [0.0, 0.05, 0.1, 0.2, 0.5] {
-            let options = TransientOptions {
-                correction_gamma: gamma,
-                ..erc_options.clone()
-            };
-            let result = sim
-                .transient(Method::ExponentialRosenbrockCorrected, &options, &probes)
-                .expect("gamma sweep run");
-            table.add_row(vec![
-                format!("{gamma:.2}"),
-                format!("{:.4}", result.max_error_vs(&reference, p)),
-                format!("{:.4}", result.rms_error_vs(&reference, p)),
-            ]);
-        }
-        print!("{table}");
-    }
 }

@@ -101,6 +101,9 @@ const NEGLIGIBLE_NORM: f64 = 1e-300;
 /// (docs/PERFORMANCE.md, "What the estimator needs").
 const ESTIMATOR_FRACTION: f64 = 0.1;
 
+/// The correction coefficient γ of ER-C's Eq. (25), the paper's 0.1.
+const CORRECTION_GAMMA: f64 = 0.1;
+
 /// A Krylov subspace of one step together with the product `e^{hJ}·v` its
 /// build already paid for.
 #[derive(Debug)]
@@ -192,7 +195,6 @@ enum Residual {
 #[derive(Debug, Clone, Copy)]
 struct KrylovCounters {
     allocations: usize,
-    dense_allocations: usize,
     residual_tests: usize,
     exponentials: usize,
 }
@@ -201,7 +203,6 @@ impl KrylovCounters {
     fn of(ws: &MevpWorkspace) -> Self {
         KrylovCounters {
             allocations: ws.allocations(),
-            dense_allocations: ws.dense_allocations(),
             residual_tests: ws.residual_tests(),
             exponentials: ws.small_dense_exponentials(),
         }
@@ -344,7 +345,6 @@ impl Stepper for ErStepper {
         );
         let stats = &mut run.stats;
         stats.krylov_workspace_allocations = now.allocations - then.allocations;
-        stats.dense_workspace_allocations = now.dense_allocations - then.dense_allocations;
         stats.krylov_residual_tests = now.residual_tests - then.residual_tests;
         stats.small_dense_exponentials = now.exponentials - then.exponentials;
     }
@@ -628,7 +628,7 @@ impl ErStepper {
             // D_k = −γ·(φ₁(hJ) − I)·w₃  (Eq. 25); x_{k+1,c} = x_{k+1} − D_k.
             dec.decomposition.eval_phi_in(1, h, &mut self.kry, ws)?;
             for i in 0..n {
-                self.candidate[i] += run.options.correction_gamma * (self.kry[i] - est.w3[i]);
+                self.candidate[i] += CORRECTION_GAMMA * (self.kry[i] - est.w3[i]);
             }
         }
         if let Some(dec) = est.subspace.take() {

@@ -134,7 +134,6 @@ pub(crate) struct StepLoop<'a, M> {
     h: f64,
     finished: bool,
     finalized: bool,
-    assembly_alloc_baseline: usize,
 }
 
 impl<'a, M: Stepper> StepLoop<'a, M> {
@@ -149,7 +148,6 @@ impl<'a, M: Stepper> StepLoop<'a, M> {
         method: impl FnOnce(&Run<'a>) -> SimResult<M>,
     ) -> SimResult<Self> {
         let plan = caches.plan.clone().expect("session compiled the plan");
-        let assembly_alloc_baseline = caches.eval_ws.allocations();
         let run = Run {
             circuit,
             caches,
@@ -171,7 +169,6 @@ impl<'a, M: Stepper> StepLoop<'a, M> {
             h: 0.0,
             finished: true, // until init() places the stepper
             finalized: false,
-            assembly_alloc_baseline,
         })
     }
 
@@ -356,8 +353,6 @@ impl<M: Stepper> Engine for StepLoop<'_, M> {
         if !self.finalized {
             self.finalized = true;
             self.method.finalize(&mut self.run);
-            self.run.stats.assembly_workspace_allocations =
-                self.run.caches.eval_ws.allocations() - self.assembly_alloc_baseline;
             self.run.stats.observer_callbacks += 1;
             observer.on_finish(&self.run.x, &self.run.stats);
         }

@@ -53,13 +53,6 @@ pub struct FaultSpec {
     pub panic_at_step: Option<usize>,
 }
 
-impl FaultSpec {
-    /// `true` when the spec injects nothing.
-    pub fn is_empty(&self) -> bool {
-        *self == FaultSpec::default()
-    }
-}
-
 /// Faults armed per job label, waiting for a worker to install them.
 static ARMED: Mutex<Option<HashMap<String, FaultSpec>>> = Mutex::new(None);
 

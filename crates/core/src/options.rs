@@ -28,8 +28,6 @@ pub struct TransientOptions {
     pub newton_max_iterations: usize,
     /// Newton update norm below which the iteration is declared converged.
     pub newton_tolerance: f64,
-    /// Correction coefficient γ of the ER-C method (paper uses 0.1).
-    pub correction_gamma: f64,
     /// Fill-reducing ordering used for every LU factorization.
     pub ordering: OrderingMethod,
     /// Optional bound on LU fill (`nnz(L) + nnz(U)`), emulating a memory
@@ -49,7 +47,6 @@ impl Default for TransientOptions {
             krylov_max_dimension: 120,
             newton_max_iterations: 30,
             newton_tolerance: 1e-9,
-            correction_gamma: 0.1,
             ordering: OrderingMethod::default(),
             fill_budget: None,
         }

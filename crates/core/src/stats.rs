@@ -74,12 +74,6 @@ pub struct RunStats {
     /// `restamped_entries == device_evaluations × nonlinear_stamp_count`
     /// (zero for linear circuits such as power grids and RC ladders).
     pub restamped_entries: usize,
-    /// Number of times the stamping-plan path had to grow an assembly
-    /// buffer (`Evaluation` storage or [`exi_netlist::EvalWorkspace`]
-    /// scratch). Plans pre-size every buffer, so this stays at zero in
-    /// steady state; a climbing counter is a hot-loop allocation
-    /// regression.
-    pub assembly_workspace_allocations: usize,
     /// Number of Krylov subspaces built.
     pub krylov_subspaces: usize,
     /// Sum of the dimensions of all Krylov subspaces built.
@@ -117,11 +111,6 @@ pub struct RunStats {
     /// short-vector, high-`m` circuits most tests are skipped, and this is
     /// well below it.
     pub small_dense_exponentials: usize,
-    /// Number of times the small-dense arena under the Arnoldi loop had to
-    /// grow a buffer (Padé temporaries, LU storage, `H_m` copies, φ columns).
-    /// It grows to the largest subspace dimension seen, so a second run of
-    /// the same work in one session reports zero.
-    pub dense_workspace_allocations: usize,
     /// Number of [`Observer`](crate::Observer) callback invocations the
     /// stepper performed (`on_dc` + accepted + rejected + `on_finish`).
     /// Compares recording overhead between observers: a
@@ -242,11 +231,6 @@ impl RunStats {
             Field::new("plan_compilations", Sum, &mut self.plan_compilations),
             Field::new("shared_plan_hits", Sum, &mut self.shared_plan_hits),
             Field::new("restamped_entries", Sum, &mut self.restamped_entries),
-            Field::new(
-                "assembly_workspace_allocations",
-                Sum,
-                &mut self.assembly_workspace_allocations,
-            ),
             Field::new("krylov_subspaces", Sum, &mut self.krylov_subspaces),
             Field::new(
                 "krylov_dimension_total",
@@ -277,11 +261,6 @@ impl RunStats {
                 "small_dense_exponentials",
                 Sum,
                 &mut self.small_dense_exponentials,
-            ),
-            Field::new(
-                "dense_workspace_allocations",
-                Sum,
-                &mut self.dense_workspace_allocations,
             ),
             Field::new("observer_callbacks", Sum, &mut self.observer_callbacks),
             Field::new("resumed_runs", Sum, &mut self.resumed_runs),
@@ -553,7 +532,6 @@ mod tests {
         let mut planned = RunStats {
             plan_compilations: 1,
             restamped_entries: 40,
-            assembly_workspace_allocations: 1,
             ..RunStats::default()
         };
         planned.absorb(&RunStats {
@@ -564,7 +542,6 @@ mod tests {
         assert_eq!(planned.plan_compilations, 1);
         assert_eq!(planned.shared_plan_hits, 3);
         assert_eq!(planned.restamped_entries, 42);
-        assert_eq!(planned.assembly_workspace_allocations, 1);
         assert_eq!(
             total.lu_factorizations,
             a.lu_factorizations + b.lu_factorizations
@@ -598,11 +575,10 @@ mod tests {
             accepted_steps, rejected_steps, newton_iterations, lu_factorizations,
             symbolic_analyses, lu_refactorizations, lu_reuses, linear_solves,
             device_evaluations, plan_compilations, shared_plan_hits, restamped_entries,
-            assembly_workspace_allocations, krylov_subspaces, krylov_dimension_total,
-            peak_krylov_dimension, krylov_workspace_allocations, krylov_subspace_reuses,
-            krylov_residual_tests, small_dense_exponentials, dense_workspace_allocations,
-            observer_callbacks, resumed_runs, batch_jobs, shared_symbolic_hits,
-            worker_threads;
+            krylov_subspaces, krylov_dimension_total, peak_krylov_dimension,
+            krylov_workspace_allocations, krylov_subspace_reuses, krylov_residual_tests,
+            small_dense_exponentials, observer_callbacks, resumed_runs, batch_jobs,
+            shared_symbolic_hits, worker_threads;
             runtime, cache_wait);
         let expected: Vec<(String, f64)> = RunStats::default()
             .fields()
@@ -637,7 +613,7 @@ mod tests {
             json.starts_with("\"accepted_steps\":1,\"rejected_steps\":2,"),
             "{json}"
         );
-        assert!(json.ends_with(",\"runtime_s\":27.000000,\"cache_wait_s\":28.000000"));
+        assert!(json.ends_with(",\"runtime_s\":25.000000,\"cache_wait_s\":26.000000"));
         let lookup = |name: &str| {
             let start = json.find(&format!("\"{name}\":"))? + name.len() + 3;
             let end = json[start..].find(',').map_or(json.len(), |k| start + k);

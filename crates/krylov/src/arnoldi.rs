@@ -25,7 +25,9 @@
 
 use exi_sparse::{vector, CsrMatrix, DenseMatrix, SparseLu};
 
-use crate::decomposition::{DenseArena, KrylovDecomposition, ProjectionKind};
+#[cfg(debug_assertions)]
+use crate::decomposition::DenseArena;
+use crate::decomposition::{KrylovDecomposition, ProjectionKind};
 use crate::error::{KrylovError, KrylovResult};
 use crate::mevp::{MevpOptions, MevpOutcome, MevpWorkspace};
 use crate::operator::{JacobianOperator, KrylovOperator};
@@ -121,7 +123,7 @@ impl ArnoldiProcess {
         for (out, x) in v1.iter_mut().zip(v.iter()) {
             *out = x / beta;
         }
-        let mut basis = Vec::with_capacity(max_m + 1);
+        let mut basis = ws.take_spine(max_m + 1);
         basis.push(v1);
         if ws.coefficients.len() < max_m {
             ws.coefficients.resize(max_m, 0.0);
@@ -291,21 +293,22 @@ impl ArnoldiProcess {
     }
 
     /// Whether the exact convergence test of the current iterate would pass
-    /// — or end the build with an error — in a throwaway arena, so that no
-    /// counter and no column of `ws` moves. What debug builds check after
-    /// every test the screen skipped.
+    /// — or end the build with an error — computed in `check`, an arena of
+    /// its own, so that no counter and no column of the build's arena
+    /// moves. What debug builds check after every test the screen skipped.
+    #[cfg(debug_assertions)]
     fn exact_test_concludes(
         &self,
         kind: ProjectionKind,
         h: f64,
         factor: f64,
         tolerance: f64,
+        check: &mut DenseArena,
     ) -> bool {
-        let mut exact = DenseArena::default();
-        match exact.phi_column(kind, &self.hess, self.m, 0, h) {
+        match check.phi_column(kind, &self.hess, self.m, 0, h) {
             Ok(()) => {
                 let h_next = self.hess.get(self.m, self.m - 1);
-                exact.residual_scalar(kind, self.m, h_next, self.beta) * factor <= tolerance
+                check.residual_scalar(kind, self.m, h_next, self.beta) * factor <= tolerance
             }
             Err(KrylovError::Sparse(_)) => false,
             Err(_) => true,
@@ -321,7 +324,8 @@ impl ArnoldiProcess {
     ) -> KrylovDecomposition {
         let m = self.m;
         let rows = if self.breakdown { m } else { m + 1 };
-        let hess_small = self.hess.submatrix(rows, m);
+        let mut hess_small = ws.trimmed.pop().unwrap_or_default();
+        self.hess.submatrix_into(rows, m, &mut hess_small);
         ws.recycle_vec(self.w);
         ws.hess = Some(self.hess);
         KrylovDecomposition::new(kind, self.basis, hess_small, self.beta, m)
@@ -463,8 +467,15 @@ pub(crate) fn drive<O: KrylovOperator>(
             if j < options.max_dimension && !test_can_pay(n, nnz, j) {
                 let screened = process.screened_residual_scalar(kind, h, ws);
                 if screened.is_some_and(|s| s * factor > SCREEN_MARGIN * options.tolerance) {
-                    debug_assert!(
-                        !process.exact_test_concludes(kind, h, factor, options.tolerance),
+                    #[cfg(debug_assertions)]
+                    assert!(
+                        !process.exact_test_concludes(
+                            kind,
+                            h,
+                            factor,
+                            options.tolerance,
+                            &mut ws.check
+                        ),
                         "the screen skipped a test that concludes the build at m = {j}"
                     );
                     continue;

@@ -116,8 +116,8 @@ fn complex_div(a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
 /// The small-dense scratch of one [`MevpWorkspace`]: `H_m`, the stabilised
 /// projected Jacobian `S`, the augmented matrix whose exponential is taken,
 /// the Padé temporaries and the one φ column that is read. Buffers grow to
-/// the largest dimension seen; [`DenseArena::allocations`] counts the
-/// growths and [`DenseArena::exponentials`] the exponentials computed.
+/// the largest dimension seen; [`DenseArena::exponentials`] counts the
+/// exponentials computed.
 #[derive(Debug, Default)]
 pub(crate) struct DenseArena {
     pade: PadeScratch,
@@ -136,16 +136,10 @@ pub(crate) struct DenseArena {
     /// imaginary parts, length `m`).
     lanes_re: Vec<[f64; SCREEN_LANES]>,
     lanes_im: Vec<[f64; SCREEN_LANES]>,
-    allocations: usize,
     exponentials: usize,
 }
 
 impl DenseArena {
-    /// Times a buffer of this arena had to grow (heap allocations).
-    pub(crate) fn allocations(&self) -> usize {
-        self.allocations + self.pade.allocations
-    }
-
     /// Small dense exponentials computed through this arena.
     pub(crate) fn exponentials(&self) -> usize {
         self.exponentials
@@ -158,7 +152,7 @@ impl DenseArena {
 
     /// Loads `H_m`, the leading `m × m` block of `hess`.
     fn load_hm(&mut self, hess: &DenseMatrix, m: usize) {
-        grow(&mut self.hm, m * m, &mut self.allocations);
+        grow(&mut self.hm, m * m);
         for (i, row) in self.hm[..m * m].chunks_exact_mut(m).enumerate() {
             row.copy_from_slice(&hess.row(i)[..m]);
         }
@@ -170,7 +164,7 @@ impl DenseArena {
     /// only). Left in `self.s`.
     fn project_jacobian(&mut self, kind: ProjectionKind, m: usize, delta: f64) -> KrylovResult<()> {
         let len = m * m;
-        grow(&mut self.s, len, &mut self.allocations);
+        grow(&mut self.s, len);
         let (hm, s) = (&self.hm[..len], &mut self.s[..len]);
         let gamma = match kind {
             ProjectionKind::Direct => {
@@ -180,8 +174,8 @@ impl DenseArena {
             ProjectionKind::Inverse => None,
             ProjectionKind::ShiftInvert { gamma } => Some(gamma),
         };
-        grow(&mut self.shifted, len, &mut self.allocations);
-        grow(&mut self.pivots, m, &mut self.allocations);
+        grow(&mut self.shifted, len);
+        grow(&mut self.pivots, m);
         shifted_inverse(
             hm,
             m,
@@ -259,7 +253,7 @@ impl DenseArena {
                 // The direct kind never benefits from shifting; fail fast.
                 break;
             }
-            grow(&mut self.augmented, dim * dim, &mut self.allocations);
+            grow(&mut self.augmented, dim * dim);
             let w = &mut self.augmented[..dim * dim];
             if order > 0 {
                 w.fill(0.0);
@@ -290,7 +284,7 @@ impl DenseArena {
                             && columns.iter().all(|v| v.abs() < 1e8)
                     });
                     if well_behaved {
-                        grow(&mut self.column, m, &mut self.allocations);
+                        grow(&mut self.column, m);
                         for (c, row) in self.column[..m].iter_mut().zip(e.chunks_exact(dim)) {
                             *c = row[read];
                         }
@@ -385,8 +379,8 @@ impl DenseArena {
             return None;
         }
         self.load_hm(hess, m);
-        grow(&mut self.lanes_re, m, &mut self.allocations);
-        grow(&mut self.lanes_im, m, &mut self.allocations);
+        grow(&mut self.lanes_re, m);
+        grow(&mut self.lanes_im, m);
         let hm = &self.hm[..m * m];
         let delta = 1e-12 * norm_inf(hm, m).max(f64::MIN_POSITIVE);
         let nodes = screen_nodes();
@@ -520,10 +514,11 @@ impl KrylovDecomposition {
         &self.hess
     }
 
-    /// Consumes the decomposition, handing back its basis vectors so a
-    /// workspace (see `MevpWorkspace::recycle`) can reuse their storage.
-    pub(crate) fn into_basis(self) -> Vec<Vec<f64>> {
-        self.basis
+    /// Consumes the decomposition, handing back its basis and Hessenberg
+    /// matrix so a workspace (see `MevpWorkspace::recycle`) can reuse their
+    /// storage.
+    pub(crate) fn into_parts(self) -> (Vec<Vec<f64>>, DenseMatrix) {
+        (self.basis, self.hess)
     }
 
     /// The subdiagonal element `h_{m+1,m}` (zero on happy breakdown).
@@ -834,9 +829,6 @@ mod tests {
             );
         }
         assert_eq!(ws.small_dense_exponentials(), 6);
-        let grown = ws.dense_allocations();
-        d.eval_phi_in(2, 0.7, &mut out, &mut ws).unwrap();
-        assert_eq!(ws.dense_allocations(), grown);
         let s = d.projected_jacobian().unwrap();
         assert_eq!((s.rows(), s.cols()), (2, 2));
     }
@@ -878,8 +870,9 @@ mod tests {
     #[test]
     fn into_basis_returns_vectors() {
         let d = scalar_decomposition(ProjectionKind::Direct, -1.0);
-        let basis = d.into_basis();
+        let (basis, hess) = d.into_parts();
         assert_eq!(basis, vec![vec![1.0]]);
+        assert_eq!((hess.rows(), hess.cols()), (1, 1));
     }
 
     /// Upper-Hessenberg `m × m` matrices with decay rates spread over

@@ -60,8 +60,7 @@ pub struct MevpOutcome {
 /// under the Arnoldi loop is drawn from (the `H_m` copy, the projected
 /// Jacobian, the augmented matrix, the Padé temporaries, LU storage and the
 /// convergence-test screen's lanes). It grows to the largest subspace
-/// dimension seen and then stops allocating too;
-/// [`MevpWorkspace::dense_allocations`] counts the growths. The counters of
+/// dimension seen and then stops allocating too. The counters of
 /// the layer — convergence tests scheduled and small exponentials computed —
 /// live here as well, per workspace, so concurrent sessions never share a
 /// cache line over them.
@@ -94,7 +93,12 @@ pub struct MevpOutcome {
 pub struct MevpWorkspace {
     /// Retired basis vectors, ready for reuse.
     pool: Vec<Vec<f64>>,
-    /// Retired Hessenberg storage.
+    /// Retired (empty) basis spines.
+    spines: Vec<Vec<Vec<f64>>>,
+    /// The trimmed Hessenberg matrices of retired decompositions, any shape
+    /// ([`DenseMatrix::submatrix_into`] reshapes them).
+    pub(crate) trimmed: Vec<DenseMatrix>,
+    /// Retired Hessenberg storage of the Arnoldi process.
     pub(crate) hess: Option<DenseMatrix>,
     /// Scratch for operator applications inside the Arnoldi loop.
     pub(crate) op: OperatorWorkspace,
@@ -106,6 +110,10 @@ pub struct MevpWorkspace {
     allocations: usize,
     /// Everything `O(m²)` under the Arnoldi loop.
     pub(crate) dense: DenseArena,
+    /// Where debug builds re-run a screened convergence test exactly, so
+    /// that the check moves nothing in `dense`.
+    #[cfg(debug_assertions)]
+    pub(crate) check: DenseArena,
     /// Convergence tests the Arnoldi drive loop has scheduled.
     pub(crate) residual_tests: usize,
 }
@@ -116,10 +124,14 @@ impl MevpWorkspace {
         MevpWorkspace::default()
     }
 
-    /// Returns a decomposition's basis vectors to the pool so subsequent
-    /// subspace builds can reuse their storage.
+    /// Returns a decomposition's basis vectors, its basis spine and its
+    /// Hessenberg matrix to the workspace so subsequent subspace builds can
+    /// reuse their storage.
     pub fn recycle(&mut self, decomposition: KrylovDecomposition) {
-        self.pool.extend(decomposition.into_basis());
+        let (mut basis, hess) = decomposition.into_parts();
+        self.pool.append(&mut basis);
+        self.spines.push(basis);
+        self.trimmed.push(hess);
     }
 
     /// Number of fresh length-`n` vector allocations performed because the
@@ -127,13 +139,6 @@ impl MevpWorkspace {
     /// surfaced in the run statistics as the hot-loop allocation counter.
     pub fn allocations(&self) -> usize {
         self.allocations
-    }
-
-    /// Number of times the small-dense arena had to grow a buffer. Like
-    /// [`MevpWorkspace::allocations`] it stops growing once the largest
-    /// subspace dimension of the workload has been seen.
-    pub fn dense_allocations(&self) -> usize {
-        self.dense.allocations()
     }
 
     /// Number of small dense matrix exponentials computed through this
@@ -183,6 +188,13 @@ impl MevpWorkspace {
                 DenseMatrix::zeros(rows, cols)
             }
         }
+    }
+
+    /// An empty basis spine with room for `capacity` vectors.
+    pub(crate) fn take_spine(&mut self, capacity: usize) -> Vec<Vec<f64>> {
+        let mut spine = self.spines.pop().unwrap_or_default();
+        spine.reserve(capacity);
+        spine
     }
 
     /// A scratch slice of length `n` with unspecified contents.

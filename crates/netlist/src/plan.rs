@@ -102,8 +102,8 @@ enum DeviceKernel {
 /// Reusable scratch state for [`EvalPlan::evaluate_into`].
 ///
 /// The restamp writes straight into the caller's [`Evaluation`], so all
-/// that is left here is the warm-up counter the engines report as
-/// `assembly_workspace_allocations`. Create one per thread/session with
+/// that is left here is the warm-up counter
+/// ([`EvalWorkspace::allocations`]). Create one per thread/session with
 /// [`EvalPlan::new_workspace`] and reuse it for every evaluation.
 #[derive(Debug, Default, Clone)]
 pub struct EvalWorkspace {

@@ -44,13 +44,6 @@ pub struct WireFaultSpec {
     pub corrupt_len_line: Option<usize>,
 }
 
-impl WireFaultSpec {
-    /// `true` when the spec injects nothing.
-    pub fn is_empty(&self) -> bool {
-        *self == WireFaultSpec::default()
-    }
-}
-
 /// Faults armed per accept index, waiting for their connection.
 static ARMED: Mutex<Option<HashMap<usize, WireFaultSpec>>> = Mutex::new(None);
 
@@ -65,13 +58,6 @@ pub fn arm(connection: usize, spec: WireFaultSpec) {
     armed_lock()
         .get_or_insert_with(HashMap::new)
         .insert(connection, spec);
-}
-
-/// Disarms one accept index, leaving the others armed.
-pub fn disarm(connection: usize) {
-    if let Some(map) = armed_lock().as_mut() {
-        map.remove(&connection);
-    }
 }
 
 /// Disarms every accept index.
@@ -93,17 +79,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arm_install_disarm_round_trip() {
+    fn arm_install_clear_all_round_trip() {
         let spec = WireFaultSpec {
             truncate_write: Some((2, 7)),
             ..WireFaultSpec::default()
         };
-        assert!(!spec.is_empty());
-        // Use high indices so concurrent tests in this binary cannot collide.
         arm(90_001, spec.clone());
         assert_eq!(install(90_001), Some(spec));
         assert_eq!(install(90_002), None);
-        disarm(90_001);
+        clear_all();
         assert_eq!(install(90_001), None);
     }
 }

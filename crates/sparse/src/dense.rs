@@ -132,22 +132,24 @@ impl DenseMatrix {
         self.data.fill(v);
     }
 
-    /// Returns the top-left `r x c` sub-matrix as a new matrix.
+    /// Overwrites `out` with the top-left `r x c` sub-matrix, reusing its
+    /// storage. That storage grows to the size of `self` at once, so
+    /// extracting any block of a matrix this size into `out` again does not
+    /// allocate.
     ///
-    /// Used to extract `H_m` from the `(m+1) x m` Arnoldi Hessenberg matrix.
+    /// Used to extract `H̄_m` from the Arnoldi Hessenberg matrix.
     ///
     /// # Panics
     ///
     /// Panics if `r > rows` or `c > cols`.
-    pub fn submatrix(&self, r: usize, c: usize) -> DenseMatrix {
+    pub fn submatrix_into(&self, r: usize, c: usize, out: &mut DenseMatrix) {
         assert!(r <= self.rows && c <= self.cols, "submatrix out of bounds");
-        let mut out = DenseMatrix::zeros(r, c);
+        out.data.clear();
+        out.data.reserve(self.data.len());
         for i in 0..r {
-            for j in 0..c {
-                out.set(i, j, self.get(i, j));
-            }
+            out.data.extend_from_slice(&self.row(i)[..c]);
         }
-        out
+        (out.rows, out.cols) = (r, c);
     }
 
     /// Matrix product `self * other`.
@@ -664,9 +666,9 @@ mod tests {
     #[test]
     fn submatrix_extracts_leading_block() {
         let a = DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
-        let s = a.submatrix(2, 2);
-        assert_eq!(s.rows(), 2);
-        assert_eq!(s.get(1, 1), 5.0);
+        let mut s = DenseMatrix::identity(4);
+        a.submatrix_into(2, 2, &mut s);
+        assert_eq!(s, DenseMatrix::from_rows(&[&[1.0, 2.0], &[4.0, 5.0]]));
     }
 
     #[test]

@@ -18,9 +18,9 @@ fn options() -> TransientOptions {
 }
 
 /// Acceptance criterion: a power-grid transient (linear-dominated workload)
-/// compiles exactly one plan, performs zero steady-state assembly
-/// allocations, and — having no nonlinear devices — restamps nothing: every
-/// per-step matrix restore is a flat baseline copy.
+/// compiles exactly one plan and — having no nonlinear devices — restamps
+/// nothing: every per-step matrix restore is a flat baseline copy. (That a
+/// warm run allocates nothing is `alloc_contract`'s to check.)
 #[test]
 fn power_grid_transient_compiles_one_plan_and_restamps_nothing() {
     let spec = PowerGridSpec {
@@ -41,17 +41,14 @@ fn power_grid_transient_compiles_one_plan_and_restamps_nothing() {
     assert!(first.stats.device_evaluations > first.stats.accepted_steps);
     // One topology analysis for the whole run...
     assert_eq!(first.stats.plan_compilations, 1, "{:?}", first.stats);
-    // ...zero nonlinear restamps (the grid is linear)...
+    // ...and zero nonlinear restamps (the grid is linear).
     assert_eq!(first.stats.restamped_entries, 0);
-    // ...and zero assembly allocations: every buffer was pre-sized.
-    assert_eq!(first.stats.assembly_workspace_allocations, 0);
 
     // A second run (different method, same session) reuses the plan.
     let second = sim
         .transient(Method::BackwardEuler, &options(), &["g_5_5"])
         .unwrap();
     assert_eq!(second.stats.plan_compilations, 0, "{:?}", second.stats);
-    assert_eq!(second.stats.assembly_workspace_allocations, 0);
     assert_eq!(sim.session_stats().plan_compilations, 1);
 }
 
@@ -88,7 +85,6 @@ fn restamped_entries_scale_with_nonlinear_stamps_only() {
             "{method:?}: {:?}",
             run.stats
         );
-        assert_eq!(run.stats.assembly_workspace_allocations, 0);
     }
 }
 
@@ -133,7 +129,6 @@ fn batch_jobs_share_one_plan_compilation() {
     assert_eq!(result.stats.plan_compilations, 1, "{:?}", result.stats);
     assert_eq!(result.stats.shared_plan_hits, 5);
     assert_eq!(shared_plans.len(), 1);
-    assert_eq!(result.stats.assembly_workspace_allocations, 0);
     let stats = shared_plans.stats();
     assert_eq!(stats.entries, 1);
     assert_eq!(stats.capacity, None);

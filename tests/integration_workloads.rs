@@ -154,7 +154,7 @@ fn er_power_grid_run_reuses_a_single_symbolic_analysis() {
 /// `er_dense_coupling` circuit) a test costs more than an Arnoldi iteration
 /// from dimension ~10 on, so tests thin out geometrically. Counts only: at
 /// most three tests per four dimensions built (testing every dimension is
-/// 0.96), a dense arena that a second run of the session finds grown, the
+/// 0.96), a vector pool that a second run of the session finds stocked, the
 /// folded step's budget of subspaces, and exponentials for fewer than two
 /// in three tests: the tests that cannot pay are screened, and most of them
 /// cannot pass.
@@ -187,14 +187,13 @@ fn dense_coupling_tests_convergence_on_a_schedule_and_stops_allocating() {
         4 * first.krylov_residual_tests <= 3 * first.krylov_dimension_total,
         "{first:?}"
     );
-    assert!(first.dense_workspace_allocations > 0);
     // One subspace per step (the input term rides in the exponential's start
     // vector) and one per attempt's estimator.
     let attempts = first.accepted_steps + first.rejected_steps;
     assert!(first.krylov_subspaces <= 2 * attempts, "{first:?}");
     // Every test computed its exponential before the screen: 747 for 735
-    // tests. Measured with it: 396, every count but the exponentials and
-    // the arena's growths unchanged.
+    // tests. Measured with it: 396, every count but the exponentials
+    // unchanged.
     assert!(
         5 * first.small_dense_exponentials <= 3 * first.krylov_residual_tests,
         "{first:?}"
@@ -209,7 +208,6 @@ fn dense_coupling_tests_convergence_on_a_schedule_and_stops_allocating() {
         .unwrap()
         .stats;
     assert!(second.krylov_residual_tests > 0, "{second:?}");
-    assert_eq!(second.dense_workspace_allocations, 0, "{second:?}");
     assert_eq!(second.krylov_workspace_allocations, 0, "{second:?}");
 }
 
@@ -258,7 +256,7 @@ fn mesh_options() -> TransientOptions {
 /// and subspace per step, and per *input segment* — not per step — at most
 /// two `w₂` solves and subspaces (the one built at `h_init` and the one that
 /// then carries the segment); no estimator work at all. A second run of the
-/// session finds both arenas warm.
+/// session finds the vector pool warm.
 #[test]
 fn linear_mesh_steps_redo_nothing_that_did_not_change() {
     let ckt = mesh_40();
@@ -295,14 +293,7 @@ fn linear_mesh_steps_redo_nothing_that_did_not_change() {
         );
         let second = sim.transient(method, &options, &[]).unwrap().stats;
         assert_eq!(second.krylov_subspaces, first.krylov_subspaces);
-        assert_eq!(
-            (
-                second.krylov_workspace_allocations,
-                second.dense_workspace_allocations
-            ),
-            (0, 0),
-            "{second:?}"
-        );
+        assert_eq!(second.krylov_workspace_allocations, 0, "{second:?}");
     }
 }
 
