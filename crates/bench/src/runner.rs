@@ -147,11 +147,12 @@ mod tests {
         assert!(first.is_completed() && second.is_completed());
         if let CaseOutcome::Completed(stats) = &second {
             // The second run reuses the session's cached symbolic analysis —
-            // and, tc3 being linear, the numeric factor as it stands.
+            // and, tc3 being linear, the numeric factor as it stands at every
+            // step that linearizes.
             assert_eq!(stats.symbolic_analyses, 0, "{second:?}");
             assert_eq!(
                 (stats.lu_factorizations, stats.lu_reuses),
-                (0, stats.accepted_steps),
+                (0, stats.device_evaluations),
                 "{second:?}"
             );
         }

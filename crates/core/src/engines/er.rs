@@ -29,11 +29,13 @@
 //!   the inputs (`w₂ ∝ h` there, so `w₂′` is a constant): the rejection loop
 //!   reads the step's one subspace at the shrunk `h` and rescales `w₂` — no
 //!   solve, no new basis vector.
-//! * **An input subspace of its own** — for `w₂`, read through φ₁ — is what
-//!   a plan without nonlinear stamps keeps instead (`G`, `C` are constants),
-//!   from step to step while the steps stay on the linear piece of the
-//!   inputs it was built on: the kept decomposition only has to pass
-//!   Eq. (22) again at the new `h`.
+//! * **The step's subspace itself** is what a plan without nonlinear stamps
+//!   keeps (`G`, `C` are constants) for the whole linear piece of the inputs
+//!   it was built on: there the exact solution is an affine particular
+//!   solution plus `E(t − t₀)`, `E(s) = e^{sJ}·v₀`, with `v₀` the start
+//!   vector folded at the piece's first step `t₀`. A later step only re-tests
+//!   the kept decomposition with Eq. (22) at `τ + h`, `τ = t − t₀`: no device
+//!   evaluation, no factor request, no solve. A miss linearizes afresh.
 //! * **The error estimator** is skipped on a plan without nonlinear stamps:
 //!   `ΔF ≡ 0`, so it would measure rounding noise.
 //!
@@ -73,10 +75,12 @@
 //! `krylov_tolerance`.
 //!
 //! The second line is the MEXP closed form for piecewise-linear inputs (Weng,
-//! Chen & Cheng, TCAD 2012) the paper starts from: one matrix-exponential–
-//! vector product per step. The first line, term by term — `φ₁(hJ)·w₂` off a
-//! subspace of `w₂` — is kept where that subspace serves many steps
-//! (`ErStepper::keeps_input_term`: constant `J`, piecewise-linear inputs).
+//! Chen & Cheng, TCAD 2012) the paper starts from, and the one formula the
+//! engine takes. With `v` holding `E(τ)` it reads
+//! `x_{k+1} = x_k + E(τ + h) − E(τ) − w₂`: `τ = 0` on the step that folded
+//! `v₀`, and on a plan that keeps the subspace (`ErStepper::keeps_subspace`:
+//! constant `J`, piecewise-linear inputs) every later step of the segment
+//! too, so the errors of its steps telescope instead of adding up.
 
 use exi_krylov::{
     invert_krylov_residual, mevp_invert_krylov_state_residual_with, mevp_invert_krylov_with,
@@ -135,35 +139,24 @@ impl Subspace {
     }
 }
 
-/// The input term `(φ₁(hJ) − I)·w₂` of Eq. (14) as the stepper holds it:
-/// `w₂` itself sits in [`ErStepper::w2`], computed for the step size `h_ref`.
+/// Where the start vector `v₀ = w₁ + w₂′` of the step's exponential was
+/// folded ([`ErStepper::fold_input_term`]): `w₂` itself sits in
+/// [`ErStepper::w2`], computed for the step size `h_ref`.
 ///
 /// Where every source is linear in `t`, `u(t + h) − u(t)` is proportional to
 /// `h`, so `w₂(h) = w₂(h_ref)·h/h_ref` for any step on the same linear piece:
 /// the rejection loop rescales instead of solving again, and on a plan
 /// without nonlinear stamps — `J` itself then never changes — so does every
-/// later step of the piece, for as long as the subspace passes Eq. (22) at
-/// the step size asked of it.
+/// later step of the piece, for as long as the subspace of `v₀` passes
+/// Eq. (22) at the time asked of it ([`ErStepper::kept_subspace_serves`]).
 #[derive(Debug)]
-struct InputTerm {
+struct Fold {
     h_ref: f64,
     /// Breakpoint interval ([`breakpoint_interval`]) `w₂` was computed in.
     interval: usize,
-    form: InputForm,
-}
-
-/// How a step reads `(φ₁(hJ) − I)·w₂`.
-#[derive(Debug)]
-enum InputForm {
-    /// No source moves over the interval: `w₂ = 0`, the term vanishes.
-    Flat,
-    /// `φ₁(hJ)·w₂` off a subspace of `w₂`'s own — the kept path
-    /// ([`ErStepper::keeps_input_term`]), which builds it once per linear
-    /// piece of the inputs.
-    Phi1(Subspace),
-    /// `φ₁(hJ)·w₂ = (e^{hJ} − I)·w₂′` sits in the start vector `v = w₁ + w₂′`
-    /// of the step's exponential; what is left to add is `−w₂`.
-    Folded,
+    /// `t₀`, where the step that folded `v₀` started: a step from `t` reads
+    /// the subspace at `τ + h`, `τ = t − t₀`.
+    origin: f64,
 }
 
 /// Scratch of the local error estimator of Eq. (15)/(24).
@@ -215,8 +208,8 @@ impl KrylovCounters {
 /// Created by [`Simulator::stepper`](crate::Simulator::stepper) with
 /// [`Method::ExponentialRosenbrock`](crate::Method::ExponentialRosenbrock) or
 /// [`Method::ExponentialRosenbrockCorrected`](crate::Method::ExponentialRosenbrockCorrected).
-/// All hot-loop state lives in the stepper — the input subspace kept from
-/// step to step included — so a paused one resumes bit-identically.
+/// All hot-loop state lives in the stepper — the subspace kept from step to
+/// step included — so a paused one resumes bit-identically.
 #[derive(Debug)]
 pub struct ErStepper {
     correction: bool,
@@ -232,7 +225,8 @@ pub struct ErStepper {
     bdu: Vec<f64>,
     w2: Vec<f64>,
     /// What the step's exponential acts on: `w₁` as [`ErStepper::linearize`]
-    /// leaves it, plus `w₂′` once the input term is folded in.
+    /// leaves it, plus `w₂′` once the input term is folded in; on a kept
+    /// subspace `E(τ)` from the second step of the segment on.
     v: Vec<f64>,
     candidate: Vec<f64>,
     kry: Vec<f64>,
@@ -241,11 +235,11 @@ pub struct ErStepper {
     /// compile-time constants, `f` is linear, `ΔF ≡ 0` and there is nothing
     /// to estimate (nor, for ER-C, to correct).
     estimator: Option<Estimator>,
-    /// The subspace of `v`, for the duration of one step.
+    /// The subspace of `v₀`, and where it was folded: kept across accepted
+    /// steps where [`ErStepper::keeps_subspace`], otherwise for the duration
+    /// of one step.
     exp_subspace: Option<Subspace>,
-    /// Kept across accepted steps where `estimator` is `None` and the inputs
-    /// are piecewise linear; otherwise for the duration of one step.
-    input_term: Option<InputTerm>,
+    fold: Option<Fold>,
     krylov_baseline: KrylovCounters,
 }
 
@@ -287,26 +281,28 @@ impl ErStepper {
             du: vec![0.0; input_dim],
             estimator,
             exp_subspace: None,
-            input_term: None,
+            fold: None,
             krylov_baseline: KrylovCounters::of(&run.caches.mevp_ws),
         }
     }
 }
 
 impl Stepper for ErStepper {
-    /// Algorithm 2 lines 4-6: linearize, factorize G, build subspaces.
-    fn start_step(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
-        self.linearize(run, h)
+    /// Nothing before the clamp: whether the step linearizes at all depends
+    /// on the clamped `h` ([`ErStepper::kept_subspace_serves`]).
+    fn start_step(&mut self, _run: &mut Run<'_>, _h: f64) -> SimResult<()> {
+        Ok(())
     }
 
-    /// One pass of the step-size loop (Algorithm 2 lines 8-21): no LU, and
-    /// no new subspace for the exponential where `w₂` only rescales with
-    /// `h` (`v` then does not depend on `h` at all).
+    /// One pass of the step-size loop (Algorithm 2 lines 4-21). The first
+    /// attempt linearizes and factorizes `G` (lines 4-5) unless the kept
+    /// subspace carries the step; a retry needs no LU, and no new subspace
+    /// for the exponential where `w₂` only rescales with `h` (`v` then does
+    /// not depend on `h` at all).
     fn attempt(&mut self, run: &mut Run<'_>, h: f64, retry: bool) -> SimResult<Attempt> {
         if !retry {
-            if self.keeps_input_term() {
-                self.place_input_term(run, h)?;
-            } else {
+            if !self.kept_subspace_serves(run, h) {
+                self.linearize(run)?;
                 self.fold_input_term(run, h)?;
             }
         } else if !self.inputs_piecewise_linear {
@@ -319,22 +315,29 @@ impl Stepper for ErStepper {
         Ok(Attempt::Estimated { err })
     }
 
+    /// The next step of a kept subspace starts from `v = E(τ + h)`, which
+    /// [`ErStepper::form_candidate`] left in `kry` (no estimator overwrites
+    /// it on such a plan).
     fn commit(&mut self, x: &mut Vec<f64>, _h: f64) {
         x.copy_from_slice(&self.candidate);
+        if self.keeps_subspace() && self.exp_subspace.is_some() {
+            std::mem::swap(&mut self.v, &mut self.kry);
+        }
     }
 
-    /// The per-step bases, and where the input term is not kept (or `all`)
-    /// the input term's as well.
+    /// The estimator's basis, and where the subspace is not kept (or `all`)
+    /// the step's as well.
     fn release(&mut self, run: &mut Run<'_>, all: bool) {
-        let per_step = [
-            self.exp_subspace.take(),
+        let kept = !all && self.keeps_subspace();
+        let subspaces = [
+            self.exp_subspace.take_if(|_| !kept),
             self.estimator.as_mut().and_then(|e| e.subspace.take()),
         ];
-        for subspace in per_step.into_iter().flatten() {
+        for subspace in subspaces.into_iter().flatten() {
             subspace.recycle_into(&mut run.caches.mevp_ws);
         }
-        if all || !self.keeps_input_term() {
-            self.release_input_term(run);
+        if !kept {
+            self.fold = None;
         }
     }
 
@@ -352,10 +355,8 @@ impl Stepper for ErStepper {
 
 impl ErStepper {
     /// Linearizes at `(t_k, x_k)`: device evaluation, the factor of `G_k` and
-    /// `v = w₁ = G_k⁻¹(f(x_k) − B·u_k)`, the "distance to quasi-equilibrium". On
-    /// the kept path that is all of `v`, and its subspace is built here, for
-    /// the step size `h` the step asks for.
-    fn linearize(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
+    /// `v = w₁ = G_k⁻¹(f(x_k) − B·u_k)`, the "distance to quasi-equilibrium".
+    fn linearize(&mut self, run: &mut Run<'_>) -> SimResult<()> {
         let (plan, caches) = (&*run.plan, &mut *run.caches);
         run.stats.restamped_entries +=
             plan.evaluate_into(&run.x, &mut caches.eval_ws, &mut self.eval_k)?;
@@ -376,18 +377,7 @@ impl ErStepper {
         for i in 0..self.rhs.len() {
             self.rhs[i] = self.eval_k.f[i] - self.bu_k[i];
         }
-        self.solve_w1(run)?;
-        if self.keeps_input_term() {
-            self.exp_subspace = build_subspace(
-                run,
-                &self.eval_k,
-                &self.v,
-                h,
-                Residual::Kcl,
-                &self.mevp_options,
-            )?;
-        }
-        Ok(())
+        self.solve_w1(run)
     }
 
     /// `v = w₁ = G_k⁻¹·rhs`, `rhs = f(x_k) − B·u_k` as `linearize` left it.
@@ -399,74 +389,41 @@ impl ErStepper {
         Ok(())
     }
 
-    /// Whether the input term has a subspace of its own that outlives the
-    /// step it was computed for: `J` must not change between steps, and `w₂`
-    /// must only rescale with `h`. Everywhere else the term is folded into
-    /// the step's one exponential ([`ErStepper::fold_input_term`]).
-    fn keeps_input_term(&self) -> bool {
+    /// Whether the step's subspace outlives the step it was built for: `J`
+    /// must not change between steps, and `w₂` must only rescale with `h`.
+    fn keeps_subspace(&self) -> bool {
         self.estimator.is_none() && self.inputs_piecewise_linear
     }
 
-    /// Hands the input term's basis, if any, back to the arena.
-    fn release_input_term(&mut self, run: &mut Run<'_>) {
-        if let Some(InputTerm {
-            form: InputForm::Phi1(subspace),
-            ..
-        }) = self.input_term.take()
-        {
-            subspace.recycle_into(&mut run.caches.mevp_ws);
-        }
-    }
-
-    /// Leaves in `self.input_term` an input term good for a step of size `h`
-    /// from `run.t`: the kept one, when it was computed on this breakpoint
-    /// interval, the step stays on it, and its subspace still meets the
-    /// Krylov tolerance for `w₂(h) = w₂(h_ref)·h/h_ref` (the residual is
-    /// linear in the vector); a new one otherwise. A step across a
-    /// breakpoint sliver ([`crosses_breakpoint`]) reads its `w₂` off the
-    /// segment after the breakpoint, and the next step starts on a later
-    /// interval, so its term is never reused.
-    fn place_input_term(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
+    /// Whether the kept subspace carries a step of size `h` from `run.t`:
+    /// `v₀` was folded on this breakpoint interval, the step stays on it and
+    /// the decomposition still meets the Krylov tolerance at `τ + h`. A step
+    /// across a breakpoint sliver ([`crosses_breakpoint`]) reads its `w₂` off
+    /// the segment after the breakpoint, and the next step starts on a later
+    /// interval, so its fold is never reused.
+    fn kept_subspace_serves(&self, run: &mut Run<'_>, h: f64) -> bool {
         let (t, t_stop, breakpoints) = (run.t, run.options.t_stop, &run.breakpoints);
         let interval = breakpoint_interval(t, t_stop, breakpoints);
-        let stays = !crosses_breakpoint(t, h, t_stop, breakpoints, interval);
-        let kept = self.input_term.as_ref();
-        if let Some(kept) = kept.filter(|k| stays && k.interval == interval) {
-            let InputForm::Phi1(subspace) = &kept.form else {
-                return Ok(());
-            };
-            let residual = invert_krylov_residual(
-                &subspace.decomposition,
-                &self.eval_k.g,
-                h,
-                &mut run.caches.mevp_ws,
-            );
-            // A re-test that cannot be evaluated is a miss like any other.
-            if residual.is_ok_and(|r| h / kept.h_ref * r <= self.mevp_options.tolerance) {
-                run.stats.krylov_subspace_reuses += 1;
-                return Ok(());
-            }
-        }
-        self.release_input_term(run);
-        let form = if self.solve_w2(run, h)? {
-            build_subspace(
-                run,
-                &self.eval_k,
-                &self.w2,
-                h,
-                Residual::Kcl,
-                &self.mevp_options,
-            )?
-            .map_or(InputForm::Flat, InputForm::Phi1)
-        } else {
-            InputForm::Flat
+        let Some(fold) = self.fold.as_ref().filter(|f| f.interval == interval) else {
+            return false;
         };
-        self.input_term = Some(InputTerm {
-            h_ref: h,
-            interval,
-            form,
+        if crosses_breakpoint(t, h, t_stop, breakpoints, interval) {
+            return false;
+        }
+        // No subspace: `v₀` was negligible, and so is `E` on the segment. A
+        // re-test that cannot be evaluated is a miss like any other.
+        let serves = self.exp_subspace.as_ref().is_none_or(|kept| {
+            let s = t - fold.origin + h;
+            invert_krylov_residual(
+                &kept.decomposition,
+                &self.eval_k.g,
+                s,
+                &mut run.caches.mevp_ws,
+            )
+            .is_ok_and(|r| r <= self.mevp_options.tolerance)
         });
-        Ok(())
+        run.stats.krylov_subspace_reuses += usize::from(serves);
+        serves
     }
 
     /// Folds the input term of a step of size `h` from `run.t` into `v`,
@@ -486,7 +443,7 @@ impl ErStepper {
         if let Some(stale) = self.exp_subspace.take() {
             stale.recycle_into(&mut run.caches.mevp_ws);
         }
-        let form = if self.solve_w2(run, h)? {
+        if self.solve_w2(run, h)? {
             // `bdu` is free again: `solve_w2` consumed it.
             self.eval_k.c.mul_vec_into(&self.w2, &mut self.bdu);
             let caches = &mut *run.caches;
@@ -495,10 +452,7 @@ impl ErStepper {
             for i in 0..self.v.len() {
                 self.v[i] -= self.kry[i] / h;
             }
-            InputForm::Folded
-        } else {
-            InputForm::Flat
-        };
+        }
         self.exp_subspace = build_subspace(
             run,
             &self.eval_k,
@@ -507,10 +461,10 @@ impl ErStepper {
             Residual::Kcl,
             &self.mevp_options,
         )?;
-        self.input_term = Some(InputTerm {
+        self.fold = Some(Fold {
             h_ref: h,
             interval: breakpoint_interval(run.t, run.options.t_stop, &run.breakpoints),
-            form,
+            origin: run.t,
         });
         Ok(())
     }
@@ -527,6 +481,7 @@ impl ErStepper {
             *d = un - uk;
         }
         if self.du.iter().all(|&d| d == 0.0) {
+            self.w2.fill(0.0);
             return Ok(false);
         }
         let caches = &mut *run.caches;
@@ -540,37 +495,26 @@ impl ErStepper {
         Ok(true)
     }
 
-    /// The candidate `x_{k+1}` of Eq. (14) for step size `h`: no solve, no
-    /// new basis vector.
+    /// The candidate `x_{k+1} = x_k + E(τ + h) − E(τ) − w₂` for step size `h`,
+    /// `v` holding `E(τ)`: no solve, no new basis vector.
     fn form_candidate(&mut self, run: &mut Run<'_>, h: f64) -> SimResult<()> {
         let n = run.x.len();
-        let ws = &mut run.caches.mevp_ws;
+        let fold = self
+            .fold
+            .as_ref()
+            .expect("folded before the first candidate");
         self.candidate.copy_from_slice(&run.x);
         if let Some(dec) = &self.exp_subspace {
-            dec.expv_into(h, &mut self.kry, ws)?;
+            let s = run.t - fold.origin + h;
+            dec.expv_into(s, &mut self.kry, &mut run.caches.mevp_ws)?;
             for i in 0..n {
                 self.candidate[i] += self.kry[i] - self.v[i];
             }
         }
-        let term = self
-            .input_term
-            .as_ref()
-            .expect("placed before the first candidate");
-        // w2(h) = w2(h_ref)·h/h_ref, and φ₁(hJ) is linear in the vector.
-        let scale = h / term.h_ref;
-        match &term.form {
-            InputForm::Flat => {}
-            InputForm::Phi1(dec) => {
-                dec.decomposition.eval_phi_in(1, h, &mut self.kry, ws)?;
-                for i in 0..n {
-                    self.candidate[i] += scale * (self.kry[i] - self.w2[i]);
-                }
-            }
-            InputForm::Folded => {
-                for i in 0..n {
-                    self.candidate[i] -= scale * self.w2[i];
-                }
-            }
+        // w2(h) = w2(h_ref)·h/h_ref.
+        let scale = h / fold.h_ref;
+        for i in 0..n {
+            self.candidate[i] -= scale * self.w2[i];
         }
         Ok(())
     }
@@ -894,16 +838,21 @@ mod tests {
             (0, 0),
             "{s:?}"
         );
-        assert_eq!(s.lu_reuses, s.accepted_steps, "{s:?}");
+        assert_eq!(s.lu_reuses, s.device_evaluations, "{s:?}");
         let totals = sim.session_stats();
         assert_eq!(totals.symbolic_analyses, 1, "{totals:?}");
         assert_eq!(
             totals.lu_factorizations,
             totals.symbolic_analyses + totals.lu_refactorizations
         );
-        // No nonlinearity, no estimator: one device evaluation per step and
-        // never a rejection.
-        assert_eq!(s.device_evaluations, s.accepted_steps, "{s:?}");
+        // No nonlinearity, no estimator: a step either linearizes once or
+        // carries on with the kept subspace, and is never rejected.
+        assert_eq!(
+            s.device_evaluations + s.krylov_subspace_reuses,
+            s.accepted_steps,
+            "{s:?}"
+        );
+        assert!(s.krylov_subspace_reuses > 0, "{s:?}");
         assert_eq!(s.rejected_steps, 0);
         // The Krylov workspace reaches steady state: far fewer fresh
         // allocations than subspace builds.

@@ -85,11 +85,13 @@ pub struct RunStats {
     /// value that keeps climbing with the step count indicates a workspace
     /// reuse regression in the hot path.
     pub krylov_workspace_allocations: usize,
-    /// Number of ER steps whose input term `(φ₁(hJ) − I)·w₂` was evaluated
-    /// from the subspace an earlier step of the same piecewise-linear input
-    /// segment had built, after it passed the Eq. (22) test at the new step
-    /// size — neither a solve nor a subspace build. Only on plans without
-    /// nonlinear stamps, where `(G, C)` cannot have changed in between.
+    /// Number of ER steps taken on the subspace an earlier step of the same
+    /// piecewise-linear input segment had built for its start vector `v₀`,
+    /// after it passed the Eq. (22) test at the time since that step plus
+    /// the new step size — no device evaluation, no factor request, no
+    /// solve and no subspace build. Only on plans without nonlinear stamps,
+    /// where `(G, C)` cannot have changed in between; there every accepted
+    /// step either counts here or evaluates the devices once.
     pub krylov_subspace_reuses: usize,
     /// Number of Krylov convergence tests scheduled (paper Eq. 22 for ER).
     /// The Arnoldi drive loop tests every dimension while a test costs
@@ -100,9 +102,10 @@ pub struct RunStats {
     /// that can pay computes one small dense exponential, `O(m³)` at
     /// subspace dimension `m`; one that cannot is screened first in `O(m²)`
     /// and computes it only when it may pass, but counts here either way.
-    /// Re-tests of a retained input subspace
+    /// Re-tests of a subspace kept for its input segment
     /// ([`RunStats::krylov_subspace_reuses`], plus the ones that failed and
-    /// led to a rebuild) count here too.
+    /// led to a rebuild) count here too, unless the kept subspace is exact
+    /// (its Arnoldi process broke down) and there is nothing to test.
     pub krylov_residual_tests: usize,
     /// Number of small dense matrix exponentials computed: one per
     /// convergence test the screen did not skip, one per φ evaluation that

@@ -240,36 +240,49 @@ fn ladder_ramp_options(ramp: f64) -> TransientOptions {
 
 /// The step responses above never move an input, so their `w₂` is zero. On a
 /// ramp the input term carries the answer — and on a linear circuit ER keeps
-/// one `w₂` subspace for the whole ramp, rescaled and re-tested at each
-/// step's `h`. The closed form is what licenses that: ER and ER-C within the
-/// same 10× Krylov tolerance as above, with at least eight steps of the ramp
-/// served by a kept subspace.
+/// one subspace, of the start vector `v₀ = w₁ + w₂′` folded at the ramp's
+/// first step, for the whole ramp: each later step re-tests it at `τ + h`,
+/// `τ` the time since that step, and reads `E(τ + h) = e^{(τ+h)J}·v₀` off it.
+/// The closed form is what licenses that: ER and ER-C within the same 10×
+/// Krylov tolerance as above, under both drives, with at least eight steps of
+/// the ramp served by the kept subspace. At eight times as many steps per
+/// ramp the bound is the same: the steps' errors telescope instead of adding
+/// up. (Reading the kept subspace at `h` instead of `τ + h` fails it.)
 #[test]
 fn closed_form_ramp_response_with_a_kept_input_subspace() {
     let ramp = 1e-9;
-    let ckt = ladder_ramp(ramp, LadderDrive::Norton, false);
     let (node, probe) = (LADDER / 2, format!("n{}", LADDER / 2));
-    let options = ladder_ramp_options(ramp);
-    assert!(ladder_ramp_exact(ramp, node, options.t_stop) > 0.3);
-    for method in [
-        Method::ExponentialRosenbrock,
-        Method::ExponentialRosenbrockCorrected,
-    ] {
-        let result = Simulator::new(&ckt)
-            .transient(method, &options, &[&probe])
-            .unwrap();
-        let stats = &result.stats;
-        let on_ramp = |t: &&f64| **t > 0.0 && **t <= ramp * (1.0 + 1e-9);
-        let steps_on_ramp = result.times.iter().filter(on_ramp).count();
-        assert!(steps_on_ramp >= 10, "{method}: {steps_on_ramp} steps");
-        assert!(stats.krylov_subspace_reuses >= 8, "{method}: {stats:?}");
-        // The subspaces are genuinely truncated: the re-test has work to do.
-        assert!(stats.peak_krylov_dimension < LADDER, "{method}: {stats:?}");
-        let err = max_error(&result, |t| ladder_ramp_exact(ramp, node, t));
-        assert!(
-            err < 10.0 * options.krylov_tolerance,
-            "{method}: max error {err:e}"
-        );
+    for drive in [LadderDrive::Norton, LadderDrive::Voltage] {
+        let ckt = ladder_ramp(ramp, drive, false);
+        for steps_per_ramp in [8.0, 64.0] {
+            let options = TransientOptions {
+                h_max: ramp / steps_per_ramp,
+                ..ladder_ramp_options(ramp)
+            };
+            assert!(ladder_ramp_exact(ramp, node, options.t_stop) > 0.3);
+            for method in [
+                Method::ExponentialRosenbrock,
+                Method::ExponentialRosenbrockCorrected,
+            ] {
+                let result = Simulator::new(&ckt)
+                    .transient(method, &options, &[&probe])
+                    .unwrap();
+                let stats = &result.stats;
+                let case = format!("{drive:?} h_max = ramp/{steps_per_ramp} {method}");
+                let on_ramp = |t: &&f64| **t > 0.0 && **t <= ramp * (1.0 + 1e-9);
+                let steps_on_ramp = result.times.iter().filter(on_ramp).count();
+                assert!(steps_on_ramp >= 10, "{case}: {steps_on_ramp} steps");
+                assert!(stats.krylov_subspace_reuses >= 8, "{case}: {stats:?}");
+                // The subspaces are genuinely truncated: the re-test has work
+                // to do.
+                assert!(stats.peak_krylov_dimension < LADDER, "{case}: {stats:?}");
+                let err = max_error(&result, |t| ladder_ramp_exact(ramp, node, t));
+                assert!(
+                    err < 10.0 * options.krylov_tolerance,
+                    "{case}: max error {err:e}"
+                );
+            }
+        }
     }
 }
 

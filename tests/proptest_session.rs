@@ -68,9 +68,10 @@ proptest! {
         prop_assert_eq!(second.stats.symbolic_analyses, 0);
         prop_assert_eq!(sim.session_stats().symbolic_analyses, 1);
         // ... and, the ladder being linear, factorizes nothing at all: the
-        // factor the first run left behind is the factor of every step's G.
+        // factor the first run left behind is the factor of the G of every
+        // step that linearizes.
         prop_assert_eq!(second.stats.lu_factorizations, 0);
-        prop_assert_eq!(second.stats.lu_reuses, second.stats.accepted_steps);
+        prop_assert_eq!(second.stats.lu_reuses, second.stats.device_evaluations);
         // Cache reuse is invisible in the numbers.
         prop_assert_eq!(&first.times, &second.times);
         prop_assert_eq!(&first.samples, &second.samples);
